@@ -29,7 +29,7 @@ from scipy.optimize import brentq, minimize
 from .energy import energy_breakdown, smoothed_energy_grad
 from .geometry import lower_bracket, signed_svd
 from .lattice import LatticeSpec, PeriodicDeformation, Supercell
-from .mechanisms import MechanismError, twist_admissible_range, twist_mechanism
+from .mechanisms import MechanismError, _twist_field, twist_admissible_range
 
 __all__ = [
     "DensityEstimate",
@@ -77,7 +77,7 @@ def _twist_contraction_table(spec: LatticeSpec):
     cs = np.empty_like(thetas)
     cs[0] = 1.0
     for i, th in enumerate(thetas[1:], start=1):
-        sd = signed_svd(twist_mechanism(spec, th).certificate.lam)
+        sd = signed_svd(_twist_field(spec, th)[0])
         cs[i] = 0.5 * (sd.sigma1 + sd.sigma2)
     return thetas, cs
 
@@ -96,7 +96,7 @@ def _invert_contraction(spec: LatticeSpec, c: float) -> float:
         lo, hi = hi, lo
 
     def gap(th):
-        sd = signed_svd(twist_mechanism(spec, th).certificate.lam)
+        sd = signed_svd(_twist_field(spec, th)[0])
         return 0.5 * (sd.sigma1 + sd.sigma2) - c
 
     if gap(lo) * gap(hi) > 0:
@@ -119,8 +119,7 @@ def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int) -> Optional[Periodic
         return None
     if not cs.min() - 0.05 <= c <= 1.0 + 1e-9:
         return None
-    mech = twist_mechanism(spec, _invert_contraction(spec, c))
-    tlam = mech.certificate.lam
+    tlam, psi = _twist_field(spec, _invert_contraction(spec, c))
     if abs(np.linalg.det(tlam)) < 1e-12:
         return None
     # project the alignment onto a rotation so the seed stays energy-free
@@ -128,7 +127,7 @@ def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int) -> Optional[Periodic
     rot = u @ vt
     if np.linalg.det(rot) < 0:
         rot = u @ np.diag([1.0, -1.0]) @ vt
-    seeded = mech.deformation.rotate(rot)
+    seeded = PeriodicDeformation(Supercell(spec, 1), tlam, psi).rotate(rot)
     if k > 1:
         seeded = seeded.tile(k)
     return seeded

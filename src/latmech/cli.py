@@ -6,7 +6,7 @@ Artifacts are deterministic CSV/JSON files (floats printed with 17
 significant digits, fixed row order), so identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 usage error, 2
 precondition/build error, 3 a verified bound came back with negative
-slack.
+slack, 4 an unexpected internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +63,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERNAL = 4
 
 SLACK_TOL = -1e-12
 
@@ -392,7 +394,7 @@ def _cmd_verify_bounds(args) -> int:
     if args.isotropic:
         iso = verify_isotropic_bound(spec, args.eta, lambda_grid("noniso"),
                                      k=1, rng_seed=args.seed)
-        rows.append(["isotropy-energy-gap", iso.n_lams, iso.c_fit, ""])
+        rows.append(["isotropy-energy-gap", iso.n_trials, iso.c_fit, ""])
         if iso.c_fit <= 0:
             worst = min(worst, iso.c_fit if iso.c_fit < 0 else -1.0)
     path = _out_path(args, "bounds.csv")
@@ -592,6 +594,10 @@ def main(argv=None) -> int:
     except (ValueError, MechanismError, OSError, json.JSONDecodeError) as exc:
         print(f"latmech {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception:
+        traceback.print_exc()
+        print(f"latmech {args.command}: internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -212,7 +212,10 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     grids; returns a list of :class:`ScalarInequalityReport`.
 
     Grids: ``0 <= l2 <= l1 <= 3`` in steps of ``lam_step`` and directions
-    ``theta in [0, 2 pi)`` in steps of ``theta_step``.
+    ``theta in [0, 2 pi)`` in steps of ``theta_step``.  The
+    three-direction compression sum depends on theta only through
+    ``cos^2(theta + o)``, ``o in {0, pi/3, 2 pi/3}``, so it has period
+    ``pi/3`` and is swept over the grid points in ``[0, pi/3)`` only.
     """
     reports = []
     l1, l2 = _pair_grid(lam_step)
@@ -236,16 +239,17 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     # sum of three direction compressions dominates one quadratic mean
     best = (np.inf, (0.0, 0.0, 0.0))
     rhs = _relu(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0) ** 2
+    period = theta[theta < np.pi / 3]
     chunk = 256
-    for s in range(0, len(theta), chunk):
-        th = theta[s:s + chunk][:, None]
+    for s in range(0, len(period), chunk):
+        th = period[s:s + chunk][:, None]
         lhs = np.zeros((th.shape[0], l1.shape[0]))
         for o in (0.0, np.pi / 3, 2 * np.pi / 3):
             lhs += _relu(direction_stretch(l1[None, :], l2[None, :], th + o) - 1.0) ** 2
         slack = lhs - rhs[None, :]
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
         if slack[i, j] < best[0]:
-            best = (float(slack[i, j]), (float(l1[j]), float(l2[j]), float(theta[s + i])))
+            best = (float(slack[i, j]), (float(l1[j]), float(l2[j]), float(period[s + i])))
     reports.append(ScalarInequalityReport("three-direction-compression", best[0], best[1]))
 
     # commutator + compression dominate the positive-part bracket

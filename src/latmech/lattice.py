@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -111,7 +112,13 @@ def _seg_key(a: NodeRef, b: NodeRef):
 
 @dataclass(eq=False)
 class LatticeSpec:
-    """Immutable description of one periodic spring lattice."""
+    """Immutable description of one periodic spring lattice.
+
+    Equality and hashing go by the canonical :meth:`to_json` text, so a
+    spec rebuilt from its JSON equals (and caches like) the original.
+    Rest lengths and areas are not serialized; they are derived from the
+    node positions that are.
+    """
 
     name: str
     v1: np.ndarray
@@ -177,10 +184,27 @@ class LatticeSpec:
             a2 += r
         return a1, a2
 
+    def __eq__(self, other):
+        if not isinstance(other, LatticeSpec):
+            return NotImplemented
+        return self._json == other._json
+
+    def __hash__(self):
+        return hash(self._json)
+
     # -- serialization -------------------------------------------------------
 
     def to_json(self, path=None) -> str:
         """Serialize to the documented JSON format (see ``docs/formats.md``)."""
+        text = self._json
+        if path is not None:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        return text
+
+    @cached_property
+    def _json(self) -> str:
+        """The canonical JSON text, built once per (immutable) instance."""
 
         def ref(r):
             return [int(r[0]), int(r[1][0]), int(r[1][1])]
@@ -212,11 +236,7 @@ class LatticeSpec:
             "alpha": self.alpha,
             "c_marker": self.c_marker,
         }
-        text = json.dumps(data, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return json.dumps(data, indent=2)
 
     @classmethod
     def from_json(cls, source) -> "LatticeSpec":

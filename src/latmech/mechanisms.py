@@ -97,8 +97,7 @@ def rigid_units(spec: LatticeSpec):
 
     Raises if a unit glues to its own lattice translate (a percolating
     rigid line has no counter-rotation) or if the pin adjacency is not
-    two-colorable with a one-cell period.  Results are cached per spec
-    instance.
+    two-colorable with a one-cell period.
     """
     npen = len(spec.penalized_triangles)
     win = range(-2, 3)
@@ -313,11 +312,11 @@ class Mechanism:
 # ---------------------------------------------------------------------------
 
 
-def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1,
-                    tol: float = 1e-12, eta_ref: float = 0.1) -> Mechanism:
-    """The counter-rotation by ``+-theta`` as a certified k-periodic
-    deformation.  Raises :class:`MechanismError` when the pin chase does
-    not close (not every parameter slice of every family rotates)."""
+def _twist_field(spec: LatticeSpec, theta: float, k: int = 1,
+                 tol: float = 1e-12):
+    """The counter-rotation by ``+-theta`` as ``(lam, psi)`` on the k x k
+    supercell slots, without building the supercell or certifying it.
+    Raises :class:`MechanismError` when the pin chase does not close."""
     units = rigid_units(spec)
     cells = [(i, j) for i in range(-1, k + 1) for j in range(-1, k + 1)]
 
@@ -343,12 +342,13 @@ def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1,
     per = np.column_stack([k * spec.v1, k * spec.v2])
     lam = np.column_stack([y1 - y0, y2 - y0]) @ np.linalg.inv(per)
 
-    cell = Supercell(spec, k)
-    psi = np.zeros((cell.n_nodes, 2))
-    filled = np.zeros(cell.n_nodes, dtype=bool)
+    # slots as in Supercell.slot
+    n_nodes = spec.n_basic * k * k
+    psi = np.zeros((n_nodes, 2))
+    filled = np.zeros(n_nodes, dtype=bool)
     drift = 0.0
     for (node, (o1, o2)), y in pos.items():
-        slot = cell.slot(node, o1, o2)
+        slot = (node * k + o1 % k) * k + o2 % k
         val = y - lam @ spec.node_position((node, (o1, o2)))
         if filled[slot]:
             drift = max(drift, float(np.linalg.norm(psi[slot] - val)))
@@ -361,7 +361,16 @@ def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1,
         raise MechanismError(
             f"counter-rotation is not {k}-periodic: period drift {drift:.3e}"
         )
-    defm = PeriodicDeformation(cell, lam, psi)
+    return lam, psi
+
+
+def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1,
+                    tol: float = 1e-12, eta_ref: float = 0.1) -> Mechanism:
+    """The counter-rotation by ``+-theta`` as a certified k-periodic
+    deformation.  Raises :class:`MechanismError` when the pin chase does
+    not close (not every parameter slice of every family rotates)."""
+    lam, psi = _twist_field(spec, theta, k, tol)
+    defm = PeriodicDeformation(Supercell(spec, k), lam, psi)
     return Mechanism(
         kind="twist",
         params={"theta": float(theta), "k": int(k)},
@@ -383,14 +392,14 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01,
     while theta + probe_step < np.pi:
         theta += probe_step
         try:
-            mech = twist_mechanism(spec, theta)
+            lam, _ = _twist_field(spec, theta)
         except MechanismError:
             break
-        cert = mech.certificate
-        det = cert.det_sign * cert.sigma1 * cert.sigma2
-        if cert.sigma1 >= c_prev or det <= det_floor:
+        sd = signed_svd(lam)
+        det = sd.det_sign * sd.sigma1 * sd.sigma2
+        if sd.sigma1 >= c_prev or det <= det_floor:
             break
-        c_prev = cert.sigma1
+        c_prev = sd.sigma1
         good = theta
     if good == 0.0:
         raise MechanismError("no admissible twist angle found")

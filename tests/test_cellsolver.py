@@ -7,8 +7,9 @@ import pytest
 
 from latmech.energy import energy_breakdown
 from latmech.geometry import principal_stretches
-from latmech.lattice import PeriodicDeformation, Supercell, build_variant
+from latmech.lattice import LatticeSpec, PeriodicDeformation, Supercell, build_variant
 from latmech.cellsolver import (
+    _twist_contraction_table,
     estimate_density,
     jensen_diag_stretch,
     lambda_grid,
@@ -27,6 +28,16 @@ def _rot(theta):
 # ---------------------------------------------------------------------------
 # density estimation
 # ---------------------------------------------------------------------------
+
+
+def test_contraction_table_cached_by_spec_content(kagome):
+    thetas, cs = _twist_contraction_table(kagome)
+    before = _twist_contraction_table.cache_info()
+    rebuilt = LatticeSpec.from_json(kagome.to_json())
+    assert _twist_contraction_table(rebuilt)[1] is cs
+    after = _twist_contraction_table.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
 
 
 def test_estimate_density_validation(kagome):

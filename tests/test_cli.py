@@ -54,6 +54,17 @@ def test_verification_failure_exits_3(tmp_path, monkeypatch):
     assert run(["inequalities", "--out", str(tmp_path / "ineq.csv")]) == 3
 
 
+def test_unexpected_error_exits_4(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "scalar_inequality_report", boom)
+    assert run(["inequalities", "--out", str(tmp_path / "ineq.csv")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: boom" in err
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
@@ -132,6 +143,16 @@ def test_verify_bounds_csv(tmp_path):
     text = open(out).read()
     assert "diag-stretch" in text
     assert "weighted-rest" in text
+
+
+def test_verify_bounds_isotropic(tmp_path):
+    out = str(tmp_path / "bounds.csv")
+    assert run(["verify-bounds", "--spec", "rotating-squares", "--trials", "20",
+                "--k-max", "1", "--isotropic", "--out", out]) == 0
+    rows = {line.split(",")[0]: line.split(",")
+            for line in open(out).read().splitlines()[1:]}
+    assert "isotropy-energy-gap" in rows
+    assert float(rows["isotropy-energy-gap"][2]) > 0
 
 
 def test_domain_wall_angles_csv(tmp_path):

@@ -191,6 +191,34 @@ def test_scalar_inequalities_on_coarse_grids():
         assert r.min_slack >= -1e-12, r.name
 
 
+def test_three_direction_compression_has_period_pi_over_3():
+    offsets = (0.0, np.pi / 3, 2 * np.pi / 3)
+
+    def total(l1, l2, theta):
+        return sum(np.maximum(direction_stretch(l1, l2, theta + o) - 1.0, 0.0) ** 2
+                   for o in offsets)
+
+    rng = np.random.default_rng(11)
+    l1, l2 = rng.uniform(0.0, 3.0, (2, 500))
+    theta = rng.uniform(0.0, 2 * np.pi, 500)
+    gap = total(l1, l2, theta) - total(l1, l2, theta + np.pi / 3)
+    assert np.max(np.abs(gap)) <= 1e-12
+
+    # the one-period sweep certifies the same minimum as the full circle
+    lam_step, theta_step = 0.1, 0.01
+    vals = np.arange(0.0, 3.0 + 0.5 * lam_step, lam_step)
+    g1, g2 = np.meshgrid(vals, vals, indexing="ij")
+    keep = g1 >= g2
+    g1, g2 = g1[keep], g2[keep]
+    full = np.arange(0.0, 2 * np.pi, theta_step)[:, None]
+    rhs = np.maximum(np.sqrt(0.75 * g1**2 + 0.25 * g2**2) - 1.0, 0.0) ** 2
+    full_min = float(np.min(total(g1[None, :], g2[None, :], full) - rhs[None, :]))
+    reports = {r.name: r for r in scalar_inequality_report(lam_step, theta_step)}
+    rep = reports["three-direction-compression"]
+    assert abs(rep.min_slack - full_min) <= 1e-12
+    assert 0.0 <= rep.argmin[2] < np.pi / 3
+
+
 def test_direction_max_witnesses():
     reports = {r.name: r for r in scalar_inequality_report(0.1, 0.05)}
     angle, value = reports["three-direction-max"].witness

@@ -75,6 +75,16 @@ def test_json_round_trip(all_specs, tmp_path):
     assert LatticeSpec.from_json(str(path)).n_basic == all_specs[0].n_basic
 
 
+def test_spec_equality_and_hash_by_content(all_specs):
+    for spec in all_specs:
+        back = LatticeSpec.from_json(spec.to_json())
+        assert back is not spec
+        assert back == spec and hash(back) == hash(spec)
+    a = build_variant("rhombus-squares", angle=1.3, size_ratio=0.6)
+    b = build_variant("rhombus-squares", angle=1.3, size_ratio=0.7)
+    assert a != b
+
+
 def test_json_rejects_unknown_keys(kagome):
     import json
 

@@ -7,6 +7,7 @@ from latmech.energy import energy_breakdown, triangle_dets
 from latmech.lattice import Supercell, build_variant
 from latmech.mechanisms import (
     MechanismError,
+    _twist_field,
     assemble_rotated_units,
     certify,
     domain_wall_angles,
@@ -106,11 +107,28 @@ def test_twist_admissible_range_symmetric(twist_specs):
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
 
+def test_twist_admissible_range_exact_probe(kagome, rotating_squares):
+    # the probe stops after 157 accumulated steps of 0.01 on both builtins
+    for spec in (kagome, rotating_squares):
+        assert twist_admissible_range(spec) == (-1.5700000000000012, 1.5700000000000012)
+
+
+def test_twist_field_is_the_mechanism_deformation(twist_specs):
+    for spec in twist_specs:
+        for theta, k in ((0.4, 1), (0.9, 2)):
+            lam, psi = _twist_field(spec, theta, k)
+            defm = twist_mechanism(spec, theta, k).deformation
+            assert lam.tobytes() == defm.lam.tobytes()
+            assert psi.tobytes() == defm.psi.tobytes()
+
+
 def test_twist_closure_failure_raises():
     # breaking the side-length balance of the quad stops the pin chase
     spec = build_variant("quad-squares", alpha=1.2, s=0.3, q=0.6)
     with pytest.raises(MechanismError):
         twist_mechanism(spec, 0.2)
+    with pytest.raises(MechanismError):
+        _twist_field(spec, 0.2)
 
 
 # ---------------------------------------------------------------------------
