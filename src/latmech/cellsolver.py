@@ -14,11 +14,6 @@ identity (one per marker direction family).
 
 from __future__ import annotations
 
-def _cross2(a, b):
-    """z-component of the planar cross product over the trailing axis."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -28,7 +23,7 @@ from scipy.optimize import brentq, minimize
 
 from .energy import energy_breakdown, smoothed_energy_grad
 from .geometry import lower_bracket, signed_svd
-from .lattice import LatticeSpec, PeriodicDeformation, Supercell
+from .lattice import LatticeSpec, PeriodicDeformation, Supercell, cross2, rotation
 from .mechanisms import MechanismError, _twist_field, twist_admissible_range
 
 __all__ = [
@@ -151,6 +146,9 @@ def estimate_density(
     seed is polished through the smoothing anneal; the reported value is
     always the exact step-penalty energy of the best iterate.  A seed
     whose exact energy is already below ``short_tol`` short-circuits.
+    ``solver_trace`` counts the L-BFGS stages that stopped without
+    converging (``unconverged_stages``) and keeps the last such
+    termination message (``last_unconverged_message``).
     """
     if eta <= 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
@@ -174,6 +172,7 @@ def estimate_density(
 
     best = None  # (value, spring, label, psi, trace)
     total_iters = 0
+    trouble = {"unconverged_stages": 0, "last_unconverged_message": None}
     for label, psi0 in seeds:
         bd0 = exact(psi0)
         if best is None or bd0.averaged < best[0]:
@@ -191,7 +190,7 @@ def estimate_density(
                 lower_bracket=lower_bracket(lam),
                 solver_trace={"restarts": len(seeds), "iterations": total_iters,
                               "final_grad_norm": 0.0, "best_seed": best[2],
-                              "short_circuit": True},
+                              "short_circuit": True, **trouble},
             )
 
         x = psi0.ravel().copy()
@@ -207,6 +206,9 @@ def estimate_density(
                                     "gtol": 1e-12})
             x = res.x
             total_iters += int(res.nit)
+            if not res.success:
+                trouble["unconverged_stages"] += 1
+                trouble["last_unconverged_message"] = str(res.message)
             grad_norm = float(np.linalg.norm(res.jac))
         psi = x.reshape(n, 2)
         bd = exact(psi)
@@ -225,18 +227,13 @@ def estimate_density(
         lower_bracket=lower_bracket(lam),
         solver_trace={"restarts": len(seeds), "iterations": total_iters,
                       "final_grad_norm": info["grad_norm"],
-                      "best_seed": label, "short_circuit": False},
+                      "best_seed": label, "short_circuit": False, **trouble},
     )
 
 
 # ---------------------------------------------------------------------------
 # lambda grids
 # ---------------------------------------------------------------------------
-
-
-def _rotation(phi):
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
 
 
 def lambda_grid(kind: str, rng_seed: int = 0):
@@ -249,7 +246,7 @@ def lambda_grid(kind: str, rng_seed: int = 0):
     ``file:PATH``: a JSON list of 2x2 rows.
     """
     if kind == "iso":
-        return [float(c) * _rotation(phi)
+        return [float(c) * rotation(phi)
                 for c in np.linspace(0.3, 1.0, 10)
                 for phi in np.linspace(0.0, 2 * np.pi, 8, endpoint=False)]
     if kind == "diag":
@@ -262,11 +259,11 @@ def lambda_grid(kind: str, rng_seed: int = 0):
                      (1.0, 0.85), (1.5, 1.2), (0.8, 0.6), (1.15, 1.0)]:
             mats.append(np.diag([a, b]))
         for c in (1.1, 1.2, 1.4):
-            mats.append(c * _rotation(0.4))
+            mats.append(c * rotation(0.4))
         for g in (0.25, 0.4, 0.6):
             mats.append(np.array([[1.0, g], [0.0, 1.0]]))
-        mats.append(_rotation(0.3) @ np.diag([1.25, 0.9]) @ _rotation(-0.7))
-        mats.append(_rotation(-0.2) @ np.diag([1.0, 0.8]) @ _rotation(0.5))
+        mats.append(rotation(0.3) @ np.diag([1.25, 0.9]) @ rotation(-0.7))
+        mats.append(rotation(-0.2) @ np.diag([1.0, 0.8]) @ rotation(0.5))
         mats.append(np.diag([1.1, -0.8]))
         mats.append(np.array([[0.9, 0.3], [-0.2, 0.7]]))
         mats.append(np.diag([2.0, 2.0]))
@@ -375,9 +372,9 @@ def _marker_direction_frame(spec: LatticeSpec):
     er = r0 / np.linalg.norm(r0)
     for m in range(len(spec.marker_edges)):
         b, r = spec.marker_vectors(m)
-        if abs(float(_cross2(eb, b))) > 1e-9 or float(eb @ b) <= 0:
+        if abs(float(cross2(eb, b))) > 1e-9 or float(eb @ b) <= 0:
             raise ValueError("marker b vectors do not share a direction")
-        if abs(float(_cross2(er, r))) > 1e-9 or float(er @ r) <= 0:
+        if abs(float(cross2(er, r))) > 1e-9 or float(er @ r) <= 0:
             raise ValueError("marker r vectors do not share a direction")
     return eb, er
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cellsolver import (
+    _twist_contraction_table,
     estimate_density,
     lambda_grid,
     orientation_threshold,
@@ -40,6 +41,7 @@ from .lattice import (
     build_kagome,
     build_rotating_squares,
     build_variant,
+    kabsch_rotations,
 )
 from .mechanisms import (
     MechanismError,
@@ -209,51 +211,43 @@ def _dump_geometry(lmap: LatticeMap, path: str) -> None:
     """Plot-ready geometry: node positions, spring edges, and the rigid
     rotation angle of each penalized triangle."""
     spec = lmap.spec
-    keys = sorted(lmap.values)
-    index = {key: i for i, key in enumerate(keys)}
-    nodes = []
-    for key in keys:
-        ref = lmap.reference_position(key)
-        pos = lmap.values[key]
-        nodes.append([int(key[0]), int(key[1][0]), int(key[1][1]),
-                      float(ref[0]), float(ref[1]), float(pos[0]), float(pos[1])])
-    # every placed instance of each spring class
-    offs = sorted({key[1] for key in keys})
+    nodes = [key + ref + pos for key, ref, pos in zip(
+        lmap.keys.tolist(), lmap.reference_positions.tolist(), lmap.positions.tolist())]
+    # every placed instance of each spring class and penalized triangle
+    o1, o2 = np.unique(lmap.keys[:, 1:], axis=0).T
     edges = []
     for s in spec.springs:
-        for o1, o2 in offs:
-            a = (s.a[0], (s.a[1][0] + o1, s.a[1][1] + o2))
-            b = (s.b[0], (s.b[1][0] + o1, s.b[1][1] + o2))
-            if a in index and b in index:
-                edges.append([index[a], index[b]])
-    edges = sorted(set(map(tuple, edges)))
-    triangles = []
+        ab = np.column_stack([lmap.ref_rows(s.a, o1, o2), lmap.ref_rows(s.b, o1, o2)])
+        edges.append(ab[(ab >= 0).all(axis=1)])
+    edges = np.unique(np.concatenate(edges), axis=0).tolist()
+    tri_rows = []
     for t in spec.penalized_triangles:
-        for o1, o2 in offs:
-            refs = [(r[0], (r[1][0] + o1, r[1][1] + o2)) for r in t.nodes]
-            if not all(r in index for r in refs):
-                continue
-            X = np.asarray([lmap.reference_position(r) for r in refs])
-            Y = np.asarray([lmap.values[r] for r in refs])
-            H = (Y - Y.mean(axis=0)).T @ (X - X.mean(axis=0))
-            U, _, Vt = np.linalg.svd(H)
-            if np.linalg.det(U @ Vt) < 0:
-                U[:, -1] *= -1
-            R = U @ Vt
-            triangles.append({
-                "nodes": [index[r] for r in refs],
-                "angle": float(np.arctan2(R[1, 0], R[0, 0])),
-            })
+        rows = np.column_stack([lmap.ref_rows(r, o1, o2) for r in t.nodes])
+        tri_rows.append(rows[(rows >= 0).all(axis=1)])
+    tri_rows = np.concatenate(tri_rows)
+    R = kabsch_rotations(lmap.reference_positions[tri_rows], lmap.positions[tri_rows])
+    angles = np.arctan2(R[:, 1, 0], R[:, 0, 0]).tolist()
+    triangles = [{"nodes": rows, "angle": ang}
+                 for rows, ang in zip(tri_rows.tolist(), angles)]
     payload = {
         "epsilon": lmap.epsilon,
         "node_columns": ["node", "offset1", "offset2", "ref_x", "ref_y", "x", "y"],
         "nodes": nodes,
-        "edges": [list(e) for e in edges],
+        "edges": edges,
         "triangles": triangles,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _warm_twist_table(spec: LatticeSpec) -> None:
+    """Build the cached twist contraction table before forking workers,
+    which then inherit it instead of each building its own."""
+    try:
+        _twist_contraction_table(spec)
+    except MechanismError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +349,10 @@ def _cmd_density_sweep(args) -> int:
     spec_json = spec.to_json()
     payloads = [(spec_json, lam.tolist(), args.eta, k, args.restarts, args.seed)
                 for lam in lams for k in ks]
-    results = _pool_map(_density_task, payloads, _jobs(args, len(payloads)))
+    jobs = _jobs(args, len(payloads))
+    if jobs > 1 and any(np.linalg.det(lam) > 0 for lam in lams):
+        _warm_twist_table(spec)
+    results = _pool_map(_density_task, payloads, jobs)
     rows = []
     idx = 0
     for li, lam in enumerate(lams):
@@ -430,7 +427,7 @@ def _softmode_task(payload):
                              domain=tuple(domain),
                              denom=tuple(map(complex, denom)))
     lmap = modulate(spec, target, eps, relax_sweeps=sweeps)
-    return eps, lmap.values
+    return eps, lmap.keys, lmap.positions
 
 
 def _cmd_soft_mode(args) -> int:
@@ -441,8 +438,11 @@ def _cmd_soft_mode(args) -> int:
     payloads = [(spec_json, [str(c) for c in target.coeffs],
                  [str(c) for c in target.denom], list(target.domain),
                  eps, args.sweeps) for eps in eps_list]
-    results = _pool_map(_softmode_task, payloads, _jobs(args, len(payloads)))
-    maps = [LatticeMap(spec, eps, values) for eps, values in results]
+    jobs = _jobs(args, len(payloads))
+    if jobs > 1:
+        _warm_twist_table(spec)
+    results = _pool_map(_softmode_task, payloads, jobs)
+    maps = [LatticeMap.from_arrays(spec, *res) for res in results]
     wl = weak_limit_check(maps, target)
     rows = []
     for i, lmap in enumerate(maps):

@@ -22,18 +22,15 @@ their sum over all cells compactly contained in a polygonal domain.
 
 from __future__ import annotations
 
-def _cross2(a, b):
-    """z-component of the planar cross product over the trailing axis."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 from scipy.special import expit
 
-from .lattice import LatticeSpec, PeriodicDeformation, Supercell, rotation
+from .lattice import LatticeSpec, PeriodicDeformation, Supercell, cross2, rotation
 
 __all__ = [
     "EnergyBreakdown",
@@ -264,18 +261,94 @@ def barrier_grad(cell: Supercell, lam, psi, mu: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+class _NodeValues(Mapping):
+    """Read-only ``{(node, (o1, o2)): position}`` view of a lattice map's
+    arrays, iterated in the map's sorted row order."""
+
+    __slots__ = ("_lmap",)
+
+    def __init__(self, lmap: "LatticeMap"):
+        self._lmap = lmap
+
+    def __len__(self) -> int:
+        return len(self._lmap.keys)
+
+    def __iter__(self):
+        for node, o1, o2 in self._lmap.keys.tolist():
+            yield (node, (o1, o2))
+
+    def __getitem__(self, key) -> np.ndarray:
+        node, (o1, o2) = key
+        row = self._lmap.row(node, o1, o2)
+        if row < 0:
+            raise KeyError(key)
+        return self._lmap.positions[row]
+
+
 class LatticeMap:
     """A deformation given by nodal values on an ``epsilon``-scaled lattice.
 
-    ``values`` maps node references (absolute offsets; see
-    :mod:`latmech.lattice`) to deformed positions.  The reference position
-    of a node is ``epsilon`` times its unscaled position.
+    ``keys`` is an ``(n, 3)`` integer array of node references
+    ``(node, o1, o2)`` (absolute offsets; see :mod:`latmech.lattice`),
+    unique and in lexicographic order; ``positions`` holds the ``(n, 2)``
+    deformed positions row by row.  Rows are looked up through a dense
+    ``(node, o1, o2)`` grid built once.  The reference position of a node
+    is ``epsilon`` times its unscaled position.  ``values`` is a read-only
+    mapping view ``{(node, (o1, o2)): position}`` over the arrays.
     """
 
-    spec: LatticeSpec
-    epsilon: float
-    values: Dict[tuple, np.ndarray]
+    def __init__(self, spec: LatticeSpec, epsilon: float, values):
+        """Build from a mapping ``{(node, (o1, o2)): position}``."""
+        refs = list(values)
+        keys = np.array([(n, o1, o2) for n, (o1, o2) in refs],
+                        dtype=np.int64).reshape(-1, 3)
+        positions = np.array([values[r] for r in refs], dtype=float).reshape(-1, 2)
+        order = np.lexsort(keys.T[::-1])
+        self._set(spec, epsilon, keys[order], positions[order])
+
+    @classmethod
+    def from_arrays(cls, spec: LatticeSpec, epsilon: float, keys, positions) -> "LatticeMap":
+        """Wrap key rows that are already unique and lexicographically sorted."""
+        lmap = cls.__new__(cls)
+        lmap._set(spec, epsilon, keys, positions)
+        return lmap
+
+    def _set(self, spec, epsilon, keys, positions):
+        self.spec = spec
+        self.epsilon = epsilon
+        self.keys = np.ascontiguousarray(keys, dtype=np.int64).reshape(-1, 3)
+        self.positions = np.ascontiguousarray(positions, dtype=float).reshape(-1, 2)
+        for arr in (self.keys, self.positions):
+            arr.setflags(write=False)
+        n = len(self.keys)
+        lo = self.keys.min(axis=0) if n else np.zeros(3, dtype=np.int64)
+        hi = self.keys.max(axis=0) if n else lo - 1
+        self._lo = tuple(lo.tolist())
+        self._grid = np.full(tuple(hi - lo + 1), -1, dtype=np.int64)
+        self._grid[tuple((self.keys - lo).T)] = np.arange(n)
+        self.values = _NodeValues(self)
+
+    def row(self, node: int, o1: int, o2: int) -> int:
+        """Row of one node reference, or -1 when the map lacks it."""
+        idx = (node - self._lo[0], o1 - self._lo[1], o2 - self._lo[2])
+        if all(0 <= i < n for i, n in zip(idx, self._grid.shape)):
+            return int(self._grid[idx])
+        return -1
+
+    def ref_rows(self, ref, ci, cj) -> np.ndarray:
+        """Rows of the node reference ``ref`` translated by the cells
+        ``(ci, cj)`` (arrays), -1 where the map lacks the node."""
+        node, (o1, o2) = ref
+        idx = np.stack(np.broadcast_arrays(node, np.add(ci, o1), np.add(cj, o2)), axis=-1)
+        idx = idx - self._lo
+        ok = np.all((idx >= 0) & (idx < self._grid.shape), axis=-1)
+        out = np.full(ok.shape, -1, dtype=np.int64)
+        out[ok] = self._grid[tuple(idx[ok].T)]
+        return out
+
+    @cached_property
+    def reference_positions(self) -> np.ndarray:
+        return self.epsilon * self.spec.node_positions(self.keys)
 
     def reference_position(self, ref) -> np.ndarray:
         return self.epsilon * self.spec.node_position(ref)
@@ -283,22 +356,29 @@ class LatticeMap:
     @classmethod
     def from_periodic(cls, defm: PeriodicDeformation, epsilon: float, cells) -> "LatticeMap":
         """Sample ``u_eps(x) = eps * u(x / eps)`` over the given cells."""
-        values = {}
-        spec = defm.spec
+        spec, k = defm.spec, defm.cell.k
         refs = set()
         for tri in spec.triangulation:
             refs.update(tri)
         for s in spec.springs:
             refs.update((s.a, s.b))
-        for (i, j) in cells:
-            for node, (o1, o2) in refs:
-                key = (node, (o1 + i, o2 + j))
-                if key not in values:
-                    values[key] = epsilon * defm.evaluate(key)
-        return cls(spec, epsilon, values)
+        refs = np.array([(n, o1, o2) for n, (o1, o2) in refs], dtype=np.int64).reshape(-1, 3)
+        cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
+        shifts = np.column_stack([np.zeros(len(cells), dtype=np.int64), cells])
+        keys = np.unique((shifts[:, None, :] + refs[None, :, :]).reshape(-1, 3), axis=0)
+        node, o1, o2 = keys.T
+        slots = (node * k + o1 % k) * k + o2 % k
+        x = spec.node_positions(keys)
+        u = np.matmul(defm.lam, x[:, :, None])[:, :, 0] + defm.psi[slots]
+        return cls.from_arrays(spec, epsilon, keys, epsilon * u)
 
     def interpolate(self, points):
-        """Piecewise-affine value and gradient at reference points."""
+        """Piecewise-affine value and gradient at reference points.
+
+        Each point takes the first cover triangle, over candidate cells
+        near its own and then the triangulation order, that contains it
+        and whose three nodes the map stores.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         spec = self.spec
         Minv = np.linalg.inv(spec.cell_matrix) / self.epsilon
@@ -311,35 +391,60 @@ class LatticeMap:
             ]) * self.epsilon))
             for tri in spec.triangulation
         ]
-        for n, p in enumerate(points):
-            base = np.floor(Minv @ p).astype(int)
-            hit = False
-            for di in (0, -1, 1, -2, 2):
-                for dj in (0, -1, 1, -2, 2):
-                    ci, cj = int(base[0]) + di, int(base[1]) + dj
-                    for tri, dinv in cover:
-                        keys = [(r[0], (r[1][0] + ci, r[1][1] + cj)) for r in tri]
-                        if keys[0] not in self.values:
-                            continue
-                        p0 = self.reference_position(keys[0])
-                        bary = dinv @ (p - p0)
-                        if bary[0] < -1e-9 or bary[1] < -1e-9 or bary.sum() > 1 + 1e-9:
-                            continue
-                        try:
-                            u0, u1, u2 = (self.values[kk] for kk in keys)
-                        except KeyError:
-                            continue
-                        values[n] = (1 - bary.sum()) * u0 + bary[0] * u1 + bary[1] * u2
-                        grads[n] = np.column_stack([u1 - u0, u2 - u0]) @ dinv
-                        hit = True
-                        break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if not hit:
-                raise ValueError(f"point {p} is not covered by stored nodal values")
-        return values, grads
+        base = np.floor(np.matmul(Minv, points[:, :, None])[:, :, 0]).astype(int)
+        todo = np.arange(len(points))
+        for di in (0, -1, 1, -2, 2):
+            for dj in (0, -1, 1, -2, 2):
+                for tri, dinv in cover:
+                    ci, cj = base[todo, 0] + di, base[todo, 1] + dj
+                    rows = np.stack([self.ref_rows(r, ci, cj) for r in tri])
+                    p = points[todo]
+                    bary = np.matmul(dinv, (p - self.reference_positions[rows[0]])[:, :, None])[:, :, 0]
+                    bsum = bary[:, 0] + bary[:, 1]
+                    hit = ((rows >= 0).all(axis=0) & (bary[:, 0] >= -1e-9)
+                           & (bary[:, 1] >= -1e-9) & (bsum <= 1 + 1e-9))
+                    u0, u1, u2 = self.positions[rows[:, hit]]
+                    b0, b1 = bary[hit, 0:1], bary[hit, 1:2]
+                    values[todo[hit]] = (1 - bsum[hit, None]) * u0 + b0 * u1 + b1 * u2
+                    grads[todo[hit]] = np.matmul(np.stack([u1 - u0, u2 - u0], axis=-1), dinv)
+                    todo = todo[~hit]
+                    if not len(todo):
+                        return values, grads
+        raise ValueError(f"point {points[todo[0]]} is not covered by stored nodal values")
+
+
+def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
+    """Scaled energies of the cells ``(ci[c], cj[c])``, summed per cell in
+    spring order and then penalized-triangle order."""
+    spec = lmap.spec
+    eps = lmap.epsilon
+    refs = [r for s in spec.springs for r in (s.b, s.a)]
+    refs += [r for t in spec.penalized_triangles for r in t.nodes]
+    rows = {r: lmap.ref_rows(r, ci, cj) for r in refs}
+    missing = np.array([rows[r] < 0 for r in refs]).reshape(len(refs), -1)
+    if missing.any():
+        c = int(np.argmax(missing.any(axis=0)))
+        node, (o1, o2) = refs[int(np.argmax(missing[:, c]))]
+        cell = (int(ci[c]), int(cj[c]))
+        key = (node, (o1 + cell[0], o2 + cell[1]))
+        raise KeyError(
+            f"node {key} missing from the lattice map but needed for cell {cell}"
+        )
+    pos = lmap.positions
+
+    E = np.zeros(len(ci))
+    for s in spec.springs:
+        d = pos[rows[s.b]] - pos[rows[s.a]]
+        # vecdot and float_power give the bits of norm() and ** on scalars
+        length = np.sqrt(np.vecdot(d, d))
+        E = E + s.stiffness * np.float_power(length - eps * s.rest_length, 2.0)
+    for t in spec.penalized_triangles:
+        p0, p1, p2 = (pos[rows[r]] for r in t.nodes)
+        q0, q1, q2 = (spec.node_position(r) for r in t.nodes)
+        cross_ref = float(cross2(q1 - q0, q2 - q0)) * eps * eps
+        cross_def = cross2(p1 - p0, p2 - p0)
+        E = np.where(cross_def / cross_ref <= 0, E + eps * eps * t.area / eta, E)
+    return E
 
 
 def scaled_cell_energy(lmap: LatticeMap, eta: float, cell=(0, 0)) -> float:
@@ -347,31 +452,8 @@ def scaled_cell_energy(lmap: LatticeMap, eta: float, cell=(0, 0)) -> float:
     orientation penalty weighted by ``eps^2`` times reference areas."""
     if eta <= 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
-    spec = lmap.spec
-    eps = lmap.epsilon
     i, j = cell
-
-    def value(ref):
-        key = (ref[0], (ref[1][0] + i, ref[1][1] + j))
-        try:
-            return lmap.values[key]
-        except KeyError:
-            raise KeyError(
-                f"node {key} missing from the lattice map but needed for cell {cell}"
-            ) from None
-
-    E = 0.0
-    for s in spec.springs:
-        d = value(s.b) - value(s.a)
-        E += s.stiffness * (float(np.linalg.norm(d)) - eps * s.rest_length) ** 2
-    for t in spec.penalized_triangles:
-        p0, p1, p2 = (value(r) for r in t.nodes)
-        q0, q1, q2 = (spec.node_position(r) for r in t.nodes)
-        cross_ref = float(_cross2(q1 - q0, q2 - q0)) * eps * eps
-        cross_def = float(_cross2(p1 - p0, p2 - p0))
-        if cross_def / cross_ref <= 0:
-            E += eps * eps * t.area / eta
-    return E
+    return float(_cell_energies(lmap, eta, np.array([i]), np.array([j]))[0])
 
 
 # -- polygon helpers ---------------------------------------------------------
@@ -394,33 +476,56 @@ def _points_in_polygon(points, poly):
     return inside
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _orient(a, b, c):
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) \
+        - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
 
 
-def _convex_hull(points):
-    pts = sorted(map(tuple, points))
-    if len(pts) <= 2:
-        return np.asarray(pts)
+def _convex_hulls(pts):
+    """Monotone-chain convex hulls of point sets stacked ``(n, V, 2)``.
+
+    Returns the hull vertices padded to ``(n, 2V, 2)`` and the hull sizes;
+    collinear boundary points are dropped.
+    """
+    n, V = pts.shape[:2]
+    order = np.lexsort((pts[..., 1], pts[..., 0]), axis=-1)
+    pts = np.take_along_axis(pts, order[..., None], axis=1)
+    rows = np.arange(n)
 
     def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out
+        out = np.zeros_like(seq)
+        size = np.zeros(n, dtype=np.int64)
+        for v in range(V):
+            p = seq[:, v]
+            while True:
+                a = out[rows, np.maximum(size - 2, 0)]
+                b = out[rows, np.maximum(size - 1, 0)]
+                pop = (size >= 2) & (_orient(a, b, p) <= 0)
+                if not pop.any():
+                    break
+                size -= pop
+            out[rows, size] = p
+            size += 1
+        return out, size
 
-    lower, upper = half(pts), half(reversed(pts))
-    return np.asarray(lower[:-1] + upper[:-1])
+    (lower, nl), (upper, nu) = half(pts), half(pts[:, ::-1])
+    m = np.arange(2 * V)[None, :]
+    idx = np.where(m < (nl - 1)[:, None], m, V + m - (nl - 1)[:, None])
+    hull = np.take_along_axis(np.concatenate([lower, upper], axis=1),
+                              np.minimum(idx, 2 * V - 1)[..., None], axis=1)
+    return hull, nl + nu - 2
+
+
+def _hulls_cross_polygon(hull, size, polygon) -> np.ndarray:
+    """Per hull, whether any polygon edge properly crosses a hull edge."""
+    m = np.arange(hull.shape[1])[None, :]
+    nxt = np.where(m + 1 < size[:, None], m + 1, 0)
+    q1 = hull[:, :, None, :]
+    q2 = np.take_along_axis(hull, nxt[..., None], axis=1)[:, :, None, :]
+    p1, p2 = polygon, np.roll(polygon, -1, axis=0)
+    crossed = (((_orient(q1, q2, p1) > 0) != (_orient(q1, q2, p2) > 0))
+               & ((_orient(p1, p2, q1) > 0) != (_orient(p1, p2, q2) > 0)))
+    return (crossed & (m < size[:, None])[..., None]).any(axis=(1, 2))
 
 
 @dataclass
@@ -448,45 +553,34 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
         verts.extend(spec.node_position(r) for r in tri)
     verts = np.unique(np.asarray(verts).round(12), axis=0)
 
-    # candidate integer cells from the polygon's bounding box
+    # candidate integer cells from the polygon's bounding box, row-major
     Minv = np.linalg.inv(spec.cell_matrix)
     corners = polygon / eps
     frac = corners @ Minv.T
     lo = np.floor(frac.min(axis=0)).astype(int) - 2
     hi = np.ceil(frac.max(axis=0)).astype(int) + 2
-
-    poly_edges = [(polygon[k], polygon[(k + 1) % len(polygon)]) for k in range(len(polygon))]
-    cells = []
-    per_cell = {}
-    total = 0.0
-    for i in range(lo[0], hi[0] + 1):
-        for j in range(lo[1], hi[1] + 1):
-            pts = eps * (verts + i * spec.v1 + j * spec.v2)
-            if not _points_in_polygon(pts, polygon).all():
-                continue
-            hull = _convex_hull(pts)
-            crossed = False
-            for a, b in poly_edges:
-                for m in range(len(hull)):
-                    if _segments_cross(a, b, hull[m], hull[(m + 1) % len(hull)]):
-                        crossed = True
-                        break
-                if crossed:
-                    break
-            if crossed:
-                continue
-            e = scaled_cell_energy(lmap, eta, (i, j))
-            cells.append((i, j))
-            per_cell[(i, j)] = e
-            total += e
-    if not cells:
+    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(lo[0], hi[0] + 1),
+                                             np.arange(lo[1], hi[1] + 1),
+                                             indexing="ij"))
+    pts = eps * (verts[None] + ci[:, None, None] * spec.v1 + cj[:, None, None] * spec.v2)
+    keep = _points_in_polygon(pts.reshape(-1, 2), polygon).reshape(pts.shape[:2]).all(axis=1)
+    ci, cj, pts = ci[keep], cj[keep], pts[keep]
+    keep = ~_hulls_cross_polygon(*_convex_hulls(pts), polygon)
+    ci, cj = ci[keep], cj[keep]
+    if not len(ci):
         raise ValueError("no lattice cell is compactly contained in the polygon")
+
+    cells = list(zip(ci.tolist(), cj.tolist()))
+    energies = _cell_energies(lmap, eta, ci, cj).tolist()
+    total = 0.0
+    for e in energies:  # sequential, in cell order
+        total += e
     return DomainEnergyReport(
         total=total,
         cells=cells,
-        per_cell=per_cell,
+        per_cell=dict(zip(cells, energies)),
         n_cells=len(cells),
-        max_cell=max(per_cell.values()),
+        max_cell=max(energies),
     )
 
 
@@ -559,7 +653,7 @@ def check_cell_bounds(
         E += s.stiffness * (lengths - s.rest_length) ** 2
     for t in spec.penalized_triangles:
         i0, i1, i2 = (index[r] for r in t.nodes)
-        cross = _cross2(U[:, i1] - U[:, i0], U[:, i2] - U[:, i0])
+        cross = cross2(U[:, i1] - U[:, i0], U[:, i2] - U[:, i0])
         E += np.where(cross > 0, 0.0, t.area / eta)
 
     grad2 = np.zeros(n_tot)
@@ -567,7 +661,7 @@ def check_cell_bounds(
         i0, i1, i2 = (index[r] for r in tri)
         p0, p1, p2 = (spec.node_position(r) for r in tri)
         dref = np.column_stack([p1 - p0, p2 - p0])
-        area = 0.5 * float(_cross2(p1 - p0, p2 - p0))
+        area = 0.5 * float(cross2(p1 - p0, p2 - p0))
         dinv = np.linalg.inv(dref)
         G = np.einsum("snk,kl->snl", np.stack(
             [U[:, i1] - U[:, i0], U[:, i2] - U[:, i0]], axis=2), dinv)

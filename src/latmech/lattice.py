@@ -37,6 +37,8 @@ __all__ = [
     "build_kagome",
     "build_rotating_squares",
     "build_variant",
+    "cross2",
+    "kabsch_rotations",
     "rotation",
     "VARIANT_KINDS",
 ]
@@ -55,8 +57,20 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _cross(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def cross2(a, b):
+    """z-component of the planar cross product over the trailing axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def kabsch_rotations(X, Y) -> np.ndarray:
+    """Best-fit rotations ``(n, 2, 2)`` carrying each centred point set
+    ``X[i]`` onto ``Y[i]`` (stacks ``(n, m, 2)``); reflections are
+    excluded by flipping the last left singular vector."""
+    H = np.matmul((Y - Y.mean(axis=1, keepdims=True)).transpose(0, 2, 1),
+                  X - X.mean(axis=1, keepdims=True))
+    U, _, Vt = np.linalg.svd(H)
+    U[np.linalg.det(U @ Vt) < 0, :, -1] *= -1
+    return U @ Vt
 
 
 def _as_ref(obj) -> NodeRef:
@@ -156,13 +170,19 @@ class LatticeSpec:
 
     @property
     def cell_area(self) -> float:
-        return abs(_cross(self.v1, self.v2))
+        return abs(float(cross2(self.v1, self.v2)))
 
     def node_position(self, ref: NodeRef) -> np.ndarray:
         node, (o1, o2) = ref
         if not 0 <= node < self.n_basic:
             raise ValueError(f"unknown node reference {ref!r}")
         return self.basic_nodes[node] + o1 * self.v1 + o2 * self.v2
+
+    def node_positions(self, keys) -> np.ndarray:
+        """:meth:`node_position` over integer rows ``(node, o1, o2)``."""
+        keys = np.asarray(keys)
+        return (self.basic_nodes[keys[..., 0]] + keys[..., 1:2] * self.v1
+                + keys[..., 2:3] * self.v2)
 
     def edge_vector(self, edge) -> np.ndarray:
         a, b = edge
@@ -290,7 +310,7 @@ class LatticeSpec:
             if t["penalized"]:
                 p0, p1, p2 = (pos(r) for r in nodes)
                 penalized.append(
-                    PenalizedTriangle(nodes, 0.5 * _cross(p1 - p0, p2 - p0))
+                    PenalizedTriangle(nodes, 0.5 * float(cross2(p1 - p0, p2 - p0)))
                 )
         markers = []
         for m in data["markers"]:
@@ -334,7 +354,7 @@ def _point_in_cover(spec: LatticeSpec, p: np.ndarray, tol: float = 1e-9) -> bool
 
 def _validate_spec(spec: LatticeSpec) -> None:
     scale = max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
-    if abs(_cross(spec.v1, spec.v2)) <= 1e-12 * scale**2:
+    if abs(float(cross2(spec.v1, spec.v2))) <= 1e-12 * scale**2:
         raise DegenerateGeometryError("period vectors are linearly dependent")
     if spec.n_basic == 0:
         raise DegenerateGeometryError("lattice has no basic nodes")
@@ -356,7 +376,7 @@ def _validate_spec(spec: LatticeSpec) -> None:
         if len(tri) != 3:
             raise ValueError(f"triangle {tri!r} does not have three vertices")
         p0, p1, p2 = (spec.node_position(r) for r in tri)
-        area2 = _cross(p1 - p0, p2 - p0)
+        area2 = float(cross2(p1 - p0, p2 - p0))
         if area2 <= 1e-12 * scale**2:
             raise DegenerateGeometryError(
                 f"triangle {tri!r} is degenerate or clockwise (2*area={area2:g})"
@@ -378,7 +398,7 @@ def _validate_spec(spec: LatticeSpec) -> None:
                 f"penalized triangle {t.nodes!r} is not part of the cover"
             )
         p0, p1, p2 = (spec.node_position(r) for r in t.nodes)
-        if abs(0.5 * _cross(p1 - p0, p2 - p0) - t.area) > 1e-12 * scale**2:
+        if abs(0.5 * float(cross2(p1 - p0, p2 - p0)) - t.area) > 1e-12 * scale**2:
             raise DegenerateGeometryError("penalized triangle area mismatch")
 
     # springs: positive rest length equal to reference distance, endpoints
@@ -571,7 +591,7 @@ class Supercell:
         def triangle_table(nodes):
             p0, p1, p2 = (spec.node_position(r) for r in nodes)
             d1, d2 = p1 - p0, p2 - p0
-            cross0 = _cross(d1, d2)
+            cross0 = float(cross2(d1, d2))
             return _TriangleTable(
                 np.stack([slots(r) for r in nodes]), d1, d2, cross0, 0.5 * cross0
             )
@@ -716,7 +736,7 @@ def _spring(pos, a, b, stiffness=1.0) -> Spring:
 def _triangle(pos, refs) -> PenalizedTriangle:
     refs = tuple(_as_ref(r) for r in refs)
     p0, p1, p2 = (pos(r) for r in refs)
-    return PenalizedTriangle(refs, 0.5 * _cross(p1 - p0, p2 - p0))
+    return PenalizedTriangle(refs, 0.5 * float(cross2(p1 - p0, p2 - p0)))
 
 
 def build_kagome() -> LatticeSpec:

@@ -16,11 +16,6 @@ barrier over ``(lam, psi)`` jointly) complements the exact constructions.
 
 from __future__ import annotations
 
-def _cross2(a, b):
-    """z-component of the planar cross product over the trailing axis."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +33,7 @@ from .lattice import (
     PeriodicDeformation,
     Supercell,
     build_kagome,
+    cross2,
     rotation,
 )
 
@@ -632,12 +628,12 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
     min_det = np.inf
     for t in spec.penalized_triangles:
         q0, q1, q2 = (spec.node_position(r) for r in t.nodes)
-        cross0 = float(_cross2(q1 - q0, q2 - q0))
+        cross0 = float(cross2(q1 - q0, q2 - q0))
         for (ci, cj) in cells:
             keys = [(r[0], (r[1][0] + ci, r[1][1] + cj)) for r in t.nodes]
             if all(kk in pos for kk in keys):
                 p0, p1, p2 = (pos[kk] for kk in keys)
-                min_det = min(min_det, float(_cross2(p1 - p0, p2 - p0)) / cross0)
+                min_det = min(min_det, float(cross2(p1 - p0, p2 - p0)) / cross0)
 
     # pinch-joint compression profile along a middle row
     j0 = rows // 2

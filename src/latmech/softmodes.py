@@ -24,7 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from .cellsolver import _twist_contraction_table
 from .energy import LatticeMap, domain_energy
 from .geometry import conformal_check, signed_svd
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, kabsch_rotations, rotation
 from .mechanisms import Mechanism, rigid_units
 
 __all__ = [
@@ -127,9 +127,10 @@ def default_target() -> ConformalTarget:
 # ---------------------------------------------------------------------------
 
 
-def _rotation(phi: float) -> np.ndarray:
+def _rotations(phi) -> np.ndarray:
+    """Stacked :func:`latmech.lattice.rotation` matrices ``(n, 2, 2)``."""
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def _wrap_angle(a):
@@ -154,12 +155,15 @@ class MechanismStateTable:
     offsets: Dict[tuple, np.ndarray]
 
     def state(self, residue, c):
+        """Rotation angle and centroid offset of unit ``residue`` at
+        contraction ``c``; for an array ``c``, arrays of angles and
+        ``(..., 2)`` offsets."""
         ang = PchipInterpolator(self.cs, self.angles[residue])(c)
-        off = np.array([
+        off = np.stack([
             PchipInterpolator(self.cs, self.offsets[residue][:, d])(c)
             for d in (0, 1)
-        ])
-        return float(ang), off
+        ], axis=-1)
+        return (float(ang) if np.ndim(c) == 0 else ang), off
 
     @property
     def c_min(self) -> float:
@@ -198,22 +202,20 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
         c = 0.5 * (dat.sigma1 + dat.sigma2)
         R = dat.U @ dat.V.T
         beta = float(np.arctan2(R[1, 0], R[0, 0]))
-        defm = m.deformation.rotate(_rotation(-beta))
+        defm = m.deformation.rotate(rotation(-beta))
         row_ang, row_off = {}, {}
+        cells = [(mi, mj) for mi in range(k) for mj in range(k)]
         for u, unit in enumerate(units):
-            for mi in range(k):
-                for mj in range(k):
-                    refs = [(node, (o1 + mi, o2 + mj)) for node, (o1, o2) in unit.nodes]
-                    X = np.asarray([spec.node_position(r) for r in refs])
-                    Y = np.asarray([defm.evaluate(r) for r in refs])
-                    xb, yb = X.mean(axis=0), Y.mean(axis=0)
-                    H = (Y - yb).T @ (X - xb)
-                    U, _, Vt = np.linalg.svd(H)
-                    if np.linalg.det(U @ Vt) < 0:
-                        U[:, -1] *= -1
-                    Ru = U @ Vt
-                    row_ang[(u, mi, mj)] = float(np.arctan2(Ru[1, 0], Ru[0, 0]))
-                    row_off[(u, mi, mj)] = yb - c * xb
+            refs = [[(node, (o1 + mi, o2 + mj)) for node, (o1, o2) in unit.nodes]
+                    for mi, mj in cells]
+            X = np.asarray([[spec.node_position(r) for r in inst] for inst in refs])
+            Y = np.asarray([[defm.evaluate(r) for r in inst] for inst in refs])
+            Ru = kabsch_rotations(X, Y)
+            ang = np.arctan2(Ru[:, 1, 0], Ru[:, 0, 0]).tolist()
+            off = Y.mean(axis=1) - c * X.mean(axis=1)
+            for n, (mi, mj) in enumerate(cells):
+                row_ang[(u, mi, mj)] = ang[n]
+                row_off[(u, mi, mj)] = off[n]
         rows.append((c, row_ang, row_off))
     rows.sort(key=lambda t: t[0])
     cs = np.asarray([r[0] for r in rows])
@@ -234,6 +236,66 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
 # ---------------------------------------------------------------------------
 # modulation
 # ---------------------------------------------------------------------------
+
+
+def _unwrap_along_units(raw, mem_inst, mem_node, n_nodes) -> np.ndarray:
+    """Unwrap the per-instance angles ``raw`` breadth-first from instance
+    0, stepping through each instance's nodes in member order to the
+    instances sharing them, in instance order; instances never reached
+    (disconnected pockets) keep the principal branch."""
+    n_inst = len(raw)
+    bounds = np.cumsum(np.bincount(mem_inst, minlength=n_inst))[:-1]
+    inst_nodes = [a.tolist() for a in np.split(mem_node, bounds)]
+    by_node = np.argsort(mem_node, kind="stable")
+    bounds = np.cumsum(np.bincount(mem_node, minlength=n_nodes))[:-1]
+    owners = [a.tolist() for a in np.split(mem_inst[by_node], bounds)]
+    phi = [None] * n_inst
+    phi[0] = raw[0]
+    queue = deque([0])
+    while queue:
+        inst = queue.popleft()
+        for node in inst_nodes[inst]:
+            for other in owners[node]:
+                if phi[other] is None:
+                    phi[other] = phi[inst] + _wrap_angle(raw[other] - phi[inst])
+                    queue.append(other)
+    return np.array([raw[n] if p is None else p for n, p in enumerate(phi)])
+
+
+def _relax(lmap: LatticeMap, ci, cj, sweeps: int, omega: float, tether: float):
+    """Tethered damped-Jacobi sweeps over every spring instance in the
+    cells ``(ci, cj)`` whose two ends the map holds, taken in (spring
+    class, cell) order; returns the relaxed positions."""
+    spec, eps, pos0 = lmap.spec, lmap.epsilon, lmap.positions
+    ia, ib, rest, stiff = [], [], [], []
+    for s in spec.springs:
+        ra, rb = lmap.ref_rows(s.a, ci, cj), lmap.ref_rows(s.b, ci, cj)
+        both = (ra >= 0) & (rb >= 0)
+        ia.append(ra[both])
+        ib.append(rb[both])
+        rest.append(np.full(int(both.sum()), eps * s.rest_length))
+        stiff.append(np.full(int(both.sum()), s.stiffness))
+    ia, ib, rest, stiff = (np.concatenate(a) for a in (ia, ib, rest, stiff))
+    wsum = np.full(len(pos0), float(tether))
+    np.add.at(wsum, ia, stiff)
+    np.add.at(wsum, ib, stiff)
+    # per coordinate, one np.add.at over [ia, ib] adds the pulls in the
+    # order scatters over ia and then over ib would; contiguous 1-D
+    # arrays take numpy's fast path
+    ends, stiff2 = np.concatenate([ia, ib]), np.concatenate([stiff, stiff])
+    x, y = pos0.T.copy()
+    for _ in range(sweeps):
+        xa, xb, ya, yb = x[ia], x[ib], y[ia], y[ib]
+        dx, dy = xa - xb, ya - yb
+        # sqrt(dx^2 + dy^2) is what np.linalg.norm(d, axis=1) computes
+        lengths = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-300)
+        rx, ry = rest * (dx / lengths), rest * (dy / lengths)
+        pull_x, pull_y = tether * pos0[:, 0], tether * pos0[:, 1]
+        np.add.at(pull_x, ends, stiff2 * np.concatenate([xb + rx, xa - rx]))
+        np.add.at(pull_y, ends, stiff2 * np.concatenate([yb + ry, ya - ry]))
+        x = (1 - omega) * x + omega * pull_x / wsum
+        y = (1 - omega) * y + omega * pull_y / wsum
+    return np.column_stack([x, y])
 
 
 def modulate(
@@ -276,137 +338,89 @@ def modulate(
 
     x0, x1, y0, y1 = target.domain
 
-    def inside(p) -> bool:
-        return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+    def inside(p):
+        return (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
 
-    # candidate unit instances: any node inside the domain, enumerated
-    # over a lattice-coordinate bounding box of the target rectangle
+    # candidate unit instances (ci, cj, u), in that order, over a
+    # lattice-coordinate bounding box of the target rectangle; keep those
+    # with any node inside the domain.  Memberships list each instance's
+    # nodes in unit order.
     Minv = np.linalg.inv(spec.cell_matrix)
     corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]]) / epsilon
     lat = corners @ Minv.T
-    i_rng = range(int(np.floor(lat[:, 0].min())) - 2, int(np.ceil(lat[:, 0].max())) + 3)
-    j_rng = range(int(np.floor(lat[:, 1].min())) - 2, int(np.ceil(lat[:, 1].max())) + 3)
-
-    insts = []
-    inst_keys = {}
-    inst_ref = {}
-    key_pos = {}
-    for ci in i_rng:
-        for cj in j_rng:
-            for u, unit in enumerate(units):
-                keys, pts = [], []
-                for node, (o1, o2) in unit.nodes:
-                    key = (node, (o1 + ci, o2 + cj))
-                    if key not in key_pos:
-                        key_pos[key] = epsilon * spec.node_position(key)
-                    keys.append(key)
-                    pts.append(key_pos[key])
-                pts = np.asarray(pts)
-                if any(inside(p) for p in pts):
-                    inst = (u, ci, cj)
-                    insts.append(inst)
-                    inst_keys[inst] = keys
-                    inst_ref[inst] = pts
-    if not insts:
+    i_rng = np.arange(int(np.floor(lat[:, 0].min())) - 2, int(np.ceil(lat[:, 0].max())) + 3)
+    j_rng = np.arange(int(np.floor(lat[:, 1].min())) - 2, int(np.ceil(lat[:, 1].max())) + 3)
+    CI, CJ = (a.ravel() for a in np.meshgrid(i_rng, j_rng, indexing="ij"))
+    n_units = len(units)
+    slot_unit = np.concatenate([np.full(len(unit.nodes), u) for u, unit in enumerate(units)])
+    slot_ref = np.array([(n, o1, o2) for unit in units for n, (o1, o2) in unit.nodes])
+    shifts = np.column_stack([np.zeros_like(CI), CI, CJ])
+    mem_key = (shifts[:, None, :] + slot_ref[None, :, :]).reshape(-1, 3)
+    mem_inst = (np.arange(len(CI))[:, None] * n_units + slot_unit[None, :]).ravel()
+    mem_pos = epsilon * spec.node_positions(mem_key)
+    kept = np.bincount(mem_inst, weights=inside(mem_pos), minlength=len(CI) * n_units) > 0
+    if not kept.any():
         raise ValueError("target domain contains no lattice cells at this epsilon")
+    sel = kept[mem_inst]
+    mem_inst = (np.cumsum(kept) - 1)[mem_inst[sel]]
+    mem_key, mem_pos = mem_key[sel], mem_pos[sel]
+    inst_flat = np.flatnonzero(kept)
+    inst_unit = inst_flat % n_units
+    inst_ci, inst_cj = CI[inst_flat // n_units], CJ[inst_flat // n_units]
+    n_inst = len(inst_flat)
+    keys, mem_node = np.unique(mem_key, axis=0, return_inverse=True)
+    mem_node = mem_node.ravel()
 
-    owner = {}
-    for inst, keys in inst_keys.items():
-        for key in keys:
-            owner.setdefault(key, []).append(inst)
+    # unit centers: members averaged per instance, grouped by unit size
+    size = np.array([len(unit.nodes) for unit in units])[inst_unit]
+    centers = np.empty((n_inst, 2))
+    for m in np.unique(size):
+        has = size == m
+        centers[has] = mem_pos[has[mem_inst]].reshape(-1, m, 2).mean(axis=1)
 
     # local contraction per unit, clamped only for boundary overhang
-    centers = {inst: inst_ref[inst].mean(axis=0) for inst in insts}
-    fp = {inst: complex(target.derivative(c[0] + 1j * c[1]))
-          for inst, c in centers.items()}
-    c_loc = {}
-    for inst in insts:
-        c = abs(fp[inst])
-        if c < c_min - 1e-9:
-            z = centers[inst]
-            if inside(z):
-                raise ValueError(
-                    f"|f'| = {c:.6f} at ({z[0]:.4f}, {z[1]:.4f}) is below the "
-                    f"reachable mechanism contraction {c_min:.6f}"
-                )
-            c = c_min
-        c_loc[inst] = min(max(c, c_min), c_max)
+    fp = target.derivative(centers[:, 0] + 1j * centers[:, 1])
+    c = np.hypot(fp.real, fp.imag)
+    low = (c < c_min - 1e-9) & inside(centers)
+    if low.any():
+        n = int(np.argmax(low))
+        z = centers[n]
+        raise ValueError(
+            f"|f'| = {c[n]:.6f} at ({z[0]:.4f}, {z[1]:.4f}) is below the "
+            f"reachable mechanism contraction {c_min:.6f}"
+        )
+    c_loc = np.minimum(np.maximum(c, c_min), c_max)
 
     # unwrap arg f' along a spanning tree of the unit adjacency
-    phi = {}
-    start = insts[0]
-    phi[start] = float(np.angle(fp[start]))
-    queue = deque([start])
-    while queue:
-        inst = queue.popleft()
-        for key in inst_keys[inst]:
-            for other in owner[key]:
-                if other not in phi:
-                    raw = float(np.angle(fp[other]))
-                    phi[other] = phi[inst] + _wrap_angle(raw - phi[inst])
-                    queue.append(other)
-    for inst in insts:
-        if inst not in phi:  # disconnected pocket: principal branch
-            phi[inst] = float(np.angle(fp[inst]))
+    phi = _unwrap_along_units(np.angle(fp).tolist(), mem_inst, mem_node, len(keys))
 
-    # rigid placement and node averaging
-    sums: Dict[tuple, np.ndarray] = {}
-    counts: Dict[tuple, int] = {}
-    for inst in insts:
-        u, ci, cj = inst
-        z = centers[inst]
-        if states is None:
-            sigma = 1.0 if units[u].parity == 0 else -1.0
-            ang = sigma * float(invert(c_loc[inst]))
-            off = np.zeros(2)
-        else:
-            ang, off = states.state((u, ci % states.k, cj % states.k), c_loc[inst])
-        Rg = _rotation(phi[inst])
-        R = Rg @ _rotation(ang)
-        w = target.value(complex(z[0], z[1]))
-        anchor = np.array([w.real, w.imag]) + Rg @ off * epsilon
-        for key, p in zip(inst_keys[inst], inst_ref[inst]):
-            y = anchor + R @ (p - z)
-            if key in sums:
-                sums[key] += y
-                counts[key] += 1
-            else:
-                sums[key] = y.copy()
-                counts[key] = 1
+    # rigid placement: per-unit twist angle and centroid offset
+    if states is None:
+        sigma = np.array([1.0 if unit.parity == 0 else -1.0 for unit in units])
+        ang = sigma[inst_unit] * invert(c_loc)
+        off = np.zeros((n_inst, 2))
+    else:
+        ang, off = np.empty(n_inst), np.empty((n_inst, 2))
+        residues = np.column_stack([inst_unit, inst_ci % states.k, inst_cj % states.k])
+        for res in np.unique(residues, axis=0):
+            has = (residues == res).all(axis=1)
+            ang[has], off[has] = states.state(tuple(res.tolist()), c_loc[has])
+    Rg = _rotations(phi)
+    R = Rg @ _rotations(ang)
+    zc = np.empty(n_inst, dtype=complex)
+    zc.real, zc.imag = centers[:, 0], centers[:, 1]
+    w = target.value(zc)
+    anchor = np.column_stack([w.real, w.imag]) + (Rg @ off[:, :, None])[:, :, 0] * epsilon
+    rel = (mem_pos - centers[mem_inst])[:, :, None]
+    placed = anchor[mem_inst] + (R[mem_inst] @ rel)[:, :, 0]
 
-    keys = sorted(sums)
-    index = {key: i for i, key in enumerate(keys)}
-    pos0 = np.asarray([sums[key] / counts[key] for key in keys])
-    pos = pos0.copy()
-
-    # tethered damped-Jacobi relaxation of the spring network
-    ia, ib, rest, stiff = [], [], [], []
-    for s in spec.springs:
-        for ci in i_rng:
-            for cj in j_rng:
-                a = (s.a[0], (s.a[1][0] + ci, s.a[1][1] + cj))
-                b = (s.b[0], (s.b[1][0] + ci, s.b[1][1] + cj))
-                if a in index and b in index:
-                    ia.append(index[a])
-                    ib.append(index[b])
-                    rest.append(epsilon * s.rest_length)
-                    stiff.append(s.stiffness)
-    ia = np.asarray(ia, dtype=int)
-    ib = np.asarray(ib, dtype=int)
-    rest = np.asarray(rest)
-    stiff = np.asarray(stiff)
-    wsum = np.full(len(keys), float(tether))
-    np.add.at(wsum, ia, stiff)
-    np.add.at(wsum, ib, stiff)
-    for _ in range(relax_sweeps):
-        d = pos[ia] - pos[ib]
-        lengths = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
-        unit_d = d / lengths[:, None]
-        pull = tether * pos0.copy()
-        np.add.at(pull, ia, stiff[:, None] * (pos[ib] + rest[:, None] * unit_d))
-        np.add.at(pull, ib, stiff[:, None] * (pos[ia] - rest[:, None] * unit_d))
-        pos = (1 - omega) * pos + omega * pull / wsum[:, None]
-    return LatticeMap(spec, epsilon, {key: pos[index[key]] for key in keys})
+    # node averaging in instance order (-0.0 is the exact additive identity)
+    sums = np.full((len(keys), 2), -0.0)
+    np.add.at(sums, mem_node, placed)
+    pos0 = sums / np.bincount(mem_node, minlength=len(keys))[:, None]
+    pos = _relax(LatticeMap.from_arrays(spec, epsilon, keys, pos0), CI, CJ,
+                 relax_sweeps, omega, tether)
+    return LatticeMap.from_arrays(spec, epsilon, keys, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +532,7 @@ def _box_gradients(lmap: LatticeMap, bounds, box_size: float):
     """Least-squares affine gradient per box of side ``box_size`` over
     the nodes inside; boxes with fewer than six nodes are skipped."""
     x0, x1, y0, y1 = bounds
-    keys = list(lmap.values)
-    refs = np.asarray([lmap.reference_position(k) for k in keys])
-    vals = np.asarray([lmap.values[k] for k in keys])
+    refs, vals = lmap.reference_positions, lmap.positions
     nx = max(int(np.floor((x1 - x0) / box_size)), 1)
     ny = max(int(np.floor((y1 - y0) / box_size)), 1)
     grads = []

@@ -75,6 +75,19 @@ def test_estimate_density_anisotropic_positive(kagome):
     assert est.upper / est.lower_bracket > 0.01
 
 
+def test_estimate_density_reports_unconverged_stages(kagome):
+    est = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1,
+                           maxiter=1)
+    trace = est.solver_trace
+    # at most two seeds (zero, one random) times four anneal stages
+    assert 0 < trace["unconverged_stages"] <= 2 * 4
+    assert "ITERATIONS" in trace["last_unconverged_message"].upper()
+    done = estimate_density(kagome, 0.6 * np.eye(2), 0.05, k=1, restarts=1)
+    assert done.solver_trace["short_circuit"]
+    assert done.solver_trace["unconverged_stages"] == 0
+    assert done.solver_trace["last_unconverged_message"] is None
+
+
 def test_estimate_density_normalization_survives_tiling(kagome):
     # the averaged energy of the k=1 minimizer is unchanged by tiling it
     est = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=2)

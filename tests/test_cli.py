@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and artifact formats."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -182,6 +183,37 @@ def test_soft_mode_csv(tmp_path):
     e1 = float(lines[1].split(",")[2])
     e2 = float(lines[2].split(",")[2])
     assert e2 < e1
+
+
+# sha256 of ``soft-mode --eps 1/8,1/12 --sweeps 50 --jobs 1 --dump-dir D``:
+# the CSV and both geometry dumps, recorded before the lattice maps moved
+# from dicts to arrays
+SOFT_MODE_PINNED = {
+    "soft_mode.csv": "c80a9ec83310868faac573111c56332608674db2799c1eae1b2322b1a9b714f9",
+    "D/soft_mode_eps_0.125.json":
+        "8c8833a7e09896aaac4354607da9d0a064ec57b0f1231fa20d724b51719ae90b",
+    "D/soft_mode_eps_0.0833333.json":
+        "63a234f1f9b09a6923c1b1e3cea3099f754e3e003592f9df233aa5ba50cf3f47",
+}
+SOFT_MODE_PINNED_ARGV = ["soft-mode", "--eps", "1/8,1/12", "--sweeps", "50"]
+
+
+def _soft_mode_run(tmp_path, jobs):
+    out = tmp_path / f"jobs{jobs}"
+    assert run(SOFT_MODE_PINNED_ARGV + ["--jobs", str(jobs),
+                                        "--dump-dir", str(out / "D"),
+                                        "--out", str(out / "soft_mode.csv")]) == 0
+    return {name: (out / name).read_bytes() for name in SOFT_MODE_PINNED}
+
+
+def test_soft_mode_pinned_bytes(tmp_path):
+    got = _soft_mode_run(tmp_path, 1)
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in got.items()} == SOFT_MODE_PINNED
+
+
+def test_soft_mode_parallel_determinism(tmp_path):
+    assert _soft_mode_run(tmp_path, 1) == _soft_mode_run(tmp_path, 2)
 
 
 def test_inequalities_csv(tmp_path):

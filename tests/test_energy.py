@@ -1,5 +1,8 @@
 """Energy evaluation: axioms, decomposition, gradients, scaled maps."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,81 @@ def test_domain_energy_containment(kagome):
             assert (0 < p[0] < 1.5) and (0 < p[1] < 1.5)
     with pytest.raises(ValueError):
         domain_energy(lmap, 0.25 * poly[:3] * 1e-3, 0.05)
+
+
+# domain_energy on an L-shaped (non-convex) polygon, recorded before the
+# lattice maps moved from dicts to arrays: float.hex of the total, the
+# counted cells, and sha256 of the per-cell energies' float.hex
+L_SHAPE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.9], [0.8, 0.9], [0.8, 2.0], [0.0, 2.0]])
+L_SHAPE_PINNED = {
+    "kagome": (
+        "0x1.9a694ba8fa929p-3",
+        [(-4, 9), (-4, 10), (-3, 7), (-3, 8), (-3, 9), (-3, 10), (-2, 5), (-2, 6),
+         (-2, 7), (-2, 8), (-2, 9), (-1, 3), (-1, 4), (-1, 5), (-1, 6), (-1, 7),
+         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (1, 4),
+         (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1),
+         (4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3), (5, 4), (6, 1), (6, 2),
+         (6, 3), (6, 4), (7, 1), (7, 2), (7, 3), (8, 1)],
+        "dc740d2e17e4d762643947a77f6cf6cb788e369a120e9ed68861146e7a7e6a36",
+    ),
+    "rotating-squares": (
+        "0x1.c8e84639859d4p-3",
+        [(i, j) for i in (1, 2) for j in range(1, 9)]
+        + [(i, j) for i in range(3, 9) for j in (1, 2, 3)],
+        "ea5477baf4ca3f28332ff8ab672514529ec38895a5209d7d39d2c73dbe105a23",
+    ),
+}
+
+
+def _l_shape_map(spec):
+    rng = np.random.default_rng(7)
+    cell = Supercell(spec, 2)
+    lam = np.array([[0.9, 0.15], [-0.1, 1.05]])
+    defm = PeriodicDeformation(cell, lam, 0.2 * rng.standard_normal((cell.n_nodes, 2)))
+    cells = [(i, j) for i in range(-12, 30) for j in range(-12, 30)]
+    return LatticeMap.from_periodic(defm, 0.1, cells)
+
+
+def test_domain_energy_l_shape_pinned(kagome, rotating_squares):
+    for spec in (kagome, rotating_squares):
+        rep = domain_energy(_l_shape_map(spec), L_SHAPE, 0.05)
+        total, cells, digest = L_SHAPE_PINNED[spec.name]
+        assert rep.total.hex() == total
+        assert rep.cells == cells
+        per_cell = repr([(c, rep.per_cell[c].hex()) for c in rep.cells])
+        assert hashlib.sha256(per_cell.encode()).hexdigest() == digest
+        assert rep.max_cell == max(rep.per_cell.values())
+
+
+def test_missing_node_raises_key_error(kagome):
+    lmap = _l_shape_map(kagome)
+    keys = list(lmap.values)
+    # drop one node of cell (3, 3): both entry points name node and cell
+    s = kagome.springs[0]
+    gone = (s.b[0], (s.b[1][0] + 3, s.b[1][1] + 3))
+    holed = LatticeMap(kagome, lmap.epsilon,
+                       {k: lmap.values[k] for k in keys if k != gone})
+    assert gone in lmap.values and gone not in holed.values
+    with pytest.raises(KeyError, match=r"missing .* needed for cell \(3, 3\)"):
+        scaled_cell_energy(holed, 0.05, (3, 3))
+    with pytest.raises(KeyError, match=re.escape(str(gone))):
+        domain_energy(holed, L_SHAPE, 0.05)
+    assert scaled_cell_energy(holed, 0.05, (0, 0)) == scaled_cell_energy(lmap, 0.05, (0, 0))
+
+
+def test_lattice_map_arrays_and_values_view(kagome):
+    lmap = _l_shape_map(kagome)
+    keys = list(lmap.values)
+    assert keys == sorted(keys) and len(keys) == len(lmap.keys)
+    with pytest.raises(ValueError):
+        lmap.positions[0, 0] = 1.0
+    rebuilt = LatticeMap(kagome, lmap.epsilon, dict(reversed(list(lmap.values.items()))))
+    assert np.array_equal(rebuilt.keys, lmap.keys)
+    assert np.array_equal(rebuilt.positions, lmap.positions)
+    assert lmap.row(*lmap.keys[5]) == 5 and lmap.row(0, 10**6, 0) == -1
+    for ref in keys[:50]:
+        assert np.array_equal(lmap.reference_positions[lmap.row(ref[0], *ref[1])],
+                              lmap.reference_position(ref))
 
 
 def test_interpolate_affine_maps_are_exact(kagome):
