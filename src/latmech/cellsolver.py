@@ -23,7 +23,8 @@ from scipy.optimize import brentq, minimize
 
 from .energy import energy_breakdown, smoothed_energy_grad
 from .geometry import lower_bracket, signed_svd
-from .lattice import LatticeSpec, PeriodicDeformation, Supercell, cross2, rotation
+from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, cross2, edge_vectors,
+                      rotation)
 from .mechanisms import MechanismError, _twist_field, twist_admissible_range
 
 __all__ = [
@@ -355,12 +356,9 @@ def verify_isotropic_bound(
 
 def _marker_arrays(defm: PeriodicDeformation):
     """Deformed marker vectors, stacked ``(n_markers, k*k, 2)``."""
-    cell, lam, psi = defm.cell, defm.lam, defm.psi
-    bs, rs = [], []
-    for mt in cell.marker_tables:
-        bs.append(psi[mt.b_head] - psi[mt.b_tail] + lam @ mt.b_dx)
-        rs.append(psi[mt.r_head] - psi[mt.r_tail] + lam @ mt.r_dx)
-    return np.stack(bs), np.stack(rs)
+    cell = defm.cell
+    return (edge_vectors(defm.lam, defm.psi, *cell.marker_b),
+            edge_vectors(defm.lam, defm.psi, *cell.marker_r))
 
 
 def _marker_direction_frame(spec: LatticeSpec):
@@ -462,25 +460,17 @@ def jensen_weighted_rest(defm: PeriodicDeformation) -> float:
     """
     spec = defm.spec
     eb, er = _marker_direction_frame(spec)
-    cell, lam, psi = defm.cell, defm.lam, defm.psi
+    cell, lam = defm.cell, defm.lam
     slacks = []
-    for which, e in (("b", eb), ("r", er)):
-        energies = []
-        rests = []
-        weights = []
-        for mt in cell.marker_tables:
-            spring = getattr(mt, f"{which}_spring")
-            dx = getattr(mt, f"{which}_dx")
-            head = getattr(mt, f"{which}_head")
-            tail = getattr(mt, f"{which}_tail")
-            d = psi[head] - psi[tail] + lam @ dx
-            lengths = np.linalg.norm(d, axis=1)
-            energies.append(spring.stiffness * (lengths - spring.rest_length) ** 2)
-            rests.append(spring.rest_length)
-            weights.append(spring.stiffness * spring.rest_length)
-        M = min(weights)
-        l_avg = float(np.mean(rests))
-        avg_energy = float(np.mean(np.stack(energies)))
+    for edges, spring, e in ((cell.marker_b, cell.marker_b_spring, eb),
+                             (cell.marker_r, cell.marker_r_spring, er)):
+        rest = cell.spring_rest[spring]
+        stiffness = cell.spring_stiffness[spring]
+        lengths = np.linalg.norm(edge_vectors(lam, defm.psi, *edges), axis=2)
+        energies = stiffness[:, None] * (lengths - rest[:, None]) ** 2
+        M = float(np.min(stiffness * rest))
+        l_avg = float(np.mean(rest))
+        avg_energy = float(np.mean(energies))
         lhs = _pos_sq(float(np.linalg.norm(lam @ e)) - 1.0)
         slacks.append(avg_energy / (M * l_avg) - lhs)
     return float(min(slacks))

@@ -53,6 +53,7 @@ from .mechanisms import (
 )
 from .softmodes import (
     ConformalTarget,
+    decay_exponent,
     default_target,
     modulate,
     soft_mode_report,
@@ -458,12 +459,12 @@ def _cmd_soft_mode(args) -> int:
         rows,
     )
     dens = [r[2] for r in rows]
-    if len(dens) >= 2 and all(d > 1e-10 for d in dens):
-        slope = float(np.polyfit(np.log(eps_list), np.log(dens), 1)[0])
+    slope = decay_exponent(eps_list, dens)
+    if np.isnan(slope):
+        print("energies at solver floor; decay exponent undefined")
+    else:
         print(f"fitted decay exponent {_fmt(slope)}; "
               f"final/first {_fmt(dens[-1] / dens[0])}")
-    else:
-        print("energies at solver floor; decay exponent undefined")
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for lmap in maps:

@@ -30,13 +30,12 @@ from typing import Iterable
 import numpy as np
 from scipy.special import expit
 
-from .lattice import LatticeSpec, PeriodicDeformation, Supercell, cross2, rotation
+from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, cross2, edge_vectors,
+                      ordered_sum, rotation)
 
 __all__ = [
     "EnergyBreakdown",
     "energy_breakdown",
-    "spring_energy",
-    "penalty_energy",
     "averaged_energy",
     "spring_energy_grad",
     "smoothed_energy_grad",
@@ -58,24 +57,18 @@ _LEN_FLOOR = 1e-12  # guards normalization of nearly collapsed springs
 # ---------------------------------------------------------------------------
 
 
-def _spring_vectors(cell: Supercell, lam, psi, table):
-    return psi[table.head] - psi[table.tail] + (lam @ table.dx)[None, :]
+def _triangle_edges(cell: Supercell, lam, psi):
+    """Deformed edges ``P1 - P0`` and ``P2 - P0`` ``(nt, k*k, 2)`` of the
+    penalized triangles and ``det(grad u)`` ``(nt, k*k)``."""
+    s0, s1, s2 = cell.tri_slots.transpose(1, 0, 2)
+    d1 = edge_vectors(lam, psi, s0, s1, cell.tri_d1)
+    d2 = edge_vectors(lam, psi, s0, s2, cell.tri_d2)
+    return d1, d2, cross2(d1, d2) / cell.tri_cross0[:, None]
 
 
-def _triangle_crosses(cell: Supercell, lam, psi, table):
-    s0, s1, s2 = table.slots
-    d1 = psi[s1] - psi[s0] + (lam @ table.d1)[None, :]
-    d2 = psi[s2] - psi[s0] + (lam @ table.d2)[None, :]
-    return d1, d2, d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
-def triangle_dets(defm: PeriodicDeformation) -> list:
-    """Per penalized-triangle class, the array of ``det(grad u)`` over cells."""
-    out = []
-    for table in defm.cell.penalized_tables:
-        _, _, cross = _triangle_crosses(defm.cell, defm.lam, defm.psi, table)
-        out.append(cross / table.cross0)
-    return out
+def triangle_dets(defm: PeriodicDeformation) -> np.ndarray:
+    """``det(grad u)`` per penalized-triangle class (rows) and cell."""
+    return _triangle_edges(defm.cell, defm.lam, defm.psi)[2]
 
 
 @dataclass
@@ -129,55 +122,29 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     if eta <= 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     cell = defm.cell
-    lam, psi = defm.lam, defm.psi
     kk = cell.k * cell.k
+    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.springs), axis=2)
+    spring_e = cell.spring_stiffness[:, None] * (lengths - cell.spring_rest[:, None]) ** 2
 
-    spring_e = []
-    for table in cell.spring_tables:
-        d = _spring_vectors(cell, lam, psi, table)
-        lengths = np.linalg.norm(d, axis=1)
-        spring_e.append(table.stiffness * (lengths - table.rest) ** 2)
+    # attribution rows added up per triangle in row order
+    n_pen = len(cell.tri_cross0)
+    share = cell.attr_weight[:, None] * spring_e[cell.attr_spring[:, None], cell.attr_cells]
+    target = cell.attr_triangle[:, None] * kk + np.arange(kk)
+    per_spring = np.bincount(target.ravel(), share.ravel(),
+                             minlength=n_pen * kk).reshape(n_pen, kk)
 
-    n_pen = len(cell.penalized_tables)
-    per_spring = np.zeros((n_pen, kk))
-    for t, rows in enumerate(cell.attribution):
-        for idx, cmap, w in rows:
-            per_spring[t] += w * spring_e[idx][cmap]
-
-    ok = np.empty((n_pen, kk), dtype=bool)
-    unit = np.empty(n_pen)
-    for t, table in enumerate(cell.penalized_tables):
-        _, _, cross = _triangle_crosses(cell, lam, psi, table)
-        ok[t] = cross / table.cross0 > 0.0
-        unit[t] = table.area / eta
-    reversed_counts = (~ok).sum(axis=1)
-    per_penalty = np.where(ok, 0.0, unit[:, None])
-
+    ok = triangle_dets(defm) > 0.0
+    unit = cell.tri_area / eta
     return EnergyBreakdown(
         eta=eta,
         k=cell.k,
         cell_area=cell.cell_area,
         per_triangle_spring=per_spring,
-        per_triangle_penalty=per_penalty,
+        per_triangle_penalty=np.where(ok, 0.0, unit[:, None]),
         orientation_ok=ok,
-        reversed_counts=reversed_counts,
+        reversed_counts=(~ok).sum(axis=1),
         penalty_unit=unit,
     )
-
-
-def spring_energy(defm: PeriodicDeformation) -> float:
-    """Total spring energy, summed directly over spring instances."""
-    cell = defm.cell
-    total = 0.0
-    for table in cell.spring_tables:
-        d = _spring_vectors(cell, defm.lam, defm.psi, table)
-        lengths = np.linalg.norm(d, axis=1)
-        total += float(table.stiffness * np.sum((lengths - table.rest) ** 2))
-    return total
-
-
-def penalty_energy(defm: PeriodicDeformation, eta: float) -> float:
-    return energy_breakdown(defm, eta).penalty_total
 
 
 def averaged_energy(defm: PeriodicDeformation, eta: float) -> float:
@@ -190,21 +157,52 @@ def averaged_energy(defm: PeriodicDeformation, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _spring_terms(cell: Supercell, lam, psi):
+    """Spring energy per class, its ``lam`` gradient per class and its
+    ``psi`` scatter (slots, values): head then tail, class by class."""
+    d = edge_vectors(lam, psi, *cell.springs)
+    lengths = np.linalg.norm(d, axis=2)
+    rest = cell.spring_rest[:, None]
+    stiffness = cell.spring_stiffness[:, None]
+    E = cell.spring_stiffness * np.sum((lengths - rest) ** 2, axis=1)
+    coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
+    g = coeff[:, :, None] * d
+    glam = g.sum(axis=1)[:, :, None] * cell.springs.dx[:, None, :]
+    slots = np.stack([cell.springs.head, cell.springs.tail], axis=1)
+    return E, glam, slots, np.stack([g, -g], axis=1)
+
+
+def _triangle_terms(cell: Supercell, d1, d2, E, dE_ddet):
+    """Per-class energies ``E`` with their ``lam`` gradients and ``psi``
+    scatter (slots, values): ``s1``, ``s2`` then ``s0``, class by class,
+    given the derivative in each triangle's ``det(grad u)``."""
+    dE_dcross = dE_ddet / cell.tri_cross0[:, None]
+    g1 = dE_dcross[:, :, None] * np.stack([d2[..., 1], -d2[..., 0]], axis=-1)
+    g2 = dE_dcross[:, :, None] * np.stack([-d1[..., 1], d1[..., 0]], axis=-1)
+    glam = (g1.sum(axis=1)[:, :, None] * cell.tri_d1[:, None, :]
+            + g2.sum(axis=1)[:, :, None] * cell.tri_d2[:, None, :])
+    s0, s1, s2 = cell.tri_slots.transpose(1, 0, 2)
+    slots = np.stack([s1, s2, s0], axis=1)
+    return E, glam, slots, np.stack([g1, g2, -(g1 + g2)], axis=1)
+
+
+def _add_up(psi, *groups):
+    """Energy, ``lam`` gradient and ``psi`` gradient from groups of
+    per-class terms ``(E, glam, slots, values)``.  Totals run class by
+    class in group order and the scatter in stream order, as ``+=`` and
+    ``np.add.at`` loops over the classes would."""
+    E = np.concatenate([g[0] for g in groups])
+    glam = np.concatenate([g[1] for g in groups])
+    slots = np.concatenate([g[2].ravel() for g in groups])
+    values = np.concatenate([g[3].reshape(-1, 2) for g in groups])
+    gpsi = np.stack([np.bincount(slots, values[:, c], minlength=len(psi))
+                     for c in (0, 1)], axis=1)
+    return float(ordered_sum(E)), ordered_sum(glam), gpsi
+
+
 def spring_energy_grad(cell: Supercell, lam, psi):
     """Spring energy with gradients in ``lam`` and ``psi``."""
-    E = 0.0
-    glam = np.zeros((2, 2))
-    gpsi = np.zeros_like(psi)
-    for table in cell.spring_tables:
-        d = _spring_vectors(cell, lam, psi, table)
-        lengths = np.linalg.norm(d, axis=1)
-        E += float(table.stiffness * np.sum((lengths - table.rest) ** 2))
-        coeff = 2.0 * table.stiffness * (1.0 - table.rest / np.maximum(lengths, _LEN_FLOOR))
-        g = coeff[:, None] * d
-        np.add.at(gpsi, table.head, g)
-        np.add.at(gpsi, table.tail, -g)
-        glam += np.outer(g.sum(axis=0), table.dx)
-    return E, glam, gpsi
+    return _add_up(psi, _spring_terms(cell, lam, psi))
 
 
 def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
@@ -215,45 +213,22 @@ def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
     a usable gradient.  Reported energies must use
     :func:`energy_breakdown` instead.
     """
-    E, glam, gpsi = spring_energy_grad(cell, lam, psi)
-    for table in cell.penalized_tables:
-        d1, d2, cross = _triangle_crosses(cell, lam, psi, table)
-        det = cross / table.cross0
-        sig = expit(-det / tau)
-        E += float(table.area / eta * np.sum(sig))
-        dE_ddet = -(table.area / (eta * tau)) * sig * (1.0 - sig)
-        dE_dcross = dE_ddet / table.cross0
-        g1 = dE_dcross[:, None] * np.column_stack([d2[:, 1], -d2[:, 0]])
-        g2 = dE_dcross[:, None] * np.column_stack([-d1[:, 1], d1[:, 0]])
-        s0, s1, s2 = table.slots
-        np.add.at(gpsi, s1, g1)
-        np.add.at(gpsi, s2, g2)
-        np.add.at(gpsi, s0, -(g1 + g2))
-        glam += np.outer(g1.sum(axis=0), table.d1) + np.outer(g2.sum(axis=0), table.d2)
-    return E, glam, gpsi
+    d1, d2, det = _triangle_edges(cell, lam, psi)
+    sig = expit(-det / tau)
+    E = cell.tri_area / eta * np.sum(sig, axis=1)
+    dE_ddet = -(cell.tri_area / (eta * tau))[:, None] * sig * (1.0 - sig)
+    return _add_up(psi, _spring_terms(cell, lam, psi),
+                   _triangle_terms(cell, d1, d2, E, dE_ddet))
 
 
 def barrier_grad(cell: Supercell, lam, psi, mu: float):
     """Log-barrier ``-mu * sum log det`` keeping triangle orientations
-    positive; returns ``(inf, 0, 0)`` when infeasible."""
-    B = 0.0
-    glam = np.zeros((2, 2))
-    gpsi = np.zeros_like(psi)
-    for table in cell.penalized_tables:
-        d1, d2, cross = _triangle_crosses(cell, lam, psi, table)
-        det = cross / table.cross0
-        if np.any(det <= 0):
-            return np.inf, glam, gpsi
-        B += float(-mu * np.sum(np.log(det)))
-        dE_dcross = (-mu / det) / table.cross0
-        g1 = dE_dcross[:, None] * np.column_stack([d2[:, 1], -d2[:, 0]])
-        g2 = dE_dcross[:, None] * np.column_stack([-d1[:, 1], d1[:, 0]])
-        s0, s1, s2 = table.slots
-        np.add.at(gpsi, s1, g1)
-        np.add.at(gpsi, s2, g2)
-        np.add.at(gpsi, s0, -(g1 + g2))
-        glam += np.outer(g1.sum(axis=0), table.d1) + np.outer(g2.sum(axis=0), table.d2)
-    return B, glam, gpsi
+    positive; returns ``(inf, 0, 0)`` when any orientation is not."""
+    d1, d2, det = _triangle_edges(cell, lam, psi)
+    if np.any(det <= 0):
+        return np.inf, np.zeros((2, 2)), np.zeros_like(psi)
+    B = -mu * np.sum(np.log(det), axis=1)
+    return _add_up(psi, _triangle_terms(cell, d1, d2, B, -mu / det))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +331,7 @@ class LatticeMap:
     @classmethod
     def from_periodic(cls, defm: PeriodicDeformation, epsilon: float, cells) -> "LatticeMap":
         """Sample ``u_eps(x) = eps * u(x / eps)`` over the given cells."""
-        spec, k = defm.spec, defm.cell.k
+        spec = defm.spec
         refs = set()
         for tri in spec.triangulation:
             refs.update(tri)
@@ -366,10 +341,8 @@ class LatticeMap:
         cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
         shifts = np.column_stack([np.zeros(len(cells), dtype=np.int64), cells])
         keys = np.unique((shifts[:, None, :] + refs[None, :, :]).reshape(-1, 3), axis=0)
-        node, o1, o2 = keys.T
-        slots = (node * k + o1 % k) * k + o2 % k
         x = spec.node_positions(keys)
-        u = np.matmul(defm.lam, x[:, :, None])[:, :, 0] + defm.psi[slots]
+        u = np.matmul(defm.lam, x[:, :, None])[:, :, 0] + defm.psi[defm.cell.slot(*keys.T)]
         return cls.from_arrays(spec, epsilon, keys, epsilon * u)
 
     def interpolate(self, points):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import PeriodicDeformation, rotation
+from .lattice import PeriodicDeformation, edge_vectors, ordered_sum, rotation
 
 __all__ = [
     "averaged_vectors",
@@ -61,20 +61,11 @@ def averaged_vectors(defm: PeriodicDeformation):
     normalization).
     """
     cell = defm.cell
-    lam, psi = defm.lam, defm.psi
     kk = cell.k * cell.k
-    a1 = np.zeros(2)
-    a2 = np.zeros(2)
-    at1 = np.zeros(2)
-    at2 = np.zeros(2)
-    for table in cell.marker_tables:
-        a1 += table.b_dx
-        a2 += table.r_dx
-        bt = psi[table.b_head] - psi[table.b_tail] + (lam @ table.b_dx)[None, :]
-        rt = psi[table.r_head] - psi[table.r_tail] + (lam @ table.r_dx)[None, :]
-        at1 += bt.sum(axis=0) / kk
-        at2 += rt.sum(axis=0) / kk
-    return a1, a2, at1, at2
+    bt = edge_vectors(defm.lam, defm.psi, *cell.marker_b)
+    rt = edge_vectors(defm.lam, defm.psi, *cell.marker_r)
+    return (ordered_sum(cell.marker_b.dx), ordered_sum(cell.marker_r.dx),
+            ordered_sum(bt.sum(axis=1) / kk), ordered_sum(rt.sum(axis=1) / kk))
 
 
 def lambda_from_averages(defm: PeriodicDeformation) -> np.ndarray:

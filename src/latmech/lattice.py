@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -515,43 +515,57 @@ def spring_attribution(spec: LatticeSpec):
 # ---------------------------------------------------------------------------
 
 
-class _SpringTable:
-    __slots__ = ("tail", "head", "dx", "rest", "stiffness")
+class Edges(NamedTuple):
+    """Stacked edge classes: ``tail`` and ``head`` slots ``(n, k*k)`` over
+    the cells and reference vectors ``dx`` ``(n, 2)``."""
 
-    def __init__(self, tail, head, dx, rest, stiffness):
-        self.tail = tail
-        self.head = head
-        self.dx = dx
-        self.rest = rest
-        self.stiffness = stiffness
+    tail: np.ndarray
+    head: np.ndarray
+    dx: np.ndarray
 
 
-class _TriangleTable:
-    __slots__ = ("slots", "d1", "d2", "cross0", "area", "dinv")
-
-    def __init__(self, slots, d1, d2, cross0, area):
-        self.slots = slots          # (3, k*k) node slots
-        self.d1 = d1                # reference edge P1 - P0
-        self.d2 = d2                # reference edge P2 - P0
-        self.cross0 = cross0        # 2 * reference area (positive)
-        self.area = area
-        self.dinv = np.linalg.inv(np.column_stack([d1, d2]))
+def edge_vectors(lam, psi, tail, head, dx) -> np.ndarray:
+    """Deformed vectors ``(n, k*k, 2)`` of stacked edge classes under
+    ``u = lam x + psi``."""
+    # matmul over stacked columns gives the bits of ``lam @ dx`` class by class
+    return psi[head] - psi[tail] + np.matmul(lam, dx[:, :, None])[:, None, :, 0]
 
 
-class _MarkerTable:
-    __slots__ = ("b_tail", "b_head", "b_dx", "r_tail", "r_head", "r_dx",
-                 "b_spring", "r_spring", "triangle")
-
-    def __init__(self, **kw):
-        for k, v in kw.items():
-            setattr(self, k, v)
+def ordered_sum(terms):
+    """Sum over the first axis from zero, one term after another, as a
+    ``+=`` loop does; ``np.sum`` switches to pairwise sums from eight
+    terms on, which moves the last bits."""
+    zero = np.zeros((1,) + terms.shape[1:])
+    return np.add.accumulate(np.concatenate([zero, terms]))[-1]
 
 
 class Supercell:
-    """Assembled index tables for a ``k x k`` periodic tiling of a spec.
+    """Assembled index arrays for a ``k x k`` periodic tiling of a spec.
 
     Node slots are numbered ``(node * k + i) * k + j`` for basic node
     ``node`` in cell ``(i, j)``; cells are enumerated ``c = i * k + j``.
+    Each class of springs, penalized triangles and markers is one row of
+    a stacked array, in the order of ``spec.springs``,
+    ``spec.penalized_triangles`` and ``spec.marker_edges``; axes of
+    length ``k*k`` run over the cells ``c``:
+
+    - ``springs``: :class:`Edges` from ``a`` to ``b``; ``spring_rest`` and
+      ``spring_stiffness`` ``(ns,)``;
+    - ``tri_slots`` ``(nt, 3, k*k)``: slots of the vertices ``P0, P1, P2``;
+      ``tri_d1``, ``tri_d2`` ``(nt, 2)``: reference edges ``P1 - P0`` and
+      ``P2 - P0``; ``tri_cross0`` ``(nt,)``: their cross product (twice
+      the area, positive); ``tri_area`` ``(nt,)``;
+    - ``marker_b``, ``marker_r``: :class:`Edges` of the marker edges;
+      ``marker_b_spring``, ``marker_r_spring`` ``(nm,)``: the spring class
+      each edge lies along;
+    - attribution rows, grouped by triangle in :func:`spring_attribution`
+      order: the triangle in cell ``c`` owns ``attr_weight`` of spring
+      ``attr_spring`` in cell ``attr_cells[:, c]`` (``attr_triangle``,
+      ``attr_spring``, ``attr_weight`` ``(na,)``, ``attr_cells``
+      ``(na, k*k)``).
+
+    Energies and gradients add these rows up in exactly this order, class
+    by class, which fixes the bits of every result.
     """
 
     def __init__(self, spec: LatticeSpec, k: int):
@@ -567,63 +581,52 @@ class Supercell:
 
         ci = np.repeat(np.arange(k), k)
         cj = np.tile(np.arange(k), k)
-        self._ci, self._cj = ci, cj
         shifts = ci[:, None] * spec.v1 + cj[:, None] * spec.v2
         self.ref_positions = (
             spec.basic_nodes[:, None, :] + shifts[None, :, :]
         ).reshape(self.n_nodes, 2)
 
-        def slots(ref):
-            node, (o1, o2) = ref
-            return (node * k + (ci + o1) % k) * k + (cj + o2) % k
+        def keys(groups):
+            return np.array([[(n, o1, o2) for n, (o1, o2) in g] for g in groups],
+                            dtype=np.int64)
 
-        self._slots_of = slots
+        def slots(key):
+            return self.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj)
 
-        self.spring_tables = []
-        for s in spec.springs:
-            self.spring_tables.append(
-                _SpringTable(
-                    slots(s.a), slots(s.b), spec.edge_vector((s.a, s.b)),
-                    s.rest_length, s.stiffness,
-                )
-            )
+        def edges(pairs):
+            key = keys(pairs)
+            x = spec.node_positions(key)
+            return Edges(slots(key[:, 0]), slots(key[:, 1]), x[:, 1] - x[:, 0])
 
-        def triangle_table(nodes):
-            p0, p1, p2 = (spec.node_position(r) for r in nodes)
-            d1, d2 = p1 - p0, p2 - p0
-            cross0 = float(cross2(d1, d2))
-            return _TriangleTable(
-                np.stack([slots(r) for r in nodes]), d1, d2, cross0, 0.5 * cross0
-            )
+        self.springs = edges((s.a, s.b) for s in spec.springs)
+        self.spring_rest = np.array([s.rest_length for s in spec.springs])
+        self.spring_stiffness = np.array([s.stiffness for s in spec.springs])
 
-        self.penalized_tables = [triangle_table(t.nodes) for t in spec.penalized_triangles]
-        self.cover_tables = [triangle_table(t) for t in spec.triangulation]
+        key = keys(t.nodes for t in spec.penalized_triangles)
+        x = spec.node_positions(key)
+        self.tri_slots = slots(key)
+        self.tri_d1 = x[:, 1] - x[:, 0]
+        self.tri_d2 = x[:, 2] - x[:, 0]
+        self.tri_cross0 = cross2(self.tri_d1, self.tri_d2)
+        self.tri_area = 0.5 * self.tri_cross0
 
-        # spring attribution, as gather maps between cell enumerations
-        self.attribution = []
-        for entries in spring_attribution(spec):
-            rows = []
-            for idx, (d1, d2), w in entries:
-                cmap = ((ci + d1) % k) * k + (cj + d2) % k
-                rows.append((idx, cmap, w))
-            self.attribution.append(rows)
+        index = {_seg_key(s.a, s.b): i for i, s in enumerate(spec.springs)}
+        self.marker_b = edges(mk.b_edge for mk in spec.marker_edges)
+        self.marker_r = edges(mk.r_edge for mk in spec.marker_edges)
+        self.marker_b_spring = np.array([index[_seg_key(*mk.b_edge)] for mk in spec.marker_edges])
+        self.marker_r_spring = np.array([index[_seg_key(*mk.r_edge)] for mk in spec.marker_edges])
 
-        keys = {_seg_key(s.a, s.b): i for i, s in enumerate(spec.springs)}
-        self.marker_tables = []
-        for mk in spec.marker_edges:
-            self.marker_tables.append(
-                _MarkerTable(
-                    b_tail=slots(mk.b_edge[0]), b_head=slots(mk.b_edge[1]),
-                    b_dx=spec.edge_vector(mk.b_edge),
-                    r_tail=slots(mk.r_edge[0]), r_head=slots(mk.r_edge[1]),
-                    r_dx=spec.edge_vector(mk.r_edge),
-                    b_spring=spec.springs[keys[_seg_key(*mk.b_edge)]],
-                    r_spring=spec.springs[keys[_seg_key(*mk.r_edge)]],
-                    triangle=mk.triangle,
-                )
-            )
+        rows = [(t, idx, d1, d2, w)
+                for t, entries in enumerate(spring_attribution(spec))
+                for idx, (d1, d2), w in entries]
+        t, idx, d1, d2, w = (np.array(col) for col in zip(*rows))
+        self.attr_triangle, self.attr_spring, self.attr_weight = t, idx, w
+        # node 0's slot in a cell is the cell's number
+        self.attr_cells = self.slot(0, ci + d1[:, None], cj + d2[:, None])
 
-    def slot(self, node: int, o1: int, o2: int) -> int:
+    def slot(self, node, o1, o2):
+        """Slot of basic node ``node`` translated by ``(o1, o2)``, wrapped
+        into the supercell; works elementwise on integer arrays."""
         k = self.k
         return (node * k + o1 % k) * k + o2 % k
 
@@ -677,50 +680,9 @@ class PeriodicDeformation:
         """Re-express on a finer ``k x k`` supercell (``k`` need not be a
         multiple of the current period; ``psi`` wraps periodically)."""
         big = Supercell(self.spec, k)
-        psi = np.empty((big.n_nodes, 2))
-        for node in range(self.spec.n_basic):
-            for i in range(k):
-                for j in range(k):
-                    psi[big.slot(node, i, j)] = self.psi[self.cell.slot(node, i, j)]
-        return PeriodicDeformation(big, self.lam, psi)
-
-    def interpolate(self, points):
-        """Piecewise-affine interpolation of ``u`` over the cover.
-
-        Returns ``(values, grads)`` with shapes ``(m, 2)`` and
-        ``(m, 2, 2)``.  Raises :class:`ValueError` for points not covered
-        by any cell triangle.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        Minv = np.linalg.inv(self.spec.cell_matrix)
-        values = np.empty((len(points), 2))
-        grads = np.empty((len(points), 2, 2))
-        for n, p in enumerate(points):
-            base = np.floor(Minv @ p).astype(int)
-            hit = False
-            for di in (0, -1, 1, -2, 2):
-                for dj in (0, -1, 1, -2, 2):
-                    cellij = (int(base[0]) + di, int(base[1]) + dj)
-                    for tri, table in zip(self.spec.triangulation, self.cell.cover_tables):
-                        p0 = self.spec.node_position(tri[0]) + \
-                            cellij[0] * self.spec.v1 + cellij[1] * self.spec.v2
-                        bary = table.dinv @ (p - p0)
-                        if bary[0] < -1e-9 or bary[1] < -1e-9 or bary.sum() > 1 + 1e-9:
-                            continue
-                        u0 = self.evaluate(tri[0], cellij)
-                        u1 = self.evaluate(tri[1], cellij)
-                        u2 = self.evaluate(tri[2], cellij)
-                        values[n] = (1 - bary.sum()) * u0 + bary[0] * u1 + bary[1] * u2
-                        grads[n] = np.column_stack([u1 - u0, u2 - u0]) @ table.dinv
-                        hit = True
-                        break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if not hit:
-                raise ValueError(f"point {p} not covered by the cell triangulation")
-        return values, grads
+        # the slots of ``big`` enumerate (node, i, j) in C order
+        node, i, j = np.indices((self.spec.n_basic, k, k)).reshape(3, -1)
+        return PeriodicDeformation(big, self.lam, self.psi[self.cell.slot(node, i, j)])
 
 
 # ---------------------------------------------------------------------------

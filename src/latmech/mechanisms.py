@@ -34,6 +34,7 @@ from .lattice import (
     Supercell,
     build_kagome,
     cross2,
+    edge_vectors,
     rotation,
 )
 
@@ -48,7 +49,6 @@ __all__ = [
     "twist_mechanism",
     "twist_admissible_range",
     "search_mechanisms",
-    "mechanism_search",
     "mechanism_tangent_rank",
     "domain_wall_angles",
     "DomainWall",
@@ -276,12 +276,10 @@ class MechanismCertificate:
 
 def certify(defm: PeriodicDeformation, eta_ref: float = 0.1) -> MechanismCertificate:
     bd = energy_breakdown(defm, eta_ref)
-    resid = 0.0
-    for table in defm.cell.spring_tables:
-        d = defm.psi[table.head] - defm.psi[table.tail] + (defm.lam @ table.dx)[None, :]
-        lengths = np.linalg.norm(d, axis=1)
-        resid = max(resid, float(np.max(np.abs(lengths - table.rest))))
-    min_det = min(float(np.min(d)) for d in triangle_dets(defm))
+    cell = defm.cell
+    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.springs), axis=2)
+    resid = float(np.max(np.abs(lengths - cell.spring_rest[:, None])))
+    min_det = float(np.min(triangle_dets(defm)))
     sd = signed_svd(defm.lam)
     return MechanismCertificate(
         energy=bd.averaged,
@@ -488,13 +486,6 @@ def search_mechanisms(
     return [rec[3] for rec in found]
 
 
-def mechanism_search(spec, k, seed=None, restarts=32, tol=1e-12,
-                     rng_seed=0, eta_ref=0.1) -> Optional[Mechanism]:
-    """Best accepted mechanism from :func:`search_mechanisms`, or ``None``."""
-    hits = search_mechanisms(spec, k, seed, restarts, tol, rng_seed, eta_ref)
-    return hits[0] if hits else None
-
-
 def mechanism_tangent_rank(spec: LatticeSpec, k: int):
     """Dimension of the first-order mechanism space at the reference state.
 
@@ -504,18 +495,16 @@ def mechanism_tangent_rank(spec: LatticeSpec, k: int):
     rotation tangent, which lives in the skew part of ``lam``).
     """
     cell = Supercell(spec, k)
-    n = cell.n_nodes
-    rows = []
-    for table in cell.spring_tables:
-        u = table.dx / np.linalg.norm(table.dx)
-        for c in range(cell.k * cell.k):
-            row = np.zeros(4 + 2 * n)
-            row[:4] = np.outer(u, table.dx).ravel()
-            h, t = table.head[c], table.tail[c]
-            row[4 + 2 * h:6 + 2 * h] += u
-            row[4 + 2 * t:6 + 2 * t] -= u
-            rows.append(row)
-    J = np.asarray(rows)
+    kk = cell.k * cell.k
+    tail, head, dx = cell.springs
+    u = dx / np.linalg.norm(dx, axis=1, keepdims=True)
+    # one row per spring instance, class by class, cells in order
+    J = np.zeros((len(dx) * kk, 4 + 2 * cell.n_nodes))
+    J[:, :4] = np.repeat((u[:, :, None] * dx[:, None, :]).reshape(-1, 4), kk, axis=0)
+    rows = np.arange(len(J))[:, None]
+    u_rows = np.repeat(u, kk, axis=0)
+    np.add.at(J, (rows, 4 + 2 * head.reshape(-1, 1) + [0, 1]), u_rows)
+    np.add.at(J, (rows, 4 + 2 * tail.reshape(-1, 1) + [0, 1]), -u_rows)
     sv = np.linalg.svd(J, compute_uv=False)
     rank = int(np.sum(sv > 1e-9 * sv[0]))
     raw = J.shape[1] - rank

@@ -34,6 +34,7 @@ __all__ = [
     "mechanism_state_table",
     "modulate",
     "SoftModeReport",
+    "decay_exponent",
     "soft_mode_report",
     "WeakLimitReport",
     "weak_limit_check",
@@ -464,6 +465,16 @@ class SoftModeReport:
             yield eps, dens, mx, n
 
 
+def decay_exponent(eps_list, densities) -> float:
+    """Least-squares slope of ``log density`` against ``log epsilon``;
+    NaN unless there are two or more densities, all above the solver
+    floor ``1e-10``."""
+    e = np.asarray(densities, dtype=float)
+    if len(e) < 2 or not (e > 1e-10).all():
+        return float("nan")
+    return float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)), np.log(e), 1)[0])
+
+
 def soft_mode_report(
     spec: LatticeSpec,
     target: ConformalTarget,
@@ -483,13 +494,7 @@ def soft_mode_report(
         max_cells.append(rep.max_cell)
         n_cells.append(rep.n_cells)
         maps.append(lmap)
-    e = np.asarray(densities)
-    defined = bool(len(e) >= 2 and (e > 1e-10).all())
-    if defined:
-        slope = float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)),
-                                 np.log(e), 1)[0])
-    else:
-        slope = float("nan")
+    slope = decay_exponent(eps_list, densities)
     return SoftModeReport(
         eps_list=tuple(float(x) for x in eps_list),
         eta=eta,
@@ -497,7 +502,7 @@ def soft_mode_report(
         max_cell_energies=tuple(max_cells),
         n_cells=tuple(n_cells),
         fitted_exponent=slope,
-        exponent_defined=defined,
+        exponent_defined=not np.isnan(slope),
         maps=tuple(maps),
     )
 

@@ -148,10 +148,17 @@ def test_smoothed_energy_dominates_springs_near_feasible(kagome):
 
 def test_barrier_infeasible_returns_inf(kagome):
     cell = Supercell(kagome, 1)
-    E, glam, gpsi = barrier_grad(cell, np.diag([1.0, -1.0]),
-                                 np.zeros((cell.n_nodes, 2)), mu=1e-3)
-    assert np.isinf(E)
-    assert np.all(glam == 0) and np.all(gpsi == 0)
+    # every class reversed, then only the second: pushing the pinch node
+    # below the up triangle's base flips it but not the down triangle
+    pinched = np.zeros((cell.n_nodes, 2))
+    pinched[cell.slot(1, 0, 0)] = (0.0, -1.4)
+    for lam, psi in ((np.diag([1.0, -1.0]), np.zeros((cell.n_nodes, 2))),
+                     (np.eye(2), pinched)):
+        E, glam, gpsi = barrier_grad(cell, lam, psi, mu=1e-3)
+        assert np.isinf(E)
+        assert np.all(glam == 0) and np.all(gpsi == 0)
+    dets = triangle_dets(PeriodicDeformation(cell, np.eye(2), pinched))
+    assert (dets[0] > 0).all() and (dets[1] < 0).all()
 
 
 def test_scaled_map_matches_periodic_energy(kagome):

@@ -12,7 +12,6 @@ from latmech.mechanisms import (
     certify,
     domain_wall_angles,
     domain_wall_mechanism,
-    mechanism_search,
     mechanism_tangent_rank,
     rigid_units,
     search_mechanisms,
@@ -166,7 +165,7 @@ def test_search_finds_mechanisms(kagome):
 
 def test_search_accepts_twist_seed(rotating_squares):
     seed = twist_mechanism(rotating_squares, 0.7, k=1).deformation
-    best = mechanism_search(rotating_squares, 1, seed=seed, restarts=1)
+    best = search_mechanisms(rotating_squares, 1, seed=seed, restarts=1)[0]
     assert best is not None
     assert best.certificate.energy <= 1e-12
     # the seeded start stays near the seeded contraction
