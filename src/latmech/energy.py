@@ -30,8 +30,8 @@ from typing import Iterable
 import numpy as np
 from scipy.special import expit
 
-from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, cross2, edge_vectors,
-                      ordered_sum, rotation)
+from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, cross2,
+                      edge_vectors, ordered_sum, rotation)
 
 __all__ = [
     "EnergyBreakdown",
@@ -332,12 +332,7 @@ class LatticeMap:
     def from_periodic(cls, defm: PeriodicDeformation, epsilon: float, cells) -> "LatticeMap":
         """Sample ``u_eps(x) = eps * u(x / eps)`` over the given cells."""
         spec = defm.spec
-        refs = set()
-        for tri in spec.triangulation:
-            refs.update(tri)
-        for s in spec.springs:
-            refs.update((s.a, s.b))
-        refs = np.array([(n, o1, o2) for n, (o1, o2) in refs], dtype=np.int64).reshape(-1, 3)
+        refs = _cell_keys(spec)
         cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
         shifts = np.column_stack([np.zeros(len(cells), dtype=np.int64), cells])
         keys = np.unique((shifts[:, None, :] + refs[None, :, :]).reshape(-1, 3), axis=0)
@@ -594,14 +589,7 @@ def check_cell_bounds(
     one cell).  All fitted constants must come out finite and positive.
     """
     rng = np.random.default_rng(seed)
-    cell = Supercell(spec, 1)
-
-    refs = set()
-    for s in spec.springs:
-        refs.update((s.a, s.b))
-    for tri in spec.triangulation:
-        refs.update(tri)
-    refs = sorted(refs)
+    refs = [(n, (o1, o2)) for n, o1, o2 in _cell_keys(spec).tolist()]
     index = {r: m for m, r in enumerate(refs)}
     X = np.asarray([spec.node_position(r) for r in refs])
     nr = len(refs)

@@ -312,11 +312,7 @@ def sample_triangle_deformations(alpha: float, n: int, seed: int,
     pts = ref[None, :, :] + scales[:, None, None] * rng.uniform(-1, 1, size=(n, 3, 2))
     reflect = rng.random(n) < 0.5
     pts[reflect, :, 1] *= -1.0
-    ang = rng.uniform(0, 2 * np.pi, size=n)
-    ca, sa = np.cos(ang), np.sin(ang)
-    R = np.empty((n, 2, 2))
-    R[:, 0, 0], R[:, 0, 1] = ca, -sa
-    R[:, 1, 0], R[:, 1, 1] = sa, ca
+    R = rotation(rng.uniform(0, 2 * np.pi, size=n))
     pts = np.einsum("nij,nkj->nki", R, pts)
     pts += rng.uniform(-1, 1, size=(n, 1, 2))
     return pts

@@ -51,10 +51,15 @@ class DegenerateGeometryError(ValueError):
     """Requested parameters produce a degenerate or inconsistent lattice."""
 
 
-def rotation(angle: float) -> np.ndarray:
-    """Counterclockwise rotation matrix through ``angle`` radians."""
+def rotation(angle) -> np.ndarray:
+    """Counterclockwise rotation matrices through ``angle`` radians, of
+    shape ``np.shape(angle) + (2, 2)``."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
+    R = np.empty(np.shape(c) + (2, 2))
+    R[..., 0, 0] = R[..., 1, 1] = c
+    R[..., 0, 1] = -s
+    R[..., 1, 0] = s
+    return R
 
 
 def cross2(a, b):
@@ -173,10 +178,9 @@ class LatticeSpec:
         return abs(float(cross2(self.v1, self.v2)))
 
     def node_position(self, ref: NodeRef) -> np.ndarray:
-        node, (o1, o2) = ref
-        if not 0 <= node < self.n_basic:
+        if not 0 <= ref[0] < self.n_basic:
             raise ValueError(f"unknown node reference {ref!r}")
-        return self.basic_nodes[node] + o1 * self.v1 + o2 * self.v2
+        return _position((self.v1, self.v2, self.basic_nodes), ref)
 
     def node_positions(self, keys) -> np.ndarray:
         """:meth:`node_position` over integer rows ``(node, o1, o2)``."""
@@ -288,18 +292,13 @@ class LatticeSpec:
         v1 = np.asarray(data["v1"], dtype=float)
         v2 = np.asarray(data["v2"], dtype=float)
         basic = np.asarray(data["basic_nodes"], dtype=float)
-
-        def pos(r):
-            return basic[r[0]] + r[1][0] * v1 + r[1][1] * v2
+        frame = (v1, v2, basic)
 
         springs = []
         for s in data["springs"]:
             if set(s) != {"a", "b", "k_spring"}:
                 raise ValueError(f"bad spring entry keys {sorted(s)}")
-            a, b = ref(s["a"]), ref(s["b"])
-            springs.append(
-                Spring(a, b, float(np.linalg.norm(pos(b) - pos(a))), float(s["k_spring"]))
-            )
+            springs.append(_spring(frame, ref(s["a"]), ref(s["b"]), s["k_spring"]))
         triangulation = []
         penalized = []
         for t in data["triangles"]:
@@ -308,10 +307,7 @@ class LatticeSpec:
             nodes = tuple(ref(r) for r in t["nodes"])
             triangulation.append(nodes)
             if t["penalized"]:
-                p0, p1, p2 = (pos(r) for r in nodes)
-                penalized.append(
-                    PenalizedTriangle(nodes, 0.5 * float(cross2(p1 - p0, p2 - p0)))
-                )
+                penalized.append(_triangle(frame, nodes))
         markers = []
         for m in data["markers"]:
             if set(m) != {"b", "r", "t"}:
@@ -426,6 +422,15 @@ def _validate_spec(spec: LatticeSpec) -> None:
                     f"spring {idx} endpoint {end!r} lies outside the cell region"
                 )
 
+    # every spring's energy must reach a penalized triangle through a
+    # shared basic node (see spring_attribution)
+    pen_nodes = {r[0] for t in spec.penalized_triangles for r in t.nodes}
+    for idx, s in enumerate(spec.springs):
+        if s.a[0] not in pen_nodes and s.b[0] not in pen_nodes:
+            raise DegenerateGeometryError(
+                f"spring {idx} shares no endpoint with any penalized triangle"
+            )
+
     # markers: spring-aligned edges with r = c R(alpha) b
     R = rotation(spec.alpha)
     for m, mk in enumerate(spec.marker_edges):
@@ -486,27 +491,19 @@ def spring_attribution(spec: LatticeSpec):
     for t, lst in enumerate(claims):
         for idx, delta in lst:
             out[t].append((idx, delta, 1.0 / counts[idx]))
-    # leftover springs: attach to the first penalized triangle sharing a node
+    # leftover springs: attach to the first penalized triangle sharing a
+    # node (one exists: _validate_spec checks it)
     for idx, s in enumerate(spec.springs):
         if counts[idx]:
             continue
-        placed = False
-        for t, tri in enumerate(spec.penalized_triangles):
-            for vert in tri.nodes:
-                for end in (s.a, s.b):
-                    if vert[0] == end[0]:
-                        delta = (vert[1][0] - end[1][0], vert[1][1] - end[1][1])
-                        out[t].append((idx, delta, 1.0))
-                        placed = True
-                        break
-                if placed:
-                    break
-            if placed:
-                break
-        if not placed:
-            raise DegenerateGeometryError(
-                f"spring {idx} shares no endpoint with any penalized triangle"
-            )
+        t, vert, end = next(
+            (t, vert, end)
+            for t, tri in enumerate(spec.penalized_triangles)
+            for vert in tri.nodes
+            for end in (s.a, s.b)
+            if vert[0] == end[0]
+        )
+        out[t].append((idx, (vert[1][0] - end[1][0], vert[1][1] - end[1][1]), 1.0))
     return out
 
 
@@ -537,6 +534,19 @@ def ordered_sum(terms):
     terms on, which moves the last bits."""
     zero = np.zeros((1,) + terms.shape[1:])
     return np.add.accumulate(np.concatenate([zero, terms]))[-1]
+
+
+def _slot(k, node, o1, o2):
+    """:meth:`Supercell.slot` on a ``k x k`` supercell."""
+    return (node * k + o1 % k) * k + o2 % k
+
+
+def _cell_keys(spec: LatticeSpec) -> np.ndarray:
+    """Sorted ``(n, 3)`` rows ``(node, o1, o2)`` of the node references of
+    one cell: spring endpoints and cover vertices."""
+    refs = {r for s in spec.springs for r in (s.a, s.b)}
+    refs.update(r for tri in spec.triangulation for r in tri)
+    return np.array([(n, o1, o2) for n, (o1, o2) in sorted(refs)], dtype=np.int64)
 
 
 class Supercell:
@@ -627,8 +637,7 @@ class Supercell:
     def slot(self, node, o1, o2):
         """Slot of basic node ``node`` translated by ``(o1, o2)``, wrapped
         into the supercell; works elementwise on integer arrays."""
-        k = self.k
-        return (node * k + o1 % k) * k + o2 % k
+        return _slot(self.k, node, o1, o2)
 
     def zero_deformation(self, lam=None) -> "PeriodicDeformation":
         lam = np.eye(2) if lam is None else lam
@@ -690,15 +699,45 @@ class PeriodicDeformation:
 # ---------------------------------------------------------------------------
 
 
-def _spring(pos, a, b, stiffness=1.0) -> Spring:
+def _position(frame, ref) -> np.ndarray:
+    """Reference position of ``ref`` in ``frame = (v1, v2, basic_nodes)``."""
+    v1, v2, basic = frame
+    node, (o1, o2) = ref
+    return basic[node] + o1 * v1 + o2 * v2
+
+
+def _spring(frame, a, b, stiffness=1.0) -> Spring:
     a, b = _as_ref(a), _as_ref(b)
-    return Spring(a, b, float(np.linalg.norm(pos(b) - pos(a))), stiffness)
+    length = np.linalg.norm(_position(frame, b) - _position(frame, a))
+    return Spring(a, b, float(length), float(stiffness))
 
 
-def _triangle(pos, refs) -> PenalizedTriangle:
+def _triangle(frame, refs) -> PenalizedTriangle:
     refs = tuple(_as_ref(r) for r in refs)
-    p0, p1, p2 = (pos(r) for r in refs)
+    p0, p1, p2 = (_position(frame, r) for r in refs)
     return PenalizedTriangle(refs, 0.5 * float(cross2(p1 - p0, p2 - p0)))
+
+
+def _assemble(name, v1, v2, basic, springs, penalized, markers, holes,
+              alpha, c_marker) -> LatticeSpec:
+    """A spec with rest lengths and areas taken from the reference
+    geometry.  ``springs`` are ``(a, b)`` or ``(a, b, stiffness)``,
+    ``markers`` ``(b_edge, r_edge, triangle)``; the cover lists the
+    ``penalized`` triangles first, then the ``holes``."""
+    frame = (v1, v2, basic)
+    penalized = tuple(_triangle(frame, t) for t in penalized)
+    return LatticeSpec(
+        name=name,
+        v1=v1,
+        v2=v2,
+        basic_nodes=basic,
+        springs=tuple(_spring(frame, *s) for s in springs),
+        penalized_triangles=penalized,
+        marker_edges=tuple(MarkerPair(*m) for m in markers),
+        alpha=alpha,
+        c_marker=c_marker,
+        triangulation=tuple(t.nodes for t in penalized) + tuple(holes),
+    )
 
 
 def build_kagome() -> LatticeSpec:
@@ -708,52 +747,43 @@ def build_kagome() -> LatticeSpec:
     triangle joined at a pinch node, the surrounding hexagonal holes split
     into four cover triangles.  Markers point along the horizontal spring
     lines (``b``) and their 60-degree partners (``r``).
+
+    The basic nodes and their labels differ from ``general-kagome`` at its
+    defaults (node ``A`` there sits at the origin), so the built-in keeps
+    its own layout: its artifacts and the pinch node of
+    :func:`latmech.mechanisms.domain_wall_mechanism` depend on it.
     """
     rt3 = np.sqrt(3.0)
-    v1 = np.array([2.0, 0.0])
-    v2 = np.array([1.0, rt3])
-    basic = np.array([[1.0, 0.0], [0.5, 0.5 * rt3], [1.0, rt3]])
     A, O, D = 0, 1, 2
-
-    def pos(ref):
-        node, (o1, o2) = ref
-        return basic[node] + o1 * v1 + o2 * v2
-
-    springs = (
-        _spring(pos, (A, (0, 0)), (O, (0, 0))),     # A-O
-        _spring(pos, (D, (0, -1)), (O, (0, 0))),    # B-O
-        _spring(pos, (A, (-1, 1)), (O, (0, 0))),    # C-O
-        _spring(pos, (D, (0, 0)), (O, (0, 0))),     # D-O
-        _spring(pos, (A, (0, 0)), (D, (1, -1))),    # A-F
-        _spring(pos, (D, (0, 0)), (A, (0, 1))),     # D-E
-    )
-    penalized = (
-        _triangle(pos, ((A, (-1, 1)), (O, (0, 0)), (D, (0, 0)))),   # down: C O D
-        _triangle(pos, ((A, (0, 0)), (O, (0, 0)), (D, (0, -1)))),   # up:   A O B
-    )
-    markers = (
-        MarkerPair(((A, (-1, 1)), (D, (0, 0))), ((O, (0, 0)), (D, (0, 0))), 0),
-        MarkerPair(((D, (0, -1)), (A, (0, 0))), ((D, (0, -1)), (O, (0, 0))), 1),
-    )
-    triangulation = (
-        penalized[0].nodes,
-        penalized[1].nodes,
-        ((D, (0, -1)), (O, (0, 0)), (A, (-1, 1))),   # B O C
-        ((A, (0, 0)), (D, (1, -1)), (O, (0, 0))),    # A F O
-        ((D, (1, -1)), (A, (0, 1)), (D, (0, 0))),    # F E D
-        ((D, (1, -1)), (D, (0, 0)), (O, (0, 0))),    # F D O
-    )
-    return LatticeSpec(
-        name="kagome",
-        v1=v1,
-        v2=v2,
-        basic_nodes=basic,
-        springs=springs,
-        penalized_triangles=penalized,
-        marker_edges=markers,
+    return _assemble(
+        "kagome",
+        np.array([2.0, 0.0]),
+        np.array([1.0, rt3]),
+        np.array([[1.0, 0.0], [0.5, 0.5 * rt3], [1.0, rt3]]),
+        springs=(
+            ((A, (0, 0)), (O, (0, 0))),     # A-O
+            ((D, (0, -1)), (O, (0, 0))),    # B-O
+            ((A, (-1, 1)), (O, (0, 0))),    # C-O
+            ((D, (0, 0)), (O, (0, 0))),     # D-O
+            ((A, (0, 0)), (D, (1, -1))),    # A-F
+            ((D, (0, 0)), (A, (0, 1))),     # D-E
+        ),
+        penalized=(
+            ((A, (-1, 1)), (O, (0, 0)), (D, (0, 0))),   # down: C O D
+            ((A, (0, 0)), (O, (0, 0)), (D, (0, -1))),   # up:   A O B
+        ),
+        markers=(
+            (((A, (-1, 1)), (D, (0, 0))), ((O, (0, 0)), (D, (0, 0))), 0),
+            (((D, (0, -1)), (A, (0, 0))), ((D, (0, -1)), (O, (0, 0))), 1),
+        ),
+        holes=(
+            ((D, (0, -1)), (O, (0, 0)), (A, (-1, 1))),   # B O C
+            ((A, (0, 0)), (D, (1, -1)), (O, (0, 0))),    # A F O
+            ((D, (1, -1)), (A, (0, 1)), (D, (0, 0))),    # F E D
+            ((D, (1, -1)), (D, (0, 0)), (O, (0, 0))),    # F D O
+        ),
         alpha=np.pi / 3,
         c_marker=1.0,
-        triangulation=triangulation,
     )
 
 
@@ -763,62 +793,10 @@ def build_rotating_squares() -> LatticeSpec:
     Each square is split by its braced diagonal (stiffness 2) into two
     penalized triangles; the square holes between them are covered but not
     penalized.  Markers run along the horizontal spring lines (``b``) and
-    the vertical ones (``r``)."""
-    v1 = np.array([2.0, 0.0])
-    v2 = np.array([0.0, 2.0])
-    basic = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    A, B, D, O = 0, 1, 2, 3
-
-    def pos(ref):
-        node, (o1, o2) = ref
-        return basic[node] + o1 * v1 + o2 * v2
-
-    springs = (
-        _spring(pos, (A, (0, 0)), (B, (0, 0))),             # A-B
-        _spring(pos, (A, (0, 0)), (O, (0, 0)), 2.0),        # A-O brace
-        _spring(pos, (A, (0, 0)), (D, (0, 0))),             # A-D
-        _spring(pos, (B, (0, 0)), (A, (1, 0))),             # B-C
-        _spring(pos, (B, (0, 0)), (O, (0, 0))),             # B-O
-        _spring(pos, (D, (0, 0)), (O, (0, 0))),             # D-O
-        _spring(pos, (O, (0, 0)), (D, (1, 0))),             # O-E
-        _spring(pos, (D, (0, 0)), (A, (0, 1))),             # D-F
-        _spring(pos, (O, (0, 0)), (B, (0, 1))),             # O-G
-        _spring(pos, (O, (0, 0)), (A, (1, 1)), 2.0),        # O-H brace
-    )
-    penalized = (
-        _triangle(pos, ((A, (0, 0)), (B, (0, 0)), (O, (0, 0)))),
-        _triangle(pos, ((A, (0, 0)), (O, (0, 0)), (D, (0, 0)))),
-        _triangle(pos, ((O, (0, 0)), (D, (1, 0)), (A, (1, 1)))),
-        _triangle(pos, ((O, (0, 0)), (A, (1, 1)), (B, (0, 1)))),
-    )
-    markers = (
-        MarkerPair(((A, (0, 0)), (B, (0, 0))), ((B, (0, 0)), (O, (0, 0))), 0),
-        MarkerPair(((D, (0, 0)), (O, (0, 0))), ((A, (0, 0)), (D, (0, 0))), 1),
-        MarkerPair(((O, (0, 0)), (D, (1, 0))), ((D, (1, 0)), (A, (1, 1))), 2),
-        MarkerPair(((B, (0, 1)), (A, (1, 1))), ((O, (0, 0)), (B, (0, 1))), 3),
-    )
-    triangulation = (
-        penalized[0].nodes,
-        penalized[1].nodes,
-        penalized[2].nodes,
-        penalized[3].nodes,
-        ((B, (0, 0)), (A, (1, 0)), (D, (1, 0))),
-        ((B, (0, 0)), (D, (1, 0)), (O, (0, 0))),
-        ((D, (0, 0)), (O, (0, 0)), (B, (0, 1))),
-        ((D, (0, 0)), (B, (0, 1)), (A, (0, 1))),
-    )
-    return LatticeSpec(
-        name="rotating-squares",
-        v1=v1,
-        v2=v2,
-        basic_nodes=basic,
-        springs=springs,
-        penalized_triangles=penalized,
-        marker_edges=markers,
-        alpha=np.pi / 2,
-        c_marker=1.0,
-        triangulation=triangulation,
-    )
+    the vertical ones (``r``).  This is ``rhombus-squares`` at angle
+    ``pi/2``, sizes 1, with the exact unit direction ``(0, 1)`` (the
+    variant's ``cos(pi/2)`` is ``6e-17``)."""
+    return _rhombus_family("rotating-squares", np.pi / 2, (0.0, 1.0), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -843,59 +821,80 @@ def _kagome_family(name, alpha, leg_ratio, size_ratio, size) -> LatticeSpec:
     c = float(leg_ratio)
     e1 = np.array([1.0, 0.0])
     ea = np.array([np.cos(alpha), np.sin(alpha)])
-    v1 = (l1 + l2) * e1
-    v2 = c * (l1 + l2) * ea
-    nA = np.zeros(2)
     nB = c * l1 * ea
     nC = nB + l2 * e1          # the shared corner node, kept inside the cell
-    basic = np.array([nA, nB, nC])
     A, B, C = 0, 1, 2
-
-    def pos(ref):
-        node, (o1, o2) = ref
-        return basic[node] + o1 * v1 + o2 * v2
-
-    springs = (
-        _spring(pos, (A, (1, 0)), (B, (1, 0))),
-        _spring(pos, (B, (1, 0)), (C, (0, 0))),
-        _spring(pos, (C, (0, 0)), (A, (1, 0))),
-        _spring(pos, (A, (0, 1)), (B, (0, 0))),
-        _spring(pos, (B, (0, 0)), (C, (0, 0))),
-        _spring(pos, (C, (0, 0)), (A, (0, 1))),
-    )
     penalized = (
-        _triangle(pos, ((A, (1, 0)), (B, (1, 0)), (C, (0, 0)))),
-        _triangle(pos, ((A, (0, 1)), (B, (0, 0)), (C, (0, 0)))),
-    )
-    markers = (
-        MarkerPair(((C, (0, 0)), (B, (1, 0))), ((A, (1, 0)), (B, (1, 0))), 0),
-        MarkerPair(((B, (0, 0)), (C, (0, 0))), ((B, (0, 0)), (A, (0, 1))), 1),
+        ((A, (1, 0)), (B, (1, 0)), (C, (0, 0))),
+        ((A, (0, 1)), (B, (0, 0)), (C, (0, 0))),
     )
     cycle = (
         (A, (0, 0)), (A, (1, 0)), (B, (1, 0)), (A, (1, 1)), (A, (0, 1)), (B, (0, 0)),
     )
-    pen_sets = {frozenset(t.nodes) for t in penalized}
-    triangulation = [penalized[0].nodes, penalized[1].nodes]
-    for m in range(6):
-        tri = ((C, (0, 0)), cycle[m], cycle[(m + 1) % 6])
-        if frozenset(tri) not in pen_sets:
-            triangulation.append(tri)
-    return LatticeSpec(
-        name=name,
-        v1=v1,
-        v2=v2,
-        basic_nodes=basic,
-        springs=springs,
-        penalized_triangles=penalized,
-        marker_edges=markers,
+    fans = [((C, (0, 0)), cycle[m], cycle[(m + 1) % 6]) for m in range(6)]
+    pen_sets = {frozenset(t) for t in penalized}
+    return _assemble(
+        name,
+        (l1 + l2) * e1,
+        c * (l1 + l2) * ea,
+        np.array([np.zeros(2), nB, nC]),
+        springs=(
+            ((A, (1, 0)), (B, (1, 0))),
+            ((B, (1, 0)), (C, (0, 0))),
+            ((C, (0, 0)), (A, (1, 0))),
+            ((A, (0, 1)), (B, (0, 0))),
+            ((B, (0, 0)), (C, (0, 0))),
+            ((C, (0, 0)), (A, (0, 1))),
+        ),
+        penalized=penalized,
+        markers=(
+            (((C, (0, 0)), (B, (1, 0))), ((A, (1, 0)), (B, (1, 0))), 0),
+            (((B, (0, 0)), (C, (0, 0))), ((B, (0, 0)), (A, (0, 1))), 1),
+        ),
+        holes=[t for t in fans if frozenset(t) not in pen_sets],
         alpha=alpha,
         c_marker=c,
-        triangulation=tuple(triangulation),
     )
 
 
-def _rhombus_squares(angle, size_ratio, size) -> LatticeSpec:
-    """Corner-joined rhombi of two sizes, diagonally braced."""
+def _squares(name, v1, v2, basic, alpha, springs, markers, holes) -> LatticeSpec:
+    """Corner-joined quadrilaterals ``A B O D`` (basic nodes 0-3) with the
+    ``A-O`` diagonal braced (stiffness 2), each split into two penalized
+    triangles; ``springs`` and ``holes`` follow the shared ones."""
+    A, B, D, O = 0, 1, 2, 3
+    return _assemble(
+        name, v1, v2, basic,
+        springs=(
+            ((A, (0, 0)), (B, (0, 0))),             # A-B
+            ((A, (0, 0)), (O, (0, 0)), 2.0),        # A-O brace
+            ((A, (0, 0)), (D, (0, 0))),             # A-D
+            ((B, (0, 0)), (A, (1, 0))),             # B-C
+            ((B, (0, 0)), (O, (0, 0))),             # B-O
+            ((D, (0, 0)), (O, (0, 0))),             # D-O
+            ((O, (0, 0)), (D, (1, 0))),             # O-E
+            ((D, (0, 0)), (A, (0, 1))),             # D-F
+            ((O, (0, 0)), (B, (0, 1))),             # O-G
+            ((O, (0, 0)), (A, (1, 1)), 2.0),        # O-H brace
+        ) + springs,
+        penalized=(
+            ((A, (0, 0)), (B, (0, 0)), (O, (0, 0))),
+            ((A, (0, 0)), (O, (0, 0)), (D, (0, 0))),
+            ((O, (0, 0)), (D, (1, 0)), (A, (1, 1))),
+            ((O, (0, 0)), (A, (1, 1)), (B, (0, 1))),
+        ),
+        markers=markers,
+        holes=(
+            ((B, (0, 0)), (A, (1, 0)), (D, (1, 0))),
+            ((B, (0, 0)), (D, (1, 0)), (O, (0, 0))),
+        ) + holes,
+        alpha=alpha,
+        c_marker=1.0,
+    )
+
+
+def _rhombus_family(name, angle, ew, size_ratio, size) -> LatticeSpec:
+    """Corner-joined rhombi of two sizes, diagonally braced, with sides
+    along ``(1, 0)`` and the unit direction ``ew`` at ``angle``."""
     if not 0 < angle < np.pi:
         raise DegenerateGeometryError(f"rhombus angle must be in (0, pi), got {angle:g}")
     if size <= 0 or size_ratio <= 0:
@@ -903,70 +902,37 @@ def _rhombus_squares(angle, size_ratio, size) -> LatticeSpec:
     L1 = float(size)
     L2 = float(size * size_ratio)
     eu = np.array([1.0, 0.0])
-    ew = np.array([np.cos(angle), np.sin(angle)])
-    v1 = (L1 + L2) * eu
-    v2 = (L1 + L2) * ew
-    basic = np.array([np.zeros(2), L1 * eu, L1 * ew, L1 * (eu + ew)])
+    ew = np.array(ew)
     A, B, D, O = 0, 1, 2, 3
-
-    def pos(ref):
-        node, (o1, o2) = ref
-        return basic[node] + o1 * v1 + o2 * v2
-
-    springs = (
-        _spring(pos, (A, (0, 0)), (B, (0, 0))),
-        _spring(pos, (A, (0, 0)), (O, (0, 0)), 2.0),
-        _spring(pos, (A, (0, 0)), (D, (0, 0))),
-        _spring(pos, (B, (0, 0)), (A, (1, 0))),
-        _spring(pos, (B, (0, 0)), (O, (0, 0))),
-        _spring(pos, (D, (0, 0)), (O, (0, 0))),
-        _spring(pos, (O, (0, 0)), (D, (1, 0))),
-        _spring(pos, (D, (0, 0)), (A, (0, 1))),
-        _spring(pos, (O, (0, 0)), (B, (0, 1))),
-        _spring(pos, (O, (0, 0)), (A, (1, 1)), 2.0),
-    )
-    penalized = (
-        _triangle(pos, ((A, (0, 0)), (B, (0, 0)), (O, (0, 0)))),
-        _triangle(pos, ((A, (0, 0)), (O, (0, 0)), (D, (0, 0)))),
-        _triangle(pos, ((O, (0, 0)), (D, (1, 0)), (A, (1, 1)))),
-        _triangle(pos, ((O, (0, 0)), (A, (1, 1)), (B, (0, 1)))),
-    )
-    markers = (
-        MarkerPair(((A, (0, 0)), (B, (0, 0))), ((B, (0, 0)), (O, (0, 0))), 0),
-        MarkerPair(((D, (0, 0)), (O, (0, 0))), ((A, (0, 0)), (D, (0, 0))), 1),
-        MarkerPair(((O, (0, 0)), (D, (1, 0))), ((D, (1, 0)), (A, (1, 1))), 2),
-        MarkerPair(((B, (0, 1)), (A, (1, 1))), ((O, (0, 0)), (B, (0, 1))), 3),
-    )
-    triangulation = (
-        penalized[0].nodes,
-        penalized[1].nodes,
-        penalized[2].nodes,
-        penalized[3].nodes,
-        ((B, (0, 0)), (A, (1, 0)), (D, (1, 0))),
-        ((B, (0, 0)), (D, (1, 0)), (O, (0, 0))),
-        ((D, (0, 0)), (O, (0, 0)), (B, (0, 1))),
-        ((D, (0, 0)), (B, (0, 1)), (A, (0, 1))),
-    )
-    return LatticeSpec(
-        name="rhombus-squares",
-        v1=v1,
-        v2=v2,
-        basic_nodes=basic,
-        springs=springs,
-        penalized_triangles=penalized,
-        marker_edges=markers,
-        alpha=angle,
-        c_marker=1.0,
-        triangulation=triangulation,
+    return _squares(
+        name, (L1 + L2) * eu, (L1 + L2) * ew,
+        np.array([np.zeros(2), L1 * eu, L1 * ew, L1 * (eu + ew)]), angle,
+        springs=(),
+        markers=(
+            (((A, (0, 0)), (B, (0, 0))), ((B, (0, 0)), (O, (0, 0))), 0),
+            (((D, (0, 0)), (O, (0, 0))), ((A, (0, 0)), (D, (0, 0))), 1),
+            (((O, (0, 0)), (D, (1, 0))), ((D, (1, 0)), (A, (1, 1))), 2),
+            (((B, (0, 1)), (A, (1, 1))), ((O, (0, 0)), (B, (0, 1))), 3),
+        ),
+        holes=(
+            ((D, (0, 0)), (O, (0, 0)), (B, (0, 1))),
+            ((D, (0, 0)), (B, (0, 1)), (A, (0, 1))),
+        ),
     )
 
 
-def _quad_squares(alpha, s, q, d1, d2) -> LatticeSpec:
+def _rhombus_squares(angle=np.pi / 2, size_ratio=1.0, size=1.0):
+    return _rhombus_family("rhombus-squares", angle, (np.cos(angle), np.sin(angle)),
+                           size_ratio, size)
+
+
+def _quad_squares(alpha=np.pi / 2, s=0.5, q=0.5, d1=1.0, d2=1.0) -> LatticeSpec:
     """Corner-joined congruent quadrilaterals with both diagonals braced.
 
     The diagonals have equal length ``d1 = d2`` and meet at angle
     ``alpha``; ``s`` and ``q`` locate the crossing point along the two
-    diagonals.  Markers run along the diagonals themselves.
+    diagonals.  Markers run along the diagonals themselves: the braced
+    ``b`` diagonal ``A-O`` and the ``r`` diagonal ``B-D``.
     """
     if abs(d1 - d2) > 1e-12 * max(d1, d2):
         raise DegenerateGeometryError(
@@ -981,64 +947,24 @@ def _quad_squares(alpha, s, q, d1, d2) -> LatticeSpec:
     L = float(d1)
     e1 = np.array([1.0, 0.0])
     er = np.array([np.cos(alpha), np.sin(alpha)])
-    v1 = L * (e1 - er)
-    v2 = L * (e1 + er)
-    nA = np.zeros(2)
     nB = s * L * e1 - q * L * er
-    nO = L * e1
     nD = s * L * e1 + (1 - q) * L * er
-    basic = np.array([nA, nB, nD, nO])
     A, B, D, O = 0, 1, 2, 3
-
-    def pos(ref):
-        node, (o1, o2) = ref
-        return basic[node] + o1 * v1 + o2 * v2
-
-    springs = (
-        _spring(pos, (A, (0, 0)), (B, (0, 0))),
-        _spring(pos, (A, (0, 0)), (O, (0, 0)), 2.0),     # b diagonal
-        _spring(pos, (A, (0, 0)), (D, (0, 0))),
-        _spring(pos, (B, (0, 0)), (A, (1, 0))),
-        _spring(pos, (B, (0, 0)), (O, (0, 0))),
-        _spring(pos, (D, (0, 0)), (O, (0, 0))),
-        _spring(pos, (O, (0, 0)), (D, (1, 0))),
-        _spring(pos, (D, (0, 0)), (A, (0, 1))),
-        _spring(pos, (O, (0, 0)), (B, (0, 1))),
-        _spring(pos, (O, (0, 0)), (A, (1, 1)), 2.0),     # b diagonal
-        _spring(pos, (B, (0, 0)), (D, (0, 0))),          # r diagonal
-        _spring(pos, (D, (1, 0)), (B, (0, 1))),          # r diagonal
-    )
-    penalized = (
-        _triangle(pos, ((A, (0, 0)), (B, (0, 0)), (O, (0, 0)))),
-        _triangle(pos, ((A, (0, 0)), (O, (0, 0)), (D, (0, 0)))),
-        _triangle(pos, ((O, (0, 0)), (D, (1, 0)), (A, (1, 1)))),
-        _triangle(pos, ((O, (0, 0)), (A, (1, 1)), (B, (0, 1)))),
-    )
-    markers = (
-        MarkerPair(((A, (0, 0)), (O, (0, 0))), ((B, (0, 0)), (D, (0, 0))), 0),
-        MarkerPair(((O, (0, 0)), (A, (1, 1))), ((D, (1, 0)), (B, (0, 1))), 2),
-    )
-    triangulation = (
-        penalized[0].nodes,
-        penalized[1].nodes,
-        penalized[2].nodes,
-        penalized[3].nodes,
-        ((B, (0, 0)), (A, (1, 0)), (D, (1, 0))),
-        ((B, (0, 0)), (D, (1, 0)), (O, (0, 0))),
-        ((O, (0, 0)), (B, (0, 1)), (A, (0, 1))),
-        ((O, (0, 0)), (A, (0, 1)), (D, (0, 0))),
-    )
-    return LatticeSpec(
-        name="quad-squares",
-        v1=v1,
-        v2=v2,
-        basic_nodes=basic,
-        springs=springs,
-        penalized_triangles=penalized,
-        marker_edges=markers,
-        alpha=alpha,
-        c_marker=1.0,
-        triangulation=triangulation,
+    return _squares(
+        "quad-squares", L * (e1 - er), L * (e1 + er),
+        np.array([np.zeros(2), nB, nD, L * e1]), alpha,
+        springs=(
+            ((B, (0, 0)), (D, (0, 0))),          # r diagonal
+            ((D, (1, 0)), (B, (0, 1))),          # r diagonal
+        ),
+        markers=(
+            (((A, (0, 0)), (O, (0, 0))), ((B, (0, 0)), (D, (0, 0))), 0),
+            (((O, (0, 0)), (A, (1, 1))), ((D, (1, 0)), (B, (0, 1))), 2),
+        ),
+        holes=(
+            ((O, (0, 0)), (B, (0, 1)), (A, (0, 1))),
+            ((O, (0, 0)), (A, (0, 1)), (D, (0, 0))),
+        ),
     )
 
 
@@ -1050,19 +976,11 @@ def _general_kagome(alpha=np.pi / 3, leg_ratio=1.0, size_ratio=1.0, size=1.0):
     return _kagome_family("general-kagome", alpha, leg_ratio, size_ratio, size)
 
 
-def _rhombus_rs(angle=np.pi / 2, size_ratio=1.0, size=1.0):
-    return _rhombus_squares(angle, size_ratio, size)
-
-
-def _quad_rs(alpha=np.pi / 2, s=0.5, q=0.5, d1=1.0, d2=1.0):
-    return _quad_squares(alpha, s, q, d1, d2)
-
-
 VARIANT_KINDS = {
     "isosceles-kagome": _isosceles_kagome,
     "general-kagome": _general_kagome,
-    "rhombus-squares": _rhombus_rs,
-    "quad-squares": _quad_rs,
+    "rhombus-squares": _rhombus_squares,
+    "quad-squares": _quad_squares,
 }
 
 
@@ -1075,7 +993,10 @@ def build_variant(kind: str, **params) -> LatticeSpec:
     ``general-kagome(alpha, leg_ratio, size_ratio, size)``:
         same topology with ``|r| = leg_ratio * |b|``, so ``c != 1``.
     ``rhombus-squares(angle, size_ratio, size)``:
-        corner-joined rhombi with interior angle ``angle``.
+        corner-joined rhombi with interior angle ``angle``.  The built-in
+        :func:`build_rotating_squares` is this family at ``angle = pi/2``,
+        both sizes 1, with the exact direction ``(0, 1)`` in place of
+        ``(cos(pi/2), sin(pi/2))``.
     ``quad-squares(alpha, s, q, d1, d2)``:
         congruent quadrilaterals with equal braced diagonals meeting at
         ``alpha``, crossing at fractions ``s`` and ``q``.  The pure

@@ -32,6 +32,7 @@ from .lattice import (
     LatticeSpec,
     PeriodicDeformation,
     Supercell,
+    _slot,
     build_kagome,
     cross2,
     edge_vectors,
@@ -336,13 +337,12 @@ def _twist_field(spec: LatticeSpec, theta: float, k: int = 1,
     per = np.column_stack([k * spec.v1, k * spec.v2])
     lam = np.column_stack([y1 - y0, y2 - y0]) @ np.linalg.inv(per)
 
-    # slots as in Supercell.slot
     n_nodes = spec.n_basic * k * k
     psi = np.zeros((n_nodes, 2))
     filled = np.zeros(n_nodes, dtype=bool)
     drift = 0.0
     for (node, (o1, o2)), y in pos.items():
-        slot = (node * k + o1 % k) * k + o2 % k
+        slot = _slot(k, node, o1, o2)
         val = y - lam @ spec.node_position((node, (o1, o2)))
         if filled[slot]:
             drift = max(drift, float(np.linalg.norm(psi[slot] - val)))

@@ -128,12 +128,6 @@ def default_target() -> ConformalTarget:
 # ---------------------------------------------------------------------------
 
 
-def _rotations(phi) -> np.ndarray:
-    """Stacked :func:`latmech.lattice.rotation` matrices ``(n, 2, 2)``."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-
-
 def _wrap_angle(a):
     return (a + np.pi) % (2 * np.pi) - np.pi
 
@@ -406,8 +400,8 @@ def modulate(
         for res in np.unique(residues, axis=0):
             has = (residues == res).all(axis=1)
             ang[has], off[has] = states.state(tuple(res.tolist()), c_loc[has])
-    Rg = _rotations(phi)
-    R = Rg @ _rotations(ang)
+    Rg = rotation(phi)
+    R = Rg @ rotation(ang)
     zc = np.empty(n_inst, dtype=complex)
     zc.real, zc.imag = centers[:, 0], centers[:, 1]
     w = target.value(zc)

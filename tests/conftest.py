@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,15 @@ def random_deformation(spec, k, rng, lam=None, amp=0.3):
         lam = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
     psi = amp * rng.standard_normal((cell.n_nodes, 2))
     return PeriodicDeformation(cell, np.asarray(lam, dtype=float), psi)
+
+
+def orphan_spring_json():
+    """Rotating squares with only its first triangle penalized, only marker
+    0, and an extra spring ``D -> D + v1`` on node 2, which no penalized
+    triangle touches."""
+    data = json.loads(build_rotating_squares().to_json())
+    for tri in data["triangles"][1:]:
+        tri["penalized"] = False
+    data["markers"] = data["markers"][:1]
+    data["springs"].append({"a": [2, 0, 0], "b": [2, 1, 0], "k_spring": 1.0})
+    return json.dumps(data, indent=2)

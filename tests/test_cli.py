@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import orphan_spring_json
 
 import latmech.cli as cli
 from latmech.lattice import LatticeSpec
@@ -42,6 +43,9 @@ def test_precondition_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["build", "--spec", str(bad), "--out", out]) == 2
+    orphan = tmp_path / "orphan.json"
+    orphan.write_text(orphan_spring_json())
+    assert run(["build", "--spec", str(orphan), "--out", out]) == 2
 
 
 def test_verification_failure_exits_3(tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
 """Lattice construction, serialization, and supercell bookkeeping."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from conftest import orphan_spring_json
 
 from latmech.lattice import (
     DegenerateGeometryError,
@@ -83,6 +86,51 @@ def test_spec_equality_and_hash_by_content(all_specs):
     a = build_variant("rhombus-squares", angle=1.3, size_ratio=0.6)
     b = build_variant("rhombus-squares", angle=1.3, size_ratio=0.7)
     assert a != b
+
+
+# sha256 of each builder's ``to_json()`` text and the ``float.hex`` of
+# every spring rest length and penalized triangle area
+BUILDER_PINS = {
+    "kagome": "5b205f8b9ceed5918a3cd996a1d2185e1e32ce2c3d5aa115730d63f725adbf31",
+    "rotating-squares": "2c242f86b439a5fafef460bd2c37cd47f2b1b1172c2bb2877ff932d191445eb1",
+    "general-kagome()": "784750f2241acd5a5b6b9d86ba19ab680a287610ca9c7d3b83054312fce54375",
+    "general-kagome(conftest)": "b27bfcd3d71d3cc5c9706778fd45203924456bc8cca18f32b2409b2bef39717a",
+    "isosceles-kagome()": "ad7b5daec25c4c89075a1c596f5524d5fba182826f12165407dea89b1a454530",
+    "isosceles-kagome(conftest)": "7f656216fa7ea5301d65272e24c08abd437a2e7a46876e8fcc5988056a2afb6f",
+    "quad-squares()": "4f8149a0ad379c0add37c7355c11533122ce11c4243beaebc2162685d1d050fa",
+    "quad-squares(conftest)": "7cdf74c440c70dabb60dccaeffce701477d160236c682dec0e63ecf4994e7f7c",
+    "rhombus-squares()": "248c14d5c951767d81759a0c670bf23e25996cd9bbf0a9899961e5f6a606622c",
+    "rhombus-squares(conftest)": "9080d696bdcd2cb210d581f1b1622def07dd6c108e9f204ffbc183264d7c288d",
+}
+
+# the variant parameters of the ``all_specs`` fixture
+CONFTEST_PARAMS = {
+    "isosceles-kagome": {"apex": 1.2, "size_ratio": 0.8},
+    "general-kagome": {"alpha": 1.1, "leg_ratio": 0.75},
+    "rhombus-squares": {"angle": 1.3, "size_ratio": 0.6},
+    "quad-squares": {"alpha": 1.2, "s": 0.4, "q": 0.6},
+}
+
+
+def _builder_digest(spec):
+    lines = [spec.to_json()]
+    lines += [float.hex(s.rest_length) for s in spec.springs]
+    lines += [float.hex(t.area) for t in spec.penalized_triangles]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_builder_outputs_pinned():
+    got = {"kagome": _builder_digest(build_kagome()),
+           "rotating-squares": _builder_digest(build_rotating_squares())}
+    for kind in VARIANT_KINDS:
+        got[kind + "()"] = _builder_digest(build_variant(kind))
+        got[kind + "(conftest)"] = _builder_digest(build_variant(kind, **CONFTEST_PARAMS[kind]))
+    assert got == BUILDER_PINS
+
+
+def test_json_rejects_spring_off_penalized_triangles():
+    with pytest.raises(DegenerateGeometryError, match="spring 10 shares no endpoint"):
+        LatticeSpec.from_json(orphan_spring_json())
 
 
 def test_json_rejects_unknown_keys(kagome):
