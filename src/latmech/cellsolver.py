@@ -19,13 +19,12 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .energy import energy_breakdown, smoothed_energy_grad
 from .geometry import lower_bracket, signed_svd
 from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, cross2, edge_vectors,
                       rotation)
-from .mechanisms import MechanismError, _twist_field, twist_admissible_range
+from .mechanisms import MechanismError, _twist_field, _twist_fields, twist_admissible_range
 
 __all__ = [
     "DensityEstimate",
@@ -72,15 +71,20 @@ def _twist_contraction_table(spec: LatticeSpec):
     thetas = np.linspace(0.0, hi, 160)
     cs = np.empty_like(thetas)
     cs[0] = 1.0
-    for i, th in enumerate(thetas[1:], start=1):
-        sd = signed_svd(_twist_field(spec, th)[0])
+    for i, lam in enumerate(_twist_fields(spec, thetas[1:])[0], start=1):
+        sd = signed_svd(lam)
         cs[i] = 0.5 * (sd.sigma1 + sd.sigma2)
     return thetas, cs
 
 
-def _invert_contraction(spec: LatticeSpec, c: float) -> float:
+def _invert_contraction(spec: LatticeSpec, c: float,
+                        trace: Optional[dict] = None) -> float:
     """The twist angle whose contraction equals ``c``, to root-finder
-    precision (``c`` is clipped into the reachable interval)."""
+    precision (``c`` is clipped into the reachable interval).
+
+    When the tabulated bracket does not change sign, the nearer end is
+    returned and its residual contraction gap is recorded in ``trace``
+    under ``twist_bracket_gap``."""
     thetas, cs = _twist_contraction_table(spec)
     c = float(np.clip(c, cs.min(), 1.0))
     if c >= 1.0:
@@ -95,16 +99,24 @@ def _invert_contraction(spec: LatticeSpec, c: float) -> float:
         sd = signed_svd(_twist_field(spec, th)[0])
         return 0.5 * (sd.sigma1 + sd.sigma2) - c
 
-    if gap(lo) * gap(hi) > 0:
-        return lo if abs(gap(lo)) < abs(gap(hi)) else hi
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if gap_lo * gap_hi > 0:
+        theta, residual = (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
+        if trace is not None:
+            trace["twist_bracket_gap"] = float(residual)
+        return theta
+    from scipy.optimize import brentq
+
     return float(brentq(gap, lo, hi, xtol=1e-14))
 
 
-def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int) -> Optional[PeriodicDeformation]:
+def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
+                trace: Optional[dict] = None) -> Optional[PeriodicDeformation]:
     """The twist field whose contraction matches ``lam``, rotated so its
     affine part aligns with the polar rotation of ``lam``.  Returns
     ``None`` when ``lam`` is nowhere near a reachable isotropic
-    compression."""
+    compression.  ``trace`` receives a failed inversion bracket (see
+    :func:`_invert_contraction`)."""
     sd = signed_svd(lam)
     if sd.det_sign <= 0:
         return None
@@ -115,7 +127,7 @@ def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int) -> Optional[Periodic
         return None
     if not cs.min() - 0.05 <= c <= 1.0 + 1e-9:
         return None
-    tlam, psi = _twist_field(spec, _invert_contraction(spec, c))
+    tlam, psi = _twist_field(spec, _invert_contraction(spec, c, trace))
     if abs(np.linalg.det(tlam)) < 1e-12:
         return None
     # project the alignment onto a rotation so the seed stays energy-free
@@ -148,9 +160,13 @@ def estimate_density(
     always the exact step-penalty energy of the best iterate.  A seed
     whose exact energy is already below ``short_tol`` short-circuits.
     ``solver_trace`` counts the L-BFGS stages that stopped without
-    converging (``unconverged_stages``) and keeps the last such
-    termination message (``last_unconverged_message``).
+    converging (``unconverged_stages``), keeps the last such
+    termination message (``last_unconverged_message``), and holds the
+    residual contraction gap of the twist seed when its inversion
+    bracket failed (``twist_bracket_gap``; ``None`` otherwise).
     """
+    from scipy.optimize import minimize
+
     if eta <= 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     if k < 1:
@@ -160,8 +176,10 @@ def estimate_density(
     n = cell.n_nodes
     rng = np.random.default_rng(rng_seed)
 
+    trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
+               "twist_bracket_gap": None}
     seeds = [("zero", np.zeros((n, 2)))]
-    tw = _twist_seed(spec, lam, k)
+    tw = _twist_seed(spec, lam, k, trouble)
     if tw is not None:
         seeds.append(("twist", tw.psi.copy()))
     for r in range(restarts):
@@ -173,7 +191,6 @@ def estimate_density(
 
     best = None  # (value, spring, label, psi, trace)
     total_iters = 0
-    trouble = {"unconverged_stages": 0, "last_unconverged_message": None}
     for label, psi0 in seeds:
         bd0 = exact(psi0)
         if best is None or bd0.averaged < best[0]:

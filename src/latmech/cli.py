@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import multiprocessing
 import os
@@ -163,6 +164,13 @@ def _load_spec(args) -> LatticeSpec:
     elif name in ("rotating-squares", "rs"):
         spec = build_rotating_squares()
     elif name in VARIANT_KINDS:
+        valid = inspect.signature(VARIANT_KINDS[name]).parameters
+        unknown = sorted(set(params) - set(valid))
+        if unknown:
+            raise ValueError(
+                f"unknown --params key {', '.join(map(repr, unknown))} for {name}; "
+                f"valid keys: {', '.join(valid)}"
+            )
         spec = build_variant(name, **params)
     elif name.endswith(".json"):
         spec = LatticeSpec.from_json(name)

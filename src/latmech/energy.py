@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.special import expit
 
 from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, cross2,
                       edge_vectors, ordered_sum, rotation)
@@ -213,6 +212,8 @@ def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
     a usable gradient.  Reported energies must use
     :func:`energy_breakdown` instead.
     """
+    from scipy.special import expit
+
     d1, d2, det = _triangle_edges(cell, lam, psi)
     sig = expit(-det / tau)
     E = cell.tri_area / eta * np.sum(sig, axis=1)

@@ -10,6 +10,15 @@ certified periodic deformations, and also assembles the non-periodic
 domain wall that interpolates between two one-periodic twist states
 through a column-by-column angle recursion.
 
+The order of the pin chase does not depend on the angles.  It is walked
+once per window and compiled into a :class:`PlacementPlan` of arrays
+(placement order, pins, first placements and shared-node checks), which
+then places the units for a whole stack of angle assignments at once.
+The twist's plan (:class:`TwistPlan`, cached per spec content and
+supercell size) adds the read-offs of ``lam`` and ``psi``, so the probe
+grid of the admissible range and the contraction table are one call
+each, bit for bit the same as placing one angle at a time.
+
 A numerical mechanism search (spring energy plus annealed determinant
 barrier over ``(lam, psi)`` jointly) complements the exact constructions.
 """
@@ -23,7 +32,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .energy import barrier_grad, energy_breakdown, spring_energy_grad, triangle_dets
 from .geometry import signed_svd
@@ -191,6 +199,129 @@ def rigid_units(spec: LatticeSpec):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PlacementPlan:
+    """The pin chase over a window of unit instances, compiled once into
+    arrays.
+
+    The breadth-first order in which instances are placed, the pin each is
+    anchored at, and which node placements come first or re-check an
+    earlier one depend on ``(spec, units, cells)`` only, never on the
+    angles.  Instance nodes are stored flat: entry ``f`` belongs to
+    instance ``flat_inst[f]`` (in placement order) with reference position
+    ``ref[f]``.  Row ``r`` of the placed positions is node reference
+    ``keys[r]``, first placed by entry ``src[r]``.
+    """
+
+    insts: tuple                  # (u, ci, cj) per instance, placement order
+    flat_inst: np.ndarray         # instance of each flat entry
+    ref: np.ndarray               # (n_flat, 2) reference positions
+    centroid: np.ndarray          # first instance's centroid (its fixed point)
+    pin_flat: np.ndarray          # flat entry of each instance's pin (-1: first)
+    pin_src: np.ndarray           # flat entry that first placed that pin
+    levels: tuple                 # instance indices by pin-chase depth >= 1
+    keys: tuple                   # node reference of each row
+    src: np.ndarray               # flat entry placing each row first
+    check: np.ndarray             # (n_check, 2) pairs (flat entry, row) re-placing a row
+
+    @classmethod
+    def compile(cls, spec: LatticeSpec, units, cells: Iterable) -> "PlacementPlan":
+        """Walk the breadth-first chase once; raises
+        :class:`MechanismError` when the instance graph is disconnected."""
+        cells = list(cells)
+        insts = [(u, ci, cj) for (ci, cj) in cells for u in range(len(units))]
+        inst_keys = {
+            (u, ci, cj): [(n, (o1 + ci, o2 + cj)) for n, (o1, o2) in units[u].nodes]
+            for (u, ci, cj) in insts
+        }
+        owner = {}
+        for inst, keys in inst_keys.items():
+            for key in keys:
+                owner.setdefault(key, []).append(inst)
+
+        order, flat_keys, flat_inst, src, check = [], [], [], [], []
+        # the first instance turns about its centroid instead of a pin
+        pin_flat, pin_src, depth = [-1], [-1], [0]
+        placed = set()
+        row = {}
+        queue = deque()
+
+        def place(inst):
+            i = len(order)
+            order.append(inst)
+            placed.add(inst)
+            for key in inst_keys[inst]:
+                f = len(flat_keys)
+                flat_keys.append(key)
+                flat_inst.append(i)
+                if key in row:
+                    check.append((f, row[key]))
+                else:
+                    row[key] = len(src)
+                    src.append(f)
+            queue.append(inst)
+
+        place(insts[0])
+        while queue:
+            inst = queue.popleft()
+            for key in inst_keys[inst]:
+                for other in owner[key]:
+                    if other in placed:
+                        continue
+                    j, pin = next((j, kk) for j, kk in enumerate(inst_keys[other])
+                                  if kk in row)
+                    pin_flat.append(len(flat_keys) + j)
+                    pin_src.append(src[row[pin]])
+                    depth.append(depth[flat_inst[pin_src[-1]]] + 1)
+                    place(other)
+        if len(placed) != len(insts):
+            raise MechanismError("unit instance graph is disconnected over the given cells")
+
+        flat_inst = np.asarray(flat_inst)
+        depth = np.asarray(depth)
+        ref = spec.node_positions([(n, o1, o2) for n, (o1, o2) in flat_keys])
+        return cls(
+            insts=tuple(order),
+            flat_inst=flat_inst,
+            ref=ref,
+            centroid=ref[flat_inst == 0].mean(axis=0),
+            pin_flat=np.asarray(pin_flat),
+            pin_src=np.asarray(pin_src),
+            levels=tuple(np.flatnonzero(depth == d) for d in range(1, depth.max() + 1)),
+            keys=tuple(flat_keys[f] for f in src),
+            src=np.asarray(src),
+            check=np.asarray(check, dtype=int).reshape(-1, 2),
+        )
+
+    def place(self, angles):
+        """Place every instance rotated by ``angles`` ``(n, n_insts)`` (one
+        row of per-instance angles per evaluation, in placement order).
+
+        Returns ``(positions, misfit)``: ``(n, n_rows, 2)`` deformed
+        positions per row and the ``(n,)`` largest disagreement between
+        the placements of a shared node.  Every product and sum is the one
+        the one-angle chase forms, ``R @ x + (pos[pin] - R @ x_pin)``, so
+        the bits do not depend on how many angles are stacked.
+        """
+        R = rotation(np.asarray(angles, dtype=float))
+        RX = np.matmul(R[:, self.flat_inst], self.ref[:, :, None])[..., 0]
+        tau = np.empty((len(R), len(self.insts), 2))
+        tau[:, 0] = self.centroid - np.matmul(R[:, 0], self.centroid[:, None])[..., 0]
+        for lev in self.levels:
+            p = self.pin_src[lev]
+            tau[:, lev] = (RX[:, p] + tau[:, self.flat_inst[p]]) - RX[:, self.pin_flat[lev]]
+        pos = RX[:, self.src] + tau[:, self.flat_inst[self.src]]
+        f, r = self.check.T
+        gap = pos[:, r] - (RX[:, f] + tau[:, self.flat_inst[f]])
+        return pos, _norms(gap).max(axis=-1, initial=0.0)
+
+
+def _norms(v):
+    """Euclidean norms over the trailing axis, each formed like
+    ``np.linalg.norm`` of one vector (a dot product), bit for bit."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
 def assemble_rotated_units(
     spec: LatticeSpec,
     units,
@@ -201,55 +332,13 @@ def assemble_rotated_units(
     ``angle_fn(u, ci, cj)``, chaining translations through shared pins.
 
     Returns ``(positions, misfit)``: deformed positions per node reference
-    and the largest disagreement between the placements of a shared node.
-    The instance graph must be connected over ``cells``.
+    (in placement order) and the largest disagreement between the
+    placements of a shared node.  The instance graph must be connected
+    over ``cells``.
     """
-    cells = list(cells)
-    insts = [(u, ci, cj) for (ci, cj) in cells for u in range(len(units))]
-    inst_keys = {}
-    inst_refpos = {}
-    for inst in insts:
-        u, ci, cj = inst
-        keys = [(n, (o1 + ci, o2 + cj)) for n, (o1, o2) in units[u].nodes]
-        inst_keys[inst] = keys
-        inst_refpos[inst] = np.asarray([spec.node_position(k) for k in keys])
-    owner = {}
-    for inst, keys in inst_keys.items():
-        for key in keys:
-            owner.setdefault(key, []).append(inst)
-
-    pos = {}
-    misfit = 0.0
-    placed = set()
-    start = insts[0]
-    queue = deque()
-
-    def place(inst, R, tau):
-        nonlocal misfit
-        placed.add(inst)
-        for key, x in zip(inst_keys[inst], inst_refpos[inst]):
-            y = R @ x + tau
-            if key in pos:
-                misfit = max(misfit, float(np.linalg.norm(pos[key] - y)))
-            else:
-                pos[key] = y
-        queue.append(inst)
-
-    R0 = rotation(angle_fn(*start))
-    centroid = inst_refpos[start].mean(axis=0)
-    place(start, R0, centroid - R0 @ centroid)
-    while queue:
-        inst = queue.popleft()
-        for key in inst_keys[inst]:
-            for other in owner[key]:
-                if other in placed:
-                    continue
-                R = rotation(angle_fn(*other))
-                pin = next(kk for kk in inst_keys[other] if kk in pos)
-                place(other, R, pos[pin] - R @ spec.node_position(pin))
-    if len(placed) != len(insts):
-        raise MechanismError("unit instance graph is disconnected over the given cells")
-    return pos, misfit
+    plan = PlacementPlan.compile(spec, units, cells)
+    pos, misfit = plan.place([[angle_fn(*inst) for inst in plan.insts]])
+    return dict(zip(plan.keys, pos[0])), float(misfit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,55 +396,101 @@ class Mechanism:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TwistPlan:
+    """The counter-rotation on the k x k supercell, compiled once per
+    ``(spec, k)``: the pin chase over cells ``-1..k`` squared, the sign of
+    each instance's angle, and the read-offs of ``lam`` (three rows one
+    period apart) and ``psi`` (the first row per slot, later rows checked
+    for period drift)."""
+
+    placement: PlacementPlan
+    sign: np.ndarray              # +1 / -1 per instance (unit parity)
+    base: np.ndarray              # rows of (node, (0, 0)), (node, (k, 0)), (node, (0, k))
+    period_inv: np.ndarray        # inverse of the k-periods as columns
+    ref: np.ndarray               # (n_rows, 2) reference position of each row
+    first: np.ndarray             # first row of each slot
+    drift: np.ndarray             # (n_drift, 2) pairs (row, first row of its slot)
+
+    def fields(self, thetas):
+        """``(lam, psi, misfit, drift)`` for each of ``thetas``, stacked."""
+        thetas = np.asarray(thetas, dtype=float)
+        angles = np.where(self.sign > 0, thetas[:, None], -thetas[:, None])
+        pos, misfit = self.placement.place(angles)
+        y0, y1, y2 = (pos[:, b] for b in self.base)
+        lam = np.matmul(np.stack([y1 - y0, y2 - y0], axis=-1), self.period_inv)
+        val = pos - np.matmul(lam[:, None], self.ref[:, :, None])[..., 0]
+        row, first = self.drift.T
+        drift = _norms(val[:, first] - val[:, row]).max(axis=-1, initial=0.0)
+        return lam, val[:, self.first], misfit, drift
+
+
+@lru_cache(maxsize=64)
+def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
+    """Compile the counter-rotation of ``spec`` on the k x k supercell,
+    cached by spec content like :func:`rigid_units`.  Raises
+    :class:`MechanismError` when the window cannot read off the periods
+    or leaves a supercell node unplaced, whatever the angle."""
+    units = rigid_units(spec)
+    cells = [(i, j) for i in range(-1, k + 1) for j in range(-1, k + 1)]
+    placement = PlacementPlan.compile(spec, units, cells)
+    row = {key: r for r, key in enumerate(placement.keys)}
+    base = None
+    for node in range(spec.n_basic):
+        keys = [(node, (0, 0)), (node, (k, 0)), (node, (0, k))]
+        if all(kk in row for kk in keys):
+            base = [row[kk] for kk in keys]
+            break
+    if base is None:
+        raise MechanismError("assembly window too small to read off periods")
+    first = {}
+    drift = []
+    for r, (node, (o1, o2)) in enumerate(placement.keys):
+        slot = _slot(k, node, o1, o2)
+        if slot in first:
+            drift.append((r, first[slot]))
+        else:
+            first[slot] = r
+    if len(first) != spec.n_basic * k * k:
+        raise MechanismError("assembly window left supercell nodes unplaced")
+    return TwistPlan(
+        placement=placement,
+        sign=np.asarray([1 - 2 * units[u].parity for u, _, _ in placement.insts]),
+        base=np.asarray(base),
+        period_inv=np.linalg.inv(np.column_stack([k * spec.v1, k * spec.v2])),
+        ref=placement.ref[placement.src],
+        first=np.asarray([first[s] for s in sorted(first)]),
+        drift=np.asarray(drift, dtype=int).reshape(-1, 2),
+    )
+
+
+def _closure_error(theta, k, misfit, drift, tol) -> Optional[str]:
+    """Why the counter-rotation by ``theta`` is no mechanism, or ``None``."""
+    if misfit > tol:
+        return f"counter-rotation by {theta:g} does not close: misfit {misfit:.3e}"
+    if drift > tol:
+        return f"counter-rotation is not {k}-periodic: period drift {drift:.3e}"
+    return None
+
+
+def _twist_fields(spec: LatticeSpec, thetas, k: int = 1, tol: float = 1e-12):
+    """:func:`_twist_field` for every angle of ``thetas`` at once, stacked
+    ``(lam, psi)``; raises for the first angle that does not close."""
+    lam, psi, misfit, drift = _twist_plan(spec, k).fields(thetas)
+    for theta, m, d in zip(thetas, misfit, drift):
+        error = _closure_error(theta, k, m, d, tol)
+        if error:
+            raise MechanismError(error)
+    return lam, psi
+
+
 def _twist_field(spec: LatticeSpec, theta: float, k: int = 1,
                  tol: float = 1e-12):
     """The counter-rotation by ``+-theta`` as ``(lam, psi)`` on the k x k
     supercell slots, without building the supercell or certifying it.
     Raises :class:`MechanismError` when the pin chase does not close."""
-    units = rigid_units(spec)
-    cells = [(i, j) for i in range(-1, k + 1) for j in range(-1, k + 1)]
-
-    def angle_fn(u, ci, cj):
-        return theta if units[u].parity == 0 else -theta
-
-    pos, misfit = assemble_rotated_units(spec, units, cells, angle_fn)
-    if misfit > tol:
-        raise MechanismError(
-            f"counter-rotation by {theta:g} does not close: misfit {misfit:.3e}"
-        )
-
-    # macroscopic matrix from the deformed periods of any covered node
-    base = None
-    for node in range(spec.n_basic):
-        keys = [(node, (0, 0)), (node, (k, 0)), (node, (0, k))]
-        if all(kk in pos for kk in keys):
-            base = keys
-            break
-    if base is None:
-        raise MechanismError("assembly window too small to read off periods")
-    y0, y1, y2 = (pos[kk] for kk in base)
-    per = np.column_stack([k * spec.v1, k * spec.v2])
-    lam = np.column_stack([y1 - y0, y2 - y0]) @ np.linalg.inv(per)
-
-    n_nodes = spec.n_basic * k * k
-    psi = np.zeros((n_nodes, 2))
-    filled = np.zeros(n_nodes, dtype=bool)
-    drift = 0.0
-    for (node, (o1, o2)), y in pos.items():
-        slot = _slot(k, node, o1, o2)
-        val = y - lam @ spec.node_position((node, (o1, o2)))
-        if filled[slot]:
-            drift = max(drift, float(np.linalg.norm(psi[slot] - val)))
-        else:
-            psi[slot] = val
-            filled[slot] = True
-    if not filled.all():
-        raise MechanismError("assembly window left supercell nodes unplaced")
-    if drift > tol:
-        raise MechanismError(
-            f"counter-rotation is not {k}-periodic: period drift {drift:.3e}"
-        )
-    return lam, psi
+    lam, psi = _twist_fields(spec, [theta], k, tol)
+    return lam[0], psi[0]
 
 
 def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1,
@@ -373,6 +508,16 @@ def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1,
     )
 
 
+def _probe_fields(plan: TwistPlan, probes, batch: int = 1024):
+    """``(theta, lam, misfit, drift)`` per probe angle, evaluated ``batch``
+    angles per call (the default grid is one call), so memory stays
+    bounded however fine the grid."""
+    for lo in range(0, len(probes), batch):
+        chunk = probes[lo:lo + batch]
+        lam, _, misfit, drift = plan.fields(chunk)
+        yield from zip(chunk, lam, misfit, drift)
+
+
 def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01,
                            det_floor: float = 1e-8):
     """Numerically probe the symmetric interval of twist angles on which
@@ -380,16 +525,21 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01,
     and the contraction ``c(theta) = sigma1(lam)`` is strictly decreasing
     (the branch the soft-mode inversion needs).  Returns
     ``(-theta_max, theta_max)``."""
+    probes = []
     theta = 0.0
-    good = 0.0
-    c_prev = 1.0
     while theta + probe_step < np.pi:
         theta += probe_step
-        try:
-            lam, _ = _twist_field(spec, theta)
-        except MechanismError:
+        probes.append(theta)
+    try:
+        plan = _twist_plan(spec, 1)
+    except MechanismError:      # the window fails whatever the angle
+        raise MechanismError("no admissible twist angle found") from None
+    good = 0.0
+    c_prev = 1.0
+    for theta, lam_t, m, d in _probe_fields(plan, probes):
+        if _closure_error(theta, 1, m, d, 1e-12):
             break
-        sd = signed_svd(lam)
+        sd = signed_svd(lam_t)
         det = sd.det_sign * sd.sigma1 * sd.sigma2
         if sd.sigma1 >= c_prev or det <= det_floor:
             break
@@ -433,6 +583,8 @@ def search_mechanisms(
     sorted by ``(energy, spring energy, restart index)``.  The first node's
     ``psi`` is pinned to remove translations.
     """
+    from scipy.optimize import minimize
+
     cell = Supercell(spec, k)
     n = cell.n_nodes
     rng = np.random.default_rng(rng_seed)

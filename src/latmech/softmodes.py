@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .cellsolver import _twist_contraction_table
 from .energy import LatticeMap, domain_energy
@@ -153,6 +152,8 @@ class MechanismStateTable:
         """Rotation angle and centroid offset of unit ``residue`` at
         contraction ``c``; for an array ``c``, arrays of angles and
         ``(..., 2)`` offsets."""
+        from scipy.interpolate import PchipInterpolator
+
         ang = PchipInterpolator(self.cs, self.angles[residue])(c)
         off = np.stack([
             PchipInterpolator(self.cs, self.offsets[residue][:, d])(c)
@@ -321,6 +322,8 @@ def modulate(
     contraction range at a unit inside the domain (the location is
     reported); boundary-overhanging units are clamped instead.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if epsilon <= 0:
         raise ValueError(f"cell size epsilon must be positive, got {epsilon:g}")
     units = rigid_units(spec)

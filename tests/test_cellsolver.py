@@ -8,7 +8,9 @@ import pytest
 from latmech.energy import energy_breakdown
 from latmech.geometry import principal_stretches
 from latmech.lattice import LatticeSpec, PeriodicDeformation, Supercell, build_variant
+import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
+    _invert_contraction,
     _twist_contraction_table,
     estimate_density,
     jensen_diag_stretch,
@@ -38,6 +40,23 @@ def test_contraction_table_cached_by_spec_content(kagome):
     after = _twist_contraction_table.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
+
+
+def test_failed_twist_bracket_is_reported(kagome, monkeypatch):
+    # a solve that inverts through the real table runs brentq
+    est = estimate_density(kagome, 0.7 * np.eye(2), 0.05, restarts=0)
+    assert est.solver_trace["twist_bracket_gap"] is None
+    # a table that claims c = 0.7 is reached between theta = 0.1 and 0.15
+    # (the true contraction there is ~0.99): the bracket cannot change sign
+    fake = (np.linspace(0.0, 0.2, 5), np.linspace(1.0, 0.5, 5))
+    monkeypatch.setattr(cellsolver, "_twist_contraction_table", lambda spec: fake)
+    trace = {}
+    assert _invert_contraction(kagome, 0.7, trace) == fake[0][3]   # the nearer end
+    gap = trace["twist_bracket_gap"]
+    assert 0.25 < gap < 0.3
+    est = estimate_density(kagome, 0.7 * np.eye(2), 0.05, restarts=0,
+                           anneal=(0.05,))
+    assert est.solver_trace["twist_bracket_gap"] == gap
 
 
 def test_estimate_density_validation(kagome):

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import orphan_spring_json
 
 import latmech.cli as cli
-from latmech.lattice import LatticeSpec
+from latmech.lattice import LatticeSpec, rotation
 
 
 def run(argv):
@@ -46,6 +50,29 @@ def test_precondition_errors_exit_2(tmp_path):
     orphan = tmp_path / "orphan.json"
     orphan.write_text(orphan_spring_json())
     assert run(["build", "--spec", str(orphan), "--out", out]) == 2
+
+
+def test_unknown_variant_param_exits_2(tmp_path, capsys):
+    assert run(["build", "--spec", "rhombus-squares", "--params", "foo=1",
+                "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err
+    assert "valid keys: angle, size_ratio, size" in err
+    assert "Traceback" not in err
+
+
+def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        "import latmech.cli as cli",
+        "assert 'scipy' not in sys.modules, 'scipy imported by latmech.cli'",
+        f"assert cli.main(['build', '--out', {str(tmp_path / 'spec.json')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by build'",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_verification_failure_exits_3(tmp_path, monkeypatch):
@@ -139,6 +166,21 @@ def test_density_sweep_parallel_determinism(tmp_path):
     lines = open(a).read().splitlines()
     assert lines[0].startswith("index,lam11")
     assert len(lines) == 4
+
+
+def test_density_sweep_twist_seeded_jobs_determinism(tmp_path):
+    # reachable isotropic compressions: every solve seeds from the twist
+    # table, which --jobs 2 builds before forking the workers
+    grid = tmp_path / "iso.json"
+    grid.write_text(json.dumps([(c * rotation(phi)).tolist()
+                                for c in (0.95, 0.8, 0.6) for phi in (0.0, 1.1)]))
+    argv = ["density-sweep", "--spec", "kagome", "--grid", f"file:{grid}",
+            "--k", "1,2"]
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run(argv + ["--jobs", "1", "--out", a]) == 0
+    assert run(argv + ["--jobs", "2", "--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+    assert len(open(a).read().splitlines()) == 13
 
 
 def test_verify_bounds_csv(tmp_path):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from latmech.energy import energy_breakdown, triangle_dets
+from latmech.geometry import signed_svd
 from latmech.lattice import Supercell, build_variant
 from latmech.mechanisms import (
     MechanismError,
     _twist_field,
+    _twist_plan,
     assemble_rotated_units,
     certify,
     domain_wall_angles,
@@ -119,6 +121,53 @@ def test_twist_field_is_the_mechanism_deformation(twist_specs):
             defm = twist_mechanism(spec, theta, k).deformation
             assert lam.tobytes() == defm.lam.tobytes()
             assert psi.tobytes() == defm.psi.tobytes()
+
+
+def _first_break(spec, probe_step):
+    """The admissible-range probe run one angle at a time: the last good
+    angle before the first closure or monotonicity break."""
+    theta, good, c_prev = 0.0, 0.0, 1.0
+    while theta + probe_step < np.pi:
+        theta += probe_step
+        try:
+            lam, _ = _twist_field(spec, theta)
+        except MechanismError:
+            break
+        sd = signed_svd(lam)
+        if sd.sigma1 >= c_prev or sd.det_sign * sd.sigma1 * sd.sigma2 <= 1e-8:
+            break
+        c_prev, good = sd.sigma1, theta
+    return good
+
+
+def test_batched_twist_equals_one_angle_path(twist_specs):
+    # the batch runs past the monotonicity break near pi/2 up to pi
+    thetas = np.arange(1, 63) * 0.05
+    for spec in twist_specs:
+        for k in (1, 2):
+            plan = _twist_plan(spec, k)
+            batch = plan.fields(thetas)
+            for i, theta in enumerate(thetas):
+                one = plan.fields([theta])
+                for b, o in zip(batch, one):
+                    assert b[i].tobytes() == o[0].tobytes()
+                lam, psi = _twist_field(spec, theta, k)
+                assert batch[0][i].tobytes() == lam.tobytes()
+                assert batch[1][i].tobytes() == psi.tobytes()
+        assert twist_admissible_range(spec, 0.05)[1] == _first_break(spec, 0.05)
+    # a quad whose chase does not close: the batch misfit is the misfit of
+    # the one-angle pin chase, and every angle but zero breaks closure
+    spec = build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6)
+    units = rigid_units(spec)
+    plan = _twist_plan(spec, 1)
+    misfit = plan.fields(thetas)[2]
+    for theta, m in zip(thetas, misfit):
+        _, one = assemble_rotated_units(
+            spec, units, [(i, j) for i in range(-1, 2) for j in range(-1, 2)],
+            lambda u, ci, cj: theta if units[u].parity == 0 else -theta)
+        assert m.hex() == one.hex() and m > 1e-12
+    with pytest.raises(MechanismError, match="no admissible"):
+        twist_admissible_range(spec, 0.05)
 
 
 def test_twist_closure_failure_raises():

@@ -1,12 +1,16 @@
 """Bit-level pins of the supercell energy, gradient, certificate and marker
-computations.
+computations, and of the twist (counter-rotation) constructions.
 
-Each pin is the sha256 of every output over kagome, rotating squares and
-the four variant families at k = 1, 2, 3, each on one fixed random
-``(lam, psi)``.  Floats are hashed by their exact bits, so any change in
-summation or scatter order shows up.  The density-sweep artifacts depend
-on these bits through L-BFGS.  To print fresh pins after an intended
-change of the arithmetic, run ``PYTHONPATH=src python tests/test_pins.py``.
+Each supercell pin is the sha256 of every output over kagome, rotating
+squares and the four variant families at k = 1, 2, 3, each on one fixed
+random ``(lam, psi)``.  Each twist pin hashes one construction over the
+six specs whose counter-rotation closes (plus, for the pin chase, a quad
+whose chase does not close); the domain-wall pin hashes the kagome strip.
+Floats are hashed by their exact bits, so any change in summation or
+scatter order shows up.  The density-sweep and soft-mode artifacts depend
+on these bits through L-BFGS and the twist seed.  To print fresh pins
+after an intended change of the arithmetic, run
+``PYTHONPATH=src python tests/test_pins.py``.
 """
 
 import hashlib
@@ -14,7 +18,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from latmech.cellsolver import _marker_arrays, estimate_density, jensen_weighted_rest
+from latmech.cellsolver import (
+    _invert_contraction,
+    _marker_arrays,
+    _twist_contraction_table,
+    _twist_seed,
+    estimate_density,
+    jensen_weighted_rest,
+)
 from latmech.energy import (
     LatticeMap,
     barrier_grad,
@@ -30,8 +41,18 @@ from latmech.lattice import (
     build_kagome,
     build_rotating_squares,
     build_variant,
+    rotation,
 )
-from latmech.mechanisms import certify, mechanism_tangent_rank
+from latmech.mechanisms import (
+    MechanismError,
+    _twist_field,
+    assemble_rotated_units,
+    certify,
+    domain_wall_mechanism,
+    mechanism_tangent_rank,
+    rigid_units,
+    twist_admissible_range,
+)
 
 ETA = 0.1
 
@@ -116,6 +137,82 @@ PINS = {
     "triangle_dets": "c36e5d199387d23c7cc3ef04870f0af4f59c263dfc2140f0622876a0c1d93869",
 }
 
+
+def _twist_specs():
+    """The specs whose counter-rotation closes (the conftest ``twist_specs``);
+    the field and pin-chase pins add a quad whose chase does not close."""
+    return [
+        build_kagome(),
+        build_rotating_squares(),
+        build_variant("isosceles-kagome", apex=1.2, size_ratio=0.8),
+        build_variant("general-kagome", alpha=1.1, leg_ratio=0.75),
+        build_variant("rhombus-squares", angle=1.3, size_ratio=0.6),
+        build_variant("quad-squares", alpha=1.2, s=0.5, q=0.5),
+    ]
+
+
+def _or_error(fn, *args, **kwargs):
+    """``fn(*args)``, or the message of the :class:`MechanismError` it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except MechanismError as exc:
+        return f"MechanismError: {exc}"
+
+
+def _seed(spec):
+    out = []
+    for k in (1, 2):
+        for lam in (0.8 * rotation(0.3), 0.55 * rotation(-1.1),
+                    np.diag([0.92, 0.88]), 0.97 * np.eye(2), 0.2 * np.eye(2),
+                    np.diag([1.2, 0.8])):
+            seed = _twist_seed(spec, lam, k)
+            out.append("none" if seed is None else (seed.lam, seed.psi))
+    return out
+
+
+def _field(spec):
+    return [_or_error(lambda: tuple(_twist_field(spec, theta, k)))
+            for k in (1, 2, 3) for theta in (0.0, 0.05, 0.3, 0.7, 1.2, 1.6, 2.4, 3.0)]
+
+
+def _chase(spec):
+    """The pin chase on a k = 2 window: counter-rotation and an angle that
+    varies with unit and cell (misfit nonzero), positions in placement
+    order."""
+    units = rigid_units(spec)
+    cells = [(i, j) for i in range(-1, 3) for j in range(-1, 3)]
+    out = []
+    for fn in (lambda u, ci, cj: 0.4 if units[u].parity == 0 else -0.4,
+               lambda u, ci, cj: 0.3 * (1 + 0.1 * u) + 0.01 * ci - 0.02 * cj):
+        pos, misfit = assemble_rotated_units(spec, units, cells, fn)
+        out.append((np.asarray([(n, o1, o2) for n, (o1, o2) in pos]),
+                    np.asarray(list(pos.values())), misfit))
+    return out
+
+
+TWIST_QUANTITIES = {
+    "contraction_table": lambda spec: _twist_contraction_table(spec),
+    "admissible_range": lambda spec: [_or_error(twist_admissible_range, spec, step)
+                                      for step in (0.01, 0.05)],
+    "invert_contraction": lambda spec: [
+        _invert_contraction(spec, c)
+        for c in (1.0, 0.999, 0.97, 0.9, 0.8, 0.7, 0.6, 0.5, 0.42, 0.3, 0.1)],
+    "twist_seed": _seed,
+    "twist_field": _field,
+    "pin_chase": _chase,
+}
+
+TWIST_PINS = {
+    "admissible_range": "bcf0ce51ebe574aacaaf379ade155c3ec847dc249b14fd9d7f69b91cafd7ed94",
+    "contraction_table": "7cfe4c8ab972aaa2af7fd8d6aff369851f728295fee71c9d23640c6202d39297",
+    "invert_contraction": "f61957a6e79e704df132d4d90ea239219c7960cbce96b52d79bc4fa92378c1d5",
+    "pin_chase": "f88f5c1aa7da62cdad7083dda18439307fdb26be3593858beabd0f1887a3d27a",
+    "twist_field": "f73d8f3a0706f999f3a6a629ea519156e3cad1ce77ac360a03028c3a80cfd946",
+    "twist_seed": "a3a904e561ff2f95d3844922c971f9041d0b702961980e57895901503467e8f1",
+}
+
+WALL_PIN = "38bdf3b43145467f98c47891042d1a63796300faa0597e2371a6450c9428ff61"
+
 DENSITY_PIN = (
     "0x1.cf0cb35738282p-7",
     "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
@@ -144,6 +241,31 @@ def _digest(name, cases) -> str:
     return h.hexdigest()
 
 
+def _twist_digest(name) -> str:
+    specs = _twist_specs()
+    if name in ("pin_chase", "twist_field"):
+        specs.append(build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6))
+    h = hashlib.sha256()
+    for spec in specs:
+        _feed(h, TWIST_QUANTITIES[name](spec))
+    return h.hexdigest()
+
+
+def _wall_digest() -> str:
+    """The kagome domain-wall strip at ``half_width = 5``: positions in
+    placement order, misfit, spring residual, orientations and the
+    compression read-offs."""
+    h = hashlib.sha256()
+    for theta1 in (2.2, 2.5, 2.9):
+        w = domain_wall_mechanism(theta1, half_width=5)
+        _feed(h, (np.asarray([(n, o1, o2) for n, (o1, o2) in w.positions]),
+                  np.asarray(list(w.positions.values())), w.max_misfit,
+                  w.max_spring_residual, w.min_det, w.compression_left,
+                  w.compression_right, np.asarray(list(w.compression_profile.items())),
+                  w.vertical_compression, w.theta))
+    return h.hexdigest()
+
+
 def _density():
     """One anisotropic density solve on kagome at k = 2: the exact upper
     bound and a digest of the minimizer."""
@@ -163,6 +285,15 @@ def test_supercell_outputs_are_pinned(name, cases):
     assert _digest(name, cases) == PINS[name]
 
 
+@pytest.mark.parametrize("name", sorted(TWIST_QUANTITIES))
+def test_twist_outputs_are_pinned(name):
+    assert _twist_digest(name) == TWIST_PINS[name]
+
+
+def test_domain_wall_is_pinned():
+    assert _wall_digest() == WALL_PIN
+
+
 def test_anisotropic_density_solve_is_pinned():
     assert _density() == DENSITY_PIN
 
@@ -171,4 +302,7 @@ if __name__ == "__main__":
     all_cases = _cases()
     for name in sorted(QUANTITIES):
         print(f'    "{name}": "{_digest(name, all_cases)}",')
+    for name in sorted(TWIST_QUANTITIES):
+        print(f'    "{name}": "{_twist_digest(name)}",')
+    print(f'WALL_PIN = "{_wall_digest()}"')
     print(f"DENSITY_PIN = {_density()!r}")
