@@ -22,8 +22,8 @@ import numpy as np
 
 from .energy import energy_breakdown, smoothed_energy_grad
 from .geometry import lower_bracket, signed_svd
-from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, cross2, edge_vectors,
-                      rotation)
+from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
+                      cross2, edge_vectors, rotation)
 from .mechanisms import MechanismError, _twist_field, _twist_fields, twist_admissible_range
 
 __all__ = [
@@ -123,7 +123,7 @@ def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
     c = 0.5 * (sd.sigma1 + sd.sigma2)
     try:
         thetas, cs = _twist_contraction_table(spec)
-    except MechanismError:
+    except (MechanismError, DegenerateGeometryError):   # no twist: the seed is optional
         return None
     if not cs.min() - 0.05 <= c <= 1.0 + 1e-9:
         return None
@@ -189,27 +189,17 @@ def estimate_density(
     def exact(psi):
         return energy_breakdown(PeriodicDeformation(cell, lam, psi), eta)
 
-    best = None  # (value, spring, label, psi, trace)
+    best = None  # (value, spring, label, psi, final gradient norm)
     total_iters = 0
+    short_circuit = False
     for label, psi0 in seeds:
         bd0 = exact(psi0)
         if best is None or bd0.averaged < best[0]:
-            best = (bd0.averaged, bd0.spring_total, label, psi0.copy(),
-                    {"grad_norm": np.nan, "stage": "seed"})
+            best = (bd0.averaged, bd0.spring_total, label, psi0.copy(), np.nan)
         if best[0] <= short_tol:
-            psi = best[3]
-            bd = exact(psi)
-            return DensityEstimate(
-                lam=lam, eta=eta, k=k,
-                upper=bd.averaged,
-                upper_spring=bd.spring_total / bd.cell_area,
-                upper_penalty=bd.penalty_total / bd.cell_area,
-                minimizer=PeriodicDeformation(cell, lam, psi),
-                lower_bracket=lower_bracket(lam),
-                solver_trace={"restarts": len(seeds), "iterations": total_iters,
-                              "final_grad_norm": 0.0, "best_seed": best[2],
-                              "short_circuit": True, **trouble},
-            )
+            short_circuit = True
+            best = best[:4] + (0.0,)
+            break
 
         x = psi0.ravel().copy()
         grad_norm = np.nan
@@ -231,10 +221,9 @@ def estimate_density(
         psi = x.reshape(n, 2)
         bd = exact(psi)
         if (bd.averaged, bd.spring_total) < (best[0], best[1]):
-            best = (bd.averaged, bd.spring_total, label, psi.copy(),
-                    {"grad_norm": grad_norm, "stage": "anneal"})
+            best = (bd.averaged, bd.spring_total, label, psi.copy(), grad_norm)
 
-    value, spring, label, psi, info = best
+    value, spring, label, psi, grad_norm = best
     bd = exact(psi)
     return DensityEstimate(
         lam=lam, eta=eta, k=k,
@@ -244,8 +233,8 @@ def estimate_density(
         minimizer=PeriodicDeformation(cell, lam, psi),
         lower_bracket=lower_bracket(lam),
         solver_trace={"restarts": len(seeds), "iterations": total_iters,
-                      "final_grad_norm": info["grad_norm"],
-                      "best_seed": label, "short_circuit": False, **trouble},
+                      "final_grad_norm": grad_norm, "best_seed": label,
+                      "short_circuit": short_circuit, **trouble},
     )
 
 
@@ -308,7 +297,7 @@ def lambda_grid(kind: str, rng_seed: int = 0):
 def orientation_threshold(spec: LatticeSpec) -> float:
     """The penalty-strength threshold ``c0`` below which the isotropy
     bound applies: the smallest penalized-triangle area."""
-    return min(t.area for t in spec.penalized_triangles)
+    return float(spec.penalized_area.min())
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .cellsolver import (
 from .energy import LatticeMap, domain_energy, energy_breakdown
 from .geometry import scalar_inequality_report
 from .lattice import (
+    DegenerateGeometryError,
     LatticeSpec,
     PeriodicDeformation,
     Supercell,
@@ -198,7 +199,10 @@ def _parse_ints(text: str):
 def _parse_eps(text: str):
     out = []
     for item in text.split(","):
-        out.append(float(Fraction(item.strip())))
+        try:
+            out.append(float(Fraction(item.strip())))
+        except ZeroDivisionError:
+            raise ValueError(f"--eps entry {item!r} divides by zero") from None
     return out
 
 
@@ -222,18 +226,16 @@ def _dump_geometry(lmap: LatticeMap, path: str) -> None:
     spec = lmap.spec
     nodes = [key + ref + pos for key, ref, pos in zip(
         lmap.keys.tolist(), lmap.reference_positions.tolist(), lmap.positions.tolist())]
-    # every placed instance of each spring class and penalized triangle
+    # every placed instance of each spring class and penalized triangle,
+    # class by class
     o1, o2 = np.unique(lmap.keys[:, 1:], axis=0).T
-    edges = []
-    for s in spec.springs:
-        ab = np.column_stack([lmap.ref_rows(s.a, o1, o2), lmap.ref_rows(s.b, o1, o2)])
-        edges.append(ab[(ab >= 0).all(axis=1)])
-    edges = np.unique(np.concatenate(edges), axis=0).tolist()
-    tri_rows = []
-    for t in spec.penalized_triangles:
-        rows = np.column_stack([lmap.ref_rows(r, o1, o2) for r in t.nodes])
-        tri_rows.append(rows[(rows >= 0).all(axis=1)])
-    tri_rows = np.concatenate(tri_rows)
+
+    def placed(keys):
+        rows = lmap.rows(keys, o1, o2).transpose(0, 2, 1).reshape(-1, keys.shape[1])
+        return rows[(rows >= 0).all(axis=1)]
+
+    edges = np.unique(placed(spec.spring_keys), axis=0).tolist()
+    tri_rows = placed(spec.penalized_keys)
     R = kabsch_rotations(lmap.reference_positions[tri_rows], lmap.positions[tri_rows])
     angles = np.arctan2(R[:, 1, 0], R[:, 0, 0]).tolist()
     triangles = [{"nodes": rows, "angle": ang}
@@ -252,10 +254,12 @@ def _dump_geometry(lmap: LatticeMap, path: str) -> None:
 
 def _warm_twist_table(spec: LatticeSpec) -> None:
     """Build the cached twist contraction table before forking workers,
-    which then inherit it instead of each building its own."""
+    which then inherit it instead of each building its own.  A spec
+    without a twist (no closing counter-rotation, or rigid units that
+    percolate) has no table to share."""
     try:
         _twist_contraction_table(spec)
-    except MechanismError:
+    except (MechanismError, DegenerateGeometryError):
         pass
 
 
@@ -324,6 +328,8 @@ def _cmd_mechanism(args) -> int:
             cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
             dump_map = LatticeMap.from_periodic(best, 1.0, cells)
     else:
+        if args.theta is None and args.grid_points < 1:
+            raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
         lo, hi = twist_admissible_range(spec)
         print(f"admissible twist range ({_fmt(lo)}, {_fmt(hi)})")
         thetas = ([args.theta] if args.theta is not None

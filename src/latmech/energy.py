@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, cross2,
-                      edge_vectors, ordered_sum, rotation)
+                      edge_vectors, norms, ordered_sum, rotation)
 
 __all__ = [
     "EnergyBreakdown",
@@ -255,7 +255,7 @@ class _NodeValues(Mapping):
 
     def __getitem__(self, key) -> np.ndarray:
         node, (o1, o2) = key
-        row = self._lmap.row(node, o1, o2)
+        row = self._lmap.rows([node, o1, o2], 0, 0)[0]
         if row < 0:
             raise KeyError(key)
         return self._lmap.positions[row]
@@ -267,10 +267,12 @@ class LatticeMap:
     ``keys`` is an ``(n, 3)`` integer array of node references
     ``(node, o1, o2)`` (absolute offsets; see :mod:`latmech.lattice`),
     unique and in lexicographic order; ``positions`` holds the ``(n, 2)``
-    deformed positions row by row.  Rows are looked up through a dense
-    ``(node, o1, o2)`` grid built once.  The reference position of a node
-    is ``epsilon`` times its unscaled position.  ``values`` is a read-only
-    mapping view ``{(node, (o1, o2)): position}`` over the arrays.
+    deformed positions row by row.  :meth:`rows` is the one lookup: it
+    translates stacked integer rows such as the spec's ``spring_keys``
+    over many cells at once, through a dense ``(node, o1, o2)`` grid built
+    once.  The reference position of a node is ``epsilon`` times its
+    unscaled position.  ``values`` is a read-only mapping view
+    ``{(node, (o1, o2)): position}`` over the arrays.
     """
 
     def __init__(self, spec: LatticeSpec, epsilon: float, values):
@@ -304,22 +306,15 @@ class LatticeMap:
         self._grid[tuple((self.keys - lo).T)] = np.arange(n)
         self.values = _NodeValues(self)
 
-    def row(self, node: int, o1: int, o2: int) -> int:
-        """Row of one node reference, or -1 when the map lacks it."""
-        idx = (node - self._lo[0], o1 - self._lo[1], o2 - self._lo[2])
-        if all(0 <= i < n for i, n in zip(idx, self._grid.shape)):
-            return int(self._grid[idx])
-        return -1
-
-    def ref_rows(self, ref, ci, cj) -> np.ndarray:
-        """Rows of the node reference ``ref`` translated by the cells
-        ``(ci, cj)`` (arrays), -1 where the map lacks the node."""
-        node, (o1, o2) = ref
-        idx = np.stack(np.broadcast_arrays(node, np.add(ci, o1), np.add(cj, o2)), axis=-1)
-        idx = idx - self._lo
-        ok = np.all((idx >= 0) & (idx < self._grid.shape), axis=-1)
+    def rows(self, keys, ci, cj) -> np.ndarray:
+        """Rows ``keys.shape[:-1] + (n_cells,)`` of the integer node rows
+        ``keys`` ``(..., 3)`` translated by each cell ``(ci[c], cj[c])``,
+        -1 where the map lacks the node."""
+        keys = np.asarray(keys)[..., None, :] - self._lo
+        idx = np.broadcast_arrays(keys[..., 0], keys[..., 1] + ci, keys[..., 2] + cj)
+        ok = np.logical_and.reduce([(i >= 0) & (i < n) for i, n in zip(idx, self._grid.shape)])
         out = np.full(ok.shape, -1, dtype=np.int64)
-        out[ok] = self._grid[tuple(idx[ok].T)]
+        out[ok] = self._grid[tuple(i[ok] for i in idx)]
         return out
 
     @cached_property
@@ -337,9 +332,7 @@ class LatticeMap:
         cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
         shifts = np.column_stack([np.zeros(len(cells), dtype=np.int64), cells])
         keys = np.unique((shifts[:, None, :] + refs[None, :, :]).reshape(-1, 3), axis=0)
-        x = spec.node_positions(keys)
-        u = np.matmul(defm.lam, x[:, :, None])[:, :, 0] + defm.psi[defm.cell.slot(*keys.T)]
-        return cls.from_arrays(spec, epsilon, keys, epsilon * u)
+        return cls.from_arrays(spec, epsilon, keys, epsilon * defm.node_positions(keys))
 
     def interpolate(self, points):
         """Piecewise-affine value and gradient at reference points.
@@ -353,20 +346,17 @@ class LatticeMap:
         Minv = np.linalg.inv(spec.cell_matrix) / self.epsilon
         values = np.empty((len(points), 2))
         grads = np.empty((len(points), 2, 2))
-        cover = [
-            (tri, np.linalg.inv(np.column_stack([
-                spec.node_position(tri[1]) - spec.node_position(tri[0]),
-                spec.node_position(tri[2]) - spec.node_position(tri[0]),
-            ]) * self.epsilon))
-            for tri in spec.triangulation
-        ]
+        q = spec.node_positions(spec.cover_keys)
+        dinvs = np.linalg.inv(np.stack([q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]], axis=-1)
+                              * self.epsilon)
+        cover = list(zip(spec.cover_keys, dinvs))
         base = np.floor(np.matmul(Minv, points[:, :, None])[:, :, 0]).astype(int)
         todo = np.arange(len(points))
         for di in (0, -1, 1, -2, 2):
             for dj in (0, -1, 1, -2, 2):
                 for tri, dinv in cover:
                     ci, cj = base[todo, 0] + di, base[todo, 1] + dj
-                    rows = np.stack([self.ref_rows(r, ci, cj) for r in tri])
+                    rows = self.rows(tri, ci, cj)
                     p = points[todo]
                     bary = np.matmul(dinv, (p - self.reference_positions[rows[0]])[:, :, None])[:, :, 0]
                     bsum = bary[:, 0] + bary[:, 1]
@@ -387,33 +377,34 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
     spring order and then penalized-triangle order."""
     spec = lmap.spec
     eps = lmap.epsilon
-    refs = [r for s in spec.springs for r in (s.b, s.a)]
-    refs += [r for t in spec.penalized_triangles for r in t.nodes]
-    rows = {r: lmap.ref_rows(r, ci, cj) for r in refs}
-    missing = np.array([rows[r] < 0 for r in refs]).reshape(len(refs), -1)
+    # node references in the order a missing one is reported: b then a
+    # per spring, then the triangle vertices
+    keys = np.concatenate([spec.spring_keys[:, ::-1].reshape(-1, 3),
+                           spec.penalized_keys.reshape(-1, 3)])
+    rows = lmap.rows(keys, ci, cj)
+    missing = rows < 0
     if missing.any():
         c = int(np.argmax(missing.any(axis=0)))
-        node, (o1, o2) = refs[int(np.argmax(missing[:, c]))]
+        node, o1, o2 = keys[int(np.argmax(missing[:, c]))].tolist()
         cell = (int(ci[c]), int(cj[c]))
         key = (node, (o1 + cell[0], o2 + cell[1]))
         raise KeyError(
             f"node {key} missing from the lattice map but needed for cell {cell}"
         )
-    pos = lmap.positions
+    ns = len(spec.spring_keys)
+    pb, pa = lmap.positions[rows[:2 * ns]].reshape(ns, 2, len(ci), 2).transpose(1, 0, 2, 3)
+    p0, p1, p2 = lmap.positions[rows[2 * ns:]].reshape(-1, 3, len(ci), 2).transpose(1, 0, 2, 3)
 
-    E = np.zeros(len(ci))
-    for s in spec.springs:
-        d = pos[rows[s.b]] - pos[rows[s.a]]
-        # vecdot and float_power give the bits of norm() and ** on scalars
-        length = np.sqrt(np.vecdot(d, d))
-        E = E + s.stiffness * np.float_power(length - eps * s.rest_length, 2.0)
-    for t in spec.penalized_triangles:
-        p0, p1, p2 = (pos[rows[r]] for r in t.nodes)
-        q0, q1, q2 = (spec.node_position(r) for r in t.nodes)
-        cross_ref = float(cross2(q1 - q0, q2 - q0)) * eps * eps
-        cross_def = cross2(p1 - p0, p2 - p0)
-        E = np.where(cross_def / cross_ref <= 0, E + eps * eps * t.area / eta, E)
-    return E
+    # norms and float_power give the bits of norm() and ** on scalars
+    springs = spec.spring_stiffness[:, None] * np.float_power(
+        norms(pb - pa) - eps * spec.spring_rest[:, None], 2.0)
+    q0, q1, q2 = spec.node_positions(spec.penalized_keys).transpose(1, 0, 2)
+    cross_ref = cross2(q1 - q0, q2 - q0) * eps * eps
+    cross_def = cross2(p1 - p0, p2 - p0)
+    # a triangle that keeps its orientation adds 0.0, which leaves the sum as is
+    penalty = np.where(cross_def / cross_ref[:, None] <= 0,
+                       (eps * eps * spec.penalized_area / eta)[:, None], 0.0)
+    return ordered_sum(np.concatenate([springs, penalty]))
 
 
 def scaled_cell_energy(lmap: LatticeMap, eta: float, cell=(0, 0)) -> float:
@@ -517,10 +508,7 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
     polygon = np.asarray(polygon, dtype=float)
     spec = lmap.spec
     eps = lmap.epsilon
-    verts = []
-    for tri in spec.triangulation:
-        verts.extend(spec.node_position(r) for r in tri)
-    verts = np.unique(np.asarray(verts).round(12), axis=0)
+    verts = np.unique(spec.node_positions(spec.cover_keys).reshape(-1, 2).round(12), axis=0)
 
     # candidate integer cells from the polygon's bounding box, row-major
     Minv = np.linalg.inv(spec.cell_matrix)
@@ -565,13 +553,17 @@ class CellBoundsReport:
     ``max(C2 * (|grad u|^2 - D2 |U|), 0)  <=  E  <=  C1 * (|grad u|^2 + |U|)``
 
     where ``|grad u|^2`` is the squared L2 norm over the cover and ``D2``
-    is calibrated on the zero-energy (mechanism) samples supplied."""
+    is calibrated on the zero-energy (mechanism) samples supplied.
+    ``C2`` is fitted on the ``n_positive_slack`` samples with positive
+    energy and positive slack ``|grad u|^2 - D2 |U|``; it is ``inf`` when
+    there are none."""
 
     C1: float
     C2: float
     D2: float
     n_samples: int
     n_zero_energy: int
+    n_positive_slack: int
     eta: float
 
 
@@ -590,10 +582,10 @@ def check_cell_bounds(
     one cell).  All fitted constants must come out finite and positive.
     """
     rng = np.random.default_rng(seed)
-    refs = [(n, (o1, o2)) for n, o1, o2 in _cell_keys(spec).tolist()]
-    index = {r: m for m, r in enumerate(refs)}
-    X = np.asarray([spec.node_position(r) for r in refs])
-    nr = len(refs)
+    keys = _cell_keys(spec)
+    X = spec.node_positions(keys)
+    cell = LatticeMap.from_arrays(spec, 1.0, keys, X)
+    nr = len(keys)
 
     lam = rng.uniform(-3, 3, size=(n_samples, 2, 2))
     noise = rng.uniform(-3, 3, size=(n_samples, nr, 2))
@@ -604,27 +596,25 @@ def check_cell_bounds(
     for ang in (0.4, 1.1, 2.5):
         special.append(X @ rotation(ang).T)
     for defm in extra_deformations:
-        special.append(np.asarray([defm.evaluate(r) for r in refs]))
+        special.append(defm.node_positions(keys))
     U = np.concatenate([U, np.asarray(special)], axis=0)
     n_tot = U.shape[0]
 
-    E = np.zeros(n_tot)
-    for s in spec.springs:
-        d = U[:, index[s.b]] - U[:, index[s.a]]
-        lengths = np.linalg.norm(d, axis=1)
-        E += s.stiffness * (lengths - s.rest_length) ** 2
-    for t in spec.penalized_triangles:
-        i0, i1, i2 = (index[r] for r in t.nodes)
-        cross = cross2(U[:, i1] - U[:, i0], U[:, i2] - U[:, i0])
-        E += np.where(cross > 0, 0.0, t.area / eta)
+    # the rows of each class's nodes among the cell's keys
+    sa, sb = cell.rows(spec.spring_keys, 0, 0)[..., 0].T
+    t0, t1, t2 = cell.rows(spec.penalized_keys, 0, 0)[..., 0].T
+    lengths = np.linalg.norm(U[:, sb] - U[:, sa], axis=2)
+    cross = cross2(U[:, t1] - U[:, t0], U[:, t2] - U[:, t0])
+    E = ordered_sum(np.concatenate([
+        (spec.spring_stiffness * (lengths - spec.spring_rest) ** 2).T,
+        np.where(cross > 0, 0.0, spec.penalized_area / eta).T]))
 
     grad2 = np.zeros(n_tot)
-    for tri in spec.triangulation:
-        i0, i1, i2 = (index[r] for r in tri)
-        p0, p1, p2 = (spec.node_position(r) for r in tri)
-        dref = np.column_stack([p1 - p0, p2 - p0])
-        area = 0.5 * float(cross2(p1 - p0, p2 - p0))
-        dinv = np.linalg.inv(dref)
+    cover = cell.rows(spec.cover_keys, 0, 0)[..., 0]
+    q0, q1, q2 = X[cover.T]
+    dinvs = np.linalg.inv(np.stack([q1 - q0, q2 - q0], axis=-1))
+    areas = 0.5 * cross2(q1 - q0, q2 - q0)
+    for (i0, i1, i2), dinv, area in zip(cover, dinvs, areas.tolist()):
         G = np.einsum("snk,kl->snl", np.stack(
             [U[:, i1] - U[:, i0], U[:, i2] - U[:, i0]], axis=2), dinv)
         grad2 += area * np.einsum("sij,sij->s", G, G)
@@ -638,5 +628,5 @@ def check_cell_bounds(
     C2 = float(np.min(E[pos] / slack[pos])) if np.any(pos) else np.inf
     return CellBoundsReport(
         C1=C1, C2=C2, D2=D2, n_samples=n_tot,
-        n_zero_energy=int(zero.sum()), eta=eta,
+        n_zero_energy=int(zero.sum()), n_positive_slack=int(pos.sum()), eta=eta,
     )

@@ -208,6 +208,9 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     ``cos^2(theta + o)``, ``o in {0, pi/3, 2 pi/3}``, so it has period
     ``pi/3`` and is swept over the grid points in ``[0, pi/3)`` only.
     """
+    for name, step in (("lam_step", lam_step), ("theta_step", theta_step)):
+        if not step > 0:
+            raise ValueError(f"{name} must be positive, got {step:g}")
     reports = []
     l1, l2 = _pair_grid(lam_step)
     theta = np.arange(0.0, 2 * np.pi, theta_step)

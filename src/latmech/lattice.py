@@ -14,7 +14,8 @@ These markers drive the averaged-vector identities in
 Node references are pairs ``(node_index, (o1, o2))``: basic node
 ``node_index`` translated by ``o1 * v1 + o2 * v2``.  All springs and
 triangles are stored per unit cell with offsets chosen so that every
-endpoint lies in the closure of the triangulated cell region.
+endpoint lies in the closure of the triangulated cell region.  Every
+layer below the spec reads them as stacked integer rows ``(node, o1, o2)``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def norms(v):
+    """Euclidean norms over the trailing axis, each with the bits of
+    ``np.linalg.norm`` of one vector (a dot product, as ``vecdot`` forms
+    it; ``norm(axis=...)`` sums the squares differently)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def kabsch_rotations(X, Y) -> np.ndarray:
     """Best-fit rotations ``(n, 2, 2)`` carrying each centred point set
     ``X[i]`` onto ``Y[i]`` (stacks ``(n, m, 2)``); reflections are
@@ -81,6 +89,13 @@ def kabsch_rotations(X, Y) -> np.ndarray:
 def _as_ref(obj) -> NodeRef:
     node, (o1, o2) = obj
     return (int(node), (int(o1), int(o2)))
+
+
+def _frozen(values, shape=-1) -> np.ndarray:
+    """``values`` as a read-only array of the given shape."""
+    arr = np.array(values).reshape(shape)
+    arr.setflags(write=False)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +152,14 @@ class LatticeSpec:
     spec rebuilt from its JSON equals (and caches like) the original.
     Rest lengths and areas are not serialized; they are derived from the
     node positions that are.
+
+    The classes are also read-only stacked arrays, built on first use,
+    one row per class in tuple order, node references as integer rows
+    ``(node, o1, o2)``: ``spring_keys`` ``(ns, 2, 3)`` (ends ``a``, ``b``)
+    with ``spring_rest`` and ``spring_stiffness``; ``penalized_keys``
+    ``(nt, 3, 3)`` with ``penalized_area``; the triangulation
+    ``cover_keys`` ``(ntri, 3, 3)``; the marker edges ``b``, ``r`` as
+    ``marker_keys`` ``(nm, 2, 2, 3)``.
     """
 
     name: str
@@ -197,16 +220,37 @@ class LatticeSpec:
         mk = self.marker_edges[m]
         return self.edge_vector(mk.b_edge), self.edge_vector(mk.r_edge)
 
-    @property
-    def averaged_reference(self):
-        """Reference averaged vectors ``a1 = sum_t b_t``, ``a2 = sum_t r_t``."""
-        a1 = np.zeros(2)
-        a2 = np.zeros(2)
-        for m in range(len(self.marker_edges)):
-            b, r = self.marker_vectors(m)
-            a1 += b
-            a2 += r
-        return a1, a2
+    # -- the classes as stacked integer rows ----------------------------------
+
+    @cached_property
+    def spring_keys(self) -> np.ndarray:
+        return _frozen([(n, *o) for s in self.springs for n, o in (s.a, s.b)], (-1, 2, 3))
+
+    @cached_property
+    def spring_rest(self) -> np.ndarray:
+        return _frozen([s.rest_length for s in self.springs])
+
+    @cached_property
+    def spring_stiffness(self) -> np.ndarray:
+        return _frozen([s.stiffness for s in self.springs])
+
+    @cached_property
+    def penalized_keys(self) -> np.ndarray:
+        return _frozen([(n, *o) for t in self.penalized_triangles for n, o in t.nodes],
+                       (-1, 3, 3))
+
+    @cached_property
+    def penalized_area(self) -> np.ndarray:
+        return _frozen([t.area for t in self.penalized_triangles])
+
+    @cached_property
+    def cover_keys(self) -> np.ndarray:
+        return _frozen([(n, *o) for tri in self.triangulation for n, o in tri], (-1, 3, 3))
+
+    @cached_property
+    def marker_keys(self) -> np.ndarray:
+        return _frozen([(n, *o) for mk in self.marker_edges
+                        for n, o in mk.b_edge + mk.r_edge], (-1, 2, 2, 3))
 
     def __eq__(self, other):
         if not isinstance(other, LatticeSpec):
@@ -229,34 +273,18 @@ class LatticeSpec:
     @cached_property
     def _json(self) -> str:
         """The canonical JSON text, built once per (immutable) instance."""
-
-        def ref(r):
-            return [int(r[0]), int(r[1][0]), int(r[1][1])]
-
         pen_sets = [frozenset(t.nodes) for t in self.penalized_triangles]
-        triangles = []
-        for tri in self.triangulation:
-            triangles.append(
-                {"nodes": [ref(r) for r in tri], "penalized": frozenset(tri) in pen_sets}
-            )
         data = {
             "name": self.name,
             "v1": list(self.v1),
             "v2": list(self.v2),
             "basic_nodes": [list(p) for p in self.basic_nodes],
-            "springs": [
-                {"a": ref(s.a), "b": ref(s.b), "k_spring": s.stiffness}
-                for s in self.springs
-            ],
-            "triangles": triangles,
-            "markers": [
-                {
-                    "b": [ref(m.b_edge[0]), ref(m.b_edge[1])],
-                    "r": [ref(m.r_edge[0]), ref(m.r_edge[1])],
-                    "t": m.triangle,
-                }
-                for m in self.marker_edges
-            ],
+            "springs": [{"a": a, "b": b, "k_spring": s.stiffness}
+                        for (a, b), s in zip(self.spring_keys.tolist(), self.springs)],
+            "triangles": [{"nodes": nodes, "penalized": frozenset(tri) in pen_sets}
+                          for nodes, tri in zip(self.cover_keys.tolist(), self.triangulation)],
+            "markers": [{"b": b, "r": r, "t": m.triangle}
+                        for (b, r), m in zip(self.marker_keys.tolist(), self.marker_edges)],
             "alpha": self.alpha,
             "c_marker": self.c_marker,
         }
@@ -339,13 +367,9 @@ class LatticeSpec:
 
 
 def _point_in_cover(spec: LatticeSpec, p: np.ndarray, tol: float = 1e-9) -> bool:
-    for tri in spec.triangulation:
-        p0, p1, p2 = (spec.node_position(r) for r in tri)
-        d = np.column_stack([p1 - p0, p2 - p0])
-        b = np.linalg.solve(d, p - p0)
-        if b[0] >= -tol and b[1] >= -tol and b[0] + b[1] <= 1 + tol:
-            return True
-    return False
+    q0, q1, q2 = spec.node_positions(spec.cover_keys).transpose(1, 0, 2)
+    b = np.linalg.solve(np.stack([q1 - q0, q2 - q0], axis=-1), (p - q0)[..., None])[..., 0]
+    return bool(((b >= -tol).all(axis=1) & (b[:, 0] + b[:, 1] <= 1 + tol)).any())
 
 
 def _validate_spec(spec: LatticeSpec) -> None:
@@ -544,9 +568,8 @@ def _slot(k, node, o1, o2):
 def _cell_keys(spec: LatticeSpec) -> np.ndarray:
     """Sorted ``(n, 3)`` rows ``(node, o1, o2)`` of the node references of
     one cell: spring endpoints and cover vertices."""
-    refs = {r for s in spec.springs for r in (s.a, s.b)}
-    refs.update(r for tri in spec.triangulation for r in tri)
-    return np.array([(n, o1, o2) for n, (o1, o2) in sorted(refs)], dtype=np.int64)
+    return np.unique(np.concatenate([spec.spring_keys.reshape(-1, 3),
+                                     spec.cover_keys.reshape(-1, 3)]), axis=0)
 
 
 class Supercell:
@@ -555,9 +578,9 @@ class Supercell:
     Node slots are numbered ``(node * k + i) * k + j`` for basic node
     ``node`` in cell ``(i, j)``; cells are enumerated ``c = i * k + j``.
     Each class of springs, penalized triangles and markers is one row of
-    a stacked array, in the order of ``spec.springs``,
-    ``spec.penalized_triangles`` and ``spec.marker_edges``; axes of
-    length ``k*k`` run over the cells ``c``:
+    a stacked array, built from the spec's integer rows (``spring_keys``,
+    ``penalized_keys``, ``marker_keys``) in class order; axes of length
+    ``k*k`` run over the cells ``c``:
 
     - ``springs``: :class:`Edges` from ``a`` to ``b``; ``spring_rest`` and
       ``spring_stiffness`` ``(ns,)``;
@@ -596,33 +619,27 @@ class Supercell:
             spec.basic_nodes[:, None, :] + shifts[None, :, :]
         ).reshape(self.n_nodes, 2)
 
-        def keys(groups):
-            return np.array([[(n, o1, o2) for n, (o1, o2) in g] for g in groups],
-                            dtype=np.int64)
-
         def slots(key):
             return self.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj)
 
-        def edges(pairs):
-            key = keys(pairs)
+        def edges(key):
             x = spec.node_positions(key)
             return Edges(slots(key[:, 0]), slots(key[:, 1]), x[:, 1] - x[:, 0])
 
-        self.springs = edges((s.a, s.b) for s in spec.springs)
-        self.spring_rest = np.array([s.rest_length for s in spec.springs])
-        self.spring_stiffness = np.array([s.stiffness for s in spec.springs])
+        self.springs = edges(spec.spring_keys)
+        self.spring_rest = spec.spring_rest
+        self.spring_stiffness = spec.spring_stiffness
 
-        key = keys(t.nodes for t in spec.penalized_triangles)
-        x = spec.node_positions(key)
-        self.tri_slots = slots(key)
+        x = spec.node_positions(spec.penalized_keys)
+        self.tri_slots = slots(spec.penalized_keys)
         self.tri_d1 = x[:, 1] - x[:, 0]
         self.tri_d2 = x[:, 2] - x[:, 0]
         self.tri_cross0 = cross2(self.tri_d1, self.tri_d2)
         self.tri_area = 0.5 * self.tri_cross0
 
         index = {_seg_key(s.a, s.b): i for i, s in enumerate(spec.springs)}
-        self.marker_b = edges(mk.b_edge for mk in spec.marker_edges)
-        self.marker_r = edges(mk.r_edge for mk in spec.marker_edges)
+        self.marker_b = edges(spec.marker_keys[:, 0])
+        self.marker_r = edges(spec.marker_keys[:, 1])
         self.marker_b_spring = np.array([index[_seg_key(*mk.b_edge)] for mk in spec.marker_edges])
         self.marker_r_spring = np.array([index[_seg_key(*mk.r_edge)] for mk in spec.marker_edges])
 
@@ -669,9 +686,15 @@ class PeriodicDeformation:
     def evaluate(self, ref: NodeRef, cell=(0, 0)) -> np.ndarray:
         """Deformed position of node ``ref`` translated by ``cell``."""
         node, (o1, o2) = ref
-        o1, o2 = o1 + cell[0], o2 + cell[1]
-        x = self.spec.node_position((node, (o1, o2)))
-        return self.lam @ x + self.psi[self.cell.slot(node, o1, o2)]
+        return self.node_positions([node, o1 + cell[0], o2 + cell[1]])
+
+    def node_positions(self, keys) -> np.ndarray:
+        """Deformed positions of integer node rows ``keys`` ``(..., 3)``;
+        ``lam`` multiplies each row like ``lam @ x`` on one vector."""
+        keys = np.asarray(keys)
+        x = self.spec.node_positions(keys)
+        return (np.matmul(self.lam, x[..., None])[..., 0]
+                + self.psi[self.cell.slot(keys[..., 0], keys[..., 1], keys[..., 2])])
 
     def node_values(self) -> np.ndarray:
         """Deformed positions of all canonical supercell nodes."""

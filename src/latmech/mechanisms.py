@@ -33,7 +33,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .energy import barrier_grad, energy_breakdown, spring_energy_grad, triangle_dets
+from .energy import (LatticeMap, barrier_grad, energy_breakdown, spring_energy_grad,
+                     triangle_dets)
 from .geometry import signed_svd
 from .lattice import (
     DegenerateGeometryError,
@@ -44,6 +45,7 @@ from .lattice import (
     build_kagome,
     cross2,
     edge_vectors,
+    norms,
     rotation,
 )
 
@@ -90,10 +92,7 @@ class RigidUnit:
 
 
 def _triangle_node_keys(spec: LatticeSpec, t: int, ci: int, cj: int):
-    return [
-        (node, (o1 + ci, o2 + cj))
-        for node, (o1, o2) in spec.penalized_triangles[t].nodes
-    ]
+    return [(node, (o1 + ci, o2 + cj)) for node, o1, o2 in spec.penalized_keys[t].tolist()]
 
 
 @lru_cache(maxsize=64)
@@ -313,13 +312,7 @@ class PlacementPlan:
         pos = RX[:, self.src] + tau[:, self.flat_inst[self.src]]
         f, r = self.check.T
         gap = pos[:, r] - (RX[:, f] + tau[:, self.flat_inst[f]])
-        return pos, _norms(gap).max(axis=-1, initial=0.0)
-
-
-def _norms(v):
-    """Euclidean norms over the trailing axis, each formed like
-    ``np.linalg.norm`` of one vector (a dot product), bit for bit."""
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+        return pos, norms(gap).max(axis=-1, initial=0.0)
 
 
 def assemble_rotated_units(
@@ -421,7 +414,7 @@ class TwistPlan:
         lam = np.matmul(np.stack([y1 - y0, y2 - y0], axis=-1), self.period_inv)
         val = pos - np.matmul(lam[:, None], self.ref[:, :, None])[..., 0]
         row, first = self.drift.T
-        drift = _norms(val[:, first] - val[:, row]).max(axis=-1, initial=0.0)
+        drift = norms(val[:, first] - val[:, row]).max(axis=-1, initial=0.0)
         return lam, val[:, self.first], misfit, drift
 
 
@@ -431,6 +424,8 @@ def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
     cached by spec content like :func:`rigid_units`.  Raises
     :class:`MechanismError` when the window cannot read off the periods
     or leaves a supercell node unplaced, whatever the angle."""
+    if k < 1:
+        raise ValueError(f"supercell size must be >= 1, got {k}")
     units = rigid_units(spec)
     cells = [(i, j) for i in range(-1, k + 1) for j in range(-1, k + 1)]
     placement = PlacementPlan.compile(spec, units, cells)
@@ -682,6 +677,8 @@ def domain_wall_angles(theta1: float, n: int = 30) -> np.ndarray:
         raise ValueError(
             f"theta1 must lie in [2*pi/3, pi), got {theta1:g}"
         )
+    if n < 1:
+        raise ValueError(f"the recursion needs n >= 1 columns, got {n}")
     th = np.empty(n + 1)
     th[0] = 2 * np.pi / 3
     th[1] = theta1
@@ -727,6 +724,9 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
     up-triangle by the opposite angle, with the sign mirrored for
     ``m < 0``.  Every spring with both ends in the strip is checked.
     """
+    if half_width < 1 or rows < 1:
+        raise ValueError(f"the strip needs half_width >= 1 and rows >= 1, "
+                         f"got {half_width} and {rows}")
     spec = build_kagome()
     K = 2 * half_width
     th = domain_wall_angles(theta1, K)
@@ -759,44 +759,40 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
         raise MechanismError(f"domain wall does not close: misfit {misfit:.3e}")
 
     # check all springs and orientations inside the strip
-    resid = 0.0
-    for s in spec.springs:
-        for (ci, cj) in cells:
-            a = (s.a[0], (s.a[1][0] + ci, s.a[1][1] + cj))
-            b = (s.b[0], (s.b[1][0] + ci, s.b[1][1] + cj))
-            if a in pos and b in pos:
-                resid = max(resid, abs(float(np.linalg.norm(pos[b] - pos[a])) - s.rest_length))
-    min_det = np.inf
-    for t in spec.penalized_triangles:
-        q0, q1, q2 = (spec.node_position(r) for r in t.nodes)
-        cross0 = float(cross2(q1 - q0, q2 - q0))
-        for (ci, cj) in cells:
-            keys = [(r[0], (r[1][0] + ci, r[1][1] + cj)) for r in t.nodes]
-            if all(kk in pos for kk in keys):
-                p0, p1, p2 = (pos[kk] for kk in keys)
-                min_det = min(min_det, float(cross2(p1 - p0, p2 - p0)) / cross0)
+    strip = LatticeMap(spec, 1.0, pos)
+    x = strip.positions
+    ci, cj = np.array(cells).T
+    a, b = strip.rows(spec.spring_keys, ci, cj).transpose(1, 0, 2)
+    length = norms(x[b] - x[a])
+    both = (a >= 0) & (b >= 0)
+    resid = float(np.abs(length - spec.spring_rest[:, None])[both].max(initial=0.0))
+    q0, q1, q2 = spec.node_positions(spec.penalized_keys).transpose(1, 0, 2)
+    cross0 = cross2(q1 - q0, q2 - q0)
+    t = strip.rows(spec.penalized_keys, ci, cj)
+    p0, p1, p2 = x[t].transpose(1, 0, 2, 3)
+    dets = cross2(p1 - p0, p2 - p0) / cross0[:, None]
+    min_det = float(dets[(t >= 0).all(axis=1)].min(initial=np.inf))
 
-    # pinch-joint compression profile along a middle row
-    j0 = rows // 2
-    pinches = {}
-    for (ci, cj) in cells:
-        if cj == j0:
-            pinches[2 * ci + cj] = pos.get((1, (ci, cj)))
-    profile = {}
-    for col in sorted(pinches):
-        if col - 2 in pinches and pinches[col] is not None and pinches[col - 2] is not None:
-            profile[col - 1] = float(np.linalg.norm(pinches[col] - pinches[col - 2])) / 2.0
+    # pinch-joint compression profile along a middle row, whose cells run
+    # over consecutive columns two apart
+    mid = cj == rows // 2
+    col = 2 * ci[mid] + cj[mid]
+    pinch = strip.rows([1, 0, 0], ci[mid], cj[mid])
+    width = norms(x[pinch[1:]] - x[pinch[:-1]]) / 2.0
+    ok = (pinch[1:] >= 0) & (pinch[:-1] >= 0)
+    profile = dict(zip((col[1:][ok] - 1).tolist(), width[ok].tolist()))
     left = profile[min(profile)]
     right = profile[max(profile)]
 
-    # vertical compression at the right edge (one vertical period = -v1+2v2)
+    # vertical compression at the right edge (one vertical period = -v1+2v2),
+    # from the rightmost cell holding both ends
+    order = np.argsort(-(2 * ci + cj), kind="stable")
+    lo, hi = strip.rows([[1, 0, 0], [1, -1, 2]], ci[order], cj[order])
+    ok = (lo >= 0) & (hi >= 0)
     vert = np.nan
-    for (ci, cj) in sorted(cells, key=lambda c: -(2 * c[0] + c[1])):
-        a = (1, (ci, cj))
-        b = (1, (ci - 1, cj + 2))
-        if a in pos and b in pos:
-            vert = float(np.linalg.norm(pos[b] - pos[a])) / (2 * np.sqrt(3.0))
-            break
+    if ok.any():
+        n = int(np.argmax(ok))
+        vert = float(norms(x[hi[n]] - x[lo[n]])) / (2 * np.sqrt(3.0))
 
     return DomainWall(
         theta=th,

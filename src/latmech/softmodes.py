@@ -23,7 +23,7 @@ import numpy as np
 from .cellsolver import _twist_contraction_table
 from .energy import LatticeMap, domain_energy
 from .geometry import conformal_check, signed_svd
-from .lattice import LatticeSpec, kabsch_rotations, rotation
+from .lattice import LatticeSpec, kabsch_rotations, norms, rotation
 from .mechanisms import Mechanism, rigid_units
 
 __all__ = [
@@ -182,8 +182,13 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
     """
     if not mechanisms:
         raise ValueError("need at least one mechanism")
-    units = rigid_units(spec)
     k = mechanisms[0].deformation.cell.k
+    # node rows of every unit instance (u, mi, mj), stacked (k*k, nodes, 3)
+    mi, mj = np.divmod(np.arange(k * k), k)
+    shifts = np.column_stack([np.zeros_like(mi), mi, mj])[:, None]
+    inst_keys = [np.array([(n, o1, o2) for n, (o1, o2) in unit.nodes]) + shifts
+                 for unit in rigid_units(spec)]
+    cells = list(zip(mi.tolist(), mj.tolist()))
     rows = []
     for m in mechanisms:
         cert = m.certificate
@@ -200,18 +205,13 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
         beta = float(np.arctan2(R[1, 0], R[0, 0]))
         defm = m.deformation.rotate(rotation(-beta))
         row_ang, row_off = {}, {}
-        cells = [(mi, mj) for mi in range(k) for mj in range(k)]
-        for u, unit in enumerate(units):
-            refs = [[(node, (o1 + mi, o2 + mj)) for node, (o1, o2) in unit.nodes]
-                    for mi, mj in cells]
-            X = np.asarray([[spec.node_position(r) for r in inst] for inst in refs])
-            Y = np.asarray([[defm.evaluate(r) for r in inst] for inst in refs])
+        for u, keys in enumerate(inst_keys):
+            X, Y = spec.node_positions(keys), defm.node_positions(keys)
             Ru = kabsch_rotations(X, Y)
             ang = np.arctan2(Ru[:, 1, 0], Ru[:, 0, 0]).tolist()
             off = Y.mean(axis=1) - c * X.mean(axis=1)
-            for n, (mi, mj) in enumerate(cells):
-                row_ang[(u, mi, mj)] = ang[n]
-                row_off[(u, mi, mj)] = off[n]
+            row_ang.update(zip([(u, *cell) for cell in cells], ang))
+            row_off.update(zip([(u, *cell) for cell in cells], off))
         rows.append((c, row_ang, row_off))
     rows.sort(key=lambda t: t[0])
     cs = np.asarray([r[0] for r in rows])
@@ -263,15 +263,12 @@ def _relax(lmap: LatticeMap, ci, cj, sweeps: int, omega: float, tether: float):
     cells ``(ci, cj)`` whose two ends the map holds, taken in (spring
     class, cell) order; returns the relaxed positions."""
     spec, eps, pos0 = lmap.spec, lmap.epsilon, lmap.positions
-    ia, ib, rest, stiff = [], [], [], []
-    for s in spec.springs:
-        ra, rb = lmap.ref_rows(s.a, ci, cj), lmap.ref_rows(s.b, ci, cj)
-        both = (ra >= 0) & (rb >= 0)
-        ia.append(ra[both])
-        ib.append(rb[both])
-        rest.append(np.full(int(both.sum()), eps * s.rest_length))
-        stiff.append(np.full(int(both.sum()), s.stiffness))
-    ia, ib, rest, stiff = (np.concatenate(a) for a in (ia, ib, rest, stiff))
+    ra, rb = lmap.rows(spec.spring_keys, ci, cj).transpose(1, 0, 2)
+    both = (ra >= 0) & (rb >= 0)
+    ia, ib = ra[both], rb[both]
+    count = both.sum(axis=1)
+    rest = np.repeat(eps * spec.spring_rest, count)
+    stiff = np.repeat(spec.spring_stiffness, count)
     wsum = np.full(len(pos0), float(tether))
     np.add.at(wsum, ia, stiff)
     np.add.at(wsum, ib, stiff)
@@ -568,12 +565,9 @@ def weak_limit_check(
     eps_list = [lmap.epsilon for lmap in lmaps]
 
     # probe margin: the coarsest map must cover every probe point
-    edge = 0.0
     spec = lmaps[0].spec
-    for tri in spec.triangulation:
-        pts = [spec.node_position(r) for r in tri]
-        for a in range(3):
-            edge = max(edge, float(np.linalg.norm(pts[a] - pts[(a + 1) % 3])))
+    q = spec.node_positions(spec.cover_keys)
+    edge = float(norms(q - q[:, [1, 2, 0]]).max())
     margin = 1.25 * max(eps_list) * edge
     if x1 - x0 <= 2 * margin or y1 - y0 <= 2 * margin:
         raise ValueError("target domain too small for the probe margin")

@@ -67,3 +67,12 @@ def orphan_spring_json():
     data["markers"] = data["markers"][:1]
     data["springs"].append({"a": [2, 0, 0], "b": [2, 1, 0], "k_spring": 1.0})
     return json.dumps(data, indent=2)
+
+
+def percolating_units_json():
+    """Kagome with every cover triangle penalized: the rigid units glue to
+    their own lattice translates, so the spec loads but has no twist."""
+    data = json.loads(build_kagome().to_json())
+    for tri in data["triangles"]:
+        tri["penalized"] = True
+    return json.dumps(data, indent=2)

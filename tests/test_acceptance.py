@@ -316,6 +316,7 @@ def test_criterion_11_energy_axioms(all_specs, kagome, rotating_squares):
     for spec in (kagome, rotating_squares):
         rep = check_cell_bounds(spec, n_samples=10000)
         assert rep.n_samples >= 10000
+        assert rep.n_positive_slack > 0
         for name in ("C1", "C2", "D2"):
             val = getattr(rep, name)
             assert np.isfinite(val) and val > 0, (spec.name, name)

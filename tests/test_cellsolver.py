@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import percolating_units_json
 
 from latmech.energy import energy_breakdown
 from latmech.geometry import principal_stretches
-from latmech.lattice import LatticeSpec, PeriodicDeformation, Supercell, build_variant
+from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
+                             Supercell, build_variant)
+from latmech.mechanisms import twist_admissible_range
 import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
     _invert_contraction,
@@ -113,6 +116,38 @@ def test_estimate_density_normalization_survives_tiling(kagome):
     tiled = est.minimizer.tile(2)
     bd = energy_breakdown(tiled, 0.05)
     assert abs(bd.averaged - est.upper) <= 1e-12 * (1 + est.upper)
+
+
+def test_percolating_rigid_units_solve_without_twist_seed():
+    spec = LatticeSpec.from_json(percolating_units_json())
+    with pytest.raises(DegenerateGeometryError, match="translate of itself"):
+        twist_admissible_range(spec)
+    lam = np.diag([1.1, 0.9])
+    assert cellsolver._twist_seed(spec, lam, 1) is None
+    est = estimate_density(spec, lam, 0.05, restarts=1, anneal=(0.05,))
+    assert est.solver_trace["restarts"] == 2      # zero and one random seed
+    assert np.isfinite(est.upper) and est.upper > 0
+    # an identity solve short-circuits on the zero seed, twist or none
+    assert estimate_density(spec, np.eye(2), 0.05).solver_trace["short_circuit"]
+
+
+def test_estimate_density_solver_trace_is_pinned(kagome):
+    # a twist-seeded solve that short-circuits and an annealed one, whole
+    # traces in key order
+    short = estimate_density(kagome, 0.8 * _rot(0.3), 0.05, k=2, restarts=2)
+    assert list(short.solver_trace.items()) == [
+        ("restarts", 4), ("iterations", 0), ("final_grad_norm", 0.0),
+        ("best_seed", "twist"), ("short_circuit", True), ("unconverged_stages", 0),
+        ("last_unconverged_message", None), ("twist_bracket_gap", None)]
+    assert short.upper == float.fromhex("0x1.3a141b9e9364ep-103")
+    annealed = estimate_density(kagome, np.diag([1.15, 0.9]), 0.05, k=1, restarts=1,
+                                anneal=(0.05, 0.008))
+    assert list(annealed.solver_trace.items()) == [
+        ("restarts", 2), ("iterations", 15),
+        ("final_grad_norm", float.fromhex("0x1.ab84a957c48b5p-48")),
+        ("best_seed", "random0"), ("short_circuit", False), ("unconverged_stages", 0),
+        ("last_unconverged_message", None), ("twist_bracket_gap", None)]
+    assert annealed.upper == float.fromhex("0x1.cf0cb3573827fp-7")
 
 
 # ---------------------------------------------------------------------------

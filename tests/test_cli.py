@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import orphan_spring_json
+from conftest import orphan_spring_json, percolating_units_json
 
 import latmech.cli as cli
 from latmech.lattice import LatticeSpec, rotation
@@ -50,6 +50,42 @@ def test_precondition_errors_exit_2(tmp_path):
     orphan = tmp_path / "orphan.json"
     orphan.write_text(orphan_spring_json())
     assert run(["build", "--spec", str(orphan), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["soft-mode", "--eps", "1/0"], "'1/0'"),
+    (["domain-wall", "--theta1", "2.3", "--n", "0"], "got 0"),
+    (["domain-wall", "--theta1", "2.3", "--strip", "--half-width", "0"], "got 0 and 4"),
+    (["domain-wall", "--theta1", "2.3", "--strip", "--rows", "0"], "got 15 and 0"),
+    (["mechanism", "--grid-points", "0"], "--grid-points must be at least 1, got 0"),
+    (["mechanism", "--k", "0"], "supercell size must be >= 1, got 0"),
+    (["inequalities", "--lam-step", "0"], "lam_step must be positive, got 0"),
+])
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_percolating_rigid_units_sweep_but_have_no_twist(tmp_path, capsys):
+    spec = tmp_path / "allpen.json"
+    spec.write_text(percolating_units_json())
+    argv = ["density-sweep", "--spec", str(spec), "--grid", "diag", "--k", "1",
+            "--restarts", "1"]
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run(argv + ["--jobs", "1", "--out", a]) == 0
+    assert run(argv + ["--jobs", "2", "--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+    assert len(open(a).read().splitlines()) == 37
+    assert run(["verify-bounds", "--spec", str(spec), "--trials", "20", "--k-max", "1",
+                "--isotropic", "--out", str(tmp_path / "bounds.csv")]) == 0
+    capsys.readouterr()
+    for cmd in (["mechanism"], ["soft-mode", "--eps", "1/8"]):
+        assert run(cmd + ["--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "a rigid unit contains a lattice translate of itself" in err
+        assert "Traceback" not in err
 
 
 def test_unknown_variant_param_exits_2(tmp_path, capsys):

@@ -267,10 +267,20 @@ def test_lattice_map_arrays_and_values_view(kagome):
     rebuilt = LatticeMap(kagome, lmap.epsilon, dict(reversed(list(lmap.values.items()))))
     assert np.array_equal(rebuilt.keys, lmap.keys)
     assert np.array_equal(rebuilt.positions, lmap.positions)
-    assert lmap.row(*lmap.keys[5]) == 5 and lmap.row(0, 10**6, 0) == -1
+    assert lmap.rows(lmap.keys[5], 0, 0).tolist() == [5]
+    assert lmap.rows([0, 10**6, 0], 0, 0).tolist() == [-1]
+    # stacked rows over cells: (2, 3) keys by 4 cells
+    ci, cj = np.array([0, 1, 2, 10**6]), np.array([0, -1, 3, 0])
+    rows = lmap.rows(lmap.keys[:6].reshape(2, 3, 3), ci, cj)
+    assert rows.shape == (2, 3, 4)
+    for key, row in zip(lmap.keys[:6].tolist(), rows.reshape(6, 4)):
+        for c in range(4):
+            ref = (key[0], (key[1] + int(ci[c]), key[2] + int(cj[c])))
+            assert row[c] == (keys.index(ref) if ref in lmap.values else -1)
+    assert (rows[..., 0] == np.arange(6).reshape(2, 3)).all()
     for ref in keys[:50]:
-        assert np.array_equal(lmap.reference_positions[lmap.row(ref[0], *ref[1])],
-                              lmap.reference_position(ref))
+        row = lmap.rows([ref[0], *ref[1]], 0, 0)[0]
+        assert np.array_equal(lmap.reference_positions[row], lmap.reference_position(ref))
 
 
 def test_interpolate_affine_maps_are_exact(kagome):
@@ -294,3 +304,13 @@ def test_check_cell_bounds_finite(kagome, rotating_squares):
         assert np.isfinite(rep.C2) and rep.C2 > 0
         assert np.isfinite(rep.D2) and rep.D2 >= 0
         assert rep.n_samples >= 500
+        assert 0 < rep.n_positive_slack <= rep.n_samples - rep.n_zero_energy
+
+
+def test_check_cell_bounds_reports_no_positive_slack(kagome):
+    # without random samples only the zero-energy states remain: nothing
+    # to fit C2 on
+    rep = check_cell_bounds(kagome, n_samples=0)
+    assert rep.n_samples == rep.n_zero_energy == 4
+    assert rep.n_positive_slack == 0
+    assert rep.C2 == np.inf

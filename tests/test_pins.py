@@ -29,6 +29,7 @@ from latmech.cellsolver import (
 from latmech.energy import (
     LatticeMap,
     barrier_grad,
+    check_cell_bounds,
     energy_breakdown,
     smoothed_energy_grad,
     spring_energy_grad,
@@ -52,7 +53,9 @@ from latmech.mechanisms import (
     mechanism_tangent_rank,
     rigid_units,
     twist_admissible_range,
+    twist_mechanism,
 )
+from latmech.softmodes import default_target, mechanism_state_table, modulate
 
 ETA = 0.1
 
@@ -275,6 +278,78 @@ def _density():
             hashlib.sha256(np.ascontiguousarray(est.minimizer.psi).tobytes()).hexdigest())
 
 
+def _cell_bounds():
+    """:func:`check_cell_bounds` on kagome, rotating squares and the s = 0.4
+    quad, with a twist as the extra zero-energy state where one closes
+    (on a k = 2 supercell for kagome, so its slots wrap)."""
+    out = []
+    for spec, k in ((build_kagome(), 2), (build_rotating_squares(), 1),
+                    (build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6), 1)):
+        try:
+            extra = (twist_mechanism(spec, 0.4, k=k).deformation,)
+        except MechanismError:
+            extra = ()
+        rep = check_cell_bounds(spec, n_samples=300, seed=3, extra_deformations=extra)
+        out.append((rep.C1, rep.C2, rep.D2, rep.n_samples, rep.n_zero_energy))
+    return out
+
+
+def _state_table():
+    """The contraction table of a kagome twist family on the k = 2 supercell."""
+    spec = build_kagome()
+    table = mechanism_state_table(
+        spec, [twist_mechanism(spec, th, k=2) for th in (0.1, 0.35, 0.6, 0.9, 1.2)])
+    res = sorted(table.angles)
+    return (table.k, table.cs, res, [table.angles[r] for r in res],
+            [table.offsets[r] for r in res])
+
+
+def _wall_strip():
+    """The kagome wall strip at the size of the certificate pass."""
+    w = domain_wall_mechanism(2.25, half_width=40, rows=5)
+    return (np.asarray([(n, o1, o2) for n, (o1, o2) in w.positions]),
+            np.asarray(list(w.positions.values())), w.max_misfit,
+            w.max_spring_residual, w.min_det, w.compression_left,
+            w.compression_right, np.asarray(list(w.compression_profile.items())),
+            w.vertical_compression)
+
+
+def _interpolate():
+    """Values and gradients of the eps = 1/16 soft-mode map at its
+    weak-limit probe points."""
+    spec, target = build_kagome(), default_target()
+    lmap = modulate(spec, target, 1 / 16)
+    edge = max(float(np.linalg.norm(spec.node_position(tri[a])
+                                    - spec.node_position(tri[(a + 1) % 3])))
+               for tri in spec.triangulation for a in range(3))
+    margin = 1.25 * lmap.epsilon * edge
+    x0, x1, y0, y1 = target.domain
+    px = np.linspace(x0 + margin, x1 - margin, 12)
+    py = np.linspace(y0 + margin, y1 - margin, 12)
+    return lmap.interpolate(np.column_stack([m.ravel() for m in np.meshgrid(px, py)]))
+
+
+CONSUMER_QUANTITIES = {
+    "cell_bounds": _cell_bounds,
+    "state_table": _state_table,
+    "wall_strip": _wall_strip,
+    "interpolate": _interpolate,
+}
+
+CONSUMER_PINS = {
+    "cell_bounds": "521a0594d690d0538396c508ef6ca36a05eb607e4a36b5751a2eca3a04c222eb",
+    "interpolate": "f8ab3557b23fec2b8875b15ea3e19e63ce7c2f6c2c7a2c1f81804ede7fb6ec82",
+    "state_table": "2e583e4e4d1c8f60878a74cb78fcad453a46a558b244f2370ed84dfa6a2f6e90",
+    "wall_strip": "ab3770bd2595029f9c4997b629f12c68a41b0035a4c70c69b540b4909ae7ce93",
+}
+
+
+def _consumer_digest(name) -> str:
+    h = hashlib.sha256()
+    _feed(h, CONSUMER_QUANTITIES[name]())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def cases():
     return _cases()
@@ -298,11 +373,18 @@ def test_anisotropic_density_solve_is_pinned():
     assert _density() == DENSITY_PIN
 
 
+@pytest.mark.parametrize("name", sorted(CONSUMER_QUANTITIES))
+def test_lattice_map_consumers_are_pinned(name):
+    assert _consumer_digest(name) == CONSUMER_PINS[name]
+
+
 if __name__ == "__main__":
     all_cases = _cases()
     for name in sorted(QUANTITIES):
         print(f'    "{name}": "{_digest(name, all_cases)}",')
     for name in sorted(TWIST_QUANTITIES):
         print(f'    "{name}": "{_twist_digest(name)}",')
+    for name in sorted(CONSUMER_QUANTITIES):
+        print(f'    "{name}": "{_consumer_digest(name)}",')
     print(f'WALL_PIN = "{_wall_digest()}"')
     print(f"DENSITY_PIN = {_density()!r}")
