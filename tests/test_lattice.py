@@ -133,6 +133,90 @@ def test_json_rejects_spring_off_penalized_triangles():
         LatticeSpec.from_json(orphan_spring_json())
 
 
+def _append(key, entry):
+    return lambda d: d[key].append(entry)
+
+
+# one fault each in the kagome JSON, with the exception and full message
+# its loader raises
+SPEC_REJECTIONS = [
+    pytest.param(lambda d: d["springs"][0].update(k=1.0),
+                 ValueError, "bad spring entry keys ['a', 'b', 'k', 'k_spring']",
+                 id="spring-keys"),
+    pytest.param(lambda d: d["triangles"][0].update(area=1.0),
+                 ValueError, "bad triangle entry keys ['area', 'nodes', 'penalized']",
+                 id="triangle-keys"),
+    pytest.param(lambda d: d["markers"][0].update(c=1.0),
+                 ValueError, "bad marker entry keys ['b', 'c', 'r', 't']",
+                 id="marker-keys"),
+    pytest.param(lambda d: d.update(v2=[4.0, 0.0]),
+                 DegenerateGeometryError, "period vectors are linearly dependent",
+                 id="dependent-periods"),
+    pytest.param(lambda d: d.update(basic_nodes=[], springs=[], triangles=[], markers=[]),
+                 DegenerateGeometryError, "lattice has no basic nodes",
+                 id="no-basic-nodes"),
+    pytest.param(lambda d: d["basic_nodes"].__setitem__(2, [3.0, 0.0]),
+                 DegenerateGeometryError, "basic nodes 0 and 2 coincide modulo the lattice",
+                 id="coincident-nodes"),
+    pytest.param(lambda d: d["triangles"][2].update(nodes=d["triangles"][2]["nodes"][:2]),
+                 ValueError,
+                 "triangle ((2, (0, -1)), (1, (0, 0))) does not have three vertices",
+                 id="two-vertices"),
+    pytest.param(lambda d: d["triangles"][2]["nodes"].reverse(),
+                 DegenerateGeometryError,
+                 "triangle ((0, (-1, 1)), (1, (0, 0)), (2, (0, -1))) is degenerate or"
+                 " clockwise (2*area=-0.866025)",
+                 id="clockwise"),
+    pytest.param(lambda d: d["triangles"].pop(),
+                 DegenerateGeometryError, "cover area 2.59808 does not match cell area 3.4641",
+                 id="cover-area"),
+    pytest.param(_append("basic_nodes", [1.0, 0.5]),
+                 DegenerateGeometryError, "some basic node never appears in the cover",
+                 id="node-off-cover"),
+    pytest.param(lambda d: d["triangles"][2]["nodes"][0].__setitem__(0, 7),
+                 ValueError, "unknown node reference (7, (0, -1))",
+                 id="unknown-node"),
+    pytest.param(_append("springs", {"a": [0, 0, 0], "b": [0, 0, 0], "k_spring": 1.0}),
+                 DegenerateGeometryError, "spring 6 has zero length",
+                 id="zero-length"),
+    pytest.param(lambda d: d["springs"][2].update(k_spring=0.0),
+                 DegenerateGeometryError, "spring 2 has non-positive stiffness",
+                 id="stiffness"),
+    pytest.param(_append("springs", {"a": [1, 0, 0], "b": [0, 0, 0], "k_spring": 1.0}),
+                 DegenerateGeometryError, "springs 0 and 6 are lattice translates",
+                 id="translates"),
+    pytest.param(_append("springs", {"a": [0, 0, 0], "b": [1, 3, 0], "k_spring": 1.0}),
+                 DegenerateGeometryError,
+                 "spring 6 endpoint (1, (3, 0)) lies outside the cell region",
+                 id="outside-cell"),
+    pytest.param(lambda d: d["markers"][1].update(t=2),
+                 ValueError, "marker 1 points to invalid triangle 2",
+                 id="marker-triangle"),
+    pytest.param(lambda d: d["markers"][1].update(b=[[0, 0, 0], [2, 0, 0]]),
+                 DegenerateGeometryError,
+                 "marker 1 edge ((0, (0, 0)), (2, (0, 0))) does not lie along a spring",
+                 id="marker-edge"),
+    pytest.param(lambda d: d.update(c_marker=2.0),
+                 DegenerateGeometryError, "marker 0 violates r = c R(alpha) b",
+                 id="marker-relation"),
+    pytest.param(lambda d: d.update(markers=[]),
+                 DegenerateGeometryError, "lattice carries no marker edges",
+                 id="no-markers"),
+]
+
+
+@pytest.mark.parametrize("mutate, exc, message", SPEC_REJECTIONS)
+def test_json_rejections(kagome, mutate, exc, message):
+    import json
+
+    data = json.loads(kagome.to_json())
+    mutate(data)
+    with pytest.raises(exc) as info:
+        LatticeSpec.from_json(json.dumps(data, indent=2))
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
 def test_json_rejects_unknown_keys(kagome):
     import json
 
