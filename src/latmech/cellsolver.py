@@ -21,9 +21,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .energy import energy_breakdown, smoothed_energy_grad
-from .geometry import lower_bracket, signed_svd
+from .geometry import _pos_sq, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
-                      cross2, edge_vectors, rotation)
+                      cross2, edge_vectors, norms, rotation)
 from .mechanisms import MechanismError, _twist_field, _twist_fields, twist_admissible_range
 
 __all__ = [
@@ -171,6 +171,8 @@ def estimate_density(
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     if k < 1:
         raise ValueError(f"supercell size must be >= 1, got {k}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     lam = np.asarray(lam, dtype=float).reshape(2, 2)
     cell = Supercell(spec, k)
     n = cell.n_nodes
@@ -278,6 +280,8 @@ def lambda_grid(kind: str, rng_seed: int = 0):
         return mats
     if kind.startswith("random:"):
         n = int(kind.split(":", 1)[1])
+        if n < 1:
+            raise ValueError(f"random grid needs at least 1 matrix, got {kind!r}")
         rng = np.random.default_rng(rng_seed)
         return [np.eye(2) + 0.5 * rng.standard_normal((2, 2)) for _ in range(n)]
     if kind.startswith("file:"):
@@ -371,20 +375,16 @@ def _marker_direction_frame(spec: LatticeSpec):
     """Unit vectors of the marker direction families ``(e_b, e_r)``; every
     marker's ``b`` (resp. ``r``) must be a positive multiple of the shared
     direction."""
-    b0, r0 = spec.marker_vectors(0)
+    legs = spec.segments(spec.marker_keys)
+    b0, r0 = legs[0]
     eb = b0 / np.linalg.norm(b0)
     er = r0 / np.linalg.norm(r0)
-    for m in range(len(spec.marker_edges)):
-        b, r = spec.marker_vectors(m)
+    for b, r in legs:
         if abs(float(cross2(eb, b))) > 1e-9 or float(eb @ b) <= 0:
             raise ValueError("marker b vectors do not share a direction")
         if abs(float(cross2(er, r))) > 1e-9 or float(er @ r) <= 0:
             raise ValueError("marker r vectors do not share a direction")
     return eb, er
-
-
-def _pos_sq(x):
-    return np.maximum(x, 0.0) ** 2
 
 
 @dataclass
@@ -497,17 +497,14 @@ def verify_jensen_bounds(
     lengths (it needs diagonal ``lam``); the weighted-rest bound is always
     applicable and reduces to the two-direction bound at equal rests.
     """
+    if n_trials < 1 or k_max < 1:
+        raise ValueError(f"trials and k_max must be >= 1, got {n_trials} and {k_max}")
     rng = np.random.default_rng(rng_seed)
     eb, er = _marker_direction_frame(spec)
-    unit_rests = all(
-        abs(np.linalg.norm(spec.marker_vectors(m)[i]) - 1.0) < 1e-12
-        for m in range(len(spec.marker_edges)) for i in (0, 1)
-    )
-    unit_third_side = unit_rests and all(
-        abs(np.linalg.norm(spec.marker_vectors(m)[1]
-                           - spec.marker_vectors(m)[0]) - 1.0) < 1e-12
-        for m in range(len(spec.marker_edges))
-    )
+    legs = spec.segments(spec.marker_keys)
+    unit_rests = bool((abs(norms(legs) - 1.0) < 1e-12).all())
+    unit_third_side = unit_rests and bool(
+        (abs(norms(legs[:, 1] - legs[:, 0]) - 1.0) < 1e-12).all())
     axis_aligned = (abs(eb @ np.array([0.0, 1.0])) < 1e-12
                     and abs(er @ np.array([1.0, 0.0])) < 1e-12)
     # the unweighted bounds silently assume unit rest lengths; the

@@ -272,8 +272,8 @@ def _cmd_build(args) -> int:
     spec = _load_spec(args)
     path = _out_path(args, f"{spec.name}.json")
     spec.to_json(path)
-    print(f"{spec.name}: {spec.n_basic} nodes, {len(spec.springs)} springs, "
-          f"{len(spec.penalized_triangles)} penalized triangles, "
+    print(f"{spec.name}: {spec.n_basic} nodes, {len(spec.spring_keys)} springs, "
+          f"{len(spec.penalized_keys)} penalized triangles, "
           f"cell area {_fmt(spec.cell_area)}")
     _finish(args, path)
     return EXIT_OK
@@ -318,6 +318,8 @@ def _cmd_mechanism(args) -> int:
     rows = []
     dump_map = None
     if args.search:
+        if args.restarts < 1:
+            raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
         hits = search_mechanisms(spec, args.k, restarts=args.restarts,
                                  rng_seed=args.seed, tol=args.tol)
         for i, mech in enumerate(hits):
@@ -474,8 +476,10 @@ def _cmd_soft_mode(args) -> int:
     )
     dens = [r[2] for r in rows]
     slope = decay_exponent(eps_list, dens)
-    if np.isnan(slope):
-        print("energies at solver floor; decay exponent undefined")
+    if len(dens) < 2:
+        print("a single rung; decay exponent undefined")
+    elif np.isnan(slope):
+        print("an energy at or below the solver floor 1e-10; decay exponent undefined")
     else:
         print(f"fitted decay exponent {_fmt(slope)}; "
               f"final/first {_fmt(dens[-1] / dens[0])}")

@@ -122,7 +122,7 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     cell = defm.cell
     kk = cell.k * cell.k
-    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.springs), axis=2)
+    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.spring_edges), axis=2)
     spring_e = cell.spring_stiffness[:, None] * (lengths - cell.spring_rest[:, None]) ** 2
 
     # attribution rows added up per triangle in row order
@@ -157,17 +157,17 @@ def averaged_energy(defm: PeriodicDeformation, eta: float) -> float:
 
 
 def _spring_terms(cell: Supercell, lam, psi):
-    """Spring energy per class, its ``lam`` gradient per class and its
+    """The spring energy per class, its ``lam`` gradient per class and its
     ``psi`` scatter (slots, values): head then tail, class by class."""
-    d = edge_vectors(lam, psi, *cell.springs)
+    d = edge_vectors(lam, psi, *cell.spring_edges)
     lengths = np.linalg.norm(d, axis=2)
     rest = cell.spring_rest[:, None]
     stiffness = cell.spring_stiffness[:, None]
     E = cell.spring_stiffness * np.sum((lengths - rest) ** 2, axis=1)
     coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
     g = coeff[:, :, None] * d
-    glam = g.sum(axis=1)[:, :, None] * cell.springs.dx[:, None, :]
-    slots = np.stack([cell.springs.head, cell.springs.tail], axis=1)
+    glam = g.sum(axis=1)[:, :, None] * cell.spring_edges.dx[:, None, :]
+    slots = np.stack([cell.spring_edges.head, cell.spring_edges.tail], axis=1)
     return E, glam, slots, np.stack([g, -g], axis=1)
 
 
@@ -200,12 +200,12 @@ def _add_up(psi, *groups):
 
 
 def spring_energy_grad(cell: Supercell, lam, psi):
-    """Spring energy with gradients in ``lam`` and ``psi``."""
+    """The spring energy with gradients in ``lam`` and ``psi``."""
     return _add_up(psi, _spring_terms(cell, lam, psi))
 
 
 def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
-    """Spring energy plus the sigmoid-smoothed orientation penalty.
+    """The spring energy plus the sigmoid-smoothed orientation penalty.
 
     The smoothed penalty is ``area / eta * expit(-det / tau)``; it tends to
     the exact step as ``tau -> 0`` and exists only to give descent methods
@@ -398,8 +398,7 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
     # norms and float_power give the bits of norm() and ** on scalars
     springs = spec.spring_stiffness[:, None] * np.float_power(
         norms(pb - pa) - eps * spec.spring_rest[:, None], 2.0)
-    q0, q1, q2 = spec.node_positions(spec.penalized_keys).transpose(1, 0, 2)
-    cross_ref = cross2(q1 - q0, q2 - q0) * eps * eps
+    cross_ref = 2 * spec.penalized_area * eps * eps
     cross_def = cross2(p1 - p0, p2 - p0)
     # a triangle that keeps its orientation adds 0.0, which leaves the sum as is
     penalty = np.where(cross_def / cross_ref[:, None] <= 0,
@@ -436,11 +435,6 @@ def _points_in_polygon(points, poly):
     return inside
 
 
-def _orient(a, b, c):
-    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) \
-        - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
-
-
 def _convex_hulls(pts):
     """Monotone-chain convex hulls of point sets stacked ``(n, V, 2)``.
 
@@ -460,7 +454,7 @@ def _convex_hulls(pts):
             while True:
                 a = out[rows, np.maximum(size - 2, 0)]
                 b = out[rows, np.maximum(size - 1, 0)]
-                pop = (size >= 2) & (_orient(a, b, p) <= 0)
+                pop = (size >= 2) & (cross2(b - a, p - a) <= 0)
                 if not pop.any():
                     break
                 size -= pop
@@ -480,12 +474,15 @@ def _hulls_cross_polygon(hull, size, polygon) -> np.ndarray:
     """Per hull, whether any polygon edge properly crosses a hull edge."""
     m = np.arange(hull.shape[1])[None, :]
     nxt = np.where(m + 1 < size[:, None], m + 1, 0)
-    q1 = hull[:, :, None, :]
-    q2 = np.take_along_axis(hull, nxt[..., None], axis=1)[:, :, None, :]
-    p1, p2 = polygon, np.roll(polygon, -1, axis=0)
-    crossed = (((_orient(q1, q2, p1) > 0) != (_orient(q1, q2, p2) > 0))
-               & ((_orient(p1, p2, q1) > 0) != (_orient(p1, p2, q2) > 0)))
-    return (crossed & (m < size[:, None])[..., None]).any(axis=(1, 2))
+    q1 = hull
+    q2 = np.take_along_axis(hull, nxt[..., None], axis=1)
+    crossed = np.zeros(len(hull), dtype=bool)
+    # one polygon edge at a time keeps the temporaries at (n, 2V, 2)
+    for p1, p2 in zip(polygon, np.roll(polygon, -1, axis=0)):
+        hit = (((cross2(q2 - q1, p1 - q1) > 0) != (cross2(q2 - q1, p2 - q1) > 0))
+               & ((cross2(p2 - p1, q1 - p1) > 0) != (cross2(p2 - p1, q2 - p1) > 0)))
+        crossed |= (hit & (m < size[:, None])).any(axis=1)
+    return crossed
 
 
 @dataclass

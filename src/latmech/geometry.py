@@ -158,8 +158,9 @@ def signed_svd(lam) -> StretchData:
     return StretchData(float(S[0]), float(S[1]), det_sign, U, Vt.T)
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
+def _pos_sq(x):
+    """The squared positive part ``max(x, 0)^2``, elementwise."""
+    return np.maximum(x, 0.0) ** 2
 
 
 def lower_bracket(lam):
@@ -169,7 +170,7 @@ def lower_bracket(lam):
     Vectorized over stacked matrices."""
     s1, s2, ds = principal_stretches(lam)
     first = np.where(ds >= 0, (s1 - s2) ** 2, (s1 + s2) ** 2)
-    return first + _relu(s1 - 1) ** 2 + _relu(s2 - 1) ** 2
+    return first + _pos_sq(s1 - 1) + _pos_sq(s2 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +233,14 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
 
     # sum of three direction compressions dominates one quadratic mean
     best = (np.inf, (0.0, 0.0, 0.0))
-    rhs = _relu(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0) ** 2
+    rhs = _pos_sq(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0)
     period = theta[theta < np.pi / 3]
     chunk = 256
     for s in range(0, len(period), chunk):
         th = period[s:s + chunk][:, None]
         lhs = np.zeros((th.shape[0], l1.shape[0]))
         for o in (0.0, np.pi / 3, 2 * np.pi / 3):
-            lhs += _relu(direction_stretch(l1[None, :], l2[None, :], th + o) - 1.0) ** 2
+            lhs += _pos_sq(direction_stretch(l1[None, :], l2[None, :], th + o) - 1.0)
         slack = lhs - rhs[None, :]
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
         if slack[i, j] < best[0]:
@@ -251,8 +252,8 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
         ("commutator-compression-three", 0.75),
         ("commutator-compression-two", 0.5),
     ):
-        lhs = (l1 - l2) ** 2 + _relu(np.sqrt(w1 * l1**2 + (1 - w1) * l2**2) - 1.0) ** 2
-        rhs2 = 0.25 * (_relu(l1 - 1.0) ** 2 + _relu(l2 - 1.0) ** 2)
+        lhs = (l1 - l2) ** 2 + _pos_sq(np.sqrt(w1 * l1**2 + (1 - w1) * l2**2) - 1.0)
+        rhs2 = 0.25 * (_pos_sq(l1 - 1.0) + _pos_sq(l2 - 1.0))
         slack = lhs - rhs2
         j = int(np.argmin(slack))
         reports.append(

@@ -3,19 +3,22 @@
 A lattice is described by two independent period vectors ``v1, v2``, a
 finite list of *basic nodes* (positions of the nodes owned by one unit
 cell), springs connecting lattice translates of basic nodes, a conforming
-triangulation of the unit-cell region, and a distinguished subset of the
-triangulation -- the *penalized triangles* -- whose orientation is
+triangulation (the *cover*) of the unit-cell region, and a distinguished
+subset of the cover -- the *penalized triangles* -- whose orientation is
 penalized by the energy.  Each structure also carries *marker edges*: pairs
 ``(b, r)`` of spring-aligned edge vectors satisfying ``r = c * R(alpha) b``
 with one constant ``c`` and one angle ``alpha`` shared by every marker.
 These markers drive the averaged-vector identities in
 :mod:`latmech.geometry`.
 
-Node references are pairs ``(node_index, (o1, o2))``: basic node
-``node_index`` translated by ``o1 * v1 + o2 * v2``.  All springs and
-triangles are stored per unit cell with offsets chosen so that every
-endpoint lies in the closure of the triangulated cell region.  Every
-layer below the spec reads them as stacked integer rows ``(node, o1, o2)``.
+A node reference is an integer row ``(node, o1, o2)``: basic node ``node``
+translated by ``o1 * v1 + o2 * v2``.  The spec stores each class once, as
+stacked rows, per unit cell with offsets chosen so that every endpoint
+lies in the closure of the covered cell region, and every layer below it
+reads those rows.  Nested tuples ``(node, (o1, o2))`` appear only in
+error messages and at the read edges that name one reference at a time:
+:meth:`LatticeSpec.node_position` and :meth:`PeriodicDeformation.evaluate`
+here, the lattice-map ``values`` view and the rigid units elsewhere.
 """
 
 from __future__ import annotations
@@ -23,15 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DegenerateGeometryError",
-    "Spring",
-    "PenalizedTriangle",
-    "MarkerPair",
     "LatticeSpec",
     "Supercell",
     "PeriodicDeformation",
@@ -43,9 +43,6 @@ __all__ = [
     "rotation",
     "VARIANT_KINDS",
 ]
-
-# A node reference: (basic node index, (offset1, offset2)).
-NodeRef = tuple
 
 
 class DegenerateGeometryError(ValueError):
@@ -86,16 +83,21 @@ def kabsch_rotations(X, Y) -> np.ndarray:
     return U @ Vt
 
 
-def _as_ref(obj) -> NodeRef:
-    node, (o1, o2) = obj
-    return (int(node), (int(o1), int(o2)))
-
-
-def _frozen(values, shape=-1) -> np.ndarray:
+def _frozen(values, shape=-1, dtype=None) -> np.ndarray:
     """``values`` as a read-only array of the given shape."""
-    arr = np.array(values).reshape(shape)
+    arr = np.array(values, dtype=dtype).reshape(shape)
     arr.setflags(write=False)
     return arr
+
+
+def _refs(rows):
+    """Integer rows ``(..., 3)`` as the nested ``(node, (o1, o2))`` tuples
+    that error messages print."""
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        node, o1, o2 = rows.tolist()
+        return (node, (o1, o2))
+    return tuple(_refs(r) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -103,86 +105,60 @@ def _frozen(values, shape=-1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spring:
-    """A spring class: one spring per unit cell between two node references.
-
-    ``rest_length`` always equals the reference distance of the endpoints;
-    it is derived from positions, never entered independently.
-    """
-
-    a: NodeRef
-    b: NodeRef
-    rest_length: float
-    stiffness: float = 1.0
-
-
-@dataclass(frozen=True)
-class PenalizedTriangle:
-    """An oriented triangle (counterclockwise) carrying the orientation
-    penalty, with its reference area."""
-
-    nodes: tuple
-    area: float
-
-
-@dataclass(frozen=True)
-class MarkerPair:
-    """Marker edges ``b`` and ``r`` (spring-aligned, ``r = c R(alpha) b``)
-    together with the index of the penalized triangle they decorate."""
-
-    b_edge: tuple
-    r_edge: tuple
-    triangle: int
-
-
-def _seg_key(a: NodeRef, b: NodeRef):
-    """Translation-invariant, orientation-free key of a lattice segment."""
-    (ia, oa), (ib, ob) = a, b
-    rep1 = (ia, ib, ob[0] - oa[0], ob[1] - oa[1])
-    rep2 = (ib, ia, oa[0] - ob[0], oa[1] - ob[1])
-    return min(rep1, rep2)
+# stored fields: shape and dtype
+_LAYOUT = {
+    "v1": (2, float),
+    "v2": (2, float),
+    "basic_nodes": ((-1, 2), float),
+    "spring_keys": ((-1, 2, 3), np.int64),
+    "spring_stiffness": (-1, float),
+    "cover_keys": ((-1, 3, 3), np.int64),
+    "penalized": (-1, bool),
+    "marker_keys": ((-1, 2, 2, 3), np.int64),
+    "marker_triangle": (-1, np.int64),
+}
 
 
 @dataclass(eq=False)
 class LatticeSpec:
     """Immutable description of one periodic spring lattice.
 
+    Each class is stored once, as read-only stacked arrays with node
+    references as integer rows ``(node, o1, o2)``:
+
+    - ``spring_keys`` ``(ns, 2, 3)``: the ends ``a``, ``b`` of each spring
+      class, with ``spring_stiffness`` ``(ns,)``;
+    - ``cover_keys`` ``(ntri, 3, 3)``: the counterclockwise cover
+      triangles, with the boolean mask ``penalized`` ``(ntri,)``;
+    - ``marker_keys`` ``(nm, 2, 2, 3)``: the edges ``b`` and ``r`` of each
+      marker, with the penalized triangle ``marker_triangle`` ``(nm,)`` it
+      decorates.
+
+    Derived from node positions on first use, never entered or
+    serialized: ``spring_rest`` ``(ns,)``, ``penalized_keys`` (the rows
+    ``cover_keys[penalized]``, in cover order) and ``penalized_area``
+    ``(nt,)``.
+
     Equality and hashing go by the canonical :meth:`to_json` text, so a
     spec rebuilt from its JSON equals (and caches like) the original.
-    Rest lengths and areas are not serialized; they are derived from the
-    node positions that are.
-
-    The classes are also read-only stacked arrays, built on first use,
-    one row per class in tuple order, node references as integer rows
-    ``(node, o1, o2)``: ``spring_keys`` ``(ns, 2, 3)`` (ends ``a``, ``b``)
-    with ``spring_rest`` and ``spring_stiffness``; ``penalized_keys``
-    ``(nt, 3, 3)`` with ``penalized_area``; the triangulation
-    ``cover_keys`` ``(ntri, 3, 3)``; the marker edges ``b``, ``r`` as
-    ``marker_keys`` ``(nm, 2, 2, 3)``.
     """
 
     name: str
     v1: np.ndarray
     v2: np.ndarray
     basic_nodes: np.ndarray
-    springs: tuple
-    penalized_triangles: tuple
-    marker_edges: tuple
+    spring_keys: np.ndarray
+    spring_stiffness: np.ndarray
+    cover_keys: np.ndarray
+    penalized: np.ndarray
+    marker_keys: np.ndarray
+    marker_triangle: np.ndarray
     alpha: float
     c_marker: float
-    triangulation: tuple
 
     def __post_init__(self):
-        self.v1 = np.asarray(self.v1, dtype=float).reshape(2)
-        self.v2 = np.asarray(self.v2, dtype=float).reshape(2)
-        self.basic_nodes = np.asarray(self.basic_nodes, dtype=float).reshape(-1, 2)
-        for arr in (self.v1, self.v2, self.basic_nodes):
-            arr.setflags(write=False)
-        self.springs = tuple(self.springs)
-        self.penalized_triangles = tuple(self.penalized_triangles)
-        self.marker_edges = tuple(self.marker_edges)
-        self.triangulation = tuple(self.triangulation)
+        for field, (shape, dtype) in _LAYOUT.items():
+            setattr(self, field, _frozen(getattr(self, field), shape, dtype))
         _validate_spec(self)
 
     # -- basic geometry -----------------------------------------------------
@@ -200,57 +176,39 @@ class LatticeSpec:
     def cell_area(self) -> float:
         return abs(float(cross2(self.v1, self.v2)))
 
-    def node_position(self, ref: NodeRef) -> np.ndarray:
-        if not 0 <= ref[0] < self.n_basic:
+    def node_position(self, ref) -> np.ndarray:
+        """Reference position of one node reference ``(node, (o1, o2))``."""
+        node, (o1, o2) = ref
+        if not 0 <= node < self.n_basic:
             raise ValueError(f"unknown node reference {ref!r}")
-        return _position((self.v1, self.v2, self.basic_nodes), ref)
+        return self.node_positions([node, o1, o2])
 
     def node_positions(self, keys) -> np.ndarray:
-        """:meth:`node_position` over integer rows ``(node, o1, o2)``."""
+        """Reference positions of integer node rows ``keys`` ``(..., 3)``."""
         keys = np.asarray(keys)
         return (self.basic_nodes[keys[..., 0]] + keys[..., 1:2] * self.v1
                 + keys[..., 2:3] * self.v2)
 
-    def edge_vector(self, edge) -> np.ndarray:
-        a, b = edge
-        return self.node_position(b) - self.node_position(a)
+    def segments(self, keys) -> np.ndarray:
+        """Reference vectors from tail to head of segment rows ``keys``
+        ``(..., 2, 3)``."""
+        x = self.node_positions(keys)
+        return x[..., 1, :] - x[..., 0, :]
 
-    def marker_vectors(self, m: int):
-        """Reference ``(b, r)`` vectors of marker ``m``."""
-        mk = self.marker_edges[m]
-        return self.edge_vector(mk.b_edge), self.edge_vector(mk.r_edge)
-
-    # -- the classes as stacked integer rows ----------------------------------
-
-    @cached_property
-    def spring_keys(self) -> np.ndarray:
-        return _frozen([(n, *o) for s in self.springs for n, o in (s.a, s.b)], (-1, 2, 3))
+    # -- derived classes ------------------------------------------------------
 
     @cached_property
     def spring_rest(self) -> np.ndarray:
-        return _frozen([s.rest_length for s in self.springs])
-
-    @cached_property
-    def spring_stiffness(self) -> np.ndarray:
-        return _frozen([s.stiffness for s in self.springs])
+        return _frozen(norms(self.segments(self.spring_keys)))
 
     @cached_property
     def penalized_keys(self) -> np.ndarray:
-        return _frozen([(n, *o) for t in self.penalized_triangles for n, o in t.nodes],
-                       (-1, 3, 3))
+        return _frozen(self.cover_keys[self.penalized], (-1, 3, 3))
 
     @cached_property
     def penalized_area(self) -> np.ndarray:
-        return _frozen([t.area for t in self.penalized_triangles])
-
-    @cached_property
-    def cover_keys(self) -> np.ndarray:
-        return _frozen([(n, *o) for tri in self.triangulation for n, o in tri], (-1, 3, 3))
-
-    @cached_property
-    def marker_keys(self) -> np.ndarray:
-        return _frozen([(n, *o) for mk in self.marker_edges
-                        for n, o in mk.b_edge + mk.r_edge], (-1, 2, 2, 3))
+        x = self.node_positions(self.penalized_keys)
+        return _frozen(0.5 * cross2(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]))
 
     def __eq__(self, other):
         if not isinstance(other, LatticeSpec):
@@ -273,18 +231,17 @@ class LatticeSpec:
     @cached_property
     def _json(self) -> str:
         """The canonical JSON text, built once per (immutable) instance."""
-        pen_sets = [frozenset(t.nodes) for t in self.penalized_triangles]
         data = {
             "name": self.name,
             "v1": list(self.v1),
             "v2": list(self.v2),
             "basic_nodes": [list(p) for p in self.basic_nodes],
-            "springs": [{"a": a, "b": b, "k_spring": s.stiffness}
-                        for (a, b), s in zip(self.spring_keys.tolist(), self.springs)],
-            "triangles": [{"nodes": nodes, "penalized": frozenset(tri) in pen_sets}
-                          for nodes, tri in zip(self.cover_keys.tolist(), self.triangulation)],
-            "markers": [{"b": b, "r": r, "t": m.triangle}
-                        for (b, r), m in zip(self.marker_keys.tolist(), self.marker_edges)],
+            "springs": [{"a": a, "b": b, "k_spring": k} for (a, b), k in
+                        zip(self.spring_keys.tolist(), self.spring_stiffness.tolist())],
+            "triangles": [{"nodes": nodes, "penalized": pen} for nodes, pen in
+                          zip(self.cover_keys.tolist(), self.penalized.tolist())],
+            "markers": [{"b": b, "r": r, "t": t} for (b, r), t in
+                        zip(self.marker_keys.tolist(), self.marker_triangle.tolist())],
             "alpha": self.alpha,
             "c_marker": self.c_marker,
         }
@@ -312,52 +269,29 @@ class LatticeSpec:
             raise ValueError(
                 f"bad lattice JSON: unknown keys {sorted(extra)}, missing {sorted(missing)}"
             )
-
-        def ref(lst):
-            i, o1, o2 = lst
-            return (int(i), (int(o1), int(o2)))
-
-        v1 = np.asarray(data["v1"], dtype=float)
-        v2 = np.asarray(data["v2"], dtype=float)
-        basic = np.asarray(data["basic_nodes"], dtype=float)
-        frame = (v1, v2, basic)
-
-        springs = []
-        for s in data["springs"]:
-            if set(s) != {"a", "b", "k_spring"}:
-                raise ValueError(f"bad spring entry keys {sorted(s)}")
-            springs.append(_spring(frame, ref(s["a"]), ref(s["b"]), s["k_spring"]))
-        triangulation = []
-        penalized = []
-        for t in data["triangles"]:
-            if set(t) != {"nodes", "penalized"}:
-                raise ValueError(f"bad triangle entry keys {sorted(t)}")
-            nodes = tuple(ref(r) for r in t["nodes"])
-            triangulation.append(nodes)
-            if t["penalized"]:
-                penalized.append(_triangle(frame, nodes))
-        markers = []
-        for m in data["markers"]:
-            if set(m) != {"b", "r", "t"}:
-                raise ValueError(f"bad marker entry keys {sorted(m)}")
-            markers.append(
-                MarkerPair(
-                    (ref(m["b"][0]), ref(m["b"][1])),
-                    (ref(m["r"][0]), ref(m["r"][1])),
-                    int(m["t"]),
-                )
-            )
+        springs, triangles, markers = data["springs"], data["triangles"], data["markers"]
+        for kind, entries, keys in (("spring", springs, {"a", "b", "k_spring"}),
+                                    ("triangle", triangles, {"nodes", "penalized"}),
+                                    ("marker", markers, {"b", "r", "t"})):
+            for entry in entries:
+                if set(entry) != keys:
+                    raise ValueError(f"bad {kind} entry keys {sorted(entry)}")
+        for t in triangles:
+            if len(t["nodes"]) != 3:
+                raise ValueError(f"triangle {_refs(t['nodes'])!r} does not have three vertices")
         return cls(
             name=str(data["name"]),
-            v1=v1,
-            v2=v2,
-            basic_nodes=basic,
-            springs=tuple(springs),
-            penalized_triangles=tuple(penalized),
-            marker_edges=tuple(markers),
+            v1=data["v1"],
+            v2=data["v2"],
+            basic_nodes=data["basic_nodes"],
+            spring_keys=[(s["a"], s["b"]) for s in springs],
+            spring_stiffness=[s["k_spring"] for s in springs],
+            cover_keys=[t["nodes"] for t in triangles],
+            penalized=[bool(t["penalized"]) for t in triangles],
+            marker_keys=[(m["b"], m["r"]) for m in markers],
+            marker_triangle=[m["t"] for m in markers],
             alpha=float(data["alpha"]),
             c_marker=float(data["c_marker"]),
-            triangulation=tuple(triangulation),
         )
 
 
@@ -366,13 +300,38 @@ class LatticeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _point_in_cover(spec: LatticeSpec, p: np.ndarray, tol: float = 1e-9) -> bool:
+def _segment_index(spec: LatticeSpec, rows) -> np.ndarray:
+    """The spring class along each segment row ``(..., 2, 3)``: the first
+    whose lattice translate joins the same two nodes, read either way;
+    -1 where none does."""
+    def key(a, b):
+        return np.concatenate([a[..., :1], b[..., :1], b[..., 1:] - a[..., 1:]], axis=-1)
+
+    rows = np.asarray(rows)
+    s = spec.spring_keys
+    known = np.stack([key(s[:, 0], s[:, 1]), key(s[:, 1], s[:, 0])], axis=1)
+    hit = (key(rows[..., 0, :], rows[..., 1, :])[..., None, None, :] == known
+           ).all(axis=-1).any(axis=-1)
+    first = np.where(hit, np.arange(len(s)), len(s)).min(axis=-1, initial=len(s))
+    return np.where(first < len(s), first, -1)
+
+
+def _in_cover(spec: LatticeSpec, p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Whether each point ``p`` ``(..., 2)`` lies in a cover triangle."""
     q0, q1, q2 = spec.node_positions(spec.cover_keys).transpose(1, 0, 2)
-    b = np.linalg.solve(np.stack([q1 - q0, q2 - q0], axis=-1), (p - q0)[..., None])[..., 0]
-    return bool(((b >= -tol).all(axis=1) & (b[:, 0] + b[:, 1] <= 1 + tol)).any())
+    b = np.linalg.solve(np.stack([q1 - q0, q2 - q0], axis=-1),
+                        (p[..., None, :] - q0)[..., None])[..., 0]
+    return ((b >= -tol).all(axis=-1) & (b[..., 0] + b[..., 1] <= 1 + tol)).any(axis=-1)
+
+
+def _first(mask):
+    """Index tuple of the first true entry of ``mask`` in C order."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
 def _validate_spec(spec: LatticeSpec) -> None:
+    """Reject an inconsistent spec.  Each check reports the lowest
+    offending class; the checks run in a fixed order."""
     scale = max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
     if abs(float(cross2(spec.v1, spec.v2))) <= 1e-12 * scale**2:
         raise DegenerateGeometryError("period vectors are linearly dependent")
@@ -389,88 +348,80 @@ def _validate_spec(spec: LatticeSpec) -> None:
                     f"basic nodes {i} and {j} coincide modulo the lattice"
                 )
 
-    # triangulation: counterclockwise triangles tiling one cell area
-    total = 0.0
-    seen_nodes = set()
-    for tri in spec.triangulation:
-        if len(tri) != 3:
-            raise ValueError(f"triangle {tri!r} does not have three vertices")
-        p0, p1, p2 = (spec.node_position(r) for r in tri)
-        area2 = float(cross2(p1 - p0, p2 - p0))
-        if area2 <= 1e-12 * scale**2:
-            raise DegenerateGeometryError(
-                f"triangle {tri!r} is degenerate or clockwise (2*area={area2:g})"
-            )
-        total += 0.5 * area2
-        seen_nodes.update(r[0] for r in tri)
+    # every node reference names a basic node
+    for keys in (spec.spring_keys, spec.cover_keys, spec.marker_keys):
+        nodes = keys[..., 0]
+        bad = (nodes < 0) | (nodes >= spec.n_basic)
+        if bad.any():
+            raise ValueError(f"unknown node reference {_refs(keys[_first(bad)])!r}")
+
+    # cover: counterclockwise triangles tiling one cell area
+    x = spec.node_positions(spec.cover_keys)
+    area2 = cross2(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+    bad = area2 <= 1e-12 * scale**2
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise DegenerateGeometryError(
+            f"triangle {_refs(spec.cover_keys[t])!r} is degenerate or clockwise "
+            f"(2*area={area2[t]:g})"
+        )
+    total = ordered_sum(0.5 * area2)
     if abs(total - spec.cell_area) > 1e-9 * scale**2:
         raise DegenerateGeometryError(
             f"cover area {total:g} does not match cell area {spec.cell_area:g}"
         )
-    if seen_nodes != set(range(spec.n_basic)):
+    if not np.isin(np.arange(spec.n_basic), spec.cover_keys[..., 0]).all():
         raise DegenerateGeometryError("some basic node never appears in the cover")
 
-    # penalized triangles must be cover triangles with matching areas
-    cover_sets = {frozenset(t) for t in spec.triangulation}
-    for t in spec.penalized_triangles:
-        if frozenset(t.nodes) not in cover_sets:
-            raise DegenerateGeometryError(
-                f"penalized triangle {t.nodes!r} is not part of the cover"
-            )
-        p0, p1, p2 = (spec.node_position(r) for r in t.nodes)
-        if abs(0.5 * float(cross2(p1 - p0, p2 - p0)) - t.area) > 1e-12 * scale**2:
-            raise DegenerateGeometryError("penalized triangle area mismatch")
-
-    # springs: positive rest length equal to reference distance, endpoints
-    # inside the closed cell region (springs never cross the cell boundary)
-    spring_keys = {}
-    for idx, s in enumerate(spec.springs):
-        d = np.linalg.norm(spec.edge_vector((s.a, s.b)))
-        if d <= 1e-12 * scale:
-            raise DegenerateGeometryError(f"spring {idx} has zero length")
-        if abs(d - s.rest_length) > 1e-9 * scale:
-            raise DegenerateGeometryError(
-                f"spring {idx} rest length {s.rest_length:g} != distance {d:g}"
-            )
-        if s.stiffness <= 0:
-            raise DegenerateGeometryError(f"spring {idx} has non-positive stiffness")
-        key = _seg_key(s.a, s.b)
-        if key in spring_keys:
-            raise DegenerateGeometryError(
-                f"springs {spring_keys[key]} and {idx} are lattice translates"
-            )
-        spring_keys[key] = idx
-        for end in (s.a, s.b):
-            if not _point_in_cover(spec, spec.node_position(end)):
-                raise DegenerateGeometryError(
-                    f"spring {idx} endpoint {end!r} lies outside the cell region"
-                )
+    # springs: positive length, endpoints inside the closed cell region
+    # (springs never cross the cell boundary)
+    bad = spec.spring_rest <= 1e-12 * scale
+    if bad.any():
+        raise DegenerateGeometryError(f"spring {np.argmax(bad)} has zero length")
+    bad = spec.spring_stiffness <= 0
+    if bad.any():
+        raise DegenerateGeometryError(f"spring {np.argmax(bad)} has non-positive stiffness")
+    first = _segment_index(spec, spec.spring_keys)
+    bad = first != np.arange(len(first))
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise DegenerateGeometryError(
+            f"springs {first[idx]} and {idx} are lattice translates"
+        )
+    outside = ~_in_cover(spec, spec.node_positions(spec.spring_keys))
+    if outside.any():
+        idx, end = _first(outside)
+        raise DegenerateGeometryError(
+            f"spring {idx} endpoint {_refs(spec.spring_keys[idx, end])!r} "
+            "lies outside the cell region"
+        )
 
     # every spring's energy must reach a penalized triangle through a
     # shared basic node (see spring_attribution)
-    pen_nodes = {r[0] for t in spec.penalized_triangles for r in t.nodes}
-    for idx, s in enumerate(spec.springs):
-        if s.a[0] not in pen_nodes and s.b[0] not in pen_nodes:
-            raise DegenerateGeometryError(
-                f"spring {idx} shares no endpoint with any penalized triangle"
-            )
+    orphan = ~np.isin(spec.spring_keys[..., 0], spec.penalized_keys[..., 0]).any(axis=1)
+    if orphan.any():
+        raise DegenerateGeometryError(
+            f"spring {np.argmax(orphan)} shares no endpoint with any penalized triangle"
+        )
 
     # markers: spring-aligned edges with r = c R(alpha) b
+    t = spec.marker_triangle
+    bad = (t < 0) | (t >= len(spec.penalized_keys))
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise ValueError(f"marker {m} points to invalid triangle {t[m]}")
+    off = _segment_index(spec, spec.marker_keys) < 0
+    if off.any():
+        m, e = _first(off)
+        raise DegenerateGeometryError(
+            f"marker {m} edge {_refs(spec.marker_keys[m, e])!r} does not lie along a spring"
+        )
+    b, r = spec.segments(spec.marker_keys).transpose(1, 0, 2)
     R = rotation(spec.alpha)
-    for m, mk in enumerate(spec.marker_edges):
-        if not 0 <= mk.triangle < len(spec.penalized_triangles):
-            raise ValueError(f"marker {m} points to invalid triangle {mk.triangle}")
-        for edge in (mk.b_edge, mk.r_edge):
-            if _seg_key(*edge) not in spring_keys:
-                raise DegenerateGeometryError(
-                    f"marker {m} edge {edge!r} does not lie along a spring"
-                )
-        b, r = spec.marker_vectors(m)
-        if np.linalg.norm(r - spec.c_marker * (R @ b)) > 1e-9 * scale:
-            raise DegenerateGeometryError(
-                f"marker {m} violates r = c R(alpha) b"
-            )
-    if not spec.marker_edges:
+    bad = norms(r - spec.c_marker * np.matmul(R, b[:, :, None])[:, :, 0]) > 1e-9 * scale
+    if bad.any():
+        raise DegenerateGeometryError(f"marker {np.argmax(bad)} violates r = c R(alpha) b")
+    if not len(spec.marker_keys):
         raise DegenerateGeometryError("lattice carries no marker edges")
 
 
@@ -485,50 +436,37 @@ def spring_attribution(spec: LatticeSpec):
     A spring claimed as a side by ``m`` penalized triangles contributes the
     fraction ``1 / m`` of its energy to each; springs that are a side of no
     penalized triangle go wholesale to the lowest-index penalized triangle
-    sharing one of their endpoints.  Returns, per penalized triangle, a
-    list of ``(spring_index, (d1, d2), weight)``: the triangle in cell
-    ``(i, j)`` owns that share of the spring instance in cell
-    ``(i + d1, j + d2)``.  Weights per spring class always sum to one, so
-    per-triangle energies sum to the spring total exactly.
+    sharing one of their endpoints.  Returns the attribution rows
+    ``(triangle, spring, offset, weight)`` (``offset`` ``(na, 2)``, the
+    rest ``(na,)``): the triangle in cell ``(i, j)`` owns the share
+    ``weight`` of the spring instance in cell ``(i, j) + offset``.  The
+    rows are grouped by triangle, its claimed sides in side order before
+    the springs it takes wholesale in spring order.  Weights per spring
+    class always sum to one, so per-triangle energies sum to the spring
+    total exactly.
     """
-    keys = {_seg_key(s.a, s.b): i for i, s in enumerate(spec.springs)}
-    claims = [[] for _ in spec.penalized_triangles]
-    counts = np.zeros(len(spec.springs), dtype=int)
-    for t, tri in enumerate(spec.penalized_triangles):
-        for u, v in ((0, 1), (1, 2), (2, 0)):
-            a, b = tri.nodes[u], tri.nodes[v]
-            idx = keys.get(_seg_key(a, b))
-            if idx is None:
-                continue
-            s = spec.springs[idx]
-            # align the side with the spring class to find the cell offset
-            if a[0] == s.a[0] and b[0] == s.b[0] and (
-                a[1][0] - s.a[1][0] == b[1][0] - s.b[1][0]
-                and a[1][1] - s.a[1][1] == b[1][1] - s.b[1][1]
-            ):
-                delta = (a[1][0] - s.a[1][0], a[1][1] - s.a[1][1])
-            else:
-                delta = (a[1][0] - s.b[1][0], a[1][1] - s.b[1][1])
-            claims[t].append((idx, delta))
-            counts[idx] += 1
-    out = [[] for _ in spec.penalized_triangles]
-    for t, lst in enumerate(claims):
-        for idx, delta in lst:
-            out[t].append((idx, delta, 1.0 / counts[idx]))
-    # leftover springs: attach to the first penalized triangle sharing a
-    # node (one exists: _validate_spec checks it)
-    for idx, s in enumerate(spec.springs):
-        if counts[idx]:
-            continue
-        t, vert, end = next(
-            (t, vert, end)
-            for t, tri in enumerate(spec.penalized_triangles)
-            for vert in tri.nodes
-            for end in (s.a, s.b)
-            if vert[0] == end[0]
-        )
-        out[t].append((idx, (vert[1][0] - end[1][0], vert[1][1] - end[1][1]), 1.0))
-    return out
+    pk = spec.penalized_keys
+    sides = np.stack([pk, np.roll(pk, -1, axis=1)], axis=2)  # (nt, 3, 2, 3)
+    index = _segment_index(spec, sides)
+    tri, side = np.nonzero(index >= 0)
+    spring = index[tri, side]
+    a, b = sides[tri, side].transpose(1, 0, 2)
+    sa, sb = spec.spring_keys[spring].transpose(1, 0, 2)
+    # align the side with the spring class to find the cell offset
+    aligned = ((a[:, 0] == sa[:, 0]) & (b[:, 0] == sb[:, 0])
+               & (a[:, 1:] - sa[:, 1:] == b[:, 1:] - sb[:, 1:]).all(axis=1))
+    offset = a[:, 1:] - np.where(aligned[:, None], sa, sb)[:, 1:]
+    counts = np.bincount(spring, minlength=len(spec.spring_keys))
+    rows = [(tri, spring, offset, 1.0 / counts[spring])]
+    # leftover springs: attach to the first penalized triangle vertex
+    # sharing a node (one exists: _validate_spec checks it)
+    for s in np.flatnonzero(counts == 0):
+        ends = spec.spring_keys[s]
+        t, vert, end = np.argwhere(pk[:, :, None, 0] == ends[:, 0])[0]
+        rows.append(([t], [s], [pk[t, vert, 1:] - ends[end, 1:]], [1.0]))
+    tri, spring, offset, weight = (np.concatenate(col) for col in zip(*rows))
+    order = np.argsort(tri, kind="stable")
+    return tri[order], spring[order], offset[order], weight[order]
 
 
 # ---------------------------------------------------------------------------
@@ -582,17 +520,18 @@ class Supercell:
     ``penalized_keys``, ``marker_keys``) in class order; axes of length
     ``k*k`` run over the cells ``c``:
 
-    - ``springs``: :class:`Edges` from ``a`` to ``b``; ``spring_rest`` and
-      ``spring_stiffness`` ``(ns,)``;
+    - ``spring_edges``: :class:`Edges` from ``a`` to ``b``; ``spring_rest``
+      and ``spring_stiffness`` ``(ns,)``;
     - ``tri_slots`` ``(nt, 3, k*k)``: slots of the vertices ``P0, P1, P2``;
       ``tri_d1``, ``tri_d2`` ``(nt, 2)``: reference edges ``P1 - P0`` and
-      ``P2 - P0``; ``tri_cross0`` ``(nt,)``: their cross product (twice
-      the area, positive); ``tri_area`` ``(nt,)``;
+      ``P2 - P0``; ``tri_area`` ``(nt,)``: the spec's ``penalized_area``;
+      ``tri_cross0`` ``(nt,)``: twice that, the cross product of the two
+      edges (positive);
     - ``marker_b``, ``marker_r``: :class:`Edges` of the marker edges;
       ``marker_b_spring``, ``marker_r_spring`` ``(nm,)``: the spring class
       each edge lies along;
-    - attribution rows, grouped by triangle in :func:`spring_attribution`
-      order: the triangle in cell ``c`` owns ``attr_weight`` of spring
+    - the attribution rows of :func:`spring_attribution`, in its order:
+      the triangle in cell ``c`` owns ``attr_weight`` of spring
       ``attr_spring`` in cell ``attr_cells[:, c]`` (``attr_triangle``,
       ``attr_spring``, ``attr_weight`` ``(na,)``, ``attr_cells``
       ``(na, k*k)``).
@@ -623,10 +562,9 @@ class Supercell:
             return self.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj)
 
         def edges(key):
-            x = spec.node_positions(key)
-            return Edges(slots(key[:, 0]), slots(key[:, 1]), x[:, 1] - x[:, 0])
+            return Edges(slots(key[:, 0]), slots(key[:, 1]), spec.segments(key))
 
-        self.springs = edges(spec.spring_keys)
+        self.spring_edges = edges(spec.spring_keys)
         self.spring_rest = spec.spring_rest
         self.spring_stiffness = spec.spring_stiffness
 
@@ -634,22 +572,18 @@ class Supercell:
         self.tri_slots = slots(spec.penalized_keys)
         self.tri_d1 = x[:, 1] - x[:, 0]
         self.tri_d2 = x[:, 2] - x[:, 0]
-        self.tri_cross0 = cross2(self.tri_d1, self.tri_d2)
-        self.tri_area = 0.5 * self.tri_cross0
+        # halving and doubling are exact: twice the spec's area is the cross product
+        self.tri_cross0 = 2 * spec.penalized_area
+        self.tri_area = spec.penalized_area
 
-        index = {_seg_key(s.a, s.b): i for i, s in enumerate(spec.springs)}
         self.marker_b = edges(spec.marker_keys[:, 0])
         self.marker_r = edges(spec.marker_keys[:, 1])
-        self.marker_b_spring = np.array([index[_seg_key(*mk.b_edge)] for mk in spec.marker_edges])
-        self.marker_r_spring = np.array([index[_seg_key(*mk.r_edge)] for mk in spec.marker_edges])
+        self.marker_b_spring, self.marker_r_spring = _segment_index(spec, spec.marker_keys).T
 
-        rows = [(t, idx, d1, d2, w)
-                for t, entries in enumerate(spring_attribution(spec))
-                for idx, (d1, d2), w in entries]
-        t, idx, d1, d2, w = (np.array(col) for col in zip(*rows))
-        self.attr_triangle, self.attr_spring, self.attr_weight = t, idx, w
+        t, spring, offset, weight = spring_attribution(spec)
+        self.attr_triangle, self.attr_spring, self.attr_weight = t, spring, weight
         # node 0's slot in a cell is the cell's number
-        self.attr_cells = self.slot(0, ci + d1[:, None], cj + d2[:, None])
+        self.attr_cells = self.slot(0, ci + offset[:, :1], cj + offset[:, 1:])
 
     def slot(self, node, o1, o2):
         """Slot of basic node ``node`` translated by ``(o1, o2)``, wrapped
@@ -683,7 +617,7 @@ class PeriodicDeformation:
     def spec(self) -> LatticeSpec:
         return self.cell.spec
 
-    def evaluate(self, ref: NodeRef, cell=(0, 0)) -> np.ndarray:
+    def evaluate(self, ref, cell=(0, 0)) -> np.ndarray:
         """Deformed position of node ``ref`` translated by ``cell``."""
         node, (o1, o2) = ref
         return self.node_positions([node, o1 + cell[0], o2 + cell[1]])
@@ -722,44 +656,25 @@ class PeriodicDeformation:
 # ---------------------------------------------------------------------------
 
 
-def _position(frame, ref) -> np.ndarray:
-    """Reference position of ``ref`` in ``frame = (v1, v2, basic_nodes)``."""
-    v1, v2, basic = frame
-    node, (o1, o2) = ref
-    return basic[node] + o1 * v1 + o2 * v2
-
-
-def _spring(frame, a, b, stiffness=1.0) -> Spring:
-    a, b = _as_ref(a), _as_ref(b)
-    length = np.linalg.norm(_position(frame, b) - _position(frame, a))
-    return Spring(a, b, float(length), float(stiffness))
-
-
-def _triangle(frame, refs) -> PenalizedTriangle:
-    refs = tuple(_as_ref(r) for r in refs)
-    p0, p1, p2 = (_position(frame, r) for r in refs)
-    return PenalizedTriangle(refs, 0.5 * float(cross2(p1 - p0, p2 - p0)))
-
-
 def _assemble(name, v1, v2, basic, springs, penalized, markers, holes,
               alpha, c_marker) -> LatticeSpec:
-    """A spec with rest lengths and areas taken from the reference
-    geometry.  ``springs`` are ``(a, b)`` or ``(a, b, stiffness)``,
-    ``markers`` ``(b_edge, r_edge, triangle)``; the cover lists the
-    ``penalized`` triangles first, then the ``holes``."""
-    frame = (v1, v2, basic)
-    penalized = tuple(_triangle(frame, t) for t in penalized)
+    """A spec from builder tables of node rows ``(node, o1, o2)``:
+    ``springs`` are ``(a, b)`` or ``(a, b, stiffness)``, ``markers``
+    ``(b_edge, r_edge, triangle)``; the cover lists the ``penalized``
+    triangles first, then the ``holes``."""
     return LatticeSpec(
         name=name,
         v1=v1,
         v2=v2,
         basic_nodes=basic,
-        springs=tuple(_spring(frame, *s) for s in springs),
-        penalized_triangles=penalized,
-        marker_edges=tuple(MarkerPair(*m) for m in markers),
+        spring_keys=[s[:2] for s in springs],
+        spring_stiffness=[s[2] if len(s) > 2 else 1.0 for s in springs],
+        cover_keys=tuple(penalized) + tuple(holes),
+        penalized=[True] * len(penalized) + [False] * len(holes),
+        marker_keys=[m[:2] for m in markers],
+        marker_triangle=[m[2] for m in markers],
         alpha=alpha,
         c_marker=c_marker,
-        triangulation=tuple(t.nodes for t in penalized) + tuple(holes),
     )
 
 
@@ -784,26 +699,26 @@ def build_kagome() -> LatticeSpec:
         np.array([1.0, rt3]),
         np.array([[1.0, 0.0], [0.5, 0.5 * rt3], [1.0, rt3]]),
         springs=(
-            ((A, (0, 0)), (O, (0, 0))),     # A-O
-            ((D, (0, -1)), (O, (0, 0))),    # B-O
-            ((A, (-1, 1)), (O, (0, 0))),    # C-O
-            ((D, (0, 0)), (O, (0, 0))),     # D-O
-            ((A, (0, 0)), (D, (1, -1))),    # A-F
-            ((D, (0, 0)), (A, (0, 1))),     # D-E
+            ((A, 0, 0), (O, 0, 0)),     # A-O
+            ((D, 0, -1), (O, 0, 0)),    # B-O
+            ((A, -1, 1), (O, 0, 0)),    # C-O
+            ((D, 0, 0), (O, 0, 0)),     # D-O
+            ((A, 0, 0), (D, 1, -1)),    # A-F
+            ((D, 0, 0), (A, 0, 1)),     # D-E
         ),
         penalized=(
-            ((A, (-1, 1)), (O, (0, 0)), (D, (0, 0))),   # down: C O D
-            ((A, (0, 0)), (O, (0, 0)), (D, (0, -1))),   # up:   A O B
+            ((A, -1, 1), (O, 0, 0), (D, 0, 0)),   # down: C O D
+            ((A, 0, 0), (O, 0, 0), (D, 0, -1)),   # up:   A O B
         ),
         markers=(
-            (((A, (-1, 1)), (D, (0, 0))), ((O, (0, 0)), (D, (0, 0))), 0),
-            (((D, (0, -1)), (A, (0, 0))), ((D, (0, -1)), (O, (0, 0))), 1),
+            (((A, -1, 1), (D, 0, 0)), ((O, 0, 0), (D, 0, 0)), 0),
+            (((D, 0, -1), (A, 0, 0)), ((D, 0, -1), (O, 0, 0)), 1),
         ),
         holes=(
-            ((D, (0, -1)), (O, (0, 0)), (A, (-1, 1))),   # B O C
-            ((A, (0, 0)), (D, (1, -1)), (O, (0, 0))),    # A F O
-            ((D, (1, -1)), (A, (0, 1)), (D, (0, 0))),    # F E D
-            ((D, (1, -1)), (D, (0, 0)), (O, (0, 0))),    # F D O
+            ((D, 0, -1), (O, 0, 0), (A, -1, 1)),   # B O C
+            ((A, 0, 0), (D, 1, -1), (O, 0, 0)),    # A F O
+            ((D, 1, -1), (A, 0, 1), (D, 0, 0)),    # F E D
+            ((D, 1, -1), (D, 0, 0), (O, 0, 0)),    # F D O
         ),
         alpha=np.pi / 3,
         c_marker=1.0,
@@ -848,13 +763,13 @@ def _kagome_family(name, alpha, leg_ratio, size_ratio, size) -> LatticeSpec:
     nC = nB + l2 * e1          # the shared corner node, kept inside the cell
     A, B, C = 0, 1, 2
     penalized = (
-        ((A, (1, 0)), (B, (1, 0)), (C, (0, 0))),
-        ((A, (0, 1)), (B, (0, 0)), (C, (0, 0))),
+        ((A, 1, 0), (B, 1, 0), (C, 0, 0)),
+        ((A, 0, 1), (B, 0, 0), (C, 0, 0)),
     )
     cycle = (
-        (A, (0, 0)), (A, (1, 0)), (B, (1, 0)), (A, (1, 1)), (A, (0, 1)), (B, (0, 0)),
+        (A, 0, 0), (A, 1, 0), (B, 1, 0), (A, 1, 1), (A, 0, 1), (B, 0, 0),
     )
-    fans = [((C, (0, 0)), cycle[m], cycle[(m + 1) % 6]) for m in range(6)]
+    fans = [((C, 0, 0), cycle[m], cycle[(m + 1) % 6]) for m in range(6)]
     pen_sets = {frozenset(t) for t in penalized}
     return _assemble(
         name,
@@ -862,17 +777,17 @@ def _kagome_family(name, alpha, leg_ratio, size_ratio, size) -> LatticeSpec:
         c * (l1 + l2) * ea,
         np.array([np.zeros(2), nB, nC]),
         springs=(
-            ((A, (1, 0)), (B, (1, 0))),
-            ((B, (1, 0)), (C, (0, 0))),
-            ((C, (0, 0)), (A, (1, 0))),
-            ((A, (0, 1)), (B, (0, 0))),
-            ((B, (0, 0)), (C, (0, 0))),
-            ((C, (0, 0)), (A, (0, 1))),
+            ((A, 1, 0), (B, 1, 0)),
+            ((B, 1, 0), (C, 0, 0)),
+            ((C, 0, 0), (A, 1, 0)),
+            ((A, 0, 1), (B, 0, 0)),
+            ((B, 0, 0), (C, 0, 0)),
+            ((C, 0, 0), (A, 0, 1)),
         ),
         penalized=penalized,
         markers=(
-            (((C, (0, 0)), (B, (1, 0))), ((A, (1, 0)), (B, (1, 0))), 0),
-            (((B, (0, 0)), (C, (0, 0))), ((B, (0, 0)), (A, (0, 1))), 1),
+            (((C, 0, 0), (B, 1, 0)), ((A, 1, 0), (B, 1, 0)), 0),
+            (((B, 0, 0), (C, 0, 0)), ((B, 0, 0), (A, 0, 1)), 1),
         ),
         holes=[t for t in fans if frozenset(t) not in pen_sets],
         alpha=alpha,
@@ -888,27 +803,27 @@ def _squares(name, v1, v2, basic, alpha, springs, markers, holes) -> LatticeSpec
     return _assemble(
         name, v1, v2, basic,
         springs=(
-            ((A, (0, 0)), (B, (0, 0))),             # A-B
-            ((A, (0, 0)), (O, (0, 0)), 2.0),        # A-O brace
-            ((A, (0, 0)), (D, (0, 0))),             # A-D
-            ((B, (0, 0)), (A, (1, 0))),             # B-C
-            ((B, (0, 0)), (O, (0, 0))),             # B-O
-            ((D, (0, 0)), (O, (0, 0))),             # D-O
-            ((O, (0, 0)), (D, (1, 0))),             # O-E
-            ((D, (0, 0)), (A, (0, 1))),             # D-F
-            ((O, (0, 0)), (B, (0, 1))),             # O-G
-            ((O, (0, 0)), (A, (1, 1)), 2.0),        # O-H brace
+            ((A, 0, 0), (B, 0, 0)),             # A-B
+            ((A, 0, 0), (O, 0, 0), 2.0),        # A-O brace
+            ((A, 0, 0), (D, 0, 0)),             # A-D
+            ((B, 0, 0), (A, 1, 0)),             # B-C
+            ((B, 0, 0), (O, 0, 0)),             # B-O
+            ((D, 0, 0), (O, 0, 0)),             # D-O
+            ((O, 0, 0), (D, 1, 0)),             # O-E
+            ((D, 0, 0), (A, 0, 1)),             # D-F
+            ((O, 0, 0), (B, 0, 1)),             # O-G
+            ((O, 0, 0), (A, 1, 1), 2.0),        # O-H brace
         ) + springs,
         penalized=(
-            ((A, (0, 0)), (B, (0, 0)), (O, (0, 0))),
-            ((A, (0, 0)), (O, (0, 0)), (D, (0, 0))),
-            ((O, (0, 0)), (D, (1, 0)), (A, (1, 1))),
-            ((O, (0, 0)), (A, (1, 1)), (B, (0, 1))),
+            ((A, 0, 0), (B, 0, 0), (O, 0, 0)),
+            ((A, 0, 0), (O, 0, 0), (D, 0, 0)),
+            ((O, 0, 0), (D, 1, 0), (A, 1, 1)),
+            ((O, 0, 0), (A, 1, 1), (B, 0, 1)),
         ),
         markers=markers,
         holes=(
-            ((B, (0, 0)), (A, (1, 0)), (D, (1, 0))),
-            ((B, (0, 0)), (D, (1, 0)), (O, (0, 0))),
+            ((B, 0, 0), (A, 1, 0), (D, 1, 0)),
+            ((B, 0, 0), (D, 1, 0), (O, 0, 0)),
         ) + holes,
         alpha=alpha,
         c_marker=1.0,
@@ -932,14 +847,14 @@ def _rhombus_family(name, angle, ew, size_ratio, size) -> LatticeSpec:
         np.array([np.zeros(2), L1 * eu, L1 * ew, L1 * (eu + ew)]), angle,
         springs=(),
         markers=(
-            (((A, (0, 0)), (B, (0, 0))), ((B, (0, 0)), (O, (0, 0))), 0),
-            (((D, (0, 0)), (O, (0, 0))), ((A, (0, 0)), (D, (0, 0))), 1),
-            (((O, (0, 0)), (D, (1, 0))), ((D, (1, 0)), (A, (1, 1))), 2),
-            (((B, (0, 1)), (A, (1, 1))), ((O, (0, 0)), (B, (0, 1))), 3),
+            (((A, 0, 0), (B, 0, 0)), ((B, 0, 0), (O, 0, 0)), 0),
+            (((D, 0, 0), (O, 0, 0)), ((A, 0, 0), (D, 0, 0)), 1),
+            (((O, 0, 0), (D, 1, 0)), ((D, 1, 0), (A, 1, 1)), 2),
+            (((B, 0, 1), (A, 1, 1)), ((O, 0, 0), (B, 0, 1)), 3),
         ),
         holes=(
-            ((D, (0, 0)), (O, (0, 0)), (B, (0, 1))),
-            ((D, (0, 0)), (B, (0, 1)), (A, (0, 1))),
+            ((D, 0, 0), (O, 0, 0), (B, 0, 1)),
+            ((D, 0, 0), (B, 0, 1), (A, 0, 1)),
         ),
     )
 
@@ -977,16 +892,16 @@ def _quad_squares(alpha=np.pi / 2, s=0.5, q=0.5, d1=1.0, d2=1.0) -> LatticeSpec:
         "quad-squares", L * (e1 - er), L * (e1 + er),
         np.array([np.zeros(2), nB, nD, L * e1]), alpha,
         springs=(
-            ((B, (0, 0)), (D, (0, 0))),          # r diagonal
-            ((D, (1, 0)), (B, (0, 1))),          # r diagonal
+            ((B, 0, 0), (D, 0, 0)),          # r diagonal
+            ((D, 1, 0), (B, 0, 1)),          # r diagonal
         ),
         markers=(
-            (((A, (0, 0)), (O, (0, 0))), ((B, (0, 0)), (D, (0, 0))), 0),
-            (((O, (0, 0)), (A, (1, 1))), ((D, (1, 0)), (B, (0, 1))), 2),
+            (((A, 0, 0), (O, 0, 0)), ((B, 0, 0), (D, 0, 0)), 0),
+            (((O, 0, 0), (A, 1, 1)), ((D, 1, 0), (B, 0, 1)), 2),
         ),
         holes=(
-            ((O, (0, 0)), (B, (0, 1)), (A, (0, 1))),
-            ((O, (0, 0)), (A, (0, 1)), (D, (0, 0))),
+            ((O, 0, 0), (B, 0, 1), (A, 0, 1)),
+            ((O, 0, 0), (A, 0, 1), (D, 0, 0)),
         ),
     )
 

@@ -103,7 +103,7 @@ def rigid_units(spec: LatticeSpec):
     rigid line has no counter-rotation) or if the pin adjacency is not
     two-colorable with a one-cell period.
     """
-    npen = len(spec.penalized_triangles)
+    npen = len(spec.penalized_keys)
     win = range(-2, 3)
     insts = [(t, i, j) for t in range(npen) for i in win for j in win]
     by_node = {}
@@ -360,7 +360,7 @@ class MechanismCertificate:
 def certify(defm: PeriodicDeformation, eta_ref: float = 0.1) -> MechanismCertificate:
     bd = energy_breakdown(defm, eta_ref)
     cell = defm.cell
-    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.springs), axis=2)
+    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.spring_edges), axis=2)
     resid = float(np.max(np.abs(lengths - cell.spring_rest[:, None])))
     min_det = float(np.min(triangle_dets(defm)))
     sd = signed_svd(defm.lam)
@@ -643,7 +643,7 @@ def mechanism_tangent_rank(spec: LatticeSpec, k: int):
     """
     cell = Supercell(spec, k)
     kk = cell.k * cell.k
-    tail, head, dx = cell.springs
+    tail, head, dx = cell.spring_edges
     u = dx / np.linalg.norm(dx, axis=1, keepdims=True)
     # one row per spring instance, class by class, cells in order
     J = np.zeros((len(dx) * kk, 4 + 2 * cell.n_nodes))
@@ -737,8 +737,9 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
     # node, which is basic node 1) rotates by +phi on the right half.
     down_sign = {}
     for u, unit in enumerate(units):
-        pts = np.asarray([spec.node_position(r) for r in unit.nodes])
-        pinch_y = next(spec.node_position(r)[1] for r in unit.nodes if r[0] == 1)
+        keys = np.array([(node, o1, o2) for node, (o1, o2) in unit.nodes])
+        pts = spec.node_positions(keys)
+        pinch_y = pts[np.argmax(keys[:, 0] == 1), 1]
         down_sign[u] = 1.0 if pts[:, 1].mean() > pinch_y else -1.0
 
     cells = []
@@ -766,11 +767,9 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
     length = norms(x[b] - x[a])
     both = (a >= 0) & (b >= 0)
     resid = float(np.abs(length - spec.spring_rest[:, None])[both].max(initial=0.0))
-    q0, q1, q2 = spec.node_positions(spec.penalized_keys).transpose(1, 0, 2)
-    cross0 = cross2(q1 - q0, q2 - q0)
     t = strip.rows(spec.penalized_keys, ci, cj)
     p0, p1, p2 = x[t].transpose(1, 0, 2, 3)
-    dets = cross2(p1 - p0, p2 - p0) / cross0[:, None]
+    dets = cross2(p1 - p0, p2 - p0) / (2 * spec.penalized_area)[:, None]
     min_det = float(dets[(t >= 0).all(axis=1)].min(initial=np.inf))
 
     # pinch-joint compression profile along a middle row, whose cells run

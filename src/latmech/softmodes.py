@@ -323,6 +323,8 @@ def modulate(
 
     if epsilon <= 0:
         raise ValueError(f"cell size epsilon must be positive, got {epsilon:g}")
+    if relax_sweeps < 0:
+        raise ValueError(f"relax_sweeps must be >= 0, got {relax_sweeps}")
     units = rigid_units(spec)
     if states is None:
         thetas, cs = _twist_contraction_table(spec)

@@ -307,7 +307,7 @@ def test_criterion_11_energy_axioms(all_specs, kagome, rotating_squares):
         defm = PeriodicDeformation(cell, lam, psi)
         bd = energy_breakdown(defm, 0.05)
         counts = [int(np.sum(d <= 0)) for d in triangle_dets(defm)]
-        units = [t.area / 0.05 for t in spec.penalized_triangles]
+        units = [a / 0.05 for a in spec.penalized_area.tolist()]
         assert bd.penalty_total == sum(c * u for c, u in zip(counts, units))
         assert list(bd.reversed_counts) == counts
         n_flipped += sum(counts)

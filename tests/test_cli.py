@@ -60,6 +60,12 @@ def test_precondition_errors_exit_2(tmp_path):
     (["mechanism", "--grid-points", "0"], "--grid-points must be at least 1, got 0"),
     (["mechanism", "--k", "0"], "supercell size must be >= 1, got 0"),
     (["inequalities", "--lam-step", "0"], "lam_step must be positive, got 0"),
+    (["soft-mode", "--sweeps", "-3", "--jobs", "1"], "relax_sweeps must be >= 0, got -3"),
+    (["density-sweep", "--restarts", "-1", "--jobs", "1"], "restarts must be >= 0, got -1"),
+    (["density-sweep", "--grid", "random:0"], "at least 1 matrix, got 'random:0'"),
+    (["mechanism", "--search", "--restarts", "0"], "--restarts must be at least 1, got 0"),
+    (["verify-bounds", "--trials", "0"], "trials and k_max must be >= 1, got 0 and 3"),
+    (["verify-bounds", "--k-max", "0"], "trials and k_max must be >= 1, got 1000 and 0"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -265,6 +271,15 @@ def test_soft_mode_csv(tmp_path):
     e1 = float(lines[1].split(",")[2])
     e2 = float(lines[2].split(",")[2])
     assert e2 < e1
+
+
+def test_soft_mode_single_rung_says_why(tmp_path, capsys):
+    out = str(tmp_path / "soft.csv")
+    assert run(["soft-mode", "--eps", "1/8", "--jobs", "1", "--out", out]) == 0
+    printed = capsys.readouterr().out
+    assert "a single rung; decay exponent undefined" in printed
+    assert "solver floor" not in printed
+    assert float(open(out).read().splitlines()[1].split(",")[2]) > 1e-10
 
 
 # sha256 of ``soft-mode --eps 1/8,1/12 --sweeps 50 --jobs 1 --dump-dir D``:

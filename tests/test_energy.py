@@ -66,7 +66,7 @@ def test_penalty_quantization_is_exact(kagome, rotating_squares):
     rng = np.random.default_rng(5)
     eta = 0.07
     for spec in (kagome, rotating_squares):
-        units = [t.area / eta for t in spec.penalized_triangles]
+        units = [a / eta for a in spec.penalized_area.tolist()]
         hits = 0
         for _ in range(200):
             defm = random_deformation(spec, 1, rng, amp=0.8)
@@ -87,7 +87,7 @@ def test_reflection_reverses_every_triangle(rotating_squares):
     defm = PeriodicDeformation(cell, np.diag([1.0, -1.0]),
                                np.zeros((cell.n_nodes, 2)))
     bd = energy_breakdown(defm, 0.05)
-    n_tri = len(rotating_squares.penalized_triangles) * 4
+    n_tri = len(rotating_squares.penalized_keys) * 4
     assert int(np.sum(np.asarray(bd.per_triangle_penalty) > 0)) == n_tri
     assert all((d < 0).all() for d in triangle_dets(defm))
 
@@ -189,10 +189,10 @@ def test_domain_energy_containment(kagome):
     assert rep.total < 1e-28
     assert rep.n_cells == len(rep.cells) > 0
     # every counted cell keeps its vertices strictly inside the polygon
-    verts = {spec_ref for tri in kagome.triangulation for spec_ref in tri}
+    verts = np.unique(kagome.cover_keys.reshape(-1, 3), axis=0)
     for (i, j) in rep.cells:
         for ref in verts:
-            p = 0.25 * (kagome.node_position(ref) + i * kagome.v1 + j * kagome.v2)
+            p = 0.25 * (kagome.node_positions(ref) + i * kagome.v1 + j * kagome.v2)
             assert (0 < p[0] < 1.5) and (0 < p[1] < 1.5)
     with pytest.raises(ValueError):
         domain_energy(lmap, 0.25 * poly[:3] * 1e-3, 0.05)
@@ -246,8 +246,8 @@ def test_missing_node_raises_key_error(kagome):
     lmap = _l_shape_map(kagome)
     keys = list(lmap.values)
     # drop one node of cell (3, 3): both entry points name node and cell
-    s = kagome.springs[0]
-    gone = (s.b[0], (s.b[1][0] + 3, s.b[1][1] + 3))
+    node, o1, o2 = kagome.spring_keys[0, 1].tolist()
+    gone = (node, (o1 + 3, o2 + 3))
     holed = LatticeMap(kagome, lmap.epsilon,
                        {k: lmap.values[k] for k in keys if k != gone})
     assert gone in lmap.values and gone not in holed.values

@@ -54,8 +54,8 @@ def test_averages_reduce_to_reference_at_identity(all_specs):
         assert np.allclose(at1, a1, atol=1e-14)
         assert np.allclose(at2, a2, atol=1e-14)
         # the reference averages are the summed marker vectors
-        b_sum = sum(spec.marker_vectors(m)[0] for m in range(len(spec.marker_edges)))
-        r_sum = sum(spec.marker_vectors(m)[1] for m in range(len(spec.marker_edges)))
+        b_sum = sum(b for b, _ in spec.segments(spec.marker_keys))
+        r_sum = sum(r for _, r in spec.segments(spec.marker_keys))
         assert np.allclose(a1, b_sum, atol=1e-14)
         assert np.allclose(a2, r_sum, atol=1e-14)
 

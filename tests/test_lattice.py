@@ -21,24 +21,24 @@ from latmech.lattice import (
 
 def test_builtin_structure(kagome, rotating_squares):
     assert kagome.n_basic == 3
-    assert len(kagome.springs) == 6
-    assert len(kagome.penalized_triangles) == 2
-    assert len(kagome.marker_edges) == 2
+    assert len(kagome.spring_keys) == 6
+    assert len(kagome.penalized_keys) == 2
+    assert len(kagome.marker_keys) == 2
     assert kagome.cell_area == pytest.approx(2 * np.sqrt(3), abs=1e-14)
     assert kagome.alpha == pytest.approx(np.pi / 3)
 
     assert rotating_squares.n_basic == 4
-    assert len(rotating_squares.springs) == 10
-    assert len(rotating_squares.penalized_triangles) == 4
-    assert len(rotating_squares.marker_edges) == 4
+    assert len(rotating_squares.spring_keys) == 10
+    assert len(rotating_squares.penalized_keys) == 4
+    assert len(rotating_squares.marker_keys) == 4
     assert rotating_squares.cell_area == pytest.approx(4.0, abs=1e-14)
     assert rotating_squares.alpha == pytest.approx(np.pi / 2)
 
     for spec in (kagome, rotating_squares):
         assert spec.c_marker == pytest.approx(1.0)
-        for s in spec.springs:
-            assert s.rest_length > 0
-            assert s.stiffness > 0
+        for rest, stiffness in zip(spec.spring_rest, spec.spring_stiffness):
+            assert rest > 0
+            assert stiffness > 0
 
 
 def test_node_position_offsets(all_specs):
@@ -54,8 +54,7 @@ def test_marker_geometry(all_specs):
     """Marker legs satisfy r = c R(alpha) b, the conformality relation."""
     for spec in all_specs:
         R = rotation(spec.alpha)
-        for m in range(len(spec.marker_edges)):
-            b, r = spec.marker_vectors(m)
+        for b, r in spec.segments(spec.marker_keys):
             assert np.allclose(r, spec.c_marker * R @ b, atol=1e-12), spec.name
 
 
@@ -66,10 +65,11 @@ def test_json_round_trip(all_specs, tmp_path):
         assert back.name == spec.name
         assert back.n_basic == spec.n_basic
         assert np.allclose(back.v1, spec.v1) and np.allclose(back.v2, spec.v2)
-        assert len(back.springs) == len(spec.springs)
-        for s1, s2 in zip(back.springs, spec.springs):
-            assert s1.a == s2.a and s1.b == s2.b
-            assert s1.rest_length == pytest.approx(s2.rest_length, abs=1e-15)
+        assert len(back.spring_keys) == len(spec.spring_keys)
+        for k1, k2, r1, r2 in zip(back.spring_keys, spec.spring_keys,
+                                  back.spring_rest, spec.spring_rest):
+            assert (k1 == k2).all()
+            assert r1 == pytest.approx(r2, abs=1e-15)
         assert back.cell_area == pytest.approx(spec.cell_area, abs=1e-14)
         assert back.alpha == pytest.approx(spec.alpha, abs=1e-12)
 
@@ -114,8 +114,8 @@ CONFTEST_PARAMS = {
 
 def _builder_digest(spec):
     lines = [spec.to_json()]
-    lines += [float.hex(s.rest_length) for s in spec.springs]
-    lines += [float.hex(t.area) for t in spec.penalized_triangles]
+    lines += [float.hex(r) for r in spec.spring_rest.tolist()]
+    lines += [float.hex(a) for a in spec.penalized_area.tolist()]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

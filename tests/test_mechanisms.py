@@ -35,7 +35,7 @@ def test_rigid_units_two_colored(all_specs):
         assert len(units) == 2
         assert sorted(u.parity for u in units) == [0, 1]
         covered = {t for u in units for (t, _) in u.triangles}
-        assert covered == set(range(len(spec.penalized_triangles)))
+        assert covered == set(range(len(spec.penalized_keys)))
 
 
 def test_rigid_unit_sizes(kagome, rotating_squares):

@@ -319,9 +319,8 @@ def _interpolate():
     weak-limit probe points."""
     spec, target = build_kagome(), default_target()
     lmap = modulate(spec, target, 1 / 16)
-    edge = max(float(np.linalg.norm(spec.node_position(tri[a])
-                                    - spec.node_position(tri[(a + 1) % 3])))
-               for tri in spec.triangulation for a in range(3))
+    edge = max(float(np.linalg.norm(tri[a] - tri[(a + 1) % 3]))
+               for tri in spec.node_positions(spec.cover_keys) for a in range(3))
     margin = 1.25 * lmap.epsilon * edge
     x0, x1, y0, y1 = target.domain
     px = np.linspace(x0 + margin, x1 - margin, 12)

@@ -142,10 +142,10 @@ def test_modulated_cells_preserve_orientation(kagome):
     rep = domain_energy(lmap, default_target().polygon, 0.05)
     assert rep.n_cells > 0
     for (ci, cj) in rep.cells:
-        for t in kagome.penalized_triangles:
-            keys = [(n, (o1 + ci, o2 + cj)) for n, (o1, o2) in t.nodes]
+        for tri in kagome.penalized_keys.tolist():
+            keys = [(n, (o1 + ci, o2 + cj)) for n, o1, o2 in tri]
             p0, p1, p2 = (lmap.values[k] for k in keys)
-            q0, q1, q2 = (kagome.node_position(r) for r in t.nodes)
+            q0, q1, q2 = kagome.node_positions(tri)
             ref = (q1 - q0)[0] * (q2 - q0)[1] - (q1 - q0)[1] * (q2 - q0)[0]
             defc = (p1 - p0)[0] * (p2 - p0)[1] - (p1 - p0)[1] * (p2 - p0)[0]
             assert defc / ref > 0
