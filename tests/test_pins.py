@@ -5,7 +5,8 @@ Each supercell pin is the sha256 of every output over kagome, rotating
 squares and the four variant families at k = 1, 2, 3, each on one fixed
 random ``(lam, psi)``.  Each twist pin hashes one construction over the
 six specs whose counter-rotation closes (plus, for the pin chase, a quad
-whose chase does not close); the domain-wall pin hashes the kagome strip.
+whose chase does not close); the domain-wall pin hashes the kagome strip,
+and the rigid-units pin hashes every spec's units.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
 on these bits through L-BFGS and the twist seed.  To print fresh pins
@@ -37,6 +38,8 @@ from latmech.energy import (
 )
 from latmech.geometry import averaged_vectors
 from latmech.lattice import (
+    DegenerateGeometryError,
+    LatticeSpec,
     PeriodicDeformation,
     Supercell,
     build_kagome,
@@ -56,6 +59,8 @@ from latmech.mechanisms import (
     twist_mechanism,
 )
 from latmech.softmodes import default_target, mechanism_state_table, modulate
+
+from conftest import percolating_units_json
 
 ETA = 0.1
 
@@ -214,6 +219,10 @@ TWIST_PINS = {
     "twist_seed": "a3a904e561ff2f95d3844922c971f9041d0b702961980e57895901503467e8f1",
 }
 
+UNITS_PIN = "f431295a8acad0998d31d7a58defabe0005f85ed0e8318781c219654dc3e03ae"
+
+PERCOLATING_UNITS_ERROR = "a rigid unit contains a lattice translate of itself"
+
 WALL_PIN = "38bdf3b43145467f98c47891042d1a63796300faa0597e2371a6450c9428ff61"
 
 DENSITY_PIN = (
@@ -251,6 +260,23 @@ def _twist_digest(name) -> str:
     h = hashlib.sha256()
     for spec in specs:
         _feed(h, TWIST_QUANTITIES[name](spec))
+    return h.hexdigest()
+
+
+def _int_rows(members):
+    """``(n, 3)`` int64 rows of a unit's triangles or nodes, whether each
+    member is a nested tuple ``(a, (b, c))`` or an integer row."""
+    return np.array([np.hstack(m) for m in members], dtype=np.int64).reshape(-1, 3)
+
+
+def _units_digest() -> str:
+    """The rigid units of every spec of :func:`_specs`, in unit order:
+    triangles ``(t, di, dj)`` and nodes ``(node, o1, o2)`` as plain int
+    rows, and the parity."""
+    h = hashlib.sha256()
+    for spec in _specs():
+        for unit in rigid_units(spec):
+            _feed(h, (_int_rows(unit.triangles), _int_rows(unit.nodes), int(unit.parity)))
     return h.hexdigest()
 
 
@@ -364,6 +390,18 @@ def test_twist_outputs_are_pinned(name):
     assert _twist_digest(name) == TWIST_PINS[name]
 
 
+def test_rigid_units_are_pinned():
+    assert _units_digest() == UNITS_PIN
+
+
+def test_percolating_units_error_is_pinned():
+    spec = LatticeSpec.from_json(percolating_units_json())
+    with pytest.raises(DegenerateGeometryError) as exc:
+        rigid_units(spec)
+    assert type(exc.value) is DegenerateGeometryError
+    assert str(exc.value) == PERCOLATING_UNITS_ERROR
+
+
 def test_domain_wall_is_pinned():
     assert _wall_digest() == WALL_PIN
 
@@ -385,5 +423,6 @@ if __name__ == "__main__":
         print(f'    "{name}": "{_twist_digest(name)}",')
     for name in sorted(CONSUMER_QUANTITIES):
         print(f'    "{name}": "{_consumer_digest(name)}",')
+    print(f'UNITS_PIN = "{_units_digest()}"')
     print(f'WALL_PIN = "{_wall_digest()}"')
     print(f"DENSITY_PIN = {_density()!r}")
