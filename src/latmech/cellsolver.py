@@ -287,9 +287,24 @@ def lambda_grid(kind: str, rng_seed: int = 0):
     if kind.startswith("file:"):
         import json
 
-        with open(kind.split(":", 1)[1]) as fh:
+        path = kind.split(":", 1)[1]
+        with open(path) as fh:
             rows = json.load(fh)
-        return [np.asarray(m, dtype=float).reshape(2, 2) for m in rows]
+        if not isinstance(rows, list):
+            raise ValueError(f"grid file {path} must hold a JSON list of 2x2 matrices, "
+                             f"got {type(rows).__name__}")
+        if not rows:
+            raise ValueError(f"grid file {path} holds an empty list")
+        mats = []
+        for i, m in enumerate(rows):
+            try:
+                mat = np.asarray(m, dtype=float)
+            except (TypeError, ValueError):
+                mat = None
+            if mat is None or mat.shape != (2, 2):
+                raise ValueError(f"grid file {path}: entry {i} is not a 2x2 matrix")
+            mats.append(mat)
+        return mats
     raise ValueError(f"unknown lambda grid {kind!r}")
 
 

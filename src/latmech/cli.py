@@ -316,7 +316,7 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 def _cmd_mechanism(args) -> int:
     spec = _load_spec(args)
     rows = []
-    dump_map = None
+    last = None
     if args.search:
         if args.restarts < 1:
             raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
@@ -326,9 +326,7 @@ def _cmd_mechanism(args) -> int:
             rows.append(_certificate_row(mech.kind, f"hit{i}", mech.certificate))
         print(f"{len(hits)} mechanism(s) found in {args.restarts} restarts at k={args.k}")
         if hits:
-            best = hits[0].deformation
-            cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
-            dump_map = LatticeMap.from_periodic(best, 1.0, cells)
+            last = hits[0]
     else:
         if args.theta is None and args.grid_points < 1:
             raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
@@ -337,15 +335,13 @@ def _cmd_mechanism(args) -> int:
         thetas = ([args.theta] if args.theta is not None
                   else np.linspace(lo + 1e-6, hi - 1e-6, args.grid_points).tolist())
         for th in thetas:
-            mech = twist_mechanism(spec, th, k=args.k)
-            rows.append(_certificate_row(mech.kind, _fmt(th), mech.certificate))
-        last = twist_mechanism(spec, thetas[-1], k=args.k).deformation
-        cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
-        dump_map = LatticeMap.from_periodic(last, 1.0, cells)
+            last = twist_mechanism(spec, th, k=args.k)
+            rows.append(_certificate_row(last.kind, _fmt(th), last.certificate))
     path = _out_path(args, "mechanisms.csv")
     _write_csv(path, _CERT_HEADER, rows)
-    if args.dump and dump_map is not None:
-        _dump_geometry(dump_map, args.dump)
+    if args.dump and last is not None:
+        cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
+        _dump_geometry(LatticeMap.from_periodic(last.deformation, 1.0, cells), args.dump)
         print(f"wrote geometry dump {args.dump}")
     _finish(args, path)
     return EXIT_OK

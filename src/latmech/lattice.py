@@ -15,10 +15,11 @@ A node reference is an integer row ``(node, o1, o2)``: basic node ``node``
 translated by ``o1 * v1 + o2 * v2``.  The spec stores each class once, as
 stacked rows, per unit cell with offsets chosen so that every endpoint
 lies in the closure of the covered cell region, and every layer below it
-reads those rows.  Nested tuples ``(node, (o1, o2))`` appear only in
-error messages and at the read edges that name one reference at a time:
+reads those rows, the rigid units and their placements included.
+Nested tuples ``(node, (o1, o2))`` appear only in error messages and at
+the read edges that name one reference at a time:
 :meth:`LatticeSpec.node_position` and :meth:`PeriodicDeformation.evaluate`
-here, the lattice-map ``values`` view and the rigid units elsewhere.
+here, and the lattice-map ``values`` view.
 """
 
 from __future__ import annotations

@@ -10,10 +10,15 @@ certified periodic deformations, and also assembles the non-periodic
 domain wall that interpolates between two one-periodic twist states
 through a column-by-column angle recursion.
 
-The order of the pin chase does not depend on the angles.  It is walked
-once per window and compiled into a :class:`PlacementPlan` of arrays
-(placement order, pins, first placements and shared-node checks), which
-then places the units for a whole stack of angle assignments at once.
+Units are integer rows of the spec: their triangles ``(t, di, dj)`` and
+nodes ``(node, o1, o2)``.  One breadth-first walk over unit instances
+joined at shared nodes (:func:`_walk_units`) gives the two-coloring (its
+depth parity), the placement order of the pin chase and the unwrapping
+of ``arg f'`` in :mod:`latmech.softmodes`.  The order of the pin chase
+does not depend on the angles.  It is walked once per window and
+compiled into a :class:`PlacementPlan` of arrays (placement order, pins,
+first placements and shared-node checks), which then places the units
+for a whole stack of angle assignments at once.
 The twist's plan (:class:`TwistPlan`, cached per spec content and
 supercell size) adds the read-offs of ``lam`` and ``psi``, so the probe
 grid of the admissible range and the contraction table are one call
@@ -25,10 +30,8 @@ barrier over ``(lam, psi)`` jointly) complements the exact constructions.
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -41,6 +44,7 @@ from .lattice import (
     LatticeSpec,
     PeriodicDeformation,
     Supercell,
+    _frozen,
     _slot,
     build_kagome,
     cross2,
@@ -76,23 +80,69 @@ class MechanismError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidUnit:
     """A maximal edge-glued cluster of penalized triangles.
 
-    ``triangles`` lists ``(triangle_class, (d1, d2))`` cell offsets relative
-    to the unit's anchor cell; ``nodes`` the node references covered;
-    ``parity`` the color of the unit in the two-coloring of the pin-joint
-    adjacency (0 or 1).
+    ``triangles`` holds read-only ``(n, 3)`` integer rows ``(t, di, dj)``:
+    penalized triangle ``t`` shifted ``(di, dj)`` cells from the unit's
+    anchor cell, in lexicographic order; ``nodes`` the read-only ``(m, 3)``
+    rows ``(node, o1, o2)`` of the node references covered, in
+    lexicographic order; ``parity`` the color of the unit in the
+    two-coloring of the pin-joint adjacency (0 or 1).
     """
 
-    triangles: tuple
-    nodes: tuple
+    triangles: np.ndarray
+    nodes: np.ndarray
     parity: int
 
 
-def _triangle_node_keys(spec: LatticeSpec, t: int, ci: int, cj: int):
-    return [(node, (o1 + ci, o2 + cj)) for node, o1, o2 in spec.penalized_keys[t].tolist()]
+def _unit_members(units, ci, cj):
+    """The nodes of the unit instances ``(u, ci[c], cj[c])``, numbered cell
+    by cell and unit by unit (instance ``c * len(units) + u``).  Returns
+    ``(inst, keys)``: each member's instance and its ``(node, o1, o2)``
+    row, every instance's members together and in unit order."""
+    unit = np.concatenate([np.full(len(x.nodes), u) for u, x in enumerate(units)])
+    ref = np.concatenate([x.nodes for x in units])
+    shifts = np.column_stack([np.zeros_like(ci), ci, cj])
+    keys = (shifts[:, None, :] + ref[None, :, :]).reshape(-1, 3)
+    inst = (np.arange(len(ci))[:, None] * len(units) + unit[None, :]).ravel()
+    return inst, keys
+
+
+def _walk_units(inst, node, n_inst):
+    """The breadth-first walk over unit instances joined at shared nodes.
+
+    ``inst`` and ``node`` list the memberships (integer node ids), each
+    instance's together and in member order.  From instance 0, every
+    instance taken from the queue steps through its nodes in member order
+    to the instances sharing them, in instance order.  Returns ``(order,
+    parent, depth)``: the instances reached, in the order they are
+    reached, and per instance the one it was reached from and its depth
+    (-1 where never reached; the parent of instance 0 is -1 too).
+    """
+    bounds = np.cumsum(np.bincount(inst, minlength=n_inst))[:-1]
+    inst_nodes = [a.tolist() for a in np.split(node, bounds)]
+    by_node = np.argsort(node, kind="stable")
+    bounds = np.cumsum(np.bincount(node))[:-1]
+    owners = [a.tolist() for a in np.split(inst[by_node], bounds)]
+    parent, depth = [-1] * n_inst, [-1] * n_inst
+    depth[0] = 0
+    order = [0]
+    for i in order:             # the order is the queue: it grows as it is read
+        for n in inst_nodes[i]:
+            for other in owners[n]:
+                if depth[other] < 0:
+                    parent[other], depth[other] = i, depth[i] + 1
+                    order.append(other)
+    return np.asarray(order), np.asarray(parent), np.asarray(depth)
+
+
+def _node_ids(keys) -> np.ndarray:
+    """Flat integer ids of the rows stacked in ``keys`` (``(..., 3)`` node
+    references or ``(..., 2)`` node-id pairs), equal rows sharing one."""
+    keys = np.asarray(keys)
+    return np.unique(keys.reshape(-1, keys.shape[-1]), axis=0, return_inverse=True)[1].ravel()
 
 
 @lru_cache(maxsize=64)
@@ -103,87 +153,56 @@ def rigid_units(spec: LatticeSpec):
     rigid line has no counter-rotation) or if the pin adjacency is not
     two-colorable with a one-cell period.
     """
-    npen = len(spec.penalized_keys)
-    win = range(-2, 3)
-    insts = [(t, i, j) for t in range(npen) for i in win for j in win]
-    by_node = {}
-    for inst in insts:
-        for key in _triangle_node_keys(spec, *inst):
-            by_node.setdefault(key, []).append(inst)
-    shared = Counter()
-    for lst in by_node.values():
-        for a, b in combinations(sorted(lst), 2):
-            shared[(a, b)] += 1
-
-    parent = {inst: inst for inst in insts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), cnt in shared.items():
-        if cnt >= 2:
-            parent[find(a)] = find(b)
-
-    comps = {}
-    for inst in insts:
-        comps.setdefault(find(inst), []).append(inst)
+    # penalized triangle instances (t, i, j) on a 5 x 5 window, in
+    # lexicographic order; each is labelled with the smallest instance it
+    # is glued to through a chain of shared edges
+    win = np.arange(-2, 3)
+    tri = np.stack(np.meshgrid(np.arange(len(spec.penalized_keys)), win, win,
+                               indexing="ij"), axis=-1).reshape(-1, 3)
+    keys = spec.penalized_keys[tri[:, 0]] + (tri * [0, 1, 1])[:, None]
+    node = _node_ids(keys)
+    edge = _node_ids(np.sort(node.reshape(-1, 3)[:, [[0, 1], [1, 2], [2, 0]]], axis=-1))
+    label = np.arange(len(tri))
+    while True:
+        low = np.full(edge.max() + 1, len(tri))
+        np.minimum.at(low, edge, np.repeat(label, 3))
+        glued = low[edge].reshape(-1, 3).min(axis=1)
+        if np.array_equal(glued, label):
+            break
+        label = glued
 
     units = []
     seen = set()
-    for t in range(npen):
-        comp = comps[find((t, 0, 0))]
-        t0, i0, j0 = min(comp)
-        tris = tuple(sorted((tt, (ii - i0, jj - j0)) for tt, ii, jj in comp))
-        if tris in seen:
+    for home in np.flatnonzero((tri[:, 1] == 0) & (tri[:, 2] == 0)):
+        members = np.flatnonzero(label == label[home])
+        anchor = tri[members[0]] * [0, 1, 1]
+        tris = tri[members] - anchor
+        if tris.tobytes() in seen:
             continue
-        seen.add(tris)
-        classes = [x[0] for x in tris]
-        if len(set(classes)) != len(classes):
+        seen.add(tris.tobytes())
+        if len(np.unique(tris[:, 0])) != len(tris):
             raise DegenerateGeometryError(
                 "a rigid unit contains a lattice translate of itself"
             )
-        nodes = set()
-        for tt, (di, dj) in tris:
-            nodes.update(_triangle_node_keys(spec, tt, di, dj))
-        units.append(RigidUnit(tris, tuple(sorted(nodes)), -1))
+        nodes = np.unique((keys[members] - anchor).reshape(-1, 3), axis=0)
+        units.append(RigidUnit(_frozen(tris, (-1, 3)), _frozen(nodes, (-1, 3)), -1))
 
-    # two-color the pin adjacency of unit instances on a window
-    unit_nodes = {
-        (u, ci, cj): frozenset(
-            (n, (o1 + ci, o2 + cj)) for n, (o1, o2) in unit.nodes
-        )
-        for u, unit in enumerate(units)
-        for ci in win
-        for cj in win
-    }
-    node_owner = {}
-    for inst, keys in unit_nodes.items():
-        for key in keys:
-            node_owner.setdefault(key, []).append(inst)
-    color = {}
-    start = (0, 0, 0)
-    color[start] = 0
-    queue = deque([start])
-    while queue:
-        inst = queue.popleft()
-        for key in unit_nodes[inst]:
-            for other in node_owner[key]:
-                if other == inst:
-                    continue
-                if other not in color:
-                    color[other] = 1 - color[inst]
-                    queue.append(other)
-                elif color[other] == color[inst]:
-                    raise DegenerateGeometryError(
-                        "pin adjacency of rigid units is not two-colorable"
-                    )
+    # two-color the pin adjacency of unit instances on the window by the
+    # depth parity of the walk from unit 0 in cell (0, 0), listed first
+    win = np.array([0, -2, -1, 1, 2])
+    ci, cj = np.repeat(win, len(win)), np.tile(win, len(win))
+    inst, keys = _unit_members(units, ci, cj)
+    node = _node_ids(keys)
+    _, _, depth = _walk_units(inst, node, len(ci) * len(units))
+    color = np.where(depth >= 0, depth % 2, -1)
+    reached = color[inst] >= 0
+    pairs = np.column_stack([node, color[inst]])[reached]
+    if len(np.unique(pairs, axis=0)) < len(pairs):
+        raise DegenerateGeometryError("pin adjacency of rigid units is not two-colorable")
+    near = color.reshape(len(ci), len(units))[np.isin(ci, (0, 1)) & np.isin(cj, (0, 1))]
     out = []
     for u, unit in enumerate(units):
-        cols = {color[(u, ci, cj)] for ci in (0, 1) for cj in (0, 1)
-                if (u, ci, cj) in color}
+        cols = set(near[:, u].tolist()) - {-1}
         if len(cols) != 1:
             raise DegenerateGeometryError(
                 "unit coloring is not one-cell periodic; no one-periodic "
@@ -203,93 +222,73 @@ class PlacementPlan:
     """The pin chase over a window of unit instances, compiled once into
     arrays.
 
-    The breadth-first order in which instances are placed, the pin each is
-    anchored at, and which node placements come first or re-check an
-    earlier one depend on ``(spec, units, cells)`` only, never on the
-    angles.  Instance nodes are stored flat: entry ``f`` belongs to
-    instance ``flat_inst[f]`` (in placement order) with reference position
-    ``ref[f]``.  Row ``r`` of the placed positions is node reference
-    ``keys[r]``, first placed by entry ``src[r]``.
+    The placement order is the order in which :func:`_walk_units` reaches
+    the instances.  Each instance after the first is anchored at its pin:
+    its first node that an earlier instance placed.  Which node placements
+    come first or re-check an earlier one depend on ``(spec, units,
+    cells)`` only, never on the angles.  Instance nodes are stored flat:
+    entry ``f`` belongs to instance ``flat_inst[f]`` (in placement order)
+    with reference position ``ref[f]``.  Row ``r`` of the placed positions
+    is the node reference ``keys[r]`` ``(node, o1, o2)``, first placed by
+    entry ``src[r]``.
     """
 
-    insts: tuple                  # (u, ci, cj) per instance, placement order
+    insts: np.ndarray             # (n_insts, 3) rows (u, ci, cj), placement order
     flat_inst: np.ndarray         # instance of each flat entry
     ref: np.ndarray               # (n_flat, 2) reference positions
     centroid: np.ndarray          # first instance's centroid (its fixed point)
     pin_flat: np.ndarray          # flat entry of each instance's pin (-1: first)
     pin_src: np.ndarray           # flat entry that first placed that pin
     levels: tuple                 # instance indices by pin-chase depth >= 1
-    keys: tuple                   # node reference of each row
+    keys: np.ndarray              # (n_rows, 3) node reference of each row
     src: np.ndarray               # flat entry placing each row first
     check: np.ndarray             # (n_check, 2) pairs (flat entry, row) re-placing a row
 
     @classmethod
     def compile(cls, spec: LatticeSpec, units, cells: Iterable) -> "PlacementPlan":
-        """Walk the breadth-first chase once; raises
-        :class:`MechanismError` when the instance graph is disconnected."""
-        cells = list(cells)
-        insts = [(u, ci, cj) for (ci, cj) in cells for u in range(len(units))]
-        inst_keys = {
-            (u, ci, cj): [(n, (o1 + ci, o2 + cj)) for n, (o1, o2) in units[u].nodes]
-            for (u, ci, cj) in insts
-        }
-        owner = {}
-        for inst, keys in inst_keys.items():
-            for key in keys:
-                owner.setdefault(key, []).append(inst)
-
-        order, flat_keys, flat_inst, src, check = [], [], [], [], []
-        # the first instance turns about its centroid instead of a pin
-        pin_flat, pin_src, depth = [-1], [-1], [0]
-        placed = set()
-        row = {}
-        queue = deque()
-
-        def place(inst):
-            i = len(order)
-            order.append(inst)
-            placed.add(inst)
-            for key in inst_keys[inst]:
-                f = len(flat_keys)
-                flat_keys.append(key)
-                flat_inst.append(i)
-                if key in row:
-                    check.append((f, row[key]))
-                else:
-                    row[key] = len(src)
-                    src.append(f)
-            queue.append(inst)
-
-        place(insts[0])
-        while queue:
-            inst = queue.popleft()
-            for key in inst_keys[inst]:
-                for other in owner[key]:
-                    if other in placed:
-                        continue
-                    j, pin = next((j, kk) for j, kk in enumerate(inst_keys[other])
-                                  if kk in row)
-                    pin_flat.append(len(flat_keys) + j)
-                    pin_src.append(src[row[pin]])
-                    depth.append(depth[flat_inst[pin_src[-1]]] + 1)
-                    place(other)
-        if len(placed) != len(insts):
+        """Walk the instances once; raises :class:`MechanismError` when the
+        instance graph is disconnected."""
+        ci, cj = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2).T
+        n_insts = len(ci) * len(units)
+        inst, keys = _unit_members(units, ci, cj)
+        node = _node_ids(keys)
+        order, _, _ = _walk_units(inst, node, n_insts)
+        if len(order) != n_insts:
             raise MechanismError("unit instance graph is disconnected over the given cells")
 
-        flat_inst = np.asarray(flat_inst)
+        # flat entries: every instance's members, in placement order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n_insts)
+        flat = np.argsort(rank[inst], kind="stable")
+        flat_inst, flat_node = rank[inst][flat], node[flat]
+        start = np.searchsorted(flat_inst, np.arange(n_insts))
+        # the entry first placing each entry's node; the rows are the nodes
+        # in order of their first placement
+        first = np.unique(flat_node, return_index=True)[1][flat_node]
+        src = np.flatnonzero(first == np.arange(len(flat)))
+        again = np.flatnonzero(first != np.arange(len(flat)))
+        # the pin of each later instance, and its depth along the pins
+        earlier = np.flatnonzero(first < start[flat_inst])
+        pin_flat = np.concatenate([[-1], earlier[np.searchsorted(earlier, start[1:])]])
+        pin_src = np.concatenate([[-1], first[pin_flat[1:]]])
+        depth = [0] * n_insts
+        for i, p in enumerate(flat_inst[pin_src[1:]].tolist(), 1):
+            depth[i] = depth[p] + 1
         depth = np.asarray(depth)
-        ref = spec.node_positions([(n, o1, o2) for n, (o1, o2) in flat_keys])
+
+        ref = spec.node_positions(keys[flat])
         return cls(
-            insts=tuple(order),
+            insts=np.column_stack([order % len(units), ci[order // len(units)],
+                                   cj[order // len(units)]]),
             flat_inst=flat_inst,
             ref=ref,
             centroid=ref[flat_inst == 0].mean(axis=0),
-            pin_flat=np.asarray(pin_flat),
-            pin_src=np.asarray(pin_src),
+            pin_flat=pin_flat,
+            pin_src=pin_src,
             levels=tuple(np.flatnonzero(depth == d) for d in range(1, depth.max() + 1)),
-            keys=tuple(flat_keys[f] for f in src),
-            src=np.asarray(src),
-            check=np.asarray(check, dtype=int).reshape(-1, 2),
+            keys=keys[flat][src],
+            src=src,
+            check=np.column_stack([again, np.searchsorted(src, first[again])]),
         )
 
     def place(self, angles):
@@ -324,14 +323,15 @@ def assemble_rotated_units(
     """Place every unit instance ``(u, cell)`` rigidly rotated by
     ``angle_fn(u, ci, cj)``, chaining translations through shared pins.
 
-    Returns ``(positions, misfit)``: deformed positions per node reference
-    (in placement order) and the largest disagreement between the
-    placements of a shared node.  The instance graph must be connected
-    over ``cells``.
+    Returns ``(keys, positions, misfit)``: the ``(n, 3)`` node references
+    ``(node, o1, o2)`` and their ``(n, 2)`` deformed positions, in
+    placement order, and the largest disagreement between the placements
+    of a shared node.  The instance graph must be connected over
+    ``cells``.
     """
     plan = PlacementPlan.compile(spec, units, cells)
-    pos, misfit = plan.place([[angle_fn(*inst) for inst in plan.insts]])
-    return dict(zip(plan.keys, pos[0])), float(misfit[0])
+    pos, misfit = plan.place([[angle_fn(*inst) for inst in plan.insts.tolist()]])
+    return plan.keys, pos[0], float(misfit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ class TwistPlan:
 
     placement: PlacementPlan
     sign: np.ndarray              # +1 / -1 per instance (unit parity)
-    base: np.ndarray              # rows of (node, (0, 0)), (node, (k, 0)), (node, (0, k))
+    base: np.ndarray              # rows of (node, 0, 0), (node, k, 0), (node, 0, k)
     period_inv: np.ndarray        # inverse of the k-periods as columns
     ref: np.ndarray               # (n_rows, 2) reference position of each row
     first: np.ndarray             # first row of each slot
@@ -429,33 +429,31 @@ def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
     units = rigid_units(spec)
     cells = [(i, j) for i in range(-1, k + 1) for j in range(-1, k + 1)]
     placement = PlacementPlan.compile(spec, units, cells)
-    row = {key: r for r, key in enumerate(placement.keys)}
-    base = None
-    for node in range(spec.n_basic):
-        keys = [(node, (0, 0)), (node, (k, 0)), (node, (0, k))]
-        if all(kk in row for kk in keys):
-            base = [row[kk] for kk in keys]
-            break
-    if base is None:
+    keys = placement.keys
+    # the first node placed at (node, 0, 0), (node, k, 0) and (node, 0, k)
+    want = np.zeros((spec.n_basic, 3, 3), dtype=np.int64)
+    want[:, :, 0] = np.arange(spec.n_basic)[:, None]
+    want[:, 1, 1] = want[:, 2, 2] = k
+    hit = (keys == want[:, :, None, :]).all(axis=-1)
+    full = hit.any(axis=-1).all(axis=-1)
+    if not full.any():
         raise MechanismError("assembly window too small to read off periods")
-    first = {}
-    drift = []
-    for r, (node, (o1, o2)) in enumerate(placement.keys):
-        slot = _slot(k, node, o1, o2)
-        if slot in first:
-            drift.append((r, first[slot]))
-        else:
-            first[slot] = r
+    # the first row of each slot; later rows of a slot check the drift
+    slot = _slot(k, *keys.T)
+    _, first, inverse = np.unique(slot, return_index=True, return_inverse=True)
     if len(first) != spec.n_basic * k * k:
         raise MechanismError("assembly window left supercell nodes unplaced")
+    owner = first[inverse.ravel()]
+    again = np.flatnonzero(owner != np.arange(len(slot)))
+    parity = np.asarray([unit.parity for unit in units])
     return TwistPlan(
         placement=placement,
-        sign=np.asarray([1 - 2 * units[u].parity for u, _, _ in placement.insts]),
-        base=np.asarray(base),
+        sign=1 - 2 * parity[placement.insts[:, 0]],
+        base=hit[np.argmax(full)].argmax(axis=-1),
         period_inv=np.linalg.inv(np.column_stack([k * spec.v1, k * spec.v2])),
         ref=placement.ref[placement.src],
-        first=np.asarray([first[s] for s in sorted(first)]),
-        drift=np.asarray(drift, dtype=int).reshape(-1, 2),
+        first=first,
+        drift=np.column_stack([again, owner[again]]),
     )
 
 
@@ -693,10 +691,15 @@ def domain_wall_angles(theta1: float, n: int = 30) -> np.ndarray:
 
 @dataclass
 class DomainWall:
-    """An assembled strip of the wall between two twist states."""
+    """An assembled strip of the wall between two twist states.
+
+    ``keys`` holds the ``(n, 3)`` node references ``(node, o1, o2)`` of the
+    strip and ``positions`` their ``(n, 2)`` deformed positions, both in
+    placement order."""
 
     theta: np.ndarray             # column angles 0..2*half_width
-    positions: dict               # node reference -> deformed position
+    keys: np.ndarray              # (n, 3) node references, placement order
+    positions: np.ndarray         # (n, 2) deformed positions, row by row
     half_width: int
     rows: int
     max_misfit: float
@@ -735,12 +738,11 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
     units = rigid_units(spec)
     # Rotation signs: a down-pointing triangle (body above its pinch
     # node, which is basic node 1) rotates by +phi on the right half.
-    down_sign = {}
-    for u, unit in enumerate(units):
-        keys = np.array([(node, o1, o2) for node, (o1, o2) in unit.nodes])
-        pts = spec.node_positions(keys)
-        pinch_y = pts[np.argmax(keys[:, 0] == 1), 1]
-        down_sign[u] = 1.0 if pts[:, 1].mean() > pinch_y else -1.0
+    down_sign = []
+    for unit in units:
+        pts = spec.node_positions(unit.nodes)
+        pinch_y = pts[np.argmax(unit.nodes[:, 0] == 1), 1]
+        down_sign.append(1.0 if pts[:, 1].mean() > pinch_y else -1.0)
 
     cells = []
     for j in range(rows):
@@ -755,12 +757,13 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
         side = 1.0 if col >= 0 else -1.0
         return down_sign[u] * side * phi[abs(col)]
 
-    pos, misfit = assemble_rotated_units(spec, units, cells, angle_fn)
+    keys, pos, misfit = assemble_rotated_units(spec, units, cells, angle_fn)
     if misfit > tol:
         raise MechanismError(f"domain wall does not close: misfit {misfit:.3e}")
 
     # check all springs and orientations inside the strip
-    strip = LatticeMap(spec, 1.0, pos)
+    order = np.lexsort(keys.T[::-1])
+    strip = LatticeMap.from_arrays(spec, 1.0, keys[order], pos[order])
     x = strip.positions
     ci, cj = np.array(cells).T
     a, b = strip.rows(spec.spring_keys, ci, cj).transpose(1, 0, 2)
@@ -795,6 +798,7 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
 
     return DomainWall(
         theta=th,
+        keys=keys,
         positions=pos,
         half_width=half_width,
         rows=rows,

@@ -14,9 +14,8 @@ Cauchy-Riemann residuals.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .cellsolver import _twist_contraction_table
 from .energy import LatticeMap, domain_energy
 from .geometry import conformal_check, signed_svd
 from .lattice import LatticeSpec, kabsch_rotations, norms, rotation
-from .mechanisms import Mechanism, rigid_units
+from .mechanisms import Mechanism, _unit_members, _walk_units, rigid_units
 
 __all__ = [
     "ConformalTarget",
@@ -136,24 +135,27 @@ class MechanismStateTable:
     """Per-unit rigid states of a one-parameter isotropic mechanism
     family, indexed by contraction.
 
-    ``angles[r]`` and ``offsets[r]`` give, for the unit instance with
-    residue ``r`` inside the ``k x k`` supercell, its rotation angle and
-    centroid offset (relative to ``c x``) at each tabulated contraction
-    ``cs`` (ascending).  Built from e.g. ``search_mechanisms`` output to
-    modulate a k-periodic family instead of the on-the-fly twist.
+    ``angles`` ``(n_units, k, k, n_cs)`` and ``offsets`` ``(n_units, k,
+    k, n_cs, 2)`` are indexed by residue ``(u, mi, mj)``: unit ``u`` in
+    cell ``(mi, mj)`` of the ``k x k`` supercell.  ``angles[r]`` and
+    ``offsets[r]`` give its rotation angle and centroid offset (relative
+    to ``c x``) at each tabulated contraction ``cs`` (ascending).  Built
+    from e.g. ``search_mechanisms`` output to modulate a k-periodic family
+    instead of the on-the-fly twist.
     """
 
     k: int
     cs: np.ndarray
-    angles: Dict[tuple, np.ndarray]
-    offsets: Dict[tuple, np.ndarray]
+    angles: np.ndarray
+    offsets: np.ndarray
 
     def state(self, residue, c):
-        """Rotation angle and centroid offset of unit ``residue`` at
-        contraction ``c``; for an array ``c``, arrays of angles and
-        ``(..., 2)`` offsets."""
+        """Rotation angle and centroid offset of the unit with residue
+        ``(u, mi, mj)`` at contraction ``c``; for an array ``c``, arrays of
+        angles and ``(..., 2)`` offsets."""
         from scipy.interpolate import PchipInterpolator
 
+        residue = tuple(residue)
         ang = PchipInterpolator(self.cs, self.angles[residue])(c)
         off = np.stack([
             PchipInterpolator(self.cs, self.offsets[residue][:, d])(c)
@@ -183,13 +185,11 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
     if not mechanisms:
         raise ValueError("need at least one mechanism")
     k = mechanisms[0].deformation.cell.k
-    # node rows of every unit instance (u, mi, mj), stacked (k*k, nodes, 3)
+    units = rigid_units(spec)
+    # the cells (mi, mj) of the supercell, row by row, as node-row shifts
     mi, mj = np.divmod(np.arange(k * k), k)
     shifts = np.column_stack([np.zeros_like(mi), mi, mj])[:, None]
-    inst_keys = [np.array([(n, o1, o2) for n, (o1, o2) in unit.nodes]) + shifts
-                 for unit in rigid_units(spec)]
-    cells = list(zip(mi.tolist(), mj.tolist()))
-    rows = []
+    cs, angles, offsets = [], [], []
     for m in mechanisms:
         cert = m.certificate
         if m.deformation.cell.k != k:
@@ -204,58 +204,32 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
         R = dat.U @ dat.V.T
         beta = float(np.arctan2(R[1, 0], R[0, 0]))
         defm = m.deformation.rotate(rotation(-beta))
-        row_ang, row_off = {}, {}
-        for u, keys in enumerate(inst_keys):
+        ang, off = np.empty((len(units), k * k)), np.empty((len(units), k * k, 2))
+        for u, unit in enumerate(units):
+            keys = unit.nodes + shifts
             X, Y = spec.node_positions(keys), defm.node_positions(keys)
             Ru = kabsch_rotations(X, Y)
-            ang = np.arctan2(Ru[:, 1, 0], Ru[:, 0, 0]).tolist()
-            off = Y.mean(axis=1) - c * X.mean(axis=1)
-            row_ang.update(zip([(u, *cell) for cell in cells], ang))
-            row_off.update(zip([(u, *cell) for cell in cells], off))
-        rows.append((c, row_ang, row_off))
-    rows.sort(key=lambda t: t[0])
-    cs = np.asarray([r[0] for r in rows])
+            ang[u] = np.arctan2(Ru[:, 1, 0], Ru[:, 0, 0])
+            off[u] = Y.mean(axis=1) - c * X.mean(axis=1)
+        cs.append(c)
+        angles.append(ang)
+        offsets.append(off)
+    order = np.argsort(cs, kind="stable")
+    cs = np.asarray(cs)[order]
     if len(cs) < 2 or np.any(np.diff(cs) <= 1e-12):
         raise ValueError("mechanism contractions must be distinct to form a table")
-    residues = rows[0][1].keys()
-    angles, offsets = {}, {}
-    for res in residues:
-        angles[res] = np.unwrap(np.asarray([r[1][res] for r in rows]))
-        offsets[res] = np.asarray([r[2][res] for r in rows])
+    shape = (len(units), k, k, len(cs))
+    angles = np.unwrap(np.moveaxis(np.asarray(angles)[order], 0, -1), axis=-1)
+    offsets = np.ascontiguousarray(np.moveaxis(np.asarray(offsets)[order], 0, -2))
     # translation gauge: offsets are only meaningful relative to their mean
-    mean_off = np.mean([offsets[res] for res in residues], axis=0)
-    for res in residues:
-        offsets[res] = offsets[res] - mean_off
-    return MechanismStateTable(k=k, cs=cs, angles=angles, offsets=offsets)
+    offsets = offsets - offsets.reshape(-1, len(cs), 2).mean(axis=0)
+    return MechanismStateTable(k=k, cs=cs, angles=np.ascontiguousarray(angles).reshape(shape),
+                               offsets=offsets.reshape(shape + (2,)))
 
 
 # ---------------------------------------------------------------------------
 # modulation
 # ---------------------------------------------------------------------------
-
-
-def _unwrap_along_units(raw, mem_inst, mem_node, n_nodes) -> np.ndarray:
-    """Unwrap the per-instance angles ``raw`` breadth-first from instance
-    0, stepping through each instance's nodes in member order to the
-    instances sharing them, in instance order; instances never reached
-    (disconnected pockets) keep the principal branch."""
-    n_inst = len(raw)
-    bounds = np.cumsum(np.bincount(mem_inst, minlength=n_inst))[:-1]
-    inst_nodes = [a.tolist() for a in np.split(mem_node, bounds)]
-    by_node = np.argsort(mem_node, kind="stable")
-    bounds = np.cumsum(np.bincount(mem_node, minlength=n_nodes))[:-1]
-    owners = [a.tolist() for a in np.split(mem_inst[by_node], bounds)]
-    phi = [None] * n_inst
-    phi[0] = raw[0]
-    queue = deque([0])
-    while queue:
-        inst = queue.popleft()
-        for node in inst_nodes[inst]:
-            for other in owners[node]:
-                if phi[other] is None:
-                    phi[other] = phi[inst] + _wrap_angle(raw[other] - phi[inst])
-                    queue.append(other)
-    return np.array([raw[n] if p is None else p for n, p in enumerate(phi)])
 
 
 def _relax(lmap: LatticeMap, ci, cj, sweeps: int, omega: float, tether: float):
@@ -349,11 +323,7 @@ def modulate(
     j_rng = np.arange(int(np.floor(lat[:, 1].min())) - 2, int(np.ceil(lat[:, 1].max())) + 3)
     CI, CJ = (a.ravel() for a in np.meshgrid(i_rng, j_rng, indexing="ij"))
     n_units = len(units)
-    slot_unit = np.concatenate([np.full(len(unit.nodes), u) for u, unit in enumerate(units)])
-    slot_ref = np.array([(n, o1, o2) for unit in units for n, (o1, o2) in unit.nodes])
-    shifts = np.column_stack([np.zeros_like(CI), CI, CJ])
-    mem_key = (shifts[:, None, :] + slot_ref[None, :, :]).reshape(-1, 3)
-    mem_inst = (np.arange(len(CI))[:, None] * n_units + slot_unit[None, :]).ravel()
+    mem_inst, mem_key = _unit_members(units, CI, CJ)
     mem_pos = epsilon * spec.node_positions(mem_key)
     kept = np.bincount(mem_inst, weights=inside(mem_pos), minlength=len(CI) * n_units) > 0
     if not kept.any():
@@ -388,8 +358,14 @@ def modulate(
         )
     c_loc = np.minimum(np.maximum(c, c_min), c_max)
 
-    # unwrap arg f' along a spanning tree of the unit adjacency
-    phi = _unwrap_along_units(np.angle(fp).tolist(), mem_inst, mem_node, len(keys))
+    # unwrap arg f' along the walk over the unit adjacency, depth by depth:
+    # each instance takes the branch nearest the one it was reached from;
+    # instances never reached (disconnected pockets) keep the principal one
+    order, parent, depth = _walk_units(mem_inst, mem_node, n_inst)
+    phi = np.angle(fp)
+    for lev in np.split(order, np.cumsum(np.bincount(depth[order]))[:-1])[1:]:
+        up = phi[parent[lev]]
+        phi[lev] = up + _wrap_angle(phi[lev] - up)
 
     # rigid placement: per-unit twist angle and centroid offset
     if states is None:
@@ -401,7 +377,7 @@ def modulate(
         residues = np.column_stack([inst_unit, inst_ci % states.k, inst_cj % states.k])
         for res in np.unique(residues, axis=0):
             has = (residues == res).all(axis=1)
-            ang[has], off[has] = states.state(tuple(res.tolist()), c_loc[has])
+            ang[has], off[has] = states.state(res, c_loc[has])
     Rg = rotation(phi)
     R = Rg @ rotation(ang)
     zc = np.empty(n_inst, dtype=complex)

@@ -74,6 +74,24 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content, named", [
+    ("[]", "holds an empty list"),
+    ('{"lam": [[1, 0], [0, 1]]}', "must hold a JSON list of 2x2 matrices, got dict"),
+    ("[[[1, 0], [0, 1]], [1, 2, 3]]", "entry 1 is not a 2x2 matrix"),
+], ids=["empty", "not-a-list", "not-2x2"])
+def test_bad_grid_file_exits_2_before_writing(tmp_path, capsys, content, named):
+    grid = tmp_path / "grid.json"
+    grid.write_text(content)
+    out = tmp_path / "x.csv"
+    assert run(["density-sweep", "--grid", f"file:{grid}", "--jobs", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid file {grid}" in err
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_percolating_rigid_units_sweep_but_have_no_twist(tmp_path, capsys):
     spec = tmp_path / "allpen.json"
     spec.write_text(percolating_units_json())

@@ -1,11 +1,14 @@
 """Rigid units, twist mechanisms, search, and the kagome domain wall."""
 
+import json
+
 import numpy as np
 import pytest
 
 from latmech.energy import energy_breakdown, triangle_dets
 from latmech.geometry import signed_svd
-from latmech.lattice import Supercell, build_variant
+from latmech.lattice import (DegenerateGeometryError, LatticeSpec, Supercell, build_kagome,
+                             build_variant)
 from latmech.mechanisms import (
     MechanismError,
     _twist_field,
@@ -34,7 +37,7 @@ def test_rigid_units_two_colored(all_specs):
         units = rigid_units(spec)
         assert len(units) == 2
         assert sorted(u.parity for u in units) == [0, 1]
-        covered = {t for u in units for (t, _) in u.triangles}
+        covered = {t for u in units for t in u.triangles[:, 0].tolist()}
         assert covered == set(range(len(spec.penalized_keys)))
 
 
@@ -44,13 +47,29 @@ def test_rigid_unit_sizes(kagome, rotating_squares):
     assert sorted(len(u.triangles) for u in rigid_units(rotating_squares)) == [2, 2]
 
 
+@pytest.mark.parametrize("penalized, message", [
+    ((3, 4), "pin adjacency of rigid units is not two-colorable"),
+    ((3, 4, 5), "unit coloring is not one-cell periodic; no one-periodic "
+                "counter-rotation exists"),
+])
+def test_rigid_unit_coloring_errors(penalized, message):
+    # kagome with other cover triangles penalized: units whose pin
+    # adjacency has an odd cycle, or whose coloring alternates by cell
+    data = json.loads(build_kagome().to_json())
+    for t, tri in enumerate(data["triangles"]):
+        tri["penalized"] = t in penalized
+    with pytest.raises(DegenerateGeometryError) as exc:
+        rigid_units(LatticeSpec.from_json(json.dumps(data)))
+    assert str(exc.value) == message
+
+
 def test_assemble_zero_rotation_reproduces_reference(kagome):
     units = rigid_units(kagome)
     cells = [(i, j) for i in range(3) for j in range(3)]
-    pos, misfit = assemble_rotated_units(kagome, units, cells, lambda u, ci, cj: 0.0)
+    keys, pos, misfit = assemble_rotated_units(kagome, units, cells, lambda u, ci, cj: 0.0)
     assert misfit <= 1e-14
-    for key, y in pos.items():
-        assert np.allclose(y, kagome.node_position(key), atol=1e-14)
+    for key, y in zip(keys, pos):
+        assert np.allclose(y, kagome.node_positions(key), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +181,7 @@ def test_batched_twist_equals_one_angle_path(twist_specs):
     plan = _twist_plan(spec, 1)
     misfit = plan.fields(thetas)[2]
     for theta, m in zip(thetas, misfit):
-        _, one = assemble_rotated_units(
+        *_, one = assemble_rotated_units(
             spec, units, [(i, j) for i in range(-1, 2) for j in range(-1, 2)],
             lambda u, ci, cj: theta if units[u].parity == 0 else -theta)
         assert m.hex() == one.hex() and m > 1e-12

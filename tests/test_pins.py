@@ -192,9 +192,7 @@ def _chase(spec):
     out = []
     for fn in (lambda u, ci, cj: 0.4 if units[u].parity == 0 else -0.4,
                lambda u, ci, cj: 0.3 * (1 + 0.1 * u) + 0.01 * ci - 0.02 * cj):
-        pos, misfit = assemble_rotated_units(spec, units, cells, fn)
-        out.append((np.asarray([(n, o1, o2) for n, (o1, o2) in pos]),
-                    np.asarray(list(pos.values())), misfit))
+        out.append(assemble_rotated_units(spec, units, cells, fn))
     return out
 
 
@@ -287,8 +285,7 @@ def _wall_digest() -> str:
     h = hashlib.sha256()
     for theta1 in (2.2, 2.5, 2.9):
         w = domain_wall_mechanism(theta1, half_width=5)
-        _feed(h, (np.asarray([(n, o1, o2) for n, (o1, o2) in w.positions]),
-                  np.asarray(list(w.positions.values())), w.max_misfit,
+        _feed(h, (w.keys, w.positions, w.max_misfit,
                   w.max_spring_residual, w.min_det, w.compression_left,
                   w.compression_right, np.asarray(list(w.compression_profile.items())),
                   w.vertical_compression, w.theta))
@@ -325,7 +322,7 @@ def _state_table():
     spec = build_kagome()
     table = mechanism_state_table(
         spec, [twist_mechanism(spec, th, k=2) for th in (0.1, 0.35, 0.6, 0.9, 1.2)])
-    res = sorted(table.angles)
+    res = list(np.ndindex(table.angles.shape[:3]))
     return (table.k, table.cs, res, [table.angles[r] for r in res],
             [table.offsets[r] for r in res])
 
@@ -333,8 +330,7 @@ def _state_table():
 def _wall_strip():
     """The kagome wall strip at the size of the certificate pass."""
     w = domain_wall_mechanism(2.25, half_width=40, rows=5)
-    return (np.asarray([(n, o1, o2) for n, (o1, o2) in w.positions]),
-            np.asarray(list(w.positions.values())), w.max_misfit,
+    return (w.keys, w.positions, w.max_misfit,
             w.max_spring_residual, w.min_det, w.compression_left,
             w.compression_right, np.asarray(list(w.compression_profile.items())),
             w.vertical_compression)

@@ -161,10 +161,10 @@ def test_state_table_from_twist_family(kagome):
     table = mechanism_state_table(kagome, mechs)
     assert table.k == 1
     assert table.c_min < 0.1 and table.c_max > 0.99
-    assert sorted(table.angles) == sorted(table.offsets)
+    assert table.angles.shape[:3] == table.offsets.shape[:3]
     # interpolated angle at a tabulated contraction matches the table
     c5 = float(table.cs[5])
-    res = sorted(table.angles)[0]
+    res = (0, 0, 0)
     ang, off = table.state(res, c5)
     assert abs(ang - table.angles[res][5]) <= 1e-12
     assert np.allclose(off, table.offsets[res][5], atol=1e-12)
