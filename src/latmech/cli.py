@@ -21,6 +21,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .softmodes import (
     ConformalTarget,
     decay_exponent,
     default_target,
+    ladder_exponents,
     modulate,
     soft_mode_report,
     weak_limit_check,
@@ -206,6 +208,26 @@ def _parse_eps(text: str):
     return out
 
 
+def _dump_name(eps: float) -> str:
+    return f"soft_mode_eps_{eps:.6g}.json".replace("/", "_")
+
+
+def _check_ladder(text: str, eps_list) -> None:
+    """Reject two ``--eps`` entries that agree to the 6 significant digits
+    the dump file names carry: a repeated rung adds a duplicate CSV row,
+    overwrites its dump and leaves the decay fit degenerate."""
+    seen = {}
+    for item, eps in zip((item.strip() for item in text.split(",")), eps_list):
+        name = _dump_name(eps)
+        if name in seen:
+            first, first_eps = seen[name]
+            why = (f"repeat the cell size {_fmt(eps)}" if eps == first_eps else
+                   f"agree to 6 significant digits ({eps:.6g}) and would share "
+                   f"the dump file name {name}")
+            raise ValueError(f"--eps entries {first!r} and {item!r} {why}")
+        seen[name] = item, eps
+
+
 def _jobs(args, n_tasks: int) -> int:
     jobs = getattr(args, "jobs", None)
     if jobs is None:
@@ -220,12 +242,45 @@ def _pool_map(fn, payloads, jobs: int):
         return pool.map(fn, payloads)
 
 
+# JSON text of non-finite floats, as the json module writes them
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NODE_COLUMNS = ("node", "offset1", "offset2", "ref_x", "ref_y", "x", "y")
+
+
+def _json_numbers(col) -> list:
+    """The JSON text of each entry of a 1-D int or float array: the
+    shortest round-trip repr, with NaN/Infinity/-Infinity for
+    non-finite floats."""
+    if col.dtype.kind in "iu":
+        return list(map(int.__repr__, col.tolist()))
+    out = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        out[i] = _NONFINITE[out[i]]
+    return out
+
+
+def _json_row(indent: int, width: int) -> str:
+    """``%`` template of a JSON list of ``width`` numbers at ``indent``."""
+    pad = " " * indent
+    return f"{pad}[\n" + ",\n".join([f"{pad} %s"] * width) + f"\n{pad}]"
+
+
+def _json_table(row: str, columns) -> str:
+    """A top-level list of ``json.dumps(..., indent=1)``: one ``row``
+    template per item, filled from ``columns`` row by row."""
+    n = len(columns[0])
+    if n == 0:
+        return "[]"
+    cells = chain.from_iterable(zip(*map(_json_numbers, columns)))
+    return "[\n" + ",\n".join([row] * n) % tuple(cells) + "\n ]"
+
+
 def _dump_geometry(lmap: LatticeMap, path: str) -> None:
     """Plot-ready geometry: node positions, spring edges, and the rigid
-    rotation angle of each penalized triangle."""
+    rotation angle of each penalized triangle.  The text is what
+    ``json.dumps(payload, indent=1, sort_keys=True)`` writes, built
+    straight from the arrays (see ``docs/formats.md``)."""
     spec = lmap.spec
-    nodes = [key + ref + pos for key, ref, pos in zip(
-        lmap.keys.tolist(), lmap.reference_positions.tolist(), lmap.positions.tolist())]
     # every placed instance of each spring class and penalized triangle,
     # class by class
     o1, o2 = np.unique(lmap.keys[:, 1:], axis=0).T
@@ -234,22 +289,24 @@ def _dump_geometry(lmap: LatticeMap, path: str) -> None:
         rows = lmap.rows(keys, o1, o2).transpose(0, 2, 1).reshape(-1, keys.shape[1])
         return rows[(rows >= 0).all(axis=1)]
 
-    edges = np.unique(placed(spec.spring_keys), axis=0).tolist()
+    edges = np.unique(placed(spec.spring_keys), axis=0)
     tri_rows = placed(spec.penalized_keys)
     R = kabsch_rotations(lmap.reference_positions[tri_rows], lmap.positions[tri_rows])
-    angles = np.arctan2(R[:, 1, 0], R[:, 0, 0]).tolist()
-    triangles = [{"nodes": rows, "angle": ang}
-                 for rows, ang in zip(tri_rows.tolist(), angles)]
-    payload = {
-        "epsilon": lmap.epsilon,
-        "node_columns": ["node", "offset1", "offset2", "ref_x", "ref_y", "x", "y"],
-        "nodes": nodes,
-        "edges": edges,
-        "triangles": triangles,
-    }
+    angles = np.arctan2(R[:, 1, 0], R[:, 0, 0])
+    triangle = ('  {\n   "angle": %s,\n   "nodes": '
+                + _json_row(3, tri_rows.shape[1]).lstrip() + "\n  }")
+    nodes = [*lmap.keys.T, *lmap.reference_positions.T, *lmap.positions.T]
+    text = "".join([
+        "{\n",
+        f' "edges": {_json_table(_json_row(2, edges.shape[1]), edges.T)},\n',
+        f' "epsilon": {json.dumps(lmap.epsilon)},\n',
+        ' "node_columns": [\n', ",\n".join(f'  "{c}"' for c in _NODE_COLUMNS), "\n ],\n",
+        f' "nodes": {_json_table(_json_row(2, len(nodes)), nodes)},\n',
+        f' "triangles": {_json_table(triangle, [angles, *tri_rows.T])}\n',
+        "}\n",
+    ])
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _warm_twist_table(spec: LatticeSpec) -> None:
@@ -418,8 +475,7 @@ def _cmd_verify_bounds(args) -> int:
 def _cmd_domain_wall(args) -> int:
     theta = domain_wall_angles(args.theta1, n=args.n)
     rows = [[i, th] for i, th in enumerate(theta)]
-    path = _out_path(args, "domain_wall.csv")
-    _write_csv(path, ["column", "twist_angle"], rows)
+    # the CSV goes last, so a strip that fails its checks leaves none
     if args.strip:
         wall = domain_wall_mechanism(args.theta1, half_width=args.half_width,
                                      rows=args.rows)
@@ -429,6 +485,8 @@ def _cmd_domain_wall(args) -> int:
         print(f"far-field compression left {_fmt(wall.compression_left)} / "
               f"right {_fmt(wall.compression_right)} "
               f"(gap {_fmt(wall.far_field_gap)}), limit angle {_fmt(wall.theta_limit)}")
+    path = _out_path(args, "domain_wall.csv")
+    _write_csv(path, ["column", "twist_angle"], rows)
     _finish(args, path)
     return EXIT_OK
 
@@ -447,6 +505,7 @@ def _cmd_soft_mode(args) -> int:
     spec = _load_spec(args)
     target = default_target()
     eps_list = _parse_eps(args.eps)
+    _check_ladder(args.eps, eps_list)
     spec_json = spec.to_json()
     payloads = [(spec_json, [str(c) for c in target.coeffs],
                  [str(c) for c in target.denom], list(target.domain),
@@ -479,11 +538,15 @@ def _cmd_soft_mode(args) -> int:
     else:
         print(f"fitted decay exponent {_fmt(slope)}; "
               f"final/first {_fmt(dens[-1] / dens[0])}")
+        if len(dens) > 2:
+            steps, fine, fine_eps = ladder_exponents(eps_list, dens)
+            print(f"successive exponents {', '.join(f'{s:.4g}' for s in steps)}; "
+                  f"fit over the finest {len(fine_eps)} rungs "
+                  f"(eps <= {max(fine_eps):.6g}) {fine:.4g}")
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for lmap in maps:
-            name = f"soft_mode_eps_{lmap.epsilon:.6g}.json".replace("/", "_")
-            _dump_geometry(lmap, os.path.join(args.dump_dir, name))
+            _dump_geometry(lmap, os.path.join(args.dump_dir, _dump_name(lmap.epsilon)))
         print(f"wrote {len(maps)} geometry dumps to {args.dump_dir}")
     _finish(args, path)
     return EXIT_OK

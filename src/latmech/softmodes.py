@@ -33,6 +33,7 @@ __all__ = [
     "modulate",
     "SoftModeReport",
     "decay_exponent",
+    "ladder_exponents",
     "soft_mode_report",
     "WeakLimitReport",
     "weak_limit_check",
@@ -130,6 +131,53 @@ def _wrap_angle(a):
     return (a + np.pi) % (2 * np.pi) - np.pi
 
 
+def _pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant (PCHIP) through
+    ``(x, y)``, extrapolated from the end intervals.
+
+    ``x`` is strictly increasing and ``y`` has ``len(x)`` rows (any
+    trailing shape).  Returns a callable whose value at ``v`` has shape
+    ``shape(v) + shape(y)[1:]``; NaN maps to NaN.  The derivatives,
+    coefficients and evaluation repeat the floating-point operations of
+    scipy's ``PchipInterpolator`` one for one, so the values agree with it
+    bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    m = np.diff(y, axis=0) / h
+    if len(x) == 2:
+        d = np.concatenate([m, m])
+    else:
+        # interior: weighted harmonic mean of the adjacent slopes, zero
+        # where they differ in sign or either vanishes
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+
+        def edge(h0, h1, m0, m1):
+            # one-sided three-point estimate, kept shape-preserving
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            wrong_sign = np.sign(e) != np.sign(m0)
+            overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+            return np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, e))
+
+        d = np.concatenate([edge(h[0], h[1], m[0], m[1])[None], inner,
+                            edge(h[-1], h[-2], m[-1], m[-2])[None]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def evaluate(v):
+        v = np.asarray(v, dtype=np.float64)
+        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, len(x) - 2)
+        s = (v - x[i]).reshape(v.shape + (1,) * (y.ndim - 1))
+        ss = s * s
+        return (((0.0 + c3[i]) + c2[i] * s) + c1[i] * ss + c0[i] * (ss * s))[()]
+
+    return evaluate
+
+
 @dataclass
 class MechanismStateTable:
     """Per-unit rigid states of a one-parameter isotropic mechanism
@@ -153,15 +201,11 @@ class MechanismStateTable:
         """Rotation angle and centroid offset of the unit with residue
         ``(u, mi, mj)`` at contraction ``c``; for an array ``c``, arrays of
         angles and ``(..., 2)`` offsets."""
-        from scipy.interpolate import PchipInterpolator
-
         residue = tuple(residue)
-        ang = PchipInterpolator(self.cs, self.angles[residue])(c)
-        off = np.stack([
-            PchipInterpolator(self.cs, self.offsets[residue][:, d])(c)
-            for d in (0, 1)
-        ], axis=-1)
-        return (float(ang) if np.ndim(c) == 0 else ang), off
+        table = np.column_stack([self.angles[residue], self.offsets[residue]])
+        state = _pchip(self.cs, table)(c)
+        ang = state[..., 0]
+        return (float(ang) if np.ndim(c) == 0 else ang), state[..., 1:]
 
     @property
     def c_min(self) -> float:
@@ -293,8 +337,6 @@ def modulate(
     contraction range at a unit inside the domain (the location is
     reported); boundary-overhanging units are clamped instead.
     """
-    from scipy.interpolate import PchipInterpolator
-
     if epsilon <= 0:
         raise ValueError(f"cell size epsilon must be positive, got {epsilon:g}")
     if relax_sweeps < 0:
@@ -303,7 +345,7 @@ def modulate(
     if states is None:
         thetas, cs = _twist_contraction_table(spec)
         c_min, c_max = float(cs.min()), 1.0
-        invert = PchipInterpolator(cs[::-1], thetas[::-1])
+        invert = _pchip(cs[::-1], thetas[::-1])
     else:
         c_min, c_max = states.c_min, states.c_max
 
@@ -439,12 +481,27 @@ class SoftModeReport:
 
 def decay_exponent(eps_list, densities) -> float:
     """Least-squares slope of ``log density`` against ``log epsilon``;
-    NaN unless there are two or more densities, all above the solver
-    floor ``1e-10``."""
+    NaN unless there are two or more distinct ``epsilon``, and every
+    density is above the solver floor ``1e-10``."""
     e = np.asarray(densities, dtype=float)
-    if len(e) < 2 or not (e > 1e-10).all():
+    eps = np.asarray(eps_list, dtype=float)
+    if len(np.unique(eps)) < 2 or not (e > 1e-10).all():
         return float("nan")
-    return float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)), np.log(e), 1)[0])
+    return float(np.polyfit(np.log(eps), np.log(e), 1)[0])
+
+
+def ladder_exponents(eps_list, densities):
+    """The asymptotics of a ladder of distinct ``epsilon``, coarse to
+    fine: the decay exponent between each pair of successive rungs, and
+    the one fitted over the finest half of the ladder (at least two
+    rungs), with that half's ``epsilon``.  A single fit over every rung
+    mixes in the pre-asymptotic coarse rungs."""
+    order = np.argsort(-np.asarray(eps_list, dtype=float), kind="stable")
+    eps = np.asarray(eps_list, dtype=float)[order]
+    dens = np.asarray(densities, dtype=float)[order]
+    steps = tuple(decay_exponent(eps[i:i + 2], dens[i:i + 2]) for i in range(len(eps) - 1))
+    half = max(2, (len(eps) + 1) // 2)
+    return steps, decay_exponent(eps[-half:], dens[-half:]), tuple(eps[-half:].tolist())
 
 
 def soft_mode_report(

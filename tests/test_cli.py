@@ -68,10 +68,35 @@ def test_precondition_errors_exit_2(tmp_path):
     (["verify-bounds", "--k-max", "0"], "trials and k_max must be >= 1, got 1000 and 0"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
-    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps, named", [
+    ("1/8,0.125", "'1/8' and '0.125' repeat the cell size 0.125"),
+    ("1/16,1/8,1/16", "'1/16' and '1/16' repeat the cell size 0.0625"),
+    ("1/3,0.3333333", "'1/3' and '0.3333333' agree to 6 significant digits "
+                      "(0.333333) and would share the dump file name "
+                      "soft_mode_eps_0.333333.json"),
+])
+def test_soft_mode_repeated_rung_exits_2_before_modulating(tmp_path, capsys, monkeypatch,
+                                                           eps, named):
+    def no_modulation(*args, **kwargs):
+        raise AssertionError("modulate ran")
+
+    monkeypatch.setattr(cli, "modulate", no_modulation)
+    out, dumps = tmp_path / "x.csv", tmp_path / "D"
+    assert run(["soft-mode", "--eps", eps, "--jobs", "1", "--dump-dir", str(dumps),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--eps entries {named}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not dumps.exists()
 
 
 @pytest.mark.parametrize("content, named", [
@@ -129,6 +154,13 @@ def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
         "assert 'scipy' not in sys.modules, 'scipy imported by latmech.cli'",
         f"assert cli.main(['build', '--out', {str(tmp_path / 'spec.json')!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'scipy imported by build'",
+        f"assert cli.main(['soft-mode', '--eps', '1/8', '--sweeps', '5', '--jobs', '1', "
+        f"'--dump-dir', {str(tmp_path / 'D')!r}, "
+        f"'--out', {str(tmp_path / 'soft.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by soft-mode'",
+        f"assert cli.main(['mechanism', '--dump', {str(tmp_path / 'geom.json')!r}, "
+        f"'--out', {str(tmp_path / 'mech.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by mechanism --dump'",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -206,6 +238,36 @@ def test_mechanism_grid_and_dump(tmp_path):
     # deformed positions contract by about cos(0.4)
     cert_row = dict(zip(header, lines[1].split(",")))
     assert abs(float(cert_row["sigma1"]) - np.cos(0.4)) <= 1e-10
+
+
+def test_geometry_dump_writes_the_indented_json_text(tmp_path):
+    # a small map with non-finite coordinates and no penalized triangle
+    # placed: the writer must give json's indent=1, sort_keys text exactly
+    spec = LatticeSpec.from_json(cli.build_kagome().to_json())
+    keys = np.array([[0, 0, 0], [0, 7, 7], [1, 0, 0], [2, 5, 5]])
+    pos = np.array([[0.25, -0.0], [np.nan, 1e300], [np.inf, -np.inf], [1 / 3, 2.5e-17]])
+    lmap = cli.LatticeMap.from_arrays(spec, 0.0625, keys, pos)
+    path = tmp_path / "geom.json"
+    cli._dump_geometry(lmap, str(path))
+    payload = {
+        "epsilon": 0.0625,
+        "node_columns": ["node", "offset1", "offset2", "ref_x", "ref_y", "x", "y"],
+        "nodes": [k + r + p for k, r, p in zip(keys.tolist(),
+                                               lmap.reference_positions.tolist(),
+                                               pos.tolist())],
+        "edges": [[0, 2]],
+        "triangles": [],
+    }
+    assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def test_mechanism_dump_matches_json_text(tmp_path):
+    dump = tmp_path / "geom.json"
+    assert run(["mechanism", "--spec", "kagome", "--theta", "0.3", "--k", "2",
+                "--dump", str(dump), "--out", str(tmp_path / "m.csv")]) == 0
+    text = dump.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+    assert len(json.loads(text)["triangles"]) > 0
 
 
 def test_mechanism_grid_covers_requested_points(tmp_path):
@@ -298,6 +360,18 @@ def test_soft_mode_single_rung_says_why(tmp_path, capsys):
     assert "a single rung; decay exponent undefined" in printed
     assert "solver floor" not in printed
     assert float(open(out).read().splitlines()[1].split(",")[2]) > 1e-10
+
+
+def test_soft_mode_prints_ladder_asymptotics(tmp_path, capsys):
+    out = str(tmp_path / "soft.csv")
+    assert run(["soft-mode", "--eps", "1/16,1/8,1/32", "--sweeps", "50", "--jobs", "1",
+                "--out", out]) == 0
+    printed = capsys.readouterr().out
+    assert "fitted decay exponent" in printed
+    line = next(ln for ln in printed.splitlines() if ln.startswith("successive exponents"))
+    assert "fit over the finest 2 rungs (eps <= 0.0625)" in line
+    steps = line.split(";")[0].split()[2:]
+    assert len(steps) == 2
 
 
 # sha256 of ``soft-mode --eps 1/8,1/12 --sweeps 50 --jobs 1 --dump-dir D``:

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from latmech.cellsolver import _twist_contraction_table
 from latmech.energy import LatticeMap, domain_energy
 from latmech.mechanisms import twist_mechanism
 from latmech.softmodes import (
     ConformalTarget,
+    _pchip,
+    decay_exponent,
     default_target,
+    ladder_exponents,
     mechanism_state_table,
     modulate,
     soft_mode_report,
@@ -100,6 +104,70 @@ def test_uniform_target_marks_exponent_undefined(kagome):
     rep = soft_mode_report(kagome, tgt, eps_list=(1 / 8, 1 / 16))
     assert not rep.exponent_defined
     assert max(rep.energy_densities) <= 1e-12
+
+
+def test_decay_exponent_needs_two_distinct_rungs():
+    assert np.isnan(decay_exponent([1 / 8], [1e-3]))
+    assert np.isnan(decay_exponent([1 / 8, 0.125], [1e-3, 1.1e-3]))
+    assert np.isnan(decay_exponent([1 / 8, 1 / 16], [1e-3, 1e-11]))
+    assert decay_exponent([1 / 8, 1 / 16, 1 / 16], [4e-3, 1e-3, 1e-3]) > 0
+
+
+def test_ladder_exponents_go_coarse_to_fine():
+    # density eps^1 down to 1/32, then eps^2: the successive exponents
+    # show the change that one fit over every rung averages away
+    eps = [1 / 64, 1 / 8, 1 / 32, 1 / 16, 1 / 128]
+    dens = [e if e >= 1 / 32 else e * e * 32 for e in eps]
+    steps, fine, fine_eps = ladder_exponents(eps, dens)
+    assert np.allclose(steps, [1, 1, 2, 2], atol=1e-12)
+    assert fine_eps == (1 / 32, 1 / 64, 1 / 128)
+    assert abs(fine - 2) <= 1e-12
+    assert decay_exponent(eps, dens) < fine
+
+
+# ---------------------------------------------------------------------------
+# monotone interpolation
+# ---------------------------------------------------------------------------
+
+
+def _assert_pchip_matches_scipy(x, y, v):
+    from scipy.interpolate import PchipInterpolator
+
+    want, got = PchipInterpolator(x, y)(v), _pchip(x, y)(v)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_pchip_matches_scipy_on_the_contraction_tables(request, spec_name):
+    thetas, cs = _twist_contraction_table(request.getfixturevalue(spec_name))
+    x, y = cs[::-1], thetas[::-1]
+    # the knots, both endpoints, a dense sweep with extrapolation, and NaN
+    v = np.concatenate([x, np.linspace(x[0] - 0.05, x[-1] + 0.05, 20001), [np.nan]])
+    _assert_pchip_matches_scipy(x, y, v)
+    _assert_pchip_matches_scipy(x, y, 0.5)
+    assert np.isnan(_pchip(x, y)(np.nan))
+
+
+def test_pchip_matches_scipy_on_random_data():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(2, 10))
+        x = np.cumsum(rng.uniform(0.05, 2.0, n)) - 2.0
+        y = rng.standard_normal((n, 3) if trial % 3 == 0 else n)
+        if trial % 2:
+            y = np.round(y)  # flat segments and sign changes of the slope
+        v = np.concatenate([x, rng.uniform(x[0] - 1, x[-1] + 1, 40), [np.nan]])
+        _assert_pchip_matches_scipy(x, y, v)
+        _assert_pchip_matches_scipy(x, y, float(v[1]))
+
+
+def test_pchip_two_points_is_the_chord():
+    f = _pchip([0.0, 2.0], [1.0, 5.0])
+    assert f(0.5) == 2.0
+    assert isinstance(f(0.5), float)
+    assert np.array_equal(f(np.array([-1.0, 3.0])), [-1.0, 7.0])
+    _assert_pchip_matches_scipy([0.0, 2.0], [1.0, 5.0], np.array([-1.0, 0.0, 0.5, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
