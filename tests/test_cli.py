@@ -415,6 +415,18 @@ def test_inequalities_csv(tmp_path):
     assert all(float(line.split(",")[1]) >= -1e-12 for line in lines[1:])
 
 
+# sha256 of ``inequalities`` at its default grid (lam_step 0.01,
+# theta_step 0.001), recorded before the three-direction sweep was
+# streamed one angle at a time
+INEQUALITIES_DEFAULT_SHA256 = "05be6211d7ea86915df02f69256c0b21007c05d63780e384ffac0264e97b44ea"
+
+
+def test_inequalities_default_grid_pinned_bytes(tmp_path):
+    out = tmp_path / "ineq.csv"
+    assert run(["inequalities", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INEQUALITIES_DEFAULT_SHA256
+
+
 def test_outdir_environment_default(tmp_path, monkeypatch):
     monkeypatch.setenv("LATMECH_OUTDIR", str(tmp_path))
     assert run(["build", "--spec", "kagome"]) == 0

@@ -6,7 +6,8 @@ squares and the four variant families at k = 1, 2, 3, each on one fixed
 random ``(lam, psi)``.  Each twist pin hashes one construction over the
 six specs whose counter-rotation closes (plus, for the pin chase, a quad
 whose chase does not close); the domain-wall pin hashes the kagome strip,
-and the rigid-units pin hashes every spec's units.
+the rigid-units pin hashes every spec's units, and the inequalities pin
+hashes the scalar inequality report on two grids.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
 on these bits through L-BFGS and the twist seed.  To print fresh pins
@@ -36,7 +37,7 @@ from latmech.energy import (
     spring_energy_grad,
     triangle_dets,
 )
-from latmech.geometry import averaged_vectors
+from latmech.geometry import averaged_vectors, scalar_inequality_report
 from latmech.lattice import (
     DegenerateGeometryError,
     LatticeSpec,
@@ -223,6 +224,11 @@ PERCOLATING_UNITS_ERROR = "a rigid unit contains a lattice translate of itself"
 
 WALL_PIN = "38bdf3b43145467f98c47891042d1a63796300faa0597e2371a6450c9428ff61"
 
+# the coarse test grid and the golden-sample grid of ``inequalities``
+INEQUALITY_GRIDS = ((0.05, 0.01), (0.1, 0.05))
+
+INEQUALITIES_PIN = "eeba84e06443af56cad17168da890486ff622c51edde2de72be8a034310552b7"
+
 DENSITY_PIN = (
     "0x1.cf0cb35738282p-7",
     "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
@@ -248,6 +254,17 @@ def _digest(name, cases) -> str:
     h = hashlib.sha256()
     for case in cases:
         _feed(h, QUANTITIES[name](*case))
+    return h.hexdigest()
+
+
+def _inequalities_digest() -> str:
+    """Every name, slack, arg-min and witness of the scalar inequality
+    report on each grid of ``INEQUALITY_GRIDS``."""
+    h = hashlib.sha256()
+    for lam_step, theta_step in INEQUALITY_GRIDS:
+        for rep in scalar_inequality_report(lam_step, theta_step):
+            h.update(rep.name.encode())
+            _feed(h, [rep.min_slack, list(rep.argmin), list(rep.witness or ())])
     return h.hexdigest()
 
 
@@ -402,6 +419,10 @@ def test_domain_wall_is_pinned():
     assert _wall_digest() == WALL_PIN
 
 
+def test_scalar_inequalities_are_pinned():
+    assert _inequalities_digest() == INEQUALITIES_PIN
+
+
 def test_anisotropic_density_solve_is_pinned():
     assert _density() == DENSITY_PIN
 
@@ -421,4 +442,5 @@ if __name__ == "__main__":
         print(f'    "{name}": "{_consumer_digest(name)}",')
     print(f'UNITS_PIN = "{_units_digest()}"')
     print(f'WALL_PIN = "{_wall_digest()}"')
+    print(f'INEQUALITIES_PIN = "{_inequalities_digest()}"')
     print(f"DENSITY_PIN = {_density()!r}")
