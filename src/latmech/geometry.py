@@ -199,6 +199,36 @@ def _pair_grid(step):
     return l1[keep], l2[keep]
 
 
+def _compression_slack(l1, l2, period):
+    """Yield, for each angle of ``period`` in turn, the slack of the
+    three-direction compression inequality at every ``(l1, l2)`` pair:
+    ``sum_o (|diag(l1, l2) e_(theta + o)| - 1)_+^2`` over ``o = 0, pi/3,
+    2 pi/3`` in that order, minus ``(sqrt(3/4 l1^2 + 1/4 l2^2) - 1)_+^2``.
+
+    Each term is :func:`direction_stretch`'s ``sqrt(a + b cos^2)``
+    evaluated in place, operation for operation, so every element has the
+    bits of the broadcast expression.  The yielded array is one reused
+    buffer, overwritten by the next angle.
+    """
+    rhs = _pos_sq(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0)
+    a, b = l2**2, l1**2 - l2**2
+    cos2 = [np.cos(period + o) ** 2 for o in (0.0, np.pi / 3, 2 * np.pi / 3)]
+    lhs, term = np.empty_like(a), np.empty_like(a)
+    for i in range(len(period)):
+        for n, c2 in enumerate(cos2):
+            np.multiply(b, c2[i], out=term)
+            np.add(a, term, out=term)
+            np.sqrt(term, out=term)
+            np.subtract(term, 1.0, out=term)
+            np.maximum(term, 0.0, out=term)
+            # a square is never -0.0, so 0.0 + the first term is that term
+            np.square(term, out=lhs if n == 0 else term)
+            if n:
+                np.add(lhs, term, out=lhs)
+        np.subtract(lhs, rhs, out=lhs)
+        yield lhs
+
+
 def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     """Certify the scalar inequalities behind the lower bound on dense
     grids; returns a list of :class:`ScalarInequalityReport`.
@@ -208,10 +238,25 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     three-direction compression sum depends on theta only through
     ``cos^2(theta + o)``, ``o in {0, pi/3, 2 pi/3}``, so it has period
     ``pi/3`` and is swept over the grid points in ``[0, pi/3)`` only.
+
+    That sweep is evaluated one angle at a time over all ``(l1, l2)``
+    pairs, in place in two pair-length buffers, so its memory is O(pairs)
+    however fine the angle grid.  Each reported minimum is the first one
+    in (theta, pair) row-major order.
+
+    Both steps must be finite; ``lam_step <= 3`` and ``theta_step < pi/3``,
+    so that the compression sweep holds at least two angles.
     """
     for name, step in (("lam_step", lam_step), ("theta_step", theta_step)):
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step:g}")
+        if not np.isfinite(step):
+            raise ValueError(f"{name} must be finite, got {step:g}")
+    if lam_step > 3:
+        raise ValueError(f"lam_step must be at most 3, the largest stretch, got {lam_step:g}")
+    if theta_step >= np.pi / 3:
+        raise ValueError("theta_step must be below pi/3 so the three-direction sweep "
+                         f"holds two angles, got {theta_step:g}")
     reports = []
     l1, l2 = _pair_grid(lam_step)
     theta = np.arange(0.0, 2 * np.pi, theta_step)
@@ -233,18 +278,11 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
 
     # sum of three direction compressions dominates one quadratic mean
     best = (np.inf, (0.0, 0.0, 0.0))
-    rhs = _pos_sq(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0)
     period = theta[theta < np.pi / 3]
-    chunk = 256
-    for s in range(0, len(period), chunk):
-        th = period[s:s + chunk][:, None]
-        lhs = np.zeros((th.shape[0], l1.shape[0]))
-        for o in (0.0, np.pi / 3, 2 * np.pi / 3):
-            lhs += _pos_sq(direction_stretch(l1[None, :], l2[None, :], th + o) - 1.0)
-        slack = lhs - rhs[None, :]
-        i, j = np.unravel_index(np.argmin(slack), slack.shape)
-        if slack[i, j] < best[0]:
-            best = (float(slack[i, j]), (float(l1[j]), float(l2[j]), float(period[s + i])))
+    for i, slack in enumerate(_compression_slack(l1, l2, period)):
+        j = int(np.argmin(slack))
+        if slack[j] < best[0]:
+            best = (float(slack[j]), (float(l1[j]), float(l2[j]), float(period[i])))
     reports.append(ScalarInequalityReport("three-direction-compression", best[0], best[1]))
 
     # commutator + compression dominate the positive-part bracket

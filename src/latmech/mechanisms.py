@@ -121,17 +121,17 @@ def _walk_units(inst, node, n_inst):
     reached, and per instance the one it was reached from and its depth
     (-1 where never reached; the parent of instance 0 is -1 too).
     """
-    bounds = np.cumsum(np.bincount(inst, minlength=n_inst))[:-1]
-    inst_nodes = [a.tolist() for a in np.split(node, bounds)]
-    by_node = np.argsort(node, kind="stable")
-    bounds = np.cumsum(np.bincount(node))[:-1]
-    owners = [a.tolist() for a in np.split(inst[by_node], bounds)]
+    # each instance's nodes and each node's owners as slices of two lists
+    nodes = node.tolist()
+    node_at = [0] + np.cumsum(np.bincount(inst, minlength=n_inst)).tolist()
+    owners = inst[np.argsort(node, kind="stable")].tolist()
+    owner_at = [0] + np.cumsum(np.bincount(node)).tolist()
     parent, depth = [-1] * n_inst, [-1] * n_inst
     depth[0] = 0
     order = [0]
     for i in order:             # the order is the queue: it grows as it is read
-        for n in inst_nodes[i]:
-            for other in owners[n]:
+        for n in nodes[node_at[i]:node_at[i + 1]]:
+            for other in owners[owner_at[n]:owner_at[n + 1]]:
                 if depth[other] < 0:
                     parent[other], depth[other] = i, depth[i] + 1
                     order.append(other)

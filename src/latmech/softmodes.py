@@ -405,7 +405,9 @@ def modulate(
     # instances never reached (disconnected pockets) keep the principal one
     order, parent, depth = _walk_units(mem_inst, mem_node, n_inst)
     phi = np.angle(fp)
-    for lev in np.split(order, np.cumsum(np.bincount(depth[order]))[:-1])[1:]:
+    level_at = np.cumsum(np.bincount(depth[order])).tolist()
+    for a, b in zip(level_at, level_at[1:]):
+        lev = order[a:b]
         up = phi[parent[lev]]
         phi[lev] = up + _wrap_angle(phi[lev] - up)
 

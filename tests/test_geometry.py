@@ -1,9 +1,13 @@
 """Marker averages, commutator identities, brackets, and triangle rigidity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from latmech.geometry import (
+    _compression_slack,
+    _pair_grid,
     averaged_vectors,
     commutator_closed_form,
     commutator_direct,
@@ -227,6 +231,30 @@ def test_direction_max_witnesses():
     angle, value = reports["two-direction-max"].witness
     assert abs(angle - np.pi / 4) <= 1e-15
     assert abs(value - 0.5) <= 1e-12
+
+
+def test_compression_slack_rows_equal_the_broadcast_expression():
+    offsets = (0.0, np.pi / 3, 2 * np.pi / 3)
+    l1, l2 = _pair_grid(0.1)
+    period = np.arange(0.0, np.pi / 3, 0.01)
+    lhs = sum(np.maximum(direction_stretch(l1[None, :], l2[None, :],
+                                           period[:, None] + o) - 1.0, 0.0) ** 2
+              for o in offsets)
+    rhs = np.maximum(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0, 0.0) ** 2
+    rows = np.array([row.copy() for row in _compression_slack(l1, l2, period)])
+    assert rows.tobytes() == (lhs - rhs[None, :]).tobytes()
+
+
+def test_scalar_inequalities_default_grid_memory():
+    # the default grid is 1048 angles x 45,451 pairs; a (256, pairs)
+    # float64 temporary alone is 93 MB, one pair-length buffer 0.36 MB
+    tracemalloc.start()
+    try:
+        scalar_inequality_report()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

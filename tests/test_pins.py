@@ -6,8 +6,9 @@ squares and the four variant families at k = 1, 2, 3, each on one fixed
 random ``(lam, psi)``.  Each twist pin hashes one construction over the
 six specs whose counter-rotation closes (plus, for the pin chase, a quad
 whose chase does not close); the domain-wall pin hashes the kagome strip,
-the rigid-units pin hashes every spec's units, and the inequalities pin
-hashes the scalar inequality report on two grids.
+the rigid-units pin hashes every spec's units, and the inequalities pins
+hash the scalar inequality report and every compression slack on two
+grids.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
 on these bits through L-BFGS and the twist seed.  To print fresh pins
@@ -37,7 +38,12 @@ from latmech.energy import (
     spring_energy_grad,
     triangle_dets,
 )
-from latmech.geometry import averaged_vectors, scalar_inequality_report
+from latmech.geometry import (
+    _compression_slack,
+    _pair_grid,
+    averaged_vectors,
+    scalar_inequality_report,
+)
 from latmech.lattice import (
     DegenerateGeometryError,
     LatticeSpec,
@@ -229,6 +235,13 @@ INEQUALITY_GRIDS = ((0.05, 0.01), (0.1, 0.05))
 
 INEQUALITIES_PIN = "eeba84e06443af56cad17168da890486ff622c51edde2de72be8a034310552b7"
 
+# every element of the three-direction compression slack, one sha256 per
+# grid of INEQUALITY_GRIDS, recorded from the sweep in 256-angle chunks
+COMPRESSION_SLACK_PINS = (
+    "71a50cb8c8fcf7de1a01b95f5fb047bccd6134647d05bbf728ae1fc43475e290",
+    "e9dc6d7ea47e8f7ce05aefae1bfb661ff99302db671c2a9fa8c448bd888db39d",
+)
+
 DENSITY_PIN = (
     "0x1.cf0cb35738282p-7",
     "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
@@ -266,6 +279,20 @@ def _inequalities_digest() -> str:
             h.update(rep.name.encode())
             _feed(h, [rep.min_slack, list(rep.argmin), list(rep.witness or ())])
     return h.hexdigest()
+
+
+def _compression_slack_digests() -> tuple:
+    """The slack rows of ``_compression_slack``, in angle order, on each
+    grid of ``INEQUALITY_GRIDS`` as ``scalar_inequality_report`` sweeps it."""
+    digests = []
+    for lam_step, theta_step in INEQUALITY_GRIDS:
+        l1, l2 = _pair_grid(lam_step)
+        theta = np.arange(0.0, 2 * np.pi, theta_step)
+        h = hashlib.sha256()
+        for row in _compression_slack(l1, l2, theta[theta < np.pi / 3]):
+            h.update(row.tobytes())
+        digests.append(h.hexdigest())
+    return tuple(digests)
 
 
 def _twist_digest(name) -> str:
@@ -423,6 +450,10 @@ def test_scalar_inequalities_are_pinned():
     assert _inequalities_digest() == INEQUALITIES_PIN
 
 
+def test_compression_slack_is_pinned():
+    assert _compression_slack_digests() == COMPRESSION_SLACK_PINS
+
+
 def test_anisotropic_density_solve_is_pinned():
     assert _density() == DENSITY_PIN
 
@@ -443,4 +474,5 @@ if __name__ == "__main__":
     print(f'UNITS_PIN = "{_units_digest()}"')
     print(f'WALL_PIN = "{_wall_digest()}"')
     print(f'INEQUALITIES_PIN = "{_inequalities_digest()}"')
+    print(f"COMPRESSION_SLACK_PINS = {_compression_slack_digests()!r}")
     print(f"DENSITY_PIN = {_density()!r}")
