@@ -60,6 +60,12 @@ def test_precondition_errors_exit_2(tmp_path):
     (["mechanism", "--grid-points", "0"], "--grid-points must be at least 1, got 0"),
     (["mechanism", "--k", "0"], "supercell size must be >= 1, got 0"),
     (["inequalities", "--lam-step", "0"], "lam_step must be positive, got 0"),
+    (["soft-mode", "--sweeps", "-3", "--jobs", "1"], "relax_sweeps must be >= 0, got -3"),
+    (["density-sweep", "--restarts", "-1", "--jobs", "1"], "restarts must be >= 0, got -1"),
+    (["density-sweep", "--grid", "random:0"], "at least 1 matrix, got 'random:0'"),
+    (["mechanism", "--search", "--restarts", "0"], "--restarts must be at least 1, got 0"),
+    (["verify-bounds", "--trials", "0"], "trials and k_max must be >= 1, got 0 and 3"),
+    (["verify-bounds", "--k-max", "0"], "trials and k_max must be >= 1, got 1000 and 0"),
     (["inequalities", "--lam-step", "inf"], "lam_step must be finite, got inf"),
     (["inequalities", "--lam-step", "4"], "lam_step must be at most 3, the largest "
                                           "stretch, got 4"),
@@ -67,12 +73,6 @@ def test_precondition_errors_exit_2(tmp_path):
     (["inequalities", "--theta-step", "7"], "theta_step must be below pi/3 so the "
                                             "three-direction sweep holds two angles, got 7"),
     (["inequalities", "--theta-step", "1.0472"], "holds two angles, got 1.0472"),
-    (["soft-mode", "--sweeps", "-3", "--jobs", "1"], "relax_sweeps must be >= 0, got -3"),
-    (["density-sweep", "--restarts", "-1", "--jobs", "1"], "restarts must be >= 0, got -1"),
-    (["density-sweep", "--grid", "random:0"], "at least 1 matrix, got 'random:0'"),
-    (["mechanism", "--search", "--restarts", "0"], "--restarts must be at least 1, got 0"),
-    (["verify-bounds", "--trials", "0"], "trials and k_max must be >= 1, got 0 and 3"),
-    (["verify-bounds", "--k-max", "0"], "trials and k_max must be >= 1, got 1000 and 0"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
