@@ -14,6 +14,7 @@ identity (one per marker direction family).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -105,9 +106,71 @@ def _invert_contraction(spec: LatticeSpec, c: float,
         if trace is not None:
             trace["twist_bracket_gap"] = float(residual)
         return theta
-    from scipy.optimize import brentq
+    return _brentq(gap, lo, hi, xtol=1e-14)
 
-    return float(brentq(gap, lo, hi, xtol=1e-14))
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+
+    Repeats scipy's C ``brentq`` step for step (inverse quadratic
+    extrapolation, secant interpolation or bisection, by the same rules;
+    relative tolerance ``4 eps`` and at most 100 iterations), so the root
+    agrees with ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` bit for bit.
+    Raises ``ValueError`` when ``f`` returns NaN or ``f(a)`` and ``f(b)``
+    share a sign, and ``RuntimeError`` when it does not converge.
+    """
+    rtol = 4 * math.ulp(1.0)     # 4 eps, as float (not a numpy scalar)
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:   # C divides to inf or NaN: both bisect
+                    stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry     # a good short step
+                bisect = False
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur!r}")
 
 
 def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
@@ -155,18 +218,18 @@ def estimate_density(
     """Upper-bound the effective energy density at fixed ``lam``.
 
     Seeds: ``psi = 0``, the aligned twist field when ``lam`` is close to a
-    reachable isotropic compression, and ``restarts`` random fields.  Each
-    seed is polished through the smoothing anneal; the reported value is
-    always the exact step-penalty energy of the best iterate.  A seed
-    whose exact energy is already below ``short_tol`` short-circuits.
+    reachable isotropic compression, and ``restarts`` random fields.  The
+    exact energy of every seed is screened first: the first seed at or
+    below ``short_tol`` short-circuits, with no L-BFGS run (and scipy
+    never imported).  Otherwise each seed is polished in turn through the
+    smoothing anneal; the reported value is always the exact step-penalty
+    energy of the best iterate.
     ``solver_trace`` counts the L-BFGS stages that stopped without
     converging (``unconverged_stages``), keeps the last such
     termination message (``last_unconverged_message``), and holds the
     residual contraction gap of the twist seed when its inversion
     bracket failed (``twist_bracket_gap``; ``None`` otherwise).
     """
-    from scipy.optimize import minimize
-
     if eta <= 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     if k < 1:
@@ -192,13 +255,21 @@ def estimate_density(
         return energy_breakdown(PeriodicDeformation(cell, lam, psi), eta)
 
     best = None  # (value, spring, label, psi, final gradient norm)
-    total_iters = 0
-    short_circuit = False
+    starts = []  # exact energy of each seed, screened before any polishing
     for label, psi0 in seeds:
-        bd0 = exact(psi0)
+        starts.append(exact(psi0))
+        if starts[-1].averaged <= short_tol:
+            best = (starts[-1].averaged, starts[-1].spring_total, label, psi0, 0.0)
+            break
+    total_iters = 0
+    short_circuit = best is not None
+    polish = [] if short_circuit else list(zip(seeds, starts))
+    if polish:
+        from scipy.optimize import minimize
+    for (label, psi0), bd0 in polish:
         if best is None or bd0.averaged < best[0]:
-            best = (bd0.averaged, bd0.spring_total, label, psi0.copy(), np.nan)
-        if best[0] <= short_tol:
+            best = (bd0.averaged, bd0.spring_total, label, psi0, np.nan)
+        if best[0] <= short_tol:    # an earlier seed was polished down to zero
             short_circuit = True
             best = best[:4] + (0.0,)
             break

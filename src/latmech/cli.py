@@ -409,7 +409,9 @@ def _density_task(payload):
     spec = LatticeSpec.from_json(spec_json)
     est = estimate_density(spec, np.asarray(lam), eta=eta, k=k,
                            restarts=restarts, rng_seed=seed)
-    return (est.upper, est.upper_spring, est.upper_penalty, est.lower_bracket)
+    trace = est.solver_trace
+    return (est.upper, est.upper_spring, est.upper_penalty, est.lower_bracket,
+            trace["unconverged_stages"], trace["twist_bracket_gap"])
 
 
 def _cmd_density_sweep(args) -> int:
@@ -424,14 +426,22 @@ def _cmd_density_sweep(args) -> int:
         _warm_twist_table(spec)
     results = _pool_map(_density_task, payloads, jobs)
     rows = []
+    trouble = []
     idx = 0
     for li, lam in enumerate(lams):
         for k in ks:
-            upper, spring, penalty, bracket = results[idx]
+            upper, spring, penalty, bracket, unconverged, gap = results[idx]
             idx += 1
             ratio = upper / bracket if bracket > 1e-12 else float("nan")
             rows.append([li, lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1], k,
                          args.eta, upper, spring, penalty, bracket, ratio])
+            notes = []
+            if unconverged:
+                notes.append(f"{unconverged} unconverged L-BFGS stage(s)")
+            if gap is not None:
+                notes.append(f"failed twist bracket, contraction gap {gap:.3g}")
+            if notes:
+                trouble.append(f"({li}, {k}) {', '.join(notes)}")
     path = _out_path(args, f"density_{args.grid.replace(':', '_')}.csv")
     _write_csv(
         path,
@@ -443,6 +453,9 @@ def _cmd_density_sweep(args) -> int:
     uppers = [r[7] for r in rows]
     print(f"{len(lams)} matrices x k={ks}: max upper {_fmt(max(uppers))}, "
           f"min upper {_fmt(min(uppers))}")
+    if trouble:
+        print(f"latmech density-sweep: solver trouble at (index, k): {'; '.join(trouble)}",
+              file=sys.stderr)
     _finish(args, path)
     return EXIT_OK
 
@@ -514,7 +527,7 @@ def _cmd_soft_mode(args) -> int:
     if jobs > 1:
         _warm_twist_table(spec)
     results = _pool_map(_softmode_task, payloads, jobs)
-    maps = [LatticeMap.from_arrays(spec, *res) for res in results]
+    maps = [LatticeMap(spec, *res) for res in results]
     wl = weak_limit_check(maps, target)
     rows = []
     for i, lmap in enumerate(maps):

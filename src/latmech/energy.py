@@ -275,23 +275,8 @@ class LatticeMap:
     ``{(node, (o1, o2)): position}`` over the arrays.
     """
 
-    def __init__(self, spec: LatticeSpec, epsilon: float, values):
-        """Build from a mapping ``{(node, (o1, o2)): position}``."""
-        refs = list(values)
-        keys = np.array([(n, o1, o2) for n, (o1, o2) in refs],
-                        dtype=np.int64).reshape(-1, 3)
-        positions = np.array([values[r] for r in refs], dtype=float).reshape(-1, 2)
-        order = np.lexsort(keys.T[::-1])
-        self._set(spec, epsilon, keys[order], positions[order])
-
-    @classmethod
-    def from_arrays(cls, spec: LatticeSpec, epsilon: float, keys, positions) -> "LatticeMap":
+    def __init__(self, spec: LatticeSpec, epsilon: float, keys, positions):
         """Wrap key rows that are already unique and lexicographically sorted."""
-        lmap = cls.__new__(cls)
-        lmap._set(spec, epsilon, keys, positions)
-        return lmap
-
-    def _set(self, spec, epsilon, keys, positions):
         self.spec = spec
         self.epsilon = epsilon
         self.keys = np.ascontiguousarray(keys, dtype=np.int64).reshape(-1, 3)
@@ -332,7 +317,7 @@ class LatticeMap:
         cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
         shifts = np.column_stack([np.zeros(len(cells), dtype=np.int64), cells])
         keys = np.unique((shifts[:, None, :] + refs[None, :, :]).reshape(-1, 3), axis=0)
-        return cls.from_arrays(spec, epsilon, keys, epsilon * defm.node_positions(keys))
+        return cls(spec, epsilon, keys, epsilon * defm.node_positions(keys))
 
     def interpolate(self, points):
         """Piecewise-affine value and gradient at reference points.
@@ -581,7 +566,7 @@ def check_cell_bounds(
     rng = np.random.default_rng(seed)
     keys = _cell_keys(spec)
     X = spec.node_positions(keys)
-    cell = LatticeMap.from_arrays(spec, 1.0, keys, X)
+    cell = LatticeMap(spec, 1.0, keys, X)
     nr = len(keys)
 
     lam = rng.uniform(-3, 3, size=(n_samples, 2, 2))

@@ -763,7 +763,7 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
 
     # check all springs and orientations inside the strip
     order = np.lexsort(keys.T[::-1])
-    strip = LatticeMap.from_arrays(spec, 1.0, keys[order], pos[order])
+    strip = LatticeMap(spec, 1.0, keys[order], pos[order])
     x = strip.positions
     ci, cj = np.array(cells).T
     a, b = strip.rows(spec.spring_keys, ci, cj).transpose(1, 0, 2)

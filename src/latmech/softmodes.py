@@ -435,9 +435,9 @@ def modulate(
     sums = np.full((len(keys), 2), -0.0)
     np.add.at(sums, mem_node, placed)
     pos0 = sums / np.bincount(mem_node, minlength=len(keys))[:, None]
-    pos = _relax(LatticeMap.from_arrays(spec, epsilon, keys, pos0), CI, CJ,
+    pos = _relax(LatticeMap(spec, epsilon, keys, pos0), CI, CJ,
                  relax_sweeps, omega, tether)
-    return LatticeMap.from_arrays(spec, epsilon, keys, pos)
+    return LatticeMap(spec, epsilon, keys, pos)
 
 
 # ---------------------------------------------------------------------------

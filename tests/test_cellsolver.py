@@ -13,6 +13,7 @@ from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDefor
 from latmech.mechanisms import twist_admissible_range
 import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
+    _brentq,
     _invert_contraction,
     _twist_contraction_table,
     estimate_density,
@@ -131,6 +132,37 @@ def test_percolating_rigid_units_solve_without_twist_seed():
     assert estimate_density(spec, np.eye(2), 0.05).solver_trace["short_circuit"]
 
 
+def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_squares,
+                                                         monkeypatch):
+    stages = []     # the smoothing of every L-BFGS energy evaluation
+    real = cellsolver.smoothed_energy_grad
+
+    def counted(cell, lam, psi, eta, tau):
+        stages.append(tau)
+        return real(cell, lam, psi, eta, tau)
+
+    monkeypatch.setattr(cellsolver, "smoothed_energy_grad", counted)
+    # a reachable compression short-circuits on the twist seed before the
+    # zero seed is polished: no L-BFGS stage runs
+    for spec in (kagome, rotating_squares):
+        est = estimate_density(spec, 0.6 * _rot(0.9), 0.05, k=2)
+        assert est.upper <= 1e-13
+        assert est.solver_trace["best_seed"] == "twist"
+        assert est.solver_trace["short_circuit"]
+        assert est.solver_trace["iterations"] == 0
+    assert stages == []
+    # det < 0 has no twist seed: the seeds go through every L-BFGS stage
+    lam = np.diag([1.1, -0.8])
+    assert cellsolver._twist_seed(kagome, lam, 1) is None
+    est = estimate_density(kagome, lam, 0.05, restarts=1)
+    trace = est.solver_trace
+    assert trace["restarts"] == 2          # zero and one random seed
+    assert not trace["short_circuit"]
+    assert trace["best_seed"] in ("zero", "random0")
+    assert trace["iterations"] > 0
+    assert sorted(set(stages), reverse=True) == list(cellsolver._ANNEAL)
+
+
 def test_estimate_density_solver_trace_is_pinned(kagome):
     # a twist-seeded solve that short-circuits and an annealed one, whole
     # traces in key order
@@ -148,6 +180,82 @@ def test_estimate_density_solver_trace_is_pinned(kagome):
         ("best_seed", "random0"), ("short_circuit", False), ("unconverged_stages", 0),
         ("last_unconverged_message", None), ("twist_bracket_gap", None)]
     assert annealed.upper == float.fromhex("0x1.cf0cb3573827fp-7")
+
+
+# ---------------------------------------------------------------------------
+# Brent root
+# ---------------------------------------------------------------------------
+
+
+def _brent_outcomes(f, a, b, xtol):
+    """The root (as hex) or the exception type of scipy's ``brentq`` and
+    of ``_brentq`` on the same problem."""
+    from scipy.optimize import brentq
+
+    out = []
+    for solve in (lambda: brentq(f, a, b, xtol=xtol), lambda: _brentq(f, a, b, xtol)):
+        try:
+            out.append(float(solve()).hex())
+        except (ValueError, RuntimeError) as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_brentq_matches_scipy_on_the_contraction_tables(request, spec_name, monkeypatch):
+    # every bracket a dense contraction sweep inverts through, on the real
+    # gap function
+    spec = request.getfixturevalue(spec_name)
+    pairs = []
+
+    def both(f, a, b, xtol):
+        pairs.append(_brent_outcomes(f, a, b, xtol))
+        return _brentq(f, a, b, xtol)
+
+    monkeypatch.setattr(cellsolver, "_brentq", both)
+    cs = _twist_contraction_table(spec)[1]
+    for c in np.linspace(cs.min(), 1.0, 200, endpoint=False):
+        _invert_contraction(spec, c)
+    assert len(pairs) == 200
+    assert all(isinstance(got, str) and got == want for want, got in pairs)
+
+
+def test_brentq_matches_scipy_on_random_functions():
+    rng = np.random.default_rng(11)
+    kinds = [
+        lambda c: lambda x: c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3,
+        lambda c: lambda x: np.sin(3 * c[0] * x + c[1]) + 0.3 * c[2],
+        lambda c: lambda x: np.tanh(5 * c[0] * (x - c[1])) + 0.01 * c[2],
+        lambda c: lambda x: abs(c[3]) * (x - c[0]) ** 3 + 1e-3 * c[2],
+        # values that underflow the extrapolation's denominator
+        lambda c: lambda x: c[0] * 1e-160 * (x - c[1]) * 1e-160,
+    ]
+    seen = set()
+    for trial in range(1200):
+        f = kinds[trial % len(kinds)](rng.standard_normal(4))
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        for xtol in (1e-14, 1e-12):
+            want, got = _brent_outcomes(f, a, b, xtol)
+            assert got == want, (trial, a, b, xtol)
+            seen.add(want if isinstance(want, type) else "root")
+    assert seen == {"root", ValueError}     # roots and same-sign brackets
+
+
+def test_brentq_error_types_and_edges_match_scipy():
+    # a NaN value, a bracket whose ends share a sign, and a step function
+    # that 100 bisections cannot pin down
+    nan_inside = lambda x: np.nan if x > 0.5 else x - 0.25   # noqa: E731
+    for f, a, b, err in [(nan_inside, 0.0, 1.0, ValueError),
+                         (lambda x: np.nan, 0.0, 1.0, ValueError),
+                         (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
+                         (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300, RuntimeError)]:
+        assert _brent_outcomes(f, a, b, 1e-14) == [err, err]
+    # a root at either end is returned as it is
+    assert _brent_outcomes(lambda x: x - 2.0, 2.0, 3.0, 1e-14) == [(2.0).hex()] * 2
+    assert _brent_outcomes(lambda x: x - 3.0, 2.0, 3.0, 1e-14) == [(3.0).hex()] * 2
+    # a half-bracket exactly at the tolerance is not converged: one more step
+    b = float.fromhex("0x1.19799812dea15p-40")      # (b - 0) / 2 == (1e-12 + 4 eps b) / 2
+    assert _brent_outcomes(lambda x: x - 0.7 * b, 0.0, b, 1e-12) == [(b / 2).hex()] * 2
 
 
 # ---------------------------------------------------------------------------

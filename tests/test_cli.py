@@ -155,6 +155,8 @@ def test_unknown_variant_param_exits_2(tmp_path, capsys):
 
 def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
+    grid = tmp_path / "det_neg.json"
+    grid.write_text(json.dumps([[[1.1, 0.0], [0.0, -0.8]]]))
     code = "\n".join([
         "import sys",
         "import latmech.cli as cli",
@@ -168,6 +170,17 @@ def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
         f"assert cli.main(['mechanism', '--dump', {str(tmp_path / 'geom.json')!r}, "
         f"'--out', {str(tmp_path / 'mech.csv')!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'scipy imported by mechanism --dump'",
+        # reachable isotropic compressions short-circuit on the twist seed
+        *[f"assert cli.main(['density-sweep', '--spec', {spec!r}, '--grid', 'iso', "
+          f"'--k', '1,2', '--jobs', '1', "
+          f"'--out', {str(tmp_path / (spec + '.csv'))!r}]) == 0"
+          for spec in ("kagome", "rotating-squares")],
+        "assert 'scipy' not in sys.modules, 'scipy imported by density-sweep --grid iso'",
+        # a reflection has no twist seed: its seeds are polished by L-BFGS
+        f"assert cli.main(['density-sweep', '--grid', 'file:' + {str(grid)!r}, "
+        f"'--k', '1', '--restarts', '0', '--jobs', '1', "
+        f"'--out', {str(tmp_path / 'det_neg.csv')!r}]) == 0",
+        "assert 'scipy.optimize' in sys.modules, 'density-sweep polished without L-BFGS'",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -253,7 +266,7 @@ def test_geometry_dump_writes_the_indented_json_text(tmp_path):
     spec = LatticeSpec.from_json(cli.build_kagome().to_json())
     keys = np.array([[0, 0, 0], [0, 7, 7], [1, 0, 0], [2, 5, 5]])
     pos = np.array([[0.25, -0.0], [np.nan, 1e300], [np.inf, -np.inf], [1 / 3, 2.5e-17]])
-    lmap = cli.LatticeMap.from_arrays(spec, 0.0625, keys, pos)
+    lmap = cli.LatticeMap(spec, 0.0625, keys, pos)
     path = tmp_path / "geom.json"
     cli._dump_geometry(lmap, str(path))
     payload = {
@@ -310,6 +323,39 @@ def test_density_sweep_twist_seeded_jobs_determinism(tmp_path):
     assert run(argv + ["--jobs", "2", "--out", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
     assert len(open(a).read().splitlines()) == 13
+
+
+def test_density_sweep_reports_solver_trouble(tmp_path, capsys, monkeypatch):
+    import functools
+
+    import latmech.cellsolver as cellsolver
+
+    lams = [0.7 * np.eye(2), np.eye(2), np.diag([1.2, 0.8])]
+    argv = ["density-sweep", "--spec", "kagome", "--k", "1", "--restarts", "1", "--jobs", "1"]
+    for n in (2, 3):
+        (tmp_path / f"grid{n}.json").write_text(json.dumps([m.tolist() for m in lams[:n]]))
+    # two short-circuiting rows: no trouble to report
+    assert run(argv + ["--grid", f"file:{tmp_path / 'grid2.json'}",
+                       "--out", str(tmp_path / "clean.csv")]) == 0
+    assert "solver trouble" not in capsys.readouterr().err
+    # a table that claims c = 0.7 is reached near theta = 0.15 (see
+    # test_failed_twist_bracket_is_reported), and L-BFGS cut at one iteration
+    fake = (np.linspace(0.0, 0.2, 5), np.linspace(1.0, 0.5, 5))
+    monkeypatch.setattr(cellsolver, "_twist_contraction_table", lambda spec: fake)
+    monkeypatch.setattr(cli, "estimate_density",
+                        functools.partial(cellsolver.estimate_density, maxiter=1))
+    out = tmp_path / "trouble.csv"
+    assert run(argv + ["--grid", f"file:{tmp_path / 'grid3.json'}", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    lines = [line for line in err if "solver trouble" in line]
+    assert len(lines) == 1
+    line = lines[0]
+    assert line.startswith("latmech density-sweep: solver trouble at (index, k): ")
+    first, last = line.split(": ", 2)[2].split("; ")
+    assert first.startswith("(0, 1) ") and "failed twist bracket, contraction gap 0.28" in first
+    assert last.startswith("(2, 1) ") and "unconverged L-BFGS stage(s)" in last
+    assert "twist" not in last
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_verify_bounds_csv(tmp_path):
@@ -432,6 +478,24 @@ def test_inequalities_default_grid_pinned_bytes(tmp_path):
     out = tmp_path / "ineq.csv"
     assert run(["inequalities", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INEQUALITIES_DEFAULT_SHA256
+
+
+# sha256 of ``density-sweep --grid iso --jobs 1`` (every row a reachable
+# isotropic compression), recorded before the seeds were screened ahead of
+# L-BFGS and before the twist inversion moved off scipy's brentq
+DENSITY_ISO_SHA256 = {
+    ("kagome", "1,2"): "87482174b22b2c35751c0baa1d2be38f6ed27bee143212d3998cb7fe9cde2217",
+    ("rotating-squares", "1"):
+        "eced6ed8688249e7801f39829e22bffca0d58a956ba264f6981d6a6633f9fab3",
+}
+
+
+@pytest.mark.parametrize("spec,ks", sorted(DENSITY_ISO_SHA256))
+def test_density_sweep_iso_pinned_bytes(tmp_path, spec, ks):
+    out = tmp_path / "iso.csv"
+    assert run(["density-sweep", "--spec", spec, "--grid", "iso", "--k", ks,
+                "--jobs", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DENSITY_ISO_SHA256[spec, ks]
 
 
 def test_outdir_environment_default(tmp_path, monkeypatch):

@@ -248,8 +248,8 @@ def test_missing_node_raises_key_error(kagome):
     # drop one node of cell (3, 3): both entry points name node and cell
     node, o1, o2 = kagome.spring_keys[0, 1].tolist()
     gone = (node, (o1 + 3, o2 + 3))
-    holed = LatticeMap(kagome, lmap.epsilon,
-                       {k: lmap.values[k] for k in keys if k != gone})
+    kept = np.arange(len(keys)) != keys.index(gone)
+    holed = LatticeMap(kagome, lmap.epsilon, lmap.keys[kept], lmap.positions[kept])
     assert gone in lmap.values and gone not in holed.values
     with pytest.raises(KeyError, match=r"missing .* needed for cell \(3, 3\)"):
         scaled_cell_energy(holed, 0.05, (3, 3))
@@ -264,9 +264,10 @@ def test_lattice_map_arrays_and_values_view(kagome):
     assert keys == sorted(keys) and len(keys) == len(lmap.keys)
     with pytest.raises(ValueError):
         lmap.positions[0, 0] = 1.0
-    rebuilt = LatticeMap(kagome, lmap.epsilon, dict(reversed(list(lmap.values.items()))))
+    rebuilt = LatticeMap(kagome, lmap.epsilon, lmap.keys.tolist(), lmap.positions.tolist())
     assert np.array_equal(rebuilt.keys, lmap.keys)
     assert np.array_equal(rebuilt.positions, lmap.positions)
+    assert list(rebuilt.values) == keys
     assert lmap.rows(lmap.keys[5], 0, 0).tolist() == [5]
     assert lmap.rows([0, 10**6, 0], 0, 0).tolist() == [-1]
     # stacked rows over cells: (2, 3) keys by 4 cells

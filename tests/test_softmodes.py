@@ -190,8 +190,7 @@ def test_weak_limit_check_flags_corruption(kagome):
     rep = soft_mode_report(kagome, default_target(), eps_list=(1 / 16,))
     lm = rep.maps[0]
     squeeze = np.diag([1.3, 0.7])
-    bad = LatticeMap(lm.spec, lm.epsilon,
-                     {k: squeeze @ v for k, v in lm.values.items()})
+    bad = LatticeMap(lm.spec, lm.epsilon, lm.keys, lm.positions @ squeeze.T)
     good = weak_limit_check([lm], default_target())
     worse = weak_limit_check([bad], default_target())
     assert worse.cr_residuals[0] > 0.2 > good.cr_residuals[0]
