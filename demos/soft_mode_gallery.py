@@ -9,7 +9,7 @@ conformal field.
 """
 
 from latmech.lattice import build_kagome
-from latmech.softmodes import default_target, soft_mode_report, weak_limit_check
+from latmech.softmodes import default_target, modulate, soft_mode_report
 
 spec = build_kagome()
 target = default_target()
@@ -19,8 +19,9 @@ print("target: f(z) = z - z^2/4 on [0.2,1.2] x [-0.5,0.5], "
 print(f"sample: f({z}) = {target.value(z):.4f}, "
       f"f'({z}) = {target.derivative(z):.4f}\n")
 
-rep = soft_mode_report(spec, target, eps_list=(1 / 8, 1 / 16, 1 / 32))
-wl = weak_limit_check(rep.maps, target)
+rep = soft_mode_report([modulate(spec, target, eps) for eps in (1 / 8, 1 / 16, 1 / 32)],
+                       target)
+wl = rep.weak
 
 print(f"{'eps':>6} {'cells':>6} {'energy/area':>12} {'l2 error':>10} "
       f"{'cr residual':>12} {'max factor':>11}")

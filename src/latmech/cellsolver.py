@@ -100,35 +100,38 @@ def _invert_contraction(spec: LatticeSpec, c: float,
         sd = signed_svd(_twist_field(spec, th)[0])
         return 0.5 * (sd.sigma1 + sd.sigma2) - c
 
-    gap_lo, gap_hi = gap(lo), gap(hi)
+    # at the end of the table (c clipped to its minimum) both ends are one angle
+    gap_lo = gap(lo)
+    gap_hi = gap(hi) if hi != lo else gap_lo
     if gap_lo * gap_hi > 0:
         theta, residual = (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
         if trace is not None:
             trace["twist_bracket_gap"] = float(residual)
         return theta
-    return _brentq(gap, lo, hi, xtol=1e-14)
+    return _brentq(gap, lo, gap_lo, hi, gap_hi, xtol=1e-14)
 
 
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+def _brentq(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """A root of ``f`` in the bracket ``[a, b]`` by Brent's method, given
+    the end values ``fa = f(a)`` and ``fb = f(b)``.
 
     Repeats scipy's C ``brentq`` step for step (inverse quadratic
     extrapolation, secant interpolation or bisection, by the same rules;
     relative tolerance ``4 eps`` and at most 100 iterations), so the root
     agrees with ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` bit for bit.
-    Raises ``ValueError`` when ``f`` returns NaN or ``f(a)`` and ``f(b)``
+    Raises ``ValueError`` when a value of ``f`` is NaN or ``fa`` and ``fb``
     share a sign, and ``RuntimeError`` when it does not converge.
     """
     rtol = 4 * math.ulp(1.0)     # 4 eps, as float (not a numpy scalar)
 
-    def value(x):
-        fx = float(f(x))
+    def value(x, fx):
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -169,7 +172,7 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = value(xcur, f(xcur))
     raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur!r}")
 
 
@@ -224,9 +227,11 @@ def estimate_density(
     never imported).  Otherwise each seed is polished in turn through the
     smoothing anneal; the reported value is always the exact step-penalty
     energy of the best iterate.
-    ``solver_trace`` counts the L-BFGS stages that stopped without
-    converging (``unconverged_stages``), keeps the last such
-    termination message (``last_unconverged_message``), and holds the
+    ``solver_trace`` counts the L-BFGS stages that hit the iteration or
+    evaluation limit (``unconverged_stages``), keeps the last such
+    termination message (``last_unconverged_message``), counts the
+    stages whose line search stalled (``stalled_stages``; typically at
+    the floating-point floor of the smoothed energy), and holds the
     residual contraction gap of the twist seed when its inversion
     bracket failed (``twist_bracket_gap``; ``None`` otherwise).
     """
@@ -242,7 +247,7 @@ def estimate_density(
     rng = np.random.default_rng(rng_seed)
 
     trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
-               "twist_bracket_gap": None}
+               "stalled_stages": 0, "twist_bracket_gap": None}
     seeds = [("zero", np.zeros((n, 2)))]
     tw = _twist_seed(spec, lam, k, trouble)
     if tw is not None:
@@ -287,9 +292,11 @@ def estimate_density(
                                     "gtol": 1e-12})
             x = res.x
             total_iters += int(res.nit)
-            if not res.success:
+            if res.status == 1:         # iteration or evaluation limit
                 trouble["unconverged_stages"] += 1
                 trouble["last_unconverged_message"] = str(res.message)
+            elif res.status == 2:       # abnormal line-search termination
+                trouble["stalled_stages"] += 1
             grad_norm = float(np.linalg.norm(res.jac))
         psi = x.reshape(n, 2)
         bd = exact(psi)
@@ -487,6 +494,16 @@ class JensenBoundReport:
         return self.min_slack >= -1e-12
 
 
+def _direction_slack(edges, stretches) -> float:
+    """Slack of a unit-rest Jensen bound: the marker averages of
+    ``(|e~| - 1)^2`` summed over the deformed edge arrays ``edges``, minus
+    ``(s - 1)_+^2`` summed over the macroscopic ``stretches`` ``|lam e|``
+    of their unit directions."""
+    lhs = float(sum(np.mean((np.linalg.norm(e, axis=2) - 1.0) ** 2) for e in edges))
+    rhs = float(sum(_pos_sq(s - 1.0) for s in stretches))
+    return lhs - rhs
+
+
 def jensen_diag_stretch(defm: PeriodicDeformation) -> float:
     """Slack of the diagonal-stretch bound: marker-averaged
     ``(|b~|-1)^2 + (|r~|-1)^2`` minus ``(lam1-1)_+^2 + (lam2-1)_+^2``,
@@ -496,46 +513,28 @@ def jensen_diag_stretch(defm: PeriodicDeformation) -> float:
         raise ValueError("diagonal-stretch bound needs a diagonal lam")
     if lam[0, 0] < 0 or lam[1, 1] < 0:
         raise ValueError("diagonal-stretch bound needs nonnegative entries")
-    bs, rs = _marker_arrays(defm)
-    lhs = float(np.mean((np.linalg.norm(bs, axis=2) - 1.0) ** 2)
-                + np.mean((np.linalg.norm(rs, axis=2) - 1.0) ** 2))
-    rhs = float(_pos_sq(lam[0, 0] - 1.0) + _pos_sq(lam[1, 1] - 1.0))
-    return lhs - rhs
+    return _direction_slack(_marker_arrays(defm), (lam[0, 0], lam[1, 1]))
 
 
 def jensen_three_direction(defm: PeriodicDeformation) -> float:
     """Slack of the three-direction bound: marker-triangle spring energy
     average minus the sum of ``(|lam e_i| - 1)_+^2`` over the three unit
     lattice directions (b, r, and their difference)."""
-    spec = defm.spec
-    eb, er = _marker_direction_frame(spec)
+    eb, er = _marker_direction_frame(defm.spec)
     e3 = er - eb
     e3 = e3 / np.linalg.norm(e3)
     bs, rs = _marker_arrays(defm)
-    lhs = float(
-        np.mean((np.linalg.norm(bs, axis=2) - 1.0) ** 2)
-        + np.mean((np.linalg.norm(rs, axis=2) - 1.0) ** 2)
-        + np.mean((np.linalg.norm(rs - bs, axis=2) - 1.0) ** 2)
-    )
-    lam = defm.lam
-    rhs = float(sum(_pos_sq(np.linalg.norm(lam @ e) - 1.0)
-                    for e in (eb, er, e3)))
-    return lhs - rhs
+    return _direction_slack((bs, rs, rs - bs),
+                            [np.linalg.norm(defm.lam @ e) for e in (eb, er, e3)])
 
 
 def jensen_two_direction(defm: PeriodicDeformation) -> float:
     """Slack of the two-direction bound: marker-averaged
     ``(|b~|-1)^2 + (|r~|-1)^2`` minus
     ``(|lam e_b|-1)_+^2 + (|lam e_r|-1)_+^2``."""
-    spec = defm.spec
-    eb, er = _marker_direction_frame(spec)
-    bs, rs = _marker_arrays(defm)
-    lhs = float(np.mean((np.linalg.norm(bs, axis=2) - 1.0) ** 2)
-                + np.mean((np.linalg.norm(rs, axis=2) - 1.0) ** 2))
-    lam = defm.lam
-    rhs = float(_pos_sq(np.linalg.norm(lam @ eb) - 1.0)
-                + _pos_sq(np.linalg.norm(lam @ er) - 1.0))
-    return lhs - rhs
+    eb, er = _marker_direction_frame(defm.spec)
+    return _direction_slack(_marker_arrays(defm),
+                            [np.linalg.norm(defm.lam @ e) for e in (eb, er)])
 
 
 def jensen_weighted_rest(defm: PeriodicDeformation) -> float:
@@ -574,7 +573,6 @@ def verify_jensen_bounds(
     k_max: int = 3,
     rng_seed: int = 0,
     psi_amp: float = 0.4,
-    diagonal_only: bool = False,
 ) -> dict:
     """Run every applicable explicit-constant bound on random trials.
 

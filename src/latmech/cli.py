@@ -33,7 +33,7 @@ from .cellsolver import (
     verify_isotropic_bound,
     verify_jensen_bounds,
 )
-from .energy import LatticeMap, domain_energy, energy_breakdown
+from .energy import LatticeMap, energy_breakdown
 from .geometry import scalar_inequality_report
 from .lattice import (
     DegenerateGeometryError,
@@ -54,15 +54,7 @@ from .mechanisms import (
     twist_admissible_range,
     twist_mechanism,
 )
-from .softmodes import (
-    ConformalTarget,
-    decay_exponent,
-    default_target,
-    ladder_exponents,
-    modulate,
-    soft_mode_report,
-    weak_limit_check,
-)
+from .softmodes import default_target, ladder_exponents, modulate, soft_mode_report
 
 __all__ = ["main", "RunConfig"]
 
@@ -411,7 +403,7 @@ def _density_task(payload):
                            restarts=restarts, rng_seed=seed)
     trace = est.solver_trace
     return (est.upper, est.upper_spring, est.upper_penalty, est.lower_bracket,
-            trace["unconverged_stages"], trace["twist_bracket_gap"])
+            trace["unconverged_stages"], trace["stalled_stages"], trace["twist_bracket_gap"])
 
 
 def _cmd_density_sweep(args) -> int:
@@ -430,7 +422,7 @@ def _cmd_density_sweep(args) -> int:
     idx = 0
     for li, lam in enumerate(lams):
         for k in ks:
-            upper, spring, penalty, bracket, unconverged, gap = results[idx]
+            upper, spring, penalty, bracket, unconverged, stalled, gap = results[idx]
             idx += 1
             ratio = upper / bracket if bracket > 1e-12 else float("nan")
             rows.append([li, lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1], k,
@@ -438,6 +430,8 @@ def _cmd_density_sweep(args) -> int:
             notes = []
             if unconverged:
                 notes.append(f"{unconverged} unconverged L-BFGS stage(s)")
+            if stalled:
+                notes.append(f"{stalled} stalled L-BFGS stage(s)")
             if gap is not None:
                 notes.append(f"failed twist bracket, contraction gap {gap:.3g}")
             if notes:
@@ -505,12 +499,8 @@ def _cmd_domain_wall(args) -> int:
 
 
 def _softmode_task(payload):
-    spec_json, coeffs, denom, domain, eps, sweeps = payload
-    spec = LatticeSpec.from_json(spec_json)
-    target = ConformalTarget(coeffs=tuple(map(complex, coeffs)),
-                             domain=tuple(domain),
-                             denom=tuple(map(complex, denom)))
-    lmap = modulate(spec, target, eps, relax_sweeps=sweeps)
+    spec_json, target, eps, sweeps = payload
+    lmap = modulate(LatticeSpec.from_json(spec_json), target, eps, relax_sweeps=sweeps)
     return eps, lmap.keys, lmap.positions
 
 
@@ -520,39 +510,29 @@ def _cmd_soft_mode(args) -> int:
     eps_list = _parse_eps(args.eps)
     _check_ladder(args.eps, eps_list)
     spec_json = spec.to_json()
-    payloads = [(spec_json, [str(c) for c in target.coeffs],
-                 [str(c) for c in target.denom], list(target.domain),
-                 eps, args.sweeps) for eps in eps_list]
+    payloads = [(spec_json, target, eps, args.sweeps) for eps in eps_list]
     jobs = _jobs(args, len(payloads))
     if jobs > 1:
         _warm_twist_table(spec)
-    results = _pool_map(_softmode_task, payloads, jobs)
-    maps = [LatticeMap(spec, *res) for res in results]
-    wl = weak_limit_check(maps, target)
-    rows = []
-    for i, lmap in enumerate(maps):
-        rep = domain_energy(lmap, target.polygon, args.eta)
-        rows.append([lmap.epsilon, rep.n_cells, rep.total / target.area,
-                     rep.max_cell, wl.l2_errors[i], wl.cr_residuals[i],
-                     wl.max_factors[i], wl.n_boxes[i]])
+    maps = [LatticeMap(spec, *res) for res in _pool_map(_softmode_task, payloads, jobs)]
+    rep = soft_mode_report(maps, target, args.eta)
     path = _out_path(args, "soft_mode.csv")
     _write_csv(
         path,
         ["epsilon", "n_cells", "energy_per_area", "max_cell_energy",
          "probe_l2_error", "cr_residual", "max_conformal_factor", "n_boxes"],
-        rows,
+        rep.rows(),
     )
-    dens = [r[2] for r in rows]
-    slope = decay_exponent(eps_list, dens)
+    dens = rep.energy_densities
     if len(dens) < 2:
         print("a single rung; decay exponent undefined")
-    elif np.isnan(slope):
+    elif not rep.exponent_defined:
         print("an energy at or below the solver floor 1e-10; decay exponent undefined")
     else:
-        print(f"fitted decay exponent {_fmt(slope)}; "
-              f"final/first {_fmt(dens[-1] / dens[0])}")
+        print(f"fitted decay exponent {_fmt(rep.fitted_exponent)}; "
+              f"final/first {_fmt(rep.final_over_first)}")
         if len(dens) > 2:
-            steps, fine, fine_eps = ladder_exponents(eps_list, dens)
+            steps, fine, fine_eps = ladder_exponents(rep.eps_list, dens)
             print(f"successive exponents {', '.join(f'{s:.4g}' for s in steps)}; "
                   f"fit over the finest {len(fine_eps)} rungs "
                   f"(eps <= {max(fine_eps):.6g}) {fine:.4g}")

@@ -447,12 +447,14 @@ def modulate(
 
 @dataclass
 class SoftModeReport:
-    """Area-averaged energy of the modulated maps across cell sizes.
+    """The soft-mode table: area-averaged energy and weak-limit
+    diagnostics of modulated maps across cell sizes.
 
     ``fitted_exponent`` is the least-squares slope of ``log energy``
-    against ``log epsilon`` (positive = decay); it is flagged undefined
+    against ``log epsilon`` (positive = decay); it is undefined (NaN)
     when the energies are too small to carry a meaningful trend, e.g.
-    for uniform targets that the mechanism matches exactly.
+    for uniform targets that the mechanism matches exactly.  ``weak``
+    holds the distance of the same maps from the target.
     """
 
     eps_list: tuple
@@ -461,8 +463,12 @@ class SoftModeReport:
     max_cell_energies: tuple
     n_cells: tuple
     fitted_exponent: float
-    exponent_defined: bool
     maps: tuple
+    weak: WeakLimitReport
+
+    @property
+    def exponent_defined(self) -> bool:
+        return not np.isnan(self.fitted_exponent)
 
     @property
     def monotone_violation_fraction(self) -> float:
@@ -476,9 +482,11 @@ class SoftModeReport:
         return self.energy_densities[-1] / self.energy_densities[0]
 
     def rows(self):
-        for eps, dens, mx, n in zip(self.eps_list, self.energy_densities,
-                                    self.max_cell_energies, self.n_cells):
-            yield eps, dens, mx, n
+        """The ``soft_mode.csv`` rows, one per map, in its column order."""
+        w = self.weak
+        return zip(self.eps_list, self.n_cells, self.energy_densities,
+                   self.max_cell_energies, w.l2_errors, w.cr_residuals,
+                   w.max_factors, w.n_boxes)
 
 
 def decay_exponent(eps_list, densities) -> float:
@@ -507,34 +515,30 @@ def ladder_exponents(eps_list, densities):
 
 
 def soft_mode_report(
-    spec: LatticeSpec,
+    maps: Sequence[LatticeMap],
     target: ConformalTarget,
-    eps_list: Sequence[float] = (1 / 8, 1 / 16, 1 / 32, 1 / 64),
     eta: float = 0.05,
-    relax_sweeps: int = 200,
-    states: Optional[MechanismStateTable] = None,
 ) -> SoftModeReport:
-    """Modulate at each ``epsilon`` and tabulate the domain energy per
-    target area, the worst per-cell energy, and the fitted decay
-    exponent.  The maps themselves ride along for further checks."""
-    densities, max_cells, n_cells, maps = [], [], [], []
-    for eps in eps_list:
-        lmap = modulate(spec, target, eps, relax_sweeps=relax_sweeps, states=states)
+    """Tabulate maps already modulated toward ``target`` (see
+    :func:`modulate`), in the order given: the domain energy per target
+    area, the worst per-cell energy, the fitted decay exponent, and the
+    weak-limit check.  The maps themselves ride along."""
+    weak = weak_limit_check(maps, target)
+    densities, max_cells, n_cells = [], [], []
+    for lmap in maps:
         rep = domain_energy(lmap, target.polygon, eta)
         densities.append(rep.total / target.area)
         max_cells.append(rep.max_cell)
         n_cells.append(rep.n_cells)
-        maps.append(lmap)
-    slope = decay_exponent(eps_list, densities)
     return SoftModeReport(
-        eps_list=tuple(float(x) for x in eps_list),
+        eps_list=weak.eps_list,
         eta=eta,
         energy_densities=tuple(densities),
         max_cell_energies=tuple(max_cells),
         n_cells=tuple(n_cells),
-        fitted_exponent=slope,
-        exponent_defined=not np.isnan(slope),
+        fitted_exponent=decay_exponent(weak.eps_list, densities),
         maps=tuple(maps),
+        weak=weak,
     )
 
 

@@ -33,7 +33,7 @@ from latmech.mechanisms import (
     twist_admissible_range,
     twist_mechanism,
 )
-from latmech.softmodes import default_target, soft_mode_report, weak_limit_check
+from latmech.softmodes import default_target, modulate, soft_mode_report
 
 
 def _rot(theta):
@@ -262,10 +262,12 @@ def test_criterion_09_domain_wall():
 
 def test_criterion_10_soft_mode_scaling(kagome):
     t0 = time.monotonic()
-    rep = soft_mode_report(kagome, default_target())
+    target = default_target()
+    rep = soft_mode_report([modulate(kagome, target, eps)
+                            for eps in (1 / 8, 1 / 16, 1 / 32, 1 / 64)], target)
     assert rep.monotone_violation_fraction <= 0.05
     assert rep.final_over_first < 0.10
-    wl = weak_limit_check(rep.maps, default_target())
+    wl = rep.weak
     assert wl.cr_decreasing
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0

@@ -111,6 +111,18 @@ def test_estimate_density_reports_unconverged_stages(kagome):
     assert done.solver_trace["last_unconverged_message"] is None
 
 
+def test_estimate_density_reports_stalled_line_searches_apart(kagome):
+    # at diag(1.2, 0.8) the annealed stages end in an abnormal line
+    # search, not at the iteration limit
+    trace = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1).solver_trace
+    assert trace["stalled_stages"] > 0
+    assert trace["unconverged_stages"] == 0
+    assert trace["last_unconverged_message"] is None
+    cut = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1, maxiter=1)
+    assert cut.solver_trace["unconverged_stages"] > 0
+    assert cut.solver_trace["stalled_stages"] == 0
+
+
 def test_estimate_density_normalization_survives_tiling(kagome):
     # the averaged energy of the k=1 minimizer is unchanged by tiling it
     est = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=2)
@@ -170,7 +182,7 @@ def test_estimate_density_solver_trace_is_pinned(kagome):
     assert list(short.solver_trace.items()) == [
         ("restarts", 4), ("iterations", 0), ("final_grad_norm", 0.0),
         ("best_seed", "twist"), ("short_circuit", True), ("unconverged_stages", 0),
-        ("last_unconverged_message", None), ("twist_bracket_gap", None)]
+        ("last_unconverged_message", None), ("stalled_stages", 0), ("twist_bracket_gap", None)]
     assert short.upper == float.fromhex("0x1.3a141b9e9364ep-103")
     annealed = estimate_density(kagome, np.diag([1.15, 0.9]), 0.05, k=1, restarts=1,
                                 anneal=(0.05, 0.008))
@@ -178,7 +190,8 @@ def test_estimate_density_solver_trace_is_pinned(kagome):
         ("restarts", 2), ("iterations", 15),
         ("final_grad_norm", float.fromhex("0x1.ab84a957c48b5p-48")),
         ("best_seed", "random0"), ("short_circuit", False), ("unconverged_stages", 0),
-        ("last_unconverged_message", None), ("twist_bracket_gap", None)]
+        ("last_unconverged_message", None), ("stalled_stages", 0),
+        ("twist_bracket_gap", None)]
     assert annealed.upper == float.fromhex("0x1.cf0cb3573827fp-7")
 
 
@@ -193,7 +206,8 @@ def _brent_outcomes(f, a, b, xtol):
     from scipy.optimize import brentq
 
     out = []
-    for solve in (lambda: brentq(f, a, b, xtol=xtol), lambda: _brentq(f, a, b, xtol)):
+    for solve in (lambda: brentq(f, a, b, xtol=xtol),
+                  lambda: _brentq(f, a, f(a), b, f(b), xtol)):
         try:
             out.append(float(solve()).hex())
         except (ValueError, RuntimeError) as exc:
@@ -208,9 +222,10 @@ def test_brentq_matches_scipy_on_the_contraction_tables(request, spec_name, monk
     spec = request.getfixturevalue(spec_name)
     pairs = []
 
-    def both(f, a, b, xtol):
+    def both(f, a, fa, b, fb, xtol):
+        assert (fa, fb) == (f(a), f(b))
         pairs.append(_brent_outcomes(f, a, b, xtol))
-        return _brentq(f, a, b, xtol)
+        return _brentq(f, a, fa, b, fb, xtol)
 
     monkeypatch.setattr(cellsolver, "_brentq", both)
     cs = _twist_contraction_table(spec)[1]
@@ -218,6 +233,37 @@ def test_brentq_matches_scipy_on_the_contraction_tables(request, spec_name, monk
         _invert_contraction(spec, c)
     assert len(pairs) == 200
     assert all(isinstance(got, str) and got == want for want, got in pairs)
+
+
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_invert_contraction_evaluates_each_twist_once(request, spec_name, monkeypatch):
+    # the bracket ends are evaluated once, for the same-sign check, and
+    # handed to the root finder: every twist field is a new angle
+    spec = request.getfixturevalue(spec_name)
+    cs = _twist_contraction_table(spec)[1]
+    fields, brent_values = [], []
+    real_field, real_brentq = cellsolver._twist_field, cellsolver._brentq
+
+    def field(spec, theta):
+        fields.append(theta)
+        return real_field(spec, theta)
+
+    def brent(f, *args, **kwargs):
+        def g(x):
+            brent_values.append(x)
+            return f(x)
+        return real_brentq(g, *args, **kwargs)
+
+    monkeypatch.setattr(cellsolver, "_twist_field", field)
+    monkeypatch.setattr(cellsolver, "_brentq", brent)
+    for c in np.linspace(cs.min(), 1.0, 50, endpoint=False):
+        fields.clear()
+        brent_values.clear()
+        _invert_contraction(spec, c)
+        # the end of the table brackets with a single angle
+        ends = 1 if c == cs.min() else 2
+        assert len(fields) == ends + len(brent_values)
+        assert len(set(fields)) == len(fields)
 
 
 def test_brentq_matches_scipy_on_random_functions():

@@ -358,6 +358,19 @@ def test_density_sweep_reports_solver_trouble(tmp_path, capsys, monkeypatch):
     assert len(out.read_text().splitlines()) == 4
 
 
+def test_density_sweep_reports_stalls_apart_from_unconverged(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([np.diag([1.2, 0.8]).tolist()]))
+    out = tmp_path / "stall.csv"
+    assert run(["density-sweep", "--spec", "kagome", "--k", "1", "--restarts", "1",
+                "--jobs", "1", "--grid", f"file:{grid}", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("latmech density-sweep: solver trouble at (index, k): (0, 1) ")
+    assert "stalled L-BFGS stage(s)" in err[0]
+    assert "unconverged" not in err[0]
+
+
 def test_verify_bounds_csv(tmp_path):
     out = str(tmp_path / "bounds.csv")
     assert run(["verify-bounds", "--spec", "rotating-squares",
@@ -456,6 +469,35 @@ def test_soft_mode_pinned_bytes(tmp_path):
 
 def test_soft_mode_parallel_determinism(tmp_path):
     assert _soft_mode_run(tmp_path, 1) == _soft_mode_run(tmp_path, 2)
+
+
+# sha256 of ``soft-mode --eps 1/17,1/33,1/65 --dump-dir D`` at the default
+# 200 sweeps: the CSV, the three geometry dumps, and stdout with the run's
+# directory written as ``<dir>``, recorded before the soft-mode rows moved
+# into ``soft_mode_report``
+SOFT_MODE_LADDER_PINNED = {
+    "stdout": "849b87f4cb6aea69a95d010bf27ea704964308cf64bc08869b5916395cb6ba06",
+    "soft_mode.csv": "f738468295d6eee530e77e1ef79c5447785e1a80ae3f08583ffd7ecc8e46a9c4",
+    "D/soft_mode_eps_0.0588235.json":
+        "3f8b7eb2444db2b23f18228c46ebf0ee56a096de8d39c8f3dc9017685b55d562",
+    "D/soft_mode_eps_0.030303.json":
+        "3e0dae4e773bda6e71a2e1a4e0e835950c705a74706f59db3f658d487eb9dce9",
+    "D/soft_mode_eps_0.0153846.json":
+        "c5d454fe1bb72166e238cf3f3d554b5f488c2833fa9adcd3471fbb2de25912f8",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_soft_mode_ladder_pinned_bytes(tmp_path, capsys, jobs):
+    # at --jobs 2 the target travels to the pool workers
+    assert run(["soft-mode", "--eps", "1/17,1/33,1/65", "--jobs", str(jobs),
+                "--dump-dir", str(tmp_path / "D"),
+                "--out", str(tmp_path / "soft_mode.csv")]) == 0
+    got = {"stdout": capsys.readouterr().out.replace(str(tmp_path), "<dir>").encode()}
+    for name in ("soft_mode.csv", *(f"D/{cli._dump_name(1 / d)}" for d in (17, 33, 65))):
+        got[name] = (tmp_path / name).read_bytes()
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in got.items()} == SOFT_MODE_LADDER_PINNED
 
 
 def test_inequalities_csv(tmp_path):

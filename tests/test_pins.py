@@ -6,9 +6,9 @@ squares and the four variant families at k = 1, 2, 3, each on one fixed
 random ``(lam, psi)``.  Each twist pin hashes one construction over the
 six specs whose counter-rotation closes (plus, for the pin chase, a quad
 whose chase does not close); the domain-wall pin hashes the kagome strip,
-the rigid-units pin hashes every spec's units, and the inequalities pins
+the rigid-units pin hashes every spec's units, the inequalities pins
 hash the scalar inequality report and every compression slack on two
-grids.
+grids, and the Jensen pins hash every trial slack of the unit-rest bounds.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
 on these bits through L-BFGS and the twist seed.  To print fresh pins
@@ -27,7 +27,11 @@ from latmech.cellsolver import (
     _twist_contraction_table,
     _twist_seed,
     estimate_density,
+    jensen_diag_stretch,
+    jensen_three_direction,
+    jensen_two_direction,
     jensen_weighted_rest,
+    verify_jensen_bounds,
 )
 from latmech.energy import (
     LatticeMap,
@@ -49,6 +53,7 @@ from latmech.lattice import (
     LatticeSpec,
     PeriodicDeformation,
     Supercell,
+    VARIANT_KINDS,
     build_kagome,
     build_rotating_squares,
     build_variant,
@@ -246,6 +251,44 @@ DENSITY_PIN = (
     "0x1.cf0cb35738282p-7",
     "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
 )
+
+
+JENSEN_SLACKS = {
+    "diag-stretch": jensen_diag_stretch,
+    "three-direction": jensen_three_direction,
+    "two-direction": jensen_two_direction,
+}
+
+JENSEN_PINS = {
+    "diag-stretch": "888576be56c414c8ec1625cf2c2f40b2453a2148010264eadb6bb1513d8cc7bf",
+    "three-direction": "96b56e5a2b0c097e7068cc098857dc23fa9fc62349f31b2f8494c92ff2ff6add",
+    "two-direction": "747343817c2e727f5b5ab64c444499d9049b0894b062b1df5e64d8b7bceed50e",
+}
+
+
+def _jensen_digest(name) -> str:
+    """The slack of one unit-rest Jensen bound on fixed random trials (four
+    per k = 1, 2, 3) on kagome, rotating squares and the four variants at
+    their default parameters, wherever ``verify_jensen_bounds`` checks it;
+    ``lam`` is a random diagonal with entries in [0, 2) for the
+    diagonal-stretch bound, a random perturbation of the identity
+    otherwise."""
+    h = hashlib.sha256()
+    specs = [build_kagome(), build_rotating_squares(),
+             *(build_variant(kind) for kind in sorted(VARIANT_KINDS))]
+    for i, spec in enumerate(specs):
+        if name not in verify_jensen_bounds(spec, n_trials=1, k_max=1):
+            continue
+        h.update(spec.name.encode())
+        for k in (1, 2, 3):
+            rng = np.random.default_rng([31, i, k])
+            cell = Supercell(spec, k)
+            for _ in range(4):
+                psi = 0.4 * rng.standard_normal((cell.n_nodes, 2))
+                lam = (np.diag(rng.uniform(0.0, 2.0, size=2)) if name == "diag-stretch"
+                       else np.eye(2) + 0.6 * rng.standard_normal((2, 2)))
+                _feed(h, JENSEN_SLACKS[name](PeriodicDeformation(cell, lam, psi)))
+    return h.hexdigest()
 
 
 def _feed(h, value):
@@ -458,6 +501,11 @@ def test_anisotropic_density_solve_is_pinned():
     assert _density() == DENSITY_PIN
 
 
+@pytest.mark.parametrize("name", sorted(JENSEN_SLACKS))
+def test_jensen_slacks_are_pinned(name):
+    assert _jensen_digest(name) == JENSEN_PINS[name]
+
+
 @pytest.mark.parametrize("name", sorted(CONSUMER_QUANTITIES))
 def test_lattice_map_consumers_are_pinned(name):
     assert _consumer_digest(name) == CONSUMER_PINS[name]
@@ -471,6 +519,8 @@ if __name__ == "__main__":
         print(f'    "{name}": "{_twist_digest(name)}",')
     for name in sorted(CONSUMER_QUANTITIES):
         print(f'    "{name}": "{_consumer_digest(name)}",')
+    for name in sorted(JENSEN_SLACKS):
+        print(f'    "{name}": "{_jensen_digest(name)}",')
     print(f'UNITS_PIN = "{_units_digest()}"')
     print(f'WALL_PIN = "{_wall_digest()}"')
     print(f'INEQUALITIES_PIN = "{_inequalities_digest()}"')

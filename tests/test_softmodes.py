@@ -82,8 +82,12 @@ def test_modulate_rejects_unreachable_contraction(kagome):
         modulate(kagome, tgt, 1 / 8)
 
 
+def _ladder_report(spec, target, eps_list):
+    return soft_mode_report([modulate(spec, target, eps) for eps in eps_list], target)
+
+
 def test_soft_mode_energy_decays(kagome):
-    rep = soft_mode_report(kagome, default_target(), eps_list=(1 / 8, 1 / 16))
+    rep = _ladder_report(kagome, default_target(), (1 / 8, 1 / 16))
     assert len(rep.maps) == 2
     assert rep.energy_densities[1] < rep.energy_densities[0]
     assert rep.monotone_violation_fraction == 0.0
@@ -93,15 +97,18 @@ def test_soft_mode_energy_decays(kagome):
     assert rep.n_cells[1] > rep.n_cells[0]
     rows = list(rep.rows())
     assert len(rows) == 2
+    assert all(len(row) == 8 for row in rows)
     assert rows[0][0] == 1 / 8
+    assert [row[4:] for row in rows] == list(zip(
+        rep.weak.l2_errors, rep.weak.cr_residuals, rep.weak.max_factors, rep.weak.n_boxes))
     # per-cell worst case controls the density
-    for _, dens, mx, n in rows:
+    for _, n, dens, mx, *_ in rows:
         assert dens <= mx * n / default_target().area + 1e-18
 
 
 def test_uniform_target_marks_exponent_undefined(kagome):
     tgt = ConformalTarget(coeffs=(0.0, 0.7), domain=(-0.4, 0.4, -0.4, 0.4))
-    rep = soft_mode_report(kagome, tgt, eps_list=(1 / 8, 1 / 16))
+    rep = _ladder_report(kagome, tgt, (1 / 8, 1 / 16))
     assert not rep.exponent_defined
     assert max(rep.energy_densities) <= 1e-12
 
@@ -176,8 +183,7 @@ def test_pchip_two_points_is_the_chord():
 
 
 def test_weak_limit_check_converges(kagome):
-    rep = soft_mode_report(kagome, default_target(), eps_list=(1 / 8, 1 / 16))
-    wl = weak_limit_check(rep.maps, default_target())
+    wl = _ladder_report(kagome, default_target(), (1 / 8, 1 / 16)).weak
     assert wl.n_probe == 144
     assert wl.l2_decreasing
     assert wl.cr_decreasing
@@ -187,11 +193,11 @@ def test_weak_limit_check_converges(kagome):
 
 
 def test_weak_limit_check_flags_corruption(kagome):
-    rep = soft_mode_report(kagome, default_target(), eps_list=(1 / 16,))
+    rep = _ladder_report(kagome, default_target(), (1 / 16,))
     lm = rep.maps[0]
     squeeze = np.diag([1.3, 0.7])
     bad = LatticeMap(lm.spec, lm.epsilon, lm.keys, lm.positions @ squeeze.T)
-    good = weak_limit_check([lm], default_target())
+    good = rep.weak
     worse = weak_limit_check([bad], default_target())
     assert worse.cr_residuals[0] > 0.2 > good.cr_residuals[0]
     assert worse.l2_errors[0] > 0.1 > good.l2_errors[0]
