@@ -6,159 +6,20 @@ supercells, estimates the effective energy density through the cell
 problem, constructs and certifies exact mechanisms (twists, searched
 periodic modes, domain walls), verifies the explicit-constant lower
 bounds, and runs compressive-conformal soft-mode scaling experiments.
+
+The package re-exports the public names of each module, as listed in
+that module's ``__all__``.
 """
 
-from .lattice import (
-    DegenerateGeometryError,
-    LatticeSpec,
-    PeriodicDeformation,
-    Supercell,
-    VARIANT_KINDS,
-    build_kagome,
-    build_rotating_squares,
-    build_variant,
-)
-from .energy import (
-    CellBoundsReport,
-    DomainEnergyReport,
-    EnergyBreakdown,
-    LatticeMap,
-    averaged_energy,
-    barrier_grad,
-    check_cell_bounds,
-    domain_energy,
-    energy_breakdown,
-    scaled_cell_energy,
-    smoothed_energy_grad,
-    spring_energy_grad,
-    triangle_dets,
-)
-from .geometry import (
-    ConformalFieldReport,
-    RigidityEstimate,
-    ScalarInequalityReport,
-    StretchData,
-    averaged_vectors,
-    commutator_closed_form,
-    commutator_direct,
-    conformal_check,
-    isotropy_defect,
-    lambda_from_averages,
-    lower_bracket,
-    principal_stretches,
-    rigidity_constant,
-    scalar_inequality_report,
-    signed_svd,
-)
-from .mechanisms import (
-    DomainWall,
-    Mechanism,
-    MechanismCertificate,
-    MechanismError,
-    RigidUnit,
-    certify,
-    domain_wall_angles,
-    domain_wall_mechanism,
-    mechanism_tangent_rank,
-    rigid_units,
-    search_mechanisms,
-    twist_admissible_range,
-    twist_mechanism,
-)
-from .cellsolver import (
-    DensityEstimate,
-    IsotropicBoundReport,
-    JensenBoundReport,
-    SandwichReport,
-    estimate_density,
-    lambda_grid,
-    orientation_threshold,
-    sandwich_report,
-    verify_isotropic_bound,
-    verify_jensen_bounds,
-)
-from .softmodes import (
-    ConformalTarget,
-    MechanismStateTable,
-    SoftModeReport,
-    WeakLimitReport,
-    default_target,
-    mechanism_state_table,
-    modulate,
-    soft_mode_report,
-    weak_limit_check,
-)
+from . import cellsolver, energy, geometry, lattice, mechanisms, softmodes
+from .cellsolver import *
+from .energy import *
+from .geometry import *
+from .lattice import *
+from .mechanisms import *
+from .softmodes import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateGeometryError",
-    "LatticeSpec",
-    "PeriodicDeformation",
-    "Supercell",
-    "VARIANT_KINDS",
-    "build_kagome",
-    "build_rotating_squares",
-    "build_variant",
-    "CellBoundsReport",
-    "DomainEnergyReport",
-    "EnergyBreakdown",
-    "LatticeMap",
-    "averaged_energy",
-    "barrier_grad",
-    "check_cell_bounds",
-    "domain_energy",
-    "energy_breakdown",
-    "scaled_cell_energy",
-    "smoothed_energy_grad",
-    "spring_energy_grad",
-    "triangle_dets",
-    "ConformalFieldReport",
-    "RigidityEstimate",
-    "ScalarInequalityReport",
-    "StretchData",
-    "averaged_vectors",
-    "commutator_closed_form",
-    "commutator_direct",
-    "conformal_check",
-    "isotropy_defect",
-    "lambda_from_averages",
-    "lower_bracket",
-    "principal_stretches",
-    "rigidity_constant",
-    "scalar_inequality_report",
-    "signed_svd",
-    "DomainWall",
-    "Mechanism",
-    "MechanismCertificate",
-    "MechanismError",
-    "RigidUnit",
-    "certify",
-    "domain_wall_angles",
-    "domain_wall_mechanism",
-    "mechanism_tangent_rank",
-    "rigid_units",
-    "search_mechanisms",
-    "twist_admissible_range",
-    "twist_mechanism",
-    "DensityEstimate",
-    "IsotropicBoundReport",
-    "JensenBoundReport",
-    "SandwichReport",
-    "estimate_density",
-    "lambda_grid",
-    "orientation_threshold",
-    "sandwich_report",
-    "verify_isotropic_bound",
-    "verify_jensen_bounds",
-    "ConformalTarget",
-    "MechanismStateTable",
-    "SoftModeReport",
-    "WeakLimitReport",
-    "default_target",
-    "mechanism_state_table",
-    "modulate",
-    "soft_mode_report",
-    "weak_limit_check",
-    "__version__",
-]
+__all__ = [*lattice.__all__, *energy.__all__, *geometry.__all__, *mechanisms.__all__,
+           *cellsolver.__all__, *softmodes.__all__, "__version__"]

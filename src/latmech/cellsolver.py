@@ -30,7 +30,6 @@ from .mechanisms import MechanismError, _twist_field, _twist_fields, twist_admis
 __all__ = [
     "DensityEstimate",
     "estimate_density",
-    "lower_bracket",
     "lambda_grid",
     "orientation_threshold",
     "IsotropicBoundReport",
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 _ANNEAL = (0.05, 0.02, 0.008, 0.003)
+_SHORT_TOL = 1e-13      # an exact energy density at or below this is a zero
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,6 @@ def estimate_density(
     k: int = 1,
     restarts: int = 6,
     rng_seed: int = 0,
-    short_tol: float = 1e-13,
     anneal: Sequence[float] = _ANNEAL,
     maxiter: int = 300,
 ) -> DensityEstimate:
@@ -223,7 +222,7 @@ def estimate_density(
     Seeds: ``psi = 0``, the aligned twist field when ``lam`` is close to a
     reachable isotropic compression, and ``restarts`` random fields.  The
     exact energy of every seed is screened first: the first seed at or
-    below ``short_tol`` short-circuits, with no L-BFGS run (and scipy
+    below 1e-13 short-circuits, with no L-BFGS run (and scipy
     never imported).  Otherwise each seed is polished in turn through the
     smoothing anneal; the reported value is always the exact step-penalty
     energy of the best iterate.
@@ -235,7 +234,7 @@ def estimate_density(
     residual contraction gap of the twist seed when its inversion
     bracket failed (``twist_bracket_gap``; ``None`` otherwise).
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     if k < 1:
         raise ValueError(f"supercell size must be >= 1, got {k}")
@@ -259,12 +258,12 @@ def estimate_density(
     def exact(psi):
         return energy_breakdown(PeriodicDeformation(cell, lam, psi), eta)
 
-    best = None  # (value, spring, label, psi, final gradient norm)
+    best = None  # (breakdown, label, psi, final gradient norm)
     starts = []  # exact energy of each seed, screened before any polishing
     for label, psi0 in seeds:
         starts.append(exact(psi0))
-        if starts[-1].averaged <= short_tol:
-            best = (starts[-1].averaged, starts[-1].spring_total, label, psi0, 0.0)
+        if starts[-1].averaged <= _SHORT_TOL:
+            best = (starts[-1], label, psi0, 0.0)
             break
     total_iters = 0
     short_circuit = best is not None
@@ -272,11 +271,11 @@ def estimate_density(
     if polish:
         from scipy.optimize import minimize
     for (label, psi0), bd0 in polish:
-        if best is None or bd0.averaged < best[0]:
-            best = (bd0.averaged, bd0.spring_total, label, psi0, np.nan)
-        if best[0] <= short_tol:    # an earlier seed was polished down to zero
+        if best is None or bd0.averaged < best[0].averaged:
+            best = (bd0, label, psi0, np.nan)
+        if best[0].averaged <= _SHORT_TOL:    # an earlier seed was polished down to zero
             short_circuit = True
-            best = best[:4] + (0.0,)
+            best = best[:3] + (0.0,)
             break
 
         x = psi0.ravel().copy()
@@ -300,11 +299,10 @@ def estimate_density(
             grad_norm = float(np.linalg.norm(res.jac))
         psi = x.reshape(n, 2)
         bd = exact(psi)
-        if (bd.averaged, bd.spring_total) < (best[0], best[1]):
-            best = (bd.averaged, bd.spring_total, label, psi.copy(), grad_norm)
+        if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
+            best = (bd, label, psi.copy(), grad_norm)
 
-    value, spring, label, psi, grad_norm = best
-    bd = exact(psi)
+    bd, label, psi, grad_norm = best
     return DensityEstimate(
         lam=lam, eta=eta, k=k,
         upper=bd.averaged,
@@ -357,7 +355,10 @@ def lambda_grid(kind: str, rng_seed: int = 0):
         mats.append(np.diag([1.35, 0.75]))
         return mats
     if kind.startswith("random:"):
-        n = int(kind.split(":", 1)[1])
+        try:
+            n = int(kind.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"random grid needs an integer count, got {kind!r}") from None
         if n < 1:
             raise ValueError(f"random grid needs at least 1 matrix, got {kind!r}")
         rng = np.random.default_rng(rng_seed)
@@ -572,7 +573,6 @@ def verify_jensen_bounds(
     n_trials: int = 1000,
     k_max: int = 3,
     rng_seed: int = 0,
-    psi_amp: float = 0.4,
 ) -> dict:
     """Run every applicable explicit-constant bound on random trials.
 
@@ -606,7 +606,7 @@ def verify_jensen_bounds(
     for _ in range(n_trials):
         k = int(rng.integers(1, k_max + 1))
         cell = cells[k]
-        psi = psi_amp * rng.standard_normal((cell.n_nodes, 2))
+        psi = 0.4 * rng.standard_normal((cell.n_nodes, 2))
         for name, fn in checks.items():
             if name == "diag-stretch":
                 lam = np.diag(rng.uniform(0.0, 2.0, size=2))
@@ -654,7 +654,6 @@ def sandwich_report(
     eta: float = 0.05,
     k_list: Sequence[int] = (1, 2),
     restarts: int = 4,
-    rng_seed: int = 0,
     eta_factor: float = 0.5,
 ) -> SandwichReport:
     """Fit ``c = min upper / lower_bracket`` over non-isotropic gradients
@@ -669,8 +668,7 @@ def sandwich_report(
             if br < 1e-12:
                 continue
             upper = min(
-                estimate_density(spec, lam, eta_val, k=k,
-                                 restarts=restarts, rng_seed=rng_seed).upper
+                estimate_density(spec, lam, eta_val, k=k, restarts=restarts).upper
                 for k in k_list
             )
             ratios.append(upper / br)

@@ -118,7 +118,7 @@ class EnergyBreakdown:
 
 def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     """Exact penalized energy with the per-triangle decomposition."""
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     cell = defm.cell
     kk = cell.k * cell.k
@@ -306,9 +306,6 @@ class LatticeMap:
     def reference_positions(self) -> np.ndarray:
         return self.epsilon * self.spec.node_positions(self.keys)
 
-    def reference_position(self, ref) -> np.ndarray:
-        return self.epsilon * self.spec.node_position(ref)
-
     @classmethod
     def from_periodic(cls, defm: PeriodicDeformation, epsilon: float, cells) -> "LatticeMap":
         """Sample ``u_eps(x) = eps * u(x / eps)`` over the given cells."""
@@ -394,13 +391,25 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
 def scaled_cell_energy(lmap: LatticeMap, eta: float, cell=(0, 0)) -> float:
     """Scaled energy of one cell: springs at rest ``eps * rest`` plus the
     orientation penalty weighted by ``eps^2`` times reference areas."""
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     i, j = cell
     return float(_cell_energies(lmap, eta, np.array([i]), np.array([j]))[0])
 
 
 # -- polygon helpers ---------------------------------------------------------
+
+
+def _cell_window(spec: LatticeSpec, points, epsilon: float):
+    """The lattice cells ``(ci, cj)``, row-major, of the box in lattice
+    coordinates that holds ``points`` ``(n, 2)`` scaled by ``1 / epsilon``,
+    widened by two cells on every side."""
+    frac = (np.asarray(points, dtype=float) / epsilon) @ np.linalg.inv(spec.cell_matrix).T
+    lo = np.floor(frac.min(axis=0)).astype(int) - 2
+    hi = np.ceil(frac.max(axis=0)).astype(int) + 2
+    ci, cj = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
+                         indexing="ij")
+    return ci.ravel(), cj.ravel()
 
 
 def _points_in_polygon(points, poly):
@@ -487,20 +496,13 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
     all vertices strictly inside the polygon and no polygon edge crossing
     the hull.  For non-convex cell regions this is slightly conservative.
     """
+    if not eta > 0:
+        raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     polygon = np.asarray(polygon, dtype=float)
     spec = lmap.spec
     eps = lmap.epsilon
     verts = np.unique(spec.node_positions(spec.cover_keys).reshape(-1, 2).round(12), axis=0)
-
-    # candidate integer cells from the polygon's bounding box, row-major
-    Minv = np.linalg.inv(spec.cell_matrix)
-    corners = polygon / eps
-    frac = corners @ Minv.T
-    lo = np.floor(frac.min(axis=0)).astype(int) - 2
-    hi = np.ceil(frac.max(axis=0)).astype(int) + 2
-    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(lo[0], hi[0] + 1),
-                                             np.arange(lo[1], hi[1] + 1),
-                                             indexing="ij"))
+    ci, cj = _cell_window(spec, polygon, eps)
     pts = eps * (verts[None] + ci[:, None, None] * spec.v1 + cj[:, None, None] * spec.v2)
     keep = _points_in_polygon(pts.reshape(-1, 2), polygon).reshape(pts.shape[:2]).all(axis=1)
     ci, cj, pts = ci[keep], cj[keep], pts[keep]

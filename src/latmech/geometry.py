@@ -343,14 +343,13 @@ def triangle_deviation(pts, alpha: float):
     return r - rot_b
 
 
-def sample_triangle_deformations(alpha: float, n: int, seed: int,
-                                 noise_scales=(0.01, 0.05, 0.1)):
+def sample_triangle_deformations(alpha: float, n: int, seed: int):
     """Random rigid motions (half of them composed with a reflection) of
     the reference triangle plus vertex noise; returns deformed vertices
     of shape ``(n, 3, 2)``."""
     rng = np.random.default_rng(seed)
     ref = triangle_reference(alpha)
-    scales = rng.choice(noise_scales, size=n)
+    scales = rng.choice((0.01, 0.05, 0.1), size=n)
     pts = ref[None, :, :] + scales[:, None, None] * rng.uniform(-1, 1, size=(n, 3, 2))
     reflect = rng.random(n) < 0.5
     pts[reflect, :, 1] *= -1.0
@@ -381,8 +380,10 @@ class RigidityEstimate:
 
 
 def rigidity_constant(alpha: float = np.pi / 3, n_samples: int = 100000,
-                      energy_cap: float = 1.0 / 36.0, seed: int = 0) -> RigidityEstimate:
-    """Estimate the rigidity constants of the marker triangle by sampling."""
+                      seed: int = 0) -> RigidityEstimate:
+    """Estimate the rigidity constants of the marker triangle by sampling
+    the deformed triangles of energy at most 1/36."""
+    energy_cap = 1.0 / 36.0
     if not 0 < alpha < np.pi:
         raise ValueError(f"alpha must be in (0, pi), got {alpha:g}")
     pts = sample_triangle_deformations(alpha, n_samples, seed)

@@ -16,10 +16,8 @@ translated by ``o1 * v1 + o2 * v2``.  The spec stores each class once, as
 stacked rows, per unit cell with offsets chosen so that every endpoint
 lies in the closure of the covered cell region, and every layer below it
 reads those rows, the rigid units and their placements included.
-Nested tuples ``(node, (o1, o2))`` appear only in error messages and at
-the read edges that name one reference at a time:
-:meth:`LatticeSpec.node_position` and :meth:`PeriodicDeformation.evaluate`
-here, and the lattice-map ``values`` view.
+Nested tuples ``(node, (o1, o2))`` appear only in error messages and in
+the lattice-map ``values`` view.
 """
 
 from __future__ import annotations
@@ -177,13 +175,6 @@ class LatticeSpec:
     def cell_area(self) -> float:
         return abs(float(cross2(self.v1, self.v2)))
 
-    def node_position(self, ref) -> np.ndarray:
-        """Reference position of one node reference ``(node, (o1, o2))``."""
-        node, (o1, o2) = ref
-        if not 0 <= node < self.n_basic:
-            raise ValueError(f"unknown node reference {ref!r}")
-        return self.node_positions([node, o1, o2])
-
     def node_positions(self, keys) -> np.ndarray:
         """Reference positions of integer node rows ``keys`` ``(..., 3)``."""
         keys = np.asarray(keys)
@@ -317,12 +308,13 @@ def _segment_index(spec: LatticeSpec, rows) -> np.ndarray:
     return np.where(first < len(s), first, -1)
 
 
-def _in_cover(spec: LatticeSpec, p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Whether each point ``p`` ``(..., 2)`` lies in a cover triangle."""
+def _in_cover(spec: LatticeSpec, p: np.ndarray) -> np.ndarray:
+    """Whether each point ``p`` ``(..., 2)`` lies in a cover triangle, to
+    1e-9 in barycentric coordinates."""
     q0, q1, q2 = spec.node_positions(spec.cover_keys).transpose(1, 0, 2)
     b = np.linalg.solve(np.stack([q1 - q0, q2 - q0], axis=-1),
                         (p[..., None, :] - q0)[..., None])[..., 0]
-    return ((b >= -tol).all(axis=-1) & (b[..., 0] + b[..., 1] <= 1 + tol)).any(axis=-1)
+    return ((b >= -1e-9).all(axis=-1) & (b[..., 0] + b[..., 1] <= 1 + 1e-9)).any(axis=-1)
 
 
 def _first(mask):
@@ -591,9 +583,8 @@ class Supercell:
         into the supercell; works elementwise on integer arrays."""
         return _slot(self.k, node, o1, o2)
 
-    def zero_deformation(self, lam=None) -> "PeriodicDeformation":
-        lam = np.eye(2) if lam is None else lam
-        return PeriodicDeformation(self, lam, np.zeros((self.n_nodes, 2)))
+    def zero_deformation(self) -> "PeriodicDeformation":
+        return PeriodicDeformation(self, np.eye(2), np.zeros((self.n_nodes, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +608,6 @@ class PeriodicDeformation:
     @property
     def spec(self) -> LatticeSpec:
         return self.cell.spec
-
-    def evaluate(self, ref, cell=(0, 0)) -> np.ndarray:
-        """Deformed position of node ``ref`` translated by ``cell``."""
-        node, (o1, o2) = ref
-        return self.node_positions([node, o1 + cell[0], o2 + cell[1]])
 
     def node_positions(self, keys) -> np.ndarray:
         """Deformed positions of integer node rows ``keys`` ``(..., 3)``;

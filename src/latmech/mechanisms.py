@@ -75,6 +75,10 @@ class MechanismError(RuntimeError):
     """An exact construction failed to close up to tolerance."""
 
 
+_CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist
+_ETA_REF = 0.1           # penalty strength of the exact-energy certificates
+
+
 # ---------------------------------------------------------------------------
 # rigid units
 # ---------------------------------------------------------------------------
@@ -357,7 +361,7 @@ class MechanismCertificate:
         return self.sigma1 - self.sigma2
 
 
-def certify(defm: PeriodicDeformation, eta_ref: float = 0.1) -> MechanismCertificate:
+def certify(defm: PeriodicDeformation, eta_ref: float = _ETA_REF) -> MechanismCertificate:
     bd = energy_breakdown(defm, eta_ref)
     cell = defm.cell
     lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.spring_edges), axis=2)
@@ -457,64 +461,61 @@ def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
     )
 
 
-def _closure_error(theta, k, misfit, drift, tol) -> Optional[str]:
+def _closure_error(theta, k, misfit, drift) -> Optional[str]:
     """Why the counter-rotation by ``theta`` is no mechanism, or ``None``."""
-    if misfit > tol:
+    if misfit > _CLOSURE_TOL:
         return f"counter-rotation by {theta:g} does not close: misfit {misfit:.3e}"
-    if drift > tol:
+    if drift > _CLOSURE_TOL:
         return f"counter-rotation is not {k}-periodic: period drift {drift:.3e}"
     return None
 
 
-def _twist_fields(spec: LatticeSpec, thetas, k: int = 1, tol: float = 1e-12):
+def _twist_fields(spec: LatticeSpec, thetas, k: int = 1):
     """:func:`_twist_field` for every angle of ``thetas`` at once, stacked
     ``(lam, psi)``; raises for the first angle that does not close."""
     lam, psi, misfit, drift = _twist_plan(spec, k).fields(thetas)
     for theta, m, d in zip(thetas, misfit, drift):
-        error = _closure_error(theta, k, m, d, tol)
+        error = _closure_error(theta, k, m, d)
         if error:
             raise MechanismError(error)
     return lam, psi
 
 
-def _twist_field(spec: LatticeSpec, theta: float, k: int = 1,
-                 tol: float = 1e-12):
+def _twist_field(spec: LatticeSpec, theta: float, k: int = 1):
     """The counter-rotation by ``+-theta`` as ``(lam, psi)`` on the k x k
     supercell slots, without building the supercell or certifying it.
     Raises :class:`MechanismError` when the pin chase does not close."""
-    lam, psi = _twist_fields(spec, [theta], k, tol)
+    lam, psi = _twist_fields(spec, [theta], k)
     return lam[0], psi[0]
 
 
-def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1,
-                    tol: float = 1e-12, eta_ref: float = 0.1) -> Mechanism:
+def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1) -> Mechanism:
     """The counter-rotation by ``+-theta`` as a certified k-periodic
     deformation.  Raises :class:`MechanismError` when the pin chase does
     not close (not every parameter slice of every family rotates)."""
-    lam, psi = _twist_field(spec, theta, k, tol)
+    lam, psi = _twist_field(spec, theta, k)
     defm = PeriodicDeformation(Supercell(spec, k), lam, psi)
     return Mechanism(
         kind="twist",
         params={"theta": float(theta), "k": int(k)},
         deformation=defm,
-        certificate=certify(defm, eta_ref),
+        certificate=certify(defm),
     )
 
 
-def _probe_fields(plan: TwistPlan, probes, batch: int = 1024):
-    """``(theta, lam, misfit, drift)`` per probe angle, evaluated ``batch``
+def _probe_fields(plan: TwistPlan, probes):
+    """``(theta, lam, misfit, drift)`` per probe angle, evaluated 1024
     angles per call (the default grid is one call), so memory stays
     bounded however fine the grid."""
-    for lo in range(0, len(probes), batch):
-        chunk = probes[lo:lo + batch]
+    for lo in range(0, len(probes), 1024):
+        chunk = probes[lo:lo + 1024]
         lam, _, misfit, drift = plan.fields(chunk)
         yield from zip(chunk, lam, misfit, drift)
 
 
-def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01,
-                           det_floor: float = 1e-8):
+def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
     """Numerically probe the symmetric interval of twist angles on which
-    the counter-rotation closes, ``det lam`` stays above ``det_floor``,
+    the counter-rotation closes, ``det lam`` stays above 1e-8,
     and the contraction ``c(theta) = sigma1(lam)`` is strictly decreasing
     (the branch the soft-mode inversion needs).  Returns
     ``(-theta_max, theta_max)``."""
@@ -530,11 +531,11 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01,
     good = 0.0
     c_prev = 1.0
     for theta, lam_t, m, d in _probe_fields(plan, probes):
-        if _closure_error(theta, 1, m, d, 1e-12):
+        if _closure_error(theta, 1, m, d):
             break
         sd = signed_svd(lam_t)
         det = sd.det_sign * sd.sigma1 * sd.sigma2
-        if sd.sigma1 >= c_prev or det <= det_floor:
+        if sd.sigma1 >= c_prev or det <= 1e-8:
             break
         c_prev = sd.sigma1
         good = theta
@@ -566,13 +567,12 @@ def search_mechanisms(
     restarts: int = 32,
     tol: float = 1e-12,
     rng_seed: int = 0,
-    eta_ref: float = 0.1,
 ):
     """Joint minimization of spring energy over ``(lam, psi)`` with an
     annealed log-barrier keeping triangle orientations positive.
 
     Returns every accepted :class:`Mechanism` (exact averaged energy at
-    ``eta_ref`` at most ``tol`` and strictly positive orientations),
+    ``eta_ref = 0.1`` at most ``tol`` and strictly positive orientations),
     sorted by ``(energy, spring energy, restart index)``.  The first node's
     ``psi`` is pinned to remove translations.
     """
@@ -622,9 +622,9 @@ def search_mechanisms(
             x = res.x
         lam, psi = _unpack(x, n)
         defm = PeriodicDeformation(cell, lam, psi)
-        cert = certify(defm, eta_ref)
+        cert = certify(defm)
         if cert.energy <= tol and cert.min_det > 0:
-            spring = energy_breakdown(defm, eta_ref).spring_total
+            spring = energy_breakdown(defm, _ETA_REF).spring_total
             found.append((cert.energy, spring, si,
                           Mechanism("searched", {"restart": si, "k": k}, defm, cert)))
     found.sort(key=lambda rec: rec[:3])
@@ -716,8 +716,7 @@ class DomainWall:
         return abs(self.compression_left - self.compression_right)
 
 
-def domain_wall_mechanism(theta1: float, half_width: int = 15,
-                          rows: int = 4, tol: float = 1e-10) -> DomainWall:
+def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) -> DomainWall:
     """Assemble the kagome wall: triangle rotations follow the angle
     recursion column by column, mirrored about the wall, with positions
     chased through the pin joints.
@@ -758,7 +757,7 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15,
         return down_sign[u] * side * phi[abs(col)]
 
     keys, pos, misfit = assemble_rotated_units(spec, units, cells, angle_fn)
-    if misfit > tol:
+    if misfit > 1e-10:
         raise MechanismError(f"domain wall does not close: misfit {misfit:.3e}")
 
     # check all springs and orientations inside the strip

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cellsolver import _twist_contraction_table
-from .energy import LatticeMap, domain_energy
+from .energy import LatticeMap, _cell_window, domain_energy
 from .geometry import conformal_check, signed_svd
 from .lattice import LatticeSpec, kabsch_rotations, norms, rotation
 from .mechanisms import Mechanism, _unit_members, _walk_units, rigid_units
@@ -71,10 +71,9 @@ class ConformalTarget:
                 f"target is not compressive: max |f'| = {self.max_derivative:.6f} > 1"
             )
 
-    def _sample_grid(self, samples: int = 101):
+    def _sample_grid(self):
         x0, x1, y0, y1 = self.domain
-        xs, ys = np.meshgrid(np.linspace(x0, x1, samples),
-                             np.linspace(y0, y1, samples))
+        xs, ys = np.meshgrid(np.linspace(x0, x1, 101), np.linspace(y0, y1, 101))
         return xs + 1j * ys
 
     def value(self, z):
@@ -216,13 +215,13 @@ class MechanismStateTable:
         return float(self.cs[-1])
 
 
-def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
-                          iso_tol: float = 1e-8) -> MechanismStateTable:
+def mechanism_state_table(spec: LatticeSpec,
+                          mechanisms: Sequence[Mechanism]) -> MechanismStateTable:
     """Extract a contraction-indexed table of per-unit rigid states from
     a family of isotropic mechanisms on a common ``k x k`` supercell.
 
     Each mechanism must have ``lam = c R`` with positive determinant
-    (isotropy defect below ``iso_tol``); it is rotation-normalized to
+    (isotropy defect at most 1e-8); it is rotation-normalized to
     ``lam = c I`` before the per-unit rotation angles and centroid
     offsets are read off.  Angles are unwrapped along the family.
     """
@@ -238,7 +237,7 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
         cert = m.certificate
         if m.deformation.cell.k != k:
             raise ValueError("mechanisms live on different supercells")
-        if cert.det_sign <= 0 or cert.isotropy_defect > iso_tol:
+        if cert.det_sign <= 0 or cert.isotropy_defect > 1e-8:
             raise ValueError(
                 f"mechanism with lam={np.round(cert.lam, 6).tolist()} is not "
                 f"an orientation-preserving scaled rotation"
@@ -276,7 +275,11 @@ def mechanism_state_table(spec: LatticeSpec, mechanisms: Sequence[Mechanism],
 # ---------------------------------------------------------------------------
 
 
-def _relax(lmap: LatticeMap, ci, cj, sweeps: int, omega: float, tether: float):
+_OMEGA = 0.5     # damping of each Jacobi sweep
+_TETHER = 0.5    # weight pulling each node back to its constructed position
+
+
+def _relax(lmap: LatticeMap, ci, cj, sweeps: int):
     """Tethered damped-Jacobi sweeps over every spring instance in the
     cells ``(ci, cj)`` whose two ends the map holds, taken in (spring
     class, cell) order; returns the relaxed positions."""
@@ -287,7 +290,7 @@ def _relax(lmap: LatticeMap, ci, cj, sweeps: int, omega: float, tether: float):
     count = both.sum(axis=1)
     rest = np.repeat(eps * spec.spring_rest, count)
     stiff = np.repeat(spec.spring_stiffness, count)
-    wsum = np.full(len(pos0), float(tether))
+    wsum = np.full(len(pos0), _TETHER)
     np.add.at(wsum, ia, stiff)
     np.add.at(wsum, ib, stiff)
     # per coordinate, one np.add.at over [ia, ib] adds the pulls in the
@@ -301,11 +304,11 @@ def _relax(lmap: LatticeMap, ci, cj, sweeps: int, omega: float, tether: float):
         # sqrt(dx^2 + dy^2) is what np.linalg.norm(d, axis=1) computes
         lengths = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-300)
         rx, ry = rest * (dx / lengths), rest * (dy / lengths)
-        pull_x, pull_y = tether * pos0[:, 0], tether * pos0[:, 1]
+        pull_x, pull_y = _TETHER * pos0[:, 0], _TETHER * pos0[:, 1]
         np.add.at(pull_x, ends, stiff2 * np.concatenate([xb + rx, xa - rx]))
         np.add.at(pull_y, ends, stiff2 * np.concatenate([yb + ry, ya - ry]))
-        x = (1 - omega) * x + omega * pull_x / wsum
-        y = (1 - omega) * y + omega * pull_y / wsum
+        x = (1 - _OMEGA) * x + _OMEGA * pull_x / wsum
+        y = (1 - _OMEGA) * y + _OMEGA * pull_y / wsum
     return np.column_stack([x, y])
 
 
@@ -314,8 +317,6 @@ def modulate(
     target: ConformalTarget,
     epsilon: float,
     relax_sweeps: int = 200,
-    omega: float = 0.5,
-    tether: float = 0.5,
     states: Optional[MechanismStateTable] = None,
 ) -> LatticeMap:
     """Build the modulated deformation at cell size ``epsilon``.
@@ -328,7 +329,7 @@ def modulate(
     ``f'``, and anchored at ``f`` of the center.  Nodes shared by
     several units take the average placement, followed by
     ``relax_sweeps`` damped Jacobi spring sweeps.  Each sweep pulls a
-    node toward local spring equilibrium while a ``tether`` weight holds
+    node toward local spring equilibrium while a tether weight holds
     it near its constructed position, so the relaxation stays local and
     the ``epsilon``-scaling reflects the construction rather than global
     optimization.
@@ -354,16 +355,10 @@ def modulate(
     def inside(p):
         return (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
 
-    # candidate unit instances (ci, cj, u), in that order, over a
-    # lattice-coordinate bounding box of the target rectangle; keep those
-    # with any node inside the domain.  Memberships list each instance's
-    # nodes in unit order.
-    Minv = np.linalg.inv(spec.cell_matrix)
-    corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]]) / epsilon
-    lat = corners @ Minv.T
-    i_rng = np.arange(int(np.floor(lat[:, 0].min())) - 2, int(np.ceil(lat[:, 0].max())) + 3)
-    j_rng = np.arange(int(np.floor(lat[:, 1].min())) - 2, int(np.ceil(lat[:, 1].max())) + 3)
-    CI, CJ = (a.ravel() for a in np.meshgrid(i_rng, j_rng, indexing="ij"))
+    # candidate unit instances (ci, cj, u), in that order, over the cell
+    # window of the target rectangle; keep those with any node inside the
+    # domain.  Memberships list each instance's nodes in unit order.
+    CI, CJ = _cell_window(spec, target.polygon, epsilon)
     n_units = len(units)
     mem_inst, mem_key = _unit_members(units, CI, CJ)
     mem_pos = epsilon * spec.node_positions(mem_key)
@@ -435,8 +430,7 @@ def modulate(
     sums = np.full((len(keys), 2), -0.0)
     np.add.at(sums, mem_node, placed)
     pos0 = sums / np.bincount(mem_node, minlength=len(keys))[:, None]
-    pos = _relax(LatticeMap(spec, epsilon, keys, pos0), CI, CJ,
-                 relax_sweeps, omega, tether)
+    pos = _relax(LatticeMap(spec, epsilon, keys, pos0), CI, CJ, relax_sweeps)
     return LatticeMap(spec, epsilon, keys, pos)
 
 
@@ -591,15 +585,11 @@ def _box_gradients(lmap: LatticeMap, bounds, box_size: float):
     return np.asarray(grads)
 
 
-def weak_limit_check(
-    lmaps: Sequence[LatticeMap],
-    target: ConformalTarget,
-    probe: int = 12,
-) -> WeakLimitReport:
+def weak_limit_check(lmaps: Sequence[LatticeMap], target: ConformalTarget) -> WeakLimitReport:
     """Check that the maps converge to the target: rms distance on a
-    fixed ``probe x probe`` interior grid, and conformality of the
-    gradients coarse-grained over mesoscale boxes of side
-    ``sqrt(epsilon)``, both expected to decrease along the list."""
+    fixed 12 x 12 interior grid, and conformality of the gradients
+    coarse-grained over mesoscale boxes of side ``sqrt(epsilon)``, both
+    expected to decrease along the list."""
     if not lmaps:
         raise ValueError("need at least one lattice map")
     x0, x1, y0, y1 = target.domain
@@ -612,8 +602,8 @@ def weak_limit_check(
     margin = 1.25 * max(eps_list) * edge
     if x1 - x0 <= 2 * margin or y1 - y0 <= 2 * margin:
         raise ValueError("target domain too small for the probe margin")
-    px = np.linspace(x0 + margin, x1 - margin, probe)
-    py = np.linspace(y0 + margin, y1 - margin, probe)
+    px = np.linspace(x0 + margin, x1 - margin, 12)
+    py = np.linspace(y0 + margin, y1 - margin, 12)
     points = np.column_stack([m.ravel() for m in np.meshgrid(px, py)])
     fz = target.value(points[:, 0] + 1j * points[:, 1])
     fvals = np.column_stack([fz.real, fz.imag])

@@ -175,6 +175,27 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
     assert sorted(set(stages), reverse=True) == list(cellsolver._ANNEAL)
 
 
+def test_estimate_density_keeps_the_winning_breakdown(kagome, monkeypatch):
+    # one exact energy per screened seed and per polished field; the
+    # winner's is reused, not evaluated again
+    calls = []
+    real = cellsolver.energy_breakdown
+
+    def counted(defm, eta):
+        calls.append(defm)
+        return real(defm, eta)
+
+    monkeypatch.setattr(cellsolver, "energy_breakdown", counted)
+    est = estimate_density(kagome, 0.8 * _rot(0.3), 0.05, k=2)
+    assert est.solver_trace["best_seed"] == "twist"
+    assert len(calls) == 2                  # the zero and twist seeds
+    calls.clear()
+    est = estimate_density(kagome, np.diag([1.1, -0.8]), 0.05, restarts=1)
+    assert not est.solver_trace["short_circuit"]
+    assert len(calls) == 2 + 2              # two seeds screened, then polished
+    assert est.upper == real(est.minimizer, 0.05).averaged
+
+
 def test_estimate_density_solver_trace_is_pinned(kagome):
     # a twist-seeded solve that short-circuits and an annealed one, whole
     # traces in key order

@@ -73,6 +73,25 @@ def test_precondition_errors_exit_2(tmp_path):
     (["inequalities", "--theta-step", "7"], "theta_step must be below pi/3 so the "
                                             "three-direction sweep holds two angles, got 7"),
     (["inequalities", "--theta-step", "1.0472"], "holds two angles, got 1.0472"),
+    (["energy", "--eta", "nan"], "penalty strength eta must be positive, got nan"),
+    (["density-sweep", "--grid", "random:2", "--k", "1", "--eta", "nan", "--jobs", "1"],
+     "penalty strength eta must be positive, got nan"),
+    (["density-sweep", "--grid", "random:2", "--k", "1", "--eta", "0", "--jobs", "1"],
+     "penalty strength eta must be positive, got 0"),
+    (["verify-bounds", "--isotropic", "--trials", "1", "--k-max", "1", "--eta", "nan"],
+     "penalty strength eta must be positive, got nan"),
+    (["verify-bounds", "--isotropic", "--trials", "1", "--k-max", "1", "--eta", "-1"],
+     "penalty strength eta must be positive, got -1"),
+    (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "-1"],
+     "penalty strength eta must be positive, got -1"),
+    (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "0"],
+     "penalty strength eta must be positive, got 0"),
+    (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "nan"],
+     "penalty strength eta must be positive, got nan"),
+    (["density-sweep", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["soft-mode", "--jobs", "-1"], "--jobs must be at least 1, got -1"),
+    (["density-sweep", "--grid", "random:x"],
+     "random grid needs an integer count, got 'random:x'"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -198,6 +217,22 @@ def test_verification_failure_exits_3(tmp_path, monkeypatch):
     assert run(["inequalities", "--out", str(tmp_path / "ineq.csv")]) == 3
 
 
+def test_nan_isotropy_constant_exits_3(tmp_path, monkeypatch, capsys):
+    # a NaN constant is no certificate, although no slack compares below 0
+    from latmech.cellsolver import IsotropicBoundReport
+
+    def nan_fit(spec, eta, lams, k, rng_seed):
+        return IsotropicBoundReport(eta=eta, c0=1.0, ratios=np.array([np.nan]),
+                                    c_fit=float("nan"), n_trials=1)
+
+    monkeypatch.setattr(cli, "verify_isotropic_bound", nan_fit)
+    out = tmp_path / "bounds.csv"
+    assert run(["verify-bounds", "--trials", "4", "--k-max", "1", "--isotropic",
+                "--out", str(out)]) == 3
+    assert "isotropy-energy-gap,1,nan," in out.read_text().splitlines()
+    assert "worst slack 0 " in capsys.readouterr().out
+
+
 def test_unexpected_error_exits_4(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
@@ -223,10 +258,10 @@ def test_build_round_trips_spec(tmp_path):
     spec = LatticeSpec.from_json(str(out))
     assert spec.name == "rhombus-squares"
 
-    config = cli.RunConfig.from_json(manifest.read_text())
-    assert config.command == "build"
-    assert config.options["spec"] == "rhombus-squares"
-    assert cli.RunConfig.from_json(config.to_json()) == config
+    config = json.loads(manifest.read_text())
+    assert config["command"] == "build"
+    assert config["options"]["spec"] == "rhombus-squares"
+    assert json.dumps(config, sort_keys=True, indent=2) + "\n" == manifest.read_text()
 
 
 def test_energy_csv_and_determinism(tmp_path):

@@ -280,8 +280,10 @@ def test_lattice_map_arrays_and_values_view(kagome):
             assert row[c] == (keys.index(ref) if ref in lmap.values else -1)
     assert (rows[..., 0] == np.arange(6).reshape(2, 3)).all()
     for ref in keys[:50]:
-        row = lmap.rows([ref[0], *ref[1]], 0, 0)[0]
-        assert np.array_equal(lmap.reference_positions[row], lmap.reference_position(ref))
+        key = [ref[0], *ref[1]]
+        row = lmap.rows(key, 0, 0)[0]
+        assert np.array_equal(lmap.reference_positions[row],
+                              lmap.epsilon * lmap.spec.node_positions(key))
 
 
 def test_interpolate_affine_maps_are_exact(kagome):

@@ -1,8 +1,12 @@
-"""Every top-level import of a ``latmech`` module is used.
+"""Every top-level import of a ``latmech`` module is used, and every
+defaulted parameter is set by some call.
 
 The project depends on no lint tool, so this parses each module (the
 package ``__init__``, which re-exports, aside) and fails on an imported
-name that the module never reads.
+name that the module never reads.  It also parses every call in the
+package, the tests, the demos and the bench, and fails on a defaulted
+parameter of a ``latmech`` function that no call passes: an option with
+one value in use is a constant.
 """
 
 import ast
@@ -10,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "latmech"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "latmech"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLERS = sorted(p for d in ("src/latmech", "tests", "demos", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(tree) -> list:
@@ -51,3 +58,77 @@ def test_unused_import_is_caught():
                      "    import sys\n"
                      "    return np.zeros(1)\n")
     assert _unused_imports(tree) == [(2, "os"), (3, "d")]
+
+
+def _defaulted(tree) -> list:
+    """``(name, parameter, position)`` of each defaulted parameter of a
+    ``def``: ``name`` is what a call names (the class, for ``__init__``),
+    ``position`` the index among a call's positional arguments (a
+    method's ``self`` aside), ``None`` for a keyword-only parameter."""
+    out = []
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = (owner.name if node.name == "__init__" and isinstance(owner, ast.ClassDef)
+                    else node.name)
+            a = node.args
+            pos = a.posonlyargs + a.args
+            shift = int(bool(pos) and pos[0].arg in ("self", "cls"))
+            out += [(name, pos[i].arg, i - shift)
+                    for i in range(len(pos) - len(a.defaults), len(pos))]
+            out += [(name, arg.arg, None)
+                    for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+    return out
+
+
+def _calls(trees) -> dict:
+    """Every call in ``trees``, grouped by the bare or attribute name it calls."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _unset_options(defaulted, calls, exempt) -> list:
+    """``(name, parameter)`` of each defaulted parameter that no call of
+    that name passes, by keyword, by position or through ``*``/``**``."""
+    def passed(name, param, position):
+        for call in calls.get(name, ()):
+            if any(kw.arg in (param, None) for kw in call.keywords):
+                return True
+            if position is not None and (len(call.args) > position or any(
+                    isinstance(arg, ast.Starred) for arg in call.args)):
+                return True
+        return False
+
+    return sorted({(name, param) for name, param, position in defaulted
+                   if name not in exempt and not passed(name, param, position)})
+
+
+def test_every_option_is_set_by_some_call():
+    from latmech.lattice import VARIANT_KINDS
+
+    # the variant builders' keywords arrive from the command line's --params
+    exempt = {builder.__name__ for builder in VARIANT_KINDS.values()}
+    defaulted = [d for path in MODULES for d in _defaulted(ast.parse(path.read_text()))]
+    calls = _calls(ast.parse(path.read_text(), str(path)) for path in CALLERS)
+    assert len(defaulted) > 50
+    assert _unset_options(defaulted, calls, exempt) == []
+
+
+def test_unset_option_is_caught():
+    defs = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                     "class K:\n"
+                     "    def __init__(self, x=0):\n        pass\n"
+                     "    def m(self, y=1, z=2):\n        pass\n"
+                     "def g(v=0):\n    pass\n"
+                     "def h(w=0):\n    pass\n")
+    calls = _calls([ast.parse("f(0, 5, d=4)\nK()\nobj.m(1)\ng(**opts)\nh(*args)\n")])
+    unset = [("K", "x"), ("f", "c"), ("m", "z")]
+    assert _unset_options(_defaulted(defs), calls, exempt=set()) == unset
+    assert _unset_options(_defaulted(defs), calls, exempt={"K"}) == unset[1:]

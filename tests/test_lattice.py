@@ -44,8 +44,8 @@ def test_builtin_structure(kagome, rotating_squares):
 def test_node_position_offsets(all_specs):
     for spec in all_specs:
         for node in range(spec.n_basic):
-            base = spec.node_position((node, (0, 0)))
-            shifted = spec.node_position((node, (2, -1)))
+            base = spec.node_positions([node, 0, 0])
+            shifted = spec.node_positions([node, 2, -1])
             expect = base + 2 * spec.v1 - spec.v2
             assert np.allclose(shifted, expect, atol=1e-14)
 
@@ -280,19 +280,19 @@ def test_deformation_evaluate_and_ops(kagome):
     psi = 0.2 * rng.standard_normal((cell.n_nodes, 2))
     defm = PeriodicDeformation(cell, lam, psi)
 
-    # evaluate is k-periodic modulo the affine part
-    ref = (1, (0, 1))
-    p0 = defm.evaluate(ref)
-    p_shift = defm.evaluate(ref, cell=(2, 0))
+    # node positions are k-periodic modulo the affine part
+    ref = [1, 0, 1]
+    p0 = defm.node_positions(ref)
+    p_shift = defm.node_positions([1, 2, 1])
     assert np.allclose(p_shift - p0, lam @ (2 * kagome.v1), atol=1e-12)
 
     moved = defm.translate([0.3, -0.4])
-    assert np.allclose(moved.evaluate(ref) - p0, [0.3, -0.4], atol=1e-14)
+    assert np.allclose(moved.node_positions(ref) - p0, [0.3, -0.4], atol=1e-14)
 
     R = rotation(0.6)
     rot = defm.rotate(R)
-    assert np.allclose(rot.evaluate(ref), R @ p0, atol=1e-12)
+    assert np.allclose(rot.node_positions(ref), R @ p0, atol=1e-12)
 
     tiled = defm.tile(4)
     assert tiled.cell.k == 4
-    assert np.allclose(tiled.evaluate(ref), p0, atol=1e-14)
+    assert np.allclose(tiled.node_positions(ref), p0, atol=1e-14)
