@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .energy import energy_breakdown, smoothed_energy_grad
-from .geometry import _pos_sq, lower_bracket, signed_svd
+from .geometry import _SLACK_TOL, _pos_sq, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
                       cross2, edge_vectors, norms, rotation)
 from .mechanisms import MechanismError, _twist_field, _twist_fields, twist_admissible_range
@@ -492,7 +492,7 @@ class JensenBoundReport:
 
     @property
     def holds(self) -> bool:
-        return self.min_slack >= -1e-12
+        return self.min_slack >= -_SLACK_TOL
 
 
 def _direction_slack(edges, stretches) -> float:

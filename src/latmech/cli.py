@@ -63,8 +63,6 @@ EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
 EXIT_INTERNAL = 4
 
-SLACK_TOL = -1e-12
-
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -348,8 +346,7 @@ def _cmd_mechanism(args) -> int:
     if args.search:
         if args.restarts < 1:
             raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
-        hits = search_mechanisms(spec, args.k, restarts=args.restarts,
-                                 rng_seed=args.seed, tol=args.tol)
+        hits = search_mechanisms(spec, args.k, restarts=args.restarts, rng_seed=args.seed)
         for i, mech in enumerate(hits):
             rows.append(_certificate_row(mech.kind, f"hit{i}", mech.certificate))
         print(f"{len(hits)} mechanism(s) found in {args.restarts} restarts at k={args.k}")
@@ -535,7 +532,7 @@ def _cmd_inequalities(args) -> int:
     _write_csv(path, ["inequality", "min_slack", "argmin_1", "argmin_2"], rows)
     print(f"{len(rows)} inequalities; worst slack {_fmt(worst)}")
     _finish(args, path)
-    return EXIT_OK if worst >= SLACK_TOL else EXIT_VERIFICATION
+    return EXIT_OK if all(rep.holds for rep in reports) else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +574,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--search", action="store_true", help="random-restart search")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump", help="write deformed geometry JSON here")
     p.set_defaults(func=_cmd_mechanism)

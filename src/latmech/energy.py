@@ -35,7 +35,6 @@ from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, c
 __all__ = [
     "EnergyBreakdown",
     "energy_breakdown",
-    "averaged_energy",
     "spring_energy_grad",
     "smoothed_energy_grad",
     "barrier_grad",
@@ -144,11 +143,6 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
         reversed_counts=(~ok).sum(axis=1),
         penalty_unit=unit,
     )
-
-
-def averaged_energy(defm: PeriodicDeformation, eta: float) -> float:
-    """Exact energy density ``E / (k^2 |U|)``."""
-    return energy_breakdown(defm, eta).averaged
 
 
 # ---------------------------------------------------------------------------
@@ -429,53 +423,33 @@ def _points_in_polygon(points, poly):
     return inside
 
 
-def _convex_hulls(pts):
-    """Monotone-chain convex hulls of point sets stacked ``(n, V, 2)``.
-
-    Returns the hull vertices padded to ``(n, 2V, 2)`` and the hull sizes;
-    collinear boundary points are dropped.
-    """
-    n, V = pts.shape[:2]
-    order = np.lexsort((pts[..., 1], pts[..., 0]), axis=-1)
-    pts = np.take_along_axis(pts, order[..., None], axis=1)
-    rows = np.arange(n)
+def _hull_order(points) -> np.ndarray:
+    """Indices of the convex hull of ``points`` ``(V, 2)`` by the monotone
+    chain, lower chain then upper; collinear boundary points are dropped."""
+    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
 
     def half(seq):
-        out = np.zeros_like(seq)
-        size = np.zeros(n, dtype=np.int64)
-        for v in range(V):
-            p = seq[:, v]
-            while True:
-                a = out[rows, np.maximum(size - 2, 0)]
-                b = out[rows, np.maximum(size - 1, 0)]
-                pop = (size >= 2) & (cross2(b - a, p - a) <= 0)
-                if not pop.any():
-                    break
-                size -= pop
-            out[rows, size] = p
-            size += 1
-        return out, size
+        out = []
+        for v in seq:
+            while len(out) >= 2 and cross2(points[out[-1]] - points[out[-2]],
+                                           points[v] - points[out[-2]]) <= 0:
+                out.pop()
+            out.append(v)
+        return out
 
-    (lower, nl), (upper, nu) = half(pts), half(pts[:, ::-1])
-    m = np.arange(2 * V)[None, :]
-    idx = np.where(m < (nl - 1)[:, None], m, V + m - (nl - 1)[:, None])
-    hull = np.take_along_axis(np.concatenate([lower, upper], axis=1),
-                              np.minimum(idx, 2 * V - 1)[..., None], axis=1)
-    return hull, nl + nu - 2
+    return np.array(half(order)[:-1] + half(order[::-1])[:-1])
 
 
-def _hulls_cross_polygon(hull, size, polygon) -> np.ndarray:
-    """Per hull, whether any polygon edge properly crosses a hull edge."""
-    m = np.arange(hull.shape[1])[None, :]
-    nxt = np.where(m + 1 < size[:, None], m + 1, 0)
-    q1 = hull
-    q2 = np.take_along_axis(hull, nxt[..., None], axis=1)
+def _hulls_cross_polygon(hull, polygon) -> np.ndarray:
+    """Per hull of the stack ``(n, m, 2)``, whether any polygon edge
+    properly crosses a hull edge."""
+    q1, q2 = hull, np.roll(hull, -1, axis=1)
     crossed = np.zeros(len(hull), dtype=bool)
-    # one polygon edge at a time keeps the temporaries at (n, 2V, 2)
+    # one polygon edge at a time keeps the temporaries at (n, m)
     for p1, p2 in zip(polygon, np.roll(polygon, -1, axis=0)):
         hit = (((cross2(q2 - q1, p1 - q1) > 0) != (cross2(q2 - q1, p2 - q1) > 0))
                & ((cross2(p2 - p1, q1 - p1) > 0) != (cross2(p2 - p1, q2 - p1) > 0)))
-        crossed |= (hit & (m < size[:, None])).any(axis=1)
+        crossed |= hit.any(axis=1)
     return crossed
 
 
@@ -484,8 +458,14 @@ class DomainEnergyReport:
     total: float
     cells: list
     per_cell: dict
-    n_cells: int
-    max_cell: float
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.cells)
+
+    @property
+    def max_cell(self) -> float:
+        return max(self.per_cell.values())
 
 
 def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
@@ -506,22 +486,18 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
     pts = eps * (verts[None] + ci[:, None, None] * spec.v1 + cj[:, None, None] * spec.v2)
     keep = _points_in_polygon(pts.reshape(-1, 2), polygon).reshape(pts.shape[:2]).all(axis=1)
     ci, cj, pts = ci[keep], cj[keep], pts[keep]
-    keep = ~_hulls_cross_polygon(*_convex_hulls(pts), polygon)
+    # each cell's points are the same vertices translated: one hull order
+    keep = ~_hulls_cross_polygon(pts[:, _hull_order(verts)], polygon)
     ci, cj = ci[keep], cj[keep]
     if not len(ci):
         raise ValueError("no lattice cell is compactly contained in the polygon")
 
     cells = list(zip(ci.tolist(), cj.tolist()))
-    energies = _cell_energies(lmap, eta, ci, cj).tolist()
-    total = 0.0
-    for e in energies:  # sequential, in cell order
-        total += e
+    energies = _cell_energies(lmap, eta, ci, cj)
     return DomainEnergyReport(
-        total=total,
+        total=float(ordered_sum(energies)),  # sequential, in cell order
         cells=cells,
-        per_cell=dict(zip(cells, energies)),
-        n_cells=len(cells),
-        max_cell=max(energies),
+        per_cell=dict(zip(cells, energies.tolist())),
     )
 
 

@@ -184,12 +184,19 @@ def direction_stretch(l1, l2, theta):
     return np.sqrt(l2**2 + (l1**2 - l2**2) * np.cos(theta) ** 2)
 
 
+_SLACK_TOL = 1e-12  # how far below zero a certified slack may round
+
+
 @dataclass
 class ScalarInequalityReport:
     name: str
     min_slack: float
     argmin: tuple
     witness: Optional[tuple] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.min_slack >= -_SLACK_TOL
 
 
 def _pair_grid(step):

@@ -77,6 +77,7 @@ class MechanismError(RuntimeError):
 
 _CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist
 _ETA_REF = 0.1           # penalty strength of the exact-energy certificates
+_SEARCH_TOL = 1e-12      # largest certified energy a searched mechanism may have
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +504,6 @@ def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1) -> Mechanism:
     )
 
 
-def _probe_fields(plan: TwistPlan, probes):
-    """``(theta, lam, misfit, drift)`` per probe angle, evaluated 1024
-    angles per call (the default grid is one call), so memory stays
-    bounded however fine the grid."""
-    for lo in range(0, len(probes), 1024):
-        chunk = probes[lo:lo + 1024]
-        lam, _, misfit, drift = plan.fields(chunk)
-        yield from zip(chunk, lam, misfit, drift)
-
-
 def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
     """Numerically probe the symmetric interval of twist angles on which
     the counter-rotation closes, ``det lam`` stays above 1e-8,
@@ -530,7 +521,8 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
         raise MechanismError("no admissible twist angle found") from None
     good = 0.0
     c_prev = 1.0
-    for theta, lam_t, m, d in _probe_fields(plan, probes):
+    lam, _, misfit, drift = plan.fields(probes)
+    for theta, lam_t, m, d in zip(probes, lam, misfit, drift):
         if _closure_error(theta, 1, m, d):
             break
         sd = signed_svd(lam_t)
@@ -565,14 +557,13 @@ def search_mechanisms(
     k: int,
     seed: Optional[PeriodicDeformation] = None,
     restarts: int = 32,
-    tol: float = 1e-12,
     rng_seed: int = 0,
 ):
     """Joint minimization of spring energy over ``(lam, psi)`` with an
     annealed log-barrier keeping triangle orientations positive.
 
     Returns every accepted :class:`Mechanism` (exact averaged energy at
-    ``eta_ref = 0.1`` at most ``tol`` and strictly positive orientations),
+    ``eta_ref = 0.1`` at most ``1e-12`` and strictly positive orientations),
     sorted by ``(energy, spring energy, restart index)``.  The first node's
     ``psi`` is pinned to remove translations.
     """
@@ -623,7 +614,7 @@ def search_mechanisms(
         lam, psi = _unpack(x, n)
         defm = PeriodicDeformation(cell, lam, psi)
         cert = certify(defm)
-        if cert.energy <= tol and cert.min_det > 0:
+        if cert.energy <= _SEARCH_TOL and cert.min_det > 0:
             spring = energy_breakdown(defm, _ETA_REF).spring_total
             found.append((cert.energy, spring, si,
                           Mechanism("searched", {"restart": si, "k": k}, defm, cert)))

@@ -186,9 +186,9 @@ class MechanismStateTable:
     k, n_cs, 2)`` are indexed by residue ``(u, mi, mj)``: unit ``u`` in
     cell ``(mi, mj)`` of the ``k x k`` supercell.  ``angles[r]`` and
     ``offsets[r]`` give its rotation angle and centroid offset (relative
-    to ``c x``) at each tabulated contraction ``cs`` (ascending).  Built
-    from e.g. ``search_mechanisms`` output to modulate a k-periodic family
-    instead of the on-the-fly twist.
+    to ``c x``) at each tabulated contraction ``cs`` (ascending).
+    :func:`modulate` places units through the twist's table by default, or
+    through one built from e.g. ``search_mechanisms`` output.
     """
 
     k: int
@@ -213,6 +213,17 @@ class MechanismStateTable:
     @property
     def c_max(self) -> float:
         return float(self.cs[-1])
+
+
+def _twist_states(spec: LatticeSpec) -> MechanismStateTable:
+    """The twist as a ``k = 1`` state table: each unit turns by ``+theta``
+    or ``-theta`` by its parity, with no centroid offset, at the
+    contractions of the twist's contraction table in ascending order."""
+    thetas, cs = _twist_contraction_table(spec)
+    sign = 1 - 2 * np.array([unit.parity for unit in rigid_units(spec)])
+    angles = (sign[:, None] * thetas[::-1])[:, None, None]
+    return MechanismStateTable(k=1, cs=cs[::-1], angles=angles,
+                               offsets=np.zeros(angles.shape + (2,)))
 
 
 def mechanism_state_table(spec: LatticeSpec,
@@ -322,17 +333,15 @@ def modulate(
     """Build the modulated deformation at cell size ``epsilon``.
 
     Every rigid unit whose nodes touch the target domain is placed
-    rigidly: twisted by the angle whose contraction matches ``|f'|`` at
-    the unit center (inverted through a monotone spline of the twist's
-    contraction table, or through ``states`` when a custom mechanism
-    family is supplied), rotated by the tree-unwrapped argument of
-    ``f'``, and anchored at ``f`` of the center.  Nodes shared by
-    several units take the average placement, followed by
-    ``relax_sweeps`` damped Jacobi spring sweeps.  Each sweep pulls a
-    node toward local spring equilibrium while a tether weight holds
-    it near its constructed position, so the relaxation stays local and
-    the ``epsilon``-scaling reflects the construction rather than global
-    optimization.
+    rigidly: put into the state of ``states`` (the twist by default) whose
+    contraction matches ``|f'|`` at the unit center, rotated by the
+    tree-unwrapped argument of ``f'``, and anchored at ``f`` of the
+    center.  Nodes shared by several units take the average placement,
+    followed by ``relax_sweeps`` damped Jacobi spring sweeps.  Each sweep
+    pulls a node toward local spring equilibrium while a tether weight
+    holds it near its constructed position, so the relaxation stays local
+    and the ``epsilon``-scaling reflects the construction rather than
+    global optimization.
 
     Raises :class:`ValueError` when ``|f'|`` falls below the reachable
     contraction range at a unit inside the domain (the location is
@@ -343,12 +352,8 @@ def modulate(
     if relax_sweeps < 0:
         raise ValueError(f"relax_sweeps must be >= 0, got {relax_sweeps}")
     units = rigid_units(spec)
-    if states is None:
-        thetas, cs = _twist_contraction_table(spec)
-        c_min, c_max = float(cs.min()), 1.0
-        invert = _pchip(cs[::-1], thetas[::-1])
-    else:
-        c_min, c_max = states.c_min, states.c_max
+    states = states or _twist_states(spec)
+    c_min, c_max = states.c_min, states.c_max
 
     x0, x1, y0, y1 = target.domain
 
@@ -406,17 +411,14 @@ def modulate(
         up = phi[parent[lev]]
         phi[lev] = up + _wrap_angle(phi[lev] - up)
 
-    # rigid placement: per-unit twist angle and centroid offset
-    if states is None:
-        sigma = np.array([1.0 if unit.parity == 0 else -1.0 for unit in units])
-        ang = sigma[inst_unit] * invert(c_loc)
-        off = np.zeros((n_inst, 2))
-    else:
-        ang, off = np.empty(n_inst), np.empty((n_inst, 2))
-        residues = np.column_stack([inst_unit, inst_ci % states.k, inst_cj % states.k])
-        for res in np.unique(residues, axis=0):
-            has = (residues == res).all(axis=1)
-            ang[has], off[has] = states.state(res, c_loc[has])
+    # rigid placement: per-unit rotation angle and centroid offset, read
+    # per residue (u, mi, mj) of the table's supercell
+    k = states.k
+    residue = (inst_unit * k + inst_ci % k) * k + inst_cj % k
+    ang, off = np.empty(n_inst), np.empty((n_inst, 2))
+    for r in np.unique(residue).tolist():
+        has = residue == r
+        ang[has], off[has] = states.state(np.unravel_index(r, (n_units, k, k)), c_loc[has])
     Rg = rotation(phi)
     R = Rg @ rotation(ang)
     zc = np.empty(n_inst, dtype=complex)

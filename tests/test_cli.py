@@ -217,6 +217,20 @@ def test_verification_failure_exits_3(tmp_path, monkeypatch):
     assert run(["inequalities", "--out", str(tmp_path / "ineq.csv")]) == 3
 
 
+def test_nan_inequality_slack_exits_3(tmp_path, monkeypatch, capsys):
+    # a NaN slack is no certificate, although it never compares below 0
+    from latmech.geometry import ScalarInequalityReport
+
+    def nan_slack(lam_step, theta_step):
+        return [ScalarInequalityReport("forced", float("nan"), (0.0,))]
+
+    monkeypatch.setattr(cli, "scalar_inequality_report", nan_slack)
+    out = tmp_path / "ineq.csv"
+    assert run(["inequalities", "--out", str(out)]) == 3
+    assert "forced,nan,0," in out.read_text().splitlines()
+    assert "worst slack 0\n" in capsys.readouterr().out
+
+
 def test_nan_isotropy_constant_exits_3(tmp_path, monkeypatch, capsys):
     # a NaN constant is no certificate, although no slack compares below 0
     from latmech.cellsolver import IsotropicBoundReport

@@ -8,6 +8,8 @@ import pytest
 
 from latmech.energy import (
     LatticeMap,
+    _cell_window,
+    _points_in_polygon,
     barrier_grad,
     check_cell_bounds,
     domain_energy,
@@ -17,7 +19,7 @@ from latmech.energy import (
     spring_energy_grad,
     triangle_dets,
 )
-from latmech.lattice import PeriodicDeformation, Supercell, rotation
+from latmech.lattice import PeriodicDeformation, Supercell, cross2, rotation
 from latmech.mechanisms import twist_mechanism
 
 from conftest import random_deformation
@@ -240,6 +242,73 @@ def test_domain_energy_l_shape_pinned(kagome, rotating_squares):
         per_cell = repr([(c, rep.per_cell[c].hex()) for c in rep.cells])
         assert hashlib.sha256(per_cell.encode()).hexdigest() == digest
         assert rep.max_cell == max(rep.per_cell.values())
+
+
+def _chain_hull(points):
+    """Monotone-chain convex hull of one point set ``(n, 2)``, lower chain
+    then upper, collinear boundary points dropped."""
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross2(out[-1] - out[-2], p - out[-2]) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+def _crosses(hull, polygon) -> bool:
+    """Whether any polygon edge properly crosses an edge of ``hull``."""
+    for q1, q2 in zip(hull, np.roll(hull, -1, axis=0)):
+        for p1, p2 in zip(polygon, np.roll(polygon, -1, axis=0)):
+            if (((cross2(q2 - q1, p1 - q1) > 0) != (cross2(q2 - q1, p2 - q1) > 0))
+                    and ((cross2(p2 - p1, q1 - p1) > 0) != (cross2(p2 - p1, q2 - p1) > 0))):
+                return True
+    return False
+
+
+def _random_polygon(rng, convex):
+    """A random polygon around (0.6, 0.6): the hull of random points, or a
+    star with random radii (non-convex)."""
+    if convex:
+        pts = rng.uniform(0.0, 1.2, size=(12, 2))
+        return _chain_hull(pts)
+    n = int(rng.integers(6, 15))
+    t = np.sort(rng.uniform(0.0, 2 * np.pi, size=n))
+    r = rng.uniform(0.1, 0.6, size=n)
+    return 0.6 + np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+def test_domain_energy_cells_match_per_cell_hulls(twist_specs):
+    """The cells ``domain_energy`` counts are those whose cover vertices
+    all lie inside the polygon and whose own convex hull no polygon edge
+    crosses, each hull built from that cell's translated points."""
+    rng = np.random.default_rng(15)
+    cut_by_hull = 0
+    for spec in twist_specs:
+        verts = np.unique(spec.node_positions(spec.cover_keys).reshape(-1, 2).round(12), axis=0)
+        for convex in (True, False) * 6:
+            polygon = _random_polygon(rng, convex)
+            eps = float(rng.choice([1 / 8, 1 / 12, 1 / 16]))
+            ci, cj = _cell_window(spec, polygon, eps)
+            want = []
+            for i, j in zip(ci.tolist(), cj.tolist()):
+                pts = eps * (verts + i * spec.v1 + j * spec.v2)
+                if _points_in_polygon(pts, polygon).all():
+                    if _crosses(_chain_hull(pts), polygon):
+                        cut_by_hull += 1
+                    else:
+                        want.append((i, j))
+            defm = Supercell(spec, 1).zero_deformation()
+            lmap = LatticeMap.from_periodic(defm, eps, np.column_stack([ci, cj]))
+            if not want:
+                with pytest.raises(ValueError, match="no lattice cell"):
+                    domain_energy(lmap, polygon, 0.05)
+                continue
+            assert domain_energy(lmap, polygon, 0.05).cells == want
+    assert cut_by_hull > 0
 
 
 def test_missing_node_raises_key_error(kagome):

@@ -1,6 +1,7 @@
 """The invocations quoted in ``docs/formats.md`` reproduce ``docs/samples``
-byte for byte."""
+byte for byte, and the document names every command-line option."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -30,3 +31,20 @@ def test_documented_invocations_reproduce_samples(tmp_path, monkeypatch):
     assert sorted(p.name for p in made.iterdir()) == expected
     for name in expected:
         assert (made / name).read_bytes() == (SAMPLES / name).read_bytes(), name
+
+
+def subcommand_options():
+    """``(subcommand, option)`` for every long option of every subcommand."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, opt) for name, p in sub.choices.items() for action in p._actions
+            for opt in action.option_strings if opt.startswith("--") and opt != "--help"]
+
+
+def test_every_option_is_documented():
+    text = (ROOT / "docs" / "formats.md").read_text()
+    options = subcommand_options()
+    assert len(options) > 40
+    missing = [(name, opt) for name, opt in options
+               if not re.search(re.escape(opt) + r"(?![\w-])", text)]
+    assert missing == []

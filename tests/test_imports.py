@@ -1,12 +1,13 @@
-"""Every top-level import of a ``latmech`` module is used, and every
-defaulted parameter is set by some call.
+"""Every top-level import of a ``latmech`` module is used, every public
+name is read somewhere, and every defaulted parameter is set by some call.
 
 The project depends on no lint tool, so this parses each module (the
 package ``__init__``, which re-exports, aside) and fails on an imported
-name that the module never reads.  It also parses every call in the
-package, the tests, the demos and the bench, and fails on a defaulted
-parameter of a ``latmech`` function that no call passes: an option with
-one value in use is a constant.
+name that the module never reads.  It also parses the package, the
+tests, the demos and the bench, and fails on a name in a module's
+``__all__`` that none of them reads, and on a defaulted parameter of a
+``latmech`` function that no call passes: an option with one value in
+use is a constant.
 """
 
 import ast
@@ -33,11 +34,17 @@ def _unused_imports(tree) -> list:
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(_public_names(tree))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def _public_names(tree) -> list:
+    """The names listed in a module's ``__all__``."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            read.update(elt.value for elt in node.value.elts)
-    return sorted((line, name) for name, line in bound.items() if name not in read)
+            return [elt.value for elt in node.value.elts]
+    return []
 
 
 def test_modules_are_found():
@@ -58,6 +65,36 @@ def test_unused_import_is_caught():
                      "    import sys\n"
                      "    return np.zeros(1)\n")
     assert _unused_imports(tree) == [(2, "os"), (3, "d")]
+
+
+def _unread(public, trees) -> list:
+    """The names of ``public`` that no tree reads as a bare name or an
+    attribute."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(set(public) - read)
+
+
+def test_every_public_name_is_read():
+    public = [name for path in MODULES for name in _public_names(ast.parse(path.read_text()))]
+    assert len(public) > 50
+    assert _unread(public, (ast.parse(path.read_text(), str(path)) for path in CALLERS)) == []
+
+
+def test_unread_public_name_is_caught():
+    tree = ast.parse("__all__ = ['f', 'g', 'h', 'K']\n"
+                     "def f():\n    pass\n"
+                     "def h():\n    pass\n"
+                     "class K:\n    pass\n"
+                     "g = K()\n"
+                     "obj.h = 1\n"
+                     "f()\n")
+    assert _unread(_public_names(tree), [tree]) == ["g", "h"]
 
 
 def _defaulted(tree) -> list:

@@ -5,10 +5,12 @@ Each supercell pin is the sha256 of every output over kagome, rotating
 squares and the four variant families at k = 1, 2, 3, each on one fixed
 random ``(lam, psi)``.  Each twist pin hashes one construction over the
 six specs whose counter-rotation closes (plus, for the pin chase, a quad
-whose chase does not close); the domain-wall pin hashes the kagome strip,
-the rigid-units pin hashes every spec's units, the inequalities pins
-hash the scalar inequality report and every compression slack on two
-grids, and the Jensen pins hash every trial slack of the unit-rest bounds.
+whose chase does not close), the soft-mode positions of ``modulate`` at
+``epsilon = 1/8, 1/16`` among them; the domain-wall pin hashes the
+kagome strip, the rigid-units pin hashes every spec's units, the
+inequalities pins hash the scalar inequality report and every compression
+slack on two grids, and the Jensen pins hash every trial slack of the
+unit-rest bounds.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
 on these bits through L-BFGS and the twist seed.  To print fresh pins
@@ -218,12 +220,15 @@ TWIST_QUANTITIES = {
     "twist_seed": _seed,
     "twist_field": _field,
     "pin_chase": _chase,
+    "modulate": lambda spec: [modulate(spec, default_target(), eps).positions
+                              for eps in (1 / 8, 1 / 16)],
 }
 
 TWIST_PINS = {
     "admissible_range": "bcf0ce51ebe574aacaaf379ade155c3ec847dc249b14fd9d7f69b91cafd7ed94",
     "contraction_table": "7cfe4c8ab972aaa2af7fd8d6aff369851f728295fee71c9d23640c6202d39297",
     "invert_contraction": "f61957a6e79e704df132d4d90ea239219c7960cbce96b52d79bc4fa92378c1d5",
+    "modulate": "990f2b46dbbd6430b819d0505fe0d2ddc2500572a2ffc6492caa62dcd86b346f",
     "pin_chase": "f88f5c1aa7da62cdad7083dda18439307fdb26be3593858beabd0f1887a3d27a",
     "twist_field": "f73d8f3a0706f999f3a6a629ea519156e3cad1ce77ac360a03028c3a80cfd946",
     "twist_seed": "a3a904e561ff2f95d3844922c971f9041d0b702961980e57895901503467e8f1",
@@ -404,11 +409,16 @@ def _cell_bounds():
     return out
 
 
+def _k2_table():
+    """A kagome twist family on the k = 2 supercell, as a state table."""
+    spec = build_kagome()
+    return spec, mechanism_state_table(
+        spec, [twist_mechanism(spec, th, k=2) for th in (0.1, 0.35, 0.6, 0.9, 1.2)])
+
+
 def _state_table():
     """The contraction table of a kagome twist family on the k = 2 supercell."""
-    spec = build_kagome()
-    table = mechanism_state_table(
-        spec, [twist_mechanism(spec, th, k=2) for th in (0.1, 0.35, 0.6, 0.9, 1.2)])
+    spec, table = _k2_table()
     res = list(np.ndindex(table.angles.shape[:3]))
     return (table.k, table.cs, res, [table.angles[r] for r in res],
             [table.offsets[r] for r in res])
@@ -437,8 +447,16 @@ def _interpolate():
     return lmap.interpolate(np.column_stack([m.ravel() for m in np.meshgrid(px, py)]))
 
 
+def _modulate_k2():
+    """The soft-mode positions placed through the k = 2 state table."""
+    spec, table = _k2_table()
+    return [modulate(spec, default_target(), eps, states=table).positions
+            for eps in (1 / 8, 1 / 16)]
+
+
 CONSUMER_QUANTITIES = {
     "cell_bounds": _cell_bounds,
+    "modulate_k2_table": _modulate_k2,
     "state_table": _state_table,
     "wall_strip": _wall_strip,
     "interpolate": _interpolate,
@@ -447,6 +465,7 @@ CONSUMER_QUANTITIES = {
 CONSUMER_PINS = {
     "cell_bounds": "521a0594d690d0538396c508ef6ca36a05eb607e4a36b5751a2eca3a04c222eb",
     "interpolate": "f8ab3557b23fec2b8875b15ea3e19e63ce7c2f6c2c7a2c1f81804ede7fb6ec82",
+    "modulate_k2_table": "4e0ccf8a8de6a032f8aa4a40de9c658166a949a4d1afc0872f9d0672ae81c95c",
     "state_table": "2e583e4e4d1c8f60878a74cb78fcad453a46a558b244f2370ed84dfa6a2f6e90",
     "wall_strip": "ab3770bd2595029f9c4997b629f12c68a41b0035a4c70c69b540b4909ae7ce93",
 }

@@ -9,6 +9,7 @@ from latmech.mechanisms import twist_mechanism
 from latmech.softmodes import (
     ConformalTarget,
     _pchip,
+    _twist_states,
     decay_exponent,
     default_target,
     ladder_exponents,
@@ -241,6 +242,15 @@ def test_state_table_from_twist_family(kagome):
     ang, off = table.state(res, c5)
     assert abs(ang - table.angles[res][5]) <= 1e-12
     assert np.allclose(off, table.offsets[res][5], atol=1e-12)
+
+
+def test_twist_state_table_spans_the_contraction_table(twist_specs):
+    # modulate clamps |f'| to [c_min, c_max] of the twist's state table
+    for spec in twist_specs:
+        cs = _twist_contraction_table(spec)[1]
+        table = _twist_states(spec)
+        assert table.c_min == cs.min()
+        assert table.c_max == 1.0
 
 
 def test_state_table_modulation_matches_builtin_path(kagome):
