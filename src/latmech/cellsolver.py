@@ -6,17 +6,17 @@ annealing a sigmoid-smoothed orientation penalty and always reporting the
 exact step-penalty value of the final iterate (any feasible field is a
 valid upper bound, so poor convergence can never overstate softness).
 
-The verification helpers compare those estimates against the
-stretch-space lower bracket, the isotropy bound, and the four
-explicit-constant Jensen bounds that follow from the averaged-vector
-identity (one per marker direction family).
+The verification helpers compare those estimates against the stretch
+bracket (the shape the density is bounded below by, up to a constant
+that is not known, so not itself a lower bound), the isotropy bound,
+and the four explicit-constant Jensen bounds that follow from the
+averaged-vector identity (one per marker direction family).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .energy import energy_breakdown, smoothed_energy_grad
 from .geometry import _SLACK_TOL, _pos_sq, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
                       cross2, edge_vectors, norms, rotation)
-from .mechanisms import MechanismError, _twist_field, _twist_fields, twist_admissible_range
+from .mechanisms import MechanismError, _twist_contraction_table, _twist_field
 
 __all__ = [
     "DensityEstimate",
@@ -62,20 +62,6 @@ class DensityEstimate:
     minimizer: PeriodicDeformation
     lower_bracket: float          # stretch bracket with unit constant
     solver_trace: dict = field(default_factory=dict)
-
-
-@lru_cache(maxsize=32)
-def _twist_contraction_table(spec: LatticeSpec):
-    """Sampled ``theta -> c = (sigma1 + sigma2) / 2`` over the admissible
-    twist range (a strictly decreasing curve, by construction)."""
-    lo, hi = twist_admissible_range(spec)
-    thetas = np.linspace(0.0, hi, 160)
-    cs = np.empty_like(thetas)
-    cs[0] = 1.0
-    for i, lam in enumerate(_twist_fields(spec, thetas[1:])[0], start=1):
-        sd = signed_svd(lam)
-        cs[i] = 0.5 * (sd.sigma1 + sd.sigma2)
-    return thetas, cs
 
 
 def _invert_contraction(spec: LatticeSpec, c: float,
@@ -382,6 +368,8 @@ def lambda_grid(kind: str, rng_seed: int = 0):
                 mat = None
             if mat is None or mat.shape != (2, 2):
                 raise ValueError(f"grid file {path}: entry {i} is not a 2x2 matrix")
+            if not np.isfinite(mat).all():
+                raise ValueError(f"grid file {path}: entry {i} is not finite: {m!r}")
             mats.append(mat)
         return mats
     raise ValueError(f"unknown lambda grid {kind!r}")

@@ -25,7 +25,6 @@ from itertools import chain
 import numpy as np
 
 from .cellsolver import (
-    _twist_contraction_table,
     estimate_density,
     lambda_grid,
     orientation_threshold,
@@ -47,6 +46,7 @@ from .lattice import (
 )
 from .mechanisms import (
     MechanismError,
+    _twist_contraction_table,
     domain_wall_angles,
     domain_wall_mechanism,
     search_mechanisms,
@@ -155,9 +155,13 @@ def _load_spec(args) -> LatticeSpec:
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
+    items = text.split(",")
+    vals = [float(v) for v in items]
     if len(vals) != 4:
         raise ValueError("matrix must be four comma-separated numbers, row-major")
+    for item, val in zip(items, vals):
+        if not np.isfinite(val):
+            raise ValueError(f"matrix entry {item.strip()!r} is not finite")
     return np.array(vals).reshape(2, 2)
 
 
@@ -306,6 +310,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    if not 0 <= args.psi_amp < np.inf:
+        raise ValueError(f"--psi-amp must be finite and >= 0, got {args.psi_amp:g}")
     spec = _load_spec(args)
     cell = Supercell(spec, args.k)
     lam = _parse_matrix(args.lam) if args.lam else np.eye(2)

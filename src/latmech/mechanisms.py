@@ -463,10 +463,11 @@ def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
 
 
 def _closure_error(theta, k, misfit, drift) -> Optional[str]:
-    """Why the counter-rotation by ``theta`` is no mechanism, or ``None``."""
-    if misfit > _CLOSURE_TOL:
+    """Why the counter-rotation by ``theta`` is no mechanism, or ``None``.
+    A NaN misfit or drift (a NaN angle) is no mechanism either."""
+    if not misfit <= _CLOSURE_TOL:
         return f"counter-rotation by {theta:g} does not close: misfit {misfit:.3e}"
-    if drift > _CLOSURE_TOL:
+    if not drift <= _CLOSURE_TOL:
         return f"counter-rotation is not {k}-periodic: period drift {drift:.3e}"
     return None
 
@@ -536,6 +537,20 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
     return (-good, good)
 
 
+@lru_cache(maxsize=32)
+def _twist_contraction_table(spec: LatticeSpec):
+    """Sampled ``theta -> c = (sigma1 + sigma2) / 2`` over the admissible
+    twist range (a strictly decreasing curve, by construction)."""
+    lo, hi = twist_admissible_range(spec)
+    thetas = np.linspace(0.0, hi, 160)
+    cs = np.empty_like(thetas)
+    cs[0] = 1.0
+    for i, lam in enumerate(_twist_fields(spec, thetas[1:])[0], start=1):
+        sd = signed_svd(lam)
+        cs[i] = 0.5 * (sd.sigma1 + sd.sigma2)
+    return thetas, cs
+
+
 # ---------------------------------------------------------------------------
 # numerical mechanism search
 # ---------------------------------------------------------------------------
@@ -555,7 +570,6 @@ def _unpack(x, n_nodes):
 def search_mechanisms(
     spec: LatticeSpec,
     k: int,
-    seed: Optional[PeriodicDeformation] = None,
     restarts: int = 32,
     rng_seed: int = 0,
 ):
@@ -586,10 +600,6 @@ def search_mechanisms(
         return E, np.concatenate([gl.ravel(), gp[1:].ravel()])
 
     starts = []
-    if seed is not None:
-        if seed.cell.k != k:
-            seed = seed.tile(k)
-        starts.append(_pack(seed.lam, seed.psi - seed.psi[0]))
     while len(starts) < restarts:
         i = len(starts)
         if i % 2 == 0:

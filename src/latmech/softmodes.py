@@ -15,21 +15,18 @@ Cauchy-Riemann residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cellsolver import _twist_contraction_table
 from .energy import LatticeMap, _cell_window, domain_energy
-from .geometry import conformal_check, signed_svd
-from .lattice import LatticeSpec, kabsch_rotations, norms, rotation
-from .mechanisms import Mechanism, _unit_members, _walk_units, rigid_units
+from .geometry import conformal_check
+from .lattice import LatticeSpec, norms, rotation
+from .mechanisms import _twist_contraction_table, _unit_members, _walk_units, rigid_units
 
 __all__ = [
     "ConformalTarget",
     "default_target",
-    "MechanismStateTable",
-    "mechanism_state_table",
     "modulate",
     "SoftModeReport",
     "decay_exponent",
@@ -122,7 +119,7 @@ def default_target() -> ConformalTarget:
 
 
 # ---------------------------------------------------------------------------
-# local state tables
+# angles and interpolation
 # ---------------------------------------------------------------------------
 
 
@@ -177,110 +174,6 @@ def _pchip(x, y):
     return evaluate
 
 
-@dataclass
-class MechanismStateTable:
-    """Per-unit rigid states of a one-parameter isotropic mechanism
-    family, indexed by contraction.
-
-    ``angles`` ``(n_units, k, k, n_cs)`` and ``offsets`` ``(n_units, k,
-    k, n_cs, 2)`` are indexed by residue ``(u, mi, mj)``: unit ``u`` in
-    cell ``(mi, mj)`` of the ``k x k`` supercell.  ``angles[r]`` and
-    ``offsets[r]`` give its rotation angle and centroid offset (relative
-    to ``c x``) at each tabulated contraction ``cs`` (ascending).
-    :func:`modulate` places units through the twist's table by default, or
-    through one built from e.g. ``search_mechanisms`` output.
-    """
-
-    k: int
-    cs: np.ndarray
-    angles: np.ndarray
-    offsets: np.ndarray
-
-    def state(self, residue, c):
-        """Rotation angle and centroid offset of the unit with residue
-        ``(u, mi, mj)`` at contraction ``c``; for an array ``c``, arrays of
-        angles and ``(..., 2)`` offsets."""
-        residue = tuple(residue)
-        table = np.column_stack([self.angles[residue], self.offsets[residue]])
-        state = _pchip(self.cs, table)(c)
-        ang = state[..., 0]
-        return (float(ang) if np.ndim(c) == 0 else ang), state[..., 1:]
-
-    @property
-    def c_min(self) -> float:
-        return float(self.cs[0])
-
-    @property
-    def c_max(self) -> float:
-        return float(self.cs[-1])
-
-
-def _twist_states(spec: LatticeSpec) -> MechanismStateTable:
-    """The twist as a ``k = 1`` state table: each unit turns by ``+theta``
-    or ``-theta`` by its parity, with no centroid offset, at the
-    contractions of the twist's contraction table in ascending order."""
-    thetas, cs = _twist_contraction_table(spec)
-    sign = 1 - 2 * np.array([unit.parity for unit in rigid_units(spec)])
-    angles = (sign[:, None] * thetas[::-1])[:, None, None]
-    return MechanismStateTable(k=1, cs=cs[::-1], angles=angles,
-                               offsets=np.zeros(angles.shape + (2,)))
-
-
-def mechanism_state_table(spec: LatticeSpec,
-                          mechanisms: Sequence[Mechanism]) -> MechanismStateTable:
-    """Extract a contraction-indexed table of per-unit rigid states from
-    a family of isotropic mechanisms on a common ``k x k`` supercell.
-
-    Each mechanism must have ``lam = c R`` with positive determinant
-    (isotropy defect at most 1e-8); it is rotation-normalized to
-    ``lam = c I`` before the per-unit rotation angles and centroid
-    offsets are read off.  Angles are unwrapped along the family.
-    """
-    if not mechanisms:
-        raise ValueError("need at least one mechanism")
-    k = mechanisms[0].deformation.cell.k
-    units = rigid_units(spec)
-    # the cells (mi, mj) of the supercell, row by row, as node-row shifts
-    mi, mj = np.divmod(np.arange(k * k), k)
-    shifts = np.column_stack([np.zeros_like(mi), mi, mj])[:, None]
-    cs, angles, offsets = [], [], []
-    for m in mechanisms:
-        cert = m.certificate
-        if m.deformation.cell.k != k:
-            raise ValueError("mechanisms live on different supercells")
-        if cert.det_sign <= 0 or cert.isotropy_defect > 1e-8:
-            raise ValueError(
-                f"mechanism with lam={np.round(cert.lam, 6).tolist()} is not "
-                f"an orientation-preserving scaled rotation"
-            )
-        dat = signed_svd(cert.lam)
-        c = 0.5 * (dat.sigma1 + dat.sigma2)
-        R = dat.U @ dat.V.T
-        beta = float(np.arctan2(R[1, 0], R[0, 0]))
-        defm = m.deformation.rotate(rotation(-beta))
-        ang, off = np.empty((len(units), k * k)), np.empty((len(units), k * k, 2))
-        for u, unit in enumerate(units):
-            keys = unit.nodes + shifts
-            X, Y = spec.node_positions(keys), defm.node_positions(keys)
-            Ru = kabsch_rotations(X, Y)
-            ang[u] = np.arctan2(Ru[:, 1, 0], Ru[:, 0, 0])
-            off[u] = Y.mean(axis=1) - c * X.mean(axis=1)
-        cs.append(c)
-        angles.append(ang)
-        offsets.append(off)
-    order = np.argsort(cs, kind="stable")
-    cs = np.asarray(cs)[order]
-    if len(cs) < 2 or np.any(np.diff(cs) <= 1e-12):
-        raise ValueError("mechanism contractions must be distinct to form a table")
-    shape = (len(units), k, k, len(cs))
-    angles = np.unwrap(np.moveaxis(np.asarray(angles)[order], 0, -1), axis=-1)
-    offsets = np.ascontiguousarray(np.moveaxis(np.asarray(offsets)[order], 0, -2))
-    # translation gauge: offsets are only meaningful relative to their mean
-    offsets = offsets - offsets.reshape(-1, len(cs), 2).mean(axis=0)
-    return MechanismStateTable(k=k, cs=cs, angles=np.ascontiguousarray(angles).reshape(shape),
-                               offsets=offsets.reshape(shape + (2,)))
-
-
 # ---------------------------------------------------------------------------
 # modulation
 # ---------------------------------------------------------------------------
@@ -328,32 +221,33 @@ def modulate(
     target: ConformalTarget,
     epsilon: float,
     relax_sweeps: int = 200,
-    states: Optional[MechanismStateTable] = None,
 ) -> LatticeMap:
     """Build the modulated deformation at cell size ``epsilon``.
 
     Every rigid unit whose nodes touch the target domain is placed
-    rigidly: put into the state of ``states`` (the twist by default) whose
-    contraction matches ``|f'|`` at the unit center, rotated by the
-    tree-unwrapped argument of ``f'``, and anchored at ``f`` of the
-    center.  Nodes shared by several units take the average placement,
-    followed by ``relax_sweeps`` damped Jacobi spring sweeps.  Each sweep
+    rigidly: put into the twist state whose contraction matches ``|f'|``
+    at the unit center (its angle ``+-theta``, by parity, interpolated
+    over the twist's contraction table), rotated by the tree-unwrapped
+    argument of ``f'``, and anchored at ``f`` of the center.  Nodes
+    shared by several units take the average placement, followed by
+    ``relax_sweeps`` damped Jacobi spring sweeps.  Each sweep
     pulls a node toward local spring equilibrium while a tether weight
     holds it near its constructed position, so the relaxation stays local
     and the ``epsilon``-scaling reflects the construction rather than
     global optimization.
 
-    Raises :class:`ValueError` when ``|f'|`` falls below the reachable
-    contraction range at a unit inside the domain (the location is
-    reported); boundary-overhanging units are clamped instead.
+    Raises :class:`ValueError` when ``|f'|`` falls below the table's
+    smallest contraction at a unit inside the domain (the location is
+    reported); boundary-overhanging units are clamped into
+    ``[cs.min(), 1]`` instead.
     """
     if epsilon <= 0:
         raise ValueError(f"cell size epsilon must be positive, got {epsilon:g}")
     if relax_sweeps < 0:
         raise ValueError(f"relax_sweeps must be >= 0, got {relax_sweeps}")
     units = rigid_units(spec)
-    states = states or _twist_states(spec)
-    c_min, c_max = states.c_min, states.c_max
+    thetas, cs = _twist_contraction_table(spec)
+    c_min = cs.min()
 
     x0, x1, y0, y1 = target.domain
 
@@ -375,7 +269,6 @@ def modulate(
     mem_key, mem_pos = mem_key[sel], mem_pos[sel]
     inst_flat = np.flatnonzero(kept)
     inst_unit = inst_flat % n_units
-    inst_ci, inst_cj = CI[inst_flat // n_units], CJ[inst_flat // n_units]
     n_inst = len(inst_flat)
     keys, mem_node = np.unique(mem_key, axis=0, return_inverse=True)
     mem_node = mem_node.ravel()
@@ -398,7 +291,7 @@ def modulate(
             f"|f'| = {c[n]:.6f} at ({z[0]:.4f}, {z[1]:.4f}) is below the "
             f"reachable mechanism contraction {c_min:.6f}"
         )
-    c_loc = np.minimum(np.maximum(c, c_min), c_max)
+    c_loc = np.minimum(np.maximum(c, c_min), 1.0)
 
     # unwrap arg f' along the walk over the unit adjacency, depth by depth:
     # each instance takes the branch nearest the one it was reached from;
@@ -411,20 +304,15 @@ def modulate(
         up = phi[parent[lev]]
         phi[lev] = up + _wrap_angle(phi[lev] - up)
 
-    # rigid placement: per-unit rotation angle and centroid offset, read
-    # per residue (u, mi, mj) of the table's supercell
-    k = states.k
-    residue = (inst_unit * k + inst_ci % k) * k + inst_cj % k
-    ang, off = np.empty(n_inst), np.empty((n_inst, 2))
-    for r in np.unique(residue).tolist():
-        has = residue == r
-        ang[has], off[has] = states.state(np.unravel_index(r, (n_units, k, k)), c_loc[has])
-    Rg = rotation(phi)
-    R = Rg @ rotation(ang)
+    # rigid placement: each unit turns by +theta or -theta by its parity,
+    # theta interpolated over the contraction table in ascending order
+    sign = 1 - 2 * np.array([unit.parity for unit in units])
+    turns = _pchip(cs[::-1], sign * thetas[::-1, None])(c_loc)
+    R = rotation(phi) @ rotation(turns[np.arange(n_inst), inst_unit])
     zc = np.empty(n_inst, dtype=complex)
     zc.real, zc.imag = centers[:, 0], centers[:, 1]
     w = target.value(zc)
-    anchor = np.column_stack([w.real, w.imag]) + (Rg @ off[:, :, None])[:, :, 0] * epsilon
+    anchor = np.column_stack([w.real, w.imag])
     rel = (mem_pos - centers[mem_inst])[:, :, None]
     placed = anchor[mem_inst] + (R[mem_inst] @ rel)[:, :, 0]
 

@@ -92,6 +92,12 @@ def test_precondition_errors_exit_2(tmp_path):
     (["soft-mode", "--jobs", "-1"], "--jobs must be at least 1, got -1"),
     (["density-sweep", "--grid", "random:x"],
      "random grid needs an integer count, got 'random:x'"),
+    (["energy", "--psi-amp", "nan"], "--psi-amp must be finite and >= 0, got nan"),
+    (["energy", "--psi-amp", "-0.05"], "--psi-amp must be finite and >= 0, got -0.05"),
+    (["energy", "--psi-amp", "inf"], "--psi-amp must be finite and >= 0, got inf"),
+    (["energy", "--lam", "inf,0,0,1"], "matrix entry 'inf' is not finite"),
+    (["energy", "--lam", "1,0,0,nan"], "matrix entry 'nan' is not finite"),
+    (["mechanism", "--theta", "nan"], "counter-rotation by nan does not close: misfit nan"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -129,7 +135,10 @@ def test_soft_mode_repeated_rung_exits_2_before_modulating(tmp_path, capsys, mon
     ("[]", "holds an empty list"),
     ('{"lam": [[1, 0], [0, 1]]}', "must hold a JSON list of 2x2 matrices, got dict"),
     ("[[[1, 0], [0, 1]], [1, 2, 3]]", "entry 1 is not a 2x2 matrix"),
-], ids=["empty", "not-a-list", "not-2x2"])
+    ("[[[1, 0], [0, 1]], [[Infinity, 0], [0, 1]]]",
+     "entry 1 is not finite: [[inf, 0], [0, 1]]"),
+    ("[[[0.9, 0], [0, NaN]]]", "entry 0 is not finite: [[0.9, 0], [0, nan]]"),
+], ids=["empty", "not-a-list", "not-2x2", "infinite", "nan"])
 def test_bad_grid_file_exits_2_before_writing(tmp_path, capsys, content, named):
     grid = tmp_path / "grid.json"
     grid.write_text(content)

@@ -26,7 +26,6 @@ import pytest
 from latmech.cellsolver import (
     _invert_contraction,
     _marker_arrays,
-    _twist_contraction_table,
     _twist_seed,
     estimate_density,
     jensen_diag_stretch,
@@ -63,6 +62,7 @@ from latmech.lattice import (
 )
 from latmech.mechanisms import (
     MechanismError,
+    _twist_contraction_table,
     _twist_field,
     assemble_rotated_units,
     certify,
@@ -72,7 +72,7 @@ from latmech.mechanisms import (
     twist_admissible_range,
     twist_mechanism,
 )
-from latmech.softmodes import default_target, mechanism_state_table, modulate
+from latmech.softmodes import default_target, modulate
 
 from conftest import percolating_units_json
 
@@ -409,21 +409,6 @@ def _cell_bounds():
     return out
 
 
-def _k2_table():
-    """A kagome twist family on the k = 2 supercell, as a state table."""
-    spec = build_kagome()
-    return spec, mechanism_state_table(
-        spec, [twist_mechanism(spec, th, k=2) for th in (0.1, 0.35, 0.6, 0.9, 1.2)])
-
-
-def _state_table():
-    """The contraction table of a kagome twist family on the k = 2 supercell."""
-    spec, table = _k2_table()
-    res = list(np.ndindex(table.angles.shape[:3]))
-    return (table.k, table.cs, res, [table.angles[r] for r in res],
-            [table.offsets[r] for r in res])
-
-
 def _wall_strip():
     """The kagome wall strip at the size of the certificate pass."""
     w = domain_wall_mechanism(2.25, half_width=40, rows=5)
@@ -447,17 +432,8 @@ def _interpolate():
     return lmap.interpolate(np.column_stack([m.ravel() for m in np.meshgrid(px, py)]))
 
 
-def _modulate_k2():
-    """The soft-mode positions placed through the k = 2 state table."""
-    spec, table = _k2_table()
-    return [modulate(spec, default_target(), eps, states=table).positions
-            for eps in (1 / 8, 1 / 16)]
-
-
 CONSUMER_QUANTITIES = {
     "cell_bounds": _cell_bounds,
-    "modulate_k2_table": _modulate_k2,
-    "state_table": _state_table,
     "wall_strip": _wall_strip,
     "interpolate": _interpolate,
 }
@@ -465,8 +441,6 @@ CONSUMER_QUANTITIES = {
 CONSUMER_PINS = {
     "cell_bounds": "521a0594d690d0538396c508ef6ca36a05eb607e4a36b5751a2eca3a04c222eb",
     "interpolate": "f8ab3557b23fec2b8875b15ea3e19e63ce7c2f6c2c7a2c1f81804ede7fb6ec82",
-    "modulate_k2_table": "4e0ccf8a8de6a032f8aa4a40de9c658166a949a4d1afc0872f9d0672ae81c95c",
-    "state_table": "2e583e4e4d1c8f60878a74cb78fcad453a46a558b244f2370ed84dfa6a2f6e90",
     "wall_strip": "ab3770bd2595029f9c4997b629f12c68a41b0035a4c70c69b540b4909ae7ce93",
 }
 

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from latmech.cellsolver import _twist_contraction_table
 from latmech.energy import LatticeMap, domain_energy
-from latmech.mechanisms import twist_mechanism
+from latmech.mechanisms import _twist_contraction_table
 from latmech.softmodes import (
     ConformalTarget,
     _pchip,
-    _twist_states,
     decay_exponent,
     default_target,
     ladder_exponents,
-    mechanism_state_table,
     modulate,
     soft_mode_report,
     weak_limit_check,
@@ -226,54 +223,22 @@ def test_modulated_cells_preserve_orientation(kagome):
 
 
 # ---------------------------------------------------------------------------
-# state tables
+# the contraction range
 # ---------------------------------------------------------------------------
 
 
-def test_state_table_from_twist_family(kagome):
-    mechs = [twist_mechanism(kagome, th) for th in np.linspace(0.08, 1.5, 13)]
-    table = mechanism_state_table(kagome, mechs)
-    assert table.k == 1
-    assert table.c_min < 0.1 and table.c_max > 0.99
-    assert table.angles.shape[:3] == table.offsets.shape[:3]
-    # interpolated angle at a tabulated contraction matches the table
-    c5 = float(table.cs[5])
-    res = (0, 0, 0)
-    ang, off = table.state(res, c5)
-    assert abs(ang - table.angles[res][5]) <= 1e-12
-    assert np.allclose(off, table.offsets[res][5], atol=1e-12)
-
-
 def test_twist_state_table_spans_the_contraction_table(twist_specs):
-    # modulate clamps |f'| to [c_min, c_max] of the twist's state table
+    # modulate clamps |f'| to [cs.min(), 1] of the twist's contraction
+    # table: a uniform target f(z) = c z places at c = 1 (every unit
+    # unturned) and at c = cs.min(), and is rejected just below it
     for spec in twist_specs:
-        cs = _twist_contraction_table(spec)[1]
-        table = _twist_states(spec)
-        assert table.c_min == cs.min()
-        assert table.c_max == 1.0
-
-
-def test_state_table_modulation_matches_builtin_path(kagome):
-    mechs = [twist_mechanism(kagome, th) for th in np.linspace(0.08, 1.5, 13)]
-    table = mechanism_state_table(kagome, mechs)
-    via_table = modulate(kagome, default_target(), 1 / 8, states=table)
-    builtin = modulate(kagome, default_target(), 1 / 8)
-    assert set(via_table.values) == set(builtin.values)
-    gap = max(np.linalg.norm(via_table.values[k] - builtin.values[k])
-              for k in builtin.values)
-    assert gap <= 1e-3
-    e1 = domain_energy(via_table, default_target().polygon, 0.05).total
-    e2 = domain_energy(builtin, default_target().polygon, 0.05).total
-    assert abs(e1 - e2) <= 0.2 * max(e1, e2)
-
-
-def test_state_table_rejects_mixed_or_anisotropic(kagome):
-    with pytest.raises(ValueError):
-        mechanism_state_table(kagome, [])
-    m1 = twist_mechanism(kagome, 0.3, k=1)
-    m2 = twist_mechanism(kagome, 0.6, k=2)
-    with pytest.raises(ValueError):
-        mechanism_state_table(kagome, [m1, m2])
-    with pytest.raises(ValueError):
-        # duplicate contractions cannot be interpolated
-        mechanism_state_table(kagome, [m1, m1])
+        c_min = _twist_contraction_table(spec)[1].min()
+        lmap = modulate(spec, ConformalTarget((0.0, 1.0), (0.0, 1.0, 0.0, 1.0)),
+                        1 / 8, relax_sweeps=0)
+        assert np.allclose(lmap.positions, lmap.reference_positions, rtol=0, atol=1e-12)
+        lmap = modulate(spec, ConformalTarget((0.0, c_min), (0.0, 1.0, 0.0, 1.0)),
+                        1 / 8, relax_sweeps=0)
+        assert len(lmap.positions) > 0
+        below = ConformalTarget((0.0, c_min - 1e-6), (0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="below the reachable mechanism contraction"):
+            modulate(spec, below, 1 / 8, relax_sweeps=0)
