@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .energy import energy_breakdown, smoothed_energy_grad
+from .energy import _check_eta, energy_breakdown, smoothed_energy_grad
 from .geometry import _SLACK_TOL, _pos_sq, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
                       cross2, edge_vectors, norms, rotation)
@@ -220,8 +220,7 @@ def estimate_density(
     residual contraction gap of the twist seed when its inversion
     bracket failed (``twist_bracket_gap``; ``None`` otherwise).
     """
-    if not eta > 0:
-        raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
+    _check_eta(eta)
     if k < 1:
         raise ValueError(f"supercell size must be >= 1, got {k}")
     if restarts < 0:
@@ -415,6 +414,7 @@ def verify_isotropic_bound(
     plus ``n_random`` random perturbations.  Requires ``eta`` at most the
     orientation threshold ``c0`` of the spec.
     """
+    _check_eta(eta)
     c0 = orientation_threshold(spec)
     if eta > c0:
         raise ValueError(

@@ -55,18 +55,24 @@ _LEN_FLOOR = 1e-12  # guards normalization of nearly collapsed springs
 # ---------------------------------------------------------------------------
 
 
-def _triangle_edges(cell: Supercell, lam, psi):
-    """Deformed edges ``P1 - P0`` and ``P2 - P0`` ``(nt, k*k, 2)`` of the
-    penalized triangles and ``det(grad u)`` ``(nt, k*k)``."""
-    s0, s1, s2 = cell.tri_slots.transpose(1, 0, 2)
-    d1 = edge_vectors(lam, psi, s0, s1, cell.tri_d1)
-    d2 = edge_vectors(lam, psi, s0, s2, cell.tri_d2)
-    return d1, d2, cross2(d1, d2) / cell.tri_cross0[:, None]
+def _check_eta(eta) -> None:
+    """Reject a penalty strength ``eta`` that is not finite and positive."""
+    if not 0 < eta < np.inf:
+        raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
+
+
+def _dets(cell: Supercell, d) -> np.ndarray:
+    """``det(grad u)`` ``(nt, k*k)`` from the penalized triangles' deformed
+    edges ``d`` ``(2 nt, k*k, 2)``: the ``P0 -> P1`` rows, then ``P0 -> P2``."""
+    nt = len(cell.tri_area)
+    return cross2(d[:nt], d[nt:]) / cell.tri_cross0[:, None]
 
 
 def triangle_dets(defm: PeriodicDeformation) -> np.ndarray:
     """``det(grad u)`` per penalized-triangle class (rows) and cell."""
-    return _triangle_edges(defm.cell, defm.lam, defm.psi)[2]
+    cell = defm.cell
+    ns = len(cell.spring_rest)
+    return _dets(cell, edge_vectors(defm.lam, defm.psi, *(a[ns:] for a in cell.edges)))
 
 
 @dataclass
@@ -117,11 +123,12 @@ class EnergyBreakdown:
 
 def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     """Exact penalized energy with the per-triangle decomposition."""
-    if not eta > 0:
-        raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
+    _check_eta(eta)
     cell = defm.cell
     kk = cell.k * cell.k
-    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.spring_edges), axis=2)
+    ns = len(cell.spring_rest)
+    d = edge_vectors(defm.lam, defm.psi, *cell.edges)
+    lengths = np.linalg.norm(d[:ns], axis=2)
     spring_e = cell.spring_stiffness[:, None] * (lengths - cell.spring_rest[:, None]) ** 2
 
     # attribution rows added up per triangle in row order
@@ -131,7 +138,7 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     per_spring = np.bincount(target.ravel(), share.ravel(),
                              minlength=n_pen * kk).reshape(n_pen, kk)
 
-    ok = triangle_dets(defm) > 0.0
+    ok = _dets(cell, d[ns:]) > 0.0
     unit = cell.tri_area / eta
     return EnergyBreakdown(
         eta=eta,
@@ -150,52 +157,61 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _spring_terms(cell: Supercell, lam, psi):
-    """The spring energy per class, its ``lam`` gradient per class and its
-    ``psi`` scatter (slots, values): head then tail, class by class."""
-    d = edge_vectors(lam, psi, *cell.spring_edges)
-    lengths = np.linalg.norm(d, axis=2)
-    rest = cell.spring_rest[:, None]
-    stiffness = cell.spring_stiffness[:, None]
-    E = cell.spring_stiffness * np.sum((lengths - rest) ** 2, axis=1)
-    coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
-    g = coeff[:, :, None] * d
-    glam = g.sum(axis=1)[:, :, None] * cell.spring_edges.dx[:, None, :]
-    slots = np.stack([cell.spring_edges.head, cell.spring_edges.tail], axis=1)
-    return E, glam, slots, np.stack([g, -g], axis=1)
+def _energy_grad(cell: Supercell, lam, psi, springs: bool, penalty=None):
+    """Energy with gradients in ``lam`` and ``psi`` of the spring classes
+    (when ``springs``), then of the penalized triangles (when ``penalty``
+    maps their ``det(grad u)`` ``(nt, k*k)`` to per-class energies and the
+    derivative in ``det``, or to ``None`` for an infinite energy).
 
+    One gather over the classes of ``cell.edges`` needed, one value buffer
+    filled in the order of ``cell.scatter`` and one ``bincount``: totals
+    run class by class and the scatter in stream order, as ``+=`` and
+    ``np.add.at`` loops over the classes would.
+    """
+    ns, nt, kk = len(cell.spring_rest), len(cell.tri_area), cell.k * cell.k
+    n_s, n_t = (ns if springs else 0), (nt if penalty else 0)
+    tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
+    d = edge_vectors(lam, psi, tail, head, dx)
+    E = np.empty(n_s + n_t)
+    glam = np.empty((n_s + n_t, 2, 2))
+    bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
+    values = np.empty(len(bins))
 
-def _triangle_terms(cell: Supercell, d1, d2, E, dE_ddet):
-    """Per-class energies ``E`` with their ``lam`` gradients and ``psi``
-    scatter (slots, values): ``s1``, ``s2`` then ``s0``, class by class,
-    given the derivative in each triangle's ``det(grad u)``."""
-    dE_dcross = dE_ddet / cell.tri_cross0[:, None]
-    g1 = dE_dcross[:, :, None] * np.stack([d2[..., 1], -d2[..., 0]], axis=-1)
-    g2 = dE_dcross[:, :, None] * np.stack([-d1[..., 1], d1[..., 0]], axis=-1)
-    glam = (g1.sum(axis=1)[:, :, None] * cell.tri_d1[:, None, :]
-            + g2.sum(axis=1)[:, :, None] * cell.tri_d2[:, None, :])
-    s0, s1, s2 = cell.tri_slots.transpose(1, 0, 2)
-    slots = np.stack([s1, s2, s0], axis=1)
-    return E, glam, slots, np.stack([g1, g2, -(g1 + g2)], axis=1)
+    if springs:
+        lengths = np.linalg.norm(d[:ns], axis=2)
+        rest = cell.spring_rest[:, None]
+        stiffness = cell.spring_stiffness[:, None]
+        np.multiply(cell.spring_stiffness, np.sum((lengths - rest) ** 2, axis=1), out=E[:ns])
+        coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
+        v = values[:4 * ns * kk].reshape(ns, 2, kk, 2)    # head, tail
+        g = np.multiply(coeff[:, :, None], d[:ns], out=v[:, 0])
+        np.negative(g, out=v[:, 1])
+        np.multiply(g.sum(axis=1)[:, :, None], dx[:ns, None, :], out=glam[:ns])
 
+    if penalty:
+        d1, d2 = d[n_s:n_s + nt], d[n_s + nt:]
+        terms = penalty(_dets(cell, d[n_s:]))
+        if terms is None:
+            return np.inf, np.zeros((2, 2)), np.zeros_like(psi)
+        E[n_s:], dE_ddet = terms
+        dE_dcross = (dE_ddet / cell.tri_cross0[:, None])[:, :, None]
+        v = values[4 * n_s * kk:].reshape(nt, 3, kk, 2)   # P1, P2, P0
+        # dE_dcross * (d2y, -d2x) and dE_dcross * (-d1y, d1x); negation is exact
+        g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v[:, 0])
+        g2 = np.multiply(dE_dcross, d1[..., ::-1], out=v[:, 1])
+        np.negative(g1[..., 1], out=g1[..., 1])
+        np.negative(g2[..., 0], out=g2[..., 0])
+        np.negative(np.add(g1, g2, out=v[:, 2]), out=v[:, 2])
+        np.add(g1.sum(axis=1)[:, :, None] * dx[n_s:n_s + nt, None, :],
+               g2.sum(axis=1)[:, :, None] * dx[n_s + nt:, None, :], out=glam[n_s:])
 
-def _add_up(psi, *groups):
-    """Energy, ``lam`` gradient and ``psi`` gradient from groups of
-    per-class terms ``(E, glam, slots, values)``.  Totals run class by
-    class in group order and the scatter in stream order, as ``+=`` and
-    ``np.add.at`` loops over the classes would."""
-    E = np.concatenate([g[0] for g in groups])
-    glam = np.concatenate([g[1] for g in groups])
-    slots = np.concatenate([g[2].ravel() for g in groups])
-    values = np.concatenate([g[3].reshape(-1, 2) for g in groups])
-    gpsi = np.stack([np.bincount(slots, values[:, c], minlength=len(psi))
-                     for c in (0, 1)], axis=1)
+    gpsi = np.bincount(bins, values, minlength=2 * len(psi)).reshape(-1, 2)
     return float(ordered_sum(E)), ordered_sum(glam), gpsi
 
 
 def spring_energy_grad(cell: Supercell, lam, psi):
     """The spring energy with gradients in ``lam`` and ``psi``."""
-    return _add_up(psi, _spring_terms(cell, lam, psi))
+    return _energy_grad(cell, lam, psi, springs=True)
 
 
 def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
@@ -208,22 +224,23 @@ def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
     """
     from scipy.special import expit
 
-    d1, d2, det = _triangle_edges(cell, lam, psi)
-    sig = expit(-det / tau)
-    E = cell.tri_area / eta * np.sum(sig, axis=1)
-    dE_ddet = -(cell.tri_area / (eta * tau))[:, None] * sig * (1.0 - sig)
-    return _add_up(psi, _spring_terms(cell, lam, psi),
-                   _triangle_terms(cell, d1, d2, E, dE_ddet))
+    def penalty(det):
+        sig = expit(-det / tau)
+        return (cell.tri_area / eta * np.sum(sig, axis=1),
+                -(cell.tri_area / (eta * tau))[:, None] * sig * (1.0 - sig))
+
+    return _energy_grad(cell, lam, psi, springs=True, penalty=penalty)
 
 
 def barrier_grad(cell: Supercell, lam, psi, mu: float):
     """Log-barrier ``-mu * sum log det`` keeping triangle orientations
     positive; returns ``(inf, 0, 0)`` when any orientation is not."""
-    d1, d2, det = _triangle_edges(cell, lam, psi)
-    if np.any(det <= 0):
-        return np.inf, np.zeros((2, 2)), np.zeros_like(psi)
-    B = -mu * np.sum(np.log(det), axis=1)
-    return _add_up(psi, _triangle_terms(cell, d1, d2, B, -mu / det))
+    def penalty(det):
+        if np.any(det <= 0):
+            return None
+        return -mu * np.sum(np.log(det), axis=1), -mu / det
+
+    return _energy_grad(cell, lam, psi, springs=False, penalty=penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +402,7 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
 def scaled_cell_energy(lmap: LatticeMap, eta: float, cell=(0, 0)) -> float:
     """Scaled energy of one cell: springs at rest ``eps * rest`` plus the
     orientation penalty weighted by ``eps^2`` times reference areas."""
-    if not eta > 0:
-        raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
+    _check_eta(eta)
     i, j = cell
     return float(_cell_energies(lmap, eta, np.array([i]), np.array([j]))[0])
 
@@ -476,8 +492,7 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
     all vertices strictly inside the polygon and no polygon edge crossing
     the hull.  For non-convex cell regions this is slightly conservative.
     """
-    if not eta > 0:
-        raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
+    _check_eta(eta)
     polygon = np.asarray(polygon, dtype=float)
     spec = lmap.spec
     eps = lmap.epsilon

@@ -513,13 +513,19 @@ class Supercell:
     ``penalized_keys``, ``marker_keys``) in class order; axes of length
     ``k*k`` run over the cells ``c``:
 
-    - ``spring_edges``: :class:`Edges` from ``a`` to ``b``; ``spring_rest``
-      and ``spring_stiffness`` ``(ns,)``;
-    - ``tri_slots`` ``(nt, 3, k*k)``: slots of the vertices ``P0, P1, P2``;
-      ``tri_d1``, ``tri_d2`` ``(nt, 2)``: reference edges ``P1 - P0`` and
-      ``P2 - P0``; ``tri_area`` ``(nt,)``: the spec's ``penalized_area``;
-      ``tri_cross0`` ``(nt,)``: twice that, the cross product of the two
-      edges (positive);
+    - ``edges``: the flat edge layout, one :class:`Edges` over
+      ``ns + 2 nt`` edge classes: the springs from ``a`` to ``b``, then
+      every penalized triangle's ``P0 -> P1``, then every one's
+      ``P0 -> P2``; ``spring_edges`` is its first ``ns`` rows;
+      ``spring_rest`` and ``spring_stiffness`` ``(ns,)``;
+    - ``scatter``: the flat scatter stream ``2 * slot + component``
+      ``(2 (2 ns + 3 nt) k*k,)`` of the ``psi`` gradient: per spring class
+      its head slots then its tail slots, then per penalized triangle
+      class its ``P1``, ``P2`` then ``P0`` slots, each over the cells with
+      both components interleaved;
+    - ``tri_area`` ``(nt,)``: the spec's ``penalized_area``; ``tri_cross0``
+      ``(nt,)``: twice that, the cross product of the two reference edges
+      (positive);
     - ``marker_b``, ``marker_r``: :class:`Edges` of the marker edges;
       ``marker_b_spring``, ``marker_r_spring`` ``(nm,)``: the spring class
       each edge lies along;
@@ -530,7 +536,8 @@ class Supercell:
       ``(na, k*k)``).
 
     Energies and gradients add these rows up in exactly this order, class
-    by class, which fixes the bits of every result.
+    by class, and scatter into ``psi`` in stream order, which fixes the
+    bits of every result.  The edge layout and the stream are read-only.
     """
 
     def __init__(self, spec: LatticeSpec, k: int):
@@ -555,16 +562,21 @@ class Supercell:
             return self.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj)
 
         def edges(key):
-            return Edges(slots(key[:, 0]), slots(key[:, 1]), spec.segments(key))
+            arrays = slots(key[:, 0]), slots(key[:, 1]), spec.segments(key)
+            return Edges(*(_frozen(a, a.shape) for a in arrays))
 
-        self.spring_edges = edges(spec.spring_keys)
+        pk = spec.penalized_keys
+        ns, nt = len(spec.spring_keys), len(pk)
+        self.edges = edges(np.concatenate([spec.spring_keys, pk[:, [0, 1]], pk[:, [0, 2]]]))
+        self.spring_edges = Edges(*(a[:ns] for a in self.edges))
         self.spring_rest = spec.spring_rest
         self.spring_stiffness = spec.spring_stiffness
 
-        x = spec.node_positions(spec.penalized_keys)
-        self.tri_slots = slots(spec.penalized_keys)
-        self.tri_d1 = x[:, 1] - x[:, 0]
-        self.tri_d2 = x[:, 2] - x[:, 0]
+        tail, head = self.edges.tail, self.edges.head
+        s0, s1, s2 = tail[ns:ns + nt], head[ns:ns + nt], head[ns + nt:]
+        scatter = np.concatenate([np.stack([head[:ns], tail[:ns]], axis=1).ravel(),
+                                  np.stack([s1, s2, s0], axis=1).ravel()])
+        self.scatter = _frozen(2 * scatter[:, None] + [0, 1])
         # halving and doubling are exact: twice the spec's area is the cross product
         self.tri_cross0 = 2 * spec.penalized_area
         self.tri_area = spec.penalized_area

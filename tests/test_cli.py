@@ -98,6 +98,14 @@ def test_precondition_errors_exit_2(tmp_path):
     (["energy", "--lam", "inf,0,0,1"], "matrix entry 'inf' is not finite"),
     (["energy", "--lam", "1,0,0,nan"], "matrix entry 'nan' is not finite"),
     (["mechanism", "--theta", "nan"], "counter-rotation by nan does not close: misfit nan"),
+    (["energy", "--eta", "inf", "--lam", "1,0.2,0,-0.5"],
+     "penalty strength eta must be positive, got inf"),
+    (["density-sweep", "--grid", "random:1", "--k", "1", "--eta", "inf", "--jobs", "1"],
+     "penalty strength eta must be positive, got inf"),
+    (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "inf"],
+     "penalty strength eta must be positive, got inf"),
+    (["verify-bounds", "--isotropic", "--trials", "1", "--k-max", "1", "--eta", "inf"],
+     "penalty strength eta must be positive, got inf"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"

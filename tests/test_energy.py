@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latmech.energy import (
+    _LEN_FLOOR,
     LatticeMap,
     _cell_window,
     _points_in_polygon,
@@ -19,10 +20,12 @@ from latmech.energy import (
     spring_energy_grad,
     triangle_dets,
 )
-from latmech.lattice import PeriodicDeformation, Supercell, cross2, rotation
+from latmech.lattice import (PeriodicDeformation, Supercell, cross2, edge_vectors,
+                             ordered_sum, rotation)
 from latmech.mechanisms import twist_mechanism
 
 from conftest import random_deformation
+from test_pins import _specs
 
 
 def test_reference_state_has_zero_energy(all_specs):
@@ -41,6 +44,9 @@ def test_eta_must_be_positive(kagome):
         energy_breakdown(defm, 0.0)
     with pytest.raises(ValueError):
         energy_breakdown(defm, -0.1)
+    for eta in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            energy_breakdown(defm, eta)
 
 
 def test_translation_invariance(all_specs):
@@ -161,6 +167,141 @@ def test_barrier_infeasible_returns_inf(kagome):
         assert np.all(glam == 0) and np.all(gpsi == 0)
     dets = triangle_dets(PeriodicDeformation(cell, np.eye(2), pinched))
     assert (dets[0] > 0).all() and (dets[1] < 0).all()
+
+
+# -- per-class reference kernels ---------------------------------------------
+# The gradient kernels as they were before the flat edge layout and scatter
+# stream: per-class gathers, stacked slots and values, one bincount per
+# component.  The index arrays are rebuilt from the spec's rows, so the
+# reference does not read the supercell's flat layouts.
+
+
+def _ref_arrays(cell):
+    """Spring edges ``(tail, head, dx)``, triangle slots ``(nt, 3, k*k)``
+    and the reference edges ``P1 - P0``, ``P2 - P0``."""
+    spec, k = cell.spec, cell.k
+    ci, cj = np.repeat(np.arange(k), k), np.tile(np.arange(k), k)
+
+    def slots(key):
+        return cell.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj)
+
+    sk, pk = spec.spring_keys, spec.penalized_keys
+    x = spec.node_positions(pk)
+    return ((slots(sk[:, 0]), slots(sk[:, 1]), spec.segments(sk)),
+            slots(pk), x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+
+
+def _ref_triangle_edges(cell, lam, psi):
+    _, tri_slots, tri_d1, tri_d2 = _ref_arrays(cell)
+    s0, s1, s2 = tri_slots.transpose(1, 0, 2)
+    d1 = edge_vectors(lam, psi, s0, s1, tri_d1)
+    d2 = edge_vectors(lam, psi, s0, s2, tri_d2)
+    return d1, d2, cross2(d1, d2) / cell.tri_cross0[:, None]
+
+
+def _ref_spring_terms(cell, lam, psi):
+    (tail, head, dx), _, _, _ = _ref_arrays(cell)
+    d = edge_vectors(lam, psi, tail, head, dx)
+    lengths = np.linalg.norm(d, axis=2)
+    rest = cell.spring_rest[:, None]
+    stiffness = cell.spring_stiffness[:, None]
+    E = cell.spring_stiffness * np.sum((lengths - rest) ** 2, axis=1)
+    coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
+    g = coeff[:, :, None] * d
+    glam = g.sum(axis=1)[:, :, None] * dx[:, None, :]
+    slots = np.stack([head, tail], axis=1)
+    return E, glam, slots, np.stack([g, -g], axis=1)
+
+
+def _ref_triangle_terms(cell, d1, d2, E, dE_ddet):
+    _, tri_slots, tri_d1, tri_d2 = _ref_arrays(cell)
+    dE_dcross = dE_ddet / cell.tri_cross0[:, None]
+    g1 = dE_dcross[:, :, None] * np.stack([d2[..., 1], -d2[..., 0]], axis=-1)
+    g2 = dE_dcross[:, :, None] * np.stack([-d1[..., 1], d1[..., 0]], axis=-1)
+    glam = (g1.sum(axis=1)[:, :, None] * tri_d1[:, None, :]
+            + g2.sum(axis=1)[:, :, None] * tri_d2[:, None, :])
+    s0, s1, s2 = tri_slots.transpose(1, 0, 2)
+    slots = np.stack([s1, s2, s0], axis=1)
+    return E, glam, slots, np.stack([g1, g2, -(g1 + g2)], axis=1)
+
+
+def _ref_add_up(psi, *groups):
+    E = np.concatenate([g[0] for g in groups])
+    glam = np.concatenate([g[1] for g in groups])
+    slots = np.concatenate([g[2].ravel() for g in groups])
+    values = np.concatenate([g[3].reshape(-1, 2) for g in groups])
+    gpsi = np.stack([np.bincount(slots, values[:, c], minlength=len(psi))
+                     for c in (0, 1)], axis=1)
+    return float(ordered_sum(E)), ordered_sum(glam), gpsi
+
+
+def _ref_spring(cell, lam, psi):
+    return _ref_add_up(psi, _ref_spring_terms(cell, lam, psi))
+
+
+def _ref_smoothed(cell, lam, psi, eta, tau):
+    from scipy.special import expit
+
+    d1, d2, det = _ref_triangle_edges(cell, lam, psi)
+    sig = expit(-det / tau)
+    E = cell.tri_area / eta * np.sum(sig, axis=1)
+    dE_ddet = -(cell.tri_area / (eta * tau))[:, None] * sig * (1.0 - sig)
+    return _ref_add_up(psi, _ref_spring_terms(cell, lam, psi),
+                       _ref_triangle_terms(cell, d1, d2, E, dE_ddet))
+
+
+def _ref_barrier(cell, lam, psi, mu):
+    d1, d2, det = _ref_triangle_edges(cell, lam, psi)
+    if np.any(det <= 0):
+        return np.inf, np.zeros((2, 2)), np.zeros_like(psi)
+    B = -mu * np.sum(np.log(det), axis=1)
+    return _ref_add_up(psi, _ref_triangle_terms(cell, d1, d2, B, -mu / det))
+
+
+def _bit_cases(spec, k, seed):
+    """``(name, lam, psi)``: rough (some triangles reversed), every
+    triangle reversed, mild (all orientations positive) and mild with one
+    spring instance collapsed below the length floor."""
+    cell = Supercell(spec, k)
+    rng = np.random.default_rng(seed)
+    n = cell.n_nodes
+    rough = (np.eye(2) + 0.4 * rng.standard_normal((2, 2)), 0.3 * rng.standard_normal((n, 2)))
+    flipped = (np.diag([1.0, -1.0]), 1e-3 * rng.standard_normal((n, 2)))
+    mild = (np.eye(2) + 0.05 * rng.standard_normal((2, 2)), 0.01 * rng.standard_normal((n, 2)))
+    lam, psi = mild[0], mild[1].copy()
+    (tail, head, dx), _, _, _ = _ref_arrays(cell)
+    i, c = np.argwhere(head != tail)[0]
+    psi[head[i, c]] = psi[tail[i, c]] - lam @ dx[i]
+    assert np.linalg.norm(edge_vectors(lam, psi, tail, head, dx)[i, c]) < _LEN_FLOOR
+    return cell, [("rough", *rough), ("flipped", *flipped), ("mild", *mild),
+                  ("collapsed", lam, psi)]
+
+
+def _same_bits(got, want):
+    assert float(got[0]).hex() == float(want[0]).hex()
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("si", range(6))
+def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
+    """The flat edge layout and scatter stream change no bit of the three
+    gradient kernels or of ``triangle_dets``, whatever tau, mu or state."""
+    spec = _specs()[si]
+    cell, cases = _bit_cases(spec, k, [si, k])
+    dets = {}
+    for name, lam, psi in cases:
+        dets[name] = triangle_dets(PeriodicDeformation(cell, lam, psi))
+        assert np.array_equal(dets[name], _ref_triangle_edges(cell, lam, psi)[2])
+        _same_bits(spring_energy_grad(cell, lam, psi), _ref_spring(cell, lam, psi))
+        for tau in (0.02, 1e-3, 1e-6):
+            _same_bits(smoothed_energy_grad(cell, lam, psi, 0.1, tau),
+                       _ref_smoothed(cell, lam, psi, 0.1, tau))
+        for mu in (1e-2, 1e-6):
+            _same_bits(barrier_grad(cell, lam, psi, mu), _ref_barrier(cell, lam, psi, mu))
+    assert (dets["flipped"] < 0).all()
+    assert (dets["mild"] > 0).all()
 
 
 def test_scaled_map_matches_periodic_energy(kagome):

@@ -266,6 +266,16 @@ def test_supercell_slots(kagome):
     assert cell.ref_positions.shape == (cell.n_nodes, 2)
 
 
+def test_supercell_flat_layouts_are_read_only(kagome):
+    cell = Supercell(kagome, 2)
+    ns, nt, kk = len(kagome.spring_keys), len(kagome.penalized_keys), 4
+    assert cell.edges.tail.shape == cell.edges.head.shape == (ns + 2 * nt, kk)
+    assert cell.scatter.shape == (2 * (2 * ns + 3 * nt) * kk,)
+    for arr in (*cell.edges, *cell.spring_edges, cell.scatter):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_zero_deformation_is_reference(rotating_squares):
     cell = Supercell(rotating_squares, 2)
     defm = cell.zero_deformation()
