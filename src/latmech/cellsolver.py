@@ -10,7 +10,14 @@ The verification helpers compare those estimates against the stretch
 bracket (the shape the density is bounded below by, up to a constant
 that is not known, so not itself a lower bound), the isotropy bound,
 and the four explicit-constant Jensen bounds that follow from the
-averaged-vector identity (one per marker direction family).
+averaged-vector identity (one per marker direction family).  One
+private kernel, ``_jensen_slacks``, evaluates a Jensen bound on a stack
+of trials on one supercell; ``verify_jensen_bounds`` draws its random
+trials one by one, as before, and hands them to it in stacks, one per
+supercell size, in chunks of ``_JENSEN_CHUNK`` node slots (so memory is
+bounded for any trial count), and each single-trial ``jensen_*``
+function is that kernel on a stack of one.  Every slack keeps the bits
+of evaluating its trial alone.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .energy import _check_eta, energy_breakdown, smoothed_energy_grad
-from .geometry import _SLACK_TOL, _pos_sq, lower_bracket, signed_svd
+from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
                       cross2, edge_vectors, norms, rotation)
 from .mechanisms import MechanismError, _twist_contraction_table, _twist_field
@@ -42,6 +49,7 @@ __all__ = [
 
 _ANNEAL = (0.05, 0.02, 0.008, 0.003)
 _SHORT_TOL = 1e-13      # an exact energy density at or below this is a zero
+_JENSEN_CHUNK = 1 << 14  # psi node slots of the Jensen trials stacked at once
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +491,79 @@ class JensenBoundReport:
         return self.min_slack >= -_SLACK_TOL
 
 
-def _direction_slack(edges, stretches) -> float:
-    """Slack of a unit-rest Jensen bound: the marker averages of
-    ``(|e~| - 1)^2`` summed over the deformed edge arrays ``edges``, minus
-    ``(s - 1)_+^2`` summed over the macroscopic ``stretches`` ``|lam e|``
-    of their unit directions."""
-    lhs = float(sum(np.mean((np.linalg.norm(e, axis=2) - 1.0) ** 2) for e in edges))
-    rhs = float(sum(_pos_sq(s - 1.0) for s in stretches))
-    return lhs - rhs
+def _pos_sq_pow(x) -> np.ndarray:
+    """``_pos_sq`` of every entry of ``x`` with the bits it has on one
+    ``np.float64`` scalar: there ``** 2`` calls libm ``pow``, as Python's
+    float power does, while on an array it squares, which moves the last
+    bit of a few results in ten thousand."""
+    return np.array([v ** 2 for v in np.maximum(x, 0.0).ravel().tolist()]).reshape(x.shape)
+
+
+def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.ndarray:
+    """Slacks ``(T,)`` of the Jensen bound ``family`` (``weighted-rest``,
+    ``two-direction``, ``three-direction`` or ``diag-stretch``) on ``T``
+    trials stacked on one supercell: ``lam`` ``(T, 2, 2)``, ``psi``
+    ``(T, n_nodes, 2)``.  ``frame`` is the spec's marker direction frame
+    ``(e_b, e_r)``; ``diag-stretch`` does not read it.
+
+    Each slack has the bits of the same bound evaluated on its trial
+    alone: one edge gather per marker family over the stack, the marker
+    average of each trial as the mean of one contiguous row, and the
+    stretch terms ``(|lam e| - 1)_+^2`` through :func:`norms` (the bits
+    of ``np.linalg.norm`` of one vector) and :func:`_pos_sq_pow`.
+    """
+    T = len(lam)
+
+    def gather(edges):
+        tail, head, dx = edges
+        # matmul over stacked columns gives the bits of ``lam @ dx`` per trial and class
+        return (psi[:, head] - psi[:, tail]
+                + np.matmul(lam[:, None], dx[None, :, :, None])[:, :, None, :, 0])
+
+    def marker_mean(values):
+        return values.reshape(T, -1).mean(axis=1)
+
+    def stretch_sq(dirs):
+        """``(|lam e| - 1)_+^2`` ``(T, len(dirs))`` over the unit ``dirs``."""
+        e = np.asarray(dirs)[None, :, :, None]
+        return _pos_sq_pow(norms(np.matmul(lam[:, None], e)[..., 0]) - 1.0)
+
+    if family == "weighted-rest":
+        slacks = []
+        for edges, spring, e in ((cell.marker_b, cell.marker_b_spring, frame[0]),
+                                 (cell.marker_r, cell.marker_r_spring, frame[1])):
+            rest = cell.spring_rest[spring]
+            stiffness = cell.spring_stiffness[spring]
+            lengths = np.linalg.norm(gather(edges), axis=-1)
+            energies = stiffness[:, None] * (lengths - rest[:, None]) ** 2
+            M = float(np.min(stiffness * rest))
+            l_avg = float(np.mean(rest))
+            slacks.append(marker_mean(energies) / (M * l_avg) - stretch_sq([e])[:, 0])
+        s_b, s_r = slacks
+        # Python's ``min`` of the pair: the b family's unless the r family's is below it
+        return np.where(s_r < s_b, s_r, s_b)
+    bs, rs = gather(cell.marker_b), gather(cell.marker_r)
+    edges = [bs, rs]
+    if family == "diag-stretch":
+        rhs = _pos_sq_pow(np.diagonal(lam, axis1=1, axis2=2) - 1.0)
+    elif family == "two-direction":
+        rhs = stretch_sq(frame)
+    elif family == "three-direction":
+        eb, er = frame
+        e3 = er - eb
+        e3 = e3 / np.linalg.norm(e3)
+        edges.append(rs - bs)
+        rhs = stretch_sq((eb, er, e3))
+    else:
+        raise ValueError(f"unknown Jensen bound family {family!r}")
+    # ``sum`` adds one term after another from zero, marker averages and stretch terms alike
+    lhs = sum(marker_mean((np.linalg.norm(e, axis=-1) - 1.0) ** 2) for e in edges)
+    return lhs - sum(rhs.T)
+
+
+def _one_trial(family: str, defm: PeriodicDeformation, frame=None) -> float:
+    """:func:`_jensen_slacks` on a stack of the one trial ``defm``."""
+    return float(_jensen_slacks(defm.cell, family, defm.lam[None], defm.psi[None], frame)[0])
 
 
 def jensen_diag_stretch(defm: PeriodicDeformation) -> float:
@@ -502,28 +575,21 @@ def jensen_diag_stretch(defm: PeriodicDeformation) -> float:
         raise ValueError("diagonal-stretch bound needs a diagonal lam")
     if lam[0, 0] < 0 or lam[1, 1] < 0:
         raise ValueError("diagonal-stretch bound needs nonnegative entries")
-    return _direction_slack(_marker_arrays(defm), (lam[0, 0], lam[1, 1]))
+    return _one_trial("diag-stretch", defm)
 
 
 def jensen_three_direction(defm: PeriodicDeformation) -> float:
     """Slack of the three-direction bound: marker-triangle spring energy
     average minus the sum of ``(|lam e_i| - 1)_+^2`` over the three unit
     lattice directions (b, r, and their difference)."""
-    eb, er = _marker_direction_frame(defm.spec)
-    e3 = er - eb
-    e3 = e3 / np.linalg.norm(e3)
-    bs, rs = _marker_arrays(defm)
-    return _direction_slack((bs, rs, rs - bs),
-                            [np.linalg.norm(defm.lam @ e) for e in (eb, er, e3)])
+    return _one_trial("three-direction", defm, _marker_direction_frame(defm.spec))
 
 
 def jensen_two_direction(defm: PeriodicDeformation) -> float:
     """Slack of the two-direction bound: marker-averaged
     ``(|b~|-1)^2 + (|r~|-1)^2`` minus
     ``(|lam e_b|-1)_+^2 + (|lam e_r|-1)_+^2``."""
-    eb, er = _marker_direction_frame(defm.spec)
-    return _direction_slack(_marker_arrays(defm),
-                            [np.linalg.norm(defm.lam @ e) for e in (eb, er)])
+    return _one_trial("two-direction", defm, _marker_direction_frame(defm.spec))
 
 
 def jensen_weighted_rest(defm: PeriodicDeformation) -> float:
@@ -538,22 +604,64 @@ def jensen_weighted_rest(defm: PeriodicDeformation) -> float:
     holds per family; the returned slack is the minimum over the b and r
     families of RHS - LHS.
     """
-    spec = defm.spec
-    eb, er = _marker_direction_frame(spec)
-    cell, lam = defm.cell, defm.lam
-    slacks = []
-    for edges, spring, e in ((cell.marker_b, cell.marker_b_spring, eb),
-                             (cell.marker_r, cell.marker_r_spring, er)):
-        rest = cell.spring_rest[spring]
-        stiffness = cell.spring_stiffness[spring]
-        lengths = np.linalg.norm(edge_vectors(lam, defm.psi, *edges), axis=2)
-        energies = stiffness[:, None] * (lengths - rest[:, None]) ** 2
-        M = float(np.min(stiffness * rest))
-        l_avg = float(np.mean(rest))
-        avg_energy = float(np.mean(energies))
-        lhs = _pos_sq(float(np.linalg.norm(lam @ e)) - 1.0)
-        slacks.append(avg_energy / (M * l_avg) - lhs)
-    return float(min(slacks))
+    return _one_trial("weighted-rest", defm, _marker_direction_frame(defm.spec))
+
+
+def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
+    """The slacks of :func:`verify_jensen_bounds`: one ``{family: slacks}``
+    per chunk, each array in trial order.
+
+    Each trial draws, in this order, its ``k`` in ``1..k_max``, its
+    ``psi`` and one ``lam`` per family.  A chunk holds the trials drawn
+    until their ``psi`` reach ``_JENSEN_CHUNK`` node slots; its trials are
+    grouped by ``k`` and each group is one :func:`_jensen_slacks` call per
+    family.
+    """
+    rng = np.random.default_rng(rng_seed)
+    frame = eb, er = _marker_direction_frame(spec)
+    legs = spec.segments(spec.marker_keys)
+    unit_rests = bool((abs(norms(legs) - 1.0) < 1e-12).all())
+    unit_third_side = unit_rests and bool(
+        (abs(norms(legs[:, 1] - legs[:, 0]) - 1.0) < 1e-12).all())
+    axis_aligned = (abs(eb @ np.array([0.0, 1.0])) < 1e-12
+                    and abs(er @ np.array([1.0, 0.0])) < 1e-12)
+    # the unweighted bounds silently assume unit rest lengths; the
+    # weighted-rest form is the general statement and always applies
+    families = ["weighted-rest"]
+    if unit_rests:
+        families.append("two-direction")
+    if unit_third_side:
+        families.append("three-direction")
+    if unit_rests and axis_aligned:
+        families.append("diag-stretch")
+
+    cells = {k: Supercell(spec, k) for k in range(1, k_max + 1)}
+    drawn = 0
+    while drawn < n_trials:
+        ks, psis, lams = [], [], {name: [] for name in families}
+        slots = 0
+        while drawn < n_trials and slots < _JENSEN_CHUNK:
+            k = int(rng.integers(1, k_max + 1))
+            psi = 0.4 * rng.standard_normal((cells[k].n_nodes, 2))
+            for name in families:
+                if name == "diag-stretch":
+                    lam = np.diag(rng.uniform(0.0, 2.0, size=2))
+                else:
+                    lam = np.eye(2) + 0.6 * rng.standard_normal((2, 2))
+                lams[name].append(lam)
+            ks.append(k)
+            psis.append(psi)
+            slots += len(psi)
+            drawn += 1
+        ks = np.array(ks)
+        lams = {name: np.array(mats) for name, mats in lams.items()}
+        slacks = {name: np.empty(len(ks)) for name in families}
+        for k in np.unique(ks):
+            idx = np.flatnonzero(ks == k)
+            psi = np.array([psis[i] for i in idx])
+            for name in families:
+                slacks[name][idx] = _jensen_slacks(cells[k], name, lams[name][idx], psi, frame)
+        yield slacks
 
 
 def verify_jensen_bounds(
@@ -568,49 +676,25 @@ def verify_jensen_bounds(
     checked only when the marker families are perpendicular with unit rest
     lengths (it needs diagonal ``lam``); the weighted-rest bound is always
     applicable and reduces to the two-direction bound at equal rests.
+
+    The trials are drawn one after another, as a loop over single trials
+    would draw them, and evaluated as stacked arrays, one
+    :func:`_jensen_slacks` call per supercell size and family in each
+    chunk of ``_JENSEN_CHUNK`` node slots; every slack has the bits of
+    the same bound on its trial alone.  The chunks keep memory bounded
+    whatever ``n_trials`` and ``k_max``.
     """
     if n_trials < 1 or k_max < 1:
         raise ValueError(f"trials and k_max must be >= 1, got {n_trials} and {k_max}")
-    rng = np.random.default_rng(rng_seed)
-    eb, er = _marker_direction_frame(spec)
-    legs = spec.segments(spec.marker_keys)
-    unit_rests = bool((abs(norms(legs) - 1.0) < 1e-12).all())
-    unit_third_side = unit_rests and bool(
-        (abs(norms(legs[:, 1] - legs[:, 0]) - 1.0) < 1e-12).all())
-    axis_aligned = (abs(eb @ np.array([0.0, 1.0])) < 1e-12
-                    and abs(er @ np.array([1.0, 0.0])) < 1e-12)
-    # the unweighted bounds silently assume unit rest lengths; the
-    # weighted-rest form is the general statement and always applies
-    checks = {"weighted-rest": jensen_weighted_rest}
-    if unit_rests:
-        checks["two-direction"] = jensen_two_direction
-    if unit_third_side:
-        checks["three-direction"] = jensen_three_direction
-    if unit_rests and axis_aligned:
-        checks["diag-stretch"] = jensen_diag_stretch
-
-    cells = {k: Supercell(spec, k) for k in range(1, k_max + 1)}
-    slacks = {name: [] for name in checks}
-    for _ in range(n_trials):
-        k = int(rng.integers(1, k_max + 1))
-        cell = cells[k]
-        psi = 0.4 * rng.standard_normal((cell.n_nodes, 2))
-        for name, fn in checks.items():
-            if name == "diag-stretch":
-                lam = np.diag(rng.uniform(0.0, 2.0, size=2))
-            else:
-                lam = np.eye(2) + 0.6 * rng.standard_normal((2, 2))
-            defm = PeriodicDeformation(cell, lam, psi)
-            slacks[name].append(fn(defm))
-
-    out = {}
-    for name, vals in slacks.items():
-        report = JensenBoundReport(name=name,
-                                   min_slack=float(np.min(vals)),
-                                   n_trials=len(vals))
-        out[name] = report
+    minima = {}
+    for slacks in _jensen_trials(spec, n_trials, k_max, rng_seed):
+        for name, vals in slacks.items():
+            minima.setdefault(name, []).append(np.min(vals))
+    out = {name: JensenBoundReport(name=name, min_slack=float(np.min(mins)),
+                                   n_trials=n_trials)
+           for name, mins in minima.items()}
     if "diag-stretch" in out:
-        cell = cells[1]
+        cell = Supercell(spec, 1)
         defm = PeriodicDeformation(cell, np.diag([1.5, 1.0]),
                                    np.zeros((cell.n_nodes, 2)))
         out["diag-stretch"].equality_gap = abs(jensen_diag_stretch(defm))

@@ -31,7 +31,7 @@ from .cellsolver import (
     verify_isotropic_bound,
     verify_jensen_bounds,
 )
-from .energy import LatticeMap, energy_breakdown
+from .energy import LatticeMap, _check_eta, energy_breakdown
 from .geometry import scalar_inequality_report
 from .lattice import (
     DegenerateGeometryError,
@@ -437,6 +437,8 @@ def _cmd_density_sweep(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
+    # checked on every run, so a bad --eta never passes unread
+    _check_eta(args.eta)
     spec = _load_spec(args)
     reports = verify_jensen_bounds(spec, n_trials=args.trials,
                                    k_max=args.k_max, rng_seed=args.seed)

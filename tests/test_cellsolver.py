@@ -7,14 +7,19 @@ import pytest
 from conftest import percolating_units_json
 
 from latmech.energy import energy_breakdown
-from latmech.geometry import principal_stretches
+from latmech.geometry import _pos_sq, principal_stretches
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
-                             Supercell, build_variant)
+                             Supercell, VARIANT_KINDS, build_kagome, build_rotating_squares,
+                             build_variant, edge_vectors, norms)
 from latmech.mechanisms import twist_admissible_range
 import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
     _brentq,
     _invert_contraction,
+    _jensen_trials,
+    _marker_arrays,
+    _marker_direction_frame,
+    _pos_sq_pow,
     _twist_contraction_table,
     estimate_density,
     jensen_diag_stretch,
@@ -437,6 +442,163 @@ def test_diag_stretch_equality_witness(rotating_squares):
     defm = PeriodicDeformation(cell, np.diag([1.5, 1.0]), np.zeros((cell.n_nodes, 2)))
     # both sides of the bound equal (1.5 - 1)^2 = 0.25
     assert abs(jensen_diag_stretch(defm)) <= 1e-12
+
+
+# -- the per-trial Jensen evaluation that the stacked trials replaced -------
+
+
+def _ref_direction_slack(edges, stretches) -> float:
+    lhs = float(sum(np.mean((np.linalg.norm(e, axis=2) - 1.0) ** 2) for e in edges))
+    rhs = float(sum(_pos_sq(s - 1.0) for s in stretches))
+    return lhs - rhs
+
+
+def _ref_diag_stretch(defm) -> float:
+    lam = defm.lam
+    return _ref_direction_slack(_marker_arrays(defm), (lam[0, 0], lam[1, 1]))
+
+
+def _ref_three_direction(defm) -> float:
+    eb, er = _marker_direction_frame(defm.spec)
+    e3 = er - eb
+    e3 = e3 / np.linalg.norm(e3)
+    bs, rs = _marker_arrays(defm)
+    return _ref_direction_slack((bs, rs, rs - bs),
+                                [np.linalg.norm(defm.lam @ e) for e in (eb, er, e3)])
+
+
+def _ref_two_direction(defm) -> float:
+    eb, er = _marker_direction_frame(defm.spec)
+    return _ref_direction_slack(_marker_arrays(defm),
+                                [np.linalg.norm(defm.lam @ e) for e in (eb, er)])
+
+
+def _ref_weighted_rest(defm) -> float:
+    spec = defm.spec
+    eb, er = _marker_direction_frame(spec)
+    cell, lam = defm.cell, defm.lam
+    slacks = []
+    for edges, spring, e in ((cell.marker_b, cell.marker_b_spring, eb),
+                             (cell.marker_r, cell.marker_r_spring, er)):
+        rest = cell.spring_rest[spring]
+        stiffness = cell.spring_stiffness[spring]
+        lengths = np.linalg.norm(edge_vectors(lam, defm.psi, *edges), axis=2)
+        energies = stiffness[:, None] * (lengths - rest[:, None]) ** 2
+        M = float(np.min(stiffness * rest))
+        l_avg = float(np.mean(rest))
+        avg_energy = float(np.mean(energies))
+        lhs = _pos_sq(float(np.linalg.norm(lam @ e)) - 1.0)
+        slacks.append(avg_energy / (M * l_avg) - lhs)
+    return float(min(slacks))
+
+
+def _ref_trials(spec, n_trials, k_max, rng_seed):
+    """Every trial slack and the reports ``{name: (min_slack hex, n_trials,
+    equality_gap hex)}`` of ``verify_jensen_bounds`` as it was when each
+    trial was one call per bound."""
+    rng = np.random.default_rng(rng_seed)
+    eb, er = _marker_direction_frame(spec)
+    legs = spec.segments(spec.marker_keys)
+    unit_rests = bool((abs(norms(legs) - 1.0) < 1e-12).all())
+    unit_third_side = unit_rests and bool(
+        (abs(norms(legs[:, 1] - legs[:, 0]) - 1.0) < 1e-12).all())
+    axis_aligned = (abs(eb @ np.array([0.0, 1.0])) < 1e-12
+                    and abs(er @ np.array([1.0, 0.0])) < 1e-12)
+    checks = {"weighted-rest": _ref_weighted_rest}
+    if unit_rests:
+        checks["two-direction"] = _ref_two_direction
+    if unit_third_side:
+        checks["three-direction"] = _ref_three_direction
+    if unit_rests and axis_aligned:
+        checks["diag-stretch"] = _ref_diag_stretch
+
+    cells = {k: Supercell(spec, k) for k in range(1, k_max + 1)}
+    slacks = {name: [] for name in checks}
+    for _ in range(n_trials):
+        k = int(rng.integers(1, k_max + 1))
+        cell = cells[k]
+        psi = 0.4 * rng.standard_normal((cell.n_nodes, 2))
+        for name, fn in checks.items():
+            if name == "diag-stretch":
+                lam = np.diag(rng.uniform(0.0, 2.0, size=2))
+            else:
+                lam = np.eye(2) + 0.6 * rng.standard_normal((2, 2))
+            defm = PeriodicDeformation(cell, lam, psi)
+            slacks[name].append(fn(defm))
+    reports = {name: [float(np.min(vals)).hex(), len(vals), None]
+               for name, vals in slacks.items()}
+    if "diag-stretch" in reports:
+        cell = cells[1]
+        defm = PeriodicDeformation(cell, np.diag([1.5, 1.0]), np.zeros((cell.n_nodes, 2)))
+        reports["diag-stretch"][2] = abs(_ref_diag_stretch(defm)).hex()
+    return slacks, reports
+
+
+def _assert_jensen_matches_reference(spec, n_trials, k_max, seed) -> int:
+    """Compare every trial slack and every report with the per-trial
+    reference, bit for bit; return the number of chunks."""
+    ref_slacks, ref_reports = _ref_trials(spec, n_trials, k_max, seed)
+    chunks = list(_jensen_trials(spec, n_trials, k_max, seed))
+    assert [list(c) for c in chunks] == [list(ref_slacks)] * len(chunks)
+    for name, ref in ref_slacks.items():
+        got = np.concatenate([c[name] for c in chunks])
+        assert [float(v).hex() for v in got] == [v.hex() for v in ref], name
+    reports = verify_jensen_bounds(spec, n_trials=n_trials, k_max=k_max, rng_seed=seed)
+    assert {name: [rep.min_slack.hex(), rep.n_trials,
+                   None if rep.equality_gap is None else rep.equality_gap.hex()]
+            for name, rep in reports.items()} == ref_reports
+    return len(chunks)
+
+
+# kagome, rotating squares and the four variants at their defaults and at
+# the ``all_specs`` parameters (unequal rests: the weighted-rest bound only)
+_JENSEN_SPECS = {
+    "kagome": build_kagome,
+    "rotating-squares": build_rotating_squares,
+    **{kind: (lambda kind=kind: build_variant(kind)) for kind in sorted(VARIANT_KINDS)},
+    "isosceles-kagome-1.2-0.8":
+        lambda: build_variant("isosceles-kagome", apex=1.2, size_ratio=0.8),
+    "general-kagome-1.1-0.75":
+        lambda: build_variant("general-kagome", alpha=1.1, leg_ratio=0.75),
+    "rhombus-squares-1.3-0.6":
+        lambda: build_variant("rhombus-squares", angle=1.3, size_ratio=0.6),
+    "quad-squares-1.2-0.4-0.6":
+        lambda: build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6),
+}
+
+
+@pytest.mark.parametrize("k_max, seed, n_trials",
+                         [(1, 0, 1), (1, 3, 25), (2, 1, 25), (3, 0, 25), (4, 2, 25), (4, 5, 1)])
+@pytest.mark.parametrize("spec", sorted(_JENSEN_SPECS))
+def test_jensen_trials_match_per_trial_reference_bit_for_bit(spec, k_max, seed, n_trials):
+    assert _assert_jensen_matches_reference(_JENSEN_SPECS[spec](), n_trials, k_max, seed) == 1
+
+
+def test_jensen_trials_one_chunk_plus_one_bit_for_bit(rotating_squares):
+    # at k_max = 1 every trial holds n_basic node slots
+    n = -(-cellsolver._JENSEN_CHUNK // rotating_squares.n_basic) + 1
+    assert _assert_jensen_matches_reference(rotating_squares, n, 1, 4) == 2
+
+
+def test_jensen_trials_many_chunks_bit_for_bit(kagome, monkeypatch):
+    monkeypatch.setattr(cellsolver, "_JENSEN_CHUNK", 40)
+    assert _assert_jensen_matches_reference(kagome, 60, 4, 2) > 10
+
+
+def test_stacked_stretch_terms_have_the_scalar_bits(kagome, rotating_squares):
+    """The Jensen kernel forms ``(|lam e| - 1)_+^2`` on arrays; every
+    entry must have the bits of the scalar ``_pos_sq(norm(lam @ e) - 1)``."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 3.0, 200_000)
+    want = np.array([_pos_sq(v) for v in x])
+    assert np.array_equal(_pos_sq_pow(x), want)
+    # the array square is what the scalar power is not
+    assert not np.array_equal(_pos_sq(x), want)
+    lam = np.eye(2) + 0.6 * rng.standard_normal((20_000, 2, 2))
+    dirs = [*_marker_direction_frame(kagome), *_marker_direction_frame(rotating_squares)]
+    stacked = norms(np.matmul(lam[:, None], np.array(dirs)[None, :, :, None])[..., 0])
+    scalar = [[np.linalg.norm(m @ e) for e in dirs] for m in lam]
+    assert np.array_equal(stacked, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,16 @@ def test_precondition_errors_exit_2(tmp_path):
      "penalty strength eta must be positive, got inf"),
     (["verify-bounds", "--isotropic", "--trials", "1", "--k-max", "1", "--eta", "inf"],
      "penalty strength eta must be positive, got inf"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta", "inf"],
+     "penalty strength eta must be positive, got inf"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta=-inf"],
+     "penalty strength eta must be positive, got -inf"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta", "nan"],
+     "penalty strength eta must be positive, got nan"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta", "0"],
+     "penalty strength eta must be positive, got 0"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta", "-1"],
+     "penalty strength eta must be positive, got -1"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -168,8 +178,8 @@ def test_percolating_rigid_units_sweep_but_have_no_twist(tmp_path, capsys):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(argv + ["--jobs", "1", "--out", a]) == 0
     assert run(argv + ["--jobs", "2", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert len(open(a).read().splitlines()) == 37
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert len(Path(a).read_text().splitlines()) == 37
     assert run(["verify-bounds", "--spec", str(spec), "--trials", "20", "--k-max", "1",
                 "--isotropic", "--out", str(tmp_path / "bounds.csv")]) == 0
     capsys.readouterr()
@@ -301,8 +311,8 @@ def test_energy_csv_and_determinism(tmp_path):
             "--lam", "0.9,0.1,0.0,1.1", "--psi-amp", "0.3", "--seed", "7"]
     assert run(argv + ["--out", a]) == 0
     assert run(argv + ["--out", b]) == 0
-    data = open(a, "rb").read()
-    assert data == open(b, "rb").read()
+    data = Path(a).read_bytes()
+    assert data == Path(b).read_bytes()
     header = data.decode().splitlines()[0]
     assert header == "cell_i,cell_j,triangle,spring_energy,step_penalty"
     assert len(data.decode().splitlines()) == 1 + 2 * 2 * 2  # classes x cells
@@ -313,12 +323,12 @@ def test_mechanism_grid_and_dump(tmp_path):
     dump = str(tmp_path / "geom.json")
     assert run(["mechanism", "--spec", "rotating-squares", "--theta", "0.4",
                 "--dump", dump, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 2
     header = lines[0].split(",")
     assert {"averaged_energy", "sigma1", "min_det"} <= set(header)
 
-    geom = json.loads(open(dump).read())
+    geom = json.loads(Path(dump).read_text())
     assert set(geom) >= {"nodes", "edges", "triangles"}
     assert len(geom["nodes"]) > 0
     # deformed positions contract by about cos(0.4)
@@ -360,7 +370,7 @@ def test_mechanism_grid_covers_requested_points(tmp_path):
     out = str(tmp_path / "grid.csv")
     assert run(["mechanism", "--spec", "kagome", "--grid-points", "10",
                 "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 11
 
 
@@ -370,8 +380,8 @@ def test_density_sweep_parallel_determinism(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(argv + ["--jobs", "1", "--out", a]) == 0
     assert run(argv + ["--jobs", "2", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    lines = open(a).read().splitlines()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    lines = Path(a).read_text().splitlines()
     assert lines[0].startswith("index,lam11")
     assert len(lines) == 4
 
@@ -387,8 +397,8 @@ def test_density_sweep_twist_seeded_jobs_determinism(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(argv + ["--jobs", "1", "--out", a]) == 0
     assert run(argv + ["--jobs", "2", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert len(open(a).read().splitlines()) == 13
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert len(Path(a).read_text().splitlines()) == 13
 
 
 def test_density_sweep_reports_solver_trouble(tmp_path, capsys, monkeypatch):
@@ -441,7 +451,7 @@ def test_verify_bounds_csv(tmp_path):
     out = str(tmp_path / "bounds.csv")
     assert run(["verify-bounds", "--spec", "rotating-squares",
                 "--trials", "50", "--k-max", "2", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "diag-stretch" in text
     assert "weighted-rest" in text
 
@@ -451,16 +461,38 @@ def test_verify_bounds_isotropic(tmp_path):
     assert run(["verify-bounds", "--spec", "rotating-squares", "--trials", "20",
                 "--k-max", "1", "--isotropic", "--out", out]) == 0
     rows = {line.split(",")[0]: line.split(",")
-            for line in open(out).read().splitlines()[1:]}
+            for line in Path(out).read_text().splitlines()[1:]}
     assert "isotropy-energy-gap" in rows
     assert float(rows["isotropy-energy-gap"][2]) > 0
+
+
+# sha256 of ``verify-bounds --spec SPEC`` at the default 1000 trials, and of
+# ``--isotropic --trials 50`` on rotating squares, recorded before the
+# Jensen trials were evaluated as stacked arrays
+VERIFY_BOUNDS_SHA256 = {
+    ("kagome",): "7f96e35e4a5c6245cd489e4c26efc73a6ee48bad146198b7990081ff41981f28",
+    ("rotating-squares",): "af43b133bcc5cdf70acb5a819bf733d3c945ebffe2077fa6a26ac7cedd0c8b09",
+    ("isosceles-kagome",): "24ea99fb7ce0dc46f7b8362f30f68e73ce6a0ab96db97d91b749bf61f722d115",
+    ("general-kagome",): "24ea99fb7ce0dc46f7b8362f30f68e73ce6a0ab96db97d91b749bf61f722d115",
+    ("rhombus-squares",): "6297edeccb9e76faa1aad549601d3b22b0ba4ea37686a8fd31489a1734633444",
+    ("quad-squares",): "ce50fc770fd74cf2ff4bd28c768b25b0106fe0f5a30f74d81d71d8fd9b3d8817",
+    ("rotating-squares", "--isotropic", "--trials", "50"):
+        "2ef645ae54aa196ec899ba32df9283c2decf20917ead7f5274439daf75accb05",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_BOUNDS_SHA256))
+def test_verify_bounds_pinned_bytes(tmp_path, args):
+    out = tmp_path / "bounds.csv"
+    assert run(["verify-bounds", "--spec", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_BOUNDS_SHA256[args]
 
 
 def test_domain_wall_angles_csv(tmp_path):
     out = str(tmp_path / "wall.csv")
     assert run(["domain-wall", "--theta1", "2.2", "--n", "20",
                 "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "column,twist_angle"
     assert len(lines) == 22
     assert float(lines[1].split(",")[1]) == pytest.approx(2 * np.pi / 3)
@@ -477,7 +509,7 @@ def test_domain_wall_strip(tmp_path, capsys):
 def test_soft_mode_csv(tmp_path):
     out = str(tmp_path / "soft.csv")
     assert run(["soft-mode", "--eps", "1/8,1/16", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("epsilon,n_cells,energy_per_area")
     assert len(lines) == 3
     e1 = float(lines[1].split(",")[2])
@@ -491,7 +523,7 @@ def test_soft_mode_single_rung_says_why(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "a single rung; decay exponent undefined" in printed
     assert "solver floor" not in printed
-    assert float(open(out).read().splitlines()[1].split(",")[2]) > 1e-10
+    assert float(Path(out).read_text().splitlines()[1].split(",")[2]) > 1e-10
 
 
 def test_soft_mode_prints_ladder_asymptotics(tmp_path, capsys):
@@ -570,7 +602,7 @@ def test_inequalities_csv(tmp_path):
     out = str(tmp_path / "ineq.csv")
     assert run(["inequalities", "--lam-step", "0.1", "--theta-step", "0.05",
                 "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "inequality,min_slack,argmin_1,argmin_2"
     assert len(lines) == 6
     assert all(float(line.split(",")[1]) >= -1e-12 for line in lines[1:])
