@@ -13,11 +13,11 @@ and the four explicit-constant Jensen bounds that follow from the
 averaged-vector identity (one per marker direction family).  One
 private kernel, ``_jensen_slacks``, evaluates a Jensen bound on a stack
 of trials on one supercell; ``verify_jensen_bounds`` draws its random
-trials one by one, as before, and hands them to it in stacks, one per
-supercell size, in chunks of ``_JENSEN_CHUNK`` node slots (so memory is
-bounded for any trial count), and each single-trial ``jensen_*``
-function is that kernel on a stack of one.  Every slack keeps the bits
-of evaluating its trial alone.
+trials one by one, scales the raw draws on stacked arrays and hands them
+to it in stacks, one per supercell size, in chunks of ``_JENSEN_CHUNK``
+node slots (so memory is bounded for any trial count), and each
+single-trial ``jensen_*`` function is that kernel on a stack of one.
+Every slack keeps the bits of evaluating its trial alone.
 """
 
 from __future__ import annotations
@@ -218,8 +218,10 @@ def estimate_density(
     exact energy of every seed is screened first: the first seed at or
     below 1e-13 short-circuits, with no L-BFGS run (and scipy
     never imported).  Otherwise each seed is polished in turn through the
-    smoothing anneal; the reported value is always the exact step-penalty
-    energy of the best iterate.
+    smoothing anneal, by L-BFGS over ``psi`` alone: its objective is the
+    psi-only path of :func:`smoothed_energy_grad` (the energy and its
+    ``psi`` gradient, no ``lam`` gradient).  The reported value is always
+    the exact step-penalty energy of the best iterate.
     ``solver_trace`` counts the L-BFGS stages that hit the iteration or
     evaluation limit (``unconverged_stages``), keeps the last such
     termination message (``last_unconverged_message``), counts the
@@ -275,8 +277,8 @@ def estimate_density(
         grad_norm = np.nan
         for tau in anneal:
             def fun(xv):
-                E, _, gpsi = smoothed_energy_grad(
-                    cell, lam, xv.reshape(n, 2), eta, tau)
+                E, gpsi = smoothed_energy_grad(cell, lam, xv.reshape(n, 2), eta, tau,
+                                               lam_grad=False)
                 return E, gpsi.ravel()
 
             res = minimize(fun, x, jac=True, method="L-BFGS-B",
@@ -613,9 +615,9 @@ def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
 
     Each trial draws, in this order, its ``k`` in ``1..k_max``, its
     ``psi`` and one ``lam`` per family.  A chunk holds the trials drawn
-    until their ``psi`` reach ``_JENSEN_CHUNK`` node slots; its trials are
-    grouped by ``k`` and each group is one :func:`_jensen_slacks` call per
-    family.
+    until their ``psi`` reach ``_JENSEN_CHUNK`` node slots; the raw draws
+    are scaled on the chunk's stacked arrays, and its trials are grouped
+    by ``k``, each group one :func:`_jensen_slacks` call per family.
     """
     rng = np.random.default_rng(rng_seed)
     frame = eb, er = _marker_direction_frame(spec)
@@ -638,27 +640,30 @@ def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
     cells = {k: Supercell(spec, k) for k in range(1, k_max + 1)}
     drawn = 0
     while drawn < n_trials:
-        ks, psis, lams = [], [], {name: [] for name in families}
+        ks, psis, raws = [], [], {name: [] for name in families}
         slots = 0
         while drawn < n_trials and slots < _JENSEN_CHUNK:
             k = int(rng.integers(1, k_max + 1))
-            psi = 0.4 * rng.standard_normal((cells[k].n_nodes, 2))
+            psis.append(rng.standard_normal((cells[k].n_nodes, 2)))
             for name in families:
-                if name == "diag-stretch":
-                    lam = np.diag(rng.uniform(0.0, 2.0, size=2))
-                else:
-                    lam = np.eye(2) + 0.6 * rng.standard_normal((2, 2))
-                lams[name].append(lam)
+                raws[name].append(rng.uniform(0.0, 2.0, size=2) if name == "diag-stretch"
+                                  else rng.standard_normal((2, 2)))
             ks.append(k)
-            psis.append(psi)
-            slots += len(psi)
+            slots += len(psis[-1])
             drawn += 1
         ks = np.array(ks)
-        lams = {name: np.array(mats) for name, mats in lams.items()}
+        lams = {}
+        for name, raw in raws.items():
+            raw = np.array(raw)
+            if name == "diag-stretch":      # diag(raw) per trial
+                lams[name] = np.zeros((len(raw), 2, 2))
+                lams[name][:, 0, 0], lams[name][:, 1, 1] = raw.T
+            else:
+                lams[name] = np.eye(2) + 0.6 * raw
         slacks = {name: np.empty(len(ks)) for name in families}
         for k in np.unique(ks):
             idx = np.flatnonzero(ks == k)
-            psi = np.array([psis[i] for i in idx])
+            psi = 0.4 * np.array([psis[i] for i in idx])
             for name in families:
                 slacks[name][idx] = _jensen_slacks(cells[k], name, lams[name][idx], psi, frame)
         yield slacks

@@ -17,6 +17,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -69,8 +70,23 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 
 
+# a number (float or fraction syntax, inf and nan included) or a
+# comma-separated list of them
+_NUMBER = r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?:/\d+)?|inf(?:inity)?|nan)"
+_NUMBER_LIST = rf"{_NUMBER}(?:,{_NUMBER})*\Z"
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with code 1."""
+    """argparse variant whose usage errors exit with code 1, and which
+    reads an argument that starts with ``-`` as a value, not an option,
+    when it is a number or a list of numbers (``--eta -inf``,
+    ``--lam -1,0,0,-1``), as it reads ``--eta=-inf``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own test takes only plain negative decimals such as -1;
+        # compiled here, not on import (re caches it for the subparsers)
+        self._negative_number_matcher = re.compile(_NUMBER_LIST, re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

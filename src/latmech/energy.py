@@ -157,7 +157,7 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _energy_grad(cell: Supercell, lam, psi, springs: bool, penalty=None):
+def _energy_grad(cell: Supercell, lam, psi, springs: bool, penalty=None, lam_grad=True):
     """Energy with gradients in ``lam`` and ``psi`` of the spring classes
     (when ``springs``), then of the penalized triangles (when ``penalty``
     maps their ``det(grad u)`` ``(nt, k*k)`` to per-class energies and the
@@ -166,33 +166,43 @@ def _energy_grad(cell: Supercell, lam, psi, springs: bool, penalty=None):
     One gather over the classes of ``cell.edges`` needed, one value buffer
     filled in the order of ``cell.scatter`` and one ``bincount``: totals
     run class by class and the scatter in stream order, as ``+=`` and
-    ``np.add.at`` loops over the classes would.
+    ``np.add.at`` loops over the classes would.  Returns ``(E, glam,
+    gpsi)``; without ``lam_grad`` the ``lam`` gradient is never formed and
+    it returns ``(E, gpsi)``, with the same bits in both.  The operations
+    are those of ``np.linalg.norm(axis=2)``, ``np.sum`` and
+    :func:`~latmech.lattice.cross2`, spelled out to save the calls.
     """
     ns, nt, kk = len(cell.spring_rest), len(cell.tri_area), cell.k * cell.k
     n_s, n_t = (ns if springs else 0), (nt if penalty else 0)
     tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
     d = edge_vectors(lam, psi, tail, head, dx)
     E = np.empty(n_s + n_t)
-    glam = np.empty((n_s + n_t, 2, 2))
+    glam = np.empty((n_s + n_t, 2, 2)) if lam_grad else None
     bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
     values = np.empty(len(bins))
 
     if springs:
-        lengths = np.linalg.norm(d[:ns], axis=2)
+        sx, sy = d[:ns, :, 0], d[:ns, :, 1]
+        lengths = np.sqrt(sx * sx + sy * sy)
         rest = cell.spring_rest[:, None]
         stiffness = cell.spring_stiffness[:, None]
-        np.multiply(cell.spring_stiffness, np.sum((lengths - rest) ** 2, axis=1), out=E[:ns])
+        np.multiply(cell.spring_stiffness, np.add.reduce((lengths - rest) ** 2, axis=1),
+                    out=E[:ns])
         coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
         v = values[:4 * ns * kk].reshape(ns, 2, kk, 2)    # head, tail
         g = np.multiply(coeff[:, :, None], d[:ns], out=v[:, 0])
         np.negative(g, out=v[:, 1])
-        np.multiply(g.sum(axis=1)[:, :, None], dx[:ns, None, :], out=glam[:ns])
+        if lam_grad:
+            np.multiply(np.add.reduce(g, axis=1)[:, :, None], dx[:ns, None, :],
+                        out=glam[:ns])
 
     if penalty:
         d1, d2 = d[n_s:n_s + nt], d[n_s + nt:]
-        terms = penalty(_dets(cell, d[n_s:]))
+        det = (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / cell.tri_cross0[:, None]
+        terms = penalty(det)
         if terms is None:
-            return np.inf, np.zeros((2, 2)), np.zeros_like(psi)
+            gpsi = np.zeros_like(psi)
+            return (np.inf, np.zeros((2, 2)), gpsi) if lam_grad else (np.inf, gpsi)
         E[n_s:], dE_ddet = terms
         dE_dcross = (dE_ddet / cell.tri_cross0[:, None])[:, :, None]
         v = values[4 * n_s * kk:].reshape(nt, 3, kk, 2)   # P1, P2, P0
@@ -202,11 +212,14 @@ def _energy_grad(cell: Supercell, lam, psi, springs: bool, penalty=None):
         np.negative(g1[..., 1], out=g1[..., 1])
         np.negative(g2[..., 0], out=g2[..., 0])
         np.negative(np.add(g1, g2, out=v[:, 2]), out=v[:, 2])
-        np.add(g1.sum(axis=1)[:, :, None] * dx[n_s:n_s + nt, None, :],
-               g2.sum(axis=1)[:, :, None] * dx[n_s + nt:, None, :], out=glam[n_s:])
+        if lam_grad:
+            np.add(np.add.reduce(g1, axis=1)[:, :, None] * dx[n_s:n_s + nt, None, :],
+                   np.add.reduce(g2, axis=1)[:, :, None] * dx[n_s + nt:, None, :],
+                   out=glam[n_s:])
 
+    total = float(ordered_sum(E))
     gpsi = np.bincount(bins, values, minlength=2 * len(psi)).reshape(-1, 2)
-    return float(ordered_sum(E)), ordered_sum(glam), gpsi
+    return (total, ordered_sum(glam), gpsi) if lam_grad else (total, gpsi)
 
 
 def spring_energy_grad(cell: Supercell, lam, psi):
@@ -214,8 +227,10 @@ def spring_energy_grad(cell: Supercell, lam, psi):
     return _energy_grad(cell, lam, psi, springs=True)
 
 
-def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
-    """The spring energy plus the sigmoid-smoothed orientation penalty.
+def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float, lam_grad=True):
+    """The spring energy plus the sigmoid-smoothed orientation penalty,
+    with gradients ``(E, glam, gpsi)``, or ``(E, gpsi)`` without
+    ``lam_grad`` (the density solve at fixed ``lam``; same bits).
 
     The smoothed penalty is ``area / eta * expit(-det / tau)``; it tends to
     the exact step as ``tau -> 0`` and exists only to give descent methods
@@ -226,10 +241,10 @@ def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
 
     def penalty(det):
         sig = expit(-det / tau)
-        return (cell.tri_area / eta * np.sum(sig, axis=1),
+        return (cell.tri_area / eta * np.add.reduce(sig, axis=1),
                 -(cell.tri_area / (eta * tau))[:, None] * sig * (1.0 - sig))
 
-    return _energy_grad(cell, lam, psi, springs=True, penalty=penalty)
+    return _energy_grad(cell, lam, psi, springs=True, penalty=penalty, lam_grad=lam_grad)
 
 
 def barrier_grad(cell: Supercell, lam, psi, mu: float):
@@ -238,7 +253,7 @@ def barrier_grad(cell: Supercell, lam, psi, mu: float):
     def penalty(det):
         if np.any(det <= 0):
             return None
-        return -mu * np.sum(np.log(det), axis=1), -mu / det
+        return -mu * np.add.reduce(np.log(det), axis=1), -mu / det
 
     return _energy_grad(cell, lam, psi, springs=False, penalty=penalty)
 

@@ -152,11 +152,13 @@ def test_percolating_rigid_units_solve_without_twist_seed():
 def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_squares,
                                                          monkeypatch):
     stages = []     # the smoothing of every L-BFGS energy evaluation
+    lam_grads = set()
     real = cellsolver.smoothed_energy_grad
 
-    def counted(cell, lam, psi, eta, tau):
+    def counted(cell, lam, psi, eta, tau, lam_grad=True):
         stages.append(tau)
-        return real(cell, lam, psi, eta, tau)
+        lam_grads.add(lam_grad)
+        return real(cell, lam, psi, eta, tau, lam_grad=lam_grad)
 
     monkeypatch.setattr(cellsolver, "smoothed_energy_grad", counted)
     # a reachable compression short-circuits on the twist seed before the
@@ -178,6 +180,7 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
     assert trace["best_seed"] in ("zero", "random0")
     assert trace["iterations"] > 0
     assert sorted(set(stages), reverse=True) == list(cellsolver._ANNEAL)
+    assert lam_grads == {False}     # the solve at fixed lam asks for no lam gradient
 
 
 def test_estimate_density_keeps_the_winning_breakdown(kagome, monkeypatch):

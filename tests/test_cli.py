@@ -116,6 +116,19 @@ def test_precondition_errors_exit_2(tmp_path):
      "penalty strength eta must be positive, got 0"),
     (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta", "-1"],
      "penalty strength eta must be positive, got -1"),
+    # a negative value in exponent, inf or list form is the option's value
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta", "-inf"],
+     "penalty strength eta must be positive, got -inf"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--eta", "-1e-3"],
+     "penalty strength eta must be positive, got -0.001"),
+    (["energy", "--eta", "-inf"], "penalty strength eta must be positive, got -inf"),
+    (["energy", "--eta", "-1e-3"], "penalty strength eta must be positive, got -0.001"),
+    (["density-sweep", "--grid", "random:1", "--k", "1", "--eta", "-1e-3", "--jobs", "1"],
+     "penalty strength eta must be positive, got -0.001"),
+    (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "-inf"],
+     "penalty strength eta must be positive, got -inf"),
+    (["energy", "--psi-amp", "-1e-3"], "--psi-amp must be finite and >= 0, got -0.001"),
+    (["energy", "--lam", "-inf,0,0,1"], "matrix entry '-inf' is not finite"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -216,6 +229,19 @@ def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
         f"assert cli.main(['mechanism', '--dump', {str(tmp_path / 'geom.json')!r}, "
         f"'--out', {str(tmp_path / 'mech.csv')!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'scipy imported by mechanism --dump'",
+        # the certificate commands that need no solver
+        f"assert cli.main(['inequalities', '--lam-step', '0.1', '--theta-step', '0.01', "
+        f"'--out', {str(tmp_path / 'ineq.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by inequalities'",
+        f"assert cli.main(['verify-bounds', '--trials', '20', "
+        f"'--out', {str(tmp_path / 'bounds.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by verify-bounds'",
+        f"assert cli.main(['energy', '--k', '2', '--psi-amp', '0.05', "
+        f"'--out', {str(tmp_path / 'energy.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by energy'",
+        f"assert cli.main(['domain-wall', '--theta1', '2.2', '--strip', '--half-width', '5', "
+        f"'--out', {str(tmp_path / 'wall.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by domain-wall --strip'",
         # reachable isotropic compressions short-circuit on the twist seed
         *[f"assert cli.main(['density-sweep', '--spec', {spec!r}, '--grid', 'iso', "
           f"'--k', '1,2', '--jobs', '1', "
@@ -316,6 +342,14 @@ def test_energy_csv_and_determinism(tmp_path):
     header = data.decode().splitlines()[0]
     assert header == "cell_i,cell_j,triangle,spring_energy,step_penalty"
     assert len(data.decode().splitlines()) == 1 + 2 * 2 * 2  # classes x cells
+
+
+def test_negative_lam_reads_as_its_value(tmp_path):
+    # argparse alone takes -1,0,0,-1 for an option and exits 1
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["energy", "--lam", "-1,0,0,-1", "--out", str(a)]) == 0
+    assert run(["energy", "--lam=-1,0,0,-1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_mechanism_grid_and_dump(tmp_path):

@@ -283,11 +283,20 @@ def _same_bits(got, want):
     assert np.array_equal(got[2], want[2])
 
 
+def _same_psi_bits(got, want):
+    """``(E, gpsi)`` of the psi-only path against a full ``(E, glam, gpsi)``."""
+    assert len(got) == 2
+    assert float(got[0]).hex() == float(want[0]).hex()
+    assert np.array_equal(got[1], want[2])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("si", range(6))
 def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     """The flat edge layout and scatter stream change no bit of the three
-    gradient kernels or of ``triangle_dets``, whatever tau, mu or state."""
+    gradient kernels or of ``triangle_dets``, whatever tau, mu or state;
+    the psi-only path of the smoothed energy has the bits of ``E`` and
+    ``gpsi`` of the full kernel and of the reference."""
     spec = _specs()[si]
     cell, cases = _bit_cases(spec, k, [si, k])
     dets = {}
@@ -296,8 +305,12 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
         assert np.array_equal(dets[name], _ref_triangle_edges(cell, lam, psi)[2])
         _same_bits(spring_energy_grad(cell, lam, psi), _ref_spring(cell, lam, psi))
         for tau in (0.02, 1e-3, 1e-6):
-            _same_bits(smoothed_energy_grad(cell, lam, psi, 0.1, tau),
-                       _ref_smoothed(cell, lam, psi, 0.1, tau))
+            full = smoothed_energy_grad(cell, lam, psi, 0.1, tau)
+            ref = _ref_smoothed(cell, lam, psi, 0.1, tau)
+            _same_bits(full, ref)
+            psi_only = smoothed_energy_grad(cell, lam, psi, 0.1, tau, lam_grad=False)
+            _same_psi_bits(psi_only, full)
+            _same_psi_bits(psi_only, ref)
         for mu in (1e-2, 1e-6):
             _same_bits(barrier_grad(cell, lam, psi, mu), _ref_barrier(cell, lam, psi, mu))
     assert (dets["flipped"] < 0).all()

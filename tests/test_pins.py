@@ -9,8 +9,9 @@ whose chase does not close), the soft-mode positions of ``modulate`` at
 ``epsilon = 1/8, 1/16`` among them; the domain-wall pin hashes the
 kagome strip, the rigid-units pin hashes every spec's units, the
 inequalities pins hash the scalar inequality report and every compression
-slack on two grids, and the Jensen pins hash every trial slack of the
-unit-rest bounds.
+slack on two grids, the Jensen pins hash every trial slack of the
+unit-rest bounds, the two density pins hash solves that reach L-BFGS, and
+the search pin hashes every mechanism of a short kagome search.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
 on these bits through L-BFGS and the twist seed.  To print fresh pins
@@ -69,6 +70,7 @@ from latmech.mechanisms import (
     domain_wall_mechanism,
     mechanism_tangent_rank,
     rigid_units,
+    search_mechanisms,
     twist_admissible_range,
     twist_mechanism,
 )
@@ -257,6 +259,13 @@ DENSITY_PIN = (
     "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
 )
 
+DENSITY_K3_PIN = (
+    "0x1.04ce74d497447p+3",
+    "584f7d17cb6c73ba80485c3fa068965f095f45f24113dd023fe1d783f847e22e",
+)
+
+SEARCH_PIN = "9114b8f17d09083833abf71f400cbc3d3c6822ae49e2aa48bd9a8091d017e3c0"
+
 
 JENSEN_SLACKS = {
     "diag-stretch": jensen_diag_stretch,
@@ -393,6 +402,28 @@ def _density():
             hashlib.sha256(np.ascontiguousarray(est.minimizer.psi).tobytes()).hexdigest())
 
 
+def _density_k3():
+    """A rotating-squares density solve at k = 3 on ``diag(1.1, -0.8)``,
+    which has no twist seed, so every seed is polished by L-BFGS: the
+    exact upper bound and a digest of the minimizer."""
+    est = estimate_density(build_rotating_squares(), np.diag([1.1, -0.8]), 0.05, k=3,
+                           restarts=2)
+    assert est.solver_trace["iterations"] > 0
+    return (est.upper.hex(),
+            hashlib.sha256(np.ascontiguousarray(est.minimizer.psi).tobytes()).hexdigest())
+
+
+def _search_digest() -> str:
+    """Every mechanism that ``search_mechanisms(kagome, 2, restarts=4)``
+    accepts, in its order: restart, deformation and certificate."""
+    h = hashlib.sha256()
+    _feed(h, [(m.params["restart"], m.deformation.lam, m.deformation.psi,
+               m.certificate.energy, m.certificate.max_spring_residual,
+               m.certificate.min_det, m.certificate.sigma1, m.certificate.sigma2)
+              for m in search_mechanisms(build_kagome(), 2, restarts=4)])
+    return h.hexdigest()
+
+
 def _cell_bounds():
     """:func:`check_cell_bounds` on kagome, rotating squares and the s = 0.4
     quad, with a twist as the extra zero-energy state where one closes
@@ -494,6 +525,14 @@ def test_anisotropic_density_solve_is_pinned():
     assert _density() == DENSITY_PIN
 
 
+def test_k3_density_solve_is_pinned():
+    assert _density_k3() == DENSITY_K3_PIN
+
+
+def test_mechanism_search_is_pinned():
+    assert _search_digest() == SEARCH_PIN
+
+
 @pytest.mark.parametrize("name", sorted(JENSEN_SLACKS))
 def test_jensen_slacks_are_pinned(name):
     assert _jensen_digest(name) == JENSEN_PINS[name]
@@ -519,3 +558,5 @@ if __name__ == "__main__":
     print(f'INEQUALITIES_PIN = "{_inequalities_digest()}"')
     print(f"COMPRESSION_SLACK_PINS = {_compression_slack_digests()!r}")
     print(f"DENSITY_PIN = {_density()!r}")
+    print(f"DENSITY_K3_PIN = {_density_k3()!r}")
+    print(f'SEARCH_PIN = "{_search_digest()}"')
