@@ -44,6 +44,7 @@ from .lattice import (
     build_rotating_squares,
     build_variant,
     kabsch_rotations,
+    unique_rows,
 )
 from .mechanisms import (
     MechanismError,
@@ -186,12 +187,19 @@ def _parse_ints(text: str):
 
 
 def _parse_eps(text: str):
+    """The ``--eps`` cell sizes, each a finite positive number in float or
+    fraction syntax."""
     out = []
     for item in text.split(","):
         try:
-            out.append(float(Fraction(item.strip())))
+            eps = float(Fraction(item.strip()))
         except ZeroDivisionError:
             raise ValueError(f"--eps entry {item!r} divides by zero") from None
+        except (ValueError, OverflowError):
+            raise ValueError(f"--eps entry {item!r} is not a finite number") from None
+        if not eps > 0:
+            raise ValueError(f"--eps entry {item!r} must be positive, got {eps:g}")
+        out.append(eps)
     return out
 
 
@@ -272,13 +280,13 @@ def _dump_geometry(lmap: LatticeMap, path: str) -> None:
     spec = lmap.spec
     # every placed instance of each spring class and penalized triangle,
     # class by class
-    o1, o2 = np.unique(lmap.keys[:, 1:], axis=0).T
+    o1, o2 = unique_rows(lmap.keys[:, 1:]).T
 
     def placed(keys):
         rows = lmap.rows(keys, o1, o2).transpose(0, 2, 1).reshape(-1, keys.shape[1])
         return rows[(rows >= 0).all(axis=1)]
 
-    edges = np.unique(placed(spec.spring_keys), axis=0)
+    edges = unique_rows(placed(spec.spring_keys))
     tri_rows = placed(spec.penalized_keys)
     R = kabsch_rotations(lmap.reference_positions[tri_rows], lmap.positions[tri_rows])
     angles = np.arctan2(R[:, 1, 0], R[:, 0, 0])
@@ -362,6 +370,8 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 
 
 def _cmd_mechanism(args) -> int:
+    if args.dump and os.path.isdir(args.dump):
+        raise ValueError(f"--dump {args.dump!r} is a directory; it names the geometry JSON file")
     spec = _load_spec(args)
     rows = []
     last = None
@@ -384,12 +394,13 @@ def _cmd_mechanism(args) -> int:
         for th in thetas:
             last = twist_mechanism(spec, th, k=args.k)
             rows.append(_certificate_row(last.kind, _fmt(th), last.certificate))
-    path = _out_path(args, "mechanisms.csv")
-    _write_csv(path, _CERT_HEADER, rows)
+    # the CSV goes last, so a dump that fails leaves none
     if args.dump and last is not None:
         cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
         _dump_geometry(LatticeMap.from_periodic(last.deformation, 1.0, cells), args.dump)
         print(f"wrote geometry dump {args.dump}")
+    path = _out_path(args, "mechanisms.csv")
+    _write_csv(path, _CERT_HEADER, rows)
     _finish(args, path)
     return EXIT_OK
 
@@ -507,6 +518,15 @@ def _cmd_soft_mode(args) -> int:
     target = default_target()
     eps_list = _parse_eps(args.eps)
     _check_ladder(args.eps, eps_list)
+    _check_eta(args.eta)
+    if args.dump_dir:
+        # made before any modulation, so a path that cannot hold the dumps
+        # fails at once
+        try:
+            os.makedirs(args.dump_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--dump-dir {args.dump_dir!r} is not a usable directory: "
+                             f"{exc.strerror}") from None
     spec_json = spec.to_json()
     payloads = [(spec_json, target, eps, args.sweeps) for eps in eps_list]
     jobs = _jobs(args, len(payloads))
@@ -514,13 +534,6 @@ def _cmd_soft_mode(args) -> int:
         _warm_twist_table(spec)
     maps = [LatticeMap(spec, *res) for res in _pool_map(_softmode_task, payloads, jobs)]
     rep = soft_mode_report(maps, target, args.eta)
-    path = _out_path(args, "soft_mode.csv")
-    _write_csv(
-        path,
-        ["epsilon", "n_cells", "energy_per_area", "max_cell_energy",
-         "probe_l2_error", "cr_residual", "max_conformal_factor", "n_boxes"],
-        rep.rows(),
-    )
     dens = rep.energy_densities
     if len(dens) < 2:
         print("a single rung; decay exponent undefined")
@@ -534,11 +547,18 @@ def _cmd_soft_mode(args) -> int:
             print(f"successive exponents {', '.join(f'{s:.4g}' for s in steps)}; "
                   f"fit over the finest {len(fine_eps)} rungs "
                   f"(eps <= {max(fine_eps):.6g}) {fine:.4g}")
+    # the CSV goes last, so a dump that fails leaves none
     if args.dump_dir:
-        os.makedirs(args.dump_dir, exist_ok=True)
         for lmap in maps:
             _dump_geometry(lmap, os.path.join(args.dump_dir, _dump_name(lmap.epsilon)))
         print(f"wrote {len(maps)} geometry dumps to {args.dump_dir}")
+    path = _out_path(args, "soft_mode.csv")
+    _write_csv(
+        path,
+        ["epsilon", "n_cells", "energy_per_area", "max_cell_energy",
+         "probe_l2_error", "cr_residual", "max_conformal_factor", "n_boxes"],
+        rep.rows(),
+    )
     _finish(args, path)
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, cross2,
-                      edge_vectors, norms, ordered_sum, rotation)
+                      edge_vectors, norms, ordered_sum, rotation, unique_rows)
 
 __all__ = [
     "EnergyBreakdown",
@@ -339,7 +339,7 @@ class LatticeMap:
         refs = _cell_keys(spec)
         cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
         shifts = np.column_stack([np.zeros(len(cells), dtype=np.int64), cells])
-        keys = np.unique((shifts[:, None, :] + refs[None, :, :]).reshape(-1, 3), axis=0)
+        keys = unique_rows((shifts[:, None, :] + refs[None, :, :]).reshape(-1, 3))
         return cls(spec, epsilon, keys, epsilon * defm.node_positions(keys))
 
     def interpolate(self, points):

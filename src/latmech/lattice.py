@@ -40,6 +40,7 @@ __all__ = [
     "cross2",
     "kabsch_rotations",
     "rotation",
+    "unique_rows",
     "VARIANT_KINDS",
 ]
 
@@ -80,6 +81,30 @@ def kabsch_rotations(X, Y) -> np.ndarray:
     U, _, Vt = np.linalg.svd(H)
     U[np.linalg.det(U @ Vt) < 0, :, -1] *= -1
     return U @ Vt
+
+
+def unique_rows(keys, return_inverse=False):
+    """``np.unique(keys, axis=0)`` of an ``(n, m)`` signed integer table:
+    the same rows in the same lexicographic order and, with
+    ``return_inverse``, the same inverse, always flat ``(n,)``.
+
+    Each row is coded as one int64 by ``np.ravel_multi_index`` over the
+    span of the rows, which keeps lexicographic order, so the sort runs
+    on integers instead of numpy's void-dtype view of whole rows.  When
+    the span holds more codes than int64 does, ``ravel_multi_index``
+    raises :class:`ValueError` rather than wrap.
+    """
+    keys = np.asarray(keys)
+    if len(keys) == 0:
+        rows, inverse = keys.copy(), np.empty(0, dtype=np.intp)
+    else:
+        lo = keys.min(axis=0)
+        # Python ints: hi - lo + 1 cannot wrap here
+        span = [h - l + 1 for l, h in zip(lo.tolist(), keys.max(axis=0).tolist())]
+        codes, inverse = np.unique(np.ravel_multi_index(tuple((keys - lo).T), span),
+                                   return_inverse=True)
+        rows = (np.column_stack(np.unravel_index(codes, span)) + lo).astype(keys.dtype)
+    return (rows, inverse) if return_inverse else rows
 
 
 def _frozen(values, shape=-1, dtype=None) -> np.ndarray:
@@ -499,8 +524,8 @@ def _slot(k, node, o1, o2):
 def _cell_keys(spec: LatticeSpec) -> np.ndarray:
     """Sorted ``(n, 3)`` rows ``(node, o1, o2)`` of the node references of
     one cell: spring endpoints and cover vertices."""
-    return np.unique(np.concatenate([spec.spring_keys.reshape(-1, 3),
-                                     spec.cover_keys.reshape(-1, 3)]), axis=0)
+    return unique_rows(np.concatenate([spec.spring_keys.reshape(-1, 3),
+                                       spec.cover_keys.reshape(-1, 3)]))
 
 
 class Supercell:

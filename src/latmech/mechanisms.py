@@ -51,6 +51,7 @@ from .lattice import (
     edge_vectors,
     norms,
     rotation,
+    unique_rows,
 )
 
 __all__ = [
@@ -147,7 +148,7 @@ def _node_ids(keys) -> np.ndarray:
     """Flat integer ids of the rows stacked in ``keys`` (``(..., 3)`` node
     references or ``(..., 2)`` node-id pairs), equal rows sharing one."""
     keys = np.asarray(keys)
-    return np.unique(keys.reshape(-1, keys.shape[-1]), axis=0, return_inverse=True)[1].ravel()
+    return unique_rows(keys.reshape(-1, keys.shape[-1]), return_inverse=True)[1]
 
 
 @lru_cache(maxsize=64)
@@ -189,7 +190,7 @@ def rigid_units(spec: LatticeSpec):
             raise DegenerateGeometryError(
                 "a rigid unit contains a lattice translate of itself"
             )
-        nodes = np.unique((keys[members] - anchor).reshape(-1, 3), axis=0)
+        nodes = unique_rows((keys[members] - anchor).reshape(-1, 3))
         units.append(RigidUnit(_frozen(tris, (-1, 3)), _frozen(nodes, (-1, 3)), -1))
 
     # two-color the pin adjacency of unit instances on the window by the
@@ -202,7 +203,7 @@ def rigid_units(spec: LatticeSpec):
     color = np.where(depth >= 0, depth % 2, -1)
     reached = color[inst] >= 0
     pairs = np.column_stack([node, color[inst]])[reached]
-    if len(np.unique(pairs, axis=0)) < len(pairs):
+    if len(unique_rows(pairs)) < len(pairs):
         raise DegenerateGeometryError("pin adjacency of rigid units is not two-colorable")
     near = color.reshape(len(ci), len(units))[np.isin(ci, (0, 1)) & np.isin(cj, (0, 1))]
     out = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import LatticeMap, _cell_window, domain_energy
 from .geometry import conformal_check
-from .lattice import LatticeSpec, norms, rotation
+from .lattice import LatticeSpec, norms, rotation, unique_rows
 from .mechanisms import _twist_contraction_table, _unit_members, _walk_units, rigid_units
 
 __all__ = [
@@ -270,8 +270,7 @@ def modulate(
     inst_flat = np.flatnonzero(kept)
     inst_unit = inst_flat % n_units
     n_inst = len(inst_flat)
-    keys, mem_node = np.unique(mem_key, axis=0, return_inverse=True)
-    mem_node = mem_node.ravel()
+    keys, mem_node = unique_rows(mem_key, return_inverse=True)
 
     # unit centers: members averaged per instance, grouped by unit size
     size = np.array([len(unit.nodes) for unit in units])[inst_unit]
@@ -454,21 +453,32 @@ class WeakLimitReport:
 
 def _box_gradients(lmap: LatticeMap, bounds, box_size: float):
     """Least-squares affine gradient per box of side ``box_size`` over
-    the nodes inside; boxes with fewer than six nodes are skipped."""
+    the nodes inside; boxes with fewer than six nodes are skipped.
+
+    Box ``(bi, bj)`` spans ``[lo, hi)`` per axis, ``lo = x0 + bi *
+    box_size`` and ``hi = min(lo + box_size, x1)``; the memberships of
+    each axis are computed once, and each box takes its nodes in
+    ascending order."""
     x0, x1, y0, y1 = bounds
     refs, vals = lmap.reference_positions, lmap.positions
     nx = max(int(np.floor((x1 - x0) / box_size)), 1)
     ny = max(int(np.floor((y1 - y0) / box_size)), 1)
+
+    def within(coord, start, end, n):
+        lo = start + np.arange(n) * box_size
+        hi = np.minimum(lo + box_size, end)
+        return (coord >= lo[:, None]) & (coord < hi[:, None])
+
+    in_y = within(refs[:, 1], y0, y1, ny)
     grads = []
-    for bi in range(nx):
-        for bj in range(ny):
-            lo = np.array([x0 + bi * box_size, y0 + bj * box_size])
-            hi = np.minimum(lo + box_size, [x1, y1])
-            mask = np.all((refs >= lo) & (refs < hi), axis=1)
-            if int(mask.sum()) < 6:
+    for in_x in within(refs[:, 0], x0, x1, nx):
+        col = np.flatnonzero(in_x)
+        for row in in_y:
+            box = col[row[col]]
+            if len(box) < 6:
                 continue
-            X = np.column_stack([refs[mask], np.ones(int(mask.sum()))])
-            coef, *_ = np.linalg.lstsq(X, vals[mask], rcond=None)
+            X = np.column_stack([refs[box], np.ones(len(box))])
+            coef, *_ = np.linalg.lstsq(X, vals[box], rcond=None)
             grads.append(coef[:2].T)
     if not grads:
         raise ValueError("no box contained enough nodes for a gradient fit")

@@ -129,6 +129,13 @@ def test_precondition_errors_exit_2(tmp_path):
      "penalty strength eta must be positive, got -inf"),
     (["energy", "--psi-amp", "-1e-3"], "--psi-amp must be finite and >= 0, got -0.001"),
     (["energy", "--lam", "-inf,0,0,1"], "matrix entry '-inf' is not finite"),
+    (["soft-mode", "--eps", "nan"], "--eps entry 'nan' is not a finite number"),
+    (["soft-mode", "--eps", "1/8,inf"], "--eps entry 'inf' is not a finite number"),
+    (["soft-mode", "--eps", "1/8,abc"], "--eps entry 'abc' is not a finite number"),
+    (["soft-mode", "--eps", "1e400"], "--eps entry '1e400' is not a finite number"),
+    (["soft-mode", "--eps", "0,1/8", "--jobs", "2"], "--eps entry '0' must be positive, got 0"),
+    (["soft-mode", "--eps", "-1/8"], "--eps entry '-1/8' must be positive, got -0.125"),
+    (["soft-mode", "--eps", "1/8,1e-400"], "--eps entry '1e-400' must be positive, got 0"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -160,6 +167,47 @@ def test_soft_mode_repeated_rung_exits_2_before_modulating(tmp_path, capsys, mon
     assert "Traceback" not in err
     assert not out.exists()
     assert not dumps.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--eps", "0,1/8"], "--eps entry '0' must be positive, got 0"),
+    (["--eps", "1/8,-1/16"], "--eps entry '-1/16' must be positive, got -0.0625"),
+    (["--eps", "1/8,nan"], "--eps entry 'nan' is not a finite number"),
+    (["--eps", "1/8,1/16", "--eta", "0"], "penalty strength eta must be positive, got 0"),
+    (["--eps", "1/8,1/16", "--dump-dir", "FILE"], "--dump-dir '<dir>/FILE' is not a "
+                                                  "usable directory: File exists"),
+])
+def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     argv, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("modulation or a pool ran")
+
+    monkeypatch.setattr(cli, "modulate", no_work)
+    monkeypatch.setattr(cli, "_pool_map", no_work)
+    (tmp_path / "FILE").write_text("kept")
+    argv = [str(tmp_path / "FILE") if a == "FILE" else a for a in argv]
+    out = tmp_path / "x.csv"
+    assert run(["soft-mode", "--jobs", "2", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err.replace(str(tmp_path), "<dir>")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert (tmp_path / "FILE").read_text() == "kept"
+
+
+def test_mechanism_dump_into_a_directory_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "mech.csv"
+    assert run(["mechanism", "--theta", "0.4", "--dump", str(tmp_path),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--dump {str(tmp_path)!r} is a directory" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # a dump that fails after the certificates leaves no CSV either
+    assert run(["mechanism", "--theta", "0.4", "--dump", str(tmp_path / "no" / "g.json"),
+                "--out", str(out)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content, named", [

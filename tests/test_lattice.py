@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import orphan_spring_json
 
+from latmech.energy import _cell_window
 from latmech.lattice import (
     DegenerateGeometryError,
     LatticeSpec,
@@ -16,7 +17,10 @@ from latmech.lattice import (
     build_rotating_squares,
     build_variant,
     rotation,
+    unique_rows,
 )
+from latmech.mechanisms import _unit_members, rigid_units
+from latmech.softmodes import default_target
 
 
 def test_builtin_structure(kagome, rotating_squares):
@@ -306,3 +310,53 @@ def test_deformation_evaluate_and_ops(kagome):
     tiled = defm.tile(4)
     assert tiled.cell.k == 4
     assert np.allclose(tiled.node_positions(ref), p0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# unique integer rows
+# ---------------------------------------------------------------------------
+
+
+def _assert_unique_rows_match(keys):
+    rows, inverse = unique_rows(keys, return_inverse=True)
+    want_rows, want_inverse = np.unique(keys, axis=0, return_inverse=True)
+    assert rows.dtype == want_rows.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(inverse, want_inverse.ravel())
+    assert np.array_equal(unique_rows(keys), want_rows)
+
+
+@pytest.mark.parametrize("shape, lo, hi", [
+    ((500, 3), -4, 5),                  # (node, o1, o2) rows, negative offsets
+    ((2000, 3), -300, 300),
+    ((300, 2), -3, 3),                  # node-id pairs
+    ((1, 3), -7, 7),
+    ((40, 1), 0, 4),
+])
+def test_unique_rows_is_numpys_unique(shape, lo, hi):
+    rng = np.random.default_rng(sum(shape))
+    _assert_unique_rows_match(rng.integers(lo, hi, shape))
+
+
+def test_unique_rows_of_repeated_and_empty_tables():
+    _assert_unique_rows_match(np.tile([[2, -1, 3]], (9, 1)))
+    _assert_unique_rows_match(np.zeros((0, 3), dtype=np.int64))
+    _assert_unique_rows_match(np.array([[1, 2]], dtype=np.int32))
+
+
+def test_unique_rows_of_the_modulate_member_table(kagome):
+    # the unit members of every cell over the default target at eps = 1/129
+    CI, CJ = _cell_window(kagome, default_target().polygon, 1 / 129)
+    _, keys = _unit_members(rigid_units(kagome), CI, CJ)
+    assert len(keys) > 50_000 and (keys[:, 1:] < 0).any()
+    _assert_unique_rows_match(keys)
+
+
+def test_unique_rows_raises_rather_than_wraps():
+    for keys in ([[0, 0], [2**40, 2**40]], [[-2**62, 0], [2**62, 0]]):
+        with pytest.raises(ValueError):
+            unique_rows(np.array(keys))
+    # an int32 span past 2**31 wraps in ``keys - lo``; the negative
+    # coordinates raise
+    with pytest.raises(ValueError):
+        unique_rows(np.array([[-2**31], [2**31 - 1]], dtype=np.int32))

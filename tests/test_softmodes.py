@@ -1,5 +1,7 @@
 """Conformal targets, twist modulation, and weak-limit diagnostics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from latmech.energy import LatticeMap, domain_energy
 from latmech.mechanisms import _twist_contraction_table
 from latmech.softmodes import (
     ConformalTarget,
+    _box_gradients,
     _pchip,
     decay_exponent,
     default_target,
@@ -199,6 +202,55 @@ def test_weak_limit_check_flags_corruption(kagome):
     worse = weak_limit_check([bad], default_target())
     assert worse.cr_residuals[0] > 0.2 > good.cr_residuals[0]
     assert worse.l2_errors[0] > 0.1 > good.l2_errors[0]
+
+
+def _box_gradients_by_masks(lmap, bounds, box_size):
+    """The box fit with one full node mask per box, as a reference."""
+    x0, x1, y0, y1 = bounds
+    refs, vals = lmap.reference_positions, lmap.positions
+    nx = max(int(np.floor((x1 - x0) / box_size)), 1)
+    ny = max(int(np.floor((y1 - y0) / box_size)), 1)
+    grads = []
+    for bi in range(nx):
+        for bj in range(ny):
+            lo = np.array([x0 + bi * box_size, y0 + bj * box_size])
+            hi = np.minimum(lo + box_size, [x1, y1])
+            mask = np.all((refs >= lo) & (refs < hi), axis=1)
+            if int(mask.sum()) < 6:
+                continue
+            X = np.column_stack([refs[mask], np.ones(int(mask.sum()))])
+            coef, *_ = np.linalg.lstsq(X, vals[mask], rcond=None)
+            grads.append(coef[:2].T)
+    return np.asarray(grads)
+
+
+def _assert_box_gradients_match(lmap, bounds, box_size):
+    got = _box_gradients(lmap, bounds, box_size)
+    want = _box_gradients_by_masks(lmap, bounds, box_size)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("denom", [8, 17, 33, 65, 129])
+def test_box_gradients_match_per_box_masks(twist_specs, denom):
+    target = default_target()
+    for spec in twist_specs:
+        lmap = modulate(spec, target, 1 / denom, relax_sweeps=0)
+        _assert_box_gradients_match(lmap, target.domain, float(np.sqrt(lmap.epsilon)))
+
+
+def test_box_gradients_match_per_box_masks_on_box_edges():
+    # nodes exactly on every box edge, the domain's far edges included,
+    # and a few between them
+    x0, x1, y0, y1 = default_target().domain
+    box_size = float(np.sqrt(1 / 17))
+    xs = [x0 + b * box_size for b in range(5)] + [x1, 0.5, 0.7071]
+    ys = [y0 + b * box_size for b in range(5)] + [y1, 0.0, -0.3]
+    xs += [min(x + box_size, x1) for x in xs]
+    ys += [min(y + box_size, y1) for y in ys]
+    refs = np.array([(x, y) for x in xs for y in ys for _ in range(2)])
+    vals = np.random.default_rng(3).standard_normal(refs.shape)
+    lmap = SimpleNamespace(reference_positions=refs, positions=vals)
+    _assert_box_gradients_match(lmap, (x0, x1, y0, y1), box_size)
 
 
 def test_weak_limit_check_validation():
