@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .energy import _check_eta, energy_breakdown, smoothed_energy_grad
+from .energy import _check_eta, _density_objective, energy_breakdown
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
                       cross2, edge_vectors, norms, rotation)
@@ -218,9 +218,11 @@ def estimate_density(
     exact energy of every seed is screened first: the first seed at or
     below 1e-13 short-circuits, with no L-BFGS run (and scipy
     never imported).  Otherwise each seed is polished in turn through the
-    smoothing anneal, by L-BFGS over ``psi`` alone: its objective is the
-    psi-only path of :func:`smoothed_energy_grad` (the energy and its
-    ``psi`` gradient, no ``lam`` gradient).  The reported value is always
+    smoothing anneal, by L-BFGS over ``psi`` alone.  Each anneal stage
+    hands L-BFGS one objective, built once for the stage at its ``tau``:
+    the energy of :func:`~latmech.energy.smoothed_energy_grad` and its
+    ``psi`` gradient (no ``lam`` gradient), with the fixed ``lam @ dx``,
+    constants and buffers made once.  The reported value is always
     the exact step-penalty energy of the best iterate.
     ``solver_trace`` counts the L-BFGS stages that hit the iteration or
     evaluation limit (``unconverged_stages``), keeps the last such
@@ -276,12 +278,8 @@ def estimate_density(
         x = psi0.ravel().copy()
         grad_norm = np.nan
         for tau in anneal:
-            def fun(xv):
-                E, gpsi = smoothed_energy_grad(cell, lam, xv.reshape(n, 2), eta, tau,
-                                               lam_grad=False)
-                return E, gpsi.ravel()
-
-            res = minimize(fun, x, jac=True, method="L-BFGS-B",
+            res = minimize(_density_objective(cell, lam, eta, tau), x, jac=True,
+                           method="L-BFGS-B",
                            options={"maxiter": maxiter, "ftol": 1e-16,
                                     "gtol": 1e-12})
             x = res.x

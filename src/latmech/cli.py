@@ -15,12 +15,10 @@ import argparse
 import csv
 import inspect
 import json
-import multiprocessing
 import os
 import re
 import sys
 import traceback
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -182,13 +180,32 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array(vals).reshape(2, 2)
 
 
-def _parse_ints(text: str):
-    return [int(v) for v in text.split(",")]
+def _parse_ks(text: str):
+    """The ``--k`` supercell sizes, each an integer of at least 1."""
+    out = []
+    for item in text.split(","):
+        try:
+            k = int(item)
+        except ValueError:
+            raise ValueError(f"--k entry {item!r} is not an integer") from None
+        if k < 1:
+            raise ValueError(f"--k entry {item!r} must be at least 1")
+        out.append(k)
+    return out
+
+
+def _check_seed(args) -> None:
+    """Reject a negative ``--seed``, which numpy's generators refuse."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _parse_eps(text: str):
     """The ``--eps`` cell sizes, each a finite positive number in float or
     fraction syntax."""
+    # imported here: only soft-mode reads fractions, and every process imports this module
+    from fractions import Fraction
+
     out = []
     for item in text.split(","):
         try:
@@ -235,6 +252,8 @@ def _jobs(args, n_tasks: int) -> int:
 def _pool_map(fn, payloads, jobs: int):
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    import multiprocessing  # only a parallel run pays for the import
+
     with multiprocessing.get_context("fork").Pool(jobs) as pool:
         return pool.map(fn, payloads)
 
@@ -336,6 +355,7 @@ def _cmd_build(args) -> int:
 def _cmd_energy(args) -> int:
     if not 0 <= args.psi_amp < np.inf:
         raise ValueError(f"--psi-amp must be finite and >= 0, got {args.psi_amp:g}")
+    _check_seed(args)
     spec = _load_spec(args)
     cell = Supercell(spec, args.k)
     lam = _parse_matrix(args.lam) if args.lam else np.eye(2)
@@ -370,8 +390,19 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 
 
 def _cmd_mechanism(args) -> int:
-    if args.dump and os.path.isdir(args.dump):
-        raise ValueError(f"--dump {args.dump!r} is a directory; it names the geometry JSON file")
+    _check_seed(args)
+    if args.dump:
+        if os.path.isdir(args.dump):
+            raise ValueError(f"--dump {args.dump!r} is a directory; "
+                             "it names the geometry JSON file")
+        # made before any certificate, so a dump that cannot land fails at once
+        parent = os.path.dirname(args.dump)
+        if parent:
+            try:
+                os.makedirs(parent, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"--dump {args.dump!r}: cannot make its directory "
+                                 f"{parent!r}: {exc.strerror}") from None
     spec = _load_spec(args)
     rows = []
     last = None
@@ -416,9 +447,10 @@ def _density_task(payload):
 
 
 def _cmd_density_sweep(args) -> int:
+    _check_seed(args)
+    ks = _parse_ks(args.k)
     spec = _load_spec(args)
     lams = lambda_grid(args.grid, rng_seed=args.seed)
-    ks = _parse_ints(args.k)
     spec_json = spec.to_json()
     payloads = [(spec_json, lam.tolist(), args.eta, k, args.restarts, args.seed)
                 for lam in lams for k in ks]
@@ -466,6 +498,7 @@ def _cmd_density_sweep(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     # checked on every run, so a bad --eta never passes unread
     _check_eta(args.eta)
+    _check_seed(args)
     spec = _load_spec(args)
     reports = verify_jensen_bounds(spec, n_trials=args.trials,
                                    k_max=args.k_max, rng_seed=args.seed)

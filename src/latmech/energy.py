@@ -22,6 +22,7 @@ their sum over all cells compactly contained in a polygonal domain.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -157,105 +158,192 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _energy_grad(cell: Supercell, lam, psi, springs: bool, penalty=None, lam_grad=True):
-    """Energy with gradients in ``lam`` and ``psi`` of the spring classes
-    (when ``springs``), then of the penalized triangles (when ``penalty``
-    maps their ``det(grad u)`` ``(nt, k*k)`` to per-class energies and the
-    derivative in ``det``, or to ``None`` for an infinite energy).
+def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None, pad: int = 0):
+    """The energy and gradients of the spring classes (when ``springs``),
+    then of the penalized triangles (when ``penalty`` maps their
+    ``det(grad u)`` ``(nt, k*k)`` to per-class energies and the derivative
+    in ``det``, or to ``None`` for an infinite energy), as a function
+    ``f(z, lam) -> (E, glam, gz)`` of the flat ``psi`` vector ``z``
+    ``(2 n,)``.
 
-    One gather over the classes of ``cell.edges`` needed, one value buffer
-    filled in the order of ``cell.scatter`` and one ``bincount``: totals
-    run class by class and the scatter in stream order, as ``+=`` and
-    ``np.add.at`` loops over the classes would.  Returns ``(E, glam,
-    gpsi)``; without ``lam_grad`` the ``lam`` gradient is never formed and
-    it returns ``(E, gpsi)``, with the same bits in both.  The operations
-    are those of ``np.linalg.norm(axis=2)``, ``np.sum`` and
+    Everything that does not depend on ``z`` is built here once: the
+    slices of ``cell.gather`` and ``cell.scatter``, the constants of the
+    springs and the buffers.  With a fixed ``lam`` the products
+    ``lam @ dx`` are formed once too, ``f`` ignores its ``lam`` and
+    returns ``glam = None``; otherwise ``f`` takes ``lam`` on every call.
+    The ``psi`` gradient ``gz`` ``(2 n + pad,)`` holds component ``c`` of
+    slot ``s`` at ``2 s + c + pad`` (its first ``pad`` entries are zero)
+    and is a new array on every call.
+
+    One gather of the needed edge classes, one value buffer filled in the
+    order of ``cell.scatter`` and one ``bincount``: totals run class by
+    class and the scatter in stream order, as ``+=`` and ``np.add.at``
+    loops over the classes would.  The operations are those of
+    ``np.linalg.norm(axis=2)``, ``np.sum`` and
     :func:`~latmech.lattice.cross2`, spelled out to save the calls.
     """
     ns, nt, kk = len(cell.spring_rest), len(cell.tri_area), cell.k * cell.k
     n_s, n_t = (ns if springs else 0), (nt if penalty else 0)
-    tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
-    d = edge_vectors(lam, psi, tail, head, dx)
-    E = np.empty(n_s + n_t)
-    glam = np.empty((n_s + n_t, 2, 2)) if lam_grad else None
+    tail, head = cell.gather[:, ns - n_s:ns + 2 * n_t]
+    dx = cell.edges.dx[ns - n_s:ns + 2 * n_t]
     bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
+    if pad:
+        bins = bins + pad
+    size = 2 * cell.n_nodes + pad
+    fixed = lam is not None
+    if fixed:
+        # matmul over stacked columns gives the bits of ``lam @ dx`` class by class
+        ldx = np.matmul(lam, dx[:, :, None])[:, None, :, 0]
+    # a leading zero row makes the totals the ordered sums of the terms
+    E = np.zeros(1 + n_s + n_t)
+    glam = None if fixed else np.zeros((1 + n_s + n_t, 2, 2))
     values = np.empty(len(bins))
+    v_s = values[:4 * n_s * kk].reshape(n_s, 2, kk, 2)    # head, tail
+    v_t = values[4 * n_s * kk:].reshape(n_t, 3, kk, 2)    # P1, P2, P0
+    rest = cell.spring_rest[:, None]
+    twice_k = 2.0 * cell.spring_stiffness[:, None]
+    cross0 = cell.tri_cross0[:, None]
 
-    if springs:
-        sx, sy = d[:ns, :, 0], d[:ns, :, 1]
-        lengths = np.sqrt(sx * sx + sy * sy)
-        rest = cell.spring_rest[:, None]
-        stiffness = cell.spring_stiffness[:, None]
-        np.multiply(cell.spring_stiffness, np.add.reduce((lengths - rest) ** 2, axis=1),
-                    out=E[:ns])
-        coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
-        v = values[:4 * ns * kk].reshape(ns, 2, kk, 2)    # head, tail
-        g = np.multiply(coeff[:, :, None], d[:ns], out=v[:, 0])
-        np.negative(g, out=v[:, 1])
-        if lam_grad:
-            np.multiply(np.add.reduce(g, axis=1)[:, :, None], dx[:ns, None, :],
-                        out=glam[:ns])
+    def f(z, lam):
+        d = z[head] - z[tail] + (ldx if fixed else np.matmul(lam, dx[:, :, None])[:, None, :, 0])
+        if springs:
+            sx, sy = d[:ns, :, 0], d[:ns, :, 1]
+            lengths = np.sqrt(sx * sx + sy * sy)
+            np.multiply(cell.spring_stiffness, np.add.reduce((lengths - rest) ** 2, axis=1),
+                        out=E[1:1 + ns])
+            coeff = twice_k * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
+            g = np.multiply(coeff[:, :, None], d[:ns], out=v_s[:, 0])
+            np.negative(g, out=v_s[:, 1])
+            if not fixed:
+                np.multiply(np.add.reduce(g, axis=1)[:, :, None], dx[:ns, None, :],
+                            out=glam[1:1 + ns])
 
-    if penalty:
-        d1, d2 = d[n_s:n_s + nt], d[n_s + nt:]
-        det = (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / cell.tri_cross0[:, None]
-        terms = penalty(det)
-        if terms is None:
-            gpsi = np.zeros_like(psi)
-            return (np.inf, np.zeros((2, 2)), gpsi) if lam_grad else (np.inf, gpsi)
-        E[n_s:], dE_ddet = terms
-        dE_dcross = (dE_ddet / cell.tri_cross0[:, None])[:, :, None]
-        v = values[4 * n_s * kk:].reshape(nt, 3, kk, 2)   # P1, P2, P0
-        # dE_dcross * (d2y, -d2x) and dE_dcross * (-d1y, d1x); negation is exact
-        g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v[:, 0])
-        g2 = np.multiply(dE_dcross, d1[..., ::-1], out=v[:, 1])
-        np.negative(g1[..., 1], out=g1[..., 1])
-        np.negative(g2[..., 0], out=g2[..., 0])
-        np.negative(np.add(g1, g2, out=v[:, 2]), out=v[:, 2])
-        if lam_grad:
-            np.add(np.add.reduce(g1, axis=1)[:, :, None] * dx[n_s:n_s + nt, None, :],
-                   np.add.reduce(g2, axis=1)[:, :, None] * dx[n_s + nt:, None, :],
-                   out=glam[n_s:])
+        if penalty:
+            d1, d2 = d[n_s:n_s + nt], d[n_s + nt:]
+            terms = penalty((d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / cross0)
+            if terms is None:
+                return np.inf, (None if fixed else np.zeros((2, 2))), np.zeros(size)
+            E[1 + n_s:], dE_ddet = terms
+            dE_dcross = (dE_ddet / cross0)[:, :, None]
+            # dE_dcross * (d2y, -d2x) and dE_dcross * (-d1y, d1x); negation is exact
+            g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v_t[:, 0])
+            g2 = np.multiply(dE_dcross, d1[..., ::-1], out=v_t[:, 1])
+            np.negative(g1[..., 1], out=g1[..., 1])
+            np.negative(g2[..., 0], out=g2[..., 0])
+            np.negative(np.add(g1, g2, out=v_t[:, 2]), out=v_t[:, 2])
+            if not fixed:
+                np.add(np.add.reduce(g1, axis=1)[:, :, None] * dx[n_s:n_s + nt, None, :],
+                       np.add.reduce(g2, axis=1)[:, :, None] * dx[n_s + nt:, None, :],
+                       out=glam[1 + n_s:])
 
-    total = float(ordered_sum(E))
-    gpsi = np.bincount(bins, values, minlength=2 * len(psi)).reshape(-1, 2)
-    return (total, ordered_sum(glam), gpsi) if lam_grad else (total, gpsi)
+        return (float(np.add.accumulate(E)[-1]),
+                None if fixed else np.add.accumulate(glam)[-1],
+                np.bincount(bins, values, minlength=size))
+
+    return f
+
+
+def _smoothed(cell: Supercell, eta: float, tau: float):
+    """The sigmoid-smoothed orientation penalty of :func:`_kernel` at ``(eta, tau)``."""
+    from scipy.special import expit
+
+    unit = cell.tri_area / eta
+    slope = -(cell.tri_area / (eta * tau))[:, None]
+
+    def penalty(det):
+        sig = expit(-det / tau)
+        return unit * np.add.reduce(sig, axis=1), slope * sig * (1.0 - sig)
+
+    return penalty
+
+
+def _barrier(mu: float):
+    """The log-barrier of :func:`_kernel` at ``mu``: ``None`` unless every
+    orientation is positive."""
+    def penalty(det):
+        if np.any(det <= 0):
+            return None
+        return -mu * np.add.reduce(np.log(det), axis=1), -mu / det
+
+    return penalty
+
+
+def _one_shot(kernel, lam, psi):
+    """``(E, glam, gpsi)`` of a variable-``lam`` kernel at one state."""
+    E, glam, g = kernel(np.reshape(psi, -1), lam)
+    return E, glam, g.reshape(-1, 2)
 
 
 def spring_energy_grad(cell: Supercell, lam, psi):
     """The spring energy with gradients in ``lam`` and ``psi``."""
-    return _energy_grad(cell, lam, psi, springs=True)
+    return _one_shot(_kernel(cell, True), lam, psi)
 
 
-def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float, lam_grad=True):
+def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
     """The spring energy plus the sigmoid-smoothed orientation penalty,
-    with gradients ``(E, glam, gpsi)``, or ``(E, gpsi)`` without
-    ``lam_grad`` (the density solve at fixed ``lam``; same bits).
+    with gradients ``(E, glam, gpsi)``.
 
     The smoothed penalty is ``area / eta * expit(-det / tau)``; it tends to
     the exact step as ``tau -> 0`` and exists only to give descent methods
     a usable gradient.  Reported energies must use
     :func:`energy_breakdown` instead.
     """
-    from scipy.special import expit
-
-    def penalty(det):
-        sig = expit(-det / tau)
-        return (cell.tri_area / eta * np.add.reduce(sig, axis=1),
-                -(cell.tri_area / (eta * tau))[:, None] * sig * (1.0 - sig))
-
-    return _energy_grad(cell, lam, psi, springs=True, penalty=penalty, lam_grad=lam_grad)
+    return _one_shot(_kernel(cell, True, _smoothed(cell, eta, tau)), lam, psi)
 
 
 def barrier_grad(cell: Supercell, lam, psi, mu: float):
     """Log-barrier ``-mu * sum log det`` keeping triangle orientations
     positive; returns ``(inf, 0, 0)`` when any orientation is not."""
-    def penalty(det):
-        if np.any(det <= 0):
-            return None
-        return -mu * np.add.reduce(np.log(det), axis=1), -mu / det
+    return _one_shot(_kernel(cell, False, _barrier(mu)), lam, psi)
 
-    return _energy_grad(cell, lam, psi, springs=False, penalty=penalty)
+
+def _density_objective(cell: Supercell, lam, eta: float, tau: float):
+    """The L-BFGS objective ``f(x) -> (E, gx)`` of one anneal stage of the
+    density solve: the smoothed energy of :func:`smoothed_energy_grad` at
+    the fixed ``lam`` and its gradient in the flat ``psi`` vector ``x``
+    ``(2 n,)``, with the bits of that function's ``E`` and ``gpsi``."""
+    kernel = _kernel(cell, True, _smoothed(cell, eta, tau), lam=lam)
+
+    def f(x):
+        E, _, g = kernel(x, None)
+        return E, g
+
+    return f
+
+
+def _search_objective(cell: Supercell, mu: float):
+    """The L-BFGS objective ``f(x) -> (E, gx)`` of one barrier stage of the
+    mechanism search over the packed ``x = (lam.ravel(), psi[1:].ravel())``
+    (the first node pinned at zero): the spring energy plus, when
+    ``mu > 0``, the log-barrier at ``mu``, or ``(inf, 0)`` when that is
+    not finite.
+
+    The two parts are summed apart and then added, energy, ``lam`` and
+    ``psi`` gradient alike, so the bits are those of adding the results
+    of :func:`spring_energy_grad` and :func:`barrier_grad`.
+    """
+    z = np.zeros(2 * cell.n_nodes)
+    # slot s lands at 2 s + c + 2, x's own index for s >= 1; the first
+    # four entries, the pinned slot 0's included, then take the lam gradient
+    springs = _kernel(cell, True, pad=2)
+    barrier = _kernel(cell, False, _barrier(mu), pad=2) if mu > 0 else None
+
+    def f(x):
+        lam = x[:4].reshape(2, 2)
+        z[2:] = x[4:]
+        if barrier is not None:
+            B, gl2, g2 = barrier(z, lam)
+            if not math.isfinite(B):
+                return np.inf, np.zeros_like(x)
+        E, gl, g = springs(z, lam)
+        if barrier is not None:
+            E += B
+            gl = gl + gl2
+            np.add(g, g2, out=g)
+        g[:4] = gl.ravel()
+        return E, g
+
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,17 @@ def _cell_keys(spec: LatticeSpec) -> np.ndarray:
                                        spec.cover_keys.reshape(-1, 3)]))
 
 
+def _components(slots) -> np.ndarray:
+    """The read-only flat ``psi`` indices ``2 * slots + c`` ``slots.shape +
+    (2,)`` of the components ``c = 0, 1``."""
+    # two strided passes; broadcasting against [0, 1] runs a length-2 inner loop
+    out = np.empty(np.shape(slots) + (2,), dtype=np.int64)
+    np.multiply(slots, 2, out=out[..., 0])
+    np.add(out[..., 0], 1, out=out[..., 1])
+    out.setflags(write=False)
+    return out
+
+
 class Supercell:
     """Assembled index arrays for a ``k x k`` periodic tiling of a spec.
 
@@ -548,6 +559,10 @@ class Supercell:
       its head slots then its tail slots, then per penalized triangle
       class its ``P1``, ``P2`` then ``P0`` slots, each over the cells with
       both components interleaved;
+    - ``gather`` ``(2, ns + 2 nt, k*k, 2)``: the same components
+      ``2 * slot + component`` of ``edges.tail`` (``gather[0]``) and
+      ``edges.head`` (``gather[1]``), so a kernel reads its edge ends
+      straight from the flat ``psi`` vector;
     - ``tri_area`` ``(nt,)``: the spec's ``penalized_area``; ``tri_cross0``
       ``(nt,)``: twice that, the cross product of the two reference edges
       (positive);
@@ -562,7 +577,8 @@ class Supercell:
 
     Energies and gradients add these rows up in exactly this order, class
     by class, and scatter into ``psi`` in stream order, which fixes the
-    bits of every result.  The edge layout and the stream are read-only.
+    bits of every result.  The edge layout, the stream and the gather
+    indices are read-only.
     """
 
     def __init__(self, spec: LatticeSpec, k: int):
@@ -601,7 +617,8 @@ class Supercell:
         s0, s1, s2 = tail[ns:ns + nt], head[ns:ns + nt], head[ns + nt:]
         scatter = np.concatenate([np.stack([head[:ns], tail[:ns]], axis=1).ravel(),
                                   np.stack([s1, s2, s0], axis=1).ravel()])
-        self.scatter = _frozen(2 * scatter[:, None] + [0, 1])
+        self.scatter = _components(scatter).ravel()
+        self.gather = _components(np.stack([tail, head]))
         # halving and doubling are exact: twice the spec's area is the cross product
         self.tri_cross0 = 2 * spec.penalized_area
         self.tri_area = spec.penalized_area

@@ -36,8 +36,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .energy import (LatticeMap, barrier_grad, energy_breakdown, spring_energy_grad,
-                     triangle_dets)
+from .energy import LatticeMap, _search_objective, energy_breakdown, triangle_dets
 from .geometry import signed_svd
 from .lattice import (
     DegenerateGeometryError,
@@ -580,7 +579,12 @@ def search_mechanisms(
     Returns every accepted :class:`Mechanism` (exact averaged energy at
     ``eta_ref = 0.1`` at most ``1e-12`` and strictly positive orientations),
     sorted by ``(energy, spring energy, restart index)``.  The first node's
-    ``psi`` is pinned to remove translations.
+    ``psi`` is pinned to remove translations.  Every restart runs the
+    barrier stages ``mu = 1e-2, 1e-4, 1e-6, 0`` by L-BFGS over the packed
+    ``(lam, psi[1:])``; each stage's objective is built once per search
+    (its gather, scatter, constants and buffers) and has the bits of
+    adding :func:`~latmech.energy.spring_energy_grad` and
+    :func:`~latmech.energy.barrier_grad`.
     """
     from scipy.optimize import minimize
 
@@ -588,18 +592,7 @@ def search_mechanisms(
     n = cell.n_nodes
     rng = np.random.default_rng(rng_seed)
 
-    def objective(x, mu):
-        lam, psi = _unpack(x, n)
-        E, gl, gp = spring_energy_grad(cell, lam, psi)
-        if mu > 0:
-            B, gl2, gp2 = barrier_grad(cell, lam, psi, mu)
-            if not np.isfinite(B):
-                return np.inf, np.zeros_like(x)
-            E += B
-            gl = gl + gl2
-            gp = gp + gp2
-        return E, np.concatenate([gl.ravel(), gp[1:].ravel()])
-
+    objectives = [_search_objective(cell, mu) for mu in (1e-2, 1e-4, 1e-6, 0.0)]
     starts = []
     while len(starts) < restarts:
         i = len(starts)
@@ -616,9 +609,9 @@ def search_mechanisms(
     found = []
     for si, x0 in enumerate(starts):
         x = x0
-        for mu in (1e-2, 1e-4, 1e-6, 0.0):
+        for objective in objectives:
             res = minimize(
-                objective, x, args=(mu,), jac=True, method="L-BFGS-B",
+                objective, x, jac=True, method="L-BFGS-B",
                 options={"maxiter": 400, "ftol": 1e-18, "gtol": 1e-14},
             )
             x = res.x

@@ -151,16 +151,22 @@ def test_percolating_rigid_units_solve_without_twist_seed():
 
 def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_squares,
                                                          monkeypatch):
-    stages = []     # the smoothing of every L-BFGS energy evaluation
-    lam_grads = set()
-    real = cellsolver.smoothed_energy_grad
+    stages = []     # the smoothing of every L-BFGS stage built
+    sizes = set()   # (point, gradient) lengths of every energy evaluation
+    real = cellsolver._density_objective
 
-    def counted(cell, lam, psi, eta, tau, lam_grad=True):
+    def counted(cell, lam, eta, tau):
         stages.append(tau)
-        lam_grads.add(lam_grad)
-        return real(cell, lam, psi, eta, tau, lam_grad=lam_grad)
+        f = real(cell, lam, eta, tau)
 
-    monkeypatch.setattr(cellsolver, "smoothed_energy_grad", counted)
+        def evaluate(x):
+            E, g = f(x)
+            sizes.add((len(x), len(g)))
+            return E, g
+
+        return evaluate
+
+    monkeypatch.setattr(cellsolver, "_density_objective", counted)
     # a reachable compression short-circuits on the twist seed before the
     # zero seed is polished: no L-BFGS stage runs
     for spec in (kagome, rotating_squares):
@@ -180,7 +186,10 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
     assert trace["best_seed"] in ("zero", "random0")
     assert trace["iterations"] > 0
     assert sorted(set(stages), reverse=True) == list(cellsolver._ANNEAL)
-    assert lam_grads == {False}     # the solve at fixed lam asks for no lam gradient
+    # one objective per stage and seed, each seed through the whole anneal
+    assert stages == list(cellsolver._ANNEAL) * trace["restarts"]
+    # the solve at fixed lam asks for no lam gradient: psi only, 2 per node
+    assert sizes == {(2 * kagome.n_basic, 2 * kagome.n_basic)}
 
 
 def test_estimate_density_keeps_the_winning_breakdown(kagome, monkeypatch):

@@ -136,6 +136,22 @@ def test_precondition_errors_exit_2(tmp_path):
     (["soft-mode", "--eps", "0,1/8", "--jobs", "2"], "--eps entry '0' must be positive, got 0"),
     (["soft-mode", "--eps", "-1/8"], "--eps entry '-1/8' must be positive, got -0.125"),
     (["soft-mode", "--eps", "1/8,1e-400"], "--eps entry '1e-400' must be positive, got 0"),
+    (["density-sweep", "--grid", "random:1", "--k", "1", "--jobs", "1", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    # named before the grid file is read (this one does not exist)
+    (["density-sweep", "--grid", "file:no-such-grid.json", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["energy", "--psi-amp", "0.1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["mechanism", "--search", "--restarts", "1", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["density-sweep", "--grid", "random:1", "--k", "1,,2", "--jobs", "1"],
+     "--k entry '' is not an integer"),
+    (["density-sweep", "--grid", "random:1", "--k", "1,x", "--jobs", "1"],
+     "--k entry 'x' is not an integer"),
+    (["density-sweep", "--grid", "file:no-such-grid.json", "--k", "2,0"],
+     "--k entry '0' must be at least 1"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -195,7 +211,8 @@ def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert (tmp_path / "FILE").read_text() == "kept"
 
 
-def test_mechanism_dump_into_a_directory_exits_2_before_writing(tmp_path, capsys):
+def test_mechanism_dump_into_a_directory_exits_2_before_writing(tmp_path, capsys,
+                                                              monkeypatch):
     out = tmp_path / "mech.csv"
     assert run(["mechanism", "--theta", "0.4", "--dump", str(tmp_path),
                 "--out", str(out)]) == 2
@@ -203,10 +220,23 @@ def test_mechanism_dump_into_a_directory_exits_2_before_writing(tmp_path, capsys
     assert f"--dump {str(tmp_path)!r} is a directory" in err
     assert "Traceback" not in err
     assert not out.exists()
-    # a dump that fails after the certificates leaves no CSV either
-    assert run(["mechanism", "--theta", "0.4", "--dump", str(tmp_path / "no" / "g.json"),
+    # a dump into a directory that does not exist makes it, as --out does
+    dump = tmp_path / "no" / "g.json"
+    assert run(["mechanism", "--theta", "0.4", "--dump", str(dump), "--out", str(out)]) == 0
+    assert dump.is_file() and out.is_file()
+    out.unlink()
+    # a directory that cannot be made fails before any certificate
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("a certificate was computed")
+
+    monkeypatch.setattr(cli, "twist_admissible_range", no_certificate)
+    monkeypatch.setattr(cli, "twist_mechanism", no_certificate)
+    blocked = tmp_path / "no" / "g.json" / "h.json"
+    assert run(["mechanism", "--theta", "0.4", "--dump", str(blocked),
                 "--out", str(out)]) == 2
-    assert "No such file or directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--dump {str(blocked)!r}: cannot make its directory {str(dump)!r}" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -301,6 +331,28 @@ def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
         f"'--k', '1', '--restarts', '0', '--jobs', '1', "
         f"'--out', {str(tmp_path / 'det_neg.csv')!r}]) == 0",
         "assert 'scipy.optimize' in sys.modules, 'density-sweep polished without L-BFGS'",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_cli_imports_neither_multiprocessing_nor_fractions_until_used(tmp_path):
+    """Every process imports the CLI: the pool and the --eps fractions are
+    imported by the runs that use them only."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        "import latmech.cli as cli",
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported by latmech.cli'",
+        "assert 'fractions' not in sys.modules, 'fractions imported by latmech.cli'",
+        f"assert cli.main(['density-sweep', '--grid', 'iso', '--k', '1', '--jobs', '1', "
+        f"'--out', {str(tmp_path / 'iso.csv')!r}]) == 0",
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported by --jobs 1'",
+        f"assert cli.main(['soft-mode', '--eps', '1/8', '--sweeps', '5', '--jobs', '1', "
+        f"'--out', {str(tmp_path / 'soft.csv')!r}]) == 0",
+        "assert 'fractions' in sys.modules, 'soft-mode read --eps without fractions'",
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported by soft-mode'",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -10,7 +10,9 @@ from latmech.energy import (
     _LEN_FLOOR,
     LatticeMap,
     _cell_window,
+    _density_objective,
     _points_in_polygon,
+    _search_objective,
     barrier_grad,
     check_cell_bounds,
     domain_energy,
@@ -22,7 +24,7 @@ from latmech.energy import (
 )
 from latmech.lattice import (PeriodicDeformation, Supercell, cross2, edge_vectors,
                              ordered_sum, rotation)
-from latmech.mechanisms import twist_mechanism
+from latmech.mechanisms import _pack, _unpack, twist_mechanism
 
 from conftest import random_deformation
 from test_pins import _specs
@@ -284,10 +286,10 @@ def _same_bits(got, want):
 
 
 def _same_psi_bits(got, want):
-    """``(E, gpsi)`` of the psi-only path against a full ``(E, glam, gpsi)``."""
+    """``(E, gx)`` of a density stage objective against a full ``(E, glam, gpsi)``."""
     assert len(got) == 2
     assert float(got[0]).hex() == float(want[0]).hex()
-    assert np.array_equal(got[1], want[2])
+    assert np.array_equal(got[1], want[2].ravel())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -295,8 +297,8 @@ def _same_psi_bits(got, want):
 def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     """The flat edge layout and scatter stream change no bit of the three
     gradient kernels or of ``triangle_dets``, whatever tau, mu or state;
-    the psi-only path of the smoothed energy has the bits of ``E`` and
-    ``gpsi`` of the full kernel and of the reference."""
+    the density stage objective at fixed ``lam`` has the bits of ``E``
+    and ``gpsi`` of the full kernel and of the reference."""
     spec = _specs()[si]
     cell, cases = _bit_cases(spec, k, [si, k])
     dets = {}
@@ -308,13 +310,79 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
             full = smoothed_energy_grad(cell, lam, psi, 0.1, tau)
             ref = _ref_smoothed(cell, lam, psi, 0.1, tau)
             _same_bits(full, ref)
-            psi_only = smoothed_energy_grad(cell, lam, psi, 0.1, tau, lam_grad=False)
+            psi_only = _density_objective(cell, lam, 0.1, tau)(psi.ravel())
             _same_psi_bits(psi_only, full)
             _same_psi_bits(psi_only, ref)
         for mu in (1e-2, 1e-6):
             _same_bits(barrier_grad(cell, lam, psi, mu), _ref_barrier(cell, lam, psi, mu))
     assert (dets["flipped"] < 0).all()
     assert (dets["mild"] > 0).all()
+
+
+def _ref_search(cell, x, mu):
+    """The mechanism search's objective as the sum of the one-shot
+    kernels' results over the packed ``(lam, psi[1:])``."""
+    lam, psi = _unpack(x, cell.n_nodes)
+    E, gl, gp = spring_energy_grad(cell, lam, psi)
+    if mu > 0:
+        B, gl2, gp2 = barrier_grad(cell, lam, psi, mu)
+        if not np.isfinite(B):
+            return np.inf, np.zeros_like(x)
+        E += B
+        gl = gl + gl2
+        gp = gp + gp2
+    return E, np.concatenate([gl.ravel(), gp[1:].ravel()])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("si", range(6))
+def test_search_objective_matches_summed_kernels_bit_for_bit(si, k):
+    """Each barrier stage of the search, mu = 0 included, has the bits of
+    adding the spring and barrier kernels; a reversed triangle gives
+    ``(inf, 0)`` at every mu > 0."""
+    spec = _specs()[si]
+    cell, cases = _bit_cases(spec, k, [si, k, 7])
+    objectives = {mu: _search_objective(cell, mu) for mu in (1e-2, 1e-4, 1e-6, 0.0)}
+    reversed_ = {}
+    for name, lam, psi in cases:
+        x = _pack(lam, psi)
+        reversed_[name] = bool((_ref_triangle_edges(cell, *_unpack(x, cell.n_nodes))[2]
+                                <= 0).any())
+        for mu, f in objectives.items():
+            E, g = f(x)
+            want = _ref_search(cell, x, mu)
+            assert float(E).hex() == float(want[0]).hex()
+            assert np.array_equal(g, want[1])
+            if mu > 0 and reversed_[name]:
+                assert E == np.inf and np.array_equal(g, np.zeros_like(x))
+            else:
+                assert np.isfinite(E)
+    assert reversed_["flipped"] and not reversed_["mild"]
+
+
+def test_stage_objectives_return_a_new_gradient_every_call(kagome):
+    """L-BFGS keeps earlier gradients: a later call must leave them, and
+    the point it was given, as they were."""
+    cell = Supercell(kagome, 2)
+    n = cell.n_nodes
+    rng = np.random.default_rng(21)
+    lam = np.eye(2) + 0.05 * rng.standard_normal((2, 2))
+    # the search's points start with lam near the identity: no triangle reversed
+    stages = [(_density_objective(cell, lam, 0.05, 0.02), np.zeros(2 * n))]
+    stages += [(_search_objective(cell, mu), _pack(np.eye(2), np.zeros((n, 2))))
+               for mu in (1e-4, 0.0)]
+    for f, base in stages:
+        xs = [base + 0.01 * rng.standard_normal(len(base)) for _ in range(3)]
+        kept = [xs[0].copy()]
+        first = f(xs[0])
+        copy = first[1].copy()
+        second = f(xs[1])
+        f(xs[2])
+        assert np.array_equal(first[1], copy)
+        assert np.array_equal(xs[0], kept[0])
+        assert not np.shares_memory(first[1], second[1])
+        assert np.isfinite(first[0]) and not np.array_equal(first[1], second[1])
+        assert float(f(xs[0])[0]).hex() == float(first[0]).hex()
 
 
 def test_scaled_map_matches_periodic_energy(kagome):
