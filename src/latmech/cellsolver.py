@@ -15,8 +15,8 @@ private kernel, ``_jensen_slacks``, evaluates a Jensen bound on a stack
 of trials on one supercell; ``verify_jensen_bounds`` draws its random
 trials one by one, scales the raw draws on stacked arrays and hands them
 to it in stacks, one per supercell size, in chunks of ``_JENSEN_CHUNK``
-node slots (so memory is bounded for any trial count), and each
-single-trial ``jensen_*`` function is that kernel on a stack of one.
+node slots (so memory is bounded for any trial count); the equality
+witness ``jensen_diag_stretch`` is that kernel on a stack of one.
 Every slack keeps the bits of evaluating its trial alone.
 """
 
@@ -500,11 +500,18 @@ def _pos_sq_pow(x) -> np.ndarray:
 
 
 def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.ndarray:
-    """Slacks ``(T,)`` of the Jensen bound ``family`` (``weighted-rest``,
-    ``two-direction``, ``three-direction`` or ``diag-stretch``) on ``T``
-    trials stacked on one supercell: ``lam`` ``(T, 2, 2)``, ``psi``
+    """Slacks ``(T,)`` of the Jensen bound ``family`` on ``T`` trials
+    stacked on one supercell: ``lam`` ``(T, 2, 2)``, ``psi``
     ``(T, n_nodes, 2)``.  ``frame`` is the spec's marker direction frame
     ``(e_b, e_r)``; ``diag-stretch`` does not read it.
+
+    A slack is the marker average of ``(|b~|-1)^2 + (|r~|-1)^2`` less
+    ``(|lam e|-1)_+^2`` over ``e = e_b, e_r`` (``two-direction``), with
+    the diagonal entries of ``lam`` for ``|lam e|`` (``diag-stretch``), or
+    adding ``(|r~-b~|-1)^2`` and the unit ``e_r - e_b`` (``three-direction``).
+    ``weighted-rest`` is the smaller over the b and r families of the
+    spring energy average over ``M l_avg`` (``M`` the least stiffness
+    times rest, ``l_avg`` the mean rest) less ``(|lam e|-1)_+^2``.
 
     Each slack has the bits of the same bound evaluated on its trial
     alone: one edge gather per marker family over the stack, the marker
@@ -561,50 +568,15 @@ def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.nda
     return lhs - sum(rhs.T)
 
 
-def _one_trial(family: str, defm: PeriodicDeformation, frame=None) -> float:
-    """:func:`_jensen_slacks` on a stack of the one trial ``defm``."""
-    return float(_jensen_slacks(defm.cell, family, defm.lam[None], defm.psi[None], frame)[0])
-
-
 def jensen_diag_stretch(defm: PeriodicDeformation) -> float:
-    """Slack of the diagonal-stretch bound: marker-averaged
-    ``(|b~|-1)^2 + (|r~|-1)^2`` minus ``(lam1-1)_+^2 + (lam2-1)_+^2``,
-    for diagonal ``lam`` with nonnegative entries (unit rest lengths)."""
+    """The slack of the diagonal-stretch bound (see :func:`_jensen_slacks`)
+    on the one trial ``defm``, whose ``lam`` is diagonal and nonnegative."""
     lam = defm.lam
     if abs(lam[0, 1]) > 1e-12 or abs(lam[1, 0]) > 1e-12:
         raise ValueError("diagonal-stretch bound needs a diagonal lam")
     if lam[0, 0] < 0 or lam[1, 1] < 0:
         raise ValueError("diagonal-stretch bound needs nonnegative entries")
-    return _one_trial("diag-stretch", defm)
-
-
-def jensen_three_direction(defm: PeriodicDeformation) -> float:
-    """Slack of the three-direction bound: marker-triangle spring energy
-    average minus the sum of ``(|lam e_i| - 1)_+^2`` over the three unit
-    lattice directions (b, r, and their difference)."""
-    return _one_trial("three-direction", defm, _marker_direction_frame(defm.spec))
-
-
-def jensen_two_direction(defm: PeriodicDeformation) -> float:
-    """Slack of the two-direction bound: marker-averaged
-    ``(|b~|-1)^2 + (|r~|-1)^2`` minus
-    ``(|lam e_b|-1)_+^2 + (|lam e_r|-1)_+^2``."""
-    return _one_trial("two-direction", defm, _marker_direction_frame(defm.spec))
-
-
-def jensen_weighted_rest(defm: PeriodicDeformation) -> float:
-    """Slack of the rest-length-weighted compression bound for lattices
-    whose marker springs have unequal rest lengths.
-
-    With ``M = min stiffness * rest`` over the marker springs of one
-    family and ``l_avg`` their mean rest length,
-
-        (|lam e| - 1)_+^2 <= (1 / (M l_avg)) * averaged spring energy
-
-    holds per family; the returned slack is the minimum over the b and r
-    families of RHS - LHS.
-    """
-    return _one_trial("weighted-rest", defm, _marker_direction_frame(defm.spec))
+    return float(_jensen_slacks(defm.cell, "diag-stretch", lam[None], defm.psi[None])[0])
 
 
 def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):

@@ -181,8 +181,8 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def _parse_ks(text: str):
-    """The ``--k`` supercell sizes, each an integer of at least 1."""
-    out = []
+    """The ``--k`` supercell sizes: integers of at least 1, none twice."""
+    seen = {}
     for item in text.split(","):
         try:
             k = int(item)
@@ -190,8 +190,11 @@ def _parse_ks(text: str):
             raise ValueError(f"--k entry {item!r} is not an integer") from None
         if k < 1:
             raise ValueError(f"--k entry {item!r} must be at least 1")
-        out.append(k)
-    return out
+        if k in seen:
+            raise ValueError(f"--k entries {seen[k]!r} and {item!r} repeat the "
+                             f"supercell size {k}")
+        seen[k] = item
+    return list(seen)
 
 
 def _check_seed(args) -> None:
@@ -356,6 +359,7 @@ def _cmd_energy(args) -> int:
     if not 0 <= args.psi_amp < np.inf:
         raise ValueError(f"--psi-amp must be finite and >= 0, got {args.psi_amp:g}")
     _check_seed(args)
+    _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     spec = _load_spec(args)
     cell = Supercell(spec, args.k)
     lam = _parse_matrix(args.lam) if args.lam else np.eye(2)
@@ -391,6 +395,7 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 
 def _cmd_mechanism(args) -> int:
     _check_seed(args)
+    _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     if args.dump:
         if os.path.isdir(args.dump):
             raise ValueError(f"--dump {args.dump!r} is a directory; "

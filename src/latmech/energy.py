@@ -16,7 +16,7 @@ breakdown sum to the totals exactly -- the totals are *defined* as sums of
 the exposed per-part arrays.
 
 The module also evaluates energies of deformations given directly as nodal
-maps on an ``epsilon``-scaled lattice: single-cell scaled energies and
+maps on an ``epsilon``-scaled lattice: the scaled energy of each cell and
 their sum over all cells compactly contained in a polygonal domain.
 """
 
@@ -36,12 +36,9 @@ from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, c
 __all__ = [
     "EnergyBreakdown",
     "energy_breakdown",
-    "spring_energy_grad",
     "smoothed_energy_grad",
-    "barrier_grad",
     "triangle_dets",
     "LatticeMap",
-    "scaled_cell_energy",
     "DomainEnergyReport",
     "domain_energy",
     "CellBoundsReport",
@@ -258,25 +255,14 @@ def _smoothed(cell: Supercell, eta: float, tau: float):
 
 
 def _barrier(mu: float):
-    """The log-barrier of :func:`_kernel` at ``mu``: ``None`` unless every
-    orientation is positive."""
+    """The log-barrier ``-mu * sum log det`` of :func:`_kernel` at ``mu``:
+    ``None`` unless every orientation is positive."""
     def penalty(det):
         if np.any(det <= 0):
             return None
         return -mu * np.add.reduce(np.log(det), axis=1), -mu / det
 
     return penalty
-
-
-def _one_shot(kernel, lam, psi):
-    """``(E, glam, gpsi)`` of a variable-``lam`` kernel at one state."""
-    E, glam, g = kernel(np.reshape(psi, -1), lam)
-    return E, glam, g.reshape(-1, 2)
-
-
-def spring_energy_grad(cell: Supercell, lam, psi):
-    """The spring energy with gradients in ``lam`` and ``psi``."""
-    return _one_shot(_kernel(cell, True), lam, psi)
 
 
 def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
@@ -288,13 +274,8 @@ def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
     a usable gradient.  Reported energies must use
     :func:`energy_breakdown` instead.
     """
-    return _one_shot(_kernel(cell, True, _smoothed(cell, eta, tau)), lam, psi)
-
-
-def barrier_grad(cell: Supercell, lam, psi, mu: float):
-    """Log-barrier ``-mu * sum log det`` keeping triangle orientations
-    positive; returns ``(inf, 0, 0)`` when any orientation is not."""
-    return _one_shot(_kernel(cell, False, _barrier(mu)), lam, psi)
+    E, glam, g = _kernel(cell, True, _smoothed(cell, eta, tau))(np.reshape(psi, -1), lam)
+    return E, glam, g.reshape(-1, 2)
 
 
 def _density_objective(cell: Supercell, lam, eta: float, tau: float):
@@ -320,7 +301,7 @@ def _search_objective(cell: Supercell, mu: float):
 
     The two parts are summed apart and then added, energy, ``lam`` and
     ``psi`` gradient alike, so the bits are those of adding the results
-    of :func:`spring_energy_grad` and :func:`barrier_grad`.
+    of the variable-``lam`` spring and barrier kernels at one state.
     """
     z = np.zeros(2 * cell.n_nodes)
     # slot s lands at 2 s + c + 2, x's own index for s >= 1; the first
@@ -500,14 +481,6 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
     penalty = np.where(cross_def / cross_ref[:, None] <= 0,
                        (eps * eps * spec.penalized_area / eta)[:, None], 0.0)
     return ordered_sum(np.concatenate([springs, penalty]))
-
-
-def scaled_cell_energy(lmap: LatticeMap, eta: float, cell=(0, 0)) -> float:
-    """Scaled energy of one cell: springs at rest ``eps * rest`` plus the
-    orientation penalty weighted by ``eps^2`` times reference areas."""
-    _check_eta(eta)
-    i, j = cell
-    return float(_cell_energies(lmap, eta, np.array([i]), np.array([j]))[0])
 
 
 # -- polygon helpers ---------------------------------------------------------

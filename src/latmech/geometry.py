@@ -31,7 +31,6 @@ __all__ = [
     "principal_stretches",
     "StretchData",
     "signed_svd",
-    "isotropy_defect",
     "lower_bracket",
     "ScalarInequalityReport",
     "scalar_inequality_report",
@@ -126,12 +125,6 @@ def principal_stretches(lam):
     sigma2 = 0.5 * np.abs(P - M)
     det_sign = np.where(a * d - b * c >= 0, 1.0, -1.0)
     return sigma1, sigma2, det_sign
-
-
-def isotropy_defect(lam) -> float:
-    """``sigma1 - sigma2``; zero exactly on scalar multiples of rotations."""
-    s1, s2, _ = principal_stretches(lam)
-    return s1 - s2
 
 
 @dataclass

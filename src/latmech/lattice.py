@@ -594,10 +594,6 @@ class Supercell:
 
         ci = np.repeat(np.arange(k), k)
         cj = np.tile(np.arange(k), k)
-        shifts = ci[:, None] * spec.v1 + cj[:, None] * spec.v2
-        self.ref_positions = (
-            spec.basic_nodes[:, None, :] + shifts[None, :, :]
-        ).reshape(self.n_nodes, 2)
 
         def slots(key):
             return self.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj)
@@ -670,10 +666,6 @@ class PeriodicDeformation:
         x = self.spec.node_positions(keys)
         return (np.matmul(self.lam, x[..., None])[..., 0]
                 + self.psi[self.cell.slot(keys[..., 0], keys[..., 1], keys[..., 2])])
-
-    def node_values(self) -> np.ndarray:
-        """Deformed positions of all canonical supercell nodes."""
-        return self.cell.ref_positions @ self.lam.T + self.psi
 
     def translate(self, shift) -> "PeriodicDeformation":
         return PeriodicDeformation(self.cell, self.lam, self.psi + np.asarray(shift))

@@ -64,7 +64,6 @@ __all__ = [
     "twist_mechanism",
     "twist_admissible_range",
     "search_mechanisms",
-    "mechanism_tangent_rank",
     "domain_wall_angles",
     "DomainWall",
     "domain_wall_mechanism",
@@ -583,8 +582,8 @@ def search_mechanisms(
     barrier stages ``mu = 1e-2, 1e-4, 1e-6, 0`` by L-BFGS over the packed
     ``(lam, psi[1:])``; each stage's objective is built once per search
     (its gather, scatter, constants and buffers) and has the bits of
-    adding :func:`~latmech.energy.spring_energy_grad` and
-    :func:`~latmech.energy.barrier_grad`.
+    adding the spring and barrier energies and gradients at the same
+    state (see :func:`~latmech.energy._search_objective`).
     """
     from scipy.optimize import minimize
 
@@ -624,31 +623,6 @@ def search_mechanisms(
                           Mechanism("searched", {"restart": si, "k": k}, defm, cert)))
     found.sort(key=lambda rec: rec[:3])
     return [rec[3] for rec in found]
-
-
-def mechanism_tangent_rank(spec: LatticeSpec, k: int):
-    """Dimension of the first-order mechanism space at the reference state.
-
-    Linearizes all spring-length constraints in ``(lam, psi)`` and returns
-    ``(raw, quotiented)``: the raw kernel dimension and the dimension after
-    removing the three-parameter trivial family (two translations and the
-    rotation tangent, which lives in the skew part of ``lam``).
-    """
-    cell = Supercell(spec, k)
-    kk = cell.k * cell.k
-    tail, head, dx = cell.spring_edges
-    u = dx / np.linalg.norm(dx, axis=1, keepdims=True)
-    # one row per spring instance, class by class, cells in order
-    J = np.zeros((len(dx) * kk, 4 + 2 * cell.n_nodes))
-    J[:, :4] = np.repeat((u[:, :, None] * dx[:, None, :]).reshape(-1, 4), kk, axis=0)
-    rows = np.arange(len(J))[:, None]
-    u_rows = np.repeat(u, kk, axis=0)
-    np.add.at(J, (rows, 4 + 2 * head.reshape(-1, 1) + [0, 1]), u_rows)
-    np.add.at(J, (rows, 4 + 2 * tail.reshape(-1, 1) + [0, 1]), -u_rows)
-    sv = np.linalg.svd(J, compute_uv=False)
-    rank = int(np.sum(sv > 1e-9 * sv[0]))
-    raw = J.shape[1] - rank
-    return raw, raw - 3
 
 
 # ---------------------------------------------------------------------------

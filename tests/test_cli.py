@@ -58,7 +58,7 @@ def test_precondition_errors_exit_2(tmp_path):
     (["domain-wall", "--theta1", "2.3", "--strip", "--half-width", "0"], "got 0 and 4"),
     (["domain-wall", "--theta1", "2.3", "--strip", "--rows", "0"], "got 15 and 0"),
     (["mechanism", "--grid-points", "0"], "--grid-points must be at least 1, got 0"),
-    (["mechanism", "--k", "0"], "supercell size must be >= 1, got 0"),
+    (["mechanism", "--k", "0"], "--k entry '0' must be at least 1"),
     (["inequalities", "--lam-step", "0"], "lam_step must be positive, got 0"),
     (["soft-mode", "--sweeps", "-3", "--jobs", "1"], "relax_sweeps must be >= 0, got -3"),
     (["density-sweep", "--restarts", "-1", "--jobs", "1"], "restarts must be >= 0, got -1"),
@@ -152,13 +152,25 @@ def test_precondition_errors_exit_2(tmp_path):
      "--k entry 'x' is not an integer"),
     (["density-sweep", "--grid", "file:no-such-grid.json", "--k", "2,0"],
      "--k entry '0' must be at least 1"),
+    (["density-sweep", "--grid", "random:1", "--k", "1,1", "--jobs", "1"],
+     "--k entries '1' and '1' repeat the supercell size 1"),
+    (["density-sweep", "--grid", "file:no-such-grid.json", "--k", "2,1,02"],
+     "--k entries '2' and '02' repeat the supercell size 2"),
+    (["energy", "--k", "0"], "--k entry '0' must be at least 1"),
+    (["energy", "--k", "-2", "--psi-amp", "0.1"], "--k entry '-2' must be at least 1"),
+    (["mechanism", "--k", "0", "--theta", "0.3"], "--k entry '0' must be at least 1"),
+    (["mechanism", "--search", "--restarts", "1", "--k", "0"],
+     "--k entry '0' must be at least 1"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
     assert run(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert named in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    # no result printed before the error, except the twist range that a
+    # NaN angle's construction fails after
+    assert captured.out == "" or argv == ["mechanism", "--theta", "nan"]
     assert not out.exists()
 
 

@@ -9,17 +9,17 @@ import pytest
 from latmech.energy import (
     _LEN_FLOOR,
     LatticeMap,
+    _barrier,
+    _cell_energies,
     _cell_window,
     _density_objective,
+    _kernel,
     _points_in_polygon,
     _search_objective,
-    barrier_grad,
     check_cell_bounds,
     domain_energy,
     energy_breakdown,
-    scaled_cell_energy,
     smoothed_energy_grad,
-    spring_energy_grad,
     triangle_dets,
 )
 from latmech.lattice import (PeriodicDeformation, Supercell, cross2, edge_vectors,
@@ -27,7 +27,7 @@ from latmech.lattice import (PeriodicDeformation, Supercell, cross2, edge_vector
 from latmech.mechanisms import _pack, _unpack, twist_mechanism
 
 from conftest import random_deformation
-from test_pins import _specs
+from test_pins import _one_shot, _specs
 
 
 def test_reference_state_has_zero_energy(all_specs):
@@ -128,9 +128,10 @@ def test_spring_gradient_matches_finite_differences(kagome):
     cell = Supercell(kagome, 2)
     lam = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
     psi = 0.2 * rng.standard_normal((cell.n_nodes, 2))
-    E, glam, gpsi = spring_energy_grad(cell, lam, psi)
+    springs = _kernel(cell, True)
+    E, glam, gpsi = _one_shot(springs, lam, psi)
     assert E > 0
-    _fd_check(lambda l, p: spring_energy_grad(cell, l, p), lam, psi, glam, gpsi)
+    _fd_check(lambda l, p: _one_shot(springs, l, p), lam, psi, glam, gpsi)
 
 
 def test_smoothed_gradient_matches_finite_differences(rotating_squares):
@@ -148,23 +149,25 @@ def test_smoothed_energy_dominates_springs_near_feasible(kagome):
     the bare spring energy."""
     rng = np.random.default_rng(14)
     cell = Supercell(kagome, 1)
+    springs = _kernel(cell, True)
     for _ in range(20):
         lam = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
         psi = 0.3 * rng.standard_normal((cell.n_nodes, 2))
-        Es, _, _ = spring_energy_grad(cell, lam, psi)
+        Es, _, _ = _one_shot(springs, lam, psi)
         Et, _, _ = smoothed_energy_grad(cell, lam, psi, 0.05, 0.02)
         assert Et >= Es - 1e-12
 
 
 def test_barrier_infeasible_returns_inf(kagome):
     cell = Supercell(kagome, 1)
+    barrier = _kernel(cell, False, _barrier(1e-3))
     # every class reversed, then only the second: pushing the pinch node
     # below the up triangle's base flips it but not the down triangle
     pinched = np.zeros((cell.n_nodes, 2))
     pinched[cell.slot(1, 0, 0)] = (0.0, -1.4)
     for lam, psi in ((np.diag([1.0, -1.0]), np.zeros((cell.n_nodes, 2))),
                      (np.eye(2), pinched)):
-        E, glam, gpsi = barrier_grad(cell, lam, psi, mu=1e-3)
+        E, glam, gpsi = _one_shot(barrier, lam, psi)
         assert np.isinf(E)
         assert np.all(glam == 0) and np.all(gpsi == 0)
     dets = triangle_dets(PeriodicDeformation(cell, np.eye(2), pinched))
@@ -305,7 +308,7 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     for name, lam, psi in cases:
         dets[name] = triangle_dets(PeriodicDeformation(cell, lam, psi))
         assert np.array_equal(dets[name], _ref_triangle_edges(cell, lam, psi)[2])
-        _same_bits(spring_energy_grad(cell, lam, psi), _ref_spring(cell, lam, psi))
+        _same_bits(_one_shot(_kernel(cell, True), lam, psi), _ref_spring(cell, lam, psi))
         for tau in (0.02, 1e-3, 1e-6):
             full = smoothed_energy_grad(cell, lam, psi, 0.1, tau)
             ref = _ref_smoothed(cell, lam, psi, 0.1, tau)
@@ -314,18 +317,19 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
             _same_psi_bits(psi_only, full)
             _same_psi_bits(psi_only, ref)
         for mu in (1e-2, 1e-6):
-            _same_bits(barrier_grad(cell, lam, psi, mu), _ref_barrier(cell, lam, psi, mu))
+            _same_bits(_one_shot(_kernel(cell, False, _barrier(mu)), lam, psi),
+                       _ref_barrier(cell, lam, psi, mu))
     assert (dets["flipped"] < 0).all()
     assert (dets["mild"] > 0).all()
 
 
 def _ref_search(cell, x, mu):
-    """The mechanism search's objective as the sum of the one-shot
-    kernels' results over the packed ``(lam, psi[1:])``."""
+    """The mechanism search's objective as the sum of the variable-``lam``
+    spring and barrier kernels' results over the packed ``(lam, psi[1:])``."""
     lam, psi = _unpack(x, cell.n_nodes)
-    E, gl, gp = spring_energy_grad(cell, lam, psi)
+    E, gl, gp = _one_shot(_kernel(cell, True), lam, psi)
     if mu > 0:
-        B, gl2, gp2 = barrier_grad(cell, lam, psi, mu)
+        B, gl2, gp2 = _one_shot(_kernel(cell, False, _barrier(mu)), lam, psi)
         if not np.isfinite(B):
             return np.inf, np.zeros_like(x)
         E += B
@@ -385,6 +389,11 @@ def test_stage_objectives_return_a_new_gradient_every_call(kagome):
         assert float(f(xs[0])[0]).hex() == float(first[0]).hex()
 
 
+def _one_cell(lmap, cell):
+    """The scaled energy at ``eta = 0.05`` of the one cell ``(i, j)``."""
+    return float(_cell_energies(lmap, 0.05, np.array([cell[0]]), np.array([cell[1]]))[0])
+
+
 def test_scaled_map_matches_periodic_energy(kagome):
     """Sampling u_eps(x) = eps u(x/eps) scales each cell energy by eps^2."""
     rng = np.random.default_rng(15)
@@ -393,7 +402,7 @@ def test_scaled_map_matches_periodic_energy(kagome):
     eps = 0.25
     cells = [(i, j) for i in range(-1, 3) for j in range(-1, 3)]
     lmap = LatticeMap.from_periodic(defm, eps, cells)
-    e_cell = scaled_cell_energy(lmap, 0.05, (0, 0))
+    e_cell = _one_cell(lmap, (0, 0))
     assert e_cell == pytest.approx(eps**2 * bd.total, rel=1e-10)
 
 
@@ -401,7 +410,7 @@ def test_scaled_twist_energy_is_zero(kagome):
     defm = twist_mechanism(kagome, 0.7).deformation
     cells = [(i, j) for i in range(-2, 4) for j in range(-2, 4)]
     lmap = LatticeMap.from_periodic(defm, 0.125, cells)
-    assert scaled_cell_energy(lmap, 0.05, (0, 0)) < 1e-28
+    assert _one_cell(lmap, (0, 0)) < 1e-28
 
 
 def test_domain_energy_containment(kagome):
@@ -543,10 +552,10 @@ def test_missing_node_raises_key_error(kagome):
     holed = LatticeMap(kagome, lmap.epsilon, lmap.keys[kept], lmap.positions[kept])
     assert gone in lmap.values and gone not in holed.values
     with pytest.raises(KeyError, match=r"missing .* needed for cell \(3, 3\)"):
-        scaled_cell_energy(holed, 0.05, (3, 3))
+        _one_cell(holed, (3, 3))
     with pytest.raises(KeyError, match=re.escape(str(gone))):
         domain_energy(holed, L_SHAPE, 0.05)
-    assert scaled_cell_energy(holed, 0.05, (0, 0)) == scaled_cell_energy(lmap, 0.05, (0, 0))
+    assert _one_cell(holed, (0, 0)) == _one_cell(lmap, (0, 0))
 
 
 def test_lattice_map_arrays_and_values_view(kagome):

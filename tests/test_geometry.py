@@ -13,7 +13,6 @@ from latmech.geometry import (
     commutator_direct,
     conformal_check,
     direction_stretch,
-    isotropy_defect,
     lambda_from_averages,
     lower_bracket,
     principal_stretches,
@@ -138,8 +137,11 @@ def test_signed_svd_reconstructs():
 
 
 def test_isotropy_defect():
-    assert abs(float(isotropy_defect(0.7 * _rot(1.2)))) <= 1e-15
-    assert abs(float(isotropy_defect(np.diag([2.0, 1.0]))) - 1.0) <= 1e-14
+    """``sigma1 - sigma2``, the certificates' isotropy defect, is zero on
+    scaled rotations."""
+    for lam, defect, tol in ((0.7 * _rot(1.2), 0.0, 1e-15), (np.diag([2.0, 1.0]), 1.0, 1e-14)):
+        s1, s2, _ = principal_stretches(lam)
+        assert abs(float(s1 - s2) - defect) <= tol
 
 
 def test_lower_bracket_values():

@@ -1,11 +1,14 @@
 """Every top-level import of a ``latmech`` module is used, every public
-name is read somewhere, and every defaulted parameter is set by some call.
+name feeds a command, a demo, the bench or an acceptance criterion, and
+every defaulted parameter is set by some call.
 
 The project depends on no lint tool, so this parses each module (the
 package ``__init__``, which re-exports, aside) and fails on an imported
 name that the module never reads.  It also parses the package, the
-tests, the demos and the bench, and fails on a name in a module's
-``__all__`` that none of them reads, and on a defaulted parameter of a
+demos, the bench and the acceptance tests, and fails on a name in a
+module's ``__all__`` that none of them reads (a few references that the
+unit tests check against aside, each listed with its reason).  It
+parses the unit tests too, and fails on a defaulted parameter of a
 ``latmech`` function that no call passes: an option with one value in
 use is a constant.
 """
@@ -20,6 +23,18 @@ SRC = ROOT / "src" / "latmech"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CALLERS = sorted(p for d in ("src/latmech", "tests", "demos", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
+# what a user runs or an acceptance criterion reads; the unit tests are not among them
+READERS = sorted(p for d in ("src/latmech", "demos", "perfbench")
+                 for p in (ROOT / d).rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+# public names that only unit tests read, kept as independent references
+UNIT_TEST_REFERENCES = {
+    "commutator_direct": "the commutator as a matrix product, which checks its closed form",
+    "direction_stretch": "the stretch along one direction, which checks the vectorized "
+                         "slacks of the scalar inequalities",
+    "lambda_from_averages": "the affine part recovered from the marker averages, which "
+                            "checks the averaging identity",
+}
 
 
 def _unused_imports(tree) -> list:
@@ -83,7 +98,9 @@ def _unread(public, trees) -> list:
 def test_every_public_name_is_read():
     public = [name for path in MODULES for name in _public_names(ast.parse(path.read_text()))]
     assert len(public) > 50
-    assert _unread(public, (ast.parse(path.read_text(), str(path)) for path in CALLERS)) == []
+    # equal, not a subset: a reference that a reader comes to read leaves the list
+    assert (_unread(public, (ast.parse(path.read_text(), str(path)) for path in READERS))
+            == sorted(UNIT_TEST_REFERENCES))
 
 
 def test_unread_public_name_is_caught():
@@ -95,6 +112,11 @@ def test_unread_public_name_is_caught():
                      "obj.h = 1\n"
                      "f()\n")
     assert _unread(_public_names(tree), [tree]) == ["g", "h"]
+    # a unit test that reads them would clear both, so a name that only a
+    # unit test reads is caught because the readers hold no unit test
+    unit_test = ast.parse("assert g.attr == h()\n")
+    assert _unread(_public_names(tree), [tree, unit_test]) == []
+    assert [p.name for p in READERS if p.parent.name == "tests"] == ["test_acceptance.py"]
 
 
 def _defaulted(tree) -> list:

@@ -267,7 +267,6 @@ def test_supercell_slots(kagome):
     for node in range(kagome.n_basic):
         assert cell.slot(node, 3, 3) == cell.slot(node, 0, 0)
         assert cell.slot(node, -1, 2) == cell.slot(node, 2, 2)
-    assert cell.ref_positions.shape == (cell.n_nodes, 2)
 
 
 def test_supercell_flat_layouts_are_read_only(kagome):
@@ -284,7 +283,10 @@ def test_zero_deformation_is_reference(rotating_squares):
     cell = Supercell(rotating_squares, 2)
     defm = cell.zero_deformation()
     assert np.allclose(defm.lam, np.eye(2))
-    assert np.allclose(defm.node_values(), cell.ref_positions)
+    assert not defm.psi.any()
+    # every node in every cell of the supercell sits at its reference position
+    keys = np.indices((rotating_squares.n_basic, 2, 2)).reshape(3, -1).T
+    assert np.array_equal(defm.node_positions(keys), rotating_squares.node_positions(keys))
 
 
 def test_deformation_evaluate_and_ops(kagome):

@@ -17,7 +17,6 @@ from latmech.mechanisms import (
     certify,
     domain_wall_angles,
     domain_wall_mechanism,
-    mechanism_tangent_rank,
     rigid_units,
     search_mechanisms,
     twist_admissible_range,
@@ -232,18 +231,6 @@ def test_search_finds_mechanisms(kagome):
         assert mech.certificate.sigma1 <= 1 + 1e-8
     energies = [m.certificate.energy for m in hits]
     assert energies == sorted(energies)
-
-
-# ---------------------------------------------------------------------------
-# first-order mechanism space dimensions
-# ---------------------------------------------------------------------------
-
-
-def test_tangent_ranks(kagome, rotating_squares):
-    assert mechanism_tangent_rank(kagome, 1) == (4, 1)
-    assert mechanism_tangent_rank(kagome, 2) == (7, 4)
-    assert mechanism_tangent_rank(rotating_squares, 1) == (4, 1)
-    assert mechanism_tangent_rank(rotating_squares, 2) == (4, 1)
 
 
 # ---------------------------------------------------------------------------
