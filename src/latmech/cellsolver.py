@@ -31,7 +31,7 @@ import numpy as np
 from .energy import _check_eta, _density_objective, energy_breakdown
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
-                      cross2, edge_vectors, norms, rotation)
+                      cross2, norms, rotation)
 from .mechanisms import MechanismError, _twist_contraction_table, _twist_field
 
 __all__ = [
@@ -47,7 +47,8 @@ __all__ = [
     "sandwich_report",
 ]
 
-_ANNEAL = (0.05, 0.02, 0.008, 0.003)
+_ANNEAL = (0.05, 0.02, 0.008, 0.003)   # smoothing widths tau of the L-BFGS stages
+_MAXITER = 300          # L-BFGS iterations per anneal stage
 _SHORT_TOL = 1e-13      # an exact energy density at or below this is a zero
 _JENSEN_CHUNK = 1 << 14  # psi node slots of the Jensen trials stacked at once
 
@@ -72,8 +73,7 @@ class DensityEstimate:
     solver_trace: dict = field(default_factory=dict)
 
 
-def _invert_contraction(spec: LatticeSpec, c: float,
-                        trace: Optional[dict] = None) -> float:
+def _invert_contraction(spec: LatticeSpec, c: float, trace: dict) -> float:
     """The twist angle whose contraction equals ``c``, to root-finder
     precision (``c`` is clipped into the reachable interval).
 
@@ -99,8 +99,7 @@ def _invert_contraction(spec: LatticeSpec, c: float,
     gap_hi = gap(hi) if hi != lo else gap_lo
     if gap_lo * gap_hi > 0:
         theta, residual = (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
-        if trace is not None:
-            trace["twist_bracket_gap"] = float(residual)
+        trace["twist_bracket_gap"] = float(residual)
         return theta
     return _brentq(gap, lo, gap_lo, hi, gap_hi, xtol=1e-14)
 
@@ -171,7 +170,7 @@ def _brentq(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
 
 
 def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
-                trace: Optional[dict] = None) -> Optional[PeriodicDeformation]:
+                trace: dict) -> Optional[PeriodicDeformation]:
     """The twist field whose contraction matches ``lam``, rotated so its
     affine part aligns with the polar rotation of ``lam``.  Returns
     ``None`` when ``lam`` is nowhere near a reachable isotropic
@@ -208,8 +207,6 @@ def estimate_density(
     k: int = 1,
     restarts: int = 6,
     rng_seed: int = 0,
-    anneal: Sequence[float] = _ANNEAL,
-    maxiter: int = 300,
 ) -> DensityEstimate:
     """Upper-bound the effective energy density at fixed ``lam``.
 
@@ -218,8 +215,9 @@ def estimate_density(
     exact energy of every seed is screened first: the first seed at or
     below 1e-13 short-circuits, with no L-BFGS run (and scipy
     never imported).  Otherwise each seed is polished in turn through the
-    smoothing anneal, by L-BFGS over ``psi`` alone.  Each anneal stage
-    hands L-BFGS one objective, built once for the stage at its ``tau``:
+    smoothing anneal, by L-BFGS over ``psi`` alone: one stage per width
+    ``tau`` of ``_ANNEAL``, each capped at ``_MAXITER`` iterations.  Each
+    stage hands L-BFGS one objective, built once for the stage at its ``tau``:
     the energy of :func:`~latmech.energy.smoothed_energy_grad` and its
     ``psi`` gradient (no ``lam`` gradient), with the fixed ``lam @ dx``,
     constants and buffers made once.  The reported value is always
@@ -277,10 +275,10 @@ def estimate_density(
 
         x = psi0.ravel().copy()
         grad_norm = np.nan
-        for tau in anneal:
+        for tau in _ANNEAL:
             res = minimize(_density_objective(cell, lam, eta, tau), x, jac=True,
                            method="L-BFGS-B",
-                           options={"maxiter": maxiter, "ftol": 1e-16,
+                           options={"maxiter": _MAXITER, "ftol": 1e-16,
                                     "gtol": 1e-12})
             x = res.x
             total_iters += int(res.nit)
@@ -396,7 +394,6 @@ def orientation_threshold(spec: LatticeSpec) -> float:
 @dataclass
 class IsotropicBoundReport:
     eta: float
-    c0: float
     ratios: np.ndarray            # averaged energy / (sigma1 - sigma2)^2
     c_fit: float
     n_trials: int
@@ -411,16 +408,16 @@ def verify_isotropic_bound(
     eta: float,
     lams: Iterable,
     k: int = 1,
-    restarts: int = 3,
-    n_random: int = 3,
     rng_seed: int = 0,
 ) -> IsotropicBoundReport:
     """Check the anisotropy lower bound: averaged energy over
     ``(sigma1 - sigma2)^2`` stays above a positive constant.
 
-    Trials per ``lam``: the density-solver minimizer (the hardest field)
-    plus ``n_random`` random perturbations.  Requires ``eta`` at most the
-    orientation threshold ``c0`` of the spec.
+    Trials per ``lam`` (an isotropic ``lam`` is skipped): the minimizer of
+    a three-restart density solve (the hardest field), whose energy is the
+    solve's exact upper bound, plus three random perturbations of
+    amplitude 0.2.  Requires ``eta`` at most the orientation threshold
+    ``c0`` of the spec.
     """
     _check_eta(eta)
     c0 = orientation_threshold(spec)
@@ -437,28 +434,19 @@ def verify_isotropic_bound(
         gap = (sd.sigma1 - sd.sigma2) ** 2
         if gap < 1e-10:
             continue
-        est = estimate_density(spec, lam, eta, k=k, restarts=restarts,
-                               rng_seed=rng_seed)
-        fields = [est.minimizer.psi]
-        fields += [0.2 * rng.standard_normal((cell.n_nodes, 2))
-                   for _ in range(n_random)]
-        for psi in fields:
+        ratios.append(estimate_density(spec, lam, eta, k=k, restarts=3,
+                                       rng_seed=rng_seed).upper / gap)
+        for _ in range(3):
+            psi = 0.2 * rng.standard_normal((cell.n_nodes, 2))
             e = energy_breakdown(PeriodicDeformation(cell, lam, psi), eta).averaged
             ratios.append(e / gap)
     ratios = np.asarray(ratios)
     c_fit = float(ratios.min()) if ratios.size else np.nan
-    return IsotropicBoundReport(eta=eta, c0=c0, ratios=ratios,
-                                c_fit=c_fit, n_trials=int(ratios.size))
+    return IsotropicBoundReport(eta=eta, ratios=ratios, c_fit=c_fit,
+                                n_trials=int(ratios.size))
 
 
 # -- Jensen bounds ----------------------------------------------------------
-
-
-def _marker_arrays(defm: PeriodicDeformation):
-    """Deformed marker vectors, stacked ``(n_markers, k*k, 2)``."""
-    cell = defm.cell
-    return (edge_vectors(defm.lam, defm.psi, *cell.marker_b),
-            edge_vectors(defm.lam, defm.psi, *cell.marker_r))
 
 
 def _marker_direction_frame(spec: LatticeSpec):

@@ -143,7 +143,16 @@ def _load_spec(args) -> LatticeSpec:
         key, _, val = item.partition("=")
         if not _:
             raise ValueError(f"malformed --params entry {item!r}; expected key=value")
-        params[key.strip()] = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            value = None
+        if value is None or not np.isfinite(value):
+            raise ValueError(f"--params entry {item!r} is not a finite number")
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"--params entry {item!r} repeats the key {key!r}")
+        params[key] = value
     if name == "kagome":
         spec = build_kagome()
     elif name in ("rotating-squares", "rs"):
@@ -396,6 +405,8 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 def _cmd_mechanism(args) -> int:
     _check_seed(args)
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
+    if args.theta is not None and not np.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta:g}")
     if args.dump:
         if os.path.isdir(args.dump):
             raise ValueError(f"--dump {args.dump!r} is a directory; "
@@ -453,6 +464,8 @@ def _density_task(payload):
 
 def _cmd_density_sweep(args) -> int:
     _check_seed(args)
+    if args.restarts < 0:
+        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     ks = _parse_ks(args.k)
     spec = _load_spec(args)
     lams = lambda_grid(args.grid, rng_seed=args.seed)
@@ -552,6 +565,8 @@ def _softmode_task(payload):
 
 
 def _cmd_soft_mode(args) -> int:
+    if args.sweeps < 0:
+        raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     spec = _load_spec(args)
     target = default_target()
     eps_list = _parse_eps(args.eps)

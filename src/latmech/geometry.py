@@ -419,20 +419,16 @@ def rigidity_constant(alpha: float = np.pi / 3, n_samples: int = 100000,
 class ConformalFieldReport:
     """Cauchy-Riemann diagnostics of a sampled gradient field.
 
-    ``cr_residual_1`` and ``cr_residual_2`` are the weighted L2 norms of
-    ``g00 - g11`` and ``g01 + g10``; ``max_factor`` is the largest
-    conformal factor ``(sigma1 + sigma2) / 2`` (the modulus of the
-    complex derivative when the field is conformal), ``max_anisotropy``
-    the largest ``sigma1 - sigma2``, and ``fit_residual`` the weighted
-    L2 distance to the best local ``c R`` (scaled-rotation) field.
+    ``cr_residual_1`` and ``cr_residual_2`` are the rms values over the
+    samples of ``g00 - g11`` and ``g01 + g10``; ``max_factor`` is the
+    largest conformal factor ``(sigma1 + det_sign sigma2) / 2`` (the
+    modulus of the best local ``c R`` fit, and of the complex derivative
+    when the field is conformal; compressive means at most 1).
     """
 
     cr_residual_1: float
     cr_residual_2: float
     max_factor: float
-    max_anisotropy: float
-    fit_residual: float
-    compressive: bool
     n_fields: int
 
     @property
@@ -440,31 +436,20 @@ class ConformalFieldReport:
         return float(np.hypot(self.cr_residual_1, self.cr_residual_2))
 
 
-def conformal_check(grads, areas=None, tol: float = 1e-9) -> ConformalFieldReport:
-    """Measure how far a field of 2x2 gradients is from compressive
-    conformal: Cauchy-Riemann residuals, conformal factors, and the
-    residual of the pointwise scaled-rotation fit, all area-weighted."""
+def conformal_check(grads) -> ConformalFieldReport:
+    """Measure how far a field of 2x2 gradients, equally weighted, is from
+    compressive conformal: Cauchy-Riemann residuals and the largest
+    conformal factor."""
     grads = np.asarray(grads, dtype=float).reshape(-1, 2, 2)
     if len(grads) == 0:
         raise ValueError("need at least one gradient sample")
-    if areas is None:
-        w = np.full(len(grads), 1.0 / len(grads))
-    else:
-        w = np.asarray(areas, dtype=float).reshape(-1)
-        if len(w) != len(grads) or (w < 0).any() or w.sum() <= 0:
-            raise ValueError("areas must be nonnegative weights, one per gradient")
-        w = w / w.sum()
+    w = np.full(len(grads), 1.0 / len(grads))
     r1 = grads[:, 0, 0] - grads[:, 1, 1]
     r2 = grads[:, 0, 1] + grads[:, 1, 0]
     s1, s2, det_sign = principal_stretches(grads)
-    factor = 0.5 * (s1 + det_sign * s2)      # modulus of the best cR fit
-    fit2 = 0.5 * (s1 - det_sign * s2) ** 2   # |g - cR|_F^2 at the best fit
     return ConformalFieldReport(
         cr_residual_1=float(np.sqrt(np.sum(w * r1**2))),
         cr_residual_2=float(np.sqrt(np.sum(w * r2**2))),
-        max_factor=float(np.max(factor)),
-        max_anisotropy=float(np.max(s1 - s2)),
-        fit_residual=float(np.sqrt(np.sum(w * fit2))),
-        compressive=bool(np.max(factor) <= 1 + tol),
+        max_factor=float(np.max(0.5 * (s1 + det_sign * s2))),
         n_fields=len(grads),
     )

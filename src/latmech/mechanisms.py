@@ -361,8 +361,8 @@ class MechanismCertificate:
         return self.sigma1 - self.sigma2
 
 
-def certify(defm: PeriodicDeformation, eta_ref: float = _ETA_REF) -> MechanismCertificate:
-    bd = energy_breakdown(defm, eta_ref)
+def certify(defm: PeriodicDeformation) -> MechanismCertificate:
+    bd = energy_breakdown(defm, _ETA_REF)
     cell = defm.cell
     lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.spring_edges), axis=2)
     resid = float(np.max(np.abs(lengths - cell.spring_rest[:, None])))
@@ -370,7 +370,7 @@ def certify(defm: PeriodicDeformation, eta_ref: float = _ETA_REF) -> MechanismCe
     sd = signed_svd(defm.lam)
     return MechanismCertificate(
         energy=bd.averaged,
-        eta_ref=eta_ref,
+        eta_ref=_ETA_REF,
         max_spring_residual=resid,
         min_det=min_det,
         lam=defm.lam.copy(),

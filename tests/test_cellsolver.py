@@ -17,7 +17,6 @@ from latmech.cellsolver import (
     _brentq,
     _invert_contraction,
     _jensen_trials,
-    _marker_arrays,
     _marker_direction_frame,
     _pos_sq_pow,
     _twist_contraction_table,
@@ -63,8 +62,8 @@ def test_failed_twist_bracket_is_reported(kagome, monkeypatch):
     assert _invert_contraction(kagome, 0.7, trace) == fake[0][3]   # the nearer end
     gap = trace["twist_bracket_gap"]
     assert 0.25 < gap < 0.3
-    est = estimate_density(kagome, 0.7 * np.eye(2), 0.05, restarts=0,
-                           anneal=(0.05,))
+    monkeypatch.setattr(cellsolver, "_ANNEAL", (0.05,))
+    est = estimate_density(kagome, 0.7 * np.eye(2), 0.05, restarts=0)
     assert est.solver_trace["twist_bracket_gap"] == gap
 
 
@@ -103,9 +102,9 @@ def test_estimate_density_anisotropic_positive(kagome):
     assert est.upper / est.lower_bracket > 0.01
 
 
-def test_estimate_density_reports_unconverged_stages(kagome):
-    est = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1,
-                           maxiter=1)
+def test_estimate_density_reports_unconverged_stages(kagome, monkeypatch):
+    monkeypatch.setattr(cellsolver, "_MAXITER", 1)
+    est = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1)
     trace = est.solver_trace
     # at most two seeds (zero, one random) times four anneal stages
     assert 0 < trace["unconverged_stages"] <= 2 * 4
@@ -116,14 +115,15 @@ def test_estimate_density_reports_unconverged_stages(kagome):
     assert done.solver_trace["last_unconverged_message"] is None
 
 
-def test_estimate_density_reports_stalled_line_searches_apart(kagome):
+def test_estimate_density_reports_stalled_line_searches_apart(kagome, monkeypatch):
     # at diag(1.2, 0.8) the annealed stages end in an abnormal line
     # search, not at the iteration limit
     trace = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1).solver_trace
     assert trace["stalled_stages"] > 0
     assert trace["unconverged_stages"] == 0
     assert trace["last_unconverged_message"] is None
-    cut = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1, maxiter=1)
+    monkeypatch.setattr(cellsolver, "_MAXITER", 1)
+    cut = estimate_density(kagome, np.diag([1.2, 0.8]), 0.05, k=1, restarts=1)
     assert cut.solver_trace["unconverged_stages"] > 0
     assert cut.solver_trace["stalled_stages"] == 0
 
@@ -136,13 +136,14 @@ def test_estimate_density_normalization_survives_tiling(kagome):
     assert abs(bd.averaged - est.upper) <= 1e-12 * (1 + est.upper)
 
 
-def test_percolating_rigid_units_solve_without_twist_seed():
+def test_percolating_rigid_units_solve_without_twist_seed(monkeypatch):
     spec = LatticeSpec.from_json(percolating_units_json())
     with pytest.raises(DegenerateGeometryError, match="translate of itself"):
         twist_admissible_range(spec)
     lam = np.diag([1.1, 0.9])
-    assert cellsolver._twist_seed(spec, lam, 1) is None
-    est = estimate_density(spec, lam, 0.05, restarts=1, anneal=(0.05,))
+    assert cellsolver._twist_seed(spec, lam, 1, {}) is None
+    monkeypatch.setattr(cellsolver, "_ANNEAL", (0.05,))
+    est = estimate_density(spec, lam, 0.05, restarts=1)
     assert est.solver_trace["restarts"] == 2      # zero and one random seed
     assert np.isfinite(est.upper) and est.upper > 0
     # an identity solve short-circuits on the zero seed, twist or none
@@ -178,7 +179,7 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
     assert stages == []
     # det < 0 has no twist seed: the seeds go through every L-BFGS stage
     lam = np.diag([1.1, -0.8])
-    assert cellsolver._twist_seed(kagome, lam, 1) is None
+    assert cellsolver._twist_seed(kagome, lam, 1, {}) is None
     est = estimate_density(kagome, lam, 0.05, restarts=1)
     trace = est.solver_trace
     assert trace["restarts"] == 2          # zero and one random seed
@@ -213,7 +214,7 @@ def test_estimate_density_keeps_the_winning_breakdown(kagome, monkeypatch):
     assert est.upper == real(est.minimizer, 0.05).averaged
 
 
-def test_estimate_density_solver_trace_is_pinned(kagome):
+def test_estimate_density_solver_trace_is_pinned(kagome, monkeypatch):
     # a twist-seeded solve that short-circuits and an annealed one, whole
     # traces in key order
     short = estimate_density(kagome, 0.8 * _rot(0.3), 0.05, k=2, restarts=2)
@@ -222,8 +223,8 @@ def test_estimate_density_solver_trace_is_pinned(kagome):
         ("best_seed", "twist"), ("short_circuit", True), ("unconverged_stages", 0),
         ("last_unconverged_message", None), ("stalled_stages", 0), ("twist_bracket_gap", None)]
     assert short.upper == float.fromhex("0x1.3a141b9e9364ep-103")
-    annealed = estimate_density(kagome, np.diag([1.15, 0.9]), 0.05, k=1, restarts=1,
-                                anneal=(0.05, 0.008))
+    monkeypatch.setattr(cellsolver, "_ANNEAL", (0.05, 0.008))
+    annealed = estimate_density(kagome, np.diag([1.15, 0.9]), 0.05, k=1, restarts=1)
     assert list(annealed.solver_trace.items()) == [
         ("restarts", 2), ("iterations", 15),
         ("final_grad_norm", float.fromhex("0x1.ab84a957c48b5p-48")),
@@ -268,7 +269,7 @@ def test_brentq_matches_scipy_on_the_contraction_tables(request, spec_name, monk
     monkeypatch.setattr(cellsolver, "_brentq", both)
     cs = _twist_contraction_table(spec)[1]
     for c in np.linspace(cs.min(), 1.0, 200, endpoint=False):
-        _invert_contraction(spec, c)
+        _invert_contraction(spec, c, {})
     assert len(pairs) == 200
     assert all(isinstance(got, str) and got == want for want, got in pairs)
 
@@ -297,7 +298,7 @@ def test_invert_contraction_evaluates_each_twist_once(request, spec_name, monkey
     for c in np.linspace(cs.min(), 1.0, 50, endpoint=False):
         fields.clear()
         brent_values.clear()
-        _invert_contraction(spec, c)
+        _invert_contraction(spec, c, {})
         # the end of the table brackets with a single angle
         ends = 1 if c == cs.min() else 2
         assert len(fields) == ends + len(brent_values)
@@ -399,13 +400,10 @@ def test_orientation_threshold(kagome, rotating_squares):
 
 
 def test_isotropic_bound_small(kagome):
-    rep = verify_isotropic_bound(
-        kagome, 0.05, [np.diag([1.2, 0.8]), np.diag([0.9, 0.7])],
-        restarts=2, n_random=2,
-    )
+    rep = verify_isotropic_bound(kagome, 0.05, [np.diag([1.2, 0.8]), np.diag([0.9, 0.7])])
     assert rep.holds
     assert rep.c_fit > 0
-    assert rep.n_trials == 6              # 2 gradients x (minimizer + 2 random)
+    assert rep.n_trials == 8              # 2 gradients x (minimizer + 3 random)
     assert np.all(rep.ratios >= rep.c_fit)
 
 
@@ -459,6 +457,13 @@ def test_diag_stretch_equality_witness(rotating_squares):
 # -- the per-trial Jensen evaluation that the stacked trials replaced -------
 
 
+def _marker_edges(defm):
+    """Deformed marker vectors ``(b, r)``, each ``(n_markers, k*k, 2)``."""
+    cell = defm.cell
+    return (edge_vectors(defm.lam, defm.psi, *cell.marker_b),
+            edge_vectors(defm.lam, defm.psi, *cell.marker_r))
+
+
 def _ref_direction_slack(edges, stretches) -> float:
     lhs = float(sum(np.mean((np.linalg.norm(e, axis=2) - 1.0) ** 2) for e in edges))
     rhs = float(sum(_pos_sq(s - 1.0) for s in stretches))
@@ -467,21 +472,21 @@ def _ref_direction_slack(edges, stretches) -> float:
 
 def _ref_diag_stretch(defm) -> float:
     lam = defm.lam
-    return _ref_direction_slack(_marker_arrays(defm), (lam[0, 0], lam[1, 1]))
+    return _ref_direction_slack(_marker_edges(defm), (lam[0, 0], lam[1, 1]))
 
 
 def _ref_three_direction(defm) -> float:
     eb, er = _marker_direction_frame(defm.spec)
     e3 = er - eb
     e3 = e3 / np.linalg.norm(e3)
-    bs, rs = _marker_arrays(defm)
+    bs, rs = _marker_edges(defm)
     return _ref_direction_slack((bs, rs, rs - bs),
                                 [np.linalg.norm(defm.lam @ e) for e in (eb, er, e3)])
 
 
 def _ref_two_direction(defm) -> float:
     eb, er = _marker_direction_frame(defm.spec)
-    return _ref_direction_slack(_marker_arrays(defm),
+    return _ref_direction_slack(_marker_edges(defm),
                                 [np.linalg.norm(defm.lam @ e) for e in (eb, er)])
 
 

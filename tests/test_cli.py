@@ -60,8 +60,8 @@ def test_precondition_errors_exit_2(tmp_path):
     (["mechanism", "--grid-points", "0"], "--grid-points must be at least 1, got 0"),
     (["mechanism", "--k", "0"], "--k entry '0' must be at least 1"),
     (["inequalities", "--lam-step", "0"], "lam_step must be positive, got 0"),
-    (["soft-mode", "--sweeps", "-3", "--jobs", "1"], "relax_sweeps must be >= 0, got -3"),
-    (["density-sweep", "--restarts", "-1", "--jobs", "1"], "restarts must be >= 0, got -1"),
+    (["soft-mode", "--sweeps", "-3", "--jobs", "1"], "--sweeps must be >= 0, got -3"),
+    (["density-sweep", "--restarts", "-1", "--jobs", "1"], "--restarts must be >= 0, got -1"),
     (["density-sweep", "--grid", "random:0"], "at least 1 matrix, got 'random:0'"),
     (["mechanism", "--search", "--restarts", "0"], "--restarts must be at least 1, got 0"),
     (["verify-bounds", "--trials", "0"], "trials and k_max must be >= 1, got 0 and 3"),
@@ -97,7 +97,16 @@ def test_precondition_errors_exit_2(tmp_path):
     (["energy", "--psi-amp", "inf"], "--psi-amp must be finite and >= 0, got inf"),
     (["energy", "--lam", "inf,0,0,1"], "matrix entry 'inf' is not finite"),
     (["energy", "--lam", "1,0,0,nan"], "matrix entry 'nan' is not finite"),
-    (["mechanism", "--theta", "nan"], "counter-rotation by nan does not close: misfit nan"),
+    (["mechanism", "--theta", "nan"], "--theta must be finite, got nan"),
+    (["mechanism", "--theta", "inf"], "--theta must be finite, got inf"),
+    (["mechanism", "--theta", "-inf", "--dump", "g.json"], "--theta must be finite, got -inf"),
+    # named before the grid file is read or a pool starts
+    (["density-sweep", "--grid", "file:no-such-grid.json", "--restarts", "-2", "--jobs", "2"],
+     "--restarts must be >= 0, got -2"),
+    (["soft-mode", "--eps", "1/8,1/16", "--sweeps", "-1", "--jobs", "2"],
+     "--sweeps must be >= 0, got -1"),
+    (["soft-mode", "--spec", "no-such-spec", "--sweeps", "-1", "--jobs", "1"],
+     "--sweeps must be >= 0, got -1"),
     (["energy", "--eta", "inf", "--lam", "1,0.2,0,-0.5"],
      "penalty strength eta must be positive, got inf"),
     (["density-sweep", "--grid", "random:1", "--k", "1", "--eta", "inf", "--jobs", "1"],
@@ -168,9 +177,8 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     captured = capsys.readouterr()
     assert named in captured.err
     assert "Traceback" not in captured.err
-    # no result printed before the error, except the twist range that a
-    # NaN angle's construction fails after
-    assert captured.out == "" or argv == ["mechanism", "--theta", "nan"]
+    # no result printed before the error
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -293,13 +301,26 @@ def test_percolating_rigid_units_sweep_but_have_no_twist(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_unknown_variant_param_exits_2(tmp_path, capsys):
-    assert run(["build", "--spec", "rhombus-squares", "--params", "foo=1",
-                "--out", str(tmp_path / "x.json")]) == 2
-    err = capsys.readouterr().err
-    assert "'foo'" in err
-    assert "valid keys: angle, size_ratio, size" in err
-    assert "Traceback" not in err
+@pytest.mark.parametrize("params, named", [
+    ("foo=1", "unknown --params key 'foo' for rhombus-squares; "
+              "valid keys: angle, size_ratio, size"),
+    ("size=nan", "--params entry 'size=nan' is not a finite number"),
+    ("angle=1.1,size_ratio=inf", "--params entry 'size_ratio=inf' is not a finite number"),
+    ("size=-inf", "--params entry 'size=-inf' is not a finite number"),
+    ("angle=abc", "--params entry 'angle=abc' is not a finite number"),
+    ("angle=", "--params entry 'angle=' is not a finite number"),
+    ("angle=1,angle=2", "--params entry 'angle=2' repeats the key 'angle'"),
+    ("angle=1,size=0.75, angle=1", "--params entry ' angle=1' repeats the key 'angle'"),
+])
+def test_bad_variant_params_exit_2(tmp_path, capsys, params, named):
+    out = tmp_path / "x.json"
+    assert run(["build", "--spec", "rhombus-squares", "--params", params,
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
@@ -401,7 +422,7 @@ def test_nan_isotropy_constant_exits_3(tmp_path, monkeypatch, capsys):
     from latmech.cellsolver import IsotropicBoundReport
 
     def nan_fit(spec, eta, lams, k, rng_seed):
-        return IsotropicBoundReport(eta=eta, c0=1.0, ratios=np.array([np.nan]),
+        return IsotropicBoundReport(eta=eta, ratios=np.array([np.nan]),
                                     c_fit=float("nan"), n_trials=1)
 
     monkeypatch.setattr(cli, "verify_isotropic_bound", nan_fit)
@@ -548,8 +569,6 @@ def test_density_sweep_twist_seeded_jobs_determinism(tmp_path):
 
 
 def test_density_sweep_reports_solver_trouble(tmp_path, capsys, monkeypatch):
-    import functools
-
     import latmech.cellsolver as cellsolver
 
     lams = [0.7 * np.eye(2), np.eye(2), np.diag([1.2, 0.8])]
@@ -564,8 +583,7 @@ def test_density_sweep_reports_solver_trouble(tmp_path, capsys, monkeypatch):
     # test_failed_twist_bracket_is_reported), and L-BFGS cut at one iteration
     fake = (np.linspace(0.0, 0.2, 5), np.linspace(1.0, 0.5, 5))
     monkeypatch.setattr(cellsolver, "_twist_contraction_table", lambda spec: fake)
-    monkeypatch.setattr(cli, "estimate_density",
-                        functools.partial(cellsolver.estimate_density, maxiter=1))
+    monkeypatch.setattr(cellsolver, "_MAXITER", 1)
     out = tmp_path / "trouble.csv"
     assert run(argv + ["--grid", f"file:{tmp_path / 'grid3.json'}", "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()

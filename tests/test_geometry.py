@@ -333,10 +333,7 @@ def test_conformal_check_exact_scaled_rotations():
     grads = np.array([c * _rot(t) for c, t in zip(cs, ths)])
     rep = conformal_check(grads)
     assert rep.cr_residual <= 1e-12
-    assert rep.fit_residual <= 1e-12
-    assert rep.max_anisotropy <= 1e-12
     assert abs(rep.max_factor - cs.max()) <= 1e-12
-    assert rep.compressive
     assert rep.n_fields == 40
 
 
@@ -344,10 +341,8 @@ def test_conformal_check_flags_anisotropy():
     rep = conformal_check([np.diag([1.2, 0.8])])
     assert abs(rep.cr_residual_1 - 0.4) <= 1e-14
     assert rep.cr_residual_2 == 0.0
-    assert abs(rep.max_anisotropy - 0.4) <= 1e-14
     # best scaled-rotation fit has modulus (1.2 + 0.8) / 2 = 1
     assert abs(rep.max_factor - 1.0) <= 1e-14
-    assert abs(rep.fit_residual - np.sqrt(0.5 * 0.4**2)) <= 1e-14
 
 
 def test_conformal_check_orientation_reversal():
@@ -359,18 +354,9 @@ def test_conformal_check_orientation_reversal():
 
 def test_conformal_check_expansive_not_compressive():
     rep = conformal_check([1.5 * _rot(0.3)])
-    assert not rep.compressive
     assert abs(rep.max_factor - 1.5) <= 1e-12
 
 
-def test_conformal_check_weights_and_validation():
-    grads = [np.eye(2), np.diag([2.0, 1.0])]
-    heavy_first = conformal_check(grads, areas=[0.99, 0.01])
-    heavy_second = conformal_check(grads, areas=[0.01, 0.99])
-    assert heavy_first.cr_residual < heavy_second.cr_residual
+def test_conformal_check_needs_a_sample():
     with pytest.raises(ValueError):
         conformal_check(np.zeros((0, 2, 2)))
-    with pytest.raises(ValueError):
-        conformal_check(grads, areas=[1.0])
-    with pytest.raises(ValueError):
-        conformal_check(grads, areas=[-1.0, 2.0])

@@ -208,7 +208,8 @@ def test_twist_closure_failure_raises():
 def test_certify_rejects_random_deformation(kagome):
     rng = np.random.default_rng(5)
     defm = random_deformation(kagome, 2, rng)
-    cert = certify(defm, eta_ref=0.1)
+    cert = certify(defm)
+    assert cert.eta_ref == 0.1
     bd = energy_breakdown(defm, 0.1)
     assert cert.energy == bd.averaged
     assert cert.energy > 1e-6

@@ -10,7 +10,8 @@ whose chase does not close), the soft-mode positions of ``modulate`` at
 kagome strip, the rigid-units pin hashes every spec's units, the
 inequalities pins hash the scalar inequality report and every compression
 slack on two grids, the Jensen pins hash every trial slack of the
-unit-rest bounds, the two density pins hash solves that reach L-BFGS, and
+unit-rest bounds, the two density pins hash solves that reach L-BFGS, the
+isotropic-bound pin holds every energy-gap ratio of two short fits, and
 the search pin hashes every mechanism of a short kagome search.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
@@ -27,11 +28,12 @@ import pytest
 from latmech.cellsolver import (
     _invert_contraction,
     _jensen_slacks,
-    _marker_arrays,
     _marker_direction_frame,
     _twist_seed,
     estimate_density,
     jensen_diag_stretch,
+    lambda_grid,
+    verify_isotropic_bound,
     verify_jensen_bounds,
 )
 from latmech.energy import (
@@ -127,7 +129,7 @@ def _one_trial(family, defm) -> float:
 
 
 def _certify(spec, k, rough, mild):
-    c = certify(rough, ETA)
+    c = certify(rough)
     return (c.energy, c.eta_ref, c.max_spring_residual, c.min_det, c.lam,
             c.sigma1, c.sigma2, c.det_sign)
 
@@ -148,7 +150,6 @@ QUANTITIES = {
     "barrier_grad": _barrier_grad,
     "certify": _certify,
     "averaged_vectors": lambda spec, k, rough, mild: averaged_vectors(rough),
-    "marker_arrays": lambda spec, k, rough, mild: _marker_arrays(rough),
     "jensen_weighted_rest": lambda spec, k, rough, mild: _one_trial("weighted-rest", rough),
     "tile": lambda spec, k, rough, mild: rough.tile(k + 1).psi,
     "from_periodic": lambda spec, k, rough, mild: LatticeMap.from_periodic(
@@ -162,7 +163,6 @@ PINS = {
     "energy_breakdown": "4fa8a1ce088ca5e3488755b96d5cba715fcf5a62425c5b31c1eaef1aeee0bb57",
     "from_periodic": "36bf3c6998ca7342a1c370f3afa6913666301706a447e6b1ac94d0232a3c493e",
     "jensen_weighted_rest": "ec71d7e3ff3624230fa7593ad76e6ea74fd23dfb08c317a5e3a8625384cfddd2",
-    "marker_arrays": "70e81bb657f6c292deaf292c5e4433dae9c4d52a40d9a70120f2cacebce5093d",
     "smoothed_energy_grad": "33a6a3f3d5147385de892d55a1c238fbf46ec1aa0601e37bfdbcfd78d6714edb",
     "spring_energy_grad": "b5b2cf87c90d8df717debcf871ffb55bbd9e0c34d6a45162e45c635bf38d2a3c",
     "tile": "566e4c64b80860fb774b1f792e6cd9b72faf72c9f5a2791d9d8b8748040528fa",
@@ -197,7 +197,7 @@ def _seed(spec):
         for lam in (0.8 * rotation(0.3), 0.55 * rotation(-1.1),
                     np.diag([0.92, 0.88]), 0.97 * np.eye(2), 0.2 * np.eye(2),
                     np.diag([1.2, 0.8])):
-            seed = _twist_seed(spec, lam, k)
+            seed = _twist_seed(spec, lam, k, {})
             out.append("none" if seed is None else (seed.lam, seed.psi))
     return out
 
@@ -225,7 +225,7 @@ TWIST_QUANTITIES = {
     "admissible_range": lambda spec: [_or_error(twist_admissible_range, spec, step)
                                       for step in (0.01, 0.05)],
     "invert_contraction": lambda spec: [
-        _invert_contraction(spec, c)
+        _invert_contraction(spec, c, {})
         for c in (1.0, 0.999, 0.97, 0.9, 0.8, 0.7, 0.6, 0.5, 0.42, 0.3, 0.1)],
     "twist_seed": _seed,
     "twist_field": _field,
@@ -271,6 +271,12 @@ DENSITY_K3_PIN = (
     "0x1.04ce74d497447p+3",
     "584f7d17cb6c73ba80485c3fa068965f095f45f24113dd023fe1d783f847e22e",
 )
+
+# per spec (kagome, rotating squares): c_fit in hex and the sha256 of the ratios
+ISOTROPIC_BOUND_PIN = [
+    ("0x1.8e9df3374c83bp-3", "8581d9c2a4f55e640428b49e3c6e752d8b4670684285768cc590537e294cb9b1"),
+    ("0x1.7517df8c484abp-2", "917cd11179ee75f15b214bffc06afa4a9cf128e5c753a052ad3999e095a787e9"),
+]
 
 SEARCH_PIN = "9114b8f17d09083833abf71f400cbc3d3c6822ae49e2aa48bd9a8091d017e3c0"
 
@@ -404,8 +410,7 @@ def _wall_digest() -> str:
 def _density():
     """One anisotropic density solve on kagome at k = 2: the exact upper
     bound and a digest of the minimizer."""
-    est = estimate_density(build_kagome(), np.diag([1.15, 0.9]), 0.05, k=2,
-                           restarts=1, anneal=(0.05, 0.008))
+    est = estimate_density(build_kagome(), np.diag([1.15, 0.9]), 0.05, k=2, restarts=1)
     return (est.upper.hex(),
             hashlib.sha256(np.ascontiguousarray(est.minimizer.psi).tobytes()).hexdigest())
 
@@ -419,6 +424,17 @@ def _density_k3():
     assert est.solver_trace["iterations"] > 0
     return (est.upper.hex(),
             hashlib.sha256(np.ascontiguousarray(est.minimizer.psi).tobytes()).hexdigest())
+
+
+def _isotropic_bound():
+    """The isotropy energy-gap fit on kagome and rotating squares over the
+    first four ``noniso`` matrices: ``c_fit`` and a digest of every ratio."""
+    out = []
+    for spec in (build_kagome(), build_rotating_squares()):
+        rep = verify_isotropic_bound(spec, 0.05, lambda_grid("noniso")[:4], rng_seed=3)
+        out.append((rep.c_fit.hex(),
+                    hashlib.sha256(np.ascontiguousarray(rep.ratios).tobytes()).hexdigest()))
+    return out
 
 
 def _search_digest() -> str:
@@ -537,6 +553,10 @@ def test_k3_density_solve_is_pinned():
     assert _density_k3() == DENSITY_K3_PIN
 
 
+def test_isotropic_bound_is_pinned():
+    assert _isotropic_bound() == ISOTROPIC_BOUND_PIN
+
+
 def test_mechanism_search_is_pinned():
     assert _search_digest() == SEARCH_PIN
 
@@ -567,4 +587,5 @@ if __name__ == "__main__":
     print(f"COMPRESSION_SLACK_PINS = {_compression_slack_digests()!r}")
     print(f"DENSITY_PIN = {_density()!r}")
     print(f"DENSITY_K3_PIN = {_density_k3()!r}")
+    print(f"ISOTROPIC_BOUND_PIN = {_isotropic_bound()!r}")
     print(f'SEARCH_PIN = "{_search_digest()}"')

@@ -185,8 +185,7 @@ def test_pchip_two_points_is_the_chord():
 
 def test_weak_limit_check_converges(kagome):
     wl = _ladder_report(kagome, default_target(), (1 / 8, 1 / 16)).weak
-    assert wl.n_probe == 144
-    assert wl.l2_decreasing
+    assert wl.l2_errors[1] <= wl.l2_errors[0]
     assert wl.cr_decreasing
     assert wl.l2_errors[-1] < 0.05
     assert all(f <= 1.0 + 0.05 for f in wl.max_factors)
