@@ -672,7 +672,6 @@ class SandwichReport:
     eta: float
     eta_alt: float
     ratios: np.ndarray
-    ratios_alt: np.ndarray
     c_fit: float
     c_fit_alt: float
 
@@ -710,10 +709,9 @@ def sandwich_report(
         return np.asarray(ratios)
 
     ratios = fit(eta)
-    ratios_alt = fit(eta * eta_factor)
+    alt = fit(eta * eta_factor)
     return SandwichReport(
-        eta=eta, eta_alt=eta * eta_factor,
-        ratios=ratios, ratios_alt=ratios_alt,
+        eta=eta, eta_alt=eta * eta_factor, ratios=ratios,
         c_fit=float(ratios.min()) if ratios.size else np.nan,
-        c_fit_alt=float(ratios_alt.min()) if ratios_alt.size else np.nan,
+        c_fit_alt=float(alt.min()) if alt.size else np.nan,
     )

@@ -17,7 +17,7 @@ the exposed per-part arrays.
 
 The module also evaluates energies of deformations given directly as nodal
 maps on an ``epsilon``-scaled lattice: the scaled energy of each cell and
-their sum over all cells compactly contained in a polygonal domain.
+their sum over all cells compactly contained in a rectangular domain.
 """
 
 from __future__ import annotations
@@ -483,7 +483,7 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
     return ordered_sum(np.concatenate([springs, penalty]))
 
 
-# -- polygon helpers ---------------------------------------------------------
+# -- domain helpers ----------------------------------------------------------
 
 
 def _cell_window(spec: LatticeSpec, points, epsilon: float):
@@ -498,58 +498,27 @@ def _cell_window(spec: LatticeSpec, points, epsilon: float):
     return ci.ravel(), cj.ravel()
 
 
-def _points_in_polygon(points, poly):
-    """Even-odd ray casting; points exactly on the boundary are unreliable
-    and callers should not depend on them."""
-    points = np.atleast_2d(points)
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    n = len(poly)
-    for k in range(n):
-        x1, y1 = poly[k]
-        x2, y2 = poly[(k + 1) % n]
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < np.where(crosses, xint, np.inf))
-    return inside
-
-
-def _hull_order(points) -> np.ndarray:
-    """Indices of the convex hull of ``points`` ``(V, 2)`` by the monotone
-    chain, lower chain then upper; collinear boundary points are dropped."""
-    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
-
-    def half(seq):
-        out = []
-        for v in seq:
-            while len(out) >= 2 and cross2(points[out[-1]] - points[out[-2]],
-                                           points[v] - points[out[-2]]) <= 0:
-                out.pop()
-            out.append(v)
-        return out
-
-    return np.array(half(order)[:-1] + half(order[::-1])[:-1])
-
-
-def _hulls_cross_polygon(hull, polygon) -> np.ndarray:
-    """Per hull of the stack ``(n, m, 2)``, whether any polygon edge
-    properly crosses a hull edge."""
-    q1, q2 = hull, np.roll(hull, -1, axis=1)
-    crossed = np.zeros(len(hull), dtype=bool)
-    # one polygon edge at a time keeps the temporaries at (n, m)
-    for p1, p2 in zip(polygon, np.roll(polygon, -1, axis=0)):
-        hit = (((cross2(q2 - q1, p1 - q1) > 0) != (cross2(q2 - q1, p2 - q1) > 0))
-               & ((cross2(p2 - p1, q1 - p1) > 0) != (cross2(p2 - p1, q2 - p1) > 0)))
-        crossed |= hit.any(axis=1)
-    return crossed
+def _rectangle_box(polygon):
+    """The corners ``lo``, ``hi`` of the axis-aligned rectangle whose four
+    corners ``polygon`` lists in order, in either orientation."""
+    p = np.asarray(polygon, dtype=float)
+    if p.shape == (4, 2):
+        # each edge moves along one axis, the other one than the edge before
+        moved = np.roll(p, -1, axis=0) != p
+        if (moved.any(axis=1) & (moved != np.roll(moved, 1, axis=0)).all(axis=1)).all():
+            return p.min(axis=0), p.max(axis=0)
+    raise ValueError("the domain must be an axis-aligned rectangle given by its four "
+                     f"corners in order, got {p.tolist()}")
 
 
 @dataclass
 class DomainEnergyReport:
+    """The counted ``cells`` ``(n, 2)``, rows ``(ci, cj)`` in row-major
+    order, their scaled ``energies`` ``(n,)`` and ``total``, their sum."""
+
     total: float
-    cells: list
-    per_cell: dict
+    cells: np.ndarray
+    energies: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -557,38 +526,33 @@ class DomainEnergyReport:
 
     @property
     def max_cell(self) -> float:
-        return max(self.per_cell.values())
+        return float(self.energies.max())
 
 
 def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
-    """Sum of scaled cell energies over every lattice cell whose region is
-    compactly contained in the polygon.
-
-    Containment is tested on the convex hull of the cell's cover vertices:
-    all vertices strictly inside the polygon and no polygon edge crossing
-    the hull.  For non-convex cell regions this is slightly conservative.
-    """
+    """Sum of scaled cell energies over every lattice cell compactly
+    contained in ``polygon``: the four corners, in order, of an
+    axis-aligned rectangle (``ConformalTarget.polygon`` or its reverse;
+    anything else raises ``ValueError``).  A cell counts when all of its
+    cover vertices lie strictly inside the rectangle's open box, which,
+    being convex, then holds the whole cell."""
     _check_eta(eta)
-    polygon = np.asarray(polygon, dtype=float)
+    lo, hi = _rectangle_box(polygon)
     spec = lmap.spec
     eps = lmap.epsilon
     verts = np.unique(spec.node_positions(spec.cover_keys).reshape(-1, 2).round(12), axis=0)
     ci, cj = _cell_window(spec, polygon, eps)
     pts = eps * (verts[None] + ci[:, None, None] * spec.v1 + cj[:, None, None] * spec.v2)
-    keep = _points_in_polygon(pts.reshape(-1, 2), polygon).reshape(pts.shape[:2]).all(axis=1)
-    ci, cj, pts = ci[keep], cj[keep], pts[keep]
-    # each cell's points are the same vertices translated: one hull order
-    keep = ~_hulls_cross_polygon(pts[:, _hull_order(verts)], polygon)
+    keep = ((lo < pts) & (pts < hi)).all(axis=(1, 2))
     ci, cj = ci[keep], cj[keep]
     if not len(ci):
-        raise ValueError("no lattice cell is compactly contained in the polygon")
+        raise ValueError("no lattice cell is compactly contained in the rectangle")
 
-    cells = list(zip(ci.tolist(), cj.tolist()))
     energies = _cell_energies(lmap, eta, ci, cj)
     return DomainEnergyReport(
         total=float(ordered_sum(energies)),  # sequential, in cell order
-        cells=cells,
-        per_cell=dict(zip(cells, energies.tolist())),
+        cells=np.column_stack([ci, cj]),
+        energies=energies,
     )
 
 

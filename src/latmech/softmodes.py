@@ -44,25 +44,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConformalTarget:
-    """A rational holomorphic map on a rectangle, with ``|f'| <= 1``.
+    """A polynomial holomorphic map on a rectangle, with ``|f'| <= 1``.
 
-    ``coeffs`` (and optionally ``denom``) are ascending complex
-    polynomial coefficients of the numerator and denominator of ``f``;
-    ``domain`` is ``(x0, x1, y0, y1)``.  Compressiveness and pole
-    freeness are checked on a sampling grid at construction.
+    ``coeffs`` are the ascending complex polynomial coefficients of ``f``;
+    ``domain`` is ``(x0, x1, y0, y1)``.  Compressiveness is checked on a
+    sampling grid at construction.
     """
 
     coeffs: tuple
     domain: tuple
-    denom: tuple = (1.0,)
 
     def __post_init__(self):
         x0, x1, y0, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"empty target domain {self.domain!r}")
-        zs = self._sample_grid()
-        if np.abs(np.polyval(list(self.denom[::-1]), zs)).min() < 1e-12:
-            raise ValueError("target denominator vanishes on the domain")
         if self.max_derivative > 1.0 + 1e-9:
             raise ValueError(
                 f"target is not compressive: max |f'| = {self.max_derivative:.6f} > 1"
@@ -74,22 +69,11 @@ class ConformalTarget:
         return xs + 1j * ys
 
     def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        num = np.polyval(list(self.coeffs[::-1]), z)
-        return num / np.polyval(list(self.denom[::-1]), z)
+        return np.polyval(list(self.coeffs[::-1]), np.asarray(z, dtype=complex))
 
     def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-
-        def ev(c):
-            return np.polyval(list(c[::-1]), z)
-
-        def dcoef(c):
-            return tuple(n * v for n, v in enumerate(c))[1:] or (0.0,)
-
-        P, Q = ev(self.coeffs), ev(self.denom)
-        dP, dQ = ev(dcoef(self.coeffs)), ev(dcoef(self.denom))
-        return (dP * Q - P * dQ) / Q**2
+        dcoeffs = [n * c for n, c in enumerate(self.coeffs)][1:] or [0.0]
+        return np.polyval(dcoeffs[::-1], np.asarray(z, dtype=complex))
 
     @property
     def max_derivative(self) -> float:

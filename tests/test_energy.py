@@ -14,7 +14,6 @@ from latmech.energy import (
     _cell_window,
     _density_objective,
     _kernel,
-    _points_in_polygon,
     _search_objective,
     check_cell_bounds,
     domain_energy,
@@ -413,44 +412,73 @@ def test_scaled_twist_energy_is_zero(kagome):
     assert _one_cell(lmap, (0, 0)) < 1e-28
 
 
+def _zero_map(spec, eps):
+    defm = Supercell(spec, 1).zero_deformation()
+    return LatticeMap.from_periodic(defm, eps, [(i, j) for i in range(-8, 9) for j in range(-8, 9)])
+
+
 def test_domain_energy_containment(kagome):
-    defm = Supercell(kagome, 1).zero_deformation()
-    cells = [(i, j) for i in range(-8, 9) for j in range(-8, 9)]
-    lmap = LatticeMap.from_periodic(defm, 0.25, cells)
-    poly = np.array([[0.0, 0.0], [1.5, 0.0], [1.5, 1.5], [0.0, 1.5]])
-    rep = domain_energy(lmap, poly, 0.05)
+    lmap = _zero_map(kagome, 0.25)
+    rect = np.array([[0.0, 0.0], [1.5, 0.0], [1.5, 1.5], [0.0, 1.5]])
+    rep = domain_energy(lmap, rect, 0.05)
     assert rep.total < 1e-28
-    assert rep.n_cells == len(rep.cells) > 0
-    # every counted cell keeps its vertices strictly inside the polygon
+    assert rep.n_cells == len(rep.cells) == len(rep.energies) > 0
+    assert rep.cells.shape == (rep.n_cells, 2)
+    # every counted cell keeps its vertices strictly inside the rectangle
     verts = np.unique(kagome.cover_keys.reshape(-1, 3), axis=0)
-    for (i, j) in rep.cells:
+    for (i, j) in rep.cells.tolist():
         for ref in verts:
             p = 0.25 * (kagome.node_positions(ref) + i * kagome.v1 + j * kagome.v2)
             assert (0 < p[0] < 1.5) and (0 < p[1] < 1.5)
-    with pytest.raises(ValueError):
-        domain_energy(lmap, 0.25 * poly[:3] * 1e-3, 0.05)
+    with pytest.raises(ValueError, match="no lattice cell"):
+        domain_energy(lmap, rect * 1e-3, 0.05)
 
 
-# domain_energy on an L-shaped (non-convex) polygon, recorded before the
-# lattice maps moved from dicts to arrays: float.hex of the total, the
-# counted cells, and sha256 of the per-cell energies' float.hex
-L_SHAPE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.9], [0.8, 0.9], [0.8, 2.0], [0.0, 2.0]])
-L_SHAPE_PINNED = {
+@pytest.mark.parametrize("polygon", [
+    [[0.0, 0.0], [1.5, 0.0], [1.5, 1.5]],                           # a triangle
+    [[0.0, 0.0], [1.5, 0.0], [1.5, 1.5], [0.0, 1.5], [0.0, 0.7]],   # five corners
+    [[0.0, 0.0], [1.5, 1.5], [1.5, 0.0], [0.0, 1.5]],               # a bow tie
+    [[0.75, 0.0], [1.5, 0.75], [0.75, 1.5], [0.0, 0.75]],           # a rotated square
+    [[0.0, 0.0], [1.5, 0.0], [1.5, 0.0], [0.0, 0.0]],               # no area
+    [[0.0, 0.0], [1.5, 0.0], [1.5, np.nan], [0.0, 1.5]],
+    [0.0, 0.0, 1.5, 1.5],
+])
+def test_domain_energy_needs_a_rectangle(kagome, polygon):
+    with pytest.raises(ValueError, match="axis-aligned rectangle"):
+        domain_energy(_zero_map(kagome, 0.25), polygon, 0.05)
+
+
+def test_domain_energy_is_independent_of_orientation(kagome):
+    """Both orientations of a rectangle count the same cells.  Clockwise,
+    the polygon test this one replaced also counted the cells (0, 1) and
+    (1, -1), whose cover vertices touch the edge x = 0.25."""
+    lmap = _zero_map(kagome, 0.25)
+    ccw = np.array([[0.25, -1.0], [1.75, -1.0], [1.75, 1.0], [0.25, 1.0]])
+    want = [[1, 0], [1, 1], [2, -2], [2, -1], [2, 0], [3, -2]]
+    for polygon in (ccw, ccw[::-1]):
+        assert np.array_equal(domain_energy(lmap, polygon, 0.05).cells, want)
+
+
+# domain_energy on a counterclockwise rectangle, recorded before the
+# rectangle test replaced the polygon test: float.hex of the total, the
+# counted cells, and sha256 of the per-cell energies' float64 bytes
+RECT = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.4], [0.0, 1.4]])
+RECT_PINNED = {
     "kagome": (
-        "0x1.9a694ba8fa929p-3",
-        [(-4, 9), (-4, 10), (-3, 7), (-3, 8), (-3, 9), (-3, 10), (-2, 5), (-2, 6),
-         (-2, 7), (-2, 8), (-2, 9), (-1, 3), (-1, 4), (-1, 5), (-1, 6), (-1, 7),
-         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (1, 4),
-         (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1),
-         (4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3), (5, 4), (6, 1), (6, 2),
-         (6, 3), (6, 4), (7, 1), (7, 2), (7, 3), (8, 1)],
-        "dc740d2e17e4d762643947a77f6cf6cb788e369a120e9ed68861146e7a7e6a36",
+        "0x1.fbdadac791f82p-3",
+        [(-3, 7), (-2, 5), (-2, 6), (-2, 7), (-1, 3), (-1, 4), (-1, 5), (-1, 6),
+         (-1, 7), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 1),
+         (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 1), (2, 2), (2, 3),
+         (2, 4), (2, 5), (2, 6), (2, 7), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+         (3, 6), (3, 7), (4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6), (4, 7),
+         (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7), (6, 1), (6, 2),
+         (6, 3), (6, 4), (6, 5), (7, 1), (7, 2), (7, 3), (8, 1)],
+        "91d3235517a29f2430a3bc13a2c91ba0f64f357f22226f3ba7ddbf6ad8716d83",
     ),
     "rotating-squares": (
-        "0x1.c8e84639859d4p-3",
-        [(i, j) for i in (1, 2) for j in range(1, 9)]
-        + [(i, j) for i in range(3, 9) for j in (1, 2, 3)],
-        "ea5477baf4ca3f28332ff8ab672514529ec38895a5209d7d39d2c73dbe105a23",
+        "0x1.0d68b99d6c66ap-2",
+        [(i, j) for i in range(1, 9) for j in range(1, 6)],
+        "59df038ffebff6bfa6df6d1c0297382378ca81bad824456abb8efa6d06de9b1f",
     ),
 }
 
@@ -464,82 +492,61 @@ def _l_shape_map(spec):
     return LatticeMap.from_periodic(defm, 0.1, cells)
 
 
-def test_domain_energy_l_shape_pinned(kagome, rotating_squares):
+def test_domain_energy_rectangle_pinned(kagome, rotating_squares):
     for spec in (kagome, rotating_squares):
-        rep = domain_energy(_l_shape_map(spec), L_SHAPE, 0.05)
-        total, cells, digest = L_SHAPE_PINNED[spec.name]
+        rep = domain_energy(_l_shape_map(spec), RECT, 0.05)
+        total, cells, digest = RECT_PINNED[spec.name]
         assert rep.total.hex() == total
-        assert rep.cells == cells
-        per_cell = repr([(c, rep.per_cell[c].hex()) for c in rep.cells])
-        assert hashlib.sha256(per_cell.encode()).hexdigest() == digest
-        assert rep.max_cell == max(rep.per_cell.values())
+        assert [tuple(c) for c in rep.cells.tolist()] == cells
+        assert rep.energies.dtype == np.float64 and rep.energies.shape == (len(cells),)
+        assert hashlib.sha256(rep.energies.tobytes()).hexdigest() == digest
+        assert rep.max_cell == max(rep.energies.tolist())
 
 
-def _chain_hull(points):
-    """Monotone-chain convex hull of one point set ``(n, 2)``, lower chain
-    then upper, collinear boundary points dropped."""
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross2(out[-1] - out[-2], p - out[-2]) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+def _random_rectangle(rng, spec, eps, verts):
+    """A counterclockwise rectangle in ``[0, 1.2]^2`` whose edges each lie,
+    with even odds, exactly on a coordinate of some cell's cover vertex."""
+    edges = []
+    for axis in (0, 1, 0, 1):
+        i, j = rng.integers(0, int(1.2 / eps), size=2)
+        snapped = (eps * (verts + i * spec.v1 + j * spec.v2))[rng.integers(len(verts)), axis]
+        edges.append(snapped if rng.random() < 0.5 else rng.uniform(0.0, 1.2))
+    x0, x1 = sorted(edges[0::2])
+    y0, y1 = sorted(edges[1::2])
+    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
 
 
-def _crosses(hull, polygon) -> bool:
-    """Whether any polygon edge properly crosses an edge of ``hull``."""
-    for q1, q2 in zip(hull, np.roll(hull, -1, axis=0)):
-        for p1, p2 in zip(polygon, np.roll(polygon, -1, axis=0)):
-            if (((cross2(q2 - q1, p1 - q1) > 0) != (cross2(q2 - q1, p2 - q1) > 0))
-                    and ((cross2(p2 - p1, q1 - p1) > 0) != (cross2(p2 - p1, q2 - p1) > 0))):
-                return True
-    return False
-
-
-def _random_polygon(rng, convex):
-    """A random polygon around (0.6, 0.6): the hull of random points, or a
-    star with random radii (non-convex)."""
-    if convex:
-        pts = rng.uniform(0.0, 1.2, size=(12, 2))
-        return _chain_hull(pts)
-    n = int(rng.integers(6, 15))
-    t = np.sort(rng.uniform(0.0, 2 * np.pi, size=n))
-    r = rng.uniform(0.1, 0.6, size=n)
-    return 0.6 + np.column_stack([r * np.cos(t), r * np.sin(t)])
-
-
-def test_domain_energy_cells_match_per_cell_hulls(twist_specs):
+def test_domain_energy_cells_match_per_cell_open_box(twist_specs):
     """The cells ``domain_energy`` counts are those whose cover vertices
-    all lie inside the polygon and whose own convex hull no polygon edge
-    crosses, each hull built from that cell's translated points."""
+    all lie strictly inside the rectangle, tested one cell and one point
+    at a time, whatever the orientation and first corner of the polygon."""
     rng = np.random.default_rng(15)
-    cut_by_hull = 0
+    touching = 0
     for spec in twist_specs:
         verts = np.unique(spec.node_positions(spec.cover_keys).reshape(-1, 2).round(12), axis=0)
-        for convex in (True, False) * 6:
-            polygon = _random_polygon(rng, convex)
+        for _ in range(12):
             eps = float(rng.choice([1 / 8, 1 / 12, 1 / 16]))
-            ci, cj = _cell_window(spec, polygon, eps)
+            rect = _random_rectangle(rng, spec, eps, verts)
+            (x0, y0), (x1, y1) = rect[0], rect[2]
+            ci, cj = _cell_window(spec, rect, eps)
             want = []
             for i, j in zip(ci.tolist(), cj.tolist()):
-                pts = eps * (verts + i * spec.v1 + j * spec.v2)
-                if _points_in_polygon(pts, polygon).all():
-                    if _crosses(_chain_hull(pts), polygon):
-                        cut_by_hull += 1
-                    else:
-                        want.append((i, j))
+                pts = (eps * (verts + i * spec.v1 + j * spec.v2)).tolist()
+                if all(x0 < x < x1 and y0 < y < y1 for x, y in pts):
+                    want.append([i, j])
+                elif all(x0 <= x <= x1 and y0 <= y <= y1 for x, y in pts):
+                    touching += 1
             defm = Supercell(spec, 1).zero_deformation()
             lmap = LatticeMap.from_periodic(defm, eps, np.column_stack([ci, cj]))
-            if not want:
-                with pytest.raises(ValueError, match="no lattice cell"):
-                    domain_energy(lmap, polygon, 0.05)
-                continue
-            assert domain_energy(lmap, polygon, 0.05).cells == want
-    assert cut_by_hull > 0
+            start = int(rng.integers(4))
+            for polygon in (np.roll(rect, start, axis=0), np.roll(rect[::-1], start, axis=0)):
+                if not want:
+                    with pytest.raises(ValueError, match="no lattice cell"):
+                        domain_energy(lmap, polygon, 0.05)
+                    continue
+                assert domain_energy(lmap, polygon, 0.05).cells.tolist() == want
+    # cells with a vertex on an edge and none outside are left out
+    assert touching > 0
 
 
 def test_missing_node_raises_key_error(kagome):
@@ -554,7 +561,7 @@ def test_missing_node_raises_key_error(kagome):
     with pytest.raises(KeyError, match=r"missing .* needed for cell \(3, 3\)"):
         _one_cell(holed, (3, 3))
     with pytest.raises(KeyError, match=re.escape(str(gone))):
-        domain_energy(holed, L_SHAPE, 0.05)
+        domain_energy(holed, RECT, 0.05)
     assert _one_cell(holed, (0, 0)) == _one_cell(lmap, (0, 0))
 
 

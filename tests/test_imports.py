@@ -1,6 +1,6 @@
 """Every top-level import of a ``latmech`` module is used, every public
 name feeds a command, a demo, the bench or an acceptance criterion, and
-every defaulted parameter is set by some call.
+every defaulted parameter or dataclass field is set by some reader.
 
 The project depends on no lint tool, so this parses each module (the
 package ``__init__``, which re-exports, aside) and fails on an imported
@@ -10,8 +10,9 @@ module's ``__all__`` that none of them reads (a few references that the
 unit tests check against aside, each listed with its reason).  It also
 fails on a defaulted parameter of a ``latmech`` function that no call
 in those readers sets to a value other than its default's own
-expression: an option with one value in use is a constant (a few
-options aside, each listed with its reason).
+expression, and likewise on a defaulted field of a dataclass, which an
+attribute store sets too: an option with one value in use is a constant
+(a few options aside, each listed with its reason).
 """
 
 import ast
@@ -132,15 +133,35 @@ def test_unread_public_name_is_caught():
     assert [p.name for p in READERS if p.parent.name == "tests"] == ["test_acceptance.py"]
 
 
+def _is_dataclass(decorator) -> bool:
+    """Whether ``decorator`` is ``@dataclass`` or ``@dataclass(...)``."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", None) == "dataclass"
+
+
+def _init_false(value) -> bool:
+    """Whether ``value`` is ``field(..., init=False, ...)``."""
+    return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+            and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in value.keywords))
+
+
 def _defaulted(tree) -> list:
-    """``(name, parameter, position, default)`` of each defaulted
-    parameter of a ``def``: ``name`` is what a call names (the class, for
-    ``__init__``), ``position`` the index among a call's positional
-    arguments (a method's ``self`` aside), ``None`` for a keyword-only
-    parameter, and ``default`` the ``ast.dump`` of the default's
-    expression."""
+    """``(name, parameter, position, default, field)`` of each defaulted
+    parameter of a ``def`` and each defaulted field of a ``@dataclass``
+    (one with ``init=False`` aside): ``name`` is what a call names (the
+    class, for ``__init__`` and for a field), ``position`` the index among
+    a call's positional arguments (a method's ``self`` aside), ``None``
+    for a keyword-only parameter, ``default`` the ``ast.dump`` of the
+    default's expression, and ``field`` whether it is a dataclass field,
+    which an attribute store sets too."""
     out = []
     for owner in ast.walk(tree):
+        if isinstance(owner, ast.ClassDef) and any(map(_is_dataclass, owner.decorator_list)):
+            fields = [node for node in owner.body if isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name) and not _init_false(node.value)]
+            out += [(owner.name, node.target.id, i, ast.dump(node.value), True)
+                    for i, node in enumerate(fields) if node.value is not None]
         for node in ast.iter_child_nodes(owner):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -150,15 +171,16 @@ def _defaulted(tree) -> list:
             pos = a.posonlyargs + a.args
             shift = int(bool(pos) and pos[0].arg in ("self", "cls"))
             first = len(pos) - len(a.defaults)
-            out += [(name, pos[i].arg, i - shift, ast.dump(a.defaults[i - first]))
+            out += [(name, pos[i].arg, i - shift, ast.dump(a.defaults[i - first]), False)
                     for i in range(first, len(pos))]
-            out += [(name, arg.arg, None, ast.dump(default))
+            out += [(name, arg.arg, None, ast.dump(default), False)
                     for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
     return out
 
 
 def _calls(trees) -> dict:
-    """Every call in ``trees``, grouped by the bare or attribute name it calls."""
+    """Every call in ``trees``, grouped by the bare or attribute name it
+    calls, and the value of every attribute store, under ``"." + attr``."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -166,14 +188,23 @@ def _calls(trees) -> dict:
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store):
+                            calls.setdefault("." + t.attr, []).append(node.value)
     return calls
 
 
 def _unset_options(defaulted, calls, exempt) -> list:
     """``(name, parameter)`` of each defaulted parameter that no call of
-    that name sets, by keyword, by position or through ``*``/``**``; a
-    call that passes the default's own expression does not set it."""
-    def passed(name, param, position, default):
+    that name sets, by keyword, by position or through ``*``/``**``, and,
+    for a dataclass field, that no attribute store of its name sets; a
+    call or a store that passes the default's own expression does not set
+    it."""
+    def passed(name, param, position, default, field):
+        if field and any(ast.dump(value) != default for value in calls.get("." + param, ())):
+            return True
         for call in calls.get(name, ()):
             if any(kw.arg is None or (kw.arg == param and ast.dump(kw.value) != default)
                    for kw in call.keywords):
@@ -185,8 +216,8 @@ def _unset_options(defaulted, calls, exempt) -> list:
                 return True
         return False
 
-    return sorted({(name, param) for name, param, position, default in defaulted
-                   if name not in exempt and not passed(name, param, position, default)})
+    return sorted({(name, param) for name, param, *rest in defaulted
+                   if name not in exempt and not passed(name, param, *rest)})
 
 
 def test_every_option_is_set_by_some_call():
@@ -220,3 +251,14 @@ def test_unset_option_is_caught():
     unit_test = ast.parse("p(s=2.0, t=D)\n")
     assert _unset_options(_defaulted(defs), _calls([reader, unit_test]),
                           exempt=set()) == unset[:3]
+    # a dataclass field with a default is set by a keyword, a position or an
+    # attribute store of another value; one with init=False is no option
+    fields = ast.parse("@dataclass(frozen=True)\nclass R:\n    a: int\n    b: int = 0\n"
+                       "    c: int = 1\n    d: int = 2\n    e: int = field(init=False)\n"
+                       "    f: list = field(default_factory=list)\n    g: int = 3\n"
+                       "class Plain:\n    h: int = 0\n")
+    reader = ast.parse("R(1, 5)\nR(1, c=2)\nr.d = 2\nr.e = 5\nr.g = 4\nq.h = 1\n")
+    assert _unset_options(_defaulted(fields), _calls([reader]), exempt=set()) == [
+        ("R", "d"), ("R", "f")]
+    assert [d[:3] for d in _defaulted(fields)] == [
+        ("R", "b", 1), ("R", "c", 2), ("R", "d", 3), ("R", "f", 4), ("R", "g", 5)]
