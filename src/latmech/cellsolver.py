@@ -32,7 +32,7 @@ from .energy import _check_eta, _density_objective, energy_breakdown
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
                       cross2, norms, rotation)
-from .mechanisms import MechanismError, _twist_contraction_table, _twist_field
+from .mechanisms import MechanismError, _twist_contraction_table, _twist_fields
 
 __all__ = [
     "DensityEstimate",
@@ -91,7 +91,7 @@ def _invert_contraction(spec: LatticeSpec, c: float, trace: dict) -> float:
         lo, hi = hi, lo
 
     def gap(th):
-        sd = signed_svd(_twist_field(spec, th)[0])
+        sd = signed_svd(_twist_fields(spec, [th])[0][0])
         return 0.5 * (sd.sigma1 + sd.sigma2) - c
 
     # at the end of the table (c clipped to its minimum) both ends are one angle
@@ -170,12 +170,13 @@ def _brentq(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
 
 
 def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
-                trace: dict) -> Optional[PeriodicDeformation]:
-    """The twist field whose contraction matches ``lam``, rotated so its
-    affine part aligns with the polar rotation of ``lam``.  Returns
-    ``None`` when ``lam`` is nowhere near a reachable isotropic
-    compression.  ``trace`` receives a failed inversion bracket (see
-    :func:`_invert_contraction`)."""
+                trace: dict) -> Optional[np.ndarray]:
+    """The ``psi`` of the twist field whose contraction matches ``lam``,
+    rotated so its affine part aligns with the polar rotation of ``lam``,
+    on the slots of the k x k supercell (every slot of a basic node holds
+    its one-cell value).  Returns ``None`` when ``lam`` is nowhere near a
+    reachable isotropic compression.  ``trace`` receives a failed
+    inversion bracket (see :func:`_invert_contraction`)."""
     sd = signed_svd(lam)
     if sd.det_sign <= 0:
         return None
@@ -186,7 +187,8 @@ def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
         return None
     if not cs.min() - 0.05 <= c <= 1.0 + 1e-9:
         return None
-    tlam, psi = _twist_field(spec, _invert_contraction(spec, c, trace))
+    lams, psis = _twist_fields(spec, [_invert_contraction(spec, c, trace)])
+    tlam, psi = lams[0], psis[0]
     if abs(np.linalg.det(tlam)) < 1e-12:
         return None
     # project the alignment onto a rotation so the seed stays energy-free
@@ -194,10 +196,7 @@ def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
     rot = u @ vt
     if np.linalg.det(rot) < 0:
         rot = u @ np.diag([1.0, -1.0]) @ vt
-    seeded = PeriodicDeformation(Supercell(spec, 1), tlam, psi).rotate(rot)
-    if k > 1:
-        seeded = seeded.tile(k)
-    return seeded
+    return np.repeat(psi @ rot.T, k * k, axis=0)
 
 
 def estimate_density(
@@ -245,7 +244,7 @@ def estimate_density(
     seeds = [("zero", np.zeros((n, 2)))]
     tw = _twist_seed(spec, lam, k, trouble)
     if tw is not None:
-        seeds.append(("twist", tw.psi.copy()))
+        seeds.append(("twist", tw))
     for r in range(restarts):
         amp = 0.1 if r % 2 == 0 else 0.3
         seeds.append((f"random{r}", amp * rng.standard_normal((n, 2))))

@@ -180,7 +180,12 @@ def _load_spec(args) -> LatticeSpec:
 
 def _parse_matrix(text: str) -> np.ndarray:
     items = text.split(",")
-    vals = [float(v) for v in items]
+    vals = []
+    for item in items:
+        try:
+            vals.append(float(item))
+        except ValueError:
+            raise ValueError(f"matrix entry {item.strip()!r} is not a number") from None
     if len(vals) != 4:
         raise ValueError("matrix must be four comma-separated numbers, row-major")
     for item, val in zip(items, vals):

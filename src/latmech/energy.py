@@ -88,7 +88,8 @@ class EnergyBreakdown:
     cell_area: float
     per_triangle_spring: np.ndarray     # (n_pen, k*k)
     per_triangle_penalty: np.ndarray    # (n_pen, k*k)
-    orientation_ok: np.ndarray          # (n_pen, k*k) bool, det > 0
+    spring_lengths: np.ndarray          # (n_springs, k*k) deformed lengths
+    dets: np.ndarray                    # (n_pen, k*k) det(grad u)
     reversed_counts: np.ndarray         # (n_pen,)
     penalty_unit: np.ndarray            # (n_pen,)
     spring_total: float = field(init=False)
@@ -136,7 +137,8 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     per_spring = np.bincount(target.ravel(), share.ravel(),
                              minlength=n_pen * kk).reshape(n_pen, kk)
 
-    ok = _dets(cell, d[ns:]) > 0.0
+    dets = _dets(cell, d[ns:])
+    ok = dets > 0.0
     unit = cell.tri_area / eta
     return EnergyBreakdown(
         eta=eta,
@@ -144,7 +146,8 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
         cell_area=cell.cell_area,
         per_triangle_spring=per_spring,
         per_triangle_penalty=np.where(ok, 0.0, unit[:, None]),
-        orientation_ok=ok,
+        spring_lengths=lengths,
+        dets=dets,
         reversed_counts=(~ok).sum(axis=1),
         penalty_unit=unit,
     )

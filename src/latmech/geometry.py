@@ -129,26 +129,20 @@ def principal_stretches(lam):
 
 @dataclass
 class StretchData:
-    """Orientation-aware SVD ``lam = U diag(sigma1, sigma2) V^T`` with
-    ``V`` always a rotation; ``U`` is a rotation iff ``det lam >= 0`` and
-    a reflection (``det U = -1``) otherwise."""
+    """The singular values ``sigma1 >= sigma2`` of ``lam`` and the sign of
+    ``det lam`` (``+1`` when it is zero)."""
 
     sigma1: float
     sigma2: float
     det_sign: float
-    U: np.ndarray
-    V: np.ndarray
 
 
 def signed_svd(lam) -> StretchData:
     lam = np.asarray(lam, dtype=float).reshape(2, 2)
-    U, S, Vt = np.linalg.svd(lam)
-    if np.linalg.det(Vt) < 0:
-        flip = np.diag([1.0, -1.0])
-        Vt = flip @ Vt
-        U = U @ flip
+    # the full factorization: LAPACK's values-only path moves the last bits
+    S = np.linalg.svd(lam).S
     det_sign = 1.0 if np.linalg.det(lam) >= 0 else -1.0
-    return StretchData(float(S[0]), float(S[1]), det_sign, U, Vt.T)
+    return StretchData(float(S[0]), float(S[1]), det_sign)
 
 
 def _pos_sq(x):

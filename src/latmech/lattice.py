@@ -350,6 +350,12 @@ def _first(mask):
 def _validate_spec(spec: LatticeSpec) -> None:
     """Reject an inconsistent spec.  Each check reports the lowest
     offending class; the checks run in a fixed order."""
+    # a NaN passes no comparison, so every later check would let it through
+    for name, value in (("v1", spec.v1), ("v2", spec.v2), ("basic_nodes", spec.basic_nodes),
+                        ("k_spring", spec.spring_stiffness), ("alpha", spec.alpha),
+                        ("c_marker", spec.c_marker)):
+        if not np.isfinite(value).all():
+            raise DegenerateGeometryError(f"{name} holds a non-finite number")
     scale = max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
     if abs(float(cross2(spec.v1, spec.v2))) <= 1e-12 * scale**2:
         raise DegenerateGeometryError("period vectors are linearly dependent")
@@ -552,8 +558,7 @@ class Supercell:
     - ``edges``: the flat edge layout, one :class:`Edges` over
       ``ns + 2 nt`` edge classes: the springs from ``a`` to ``b``, then
       every penalized triangle's ``P0 -> P1``, then every one's
-      ``P0 -> P2``; ``spring_edges`` is its first ``ns`` rows;
-      ``spring_rest`` and ``spring_stiffness`` ``(ns,)``;
+      ``P0 -> P2``; ``spring_rest`` and ``spring_stiffness`` ``(ns,)``;
     - ``scatter``: the flat scatter stream ``2 * slot + component``
       ``(2 (2 ns + 3 nt) k*k,)`` of the ``psi`` gradient: per spring class
       its head slots then its tail slots, then per penalized triangle
@@ -605,7 +610,6 @@ class Supercell:
         pk = spec.penalized_keys
         ns, nt = len(spec.spring_keys), len(pk)
         self.edges = edges(np.concatenate([spec.spring_keys, pk[:, [0, 1]], pk[:, [0, 2]]]))
-        self.spring_edges = Edges(*(a[:ns] for a in self.edges))
         self.spring_rest = spec.spring_rest
         self.spring_stiffness = spec.spring_stiffness
 

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .energy import LatticeMap, _search_objective, energy_breakdown, triangle_dets
+from .energy import LatticeMap, _search_objective, energy_breakdown
 from .geometry import signed_svd
 from .lattice import (
     DegenerateGeometryError,
@@ -47,7 +47,6 @@ from .lattice import (
     _slot,
     build_kagome,
     cross2,
-    edge_vectors,
     norms,
     rotation,
     unique_rows,
@@ -57,7 +56,6 @@ __all__ = [
     "MechanismError",
     "RigidUnit",
     "rigid_units",
-    "assemble_rotated_units",
     "MechanismCertificate",
     "certify",
     "Mechanism",
@@ -318,26 +316,6 @@ class PlacementPlan:
         return pos, norms(gap).max(axis=-1, initial=0.0)
 
 
-def assemble_rotated_units(
-    spec: LatticeSpec,
-    units,
-    cells: Iterable,
-    angle_fn: Callable[[int, int, int], float],
-):
-    """Place every unit instance ``(u, cell)`` rigidly rotated by
-    ``angle_fn(u, ci, cj)``, chaining translations through shared pins.
-
-    Returns ``(keys, positions, misfit)``: the ``(n, 3)`` node references
-    ``(node, o1, o2)`` and their ``(n, 2)`` deformed positions, in
-    placement order, and the largest disagreement between the placements
-    of a shared node.  The instance graph must be connected over
-    ``cells``.
-    """
-    plan = PlacementPlan.compile(spec, units, cells)
-    pos, misfit = plan.place([[angle_fn(*inst) for inst in plan.insts.tolist()]])
-    return plan.keys, pos[0], float(misfit[0])
-
-
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
@@ -363,16 +341,13 @@ class MechanismCertificate:
 
 def certify(defm: PeriodicDeformation) -> MechanismCertificate:
     bd = energy_breakdown(defm, _ETA_REF)
-    cell = defm.cell
-    lengths = np.linalg.norm(edge_vectors(defm.lam, defm.psi, *cell.spring_edges), axis=2)
-    resid = float(np.max(np.abs(lengths - cell.spring_rest[:, None])))
-    min_det = float(np.min(triangle_dets(defm)))
+    resid = float(np.max(np.abs(bd.spring_lengths - defm.cell.spring_rest[:, None])))
     sd = signed_svd(defm.lam)
     return MechanismCertificate(
         energy=bd.averaged,
         eta_ref=_ETA_REF,
         max_spring_residual=resid,
-        min_det=min_det,
+        min_det=float(np.min(bd.dets)),
         lam=defm.lam.copy(),
         sigma1=sd.sigma1,
         sigma2=sd.sigma2,
@@ -472,8 +447,11 @@ def _closure_error(theta, k, misfit, drift) -> Optional[str]:
 
 
 def _twist_fields(spec: LatticeSpec, thetas, k: int = 1):
-    """:func:`_twist_field` for every angle of ``thetas`` at once, stacked
-    ``(lam, psi)``; raises for the first angle that does not close."""
+    """The counter-rotation by ``+-theta`` for every angle of ``thetas``, as
+    ``(lam, psi)`` on the k x k supercell slots stacked over the angles,
+    without building the supercell or certifying it.  Raises
+    :class:`MechanismError` for the first angle whose pin chase does not
+    close."""
     lam, psi, misfit, drift = _twist_plan(spec, k).fields(thetas)
     for theta, m, d in zip(thetas, misfit, drift):
         error = _closure_error(theta, k, m, d)
@@ -482,20 +460,12 @@ def _twist_fields(spec: LatticeSpec, thetas, k: int = 1):
     return lam, psi
 
 
-def _twist_field(spec: LatticeSpec, theta: float, k: int = 1):
-    """The counter-rotation by ``+-theta`` as ``(lam, psi)`` on the k x k
-    supercell slots, without building the supercell or certifying it.
-    Raises :class:`MechanismError` when the pin chase does not close."""
-    lam, psi = _twist_fields(spec, [theta], k)
-    return lam[0], psi[0]
-
-
 def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1) -> Mechanism:
     """The counter-rotation by ``+-theta`` as a certified k-periodic
     deformation.  Raises :class:`MechanismError` when the pin chase does
     not close (not every parameter slice of every family rotates)."""
-    lam, psi = _twist_field(spec, theta, k)
-    defm = PeriodicDeformation(Supercell(spec, k), lam, psi)
+    lam, psi = _twist_fields(spec, [theta], k)
+    defm = PeriodicDeformation(Supercell(spec, k), lam[0], psi[0])
     return Mechanism(
         kind="twist",
         params={"theta": float(theta), "k": int(k)},
@@ -725,7 +695,9 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
         side = 1.0 if col >= 0 else -1.0
         return down_sign[u] * side * phi[abs(col)]
 
-    keys, pos, misfit = assemble_rotated_units(spec, units, cells, angle_fn)
+    plan = PlacementPlan.compile(spec, units, cells)
+    pos, misfit = plan.place([[angle_fn(*inst) for inst in plan.insts.tolist()]])
+    keys, pos, misfit = plan.keys, pos[0], float(misfit[0])
     if misfit > 1e-10:
         raise MechanismError(f"domain wall does not close: misfit {misfit:.3e}")
 

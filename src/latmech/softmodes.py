@@ -55,6 +55,9 @@ class ConformalTarget:
     domain: tuple
 
     def __post_init__(self):
+        # a NaN derivative would pass the compressiveness check below
+        if not np.isfinite(np.asarray(self.coeffs, dtype=complex)).all():
+            raise ValueError(f"target coefficients must be finite, got {self.coeffs!r}")
         x0, x1, y0, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"empty target domain {self.domain!r}")

@@ -281,11 +281,11 @@ def test_invert_contraction_evaluates_each_twist_once(request, spec_name, monkey
     spec = request.getfixturevalue(spec_name)
     cs = _twist_contraction_table(spec)[1]
     fields, brent_values = [], []
-    real_field, real_brentq = cellsolver._twist_field, cellsolver._brentq
+    real_fields, real_brentq = cellsolver._twist_fields, cellsolver._brentq
 
-    def field(spec, theta):
-        fields.append(theta)
-        return real_field(spec, theta)
+    def twist_fields(spec, thetas):
+        fields.extend(thetas)
+        return real_fields(spec, thetas)
 
     def brent(f, *args, **kwargs):
         def g(x):
@@ -293,7 +293,7 @@ def test_invert_contraction_evaluates_each_twist_once(request, spec_name, monkey
             return f(x)
         return real_brentq(g, *args, **kwargs)
 
-    monkeypatch.setattr(cellsolver, "_twist_field", field)
+    monkeypatch.setattr(cellsolver, "_twist_fields", twist_fields)
     monkeypatch.setattr(cellsolver, "_brentq", brent)
     for c in np.linspace(cs.min(), 1.0, 50, endpoint=False):
         fields.clear()

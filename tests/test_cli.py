@@ -138,6 +138,7 @@ def test_precondition_errors_exit_2(tmp_path):
      "penalty strength eta must be positive, got -inf"),
     (["energy", "--psi-amp", "-1e-3"], "--psi-amp must be finite and >= 0, got -0.001"),
     (["energy", "--lam", "-inf,0,0,1"], "matrix entry '-inf' is not finite"),
+    (["energy", "--lam", "a,0,0,1"], "matrix entry 'a' is not a number"),
     (["soft-mode", "--eps", "nan"], "--eps entry 'nan' is not a finite number"),
     (["soft-mode", "--eps", "1/8,inf"], "--eps entry 'inf' is not a finite number"),
     (["soft-mode", "--eps", "1/8,abc"], "--eps entry 'abc' is not a finite number"),

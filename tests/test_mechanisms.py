@@ -11,9 +11,9 @@ from latmech.lattice import (DegenerateGeometryError, LatticeSpec, Supercell, bu
                              build_variant)
 from latmech.mechanisms import (
     MechanismError,
-    _twist_field,
+    PlacementPlan,
+    _twist_fields,
     _twist_plan,
-    assemble_rotated_units,
     certify,
     domain_wall_angles,
     domain_wall_mechanism,
@@ -65,9 +65,10 @@ def test_rigid_unit_coloring_errors(penalized, message):
 def test_assemble_zero_rotation_reproduces_reference(kagome):
     units = rigid_units(kagome)
     cells = [(i, j) for i in range(3) for j in range(3)]
-    keys, pos, misfit = assemble_rotated_units(kagome, units, cells, lambda u, ci, cj: 0.0)
-    assert misfit <= 1e-14
-    for key, y in zip(keys, pos):
+    plan = PlacementPlan.compile(kagome, units, cells)
+    pos, misfit = plan.place(np.zeros((1, len(plan.insts))))
+    assert misfit[0] <= 1e-14
+    for key, y in zip(plan.keys, pos[0]):
         assert np.allclose(y, kagome.node_positions(key), atol=1e-14)
 
 
@@ -135,10 +136,10 @@ def test_twist_admissible_range_exact_probe(kagome, rotating_squares):
 def test_twist_field_is_the_mechanism_deformation(twist_specs):
     for spec in twist_specs:
         for theta, k in ((0.4, 1), (0.9, 2)):
-            lam, psi = _twist_field(spec, theta, k)
+            lam, psi = _twist_fields(spec, [theta], k)
             defm = twist_mechanism(spec, theta, k).deformation
-            assert lam.tobytes() == defm.lam.tobytes()
-            assert psi.tobytes() == defm.psi.tobytes()
+            assert lam[0].tobytes() == defm.lam.tobytes()
+            assert psi[0].tobytes() == defm.psi.tobytes()
 
 
 def _first_break(spec, probe_step):
@@ -148,7 +149,7 @@ def _first_break(spec, probe_step):
     while theta + probe_step < np.pi:
         theta += probe_step
         try:
-            lam, _ = _twist_field(spec, theta)
+            lam = _twist_fields(spec, [theta])[0][0]
         except MechanismError:
             break
         sd = signed_svd(lam)
@@ -169,20 +170,20 @@ def test_batched_twist_equals_one_angle_path(twist_specs):
                 one = plan.fields([theta])
                 for b, o in zip(batch, one):
                     assert b[i].tobytes() == o[0].tobytes()
-                lam, psi = _twist_field(spec, theta, k)
-                assert batch[0][i].tobytes() == lam.tobytes()
-                assert batch[1][i].tobytes() == psi.tobytes()
+                lam, psi = _twist_fields(spec, [theta], k)
+                assert batch[0][i].tobytes() == lam[0].tobytes()
+                assert batch[1][i].tobytes() == psi[0].tobytes()
         assert twist_admissible_range(spec, 0.05)[1] == _first_break(spec, 0.05)
     # a quad whose chase does not close: the batch misfit is the misfit of
     # the one-angle pin chase, and every angle but zero breaks closure
     spec = build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6)
     units = rigid_units(spec)
-    plan = _twist_plan(spec, 1)
-    misfit = plan.fields(thetas)[2]
+    misfit = _twist_plan(spec, 1).fields(thetas)[2]
+    chase = PlacementPlan.compile(spec, units, [(i, j) for i in range(-1, 2)
+                                                for j in range(-1, 2)])
     for theta, m in zip(thetas, misfit):
-        *_, one = assemble_rotated_units(
-            spec, units, [(i, j) for i in range(-1, 2) for j in range(-1, 2)],
-            lambda u, ci, cj: theta if units[u].parity == 0 else -theta)
+        angles = [theta if units[u].parity == 0 else -theta for u, _, _ in chase.insts]
+        one = float(chase.place([angles])[1][0])
         assert m.hex() == one.hex() and m > 1e-12
     with pytest.raises(MechanismError, match="no admissible"):
         twist_admissible_range(spec, 0.05)
@@ -194,7 +195,7 @@ def test_twist_closure_failure_raises():
     with pytest.raises(MechanismError):
         twist_mechanism(spec, 0.2)
     with pytest.raises(MechanismError):
-        _twist_field(spec, 0.2)
+        _twist_fields(spec, [0.2])
     # a NaN angle leaves a NaN misfit, which closes no mechanism either
     with pytest.raises(MechanismError, match="counter-rotation by nan does not close"):
         twist_mechanism(build_kagome(), float("nan"))

@@ -64,9 +64,9 @@ from latmech.lattice import (
 )
 from latmech.mechanisms import (
     MechanismError,
+    PlacementPlan,
     _twist_contraction_table,
-    _twist_field,
-    assemble_rotated_units,
+    _twist_fields,
     certify,
     domain_wall_mechanism,
     rigid_units,
@@ -136,7 +136,7 @@ def _certify(spec, k, rough, mild):
 
 def _breakdown(spec, k, rough, mild):
     bd = energy_breakdown(rough, ETA)
-    return (bd.per_triangle_spring, bd.per_triangle_penalty, bd.orientation_ok,
+    return (bd.per_triangle_spring, bd.per_triangle_penalty, bd.dets > 0,
             bd.reversed_counts, bd.penalty_unit, bd.spring_total, bd.penalty_total)
 
 
@@ -198,12 +198,12 @@ def _seed(spec):
                     np.diag([0.92, 0.88]), 0.97 * np.eye(2), 0.2 * np.eye(2),
                     np.diag([1.2, 0.8])):
             seed = _twist_seed(spec, lam, k, {})
-            out.append("none" if seed is None else (seed.lam, seed.psi))
+            out.append("none" if seed is None else seed)
     return out
 
 
 def _field(spec):
-    return [_or_error(lambda: tuple(_twist_field(spec, theta, k)))
+    return [_or_error(lambda: tuple(a[0] for a in _twist_fields(spec, [theta], k)))
             for k in (1, 2, 3) for theta in (0.0, 0.05, 0.3, 0.7, 1.2, 1.6, 2.4, 3.0)]
 
 
@@ -212,11 +212,13 @@ def _chase(spec):
     varies with unit and cell (misfit nonzero), positions in placement
     order."""
     units = rigid_units(spec)
-    cells = [(i, j) for i in range(-1, 3) for j in range(-1, 3)]
+    plan = PlacementPlan.compile(spec, units, [(i, j) for i in range(-1, 3)
+                                               for j in range(-1, 3)])
     out = []
     for fn in (lambda u, ci, cj: 0.4 if units[u].parity == 0 else -0.4,
                lambda u, ci, cj: 0.3 * (1 + 0.1 * u) + 0.01 * ci - 0.02 * cj):
-        out.append(assemble_rotated_units(spec, units, cells, fn))
+        pos, misfit = plan.place([[fn(*inst) for inst in plan.insts.tolist()]])
+        out.append((plan.keys, pos[0], float(misfit[0])))
     return out
 
 
@@ -241,7 +243,7 @@ TWIST_PINS = {
     "modulate": "990f2b46dbbd6430b819d0505fe0d2ddc2500572a2ffc6492caa62dcd86b346f",
     "pin_chase": "f88f5c1aa7da62cdad7083dda18439307fdb26be3593858beabd0f1887a3d27a",
     "twist_field": "f73d8f3a0706f999f3a6a629ea519156e3cad1ce77ac360a03028c3a80cfd946",
-    "twist_seed": "a3a904e561ff2f95d3844922c971f9041d0b702961980e57895901503467e8f1",
+    "twist_seed": "87818c8a6c6ad88016c7aab2e3db1fc408cf2c070afec8907d728cf4f1e63b6e",
 }
 
 UNITS_PIN = "f431295a8acad0998d31d7a58defabe0005f85ed0e8318781c219654dc3e03ae"

@@ -31,6 +31,10 @@ def test_target_validation():
     with pytest.raises(ValueError):
         # |f'| = 1.5 > 1 everywhere
         ConformalTarget(coeffs=(0.0, 1.5), domain=(0.0, 1.0, 0.0, 1.0))
+    # a NaN derivative passes no comparison; an infinite constant has derivative 0
+    for coeffs in ((0.0, float("nan")), (float("inf"),)):
+        with pytest.raises(ValueError, match="target coefficients must be finite"):
+            ConformalTarget(coeffs=coeffs, domain=(0.0, 1.0, 0.0, 1.0))
 
 
 def test_default_target_shape():
