@@ -15,8 +15,8 @@ private kernel, ``_jensen_slacks``, evaluates a Jensen bound on a stack
 of trials on one supercell; ``verify_jensen_bounds`` draws its random
 trials one by one, scales the raw draws on stacked arrays and hands them
 to it in stacks, one per supercell size, in chunks of ``_JENSEN_CHUNK``
-node slots (so memory is bounded for any trial count); the equality
-witness ``jensen_diag_stretch`` is that kernel on a stack of one.
+node slots (so memory is bounded for any trial count); the
+diagonal-stretch equality witness is that kernel on a stack of one.
 Every slack keeps the bits of evaluating its trial alone.
 """
 
@@ -212,22 +212,28 @@ def estimate_density(
     Seeds: ``psi = 0``, the aligned twist field when ``lam`` is close to a
     reachable isotropic compression, and ``restarts`` random fields.  The
     exact energy of every seed is screened first: the first seed at or
-    below 1e-13 short-circuits, with no L-BFGS run (and scipy
-    never imported).  Otherwise each seed is polished in turn through the
+    below 1e-13 short-circuits, with no L-BFGS run (and scipy never
+    imported).  Otherwise each seed is polished in turn through the
     smoothing anneal, by L-BFGS over ``psi`` alone: one stage per width
-    ``tau`` of ``_ANNEAL``, each capped at ``_MAXITER`` iterations.  Each
-    stage hands L-BFGS one objective, built once for the stage at its ``tau``:
-    the energy of :func:`~latmech.energy.smoothed_energy_grad` and its
-    ``psi`` gradient (no ``lam`` gradient), with the fixed ``lam @ dx``,
-    constants and buffers made once.  The reported value is always
-    the exact step-penalty energy of the best iterate.
-    ``solver_trace`` counts the L-BFGS stages that hit the iteration or
-    evaluation limit (``unconverged_stages``), keeps the last such
-    termination message (``last_unconverged_message``), counts the
-    stages whose line search stalled (``stalled_stages``; typically at
-    the floating-point floor of the smoothed energy), and holds the
-    residual contraction gap of the twist seed when its inversion
-    bracket failed (``twist_bracket_gap``; ``None`` otherwise).
+    ``tau`` of ``_ANNEAL``, each capped at ``_MAXITER`` iterations.  The
+    first polish that reaches 1e-13 short-circuits the seeds after it.
+    Each stage hands L-BFGS one objective, built once for the stage at its
+    ``tau``: the energy of :func:`~latmech.energy.smoothed_energy_grad`
+    and its ``psi`` gradient (no ``lam`` gradient), with the fixed
+    ``lam @ dx``, constants and buffers made once.  The reported value is
+    always the exact step-penalty energy of the best iterate.
+
+    ``solver_trace`` says whether either short circuit ended the solve
+    (``short_circuit``) and gives the gradient norm at the end of the best
+    seed's last stage (``final_grad_norm``: 0.0 for a seed screened at
+    zero, NaN for a screened seed that no polish beat).  It counts the
+    L-BFGS stages that hit the iteration or evaluation limit
+    (``unconverged_stages``), keeps the last such termination message
+    (``last_unconverged_message``), counts the stages whose line search
+    stalled (``stalled_stages``; typically at the floating-point floor of
+    the smoothed energy), and holds the residual contraction gap of the
+    twist seed when its inversion bracket failed (``twist_bracket_gap``;
+    ``None`` otherwise).
     """
     _check_eta(eta)
     if k < 1:
@@ -267,10 +273,6 @@ def estimate_density(
     for (label, psi0), bd0 in polish:
         if best is None or bd0.averaged < best[0].averaged:
             best = (bd0, label, psi0, np.nan)
-        if best[0].averaged <= _SHORT_TOL:    # an earlier seed was polished down to zero
-            short_circuit = True
-            best = best[:3] + (0.0,)
-            break
 
         x = psi0.ravel().copy()
         grad_norm = np.nan
@@ -291,6 +293,9 @@ def estimate_density(
         bd = exact(psi)
         if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
             best = (bd, label, psi.copy(), grad_norm)
+        if best[0].averaged <= _SHORT_TOL:    # polished down to zero: no later seed can beat it
+            short_circuit = True
+            break
 
     bd, label, psi, grad_norm = best
     return DensityEstimate(
@@ -507,11 +512,12 @@ def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.nda
     of ``np.linalg.norm`` of one vector) and :func:`_pos_sq_pow`.
     """
     T = len(lam)
+    z = psi.reshape(T, -1)
 
     def gather(edges):
         tail, head, dx = edges
         # matmul over stacked columns gives the bits of ``lam @ dx`` per trial and class
-        return (psi[:, head] - psi[:, tail]
+        return (z[:, head] - z[:, tail]
                 + np.matmul(lam[:, None], dx[None, :, :, None])[:, :, None, :, 0])
 
     def marker_mean(values):
@@ -553,17 +559,6 @@ def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.nda
     # ``sum`` adds one term after another from zero, marker averages and stretch terms alike
     lhs = sum(marker_mean((np.linalg.norm(e, axis=-1) - 1.0) ** 2) for e in edges)
     return lhs - sum(rhs.T)
-
-
-def jensen_diag_stretch(defm: PeriodicDeformation) -> float:
-    """The slack of the diagonal-stretch bound (see :func:`_jensen_slacks`)
-    on the one trial ``defm``, whose ``lam`` is diagonal and nonnegative."""
-    lam = defm.lam
-    if abs(lam[0, 1]) > 1e-12 or abs(lam[1, 0]) > 1e-12:
-        raise ValueError("diagonal-stretch bound needs a diagonal lam")
-    if lam[0, 0] < 0 or lam[1, 1] < 0:
-        raise ValueError("diagonal-stretch bound needs nonnegative entries")
-    return float(_jensen_slacks(defm.cell, "diag-stretch", lam[None], defm.psi[None])[0])
 
 
 def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
@@ -656,10 +651,11 @@ def verify_jensen_bounds(
                                    n_trials=n_trials)
            for name, mins in minima.items()}
     if "diag-stretch" in out:
+        # the equality witness: both sides are (1.5 - 1)^2 at psi = 0
         cell = Supercell(spec, 1)
-        defm = PeriodicDeformation(cell, np.diag([1.5, 1.0]),
-                                   np.zeros((cell.n_nodes, 2)))
-        out["diag-stretch"].equality_gap = abs(jensen_diag_stretch(defm))
+        gap = _jensen_slacks(cell, "diag-stretch", np.diag([1.5, 1.0])[None],
+                             np.zeros((1, cell.n_nodes, 2)))
+        out["diag-stretch"].equality_gap = abs(float(gap[0]))
     return out
 
 

@@ -23,7 +23,6 @@ their sum over all cells compactly contained in a rectangular domain.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -70,7 +69,7 @@ def triangle_dets(defm: PeriodicDeformation) -> np.ndarray:
     """``det(grad u)`` per penalized-triangle class (rows) and cell."""
     cell = defm.cell
     ns = len(cell.spring_rest)
-    return _dets(cell, edge_vectors(defm.lam, defm.psi, *(a[ns:] for a in cell.edges)))
+    return _dets(cell, edge_vectors(defm.lam, defm.psi.ravel(), *(a[ns:] for a in cell.edges)))
 
 
 @dataclass
@@ -126,7 +125,7 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     cell = defm.cell
     kk = cell.k * cell.k
     ns = len(cell.spring_rest)
-    d = edge_vectors(defm.lam, defm.psi, *cell.edges)
+    d = edge_vectors(defm.lam, defm.psi.ravel(), *cell.edges)
     lengths = np.linalg.norm(d[:ns], axis=2)
     spring_e = cell.spring_stiffness[:, None] * (lengths - cell.spring_rest[:, None]) ** 2
 
@@ -167,7 +166,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None, pad: int = 0
     ``(2 n,)``.
 
     Everything that does not depend on ``z`` is built here once: the
-    slices of ``cell.gather`` and ``cell.scatter``, the constants of the
+    slices of ``cell.edges`` and ``cell.scatter``, the constants of the
     springs and the buffers.  With a fixed ``lam`` the products
     ``lam @ dx`` are formed once too, ``f`` ignores its ``lam`` and
     returns ``glam = None``; otherwise ``f`` takes ``lam`` on every call.
@@ -184,8 +183,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None, pad: int = 0
     """
     ns, nt, kk = len(cell.spring_rest), len(cell.tri_area), cell.k * cell.k
     n_s, n_t = (ns if springs else 0), (nt if penalty else 0)
-    tail, head = cell.gather[:, ns - n_s:ns + 2 * n_t]
-    dx = cell.edges.dx[ns - n_s:ns + 2 * n_t]
+    tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
     bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
     if pad:
         bins = bins + pad
@@ -335,30 +333,6 @@ def _search_objective(cell: Supercell, mu: float):
 # ---------------------------------------------------------------------------
 
 
-class _NodeValues(Mapping):
-    """Read-only ``{(node, (o1, o2)): position}`` view of a lattice map's
-    arrays, iterated in the map's sorted row order."""
-
-    __slots__ = ("_lmap",)
-
-    def __init__(self, lmap: "LatticeMap"):
-        self._lmap = lmap
-
-    def __len__(self) -> int:
-        return len(self._lmap.keys)
-
-    def __iter__(self):
-        for node, o1, o2 in self._lmap.keys.tolist():
-            yield (node, (o1, o2))
-
-    def __getitem__(self, key) -> np.ndarray:
-        node, (o1, o2) = key
-        row = self._lmap.rows([node, o1, o2], 0, 0)[0]
-        if row < 0:
-            raise KeyError(key)
-        return self._lmap.positions[row]
-
-
 class LatticeMap:
     """A deformation given by nodal values on an ``epsilon``-scaled lattice.
 
@@ -368,9 +342,8 @@ class LatticeMap:
     deformed positions row by row.  :meth:`rows` is the one lookup: it
     translates stacked integer rows such as the spec's ``spring_keys``
     over many cells at once, through a dense ``(node, o1, o2)`` grid built
-    once.  The reference position of a node is ``epsilon`` times its
-    unscaled position.  ``values`` is a read-only mapping view
-    ``{(node, (o1, o2)): position}`` over the arrays.
+    once.  These two arrays are the map's one layout.  The reference
+    position of a node is ``epsilon`` times its unscaled position.
     """
 
     def __init__(self, spec: LatticeSpec, epsilon: float, keys, positions):
@@ -387,7 +360,9 @@ class LatticeMap:
         self._lo = tuple(lo.tolist())
         self._grid = np.full(tuple(hi - lo + 1), -1, dtype=np.int64)
         self._grid[tuple((self.keys - lo).T)] = np.arange(n)
-        self.values = _NodeValues(self)
+        # perfbench/layers.py counts nodes as ``len(lmap.values)``, so this
+        # alias goes when the bench changes
+        self.values = self.positions
 
     def rows(self, keys, ci, cj) -> np.ndarray:
         """Rows ``keys.shape[:-1] + (n_cells,)`` of the integer node rows

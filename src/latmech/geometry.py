@@ -61,8 +61,9 @@ def averaged_vectors(defm: PeriodicDeformation):
     """
     cell = defm.cell
     kk = cell.k * cell.k
-    bt = edge_vectors(defm.lam, defm.psi, *cell.marker_b)
-    rt = edge_vectors(defm.lam, defm.psi, *cell.marker_r)
+    z = defm.psi.ravel()
+    bt = edge_vectors(defm.lam, z, *cell.marker_b)
+    rt = edge_vectors(defm.lam, z, *cell.marker_r)
     return (ordered_sum(cell.marker_b.dx), ordered_sum(cell.marker_r.dx),
             ordered_sum(bt.sum(axis=1) / kk), ordered_sum(rt.sum(axis=1) / kk))
 

@@ -16,8 +16,7 @@ translated by ``o1 * v1 + o2 * v2``.  The spec stores each class once, as
 stacked rows, per unit cell with offsets chosen so that every endpoint
 lies in the closure of the covered cell region, and every layer below it
 reads those rows, the rigid units and their placements included.
-Nested tuples ``(node, (o1, o2))`` appear only in error messages and in
-the lattice-map ``values`` view.
+Nested tuples ``(node, (o1, o2))`` appear only in error messages.
 """
 
 from __future__ import annotations
@@ -499,19 +498,20 @@ def spring_attribution(spec: LatticeSpec):
 
 
 class Edges(NamedTuple):
-    """Stacked edge classes: ``tail`` and ``head`` slots ``(n, k*k)`` over
-    the cells and reference vectors ``dx`` ``(n, 2)``."""
+    """Stacked edge classes: the flat ``psi`` indices ``2 * slot + c``
+    ``(n, k*k, 2)`` of the ``tail`` and ``head`` ends over the cells and
+    components ``c = 0, 1``, and reference vectors ``dx`` ``(n, 2)``."""
 
     tail: np.ndarray
     head: np.ndarray
     dx: np.ndarray
 
 
-def edge_vectors(lam, psi, tail, head, dx) -> np.ndarray:
+def edge_vectors(lam, z, tail, head, dx) -> np.ndarray:
     """Deformed vectors ``(n, k*k, 2)`` of stacked edge classes under
-    ``u = lam x + psi``."""
+    ``u = lam x + psi``, read from the flat ``psi`` vector ``z`` ``(2 n,)``."""
     # matmul over stacked columns gives the bits of ``lam @ dx`` class by class
-    return psi[head] - psi[tail] + np.matmul(lam, dx[:, :, None])[:, None, :, 0]
+    return z[head] - z[tail] + np.matmul(lam, dx[:, :, None])[:, None, :, 0]
 
 
 def ordered_sum(terms):
@@ -550,6 +550,7 @@ class Supercell:
 
     Node slots are numbered ``(node * k + i) * k + j`` for basic node
     ``node`` in cell ``(i, j)``; cells are enumerated ``c = i * k + j``.
+    ``psi`` is read flat: component ``c`` of slot ``s`` at ``2 s + c``.
     Each class of springs, penalized triangles and markers is one row of
     a stacked array, built from the spec's integer rows (``spring_keys``,
     ``penalized_keys``, ``marker_keys``) in class order; axes of length
@@ -559,15 +560,11 @@ class Supercell:
       ``ns + 2 nt`` edge classes: the springs from ``a`` to ``b``, then
       every penalized triangle's ``P0 -> P1``, then every one's
       ``P0 -> P2``; ``spring_rest`` and ``spring_stiffness`` ``(ns,)``;
-    - ``scatter``: the flat scatter stream ``2 * slot + component``
-      ``(2 (2 ns + 3 nt) k*k,)`` of the ``psi`` gradient: per spring class
-      its head slots then its tail slots, then per penalized triangle
-      class its ``P1``, ``P2`` then ``P0`` slots, each over the cells with
-      both components interleaved;
-    - ``gather`` ``(2, ns + 2 nt, k*k, 2)``: the same components
-      ``2 * slot + component`` of ``edges.tail`` (``gather[0]``) and
-      ``edges.head`` (``gather[1]``), so a kernel reads its edge ends
-      straight from the flat ``psi`` vector;
+    - ``scatter``: the flat scatter stream ``(2 (2 ns + 3 nt) k*k,)`` of
+      the ``psi`` gradient, from the same indices: per spring class its
+      head ends then its tail ends, then per penalized triangle class its
+      ``P1``, ``P2`` then ``P0`` ends, each over the cells with both
+      components interleaved;
     - ``tri_area`` ``(nt,)``: the spec's ``penalized_area``; ``tri_cross0``
       ``(nt,)``: twice that, the cross product of the two reference edges
       (positive);
@@ -582,8 +579,7 @@ class Supercell:
 
     Energies and gradients add these rows up in exactly this order, class
     by class, and scatter into ``psi`` in stream order, which fixes the
-    bits of every result.  The edge layout, the stream and the gather
-    indices are read-only.
+    bits of every result.  The edge layouts and the stream are read-only.
     """
 
     def __init__(self, spec: LatticeSpec, k: int):
@@ -600,12 +596,11 @@ class Supercell:
         ci = np.repeat(np.arange(k), k)
         cj = np.tile(np.arange(k), k)
 
-        def slots(key):
-            return self.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj)
+        def ends(key):
+            return _components(self.slot(key[..., 0:1], key[..., 1:2] + ci, key[..., 2:3] + cj))
 
         def edges(key):
-            arrays = slots(key[:, 0]), slots(key[:, 1]), spec.segments(key)
-            return Edges(*(_frozen(a, a.shape) for a in arrays))
+            return Edges(ends(key[:, 0]), ends(key[:, 1]), _frozen(spec.segments(key), (-1, 2)))
 
         pk = spec.penalized_keys
         ns, nt = len(spec.spring_keys), len(pk)
@@ -615,10 +610,9 @@ class Supercell:
 
         tail, head = self.edges.tail, self.edges.head
         s0, s1, s2 = tail[ns:ns + nt], head[ns:ns + nt], head[ns + nt:]
-        scatter = np.concatenate([np.stack([head[:ns], tail[:ns]], axis=1).ravel(),
-                                  np.stack([s1, s2, s0], axis=1).ravel()])
-        self.scatter = _components(scatter).ravel()
-        self.gather = _components(np.stack([tail, head]))
+        self.scatter = np.concatenate([np.stack([head[:ns], tail[:ns]], axis=1).ravel(),
+                                       np.stack([s1, s2, s0], axis=1).ravel()])
+        self.scatter.setflags(write=False)
         # halving and doubling are exact: twice the spec's area is the cross product
         self.tri_cross0 = 2 * spec.penalized_area
         self.tri_area = spec.penalized_area
@@ -636,9 +630,6 @@ class Supercell:
         """Slot of basic node ``node`` translated by ``(o1, o2)``, wrapped
         into the supercell; works elementwise on integer arrays."""
         return _slot(self.k, node, o1, o2)
-
-    def zero_deformation(self) -> "PeriodicDeformation":
-        return PeriodicDeformation(self, np.eye(2), np.zeros((self.n_nodes, 2)))
 
 
 # ---------------------------------------------------------------------------

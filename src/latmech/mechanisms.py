@@ -478,8 +478,11 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
     """Numerically probe the symmetric interval of twist angles on which
     the counter-rotation closes, ``det lam`` stays above 1e-8,
     and the contraction ``c(theta) = sigma1(lam)`` is strictly decreasing
-    (the branch the soft-mode inversion needs).  Returns
+    (the branch the soft-mode inversion needs), at the probe angles
+    ``probe_step, 2 probe_step, ...`` below ``pi``.  Returns
     ``(-theta_max, theta_max)``."""
+    if not 0 < probe_step < np.pi:      # NaN fails too
+        raise ValueError(f"probe_step must be in (0, pi), got {probe_step:g}")
     probes = []
     theta = 0.0
     while theta + probe_step < np.pi:
@@ -664,9 +667,11 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
     joints rotates its down-triangle by ``+(theta_|m| - 2 pi / 3)`` and its
     up-triangle by the opposite angle, with the sign mirrored for
     ``m < 0``.  Every spring with both ends in the strip is checked.
+    The strip needs two rows at least: the cells of one row share no
+    node, so one row never connects.
     """
-    if half_width < 1 or rows < 1:
-        raise ValueError(f"the strip needs half_width >= 1 and rows >= 1, "
+    if half_width < 1 or rows < 2:
+        raise ValueError(f"the strip needs half_width >= 1 and rows >= 2, "
                          f"got {half_width} and {rows}")
     spec = build_kagome()
     K = 2 * half_width

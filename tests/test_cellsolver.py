@@ -1,6 +1,7 @@
 """Cell-problem density estimates, lambda grids, and explicit-constant bounds."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,17 +12,17 @@ from latmech.geometry import _pos_sq, principal_stretches
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
                              Supercell, VARIANT_KINDS, build_kagome, build_rotating_squares,
                              build_variant, edge_vectors, norms)
-from latmech.mechanisms import twist_admissible_range
+from latmech.mechanisms import twist_admissible_range, twist_mechanism
 import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
     _brentq,
     _invert_contraction,
+    _jensen_slacks,
     _jensen_trials,
     _marker_direction_frame,
     _pos_sq_pow,
     _twist_contraction_table,
     estimate_density,
-    jensen_diag_stretch,
     lambda_grid,
     orientation_threshold,
     sandwich_report,
@@ -234,6 +235,33 @@ def test_estimate_density_solver_trace_is_pinned(kagome, monkeypatch):
     assert annealed.upper == float.fromhex("0x1.cf0cb3573827fp-7")
 
 
+def test_polish_to_zero_short_circuits_wherever_the_seed_stands(kagome, monkeypatch):
+    # L-BFGS "finds" the twist at its own lam, so the zero seed is polished
+    # down to zero; the trace must not depend on whether a seed follows it
+    twist = twist_mechanism(kagome, 0.5).deformation
+    monkeypatch.setattr(cellsolver, "_twist_seed", lambda *args: None)
+    norms_seen = []
+
+    def polish_to_twist(fun, x0, jac, method, options):
+        x = twist.psi.ravel().copy()
+        norms_seen.append(float(np.linalg.norm(fun(x)[1])))
+        return SimpleNamespace(x=x, jac=fun(x)[1], nit=1, status=0, message="converged")
+
+    monkeypatch.setattr("scipy.optimize.minimize", polish_to_twist)
+    traces = []
+    for restarts in (0, 1):
+        norms_seen.clear()
+        est = estimate_density(kagome, twist.lam, 0.05, restarts=restarts)
+        assert est.upper <= cellsolver._SHORT_TOL
+        assert len(norms_seen) == len(cellsolver._ANNEAL)     # the zero seed alone
+        trace = est.solver_trace
+        assert trace["best_seed"] == "zero" and trace["short_circuit"]
+        # the polish's own gradient norm, not a made-up zero
+        assert trace["final_grad_norm"] == norms_seen[-1] > 0
+        traces.append({key: v for key, v in trace.items() if key != "restarts"})
+    assert traces[0] == traces[1]
+
+
 # ---------------------------------------------------------------------------
 # Brent root
 # ---------------------------------------------------------------------------
@@ -413,15 +441,6 @@ def test_isotropic_bound_eta_gate(kagome):
         verify_isotropic_bound(kagome, c0 * 1.01, [np.diag([1.2, 0.8])])
 
 
-def test_jensen_diag_stretch_preconditions(rotating_squares):
-    cell = Supercell(rotating_squares, 1)
-    psi = np.zeros((cell.n_nodes, 2))
-    with pytest.raises(ValueError):
-        jensen_diag_stretch(PeriodicDeformation(cell, np.array([[1.0, 0.2], [0.0, 1.0]]), psi))
-    with pytest.raises(ValueError):
-        jensen_diag_stretch(PeriodicDeformation(cell, np.diag([-0.5, 1.0]), psi))
-
-
 def test_jensen_bounds_rotating_squares(rotating_squares):
     reports = verify_jensen_bounds(rotating_squares, n_trials=200, k_max=2)
     # diagonals are the markers: unit rests, axis aligned, third side not a rest
@@ -449,9 +468,10 @@ def test_jensen_bounds_unequal_rests_fall_back_to_weighted():
 
 def test_diag_stretch_equality_witness(rotating_squares):
     cell = Supercell(rotating_squares, 1)
-    defm = PeriodicDeformation(cell, np.diag([1.5, 1.0]), np.zeros((cell.n_nodes, 2)))
+    slack = _jensen_slacks(cell, "diag-stretch", np.diag([1.5, 1.0])[None],
+                           np.zeros((1, cell.n_nodes, 2)))
     # both sides of the bound equal (1.5 - 1)^2 = 0.25
-    assert abs(jensen_diag_stretch(defm)) <= 1e-12
+    assert abs(slack[0]) <= 1e-12
 
 
 # -- the per-trial Jensen evaluation that the stacked trials replaced -------
@@ -459,9 +479,9 @@ def test_diag_stretch_equality_witness(rotating_squares):
 
 def _marker_edges(defm):
     """Deformed marker vectors ``(b, r)``, each ``(n_markers, k*k, 2)``."""
-    cell = defm.cell
-    return (edge_vectors(defm.lam, defm.psi, *cell.marker_b),
-            edge_vectors(defm.lam, defm.psi, *cell.marker_r))
+    cell, z = defm.cell, defm.psi.ravel()
+    return (edge_vectors(defm.lam, z, *cell.marker_b),
+            edge_vectors(defm.lam, z, *cell.marker_r))
 
 
 def _ref_direction_slack(edges, stretches) -> float:
@@ -499,7 +519,7 @@ def _ref_weighted_rest(defm) -> float:
                              (cell.marker_r, cell.marker_r_spring, er)):
         rest = cell.spring_rest[spring]
         stiffness = cell.spring_stiffness[spring]
-        lengths = np.linalg.norm(edge_vectors(lam, defm.psi, *edges), axis=2)
+        lengths = np.linalg.norm(edge_vectors(lam, defm.psi.ravel(), *edges), axis=2)
         energies = stiffness[:, None] * (lengths - rest[:, None]) ** 2
         M = float(np.min(stiffness * rest))
         l_avg = float(np.mean(rest))

@@ -57,6 +57,7 @@ def test_precondition_errors_exit_2(tmp_path):
     (["domain-wall", "--theta1", "2.3", "--n", "0"], "got 0"),
     (["domain-wall", "--theta1", "2.3", "--strip", "--half-width", "0"], "got 0 and 4"),
     (["domain-wall", "--theta1", "2.3", "--strip", "--rows", "0"], "got 15 and 0"),
+    (["domain-wall", "--theta1", "2.3", "--strip", "--rows", "1"], "rows >= 2, got 15 and 1"),
     (["mechanism", "--grid-points", "0"], "--grid-points must be at least 1, got 0"),
     (["mechanism", "--k", "0"], "--k entry '0' must be at least 1"),
     (["inequalities", "--lam-step", "0"], "lam_step must be positive, got 0"),

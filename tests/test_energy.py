@@ -21,17 +21,22 @@ from latmech.energy import (
     smoothed_energy_grad,
     triangle_dets,
 )
-from latmech.lattice import (PeriodicDeformation, Supercell, cross2, edge_vectors,
-                             ordered_sum, rotation)
+from latmech.lattice import PeriodicDeformation, Supercell, cross2, ordered_sum, rotation
 from latmech.mechanisms import _pack, _unpack, twist_mechanism
 
 from conftest import random_deformation
 from test_pins import _one_shot, _specs
 
 
+def _reference(spec, k):
+    """The undeformed state of the ``k x k`` supercell of ``spec``."""
+    cell = Supercell(spec, k)
+    return PeriodicDeformation(cell, np.eye(2), np.zeros((cell.n_nodes, 2)))
+
+
 def test_reference_state_has_zero_energy(all_specs):
     for spec in all_specs:
-        defm = Supercell(spec, 2).zero_deformation()
+        defm = _reference(spec, 2)
         bd = energy_breakdown(defm, 0.05)
         # float dust only: stored rest lengths round-trip through norms
         assert bd.total < 1e-28
@@ -40,7 +45,7 @@ def test_reference_state_has_zero_energy(all_specs):
 
 
 def test_eta_must_be_positive(kagome):
-    defm = Supercell(kagome, 1).zero_deformation()
+    defm = _reference(kagome, 1)
     with pytest.raises(ValueError):
         energy_breakdown(defm, 0.0)
     with pytest.raises(ValueError):
@@ -179,7 +184,14 @@ def test_barrier_infeasible_returns_inf(kagome):
 # The gradient kernels as they were before the flat edge layout and scatter
 # stream: per-class gathers, stacked slots and values, one bincount per
 # component.  The index arrays are rebuilt from the spec's rows, so the
-# reference does not read the supercell's flat layouts.
+# reference does not read the supercell's flat layouts, and they gather
+# from ``psi`` ``(n, 2)`` by slot.
+
+
+def _slot_edge_vectors(lam, psi, tail, head, dx):
+    """Deformed vectors ``(n, k*k, 2)`` of edge classes with ``tail`` and
+    ``head`` slots ``(n, k*k)``."""
+    return psi[head] - psi[tail] + np.matmul(lam, dx[:, :, None])[:, None, :, 0]
 
 
 def _ref_arrays(cell):
@@ -200,14 +212,14 @@ def _ref_arrays(cell):
 def _ref_triangle_edges(cell, lam, psi):
     _, tri_slots, tri_d1, tri_d2 = _ref_arrays(cell)
     s0, s1, s2 = tri_slots.transpose(1, 0, 2)
-    d1 = edge_vectors(lam, psi, s0, s1, tri_d1)
-    d2 = edge_vectors(lam, psi, s0, s2, tri_d2)
+    d1 = _slot_edge_vectors(lam, psi, s0, s1, tri_d1)
+    d2 = _slot_edge_vectors(lam, psi, s0, s2, tri_d2)
     return d1, d2, cross2(d1, d2) / cell.tri_cross0[:, None]
 
 
 def _ref_spring_terms(cell, lam, psi):
     (tail, head, dx), _, _, _ = _ref_arrays(cell)
-    d = edge_vectors(lam, psi, tail, head, dx)
+    d = _slot_edge_vectors(lam, psi, tail, head, dx)
     lengths = np.linalg.norm(d, axis=2)
     rest = cell.spring_rest[:, None]
     stiffness = cell.spring_stiffness[:, None]
@@ -278,7 +290,7 @@ def _bit_cases(spec, k, seed):
     (tail, head, dx), _, _, _ = _ref_arrays(cell)
     i, c = np.argwhere(head != tail)[0]
     psi[head[i, c]] = psi[tail[i, c]] - lam @ dx[i]
-    assert np.linalg.norm(edge_vectors(lam, psi, tail, head, dx)[i, c]) < _LEN_FLOOR
+    assert np.linalg.norm(_slot_edge_vectors(lam, psi, tail, head, dx)[i, c]) < _LEN_FLOOR
     return cell, [("rough", *rough), ("flipped", *flipped), ("mild", *mild),
                   ("collapsed", lam, psi)]
 
@@ -415,7 +427,7 @@ def test_scaled_twist_energy_is_zero(kagome):
 
 
 def _zero_map(spec, eps):
-    defm = Supercell(spec, 1).zero_deformation()
+    defm = _reference(spec, 1)
     return LatticeMap.from_periodic(defm, eps, [(i, j) for i in range(-8, 9) for j in range(-8, 9)])
 
 
@@ -538,7 +550,7 @@ def test_domain_energy_cells_match_per_cell_open_box(twist_specs):
                     want.append([i, j])
                 elif all(x0 <= x <= x1 and y0 <= y <= y1 for x, y in pts):
                     touching += 1
-            defm = Supercell(spec, 1).zero_deformation()
+            defm = _reference(spec, 1)
             lmap = LatticeMap.from_periodic(defm, eps, np.column_stack([ci, cj]))
             start = int(rng.integers(4))
             for polygon in (np.roll(rect, start, axis=0), np.roll(rect[::-1], start, axis=0)):
@@ -553,13 +565,13 @@ def test_domain_energy_cells_match_per_cell_open_box(twist_specs):
 
 def test_missing_node_raises_key_error(kagome):
     lmap = _l_shape_map(kagome)
-    keys = list(lmap.values)
     # drop one node of cell (3, 3): both entry points name node and cell
     node, o1, o2 = kagome.spring_keys[0, 1].tolist()
     gone = (node, (o1 + 3, o2 + 3))
-    kept = np.arange(len(keys)) != keys.index(gone)
+    row = lmap.rows([node, o1, o2], 3, 3)[0]
+    kept = np.arange(len(lmap.keys)) != row
     holed = LatticeMap(kagome, lmap.epsilon, lmap.keys[kept], lmap.positions[kept])
-    assert gone in lmap.values and gone not in holed.values
+    assert row >= 0 and holed.rows([node, o1, o2], 3, 3)[0] == -1
     with pytest.raises(KeyError, match=r"missing .* needed for cell \(3, 3\)"):
         _one_cell(holed, (3, 3))
     with pytest.raises(KeyError, match=re.escape(str(gone))):
@@ -569,14 +581,15 @@ def test_missing_node_raises_key_error(kagome):
 
 def test_lattice_map_arrays_and_values_view(kagome):
     lmap = _l_shape_map(kagome)
-    keys = list(lmap.values)
+    index = {(node, (o1, o2)): row for row, (node, o1, o2) in enumerate(lmap.keys.tolist())}
+    keys = list(index)
     assert keys == sorted(keys) and len(keys) == len(lmap.keys)
+    assert lmap.values is lmap.positions
     with pytest.raises(ValueError):
         lmap.positions[0, 0] = 1.0
     rebuilt = LatticeMap(kagome, lmap.epsilon, lmap.keys.tolist(), lmap.positions.tolist())
     assert np.array_equal(rebuilt.keys, lmap.keys)
     assert np.array_equal(rebuilt.positions, lmap.positions)
-    assert list(rebuilt.values) == keys
     assert lmap.rows(lmap.keys[5], 0, 0).tolist() == [5]
     assert lmap.rows([0, 10**6, 0], 0, 0).tolist() == [-1]
     # stacked rows over cells: (2, 3) keys by 4 cells
@@ -586,7 +599,7 @@ def test_lattice_map_arrays_and_values_view(kagome):
     for key, row in zip(lmap.keys[:6].tolist(), rows.reshape(6, 4)):
         for c in range(4):
             ref = (key[0], (key[1] + int(ci[c]), key[2] + int(cj[c])))
-            assert row[c] == (keys.index(ref) if ref in lmap.values else -1)
+            assert row[c] == index.get(ref, -1)
     assert (rows[..., 0] == np.arange(6).reshape(2, 3)).all()
     for ref in keys[:50]:
         key = [ref[0], *ref[1]]

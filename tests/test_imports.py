@@ -16,6 +16,7 @@ attribute store sets too: an option with one value in use is a constant
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,31 @@ def _public_names(tree) -> list:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             return [elt.value for elt in node.value.elts]
     return []
+
+
+# the oldest Python that pyproject.toml's requires-python admits
+PYTHON_FLOOR = tuple(int(v) for v in re.search(
+    r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(),
+    re.MULTILINE).groups())
+
+
+@pytest.mark.parametrize("path", sorted(p for d in ("src", "tests", "demos", "perfbench")
+                                        for p in (ROOT / d).rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_on_the_oldest_supported_python(path):
+    """Every file parses with the grammar of the oldest supported Python.
+
+    This catches syntax only (a ``except*`` or a PEP 695 ``type``
+    statement, say), not a call into a library function that only newer
+    Pythons have."""
+    ast.parse(path.read_text(), str(path), feature_version=PYTHON_FLOOR)
+
+
+def test_newer_syntax_is_caught():
+    # except* is Python 3.11 syntax
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=PYTHON_FLOOR)
 
 
 def test_modules_are_found():

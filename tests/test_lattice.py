@@ -290,16 +290,23 @@ def test_supercell_slots(kagome):
 def test_supercell_flat_layouts_are_read_only(kagome):
     cell = Supercell(kagome, 2)
     ns, nt, kk = len(kagome.spring_keys), len(kagome.penalized_keys), 4
-    assert cell.edges.tail.shape == cell.edges.head.shape == (ns + 2 * nt, kk)
+    nm = len(kagome.marker_keys)
+    assert not hasattr(cell, "gather")
+    for edges, n in ((cell.edges, ns + 2 * nt), (cell.marker_b, nm), (cell.marker_r, nm)):
+        for ends in (edges.tail, edges.head):
+            assert ends.shape == (n, kk, 2) and ends.dtype == np.int64
+            # the flat psi indices of both components of each end's slot
+            assert (ends[..., 1] == ends[..., 0] + 1).all() and (ends[..., 0] % 2 == 0).all()
     assert cell.scatter.shape == (2 * (2 * ns + 3 * nt) * kk,)
-    for arr in (*cell.edges, cell.scatter):
+    assert cell.scatter.dtype == np.int64
+    for arr in (*cell.edges, *cell.marker_b, *cell.marker_r, cell.scatter):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 
 
 def test_zero_deformation_is_reference(rotating_squares):
     cell = Supercell(rotating_squares, 2)
-    defm = cell.zero_deformation()
+    defm = PeriodicDeformation(cell, np.eye(2), np.zeros((cell.n_nodes, 2)))
     assert np.allclose(defm.lam, np.eye(2))
     assert not defm.psi.any()
     # every node in every cell of the supercell sits at its reference position

@@ -133,6 +133,14 @@ def test_twist_admissible_range_exact_probe(kagome, rotating_squares):
         assert twist_admissible_range(spec) == (-1.5700000000000012, 1.5700000000000012)
 
 
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -0.01, np.pi, 4.0])
+def test_twist_admissible_range_rejects_bad_probe_step(kagome, step):
+    # a zero or negative step would never end the probe loop; NaN, inf and
+    # steps of pi or more leave no probe and would blame the spec
+    with pytest.raises(ValueError, match=r"probe_step must be in \(0, pi\), got "):
+        twist_admissible_range(kagome, probe_step=step)
+
+
 def test_twist_field_is_the_mechanism_deformation(twist_specs):
     for spec in twist_specs:
         for theta, k in ((0.4, 1), (0.9, 2)):
@@ -257,6 +265,12 @@ def test_wall_angles_saturate():
     assert np.all(np.diff(th) >= -1e-14)        # monotone outward
     assert abs(th[20] - th[10]) < 1e-3          # convergence to the limit
     assert th[-1] < np.pi
+
+
+def test_wall_strip_needs_two_rows():
+    # horizontal neighbours in one row of kagome cells share no node
+    with pytest.raises(ValueError, match="rows >= 2, got 3 and 1"):
+        domain_wall_mechanism(2.2, half_width=3, rows=1)
 
 
 def test_wall_strip_assembles():

@@ -255,8 +255,9 @@ def test_modulated_cells_preserve_orientation(kagome):
     assert rep.n_cells > 0
     for (ci, cj) in rep.cells.tolist():
         for tri in kagome.penalized_keys.tolist():
-            keys = [(n, (o1 + ci, o2 + cj)) for n, o1, o2 in tri]
-            p0, p1, p2 = (lmap.values[k] for k in keys)
+            rows = lmap.rows(tri, ci, cj)[:, 0]
+            assert (rows >= 0).all()
+            p0, p1, p2 = lmap.positions[rows]
             q0, q1, q2 = kagome.node_positions(tri)
             ref = (q1 - q0)[0] * (q2 - q0)[1] - (q1 - q0)[1] * (q2 - q0)[0]
             defc = (p1 - p0)[0] * (p2 - p0)[1] - (p1 - p0)[1] * (p2 - p0)[0]
