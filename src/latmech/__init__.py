@@ -8,18 +8,33 @@ periodic modes, domain walls), verifies the explicit-constant lower
 bounds, and runs compressive-conformal soft-mode scaling experiments.
 
 The package re-exports the public names of each module, as listed in
-that module's ``__all__``.
+that module's ``__all__``.  Importing the package loads no module: each
+submodule, and each re-exported name, is imported on first access
+(PEP 562), so a command loads only the modules it runs.
 """
 
-from . import cellsolver, energy, geometry, lattice, mechanisms, softmodes
-from .cellsolver import *
-from .energy import *
-from .geometry import *
-from .lattice import *
-from .mechanisms import *
-from .softmodes import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [*lattice.__all__, *energy.__all__, *geometry.__all__, *mechanisms.__all__,
-           *cellsolver.__all__, *softmodes.__all__, "__version__"]
+# in the order of __all__
+_MODULES = ("lattice", "energy", "geometry", "mechanisms", "cellsolver", "softmodes")
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = [*(n for m in _MODULES for n in __getattr__(m).__all__), "__version__"]
+    else:
+        owner = next((module for module in map(__getattr__, _MODULES)
+                      if name in module.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

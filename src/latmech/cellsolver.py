@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .energy import _check_eta, _density_objective, energy_breakdown
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
-from .lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation, Supercell,
-                      cross2, norms, rotation)
-from .mechanisms import MechanismError, _twist_contraction_table, _twist_fields
+from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError, PeriodicDeformation,
+                      Supercell, cross2, norms, rotation, unique_rows)
+from .mechanisms import _twist_contraction_table, _twist_fields
 
 __all__ = [
     "DensityEstimate",
@@ -169,6 +170,12 @@ def _brentq(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
     raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur!r}")
 
 
+def _check_cell_eta(spec: LatticeSpec, eta) -> None:
+    """Reject an ``eta`` that the cell problem cannot use: ``_check_eta``
+    at the narrowest smoothing width of the anneal."""
+    _check_eta(eta, spec.penalized_area, min(_ANNEAL))
+
+
 def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
                 trace: dict) -> Optional[np.ndarray]:
     """The ``psi`` of the twist field whose contraction matches ``lam``,
@@ -213,7 +220,10 @@ def estimate_density(
     reachable isotropic compression, and ``restarts`` random fields.  The
     exact energy of every seed is screened first: the first seed at or
     below 1e-13 short-circuits, with no L-BFGS run (and scipy never
-    imported).  Otherwise each seed is polished in turn through the
+    imported).  A random seed is drawn only when screening reaches it, so
+    a short circuit before the first draws none (and never imports
+    ``numpy.random``); the draws keep their order, so each random field
+    is the same whichever seed ends the screen.  Otherwise each seed is polished in turn through the
     smoothing anneal, by L-BFGS over ``psi`` alone: one stage per width
     ``tau`` of ``_ANNEAL``, each capped at ``_MAXITER`` iterations.  The
     first polish that reaches 1e-13 short-circuits the seeds after it.
@@ -235,7 +245,7 @@ def estimate_density(
     twist seed when its inversion bracket failed (``twist_bracket_gap``;
     ``None`` otherwise).
     """
-    _check_eta(eta)
+    _check_cell_eta(spec, eta)
     if k < 1:
         raise ValueError(f"supercell size must be >= 1, got {k}")
     if restarts < 0:
@@ -243,24 +253,28 @@ def estimate_density(
     lam = np.asarray(lam, dtype=float).reshape(2, 2)
     cell = Supercell(spec, k)
     n = cell.n_nodes
-    rng = np.random.default_rng(rng_seed)
 
     trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
                "stalled_stages": 0, "twist_bracket_gap": None}
-    seeds = [("zero", np.zeros((n, 2)))]
+    fixed = [("zero", np.zeros((n, 2)))]
     tw = _twist_seed(spec, lam, k, trouble)
     if tw is not None:
-        seeds.append(("twist", tw))
-    for r in range(restarts):
-        amp = 0.1 if r % 2 == 0 else 0.3
-        seeds.append((f"random{r}", amp * rng.standard_normal((n, 2))))
+        fixed.append(("twist", tw))
+
+    def random_seeds():
+        rng = np.random.default_rng(rng_seed)
+        for r in range(restarts):
+            amp = 0.1 if r % 2 == 0 else 0.3
+            yield f"random{r}", amp * rng.standard_normal((n, 2))
 
     def exact(psi):
         return energy_breakdown(PeriodicDeformation(cell, lam, psi), eta)
 
     best = None  # (breakdown, label, psi, final gradient norm)
+    seeds = []   # (label, psi) of each seed screened, in order
     starts = []  # exact energy of each seed, screened before any polishing
-    for label, psi0 in seeds:
+    for label, psi0 in chain(fixed, random_seeds()):
+        seeds.append((label, psi0))
         starts.append(exact(psi0))
         if starts[-1].averaged <= _SHORT_TOL:
             best = (starts[-1], label, psi0, 0.0)
@@ -305,7 +319,7 @@ def estimate_density(
         upper_penalty=bd.penalty_total / bd.cell_area,
         minimizer=PeriodicDeformation(cell, lam, psi),
         lower_bracket=lower_bracket(lam),
-        solver_trace={"restarts": len(seeds), "iterations": total_iters,
+        solver_trace={"restarts": len(fixed) + restarts, "iterations": total_iters,
                       "final_grad_norm": grad_norm, "best_seed": label,
                       "short_circuit": short_circuit, **trouble},
     )
@@ -423,7 +437,7 @@ def verify_isotropic_bound(
     amplitude 0.2.  Requires ``eta`` at most the orientation threshold
     ``c0`` of the spec.
     """
-    _check_eta(eta)
+    _check_cell_eta(spec, eta)
     c0 = orientation_threshold(spec)
     if eta > c0:
         raise ValueError(
@@ -613,7 +627,7 @@ def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
             else:
                 lams[name] = np.eye(2) + 0.6 * raw
         slacks = {name: np.empty(len(ks)) for name in families}
-        for k in np.unique(ks):
+        for k in unique_rows(ks[:, None])[:, 0]:
             idx = np.flatnonzero(ks == k)
             psi = 0.4 * np.array([psis[i] for i in idx])
             for name in families:

@@ -7,6 +7,11 @@ significant digits, fixed row order), so identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 usage error, 2
 precondition/build error, 3 a verified bound came back with negative
 slack, 4 an unexpected internal error (traceback on stderr).
+
+Every command is its own short process, so this module imports at top
+level only what every command needs (spec loading from
+:mod:`latmech.lattice`); each command imports the solver modules it runs
+when it runs.
 """
 
 from __future__ import annotations
@@ -23,18 +28,10 @@ from itertools import chain
 
 import numpy as np
 
-from .cellsolver import (
-    estimate_density,
-    lambda_grid,
-    orientation_threshold,
-    verify_isotropic_bound,
-    verify_jensen_bounds,
-)
-from .energy import LatticeMap, _check_eta, energy_breakdown
-from .geometry import scalar_inequality_report
 from .lattice import (
     DegenerateGeometryError,
     LatticeSpec,
+    MechanismError,
     PeriodicDeformation,
     Supercell,
     VARIANT_KINDS,
@@ -44,16 +41,6 @@ from .lattice import (
     kabsch_rotations,
     unique_rows,
 )
-from .mechanisms import (
-    MechanismError,
-    _twist_contraction_table,
-    domain_wall_angles,
-    domain_wall_mechanism,
-    search_mechanisms,
-    twist_admissible_range,
-    twist_mechanism,
-)
-from .softmodes import default_target, ladder_exponents, modulate, soft_mode_report
 
 __all__ = ["main"]
 
@@ -308,9 +295,10 @@ def _json_table(row: str, columns) -> str:
     return "[\n" + ",\n".join([row] * n) % tuple(cells) + "\n ]"
 
 
-def _dump_geometry(lmap: LatticeMap, path: str) -> None:
-    """Plot-ready geometry: node positions, spring edges, and the rigid
-    rotation angle of each penalized triangle.  The text is what
+def _dump_geometry(lmap, path: str) -> None:
+    """Plot-ready geometry of a :class:`~latmech.energy.LatticeMap`: node
+    positions, spring edges, and the rigid rotation angle of each
+    penalized triangle.  The text is what
     ``json.dumps(payload, indent=1, sort_keys=True)`` writes, built
     straight from the arrays (see ``docs/formats.md``)."""
     spec = lmap.spec
@@ -347,6 +335,8 @@ def _warm_twist_table(spec: LatticeSpec) -> None:
     which then inherit it instead of each building its own.  A spec
     without a twist (no closing counter-rotation, or rigid units that
     percolate) has no table to share."""
+    from .mechanisms import _twist_contraction_table
+
     try:
         _twist_contraction_table(spec)
     except (MechanismError, DegenerateGeometryError):
@@ -370,11 +360,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    from .energy import _check_eta, energy_breakdown
+
     if not 0 <= args.psi_amp < np.inf:
         raise ValueError(f"--psi-amp must be finite and >= 0, got {args.psi_amp:g}")
     _check_seed(args)
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     spec = _load_spec(args)
+    _check_eta(args.eta, spec.penalized_area)
     cell = Supercell(spec, args.k)
     lam = _parse_matrix(args.lam) if args.lam else np.eye(2)
     if args.psi_amp > 0:
@@ -408,6 +401,9 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 
 
 def _cmd_mechanism(args) -> int:
+    from .energy import LatticeMap
+    from .mechanisms import search_mechanisms, twist_admissible_range, twist_mechanism
+
     _check_seed(args)
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     if args.theta is not None and not np.isfinite(args.theta):
@@ -458,6 +454,8 @@ def _cmd_mechanism(args) -> int:
 
 
 def _density_task(payload):
+    from .cellsolver import estimate_density
+
     spec_json, lam, eta, k, restarts, seed = payload
     spec = LatticeSpec.from_json(spec_json)
     est = estimate_density(spec, np.asarray(lam), eta=eta, k=k,
@@ -468,11 +466,15 @@ def _density_task(payload):
 
 
 def _cmd_density_sweep(args) -> int:
+    # imported before the pool forks, so each worker inherits estimate_density
+    from .cellsolver import _check_cell_eta, lambda_grid
+
     _check_seed(args)
     if args.restarts < 0:
         raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     ks = _parse_ks(args.k)
     spec = _load_spec(args)
+    _check_cell_eta(spec, args.eta)
     lams = lambda_grid(args.grid, rng_seed=args.seed)
     spec_json = spec.to_json()
     payloads = [(spec_json, lam.tolist(), args.eta, k, args.restarts, args.seed)
@@ -519,10 +521,13 @@ def _cmd_density_sweep(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
-    # checked on every run, so a bad --eta never passes unread
-    _check_eta(args.eta)
+    from .cellsolver import (_check_cell_eta, lambda_grid, orientation_threshold,
+                             verify_isotropic_bound, verify_jensen_bounds)
+
     _check_seed(args)
     spec = _load_spec(args)
+    # checked on every run, so a bad --eta never passes unread
+    _check_cell_eta(spec, args.eta)
     reports = verify_jensen_bounds(spec, n_trials=args.trials,
                                    k_max=args.k_max, rng_seed=args.seed)
     checked = [reports[name] for name in sorted(reports)]
@@ -545,6 +550,8 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_domain_wall(args) -> int:
+    from .mechanisms import domain_wall_angles, domain_wall_mechanism
+
     theta = domain_wall_angles(args.theta1, n=args.n)
     rows = [[i, th] for i, th in enumerate(theta)]
     # the CSV goes last, so a strip that fails its checks leaves none
@@ -564,19 +571,25 @@ def _cmd_domain_wall(args) -> int:
 
 
 def _softmode_task(payload):
+    from .softmodes import modulate
+
     spec_json, target, eps, sweeps = payload
     lmap = modulate(LatticeSpec.from_json(spec_json), target, eps, relax_sweeps=sweeps)
     return eps, lmap.keys, lmap.positions
 
 
 def _cmd_soft_mode(args) -> int:
+    # imported before the pool forks, so each worker inherits modulate
+    from .energy import LatticeMap, _check_eta
+    from .softmodes import default_target, ladder_exponents, soft_mode_report
+
     if args.sweeps < 0:
         raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     spec = _load_spec(args)
     target = default_target()
     eps_list = _parse_eps(args.eps)
     _check_ladder(args.eps, eps_list)
-    _check_eta(args.eta)
+    _check_eta(args.eta, spec.penalized_area)
     if args.dump_dir:
         # made before any modulation, so a path that cannot hold the dumps
         # fails at once
@@ -622,6 +635,8 @@ def _cmd_soft_mode(args) -> int:
 
 
 def _cmd_inequalities(args) -> int:
+    from .geometry import scalar_inequality_report
+
     reports = scalar_inequality_report(lam_step=args.lam_step,
                                        theta_step=args.theta_step)
     rows = []

@@ -52,10 +52,19 @@ _LEN_FLOOR = 1e-12  # guards normalization of nearly collapsed springs
 # ---------------------------------------------------------------------------
 
 
-def _check_eta(eta) -> None:
-    """Reject a penalty strength ``eta`` that is not finite and positive."""
+def _check_eta(eta, area, tau=1.0) -> None:
+    """Reject a penalty strength ``eta`` that is not finite and positive,
+    or so small that, for a penalized triangle of ``area``, the penalty
+    unit ``area / eta`` or, at a smoothing width ``tau < 1``, the smoothed
+    slope ``area / (eta * tau)`` overflows."""
     if not 0 < eta < np.inf:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
+    # Python floats, so no numpy warning; the largest area gives the largest quotient
+    scale = eta * tau
+    if scale == 0 or math.isinf(max(area.tolist(), default=0.0) / scale):
+        what = ("penalty unit area/eta" if tau == 1.0
+                else f"smoothed slope area/(eta*tau) at tau={tau:g}")
+        raise ValueError(f"penalty strength eta {eta!r} is so small that the {what} overflows")
 
 
 def _dets(cell: Supercell, d) -> np.ndarray:
@@ -121,8 +130,8 @@ class EnergyBreakdown:
 
 def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     """Exact penalized energy with the per-triangle decomposition."""
-    _check_eta(eta)
     cell = defm.cell
+    _check_eta(eta, cell.tri_area)
     kk = cell.k * cell.k
     ns = len(cell.spring_rest)
     d = edge_vectors(defm.lam, defm.psi.ravel(), *cell.edges)
@@ -514,11 +523,13 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
     anything else raises ``ValueError``).  A cell counts when all of its
     cover vertices lie strictly inside the rectangle's open box, which,
     being convex, then holds the whole cell."""
-    _check_eta(eta)
-    lo, hi = _rectangle_box(polygon)
     spec = lmap.spec
+    _check_eta(eta, spec.penalized_area)
+    lo, hi = _rectangle_box(polygon)
     eps = lmap.epsilon
-    verts = np.unique(spec.node_positions(spec.cover_keys).reshape(-1, 2).round(12), axis=0)
+    # return_inverse: a plain np.unique imports numpy.ma (numpy >= 2.3)
+    verts = np.unique(spec.node_positions(spec.cover_keys).reshape(-1, 2).round(12), axis=0,
+                      return_inverse=True)[0]
     ci, cj = _cell_window(spec, polygon, eps)
     pts = eps * (verts[None] + ci[:, None, None] * spec.v1 + cj[:, None, None] * spec.v2)
     keep = ((lo < pts) & (pts < hi)).all(axis=(1, 2))

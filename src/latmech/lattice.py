@@ -48,6 +48,14 @@ class DegenerateGeometryError(ValueError):
     """Requested parameters produce a degenerate or inconsistent lattice."""
 
 
+class MechanismError(RuntimeError):
+    """An exact construction failed to close up to tolerance.
+
+    Defined here, beside :class:`DegenerateGeometryError`, so that the
+    command line can catch it without importing :mod:`latmech.mechanisms`,
+    which raises it and lists it among its public names."""
+
+
 def rotation(angle) -> np.ndarray:
     """Counterclockwise rotation matrices through ``angle`` radians, of
     shape ``np.shape(angle) + (2, 2)``."""

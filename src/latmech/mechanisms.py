@@ -41,6 +41,7 @@ from .geometry import signed_svd
 from .lattice import (
     DegenerateGeometryError,
     LatticeSpec,
+    MechanismError,
     PeriodicDeformation,
     Supercell,
     _frozen,
@@ -66,10 +67,6 @@ __all__ = [
     "DomainWall",
     "domain_wall_mechanism",
 ]
-
-
-class MechanismError(RuntimeError):
-    """An exact construction failed to close up to tolerance."""
 
 
 _CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist
@@ -182,7 +179,7 @@ def rigid_units(spec: LatticeSpec):
         if tris.tobytes() in seen:
             continue
         seen.add(tris.tobytes())
-        if len(np.unique(tris[:, 0])) != len(tris):
+        if len(unique_rows(tris[:, :1])) != len(tris):
             raise DegenerateGeometryError(
                 "a rigid unit contains a lattice translate of itself"
             )

@@ -262,7 +262,7 @@ def modulate(
     # unit centers: members averaged per instance, grouped by unit size
     size = np.array([len(unit.nodes) for unit in units])[inst_unit]
     centers = np.empty((n_inst, 2))
-    for m in np.unique(size):
+    for m in unique_rows(size[:, None])[:, 0]:
         has = size == m
         centers[has] = mem_pos[has[mem_inst]].reshape(-1, m, 2).mean(axis=1)
 
@@ -365,7 +365,8 @@ def decay_exponent(eps_list, densities) -> float:
     density is above the solver floor ``1e-10``."""
     e = np.asarray(densities, dtype=float)
     eps = np.asarray(eps_list, dtype=float)
-    if len(np.unique(eps)) < 2 or not (e > 1e-10).all():
+    # return_inverse: a plain np.unique imports numpy.ma (numpy >= 2.3)
+    if len(np.unique(eps, return_inverse=True)[0]) < 2 or not (e > 1e-10).all():
         return float("nan")
     return float(np.polyfit(np.log(eps), np.log(e), 1)[0])
 

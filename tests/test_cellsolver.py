@@ -75,6 +75,10 @@ def test_estimate_density_validation(kagome):
         estimate_density(kagome, np.eye(2), -0.1)
     with pytest.raises(ValueError):
         estimate_density(kagome, np.eye(2), 0.05, k=0)
+    # positive, but the smoothed slope overflows (5e-324 * tau rounds to 0)
+    for eta in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=r"slope area/\(eta\*tau\) at tau=0.003 overflows"):
+            estimate_density(kagome, np.eye(2), eta)
 
 
 def test_estimate_density_identity_short_circuits(kagome):

@@ -12,6 +12,8 @@ import pytest
 from conftest import orphan_spring_json, percolating_units_json
 
 import latmech.cli as cli
+from latmech import cellsolver, geometry, mechanisms, softmodes
+from latmech.energy import LatticeMap
 from latmech.lattice import LatticeSpec, rotation
 
 
@@ -137,6 +139,17 @@ def test_precondition_errors_exit_2(tmp_path):
      "penalty strength eta must be positive, got -0.001"),
     (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "-inf"],
      "penalty strength eta must be positive, got -inf"),
+    # positive, but small enough that a triangle's penalty overflows
+    (["energy", "--lam", "1,0.2,0,-0.5", "--eta", "1e-320"],
+     "penalty strength eta 1e-320 is so small that the penalty unit area/eta overflows"),
+    (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "1e-320"],
+     "penalty strength eta 1e-320 is so small that the penalty unit area/eta overflows"),
+    (["density-sweep", "--grid", "random:1", "--k", "1", "--restarts", "0", "--eta", "1e-320",
+      "--jobs", "1"], "penalty strength eta 1e-320 is so small that the smoothed slope "
+                      "area/(eta*tau) at tau=0.003 overflows"),
+    (["verify-bounds", "--trials", "1", "--k-max", "1", "--isotropic", "--eta", "1e-320"],
+     "penalty strength eta 1e-320 is so small that the smoothed slope "
+     "area/(eta*tau) at tau=0.003 overflows"),
     (["energy", "--psi-amp", "-1e-3"], "--psi-amp must be finite and >= 0, got -0.001"),
     (["energy", "--lam", "-inf,0,0,1"], "matrix entry '-inf' is not finite"),
     (["energy", "--lam", "a,0,0,1"], "matrix entry 'a' is not a number"),
@@ -196,7 +209,7 @@ def test_soft_mode_repeated_rung_exits_2_before_modulating(tmp_path, capsys, mon
     def no_modulation(*args, **kwargs):
         raise AssertionError("modulate ran")
 
-    monkeypatch.setattr(cli, "modulate", no_modulation)
+    monkeypatch.setattr(softmodes, "modulate", no_modulation)
     out, dumps = tmp_path / "x.csv", tmp_path / "D"
     assert run(["soft-mode", "--eps", eps, "--jobs", "1", "--dump-dir", str(dumps),
                 "--out", str(out)]) == 2
@@ -220,7 +233,7 @@ def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypat
     def no_work(*args, **kwargs):
         raise AssertionError("modulation or a pool ran")
 
-    monkeypatch.setattr(cli, "modulate", no_work)
+    monkeypatch.setattr(softmodes, "modulate", no_work)
     monkeypatch.setattr(cli, "_pool_map", no_work)
     (tmp_path / "FILE").write_text("kept")
     argv = [str(tmp_path / "FILE") if a == "FILE" else a for a in argv]
@@ -251,8 +264,8 @@ def test_mechanism_dump_into_a_directory_exits_2_before_writing(tmp_path, capsys
     def no_certificate(*args, **kwargs):
         raise AssertionError("a certificate was computed")
 
-    monkeypatch.setattr(cli, "twist_admissible_range", no_certificate)
-    monkeypatch.setattr(cli, "twist_mechanism", no_certificate)
+    monkeypatch.setattr(mechanisms, "twist_admissible_range", no_certificate)
+    monkeypatch.setattr(mechanisms, "twist_mechanism", no_certificate)
     blocked = tmp_path / "no" / "g.json" / "h.json"
     assert run(["mechanism", "--theta", "0.4", "--dump", str(blocked),
                 "--out", str(out)]) == 2
@@ -325,58 +338,92 @@ def test_bad_variant_params_exit_2(tmp_path, capsys, params, named):
     assert not out.exists()
 
 
-def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
+def _python(*lines) -> None:
+    """Run ``lines`` in a fresh interpreter that imports this checkout's
+    latmech; the test fails when they raise."""
+    env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", "\n".join(lines)], check=True, env=env)
+
+
+# defines loads(argv): run one command, which must exit 0, and return the
+# latmech modules it loaded
+_LOADS = [
+    "import sys",
+    "import latmech.cli as cli",
+    "def loads(argv):",
+    "    before = set(sys.modules)",
+    "    assert cli.main(argv) == 0, argv",
+    "    return {m for m in set(sys.modules) - before if m.startswith('latmech')}",
+]
+
+
+def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
+    """Each command loads only the modules it runs: the CLI alone loads
+    the spec module, scipy waits for an L-BFGS solve, numpy.random for a
+    random draw, and numpy.ma never loads."""
     grid = tmp_path / "det_neg.json"
     grid.write_text(json.dumps([[[1.1, 0.0], [0.0, -0.8]]]))
-    code = "\n".join([
-        "import sys",
-        "import latmech.cli as cli",
+    _python(
+        *_LOADS,
         "assert 'scipy' not in sys.modules, 'scipy imported by latmech.cli'",
-        f"assert cli.main(['build', '--out', {str(tmp_path / 'spec.json')!r}]) == 0",
+        "loaded = sorted(m for m in sys.modules if m.startswith('latmech'))",
+        "assert loaded == ['latmech', 'latmech.cli', 'latmech.lattice'], loaded",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by latmech.cli'",
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported by latmech.cli'",
+        f"assert loads(['build', '--out', {str(tmp_path / 'spec.json')!r}]) == set()",
         "assert 'scipy' not in sys.modules, 'scipy imported by build'",
-        f"assert cli.main(['soft-mode', '--eps', '1/8', '--sweeps', '5', '--jobs', '1', "
-        f"'--dump-dir', {str(tmp_path / 'D')!r}, "
-        f"'--out', {str(tmp_path / 'soft.csv')!r}]) == 0",
-        "assert 'scipy' not in sys.modules, 'scipy imported by soft-mode'",
-        f"assert cli.main(['mechanism', '--dump', {str(tmp_path / 'geom.json')!r}, "
-        f"'--out', {str(tmp_path / 'mech.csv')!r}]) == 0",
-        "assert 'scipy' not in sys.modules, 'scipy imported by mechanism --dump'",
         # the certificate commands that need no solver
-        f"assert cli.main(['inequalities', '--lam-step', '0.1', '--theta-step', '0.01', "
-        f"'--out', {str(tmp_path / 'ineq.csv')!r}]) == 0",
+        f"assert loads(['inequalities', '--lam-step', '0.1', '--theta-step', '0.01', "
+        f"'--out', {str(tmp_path / 'ineq.csv')!r}]) == {{'latmech.geometry'}}",
         "assert 'scipy' not in sys.modules, 'scipy imported by inequalities'",
-        f"assert cli.main(['verify-bounds', '--trials', '20', "
-        f"'--out', {str(tmp_path / 'bounds.csv')!r}]) == 0",
-        "assert 'scipy' not in sys.modules, 'scipy imported by verify-bounds'",
-        f"assert cli.main(['energy', '--k', '2', '--psi-amp', '0.05', "
-        f"'--out', {str(tmp_path / 'energy.csv')!r}]) == 0",
-        "assert 'scipy' not in sys.modules, 'scipy imported by energy'",
-        f"assert cli.main(['domain-wall', '--theta1', '2.2', '--strip', '--half-width', '5', "
-        f"'--out', {str(tmp_path / 'wall.csv')!r}]) == 0",
-        "assert 'scipy' not in sys.modules, 'scipy imported by domain-wall --strip'",
+        f"assert loads(['energy', '--k', '2', "
+        f"'--out', {str(tmp_path / 'energy0.csv')!r}]) == {{'latmech.energy'}}",
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported by energy, no draw'",
         # reachable isotropic compressions short-circuit on the twist seed
         *[f"assert cli.main(['density-sweep', '--spec', {spec!r}, '--grid', 'iso', "
           f"'--k', '1,2', '--jobs', '1', "
           f"'--out', {str(tmp_path / (spec + '.csv'))!r}]) == 0"
           for spec in ("kagome", "rotating-squares")],
         "assert 'scipy' not in sys.modules, 'scipy imported by density-sweep --grid iso'",
+        *[f"assert {name!r} not in sys.modules, '{name} imported by density-sweep --grid iso'"
+          for name in ("numpy.random", "numpy.ma", "latmech.softmodes")],
+        f"assert cli.main(['mechanism', '--dump', {str(tmp_path / 'geom.json')!r}, "
+        f"'--out', {str(tmp_path / 'mech.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by mechanism --dump'",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by mechanism --dump'",
+        f"assert cli.main(['domain-wall', '--theta1', '2.2', '--strip', '--half-width', '5', "
+        f"'--out', {str(tmp_path / 'wall.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by domain-wall --strip'",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by domain-wall --strip'",
+        f"assert cli.main(['verify-bounds', '--trials', '20', "
+        f"'--out', {str(tmp_path / 'bounds.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by verify-bounds'",
+        f"assert cli.main(['energy', '--k', '2', '--psi-amp', '0.05', "
+        f"'--out', {str(tmp_path / 'energy.csv')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported by energy'",
         # a reflection has no twist seed: its seeds are polished by L-BFGS
         f"assert cli.main(['density-sweep', '--grid', 'file:' + {str(grid)!r}, "
         f"'--k', '1', '--restarts', '0', '--jobs', '1', "
         f"'--out', {str(tmp_path / 'det_neg.csv')!r}]) == 0",
         "assert 'scipy.optimize' in sys.modules, 'density-sweep polished without L-BFGS'",
-    ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    )
+    # a fresh process, as every density-sweep run loads the cell solver
+    _python(
+        *_LOADS,
+        f"new = loads(['soft-mode', '--eps', '1/8', '--sweeps', '5', '--jobs', '1', "
+        f"'--dump-dir', {str(tmp_path / 'D')!r}, "
+        f"'--out', {str(tmp_path / 'soft.csv')!r}])",
+        "assert 'latmech.cellsolver' not in new, 'cellsolver imported by soft-mode'",
+        "assert 'scipy' not in sys.modules, 'scipy imported by soft-mode'",
+    )
 
 
 def test_cli_imports_neither_multiprocessing_nor_fractions_until_used(tmp_path):
     """Every process imports the CLI: the pool and the --eps fractions are
     imported by the runs that use them only."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = "\n".join([
+    _python(
         "import sys",
         "import latmech.cli as cli",
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported by latmech.cli'",
@@ -388,10 +435,7 @@ def test_cli_imports_neither_multiprocessing_nor_fractions_until_used(tmp_path):
         f"'--out', {str(tmp_path / 'soft.csv')!r}]) == 0",
         "assert 'fractions' in sys.modules, 'soft-mode read --eps without fractions'",
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported by soft-mode'",
-    ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    )
 
 
 def test_verification_failure_exits_3(tmp_path, monkeypatch):
@@ -401,7 +445,7 @@ def test_verification_failure_exits_3(tmp_path, monkeypatch):
     def fake(lam_step, theta_step):
         return [ScalarInequalityReport("forced", -1e-6, (0.0,))]
 
-    monkeypatch.setattr(cli, "scalar_inequality_report", fake)
+    monkeypatch.setattr(geometry, "scalar_inequality_report", fake)
     assert run(["inequalities", "--out", str(tmp_path / "ineq.csv")]) == 3
 
 
@@ -412,7 +456,7 @@ def test_nan_inequality_slack_exits_3(tmp_path, monkeypatch, capsys):
     def nan_slack(lam_step, theta_step):
         return [ScalarInequalityReport("forced", float("nan"), (0.0,))]
 
-    monkeypatch.setattr(cli, "scalar_inequality_report", nan_slack)
+    monkeypatch.setattr(geometry, "scalar_inequality_report", nan_slack)
     out = tmp_path / "ineq.csv"
     assert run(["inequalities", "--out", str(out)]) == 3
     assert "forced,nan,0," in out.read_text().splitlines()
@@ -427,7 +471,7 @@ def test_nan_isotropy_constant_exits_3(tmp_path, monkeypatch, capsys):
         return IsotropicBoundReport(eta=eta, ratios=np.array([np.nan]),
                                     c_fit=float("nan"), n_trials=1)
 
-    monkeypatch.setattr(cli, "verify_isotropic_bound", nan_fit)
+    monkeypatch.setattr(cellsolver, "verify_isotropic_bound", nan_fit)
     out = tmp_path / "bounds.csv"
     assert run(["verify-bounds", "--trials", "4", "--k-max", "1", "--isotropic",
                 "--out", str(out)]) == 3
@@ -439,7 +483,7 @@ def test_unexpected_error_exits_4(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "scalar_inequality_report", boom)
+    monkeypatch.setattr(geometry, "scalar_inequality_report", boom)
     assert run(["inequalities", "--out", str(tmp_path / "ineq.csv")]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err
@@ -511,7 +555,7 @@ def test_geometry_dump_writes_the_indented_json_text(tmp_path):
     spec = LatticeSpec.from_json(cli.build_kagome().to_json())
     keys = np.array([[0, 0, 0], [0, 7, 7], [1, 0, 0], [2, 5, 5]])
     pos = np.array([[0.25, -0.0], [np.nan, 1e300], [np.inf, -np.inf], [1 / 3, 2.5e-17]])
-    lmap = cli.LatticeMap(spec, 0.0625, keys, pos)
+    lmap = LatticeMap(spec, 0.0625, keys, pos)
     path = tmp_path / "geom.json"
     cli._dump_geometry(lmap, str(path))
     payload = {
@@ -571,8 +615,6 @@ def test_density_sweep_twist_seeded_jobs_determinism(tmp_path):
 
 
 def test_density_sweep_reports_solver_trouble(tmp_path, capsys, monkeypatch):
-    import latmech.cellsolver as cellsolver
-
     lams = [0.7 * np.eye(2), np.eye(2), np.diag([1.2, 0.8])]
     argv = ["density-sweep", "--spec", "kagome", "--k", "1", "--restarts", "1", "--jobs", "1"]
     for n in (2, 3):

@@ -53,6 +53,10 @@ def test_eta_must_be_positive(kagome):
     for eta in (np.inf, np.nan):
         with pytest.raises(ValueError, match="eta must be positive"):
             energy_breakdown(defm, eta)
+    # positive, but the penalty unit area/eta overflows
+    for eta in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="penalty unit area/eta overflows"):
+            energy_breakdown(defm, eta)
 
 
 def test_translation_invariance(all_specs):

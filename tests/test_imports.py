@@ -12,11 +12,17 @@ fails on a defaulted parameter of a ``latmech`` function that no call
 in those readers sets to a value other than its default's own
 expression, and likewise on a defaulted field of a dataclass, which an
 attribute store sets too: an option with one value in use is a constant
-(a few options aside, each listed with its reason).
+(a few options aside, each listed with its reason).  Last, it fails when
+the CLI, which every command's process imports, imports a ``latmech``
+module other than ``lattice`` at top level, or when the package loads a
+module before one of its names is read.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +126,76 @@ def test_unused_import_is_caught():
                      "    import sys\n"
                      "    return np.zeros(1)\n")
     assert _unused_imports(tree) == [(2, "os"), (3, "d")]
+
+
+def _latmech_imports(tree) -> list:
+    """``(line, module)`` of each top-level import of a ``latmech``
+    module or package name, relative or absolute: ``from .energy import
+    x``, ``from . import energy``, ``from latmech.energy import x``,
+    ``from latmech import energy`` and ``import latmech.energy`` all give
+    ``energy``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[1]) for alias in node.names
+                      if alias.name.startswith("latmech.")]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "latmech":
+                    continue
+                parts = parts[1:]
+            found += ([(node.lineno, parts[0])] if parts and parts[0]
+                      else [(node.lineno, alias.name) for alias in node.names])
+    return found
+
+
+def test_cli_imports_only_the_spec_module_at_top_level():
+    """Every command is a process that imports the CLI, so the CLI imports
+    only ``lattice`` (spec loading) at top level, and each command the
+    solver modules it runs."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert {module for _, module in _latmech_imports(tree)} == {"lattice"}
+
+
+def test_top_level_solver_import_is_caught():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import numpy as np\n"
+                     "from .lattice import LatticeSpec\n"
+                     "from .energy import LatticeMap\n"
+                     "from . import geometry, softmodes\n"
+                     "import latmech.mechanisms\n"
+                     "from latmech.cellsolver import estimate_density\n"
+                     "def f():\n"
+                     "    from .cellsolver import lambda_grid\n")
+    assert _latmech_imports(tree) == [(3, "lattice"), (4, "energy"), (5, "geometry"),
+                                      (5, "softmodes"), (6, "mechanisms"), (7, "cellsolver")]
+
+
+def test_package_loads_each_module_on_first_access():
+    """``import latmech`` loads no submodule; its ``__all__`` is the
+    modules' ``__all__`` lists in module order (72 names), each name the
+    defining module's object, and ``from latmech import *`` binds them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, latmech\n"
+                    "loaded = [m for m in sys.modules if m.startswith('latmech.')]\n"
+                    "assert loaded == [], loaded\n"], check=True, env=env)
+
+    import latmech
+    from latmech import cellsolver, energy, geometry, lattice, mechanisms, softmodes
+
+    modules = (lattice, energy, geometry, mechanisms, cellsolver, softmodes)
+    assert latmech.__all__ == [*(n for m in modules for n in m.__all__), "__version__"]
+    assert len(latmech.__all__) == 72
+    star = {}
+    exec("from latmech import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(latmech.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(latmech, name) is getattr(module, name) is star[name]
+    assert star["__version__"] == latmech.__version__ == "0.1.0"
 
 
 def _unread(public, trees) -> list:
