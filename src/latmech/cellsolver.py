@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .energy import _check_eta, _density_objective, energy_breakdown
+from .energy import _check_eta, _density_objective, _lbfgsb, energy_breakdown
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError, PeriodicDeformation,
                       Supercell, cross2, norms, rotation, unique_rows)
@@ -170,10 +170,11 @@ def _brentq(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
     raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur!r}")
 
 
-def _check_cell_eta(spec: LatticeSpec, eta) -> None:
-    """Reject an ``eta`` that the cell problem cannot use: ``_check_eta``
-    at the narrowest smoothing width of the anneal."""
-    _check_eta(eta, spec.penalized_area, min(_ANNEAL))
+def _check_cell_eta(spec: LatticeSpec, eta, k: int) -> None:
+    """Reject an ``eta`` that the cell problem on the ``k x k`` supercell
+    cannot use: ``_check_eta`` over its cells at the narrowest smoothing
+    width of the anneal."""
+    _check_eta(eta, spec.penalized_area, k * k, min(_ANNEAL))
 
 
 def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
@@ -230,8 +231,11 @@ def estimate_density(
     Each stage hands L-BFGS one objective, built once for the stage at its
     ``tau``: the energy of :func:`~latmech.energy.smoothed_energy_grad`
     and its ``psi`` gradient (no ``lam`` gradient), with the fixed
-    ``lam @ dx``, constants and buffers made once.  The reported value is
-    always the exact step-penalty energy of the best iterate.
+    ``lam @ dx``, constants and buffers made once.  The stage runs in
+    :func:`~latmech.energy._lbfgsb`, which drives scipy's compiled
+    L-BFGS-B step with one objective call per evaluation and has the bits
+    of ``scipy.optimize.minimize``.  The reported value is always the
+    exact step-penalty energy of the best iterate.
 
     ``solver_trace`` says whether either short circuit ended the solve
     (``short_circuit``) and gives the gradient norm at the end of the best
@@ -245,7 +249,7 @@ def estimate_density(
     twist seed when its inversion bracket failed (``twist_bracket_gap``;
     ``None`` otherwise).
     """
-    _check_cell_eta(spec, eta)
+    _check_cell_eta(spec, eta, k)
     if k < 1:
         raise ValueError(f"supercell size must be >= 1, got {k}")
     if restarts < 0:
@@ -282,31 +286,26 @@ def estimate_density(
     total_iters = 0
     short_circuit = best is not None
     polish = [] if short_circuit else list(zip(seeds, starts))
-    if polish:
-        from scipy.optimize import minimize
     for (label, psi0), bd0 in polish:
         if best is None or bd0.averaged < best[0].averaged:
             best = (bd0, label, psi0, np.nan)
 
-        x = psi0.ravel().copy()
+        x = psi0.ravel()
         grad_norm = np.nan
         for tau in _ANNEAL:
-            res = minimize(_density_objective(cell, lam, eta, tau), x, jac=True,
-                           method="L-BFGS-B",
-                           options={"maxiter": _MAXITER, "ftol": 1e-16,
-                                    "gtol": 1e-12})
-            x = res.x
-            total_iters += int(res.nit)
-            if res.status == 1:         # iteration or evaluation limit
+            x, nit, status, message, g = _lbfgsb(_density_objective(cell, lam, eta, tau), x,
+                                                 _MAXITER, 1e-16, 1e-12)
+            total_iters += nit
+            if status == 1:             # iteration or evaluation limit
                 trouble["unconverged_stages"] += 1
-                trouble["last_unconverged_message"] = str(res.message)
-            elif res.status == 2:       # abnormal line-search termination
+                trouble["last_unconverged_message"] = message
+            elif status == 2:           # abnormal line-search termination
                 trouble["stalled_stages"] += 1
-            grad_norm = float(np.linalg.norm(res.jac))
+            grad_norm = float(np.linalg.norm(g))
         psi = x.reshape(n, 2)
         bd = exact(psi)
         if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
-            best = (bd, label, psi.copy(), grad_norm)
+            best = (bd, label, psi, grad_norm)
         if best[0].averaged <= _SHORT_TOL:    # polished down to zero: no later seed can beat it
             short_circuit = True
             break
@@ -437,7 +436,7 @@ def verify_isotropic_bound(
     amplitude 0.2.  Requires ``eta`` at most the orientation threshold
     ``c0`` of the spec.
     """
-    _check_cell_eta(spec, eta)
+    _check_cell_eta(spec, eta, k)
     c0 = orientation_threshold(spec)
     if eta > c0:
         raise ValueError(

@@ -367,7 +367,7 @@ def _cmd_energy(args) -> int:
     _check_seed(args)
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     spec = _load_spec(args)
-    _check_eta(args.eta, spec.penalized_area)
+    _check_eta(args.eta, spec.penalized_area, args.k * args.k)
     cell = Supercell(spec, args.k)
     lam = _parse_matrix(args.lam) if args.lam else np.eye(2)
     if args.psi_amp > 0:
@@ -474,7 +474,7 @@ def _cmd_density_sweep(args) -> int:
         raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     ks = _parse_ks(args.k)
     spec = _load_spec(args)
-    _check_cell_eta(spec, args.eta)
+    _check_cell_eta(spec, args.eta, max(ks))
     lams = lambda_grid(args.grid, rng_seed=args.seed)
     spec_json = spec.to_json()
     payloads = [(spec_json, lam.tolist(), args.eta, k, args.restarts, args.seed)
@@ -527,7 +527,7 @@ def _cmd_verify_bounds(args) -> int:
     _check_seed(args)
     spec = _load_spec(args)
     # checked on every run, so a bad --eta never passes unread
-    _check_cell_eta(spec, args.eta)
+    _check_cell_eta(spec, args.eta, 1)    # verify-bounds --isotropic solves at k=1
     reports = verify_jensen_bounds(spec, n_trials=args.trials,
                                    k_max=args.k_max, rng_seed=args.seed)
     checked = [reports[name] for name in sorted(reports)]
@@ -589,7 +589,7 @@ def _cmd_soft_mode(args) -> int:
     target = default_target()
     eps_list = _parse_eps(args.eps)
     _check_ladder(args.eps, eps_list)
-    _check_eta(args.eta, spec.penalized_area)
+    _check_eta(args.eta, spec.penalized_area, 1)
     if args.dump_dir:
         # made before any modulation, so a path that cannot hold the dumps
         # fails at once

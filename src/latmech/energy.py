@@ -52,19 +52,25 @@ _LEN_FLOOR = 1e-12  # guards normalization of nearly collapsed springs
 # ---------------------------------------------------------------------------
 
 
-def _check_eta(eta, area, tau=1.0) -> None:
+def _check_eta(eta, area, cells: int, tau=1.0) -> None:
     """Reject a penalty strength ``eta`` that is not finite and positive,
     or so small that, for a penalized triangle of ``area``, the penalty
     unit ``area / eta`` or, at a smoothing width ``tau < 1``, the smoothed
-    slope ``area / (eta * tau)`` overflows."""
+    slope ``area / (eta * tau)`` overflows, or that the penalty total of
+    ``cells`` cells with every triangle reversed overflows (summed as
+    ``EnergyBreakdown.penalty_total`` sums it: ``cells`` times each unit)."""
     if not 0 < eta < np.inf:
         raise ValueError(f"penalty strength eta must be positive, got {eta:g}")
     # Python floats, so no numpy warning; the largest area gives the largest quotient
+    areas = area.tolist()
     scale = eta * tau
-    if scale == 0 or math.isinf(max(area.tolist(), default=0.0) / scale):
+    if scale == 0 or math.isinf(max(areas, default=0.0) / scale):
         what = ("penalty unit area/eta" if tau == 1.0
                 else f"smoothed slope area/(eta*tau) at tau={tau:g}")
         raise ValueError(f"penalty strength eta {eta!r} is so small that the {what} overflows")
+    if math.isinf(sum(cells * (a / eta) for a in areas)):
+        raise ValueError(f"penalty strength eta {eta!r} is so small that the penalty total "
+                         f"of {cells} cells with every triangle reversed overflows")
 
 
 def _dets(cell: Supercell, d) -> np.ndarray:
@@ -131,7 +137,7 @@ class EnergyBreakdown:
 def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     """Exact penalized energy with the per-triangle decomposition."""
     cell = defm.cell
-    _check_eta(eta, cell.tri_area)
+    _check_eta(eta, cell.tri_area, cell.k * cell.k)
     kk = cell.k * cell.k
     ns = len(cell.spring_rest)
     d = edge_vectors(defm.lam, defm.psi.ravel(), *cell.edges)
@@ -337,6 +343,55 @@ def _search_objective(cell: Supercell, mu: float):
     return f
 
 
+def _lbfgsb(f, x0, maxiter: int, ftol: float, gtol: float):
+    """Minimize ``f(x) -> (E, g)`` from ``x0`` by scipy's compiled L-BFGS-B
+    step with no bounds; returns ``(x, nit, status, message, g)``.
+
+    This is the loop of ``scipy.optimize.minimize(f, x0, jac=True,
+    method="L-BFGS-B", options={"maxiter": maxiter, "ftol": ftol,
+    "gtol": gtol})`` (10 corrections, 20 line-search steps, at most 15000
+    evaluations; status 0 converged, 1 a limit hit, 2 anything else, and
+    scipy's messages) without its Python wrappers: ``f`` is called once
+    per evaluation ``setulb`` asks for, on ``x`` itself, and ``x``,
+    ``nit``, ``status``, ``message`` and the final gradient ``g`` are those
+    of ``minimize``, bit for bit.  So ``f`` must neither keep nor change
+    ``x``, and must return a new float64 gradient (``setulb`` writes into
+    it).  ``minimize`` neither repeats nor counts an evaluation at the
+    point it evaluated last; ``f`` is pure, so only the count of
+    evaluations can differ, and only in a stage that nears 15000 of them.
+    """
+    from scipy.optimize import _lbfgsb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    m, maxls, maxfun = 10, 20, 15000
+    n = len(x0)
+    x = np.array(x0, dtype=float)
+    nbd, free = np.zeros(n, np.int32), np.zeros(n)     # no bound on any entry
+    fx, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / math.ulp(1.0)
+    nit = nfev = 0
+    while True:
+        _lbfgsb.setulb(m, x, free, free, nbd, fx, g, factr, gtol, wa, iwa, task, lsave,
+                       isave, dsave, maxls, ln_task)
+        if task[0] == 3:            # FG: evaluate at x
+            fx, g = f(x)
+            nfev += 1
+        elif task[0] == 1:          # NEW_X: an iteration ended; STOP at a limit
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
+    return x, nit, status, f"{status_messages[task[0]]}: {task_messages[task[1]]}", g
+
+
 # ---------------------------------------------------------------------------
 # scaled lattices and domain energies
 # ---------------------------------------------------------------------------
@@ -524,7 +579,7 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
     cover vertices lie strictly inside the rectangle's open box, which,
     being convex, then holds the whole cell."""
     spec = lmap.spec
-    _check_eta(eta, spec.penalized_area)
+    _check_eta(eta, spec.penalized_area, 1)
     lo, hi = _rectangle_box(polygon)
     eps = lmap.epsilon
     # return_inverse: a plain np.unique imports numpy.ma (numpy >= 2.3)

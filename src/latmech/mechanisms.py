@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .energy import LatticeMap, _search_objective, energy_breakdown
+from .energy import LatticeMap, _lbfgsb, _search_objective, energy_breakdown
 from .geometry import signed_svd
 from .lattice import (
     DegenerateGeometryError,
@@ -550,13 +550,13 @@ def search_mechanisms(
     sorted by ``(energy, spring energy, restart index)``.  The first node's
     ``psi`` is pinned to remove translations.  Every restart runs the
     barrier stages ``mu = 1e-2, 1e-4, 1e-6, 0`` by L-BFGS over the packed
-    ``(lam, psi[1:])``; each stage's objective is built once per search
-    (its gather, scatter, constants and buffers) and has the bits of
-    adding the spring and barrier energies and gradients at the same
-    state (see :func:`~latmech.energy._search_objective`).
+    ``(lam, psi[1:])``, each in :func:`~latmech.energy._lbfgsb` (scipy's
+    compiled L-BFGS-B step, bit for bit ``scipy.optimize.minimize``, with
+    one objective call per evaluation); each stage's objective is built
+    once per search (its gather, scatter, constants and buffers) and has
+    the bits of adding the spring and barrier energies and gradients at
+    the same state (see :func:`~latmech.energy._search_objective`).
     """
-    from scipy.optimize import minimize
-
     cell = Supercell(spec, k)
     n = cell.n_nodes
     rng = np.random.default_rng(rng_seed)
@@ -579,11 +579,7 @@ def search_mechanisms(
     for si, x0 in enumerate(starts):
         x = x0
         for objective in objectives:
-            res = minimize(
-                objective, x, jac=True, method="L-BFGS-B",
-                options={"maxiter": 400, "ftol": 1e-18, "gtol": 1e-14},
-            )
-            x = res.x
+            x = _lbfgsb(objective, x, 400, 1e-18, 1e-14)[0]
         lam, psi = _unpack(x, n)
         defm = PeriodicDeformation(cell, lam, psi)
         cert = certify(defm)

@@ -1,7 +1,6 @@
 """Cell-problem density estimates, lambda grids, and explicit-constant bounds."""
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,12 +245,12 @@ def test_polish_to_zero_short_circuits_wherever_the_seed_stands(kagome, monkeypa
     monkeypatch.setattr(cellsolver, "_twist_seed", lambda *args: None)
     norms_seen = []
 
-    def polish_to_twist(fun, x0, jac, method, options):
+    def polish_to_twist(fun, x0, maxiter, ftol, gtol):
         x = twist.psi.ravel().copy()
         norms_seen.append(float(np.linalg.norm(fun(x)[1])))
-        return SimpleNamespace(x=x, jac=fun(x)[1], nit=1, status=0, message="converged")
+        return x, 1, 0, "converged", fun(x)[1]
 
-    monkeypatch.setattr("scipy.optimize.minimize", polish_to_twist)
+    monkeypatch.setattr(cellsolver, "_lbfgsb", polish_to_twist)
     traces = []
     for restarts in (0, 1):
         norms_seen.clear()

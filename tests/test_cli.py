@@ -142,6 +142,10 @@ def test_precondition_errors_exit_2(tmp_path):
     # positive, but small enough that a triangle's penalty overflows
     (["energy", "--lam", "1,0.2,0,-0.5", "--eta", "1e-320"],
      "penalty strength eta 1e-320 is so small that the penalty unit area/eta overflows"),
+    # each unit is finite, but not their sum over the k x k cells
+    (["energy", "--k", "4", "--lam", "1,0.2,0,-0.5", "--eta", "3e-308"],
+     "penalty strength eta 3e-308 is so small that the penalty total of 16 cells "
+     "with every triangle reversed overflows"),
     (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1", "--eta", "1e-320"],
      "penalty strength eta 1e-320 is so small that the penalty unit area/eta overflows"),
     (["density-sweep", "--grid", "random:1", "--k", "1", "--restarts", "0", "--eta", "1e-320",

@@ -14,6 +14,7 @@ from latmech.energy import (
     _cell_window,
     _density_objective,
     _kernel,
+    _lbfgsb,
     _search_objective,
     check_cell_bounds,
     domain_energy,
@@ -21,6 +22,7 @@ from latmech.energy import (
     smoothed_energy_grad,
     triangle_dets,
 )
+from latmech.cellsolver import _ANNEAL, _MAXITER
 from latmech.lattice import PeriodicDeformation, Supercell, cross2, ordered_sum, rotation
 from latmech.mechanisms import _pack, _unpack, twist_mechanism
 
@@ -404,6 +406,73 @@ def test_stage_objectives_return_a_new_gradient_every_call(kagome):
         assert not np.shares_memory(first[1], second[1])
         assert np.isfinite(first[0]) and not np.array_equal(first[1], second[1])
         assert float(f(xs[0])[0]).hex() == float(first[0]).hex()
+
+
+def _lbfgsb_against_minimize(f, x0, maxiter, ftol, gtol):
+    """One L-BFGS stage by ``_lbfgsb`` and by scipy's ``minimize``, the
+    reference it repeats: the point, iteration count, status, message and
+    final gradient must agree bit for bit.  Returns ``_lbfgsb``'s tuple."""
+    from scipy.optimize import minimize
+
+    res = minimize(f, x0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": maxiter, "ftol": ftol, "gtol": gtol})
+    x, nit, status, message, g = _lbfgsb(f, x0, maxiter, ftol, gtol)
+    assert x.tobytes() == res.x.tobytes()
+    assert g.tobytes() == res.jac.tobytes()
+    assert (nit, status, message) == (res.nit, res.status, res.message)
+    return x, nit, status, message, g
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_lbfgsb_matches_minimize_on_the_density_stages(request, spec_name, k):
+    """Every anneal stage of the density solve, chained as
+    ``estimate_density`` chains them, from the zero seed and from two
+    random seeds."""
+    cell = Supercell(request.getfixturevalue(spec_name), k)
+    n = cell.n_nodes
+    rng = np.random.default_rng([28, k])
+    lam = np.diag([1.15, 0.9])
+    for psi0 in (np.zeros((n, 2)), 0.1 * rng.standard_normal((n, 2)),
+                 0.3 * rng.standard_normal((n, 2))):
+        x = psi0.ravel()
+        for tau in _ANNEAL:
+            x = _lbfgsb_against_minimize(_density_objective(cell, lam, 0.05, tau), x,
+                                         _MAXITER, 1e-16, 1e-12)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_lbfgsb_matches_minimize_on_the_search_stages(request, spec_name, k):
+    """Every barrier stage of the mechanism search, chained as
+    ``search_mechanisms`` chains them, from two random starts and from a
+    reflected one, where every barrier stage starts at ``(inf, 0)``."""
+    cell = Supercell(request.getfixturevalue(spec_name), k)
+    n = cell.n_nodes
+    rng = np.random.default_rng([28, k])
+    objectives = [_search_objective(cell, mu) for mu in (1e-2, 1e-4, 1e-6, 0.0)]
+    starts = [(0.7 * rotation(0.4) + 0.02 * rng.standard_normal((2, 2)), 0.2),
+              (np.eye(2) + 0.3 * rng.standard_normal((2, 2)), 0.2),
+              (np.diag([1.0, -1.0]), 0.0)]
+    for lam0, amp in starts:
+        psi0 = amp * rng.standard_normal((n, 2))
+        psi0[0] = 0.0
+        x = _pack(lam0, psi0)
+        if amp == 0.0:
+            assert objectives[0](x)[0] == np.inf
+        for objective in objectives:
+            x = _lbfgsb_against_minimize(objective, x, 400, 1e-18, 1e-14)[0]
+
+
+def test_lbfgsb_matches_minimize_at_the_iteration_limit_and_a_stalled_line_search(
+        rotating_squares):
+    cell = Supercell(rotating_squares, 1)
+    f = _density_objective(cell, np.array([[1.1, 0.3], [-0.2, 0.7]]), 0.05, 0.05)
+    x0 = 0.3 * np.random.default_rng(3).standard_normal(2 * cell.n_nodes)
+    assert _lbfgsb_against_minimize(f, x0, 5, 1e-16, 1e-12)[1:4] == (
+        5, 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+    # abnormal line-search termination: the line search finds no decrease
+    assert _lbfgsb_against_minimize(f, x0, _MAXITER, 1e-16, 1e-12)[2:4] == (2, "ABNORMAL: ")
 
 
 def _one_cell(lmap, cell):
