@@ -90,7 +90,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _make_parent(path: str) -> None:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+
+
 def _write_csv(path: str, header, rows) -> None:
+    _make_parent(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -98,13 +105,25 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _out_path(args, default_name: str) -> str:
-    path = getattr(args, "out", None)
+def _out_path(args, default_name: str, *files) -> str:
+    """The artifact path: ``--out``, or ``default_name`` in
+    ``$LATMECH_OUTDIR``.  Raises ``ValueError``, naming both flags, when
+    two outputs of the run resolve to one file: the artifact,
+    ``--manifest``, ``--dump`` and the ``(flag, path)`` pairs ``files``.
+    Each command calls it before any work, and writes the file last."""
+    path, out = getattr(args, "out", None), "--out"
     if path is None:
         path = os.path.join(os.environ.get("LATMECH_OUTDIR", "."), default_name)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+        out = "--out (its $LATMECH_OUTDIR default)"
+    seen = {}
+    for flag, name in [(out, path), ("--manifest", getattr(args, "manifest", None)),
+                       ("--dump", getattr(args, "dump", None)), *files]:
+        if not name:
+            continue
+        real = os.path.realpath(name)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {flag} {name!r} name one file")
+        seen[real] = f"{flag} {name!r}"
     return path
 
 
@@ -254,12 +273,16 @@ def _jobs(args, n_tasks: int) -> int:
 
 
 def _pool_map(fn, payloads, jobs: int):
+    """``[fn(*p) for p in payloads]``, in ``jobs`` forked worker processes
+    when there are two or more jobs and tasks.  Payloads and results cross
+    processes by pickle: a spec or lattice map is rebuilt there by its own
+    constructor (see ``LatticeSpec.__reduce__``)."""
     if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+        return [fn(*p) for p in payloads]
     import multiprocessing  # only a parallel run pays for the import
 
     with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        return pool.map(fn, payloads)
+        return pool.starmap(fn, payloads)
 
 
 # JSON text of non-finite floats, as the json module writes them
@@ -351,6 +374,7 @@ def _warm_twist_table(spec: LatticeSpec) -> None:
 def _cmd_build(args) -> int:
     spec = _load_spec(args)
     path = _out_path(args, f"{spec.name}.json")
+    _make_parent(path)
     spec.to_json(path)
     print(f"{spec.name}: {spec.n_basic} nodes, {len(spec.spring_keys)} springs, "
           f"{len(spec.penalized_keys)} penalized triangles, "
@@ -368,6 +392,7 @@ def _cmd_energy(args) -> int:
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     spec = _load_spec(args)
     _check_eta(args.eta, spec.penalized_area, args.k * args.k)
+    path = _out_path(args, "energy.csv")
     cell = Supercell(spec, args.k)
     lam = _parse_matrix(args.lam) if args.lam else np.eye(2)
     if args.psi_amp > 0:
@@ -377,7 +402,6 @@ def _cmd_energy(args) -> int:
         psi = np.zeros((cell.n_nodes, 2))
     defm = PeriodicDeformation(cell, lam, psi)
     bd = energy_breakdown(defm, args.eta)
-    path = _out_path(args, "energy.csv")
     _write_csv(
         path,
         ["cell_i", "cell_j", "triangle", "spring_energy", "step_penalty"],
@@ -408,6 +432,7 @@ def _cmd_mechanism(args) -> int:
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     if args.theta is not None and not np.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta:g}")
+    path = _out_path(args, "mechanisms.csv")
     if args.dump:
         if os.path.isdir(args.dump):
             raise ValueError(f"--dump {args.dump!r} is a directory; "
@@ -447,19 +472,18 @@ def _cmd_mechanism(args) -> int:
         cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
         _dump_geometry(LatticeMap.from_periodic(last.deformation, 1.0, cells), args.dump)
         print(f"wrote geometry dump {args.dump}")
-    path = _out_path(args, "mechanisms.csv")
     _write_csv(path, _CERT_HEADER, rows)
     _finish(args, path)
     return EXIT_OK
 
 
-def _density_task(payload):
+def _density_task(spec, lam, eta, k, restarts, seed):
+    """One density solve, projected to the seven numbers that its CSV row
+    and its trouble note read: a whole ``DensityEstimate`` would carry its
+    minimizer and ``Supercell`` (1-8 KB per task) back through the pool."""
     from .cellsolver import estimate_density
 
-    spec_json, lam, eta, k, restarts, seed = payload
-    spec = LatticeSpec.from_json(spec_json)
-    est = estimate_density(spec, np.asarray(lam), eta=eta, k=k,
-                           restarts=restarts, rng_seed=seed)
+    est = estimate_density(spec, lam, eta=eta, k=k, restarts=restarts, rng_seed=seed)
     trace = est.solver_trace
     return (est.upper, est.upper_spring, est.upper_penalty, est.lower_bracket,
             trace["unconverged_stages"], trace["stalled_stages"], trace["twist_bracket_gap"])
@@ -473,11 +497,11 @@ def _cmd_density_sweep(args) -> int:
     if args.restarts < 0:
         raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     ks = _parse_ks(args.k)
+    path = _out_path(args, f"density_{args.grid.replace(':', '_')}.csv")
     spec = _load_spec(args)
     _check_cell_eta(spec, args.eta, max(ks))
     lams = lambda_grid(args.grid, rng_seed=args.seed)
-    spec_json = spec.to_json()
-    payloads = [(spec_json, lam.tolist(), args.eta, k, args.restarts, args.seed)
+    payloads = [(spec, lam, args.eta, k, args.restarts, args.seed)
                 for lam in lams for k in ks]
     jobs = _jobs(args, len(payloads))
     if jobs > 1 and any(np.linalg.det(lam) > 0 for lam in lams):
@@ -502,7 +526,6 @@ def _cmd_density_sweep(args) -> int:
                 notes.append(f"failed twist bracket, contraction gap {gap:.3g}")
             if notes:
                 trouble.append(f"({li}, {k}) {', '.join(notes)}")
-    path = _out_path(args, f"density_{args.grid.replace(':', '_')}.csv")
     _write_csv(
         path,
         ["index", "lam11", "lam12", "lam21", "lam22", "supercell_k", "eta",
@@ -525,6 +548,7 @@ def _cmd_verify_bounds(args) -> int:
                              verify_isotropic_bound, verify_jensen_bounds)
 
     _check_seed(args)
+    path = _out_path(args, "bounds.csv")
     spec = _load_spec(args)
     # checked on every run, so a bad --eta never passes unread
     _check_cell_eta(spec, args.eta, 1)    # verify-bounds --isotropic solves at k=1
@@ -541,7 +565,6 @@ def _cmd_verify_bounds(args) -> int:
         rows.append(["isotropy-energy-gap", iso.n_trials, iso.c_fit, ""])
         if iso.c_fit <= 0:
             worst = min(worst, iso.c_fit if iso.c_fit < 0 else -1.0)
-    path = _out_path(args, "bounds.csv")
     _write_csv(path, ["bound", "trials", "min_slack", "equality_gap"], rows)
     print(f"{len(rows)} bounds verified on {spec.name}; worst slack {_fmt(worst)} "
           f"(eta threshold {_fmt(orientation_threshold(spec))})")
@@ -552,6 +575,7 @@ def _cmd_verify_bounds(args) -> int:
 def _cmd_domain_wall(args) -> int:
     from .mechanisms import domain_wall_angles, domain_wall_mechanism
 
+    path = _out_path(args, "domain_wall.csv")
     theta = domain_wall_angles(args.theta1, n=args.n)
     rows = [[i, th] for i, th in enumerate(theta)]
     # the CSV goes last, so a strip that fails its checks leaves none
@@ -564,24 +588,15 @@ def _cmd_domain_wall(args) -> int:
         print(f"far-field compression left {_fmt(wall.compression_left)} / "
               f"right {_fmt(wall.compression_right)} "
               f"(gap {_fmt(wall.far_field_gap)}), limit angle {_fmt(wall.theta_limit)}")
-    path = _out_path(args, "domain_wall.csv")
     _write_csv(path, ["column", "twist_angle"], rows)
     _finish(args, path)
     return EXIT_OK
 
 
-def _softmode_task(payload):
-    from .softmodes import modulate
-
-    spec_json, target, eps, sweeps = payload
-    lmap = modulate(LatticeSpec.from_json(spec_json), target, eps, relax_sweeps=sweeps)
-    return eps, lmap.keys, lmap.positions
-
-
 def _cmd_soft_mode(args) -> int:
     # imported before the pool forks, so each worker inherits modulate
-    from .energy import LatticeMap, _check_eta
-    from .softmodes import default_target, ladder_exponents, soft_mode_report
+    from .energy import _check_eta
+    from .softmodes import default_target, ladder_exponents, modulate, soft_mode_report
 
     if args.sweeps < 0:
         raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
@@ -590,6 +605,9 @@ def _cmd_soft_mode(args) -> int:
     eps_list = _parse_eps(args.eps)
     _check_ladder(args.eps, eps_list)
     _check_eta(args.eta, spec.penalized_area, 1)
+    dumps = ([("--dump-dir", os.path.join(args.dump_dir, _dump_name(eps))) for eps in eps_list]
+             if args.dump_dir else [])
+    path = _out_path(args, "soft_mode.csv", *dumps)
     if args.dump_dir:
         # made before any modulation, so a path that cannot hold the dumps
         # fails at once
@@ -598,12 +616,11 @@ def _cmd_soft_mode(args) -> int:
         except OSError as exc:
             raise ValueError(f"--dump-dir {args.dump_dir!r} is not a usable directory: "
                              f"{exc.strerror}") from None
-    spec_json = spec.to_json()
-    payloads = [(spec_json, target, eps, args.sweeps) for eps in eps_list]
+    payloads = [(spec, target, eps, args.sweeps) for eps in eps_list]
     jobs = _jobs(args, len(payloads))
     if jobs > 1:
         _warm_twist_table(spec)
-    maps = [LatticeMap(spec, *res) for res in _pool_map(_softmode_task, payloads, jobs)]
+    maps = _pool_map(modulate, payloads, jobs)
     rep = soft_mode_report(maps, target, args.eta)
     dens = rep.energy_densities
     if len(dens) < 2:
@@ -619,11 +636,10 @@ def _cmd_soft_mode(args) -> int:
                   f"fit over the finest {len(fine_eps)} rungs "
                   f"(eps <= {max(fine_eps):.6g}) {fine:.4g}")
     # the CSV goes last, so a dump that fails leaves none
-    if args.dump_dir:
-        for lmap in maps:
-            _dump_geometry(lmap, os.path.join(args.dump_dir, _dump_name(lmap.epsilon)))
+    if dumps:
+        for lmap, (_, dump) in zip(maps, dumps):
+            _dump_geometry(lmap, dump)
         print(f"wrote {len(maps)} geometry dumps to {args.dump_dir}")
-    path = _out_path(args, "soft_mode.csv")
     _write_csv(
         path,
         ["epsilon", "n_cells", "energy_per_area", "max_cell_energy",
@@ -637,6 +653,7 @@ def _cmd_soft_mode(args) -> int:
 def _cmd_inequalities(args) -> int:
     from .geometry import scalar_inequality_report
 
+    path = _out_path(args, "inequalities.csv")
     reports = scalar_inequality_report(lam_step=args.lam_step,
                                        theta_step=args.theta_step)
     rows = []
@@ -645,7 +662,6 @@ def _cmd_inequalities(args) -> int:
         arg = list(rep.argmin) + [""] * (2 - len(rep.argmin))
         rows.append([rep.name, rep.min_slack, arg[0], arg[1]])
         worst = min(worst, rep.min_slack)
-    path = _out_path(args, "inequalities.csv")
     _write_csv(path, ["inequality", "min_slack", "argmin_1", "argmin_2"], rows)
     print(f"{len(rows)} inequalities; worst slack {_fmt(worst)}")
     _finish(args, path)

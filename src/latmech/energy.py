@@ -172,7 +172,7 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None, pad: int = 0):
+def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     """The energy and gradients of the spring classes (when ``springs``),
     then of the penalized triangles (when ``penalty`` maps their
     ``det(grad u)`` ``(nt, k*k)`` to per-class energies and the derivative
@@ -185,9 +185,8 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None, pad: int = 0
     springs and the buffers.  With a fixed ``lam`` the products
     ``lam @ dx`` are formed once too, ``f`` ignores its ``lam`` and
     returns ``glam = None``; otherwise ``f`` takes ``lam`` on every call.
-    The ``psi`` gradient ``gz`` ``(2 n + pad,)`` holds component ``c`` of
-    slot ``s`` at ``2 s + c + pad`` (its first ``pad`` entries are zero)
-    and is a new array on every call.
+    The ``psi`` gradient ``gz`` ``(2 n,)``, laid out as ``z``, is a new
+    array on every call.
 
     One gather of the needed edge classes, one value buffer filled in the
     order of ``cell.scatter`` and one ``bincount``: totals run class by
@@ -200,9 +199,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None, pad: int = 0
     n_s, n_t = (ns if springs else 0), (nt if penalty else 0)
     tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
     bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
-    if pad:
-        bins = bins + pad
-    size = 2 * cell.n_nodes + pad
+    size = 2 * cell.n_nodes
     fixed = lam is not None
     if fixed:
         # matmul over stacked columns gives the bits of ``lam @ dx`` class by class
@@ -317,13 +314,13 @@ def _search_objective(cell: Supercell, mu: float):
 
     The two parts are summed apart and then added, energy, ``lam`` and
     ``psi`` gradient alike, so the bits are those of adding the results
-    of the variable-``lam`` spring and barrier kernels at one state.
+    of the variable-``lam`` spring and barrier kernels at one state.  The
+    gradient is a new array: the ``lam`` gradient, then the ``psi``
+    gradient without the pinned node's.
     """
     z = np.zeros(2 * cell.n_nodes)
-    # slot s lands at 2 s + c + 2, x's own index for s >= 1; the first
-    # four entries, the pinned slot 0's included, then take the lam gradient
-    springs = _kernel(cell, True, pad=2)
-    barrier = _kernel(cell, False, _barrier(mu), pad=2) if mu > 0 else None
+    springs = _kernel(cell, True)
+    barrier = _kernel(cell, False, _barrier(mu)) if mu > 0 else None
 
     def f(x):
         lam = x[:4].reshape(2, 2)
@@ -337,8 +334,7 @@ def _search_objective(cell: Supercell, mu: float):
             E += B
             gl = gl + gl2
             np.add(g, g2, out=g)
-        g[:4] = gl.ravel()
-        return E, g
+        return E, np.concatenate([gl.ravel(), g[2:]])
 
     return f
 
@@ -438,6 +434,10 @@ class LatticeMap:
         out = np.full(ok.shape, -1, dtype=np.int64)
         out[ok] = self._grid[tuple(i[ok] for i in idx)]
         return out
+
+    def __reduce__(self):
+        # rebuilt by the constructor, which freezes the arrays and makes the grid
+        return LatticeMap, (self.spec, self.epsilon, self.keys, self.positions)
 
     @cached_property
     def reference_positions(self) -> np.ndarray:

@@ -131,7 +131,7 @@ def principal_stretches(lam):
 @dataclass
 class StretchData:
     """The singular values ``sigma1 >= sigma2`` of ``lam`` and the sign of
-    ``det lam`` (``+1`` when it is zero)."""
+    ``det lam`` (``+1`` when it is zero): floats, or arrays over a stack."""
 
     sigma1: float
     sigma2: float
@@ -139,11 +139,16 @@ class StretchData:
 
 
 def signed_svd(lam) -> StretchData:
-    lam = np.asarray(lam, dtype=float).reshape(2, 2)
+    """The :class:`StretchData` of ``lam`` ``(..., 2, 2)`` by LAPACK's SVD,
+    which factors each matrix of a stack on its own: every value has the
+    bits of a call on that matrix alone."""
+    lam = np.asarray(lam, dtype=float)
     # the full factorization: LAPACK's values-only path moves the last bits
     S = np.linalg.svd(lam).S
-    det_sign = 1.0 if np.linalg.det(lam) >= 0 else -1.0
-    return StretchData(float(S[0]), float(S[1]), det_sign)
+    det_sign = np.where(np.linalg.det(lam) >= 0, 1.0, -1.0)
+    if lam.ndim == 2:
+        return StretchData(float(S[0]), float(S[1]), float(det_sign))
+    return StretchData(S[..., 0], S[..., 1], det_sign)
 
 
 def _pos_sq(x):

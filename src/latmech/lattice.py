@@ -171,7 +171,8 @@ class LatticeSpec:
     ``(nt,)``.
 
     Equality and hashing go by the canonical :meth:`to_json` text, so a
-    spec rebuilt from its JSON equals (and caches like) the original.
+    spec rebuilt from its JSON equals (and caches like) the original; a
+    pickled spec (one sent to a worker process, say) is rebuilt so.
     """
 
     name: str
@@ -241,6 +242,10 @@ class LatticeSpec:
 
     def __hash__(self):
         return hash(self._json)
+
+    def __reduce__(self):
+        # rebuilt from its JSON by the validating constructor, read-only arrays and all
+        return LatticeSpec.from_json, (self._json,)
 
     # -- serialization -------------------------------------------------------
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -433,14 +433,19 @@ def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
     )
 
 
-def _closure_error(theta, k, misfit, drift) -> Optional[str]:
-    """Why the counter-rotation by ``theta`` is no mechanism, or ``None``.
-    A NaN misfit or drift (a NaN angle) is no mechanism either."""
-    if not misfit <= _CLOSURE_TOL:
-        return f"counter-rotation by {theta:g} does not close: misfit {misfit:.3e}"
-    if not drift <= _CLOSURE_TOL:
-        return f"counter-rotation is not {k}-periodic: period drift {drift:.3e}"
-    return None
+def _closure_error(thetas, k, misfit, drift):
+    """``(closes, error)`` for the stacked ``fields`` of ``thetas``: per
+    angle whether the counter-rotation closes (misfit and period drift at
+    most ``_CLOSURE_TOL``; a NaN one, from a NaN angle, does not), and why
+    the first that does not is no mechanism, or ``None``."""
+    fits, periodic = misfit <= _CLOSURE_TOL, drift <= _CLOSURE_TOL
+    closes = fits & periodic
+    if closes.all():
+        return closes, None
+    i = int(np.argmin(closes))
+    if not fits[i]:
+        return closes, f"counter-rotation by {thetas[i]:g} does not close: misfit {misfit[i]:.3e}"
+    return closes, f"counter-rotation is not {k}-periodic: period drift {drift[i]:.3e}"
 
 
 def _twist_fields(spec: LatticeSpec, thetas, k: int = 1):
@@ -450,10 +455,9 @@ def _twist_fields(spec: LatticeSpec, thetas, k: int = 1):
     :class:`MechanismError` for the first angle whose pin chase does not
     close."""
     lam, psi, misfit, drift = _twist_plan(spec, k).fields(thetas)
-    for theta, m, d in zip(thetas, misfit, drift):
-        error = _closure_error(theta, k, m, d)
-        if error:
-            raise MechanismError(error)
+    error = _closure_error(thetas, k, misfit, drift)[1]
+    if error:
+        raise MechanismError(error)
     return lam, psi
 
 
@@ -476,7 +480,9 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
     the counter-rotation closes, ``det lam`` stays above 1e-8,
     and the contraction ``c(theta) = sigma1(lam)`` is strictly decreasing
     (the branch the soft-mode inversion needs), at the probe angles
-    ``probe_step, 2 probe_step, ...`` below ``pi``.  Returns
+    ``probe_step, 2 probe_step, ...`` below ``pi`` (with ``c = 1`` before
+    the first).  One stacked twist and SVD cover the probes; ``theta_max``
+    is the last probe before the first that fails.  Returns
     ``(-theta_max, theta_max)``."""
     if not 0 < probe_step < np.pi:      # NaN fails too
         raise ValueError(f"probe_step must be in (0, pi), got {probe_step:g}")
@@ -489,21 +495,15 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
         plan = _twist_plan(spec, 1)
     except MechanismError:      # the window fails whatever the angle
         raise MechanismError("no admissible twist angle found") from None
-    good = 0.0
-    c_prev = 1.0
     lam, _, misfit, drift = plan.fields(probes)
-    for theta, lam_t, m, d in zip(probes, lam, misfit, drift):
-        if _closure_error(theta, 1, m, d):
-            break
-        sd = signed_svd(lam_t)
-        det = sd.det_sign * sd.sigma1 * sd.sigma2
-        if sd.sigma1 >= c_prev or det <= 1e-8:
-            break
-        c_prev = sd.sigma1
-        good = theta
-    if good == 0.0:
+    sd = signed_svd(lam)
+    ok = (_closure_error(probes, 1, misfit, drift)[0]
+          & (sd.sigma1 < np.concatenate([[1.0], sd.sigma1[:-1]]))
+          & (sd.det_sign * sd.sigma1 * sd.sigma2 > 1e-8))
+    good = int(np.argmin(np.append(ok, False)))     # probes that pass before the first fails
+    if good == 0:
         raise MechanismError("no admissible twist angle found")
-    return (-good, good)
+    return (-probes[good - 1], probes[good - 1])
 
 
 @lru_cache(maxsize=32)
@@ -512,12 +512,8 @@ def _twist_contraction_table(spec: LatticeSpec):
     twist range (a strictly decreasing curve, by construction)."""
     lo, hi = twist_admissible_range(spec)
     thetas = np.linspace(0.0, hi, 160)
-    cs = np.empty_like(thetas)
-    cs[0] = 1.0
-    for i, lam in enumerate(_twist_fields(spec, thetas[1:])[0], start=1):
-        sd = signed_svd(lam)
-        cs[i] = 0.5 * (sd.sigma1 + sd.sigma2)
-    return thetas, cs
+    sd = signed_svd(_twist_fields(spec, thetas[1:])[0])
+    return thetas, np.concatenate([[1.0], 0.5 * (sd.sigma1 + sd.sigma2)])
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +567,7 @@ def search_mechanisms(
             lam0 += 0.02 * rng.standard_normal((2, 2))
         else:
             lam0 = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
-        psi0 = 0.2 * rng.standard_normal((n, 2))
-        psi0[0] = 0.0
-        starts.append(_pack(lam0, psi0))
+        starts.append(_pack(lam0, 0.2 * rng.standard_normal((n, 2))))
 
     found = []
     for si, x0 in enumerate(starts):
@@ -688,13 +682,11 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
             if abs(2 * i + j) <= K:
                 cells.append((i, j))
 
-    def angle_fn(u, ci, cj):
-        col = 2 * ci + cj
-        side = 1.0 if col >= 0 else -1.0
-        return down_sign[u] * side * phi[abs(col)]
-
     plan = PlacementPlan.compile(spec, units, cells)
-    pos, misfit = plan.place([[angle_fn(*inst) for inst in plan.insts.tolist()]])
+    # each instance's angle, the right half mirrored to the left
+    col = 2 * plan.insts[:, 1] + plan.insts[:, 2]
+    side = np.where(col >= 0, 1.0, -1.0)
+    pos, misfit = plan.place([np.asarray(down_sign)[plan.insts[:, 0]] * side * phi[np.abs(col)]])
     keys, pos, misfit = plan.keys, pos[0], float(misfit[0])
     if misfit > 1e-10:
         raise MechanismError(f"domain wall does not close: misfit {misfit:.3e}")

@@ -279,6 +279,37 @@ def test_mechanism_dump_into_a_directory_exits_2_before_writing(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["build", "--out", "x.json", "--manifest", "x.json"],
+     "--out 'x.json' and --manifest 'x.json' name one file"),
+    (["build", "--out", "./x.json", "--manifest", "x.json"],
+     "--out './x.json' and --manifest 'x.json' name one file"),
+    (["mechanism", "--theta", "0.3", "--dump", "y.csv", "--out", "y.csv"],
+     "--out 'y.csv' and --dump 'y.csv' name one file"),
+    (["soft-mode", "--jobs", "1", "--dump-dir", "D", "--out", "D/soft_mode_eps_0.125.json"],
+     "--out 'D/soft_mode_eps_0.125.json' and --dump-dir 'D/soft_mode_eps_0.125.json' "
+     "name one file"),
+    (["energy", "--manifest", "out/energy.csv"],
+     "--out (its $LATMECH_OUTDIR default) 'out/energy.csv' and --manifest "
+     "'out/energy.csv' name one file"),
+], ids=["out-manifest", "dot-slash", "out-dump", "out-dump-dir", "default-out"])
+def test_two_outputs_naming_one_file_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           argv, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for module, name in ((mechanisms, "twist_mechanism"), (softmodes, "modulate"),
+                         (cli, "_pool_map"), (cli, "PeriodicDeformation")):
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LATMECH_OUTDIR", "out")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("content, named", [
     ("[]", "holds an empty list"),
     ('{"lam": [[1, 0], [0, 1]]}', "must hold a JSON list of 2x2 matrices, got dict"),
@@ -644,6 +675,25 @@ def test_density_sweep_reports_solver_trouble(tmp_path, capsys, monkeypatch):
     assert last.startswith("(2, 1) ") and "unconverged L-BFGS stage(s)" in last
     assert "twist" not in last
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_density_sweep_trouble_crosses_the_pool_unchanged(tmp_path, capsys, monkeypatch):
+    # the trouble case of test_density_sweep_reports_solver_trouble, at --jobs 1 and 2
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([m.tolist() for m in
+                                (0.7 * np.eye(2), np.eye(2), np.diag([1.2, 0.8]))]))
+    fake = (np.linspace(0.0, 0.2, 5), np.linspace(1.0, 0.5, 5))
+    monkeypatch.setattr(cellsolver, "_twist_contraction_table", lambda spec: fake)
+    monkeypatch.setattr(cellsolver, "_MAXITER", 1)
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert run(["density-sweep", "--spec", "kagome", "--k", "1", "--restarts", "1",
+                    "--grid", f"file:{grid}", "--jobs", jobs, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        runs.append(([line for line in err if "solver trouble" in line], out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 1 and "failed twist bracket" in runs[0][0][0]
 
 
 def test_density_sweep_reports_stalls_apart_from_unconverged(tmp_path, capsys):

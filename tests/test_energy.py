@@ -1,6 +1,7 @@
 """Energy evaluation: axioms, decomposition, gradients, scaled maps."""
 
 import hashlib
+import pickle
 import re
 
 import numpy as np
@@ -679,6 +680,21 @@ def test_lattice_map_arrays_and_values_view(kagome):
         row = lmap.rows(key, 0, 0)[0]
         assert np.array_equal(lmap.reference_positions[row],
                               lmap.epsilon * lmap.spec.node_positions(key))
+
+
+def test_pickled_lattice_map_keeps_its_layout(kagome):
+    # soft-mode's worker processes return their maps by pickle
+    lmap = _l_shape_map(kagome)
+    back = pickle.loads(pickle.dumps(lmap))
+    assert back.spec == lmap.spec and back.epsilon == lmap.epsilon
+    for name in ("keys", "positions"):
+        arr, ref = getattr(back, name), getattr(lmap, name)
+        assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), name
+        assert not arr.flags.writeable, name
+    assert back.values is back.positions
+    ci, cj = np.array([0, 1, -2]), np.array([0, 2, 1])
+    assert np.array_equal(back.rows(kagome.spring_keys, ci, cj),
+                          lmap.rows(kagome.spring_keys, ci, cj))
 
 
 def test_interpolate_affine_maps_are_exact(kagome):

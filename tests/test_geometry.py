@@ -25,6 +25,7 @@ from latmech.geometry import (
     triangle_spring_energy,
 )
 from latmech.lattice import PeriodicDeformation, Supercell
+from latmech.mechanisms import _twist_plan
 
 from conftest import random_deformation
 
@@ -133,6 +134,27 @@ def test_signed_svd_reconstructs():
         assert abs(dat.sigma1 ** 2 + dat.sigma2 ** 2 - np.sum(lam ** 2)) <= 1e-12
         assert abs(dat.det_sign * dat.sigma1 * dat.sigma2 - np.linalg.det(lam)) <= 1e-12
         assert dat.sigma1 >= dat.sigma2 >= 0
+
+
+def test_stacked_signed_svd_matches_one_matrix_calls(twist_specs):
+    rng = np.random.default_rng(23)
+    scale = 10.0 ** rng.integers(-6, 7, size=(40, 25, 1, 1))
+    stacks = [rng.uniform(-2, 2, size=(1000, 2, 2)), scale * rng.standard_normal((40, 25, 2, 2)),
+              np.zeros((3, 2, 2)), np.tile(np.diag([1.0, -1.0]), (2, 1, 1))]
+    # the twist fields at the admissible-range probes, closing or not
+    probes = 0.01 * np.arange(1, 315)
+    stacks += [_twist_plan(spec, 1).fields(probes)[0] for spec in twist_specs]
+    for lam in stacks:
+        sd = signed_svd(lam)
+        one = [(np.linalg.svd(m).S, 1.0 if np.linalg.det(m) >= 0 else -1.0)
+               for m in lam.reshape(-1, 2, 2)]
+        for got, want in ((sd.sigma1, [S[0] for S, _ in one]),
+                          (sd.sigma2, [S[1] for S, _ in one]),
+                          (sd.det_sign, [sign for _, sign in one])):
+            assert got.shape == lam.shape[:-2]
+            assert got.tobytes() == np.array(want).tobytes()
+    single = signed_svd(stacks[0][0])
+    assert all(type(v) is float for v in (single.sigma1, single.sigma2, single.det_sign))
 
 
 def test_isotropy_defect():

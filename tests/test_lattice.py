@@ -1,6 +1,7 @@
 """Lattice construction, serialization, and supercell bookkeeping."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import orphan_spring_json
 
 from latmech.energy import _cell_window
 from latmech.lattice import (
+    _LAYOUT,
     DegenerateGeometryError,
     LatticeSpec,
     PeriodicDeformation,
@@ -80,6 +82,18 @@ def test_json_round_trip(all_specs, tmp_path):
     path = tmp_path / "spec.json"
     all_specs[0].to_json(str(path))
     assert LatticeSpec.from_json(str(path)).n_basic == all_specs[0].n_basic
+
+
+def test_pickled_spec_is_rebuilt_by_its_constructor(all_specs):
+    # the command line's worker processes receive specs by pickle
+    for spec in all_specs:
+        back = pickle.loads(pickle.dumps(spec))
+        assert back is not spec and back == spec
+        for field in _LAYOUT:
+            arr, ref = getattr(back, field), getattr(spec, field)
+            assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), field
+            assert not arr.flags.writeable, field
+        assert back.spring_rest.tobytes() == spec.spring_rest.tobytes()
 
 
 def test_spec_equality_and_hash_by_content(all_specs):

@@ -23,7 +23,7 @@ from latmech.mechanisms import (
     twist_mechanism,
 )
 
-from conftest import random_deformation
+from conftest import percolating_units_json, random_deformation
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,57 @@ def test_twist_admissible_range_rejects_bad_probe_step(kagome, step):
     # steps of pi or more leave no probe and would blame the spec
     with pytest.raises(ValueError, match=r"probe_step must be in \(0, pi\), got "):
         twist_admissible_range(kagome, probe_step=step)
+
+
+def _admissible_range_by_probe(spec, probe_step):
+    """The reference: the probe-by-probe scan that ``twist_admissible_range``
+    ran before it took one mask over the stacked probes."""
+    probes = []
+    theta = 0.0
+    while theta + probe_step < np.pi:
+        theta += probe_step
+        probes.append(theta)
+    try:
+        plan = _twist_plan(spec, 1)
+    except MechanismError:
+        raise MechanismError("no admissible twist angle found") from None
+    good = 0.0
+    c_prev = 1.0
+    lam, _, misfit, drift = plan.fields(probes)
+    for theta, lam_t, m, d in zip(probes, lam, misfit, drift):
+        if not (m <= 1e-12 and d <= 1e-12):
+            break
+        S = np.linalg.svd(lam_t).S
+        det = (1.0 if np.linalg.det(lam_t) >= 0 else -1.0) * float(S[0]) * float(S[1])
+        if float(S[0]) >= c_prev or det <= 1e-8:
+            break
+        c_prev = float(S[0])
+        good = theta
+    if good == 0.0:
+        raise MechanismError("no admissible twist angle found")
+    return (-good, good)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MechanismError, DegenerateGeometryError) as exc:
+        return type(exc), str(exc)
+
+
+def test_twist_admissible_range_matches_the_probe_scan(kagome, rotating_squares):
+    specs = [kagome, rotating_squares, LatticeSpec.from_json(percolating_units_json())]
+    specs += [build_variant("isosceles-kagome", apex=a, size_ratio=r)
+              for a in (0.8, 1.6, 2.2) for r in (0.6, 1.4)]
+    specs += [build_variant("general-kagome", alpha=a, leg_ratio=0.6, size_ratio=r)
+              for a in (0.7, 1.5) for r in (0.8, 1.3)]
+    specs += [build_variant("rhombus-squares", angle=a, size_ratio=0.4) for a in (0.9, 2.0)]
+    specs += [build_variant("quad-squares", alpha=1.0, s=s, q=q)
+              for s, q in ((0.5, 0.5), (0.4, 0.6), (0.3, 0.5))]
+    for spec in specs:
+        for step in (0.01, 0.05, 0.3):
+            want = _outcome(_admissible_range_by_probe, spec, step)
+            assert _outcome(twist_admissible_range, spec, step) == want, (spec.name, step)
 
 
 def test_twist_field_is_the_mechanism_deformation(twist_specs):
