@@ -8,6 +8,10 @@ byte-identical output.  Exit codes: 0 success, 1 usage error, 2
 precondition/build error, 3 a verified bound came back with negative
 slack, 4 an unexpected internal error (traceback on stderr).
 
+This module owns every file a run reads or writes: the library takes
+and returns spec JSON text, and ``_out_path`` plans every output before
+any work.
+
 Every command is its own short process, so this module imports at top
 level only what every command needs (spec loading from
 :mod:`latmech.lattice`); each command imports the solver modules it runs
@@ -90,14 +94,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _make_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
 def _write_csv(path: str, header, rows) -> None:
-    _make_parent(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -107,23 +104,36 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _out_path(args, default_name: str, *files) -> str:
     """The artifact path: ``--out``, or ``default_name`` in
-    ``$LATMECH_OUTDIR``.  Raises ``ValueError``, naming both flags, when
-    two outputs of the run resolve to one file: the artifact,
-    ``--manifest``, ``--dump`` and the ``(flag, path)`` pairs ``files``.
-    Each command calls it before any work, and writes the file last."""
+    ``$LATMECH_OUTDIR``.  The one owner of the run's output files: the
+    artifact, ``--manifest``, ``--dump`` and the ``(flag, path)`` pairs
+    ``files``.  Each command calls it after its input checks and before
+    any work.  It raises ``ValueError``, naming the flag, when two outputs
+    resolve to one file or one is an existing directory, and only then
+    makes each missing parent directory, so the writers only open and
+    write."""
     path, out = getattr(args, "out", None), "--out"
     if path is None:
         path = os.path.join(os.environ.get("LATMECH_OUTDIR", "."), default_name)
         out = "--out (its $LATMECH_OUTDIR default)"
+    outputs = [(flag, name) for flag, name in [
+        (out, path), ("--manifest", getattr(args, "manifest", None)),
+        ("--dump", getattr(args, "dump", None)), *files] if name]
     seen = {}
-    for flag, name in [(out, path), ("--manifest", getattr(args, "manifest", None)),
-                       ("--dump", getattr(args, "dump", None)), *files]:
-        if not name:
-            continue
+    for flag, name in outputs:
         real = os.path.realpath(name)
         if real in seen:
             raise ValueError(f"{seen[real]} and {flag} {name!r} name one file")
         seen[real] = f"{flag} {name!r}"
+        if os.path.isdir(name):
+            raise ValueError(f"{flag} {name!r} is a directory")
+    for flag, name in outputs:
+        parent = os.path.dirname(name)
+        if parent:
+            try:
+                os.makedirs(parent, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"{flag} {name!r}: cannot make its directory "
+                                 f"{parent!r}: {exc.strerror}") from None
     return path
 
 
@@ -141,9 +151,11 @@ def _finish(args, path: str) -> None:
 
 
 def _load_spec(args) -> LatticeSpec:
+    """The ``--spec`` lattice: a builtin, a variant kind built with
+    ``--params``, or the text of a spec JSON file."""
     name = args.spec
     params = {}
-    for item in (getattr(args, "params", None) or "").split(","):
+    for item in args.params.split(","):
         if not item:
             continue
         key, _, val = item.partition("=")
@@ -159,11 +171,13 @@ def _load_spec(args) -> LatticeSpec:
         if key in params:
             raise ValueError(f"--params entry {item!r} repeats the key {key!r}")
         params[key] = value
+    if params and name not in VARIANT_KINDS:
+        raise ValueError("--params only applies to variant kinds")
     if name == "kagome":
-        spec = build_kagome()
-    elif name in ("rotating-squares", "rs"):
-        spec = build_rotating_squares()
-    elif name in VARIANT_KINDS:
+        return build_kagome()
+    if name in ("rotating-squares", "rs"):
+        return build_rotating_squares()
+    if name in VARIANT_KINDS:
         valid = inspect.signature(VARIANT_KINDS[name]).parameters
         unknown = sorted(set(params) - set(valid))
         if unknown:
@@ -171,17 +185,18 @@ def _load_spec(args) -> LatticeSpec:
                 f"unknown --params key {', '.join(map(repr, unknown))} for {name}; "
                 f"valid keys: {', '.join(valid)}"
             )
-        spec = build_variant(name, **params)
-    elif name.endswith(".json"):
-        spec = LatticeSpec.from_json(name)
-    else:
+        return build_variant(name, **params)
+    if not name.endswith(".json"):
         raise ValueError(
             f"unknown spec {name!r}; use a builtin (kagome, rotating-squares), "
             f"a variant kind ({', '.join(sorted(VARIANT_KINDS))}), or a JSON path"
         )
-    if params and name not in VARIANT_KINDS:
-        raise ValueError("--params only applies to variant kinds")
-    return spec
+    try:
+        with open(name) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"--spec {name!r} cannot be read: {exc.strerror}") from None
+    return LatticeSpec.from_json(text)
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -374,8 +389,8 @@ def _warm_twist_table(spec: LatticeSpec) -> None:
 def _cmd_build(args) -> int:
     spec = _load_spec(args)
     path = _out_path(args, f"{spec.name}.json")
-    _make_parent(path)
-    spec.to_json(path)
+    with open(path, "w") as fh:
+        fh.write(spec.to_json() + "\n")
     print(f"{spec.name}: {spec.n_basic} nodes, {len(spec.spring_keys)} springs, "
           f"{len(spec.penalized_keys)} penalized triangles, "
           f"cell area {_fmt(spec.cell_area)}")
@@ -432,25 +447,16 @@ def _cmd_mechanism(args) -> int:
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
     if args.theta is not None and not np.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta:g}")
-    path = _out_path(args, "mechanisms.csv")
-    if args.dump:
-        if os.path.isdir(args.dump):
-            raise ValueError(f"--dump {args.dump!r} is a directory; "
-                             "it names the geometry JSON file")
-        # made before any certificate, so a dump that cannot land fails at once
-        parent = os.path.dirname(args.dump)
-        if parent:
-            try:
-                os.makedirs(parent, exist_ok=True)
-            except OSError as exc:
-                raise ValueError(f"--dump {args.dump!r}: cannot make its directory "
-                                 f"{parent!r}: {exc.strerror}") from None
-    spec = _load_spec(args)
-    rows = []
-    last = None
     if args.search:
         if args.restarts < 1:
             raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
+    elif args.theta is None and args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    spec = _load_spec(args)
+    path = _out_path(args, "mechanisms.csv")
+    rows = []
+    last = None
+    if args.search:
         hits = search_mechanisms(spec, args.k, restarts=args.restarts, rng_seed=args.seed)
         for i, mech in enumerate(hits):
             rows.append(_certificate_row(mech.kind, f"hit{i}", mech.certificate))
@@ -458,8 +464,6 @@ def _cmd_mechanism(args) -> int:
         if hits:
             last = hits[0]
     else:
-        if args.theta is None and args.grid_points < 1:
-            raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
         lo, hi = twist_admissible_range(spec)
         print(f"admissible twist range ({_fmt(lo)}, {_fmt(hi)})")
         thetas = ([args.theta] if args.theta is not None
@@ -497,13 +501,13 @@ def _cmd_density_sweep(args) -> int:
     if args.restarts < 0:
         raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     ks = _parse_ks(args.k)
-    path = _out_path(args, f"density_{args.grid.replace(':', '_')}.csv")
     spec = _load_spec(args)
     _check_cell_eta(spec, args.eta, max(ks))
     lams = lambda_grid(args.grid, rng_seed=args.seed)
     payloads = [(spec, lam, args.eta, k, args.restarts, args.seed)
                 for lam in lams for k in ks]
     jobs = _jobs(args, len(payloads))
+    path = _out_path(args, f"density_{args.grid.replace(':', '_')}.csv")
     if jobs > 1 and any(np.linalg.det(lam) > 0 for lam in lams):
         _warm_twist_table(spec)
     results = _pool_map(_density_task, payloads, jobs)
@@ -548,10 +552,10 @@ def _cmd_verify_bounds(args) -> int:
                              verify_isotropic_bound, verify_jensen_bounds)
 
     _check_seed(args)
-    path = _out_path(args, "bounds.csv")
     spec = _load_spec(args)
     # checked on every run, so a bad --eta never passes unread
     _check_cell_eta(spec, args.eta, 1)    # verify-bounds --isotropic solves at k=1
+    path = _out_path(args, "bounds.csv")
     reports = verify_jensen_bounds(spec, n_trials=args.trials,
                                    k_max=args.k_max, rng_seed=args.seed)
     checked = [reports[name] for name in sorted(reports)]
@@ -575,8 +579,8 @@ def _cmd_verify_bounds(args) -> int:
 def _cmd_domain_wall(args) -> int:
     from .mechanisms import domain_wall_angles, domain_wall_mechanism
 
-    path = _out_path(args, "domain_wall.csv")
     theta = domain_wall_angles(args.theta1, n=args.n)
+    path = _out_path(args, "domain_wall.csv")
     rows = [[i, th] for i, th in enumerate(theta)]
     # the CSV goes last, so a strip that fails its checks leaves none
     if args.strip:
@@ -605,19 +609,11 @@ def _cmd_soft_mode(args) -> int:
     eps_list = _parse_eps(args.eps)
     _check_ladder(args.eps, eps_list)
     _check_eta(args.eta, spec.penalized_area, 1)
+    jobs = _jobs(args, len(eps_list))
     dumps = ([("--dump-dir", os.path.join(args.dump_dir, _dump_name(eps))) for eps in eps_list]
              if args.dump_dir else [])
     path = _out_path(args, "soft_mode.csv", *dumps)
-    if args.dump_dir:
-        # made before any modulation, so a path that cannot hold the dumps
-        # fails at once
-        try:
-            os.makedirs(args.dump_dir, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"--dump-dir {args.dump_dir!r} is not a usable directory: "
-                             f"{exc.strerror}") from None
     payloads = [(spec, target, eps, args.sweeps) for eps in eps_list]
-    jobs = _jobs(args, len(payloads))
     if jobs > 1:
         _warm_twist_table(spec)
     maps = _pool_map(modulate, payloads, jobs)

@@ -249,13 +249,10 @@ class LatticeSpec:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self, path=None) -> str:
-        """Serialize to the documented JSON format (see ``docs/formats.md``)."""
-        text = self._json
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+    def to_json(self) -> str:
+        """The documented JSON text (see ``docs/formats.md``), without a
+        trailing newline."""
+        return self._json
 
     @cached_property
     def _json(self) -> str:
@@ -277,16 +274,12 @@ class LatticeSpec:
         return json.dumps(data, indent=2)
 
     @classmethod
-    def from_json(cls, source) -> "LatticeSpec":
-        """Load a spec from a JSON string or file path.
+    def from_json(cls, text: str) -> "LatticeSpec":
+        """Load a spec from its JSON text.
 
         Unknown keys are rejected; spring rest lengths and triangle areas
-        are recomputed from node positions rather than read from the file.
+        are recomputed from node positions rather than read from the text.
         """
-        text = source
-        if "\n" not in str(source) and str(source).endswith(".json"):
-            with open(source) as fh:
-                text = fh.read()
         data = json.loads(text)
         required = {
             "name", "v1", "v2", "basic_nodes", "springs",

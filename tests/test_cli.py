@@ -229,8 +229,9 @@ def test_soft_mode_repeated_rung_exits_2_before_modulating(tmp_path, capsys, mon
     (["--eps", "1/8,-1/16"], "--eps entry '-1/16' must be positive, got -0.0625"),
     (["--eps", "1/8,nan"], "--eps entry 'nan' is not a finite number"),
     (["--eps", "1/8,1/16", "--eta", "0"], "penalty strength eta must be positive, got 0"),
-    (["--eps", "1/8,1/16", "--dump-dir", "FILE"], "--dump-dir '<dir>/FILE' is not a "
-                                                  "usable directory: File exists"),
+    (["--eps", "1/8,1/16", "--dump-dir", "FILE"],
+     "--dump-dir '<dir>/FILE/soft_mode_eps_0.125.json': cannot make its directory "
+     "'<dir>/FILE': File exists"),
 ])
 def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                      argv, named):
@@ -248,35 +249,6 @@ def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert "Traceback" not in err
     assert not out.exists()
     assert (tmp_path / "FILE").read_text() == "kept"
-
-
-def test_mechanism_dump_into_a_directory_exits_2_before_writing(tmp_path, capsys,
-                                                              monkeypatch):
-    out = tmp_path / "mech.csv"
-    assert run(["mechanism", "--theta", "0.4", "--dump", str(tmp_path),
-                "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"--dump {str(tmp_path)!r} is a directory" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-    # a dump into a directory that does not exist makes it, as --out does
-    dump = tmp_path / "no" / "g.json"
-    assert run(["mechanism", "--theta", "0.4", "--dump", str(dump), "--out", str(out)]) == 0
-    assert dump.is_file() and out.is_file()
-    out.unlink()
-    # a directory that cannot be made fails before any certificate
-    def no_certificate(*args, **kwargs):
-        raise AssertionError("a certificate was computed")
-
-    monkeypatch.setattr(mechanisms, "twist_admissible_range", no_certificate)
-    monkeypatch.setattr(mechanisms, "twist_mechanism", no_certificate)
-    blocked = tmp_path / "no" / "g.json" / "h.json"
-    assert run(["mechanism", "--theta", "0.4", "--dump", str(blocked),
-                "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"--dump {str(blocked)!r}: cannot make its directory {str(dump)!r}" in err
-    assert "Traceback" not in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -308,6 +280,101 @@ def test_two_outputs_naming_one_file_exit_2_before_any_work(tmp_path, capsys, mo
     assert named in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# each output flag, as ``(flag, file name, argv)``: ``argv(target, d)`` runs a
+# command whose ``flag`` names the file ``target``, with its other outputs in
+# the directory ``d``; the --dump-dir file is the dump of the one rung 1/8
+OUTPUT_FLAGS = {
+    "build --out": ("--out", "k.json", lambda t, d: ["build", "--out", t]),
+    "inequalities --out": ("--out", "i.csv", lambda t, d: [
+        "inequalities", "--lam-step", "0.1", "--theta-step", "0.05", "--out", t]),
+    "mechanism --out": ("--out", "m.csv", lambda t, d: [
+        "mechanism", "--theta", "0.4", "--out", t]),
+    "--manifest": ("--manifest", "run.json", lambda t, d: [
+        "build", "--out", f"{d}/k.json", "--manifest", t]),
+    "--dump": ("--dump", "g.json", lambda t, d: [
+        "mechanism", "--theta", "0.4", "--dump", t, "--out", f"{d}/m.csv"]),
+    "--dump-dir": ("--dump-dir", cli._dump_name(1 / 8), lambda t, d: [
+        "soft-mode", "--eps", "1/8", "--sweeps", "5", "--jobs", "1",
+        "--dump-dir", os.path.dirname(t), "--out", f"{d}/s.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", ["directory", "missing-parent", "blocked-parent"])
+@pytest.mark.parametrize("output", sorted(OUTPUT_FLAGS))
+def test_every_output_path_is_planned_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      output, case):
+    """An output that is an existing directory, or whose directory cannot
+    be made, exits 2 naming its flag before any work; a missing directory
+    is made."""
+    flag, name, argv = OUTPUT_FLAGS[output]
+    target = tmp_path / {"directory": "sub", "missing-parent": "new/sub",
+                         "blocked-parent": "FILE/sub"}[case] / name
+    argv = argv(str(target), str(tmp_path))
+    if case == "missing-parent":
+        assert run(argv) == 0
+        # every path the run names is there: the target, the other outputs
+        # and, for --dump-dir, the directory
+        assert target.is_file()
+        assert all(Path(a).exists() for a in argv if a.startswith(str(tmp_path)))
+        return
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for module, func in ((geometry, "scalar_inequality_report"),
+                         (mechanisms, "twist_admissible_range"),
+                         (mechanisms, "twist_mechanism"), (softmodes, "modulate"),
+                         (cli, "_pool_map")):
+        monkeypatch.setattr(module, func, no_work)
+    if case == "directory":
+        target.mkdir(parents=True)
+        named = f"{flag} {str(target)!r} is a directory"
+    else:
+        (tmp_path / "FILE").write_text("kept")
+        named = f"{flag} {str(target)!r}: cannot make its directory {str(target.parent)!r}: "
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    # no artifact; the regular file in the blocked path is left as it was
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == (
+        [] if case == "directory" else ["FILE"])
+    assert case == "directory" or (tmp_path / "FILE").read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ["soft-mode", "--jobs", "0", "--dump-dir", "newD"],
+    ["density-sweep", "--jobs", "0", "--out", "newD/x.csv"],
+    ["mechanism", "--grid-points", "0", "--out", "newD/m.csv", "--dump", "newG/g.json"],
+    ["verify-bounds", "--spec", "missing.json", "--out", "newD/b.csv"],
+    ["domain-wall", "--theta1", "1.0", "--out", "newD/w.csv"],
+], ids=["soft-mode-jobs", "density-sweep-jobs", "grid-points", "spec", "theta1"])
+def test_failed_input_check_leaves_no_file_or_directory(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LATMECH_OUTDIR", raising=False)
+    assert run(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--spec", "missing.json", "--params", "alpha=1"], "--params only applies to variant kinds"),
+    (["--spec", "kagome", "--params", "alpha=1"], "--params only applies to variant kinds"),
+    (["--spec", "missing.json"], "--spec 'missing.json' cannot be read: No such file or directory"),
+    (["--spec", "D.json"], "--spec 'D.json' cannot be read: Is a directory"),
+], ids=["params-missing-file", "params-builtin", "missing-file", "directory"])
+def test_spec_input_errors_name_their_flag(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "D.json").mkdir()
+    assert run(["build", *argv, "--out", "k.json"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "k.json").exists()
 
 
 @pytest.mark.parametrize("content, named", [
@@ -536,7 +603,7 @@ def test_build_round_trips_spec(tmp_path):
     assert run(["build", "--spec", "rhombus-squares", "--params",
                 "angle=1.3,size_ratio=0.6", "--out", str(out),
                 "--manifest", str(manifest)]) == 0
-    spec = LatticeSpec.from_json(str(out))
+    spec = LatticeSpec.from_json(out.read_text())
     assert spec.name == "rhombus-squares"
 
     config = json.loads(manifest.read_text())

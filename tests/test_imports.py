@@ -15,7 +15,9 @@ attribute store sets too: an option with one value in use is a constant
 (a few options aside, each listed with its reason).  Last, it fails when
 the CLI, which every command's process imports, imports a ``latmech``
 module other than ``lattice`` at top level, or when the package loads a
-module before one of its names is read.
+module before one of its names is read, or when a module other than the
+CLI, which owns every output file, opens a file for writing or makes a
+directory.
 """
 
 import ast
@@ -364,3 +366,53 @@ def test_unset_option_is_caught():
         ("R", "d"), ("R", "f")]
     assert [d[:3] for d in _defaulted(fields)] == [
         ("R", "b", 1), ("R", "c", 2), ("R", "d", 3), ("R", "f", 4), ("R", "g", 5)]
+
+
+def _file_writes(tree) -> list:
+    """``(line, name)`` of each call that writes to the file system: an
+    ``open`` whose mode (a constant, or one the scan cannot read) has a
+    ``w``, ``a``, ``x`` or ``+``, and each ``makedirs``, ``mkdir``,
+    ``write_text`` or ``write_bytes``, bare or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                found.append((node.lineno, name))
+        elif name in ("makedirs", "mkdir", "write_text", "write_bytes"):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_the_cli_writes_files():
+    """The CLI plans every output of a run before any work, so no other
+    module writes a file or makes a directory: the library takes and
+    returns JSON text."""
+    writes = {path.stem: _file_writes(ast.parse(path.read_text(), str(path)))
+              for path in MODULES}
+    assert writes.pop("cli")
+    assert writes == {path.stem: [] for path in MODULES if path.stem != "cli"}
+
+
+def test_file_write_is_caught():
+    tree = ast.parse("import os\n"
+                     "with open(p) as fh:\n    pass\n"
+                     "with open(p, 'w') as fh:\n    pass\n"
+                     "open(p, mode='a')\n"
+                     "open(p, 'rb')\n"
+                     "open(p, mode)\n"
+                     "os.makedirs(d, exist_ok=True)\n"
+                     "os.mkdir(d)\n"
+                     "path.write_text(s)\n")
+    assert _file_writes(tree) == [(4, "open"), (6, "open"), (8, "open"), (9, "makedirs"),
+                                  (10, "mkdir"), (11, "write_text")]
+    # a spec writer put back into the spec module is caught
+    lattice = (SRC / "lattice.py").read_text()
+    assert _file_writes(ast.parse(lattice)) == []
+    mutant = lattice + "\ndef save(spec, path):\n    with open(path, 'w') as fh:\n" \
+                       "        fh.write(spec.to_json())\n"
+    assert [name for _, name in _file_writes(ast.parse(mutant))] == ["open"]
