@@ -335,8 +335,9 @@ def lambda_grid(kind: str, rng_seed: int = 0):
     ``iso``: 10 x 8 isotropic compressions ``c R_phi`` with c in [0.3, 1];
     ``diag``: 6 x 6 diagonal matrices with entries in [0.5, 1.5];
     ``noniso``: 20 deterministic matrices with ``sigma1 - sigma2 >= 0.1``
-    or ``sigma1 >= 1.1``; ``random:N``: seeded Gaussian matrices;
-    ``file:PATH``: a JSON list of 2x2 rows.
+    or ``sigma1 >= 1.1``; ``random:N``: seeded Gaussian matrices.  The
+    command line reads ``--grid file:PATH`` itself: no library module
+    reads a file.
     """
     if kind == "iso":
         return [float(c) * rotation(phi)
@@ -371,29 +372,6 @@ def lambda_grid(kind: str, rng_seed: int = 0):
             raise ValueError(f"random grid needs at least 1 matrix, got {kind!r}")
         rng = np.random.default_rng(rng_seed)
         return [np.eye(2) + 0.5 * rng.standard_normal((2, 2)) for _ in range(n)]
-    if kind.startswith("file:"):
-        import json
-
-        path = kind.split(":", 1)[1]
-        with open(path) as fh:
-            rows = json.load(fh)
-        if not isinstance(rows, list):
-            raise ValueError(f"grid file {path} must hold a JSON list of 2x2 matrices, "
-                             f"got {type(rows).__name__}")
-        if not rows:
-            raise ValueError(f"grid file {path} holds an empty list")
-        mats = []
-        for i, m in enumerate(rows):
-            try:
-                mat = np.asarray(m, dtype=float)
-            except (TypeError, ValueError):
-                mat = None
-            if mat is None or mat.shape != (2, 2):
-                raise ValueError(f"grid file {path}: entry {i} is not a 2x2 matrix")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"grid file {path}: entry {i} is not finite: {m!r}")
-            mats.append(mat)
-        return mats
     raise ValueError(f"unknown lambda grid {kind!r}")
 
 

@@ -8,9 +8,10 @@ byte-identical output.  Exit codes: 0 success, 1 usage error, 2
 precondition/build error, 3 a verified bound came back with negative
 slack, 4 an unexpected internal error (traceback on stderr).
 
-This module owns every file a run reads or writes: the library takes
-and returns spec JSON text, and ``_out_path`` plans every output before
-any work.
+This module is the one file boundary: the library takes and returns
+JSON text, ``_read`` reads the ``--spec`` and ``--grid file:`` files,
+``_out_path`` checks every output before any work without touching the
+disk, and ``_write`` alone makes directories and writes files.
 
 Every command is its own short process, so this module imports at top
 level only what every command needs (spec loading from
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import os
 import re
@@ -94,59 +96,86 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _csv(header, rows) -> str:
+    """CSV text: ``header``, then each row's cells as ``_fmt`` prints them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _read(flag: str, path: str) -> str:
+    """The text of the ``flag`` input file ``path``: the only code that
+    reads a file."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"{flag} {path!r} cannot be read: {exc.strerror}") from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, making its missing parent directories:
+    the only code that writes to the file system."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(text)
 
 
 def _out_path(args, default_name: str, *files) -> str:
     """The artifact path: ``--out``, or ``default_name`` in
-    ``$LATMECH_OUTDIR``.  The one owner of the run's output files: the
+    ``$LATMECH_OUTDIR``.  The one check of the run's output files: the
     artifact, ``--manifest``, ``--dump`` and the ``(flag, path)`` pairs
     ``files``.  Each command calls it after its input checks and before
-    any work.  It raises ``ValueError``, naming the flag, when two outputs
-    resolve to one file or one is an existing directory, and only then
-    makes each missing parent directory, so the writers only open and
-    write."""
+    any work.  It raises ``ValueError``, naming the flag, when an output
+    flag is empty, two outputs resolve to one file, one names a directory,
+    or its missing directory could not be made, and changes nothing on
+    disk: ``_write`` makes the directory when it writes the file."""
+    for key in ("out", "manifest", "dump", "dump_dir"):
+        if getattr(args, key, None) == "":
+            raise ValueError(f"--{key.replace('_', '-')} is empty")
     path, out = getattr(args, "out", None), "--out"
     if path is None:
         path = os.path.join(os.environ.get("LATMECH_OUTDIR", "."), default_name)
         out = "--out (its $LATMECH_OUTDIR default)"
-    outputs = [(flag, name) for flag, name in [
-        (out, path), ("--manifest", getattr(args, "manifest", None)),
-        ("--dump", getattr(args, "dump", None)), *files] if name]
     seen = {}
-    for flag, name in outputs:
+    for flag, name in [(out, path), ("--manifest", getattr(args, "manifest", None)),
+                       ("--dump", getattr(args, "dump", None)), *files]:
+        if not name:
+            continue
         real = os.path.realpath(name)
         if real in seen:
             raise ValueError(f"{seen[real]} and {flag} {name!r} name one file")
         seen[real] = f"{flag} {name!r}"
-        if os.path.isdir(name):
+        if os.path.isdir(name) or not os.path.basename(name):
             raise ValueError(f"{flag} {name!r} is a directory")
-    for flag, name in outputs:
-        parent = os.path.dirname(name)
-        if parent:
-            try:
-                os.makedirs(parent, exist_ok=True)
-            except OSError as exc:
-                raise ValueError(f"{flag} {name!r}: cannot make its directory "
-                                 f"{parent!r}: {exc.strerror}") from None
+        # os.makedirs fails unless the nearest existing part of the
+        # directory is a directory this process can write in
+        parent = top = os.path.dirname(name)
+        while top and not os.path.exists(top):
+            top = os.path.dirname(top)
+        if not os.path.isdir(top or "."):
+            reason = "File exists" if top == parent else "Not a directory"
+        elif top != parent and not os.access(top or ".", os.W_OK | os.X_OK):
+            reason = "Permission denied"
+        else:
+            continue
+        raise ValueError(f"{flag} {name!r}: cannot make its directory {parent!r}: {reason}")
     return path
 
 
-def _finish(args, path: str) -> None:
-    """Report the artifact, after writing the run configuration (every
-    option the command parsed) to ``--manifest`` when one is given."""
+def _finish(args, path: str, text: str) -> None:
+    """Write the artifact ``text`` to ``path``, then the run configuration
+    (every option the command parsed) to ``--manifest`` when one is given,
+    and report the artifact."""
+    _write(path, text)
     manifest = getattr(args, "manifest", None)
     if manifest:
         options = {key: val for key, val in vars(args).items()
                    if key not in ("func", "command", "manifest")}
-        with open(manifest, "w") as fh:
-            fh.write(json.dumps({"command": args.command, "options": options},
-                                sort_keys=True, indent=2) + "\n")
+        _write(manifest, json.dumps({"command": args.command, "options": options},
+                                    sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
 
 
@@ -191,12 +220,36 @@ def _load_spec(args) -> LatticeSpec:
             f"unknown spec {name!r}; use a builtin (kagome, rotating-squares), "
             f"a variant kind ({', '.join(sorted(VARIANT_KINDS))}), or a JSON path"
         )
+    text = _read("--spec", name)
     try:
-        with open(name) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"--spec {name!r} cannot be read: {exc.strerror}") from None
-    return LatticeSpec.from_json(text)
+        return LatticeSpec.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--spec {name!r} is not valid JSON: {exc}") from None
+
+
+def _grid_file(path: str) -> list:
+    """The ``--grid file:PATH`` matrices: a JSON list of 2x2 rows."""
+    try:
+        rows = json.loads(_read("--grid", path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--grid {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"grid file {path} must hold a JSON list of 2x2 matrices, "
+                         f"got {type(rows).__name__}")
+    if not rows:
+        raise ValueError(f"grid file {path} holds an empty list")
+    mats = []
+    for i, m in enumerate(rows):
+        try:
+            mat = np.asarray(m, dtype=float)
+        except (TypeError, ValueError):
+            mat = None
+        if mat is None or mat.shape != (2, 2):
+            raise ValueError(f"grid file {path}: entry {i} is not a 2x2 matrix")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"grid file {path}: entry {i} is not finite: {m!r}")
+        mats.append(mat)
+    return mats
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -364,8 +417,7 @@ def _dump_geometry(lmap, path: str) -> None:
         f' "triangles": {_json_table(triangle, [angles, *tri_rows.T])}\n',
         "}\n",
     ])
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write(path, text)
 
 
 def _warm_twist_table(spec: LatticeSpec) -> None:
@@ -389,12 +441,10 @@ def _warm_twist_table(spec: LatticeSpec) -> None:
 def _cmd_build(args) -> int:
     spec = _load_spec(args)
     path = _out_path(args, f"{spec.name}.json")
-    with open(path, "w") as fh:
-        fh.write(spec.to_json() + "\n")
     print(f"{spec.name}: {spec.n_basic} nodes, {len(spec.spring_keys)} springs, "
           f"{len(spec.penalized_keys)} penalized triangles, "
           f"cell area {_fmt(spec.cell_area)}")
-    _finish(args, path)
+    _finish(args, path, spec.to_json() + "\n")
     return EXIT_OK
 
 
@@ -417,14 +467,10 @@ def _cmd_energy(args) -> int:
         psi = np.zeros((cell.n_nodes, 2))
     defm = PeriodicDeformation(cell, lam, psi)
     bd = energy_breakdown(defm, args.eta)
-    _write_csv(
-        path,
-        ["cell_i", "cell_j", "triangle", "spring_energy", "step_penalty"],
-        bd.rows(),
-    )
     print(f"spring total {_fmt(bd.spring_total)}, penalty total "
           f"{_fmt(bd.penalty_total)}, averaged density {_fmt(bd.averaged)}")
-    _finish(args, path)
+    _finish(args, path, _csv(["cell_i", "cell_j", "triangle", "spring_energy",
+                              "step_penalty"], bd.rows()))
     return EXIT_OK
 
 
@@ -476,8 +522,7 @@ def _cmd_mechanism(args) -> int:
         cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
         _dump_geometry(LatticeMap.from_periodic(last.deformation, 1.0, cells), args.dump)
         print(f"wrote geometry dump {args.dump}")
-    _write_csv(path, _CERT_HEADER, rows)
-    _finish(args, path)
+    _finish(args, path, _csv(_CERT_HEADER, rows))
     return EXIT_OK
 
 
@@ -503,7 +548,8 @@ def _cmd_density_sweep(args) -> int:
     ks = _parse_ks(args.k)
     spec = _load_spec(args)
     _check_cell_eta(spec, args.eta, max(ks))
-    lams = lambda_grid(args.grid, rng_seed=args.seed)
+    lams = (_grid_file(args.grid.split(":", 1)[1]) if args.grid.startswith("file:")
+            else lambda_grid(args.grid, rng_seed=args.seed))
     payloads = [(spec, lam, args.eta, k, args.restarts, args.seed)
                 for lam in lams for k in ks]
     jobs = _jobs(args, len(payloads))
@@ -530,20 +576,16 @@ def _cmd_density_sweep(args) -> int:
                 notes.append(f"failed twist bracket, contraction gap {gap:.3g}")
             if notes:
                 trouble.append(f"({li}, {k}) {', '.join(notes)}")
-    _write_csv(
-        path,
-        ["index", "lam11", "lam12", "lam21", "lam22", "supercell_k", "eta",
-         "upper_density", "upper_spring_part", "upper_penalty_part",
-         "stretch_bracket", "upper_over_bracket"],
-        rows,
-    )
     uppers = [r[7] for r in rows]
     print(f"{len(lams)} matrices x k={ks}: max upper {_fmt(max(uppers))}, "
           f"min upper {_fmt(min(uppers))}")
     if trouble:
         print(f"latmech density-sweep: solver trouble at (index, k): {'; '.join(trouble)}",
               file=sys.stderr)
-    _finish(args, path)
+    _finish(args, path, _csv(
+        ["index", "lam11", "lam12", "lam21", "lam22", "supercell_k", "eta",
+         "upper_density", "upper_spring_part", "upper_penalty_part",
+         "stretch_bracket", "upper_over_bracket"], rows))
     return EXIT_OK
 
 
@@ -569,10 +611,9 @@ def _cmd_verify_bounds(args) -> int:
         rows.append(["isotropy-energy-gap", iso.n_trials, iso.c_fit, ""])
         if iso.c_fit <= 0:
             worst = min(worst, iso.c_fit if iso.c_fit < 0 else -1.0)
-    _write_csv(path, ["bound", "trials", "min_slack", "equality_gap"], rows)
     print(f"{len(rows)} bounds verified on {spec.name}; worst slack {_fmt(worst)} "
           f"(eta threshold {_fmt(orientation_threshold(spec))})")
-    _finish(args, path)
+    _finish(args, path, _csv(["bound", "trials", "min_slack", "equality_gap"], rows))
     return EXIT_OK if all(rep.holds for rep in checked) else EXIT_VERIFICATION
 
 
@@ -592,8 +633,7 @@ def _cmd_domain_wall(args) -> int:
         print(f"far-field compression left {_fmt(wall.compression_left)} / "
               f"right {_fmt(wall.compression_right)} "
               f"(gap {_fmt(wall.far_field_gap)}), limit angle {_fmt(wall.theta_limit)}")
-    _write_csv(path, ["column", "twist_angle"], rows)
-    _finish(args, path)
+    _finish(args, path, _csv(["column", "twist_angle"], rows))
     return EXIT_OK
 
 
@@ -636,13 +676,9 @@ def _cmd_soft_mode(args) -> int:
         for lmap, (_, dump) in zip(maps, dumps):
             _dump_geometry(lmap, dump)
         print(f"wrote {len(maps)} geometry dumps to {args.dump_dir}")
-    _write_csv(
-        path,
+    _finish(args, path, _csv(
         ["epsilon", "n_cells", "energy_per_area", "max_cell_energy",
-         "probe_l2_error", "cr_residual", "max_conformal_factor", "n_boxes"],
-        rep.rows(),
-    )
-    _finish(args, path)
+         "probe_l2_error", "cr_residual", "max_conformal_factor", "n_boxes"], rep.rows()))
     return EXIT_OK
 
 
@@ -658,9 +694,8 @@ def _cmd_inequalities(args) -> int:
         arg = list(rep.argmin) + [""] * (2 - len(rep.argmin))
         rows.append([rep.name, rep.min_slack, arg[0], arg[1]])
         worst = min(worst, rep.min_slack)
-    _write_csv(path, ["inequality", "min_slack", "argmin_1", "argmin_2"], rows)
     print(f"{len(rows)} inequalities; worst slack {_fmt(worst)}")
-    _finish(args, path)
+    _finish(args, path, _csv(["inequality", "min_slack", "argmin_1", "argmin_2"], rows))
     return EXIT_OK if all(rep.holds for rep in reports) else EXIT_VERIFICATION
 
 
@@ -764,7 +799,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, MechanismError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, MechanismError, OSError) as exc:
         print(f"latmech {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except Exception:

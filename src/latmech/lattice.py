@@ -277,10 +277,15 @@ class LatticeSpec:
     def from_json(cls, text: str) -> "LatticeSpec":
         """Load a spec from its JSON text.
 
-        Unknown keys are rejected; spring rest lengths and triangle areas
-        are recomputed from node positions rather than read from the text.
+        Unknown keys are rejected, and so are a top level or an entry of
+        ``springs``, ``triangles`` or ``markers`` that is not an object;
+        spring rest lengths and triangle areas are recomputed from node
+        positions rather than read from the text.
         """
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"bad lattice JSON: the top level is {type(data).__name__}, "
+                             f"not an object")
         required = {
             "name", "v1", "v2", "basic_nodes", "springs",
             "triangles", "markers", "alpha", "c_marker",
@@ -295,7 +300,13 @@ class LatticeSpec:
         for kind, entries, keys in (("spring", springs, {"a", "b", "k_spring"}),
                                     ("triangle", triangles, {"nodes", "penalized"}),
                                     ("marker", markers, {"b", "r", "t"})):
-            for entry in entries:
+            if not isinstance(entries, list):
+                raise ValueError(f"bad lattice JSON: {kind}s is {type(entries).__name__}, "
+                                 f"not a list")
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, dict):
+                    raise ValueError(f"bad lattice JSON: {kind} entry {i} is "
+                                     f"{type(entry).__name__}, not an object")
                 if set(entry) != keys:
                     raise ValueError(f"bad {kind} entry keys {sorted(entry)}")
         for t in triangles:

@@ -1,7 +1,5 @@
 """Cell-problem density estimates, lambda grids, and explicit-constant bounds."""
 
-import json
-
 import numpy as np
 import pytest
 from conftest import percolating_units_json
@@ -403,18 +401,11 @@ def test_lambda_grid_noniso():
     assert np.all((s1 - s2 >= 0.1 - 1e-12) | (s1 >= 1.1 - 1e-12))
 
 
-def test_lambda_grid_random_and_file(tmp_path):
+def test_lambda_grid_random():
     grid = lambda_grid("random:7", rng_seed=3)
     again = lambda_grid("random:7", rng_seed=3)
     assert len(grid) == 7
     assert all(np.array_equal(a, b) for a, b in zip(grid, again))
-
-    rows = [[[1.0, 0.2], [0.0, 0.9]], [[0.7, 0.0], [0.0, 1.1]]]
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(rows))
-    loaded = lambda_grid(f"file:{path}")
-    assert len(loaded) == 2
-    assert np.allclose(loaded[0], rows[0])
 
     with pytest.raises(ValueError):
         lambda_grid("no-such-grid")

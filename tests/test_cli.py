@@ -14,7 +14,7 @@ from conftest import orphan_spring_json, percolating_units_json
 import latmech.cli as cli
 from latmech import cellsolver, geometry, mechanisms, softmodes
 from latmech.energy import LatticeMap
-from latmech.lattice import LatticeSpec, rotation
+from latmech.lattice import LatticeSpec, build_kagome, rotation
 
 
 def run(argv):
@@ -351,13 +351,70 @@ def test_every_output_path_is_planned_before_any_work(tmp_path, capsys, monkeypa
     ["mechanism", "--grid-points", "0", "--out", "newD/m.csv", "--dump", "newG/g.json"],
     ["verify-bounds", "--spec", "missing.json", "--out", "newD/b.csv"],
     ["domain-wall", "--theta1", "1.0", "--out", "newD/w.csv"],
-], ids=["soft-mode-jobs", "density-sweep-jobs", "grid-points", "spec", "theta1"])
+    ["inequalities", "--lam-step", "0", "--out", "n1/x.csv"],
+    ["verify-bounds", "--trials", "0", "--out", "n2/x.csv"],
+    ["domain-wall", "--theta1", "2.2", "--strip", "--half-width", "0", "--out", "n3/x.csv"],
+], ids=["soft-mode-jobs", "density-sweep-jobs", "grid-points", "spec", "theta1",
+        "lam-step", "trials", "half-width"])
 def test_failed_input_check_leaves_no_file_or_directory(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LATMECH_OUTDIR", raising=False)
     assert run(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["build", "--out", "d/"], "--out 'd/' is a directory"),
+    (["build", "--out="], "--out is empty"),
+    (["inequalities", "--out="], "--out is empty"),
+    (["build", "--out", "k.json", "--manifest="], "--manifest is empty"),
+    (["mechanism", "--theta", "0.4", "--out", "m.csv", "--dump="], "--dump is empty"),
+    (["soft-mode", "--eps", "1/8", "--jobs", "1", "--out", "s.csv", "--dump-dir="],
+     "--dump-dir is empty"),
+], ids=["trailing-separator", "build-out", "inequalities-out", "manifest", "dump", "dump-dir"])
+def test_output_that_names_no_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          argv, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for module, func in ((geometry, "scalar_inequality_report"),
+                         (mechanisms, "twist_admissible_range"),
+                         (mechanisms, "twist_mechanism"), (softmodes, "modulate"),
+                         (cli, "_pool_map")):
+        monkeypatch.setattr(module, func, no_work)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("FILE/k.json", "'FILE': File exists"),
+    ("FILE/sub/k.json", "'FILE/sub': Not a directory"),
+    ("new/sub/k.json", "'new/sub': Permission denied"),
+], ids=["file-exists", "not-a-directory", "permission-denied"])
+def test_unmakeable_output_directory_gives_the_makedirs_reason(tmp_path, capsys, monkeypatch,
+                                                              out, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FILE").write_text("kept")
+    # as if the working directory could not be written, which root can always
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert run(["build", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert f"--out {out!r}: cannot make its directory {reason}" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["FILE"]
+
+
+def test_outputs_in_new_directories_are_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--out", "e/f/k.json", "--manifest", "g/m.json"]) == 0
+    assert json.loads((tmp_path / "e/f/k.json").read_text())["name"] == "kagome"
+    assert json.loads((tmp_path / "g/m.json").read_text())["command"] == "build"
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -395,6 +452,55 @@ def test_bad_grid_file_exits_2_before_writing(tmp_path, capsys, content, named):
     assert f"grid file {grid}" in err
     assert named in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, named", [
+    ("nosuch.json", "--grid 'nosuch.json' cannot be read: No such file or directory"),
+    ("D", "--grid 'D' cannot be read: Is a directory"),
+    ("bad.json", "--grid 'bad.json' is not valid JSON: Expecting ',' delimiter: "
+                 "line 2 column 1 (char 10)"),
+], ids=["missing", "directory", "malformed"])
+def test_unreadable_grid_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, grid, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "D").mkdir()
+    (tmp_path / "bad.json").write_text("[[[1, 0]]\n[[0, 1]]]")
+    assert run(["density-sweep", "--grid", f"file:{grid}", "--jobs", "1",
+                "--out", "x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_density_sweep_reads_a_grid_file(tmp_path):
+    rows = [[[1.0, 0.2], [0.0, 0.9]], [[0.7, 0.0], [0.0, 1.1]]]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(rows))
+    out = tmp_path / "x.csv"
+    assert run(["density-sweep", "--grid", f"file:{grid}", "--k", "1", "--restarts", "1",
+                "--jobs", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",")[1:5] == ["lam11", "lam12", "lam21", "lam22"]
+    assert [[float(v) for v in line.split(",")[1:5]] for line in lines[1:]] == [
+        [v for row in m for v in row] for m in rows]
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[{}]", "bad lattice JSON: the top level is list, not an object"),
+    ("5", "bad lattice JSON: the top level is int, not an object"),
+    (json.dumps({**json.loads(build_kagome().to_json()), "springs": [1]}),
+     "bad lattice JSON: spring entry 0 is int, not an object"),
+], ids=["list", "number", "spring-entry"])
+def test_spec_json_that_is_no_object_exits_2(tmp_path, capsys, text, named):
+    spec = tmp_path / "f.json"
+    spec.write_text(text)
+    out = tmp_path / "k.json"
+    assert run(["build", "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
     assert not out.exists()
 
 

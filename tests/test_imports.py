@@ -15,9 +15,8 @@ attribute store sets too: an option with one value in use is a constant
 (a few options aside, each listed with its reason).  Last, it fails when
 the CLI, which every command's process imports, imports a ``latmech``
 module other than ``lattice`` at top level, or when the package loads a
-module before one of its names is read, or when a module other than the
-CLI, which owns every output file, opens a file for writing or makes a
-directory.
+module before one of its names is read, or when any code but the CLI's
+``_read`` and ``_write`` opens a file, in any mode, or makes a directory.
 """
 
 import ast
@@ -368,51 +367,57 @@ def test_unset_option_is_caught():
         ("R", "b", 1), ("R", "c", 2), ("R", "d", 3), ("R", "f", 4), ("R", "g", 5)]
 
 
-def _file_writes(tree) -> list:
-    """``(line, name)`` of each call that writes to the file system: an
-    ``open`` whose mode (a constant, or one the scan cannot read) has a
-    ``w``, ``a``, ``x`` or ``+``, and each ``makedirs``, ``mkdir``,
-    ``write_text`` or ``write_bytes``, bare or as an attribute."""
+# the calls that read or write a file or make a directory, bare or as an attribute
+_FILE_CALLS = {"open", "makedirs", "mkdir", "read_text", "read_bytes", "write_text",
+               "write_bytes"}
+
+
+def _file_access(tree) -> list:
+    """``(line, owner, name)`` of each call in ``_FILE_CALLS`` (``open``
+    in any mode): ``owner`` is the name of the top-level function or class
+    it sits in, ``None`` at module level."""
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
-            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
-                found.append((node.lineno, name))
-        elif name in ("makedirs", "mkdir", "write_text", "write_bytes"):
-            found.append((node.lineno, name))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in _FILE_CALLS:
+                    found.append((node.lineno, getattr(top, "name", None), name))
     return sorted(found)
 
 
-def test_only_the_cli_writes_files():
-    """The CLI plans every output of a run before any work, so no other
-    module writes a file or makes a directory: the library takes and
-    returns JSON text."""
-    writes = {path.stem: _file_writes(ast.parse(path.read_text(), str(path)))
-              for path in MODULES}
-    assert writes.pop("cli")
-    assert writes == {path.stem: [] for path in MODULES if path.stem != "cli"}
+def test_only_cli_read_and_write_touch_files():
+    """The CLI is the one file boundary: ``cli._read`` reads the input
+    files, ``cli._write`` makes directories and writes the outputs, and no
+    other code touches the file system; the library takes and returns
+    JSON text."""
+    paths = sorted(SRC.glob("*.py"))    # the package __init__ too
+    access = {path.stem: _file_access(ast.parse(path.read_text(), str(path)))
+              for path in paths}
+    assert sorted((owner, name) for _, owner, name in access.pop("cli")) == [
+        ("_read", "open"), ("_write", "makedirs"), ("_write", "open")]
+    assert access == {path.stem: [] for path in paths if path.stem != "cli"}
 
 
-def test_file_write_is_caught():
+def test_file_access_is_caught():
     tree = ast.parse("import os\n"
                      "with open(p) as fh:\n    pass\n"
-                     "with open(p, 'w') as fh:\n    pass\n"
-                     "open(p, mode='a')\n"
-                     "open(p, 'rb')\n"
-                     "open(p, mode)\n"
-                     "os.makedirs(d, exist_ok=True)\n"
+                     "def f(p, mode):\n    return open(p, mode)\n"
+                     "class K:\n    def m(self):\n        os.makedirs(d, exist_ok=True)\n"
                      "os.mkdir(d)\n"
-                     "path.write_text(s)\n")
-    assert _file_writes(tree) == [(4, "open"), (6, "open"), (8, "open"), (9, "makedirs"),
-                                  (10, "mkdir"), (11, "write_text")]
-    # a spec writer put back into the spec module is caught
-    lattice = (SRC / "lattice.py").read_text()
-    assert _file_writes(ast.parse(lattice)) == []
-    mutant = lattice + "\ndef save(spec, path):\n    with open(path, 'w') as fh:\n" \
-                       "        fh.write(spec.to_json())\n"
-    assert [name for _, name in _file_writes(ast.parse(mutant))] == ["open"]
+                     "path.write_text(s)\n"
+                     "path.read_bytes()\n"
+                     "os.path.exists(p)\n")
+    assert _file_access(tree) == [(2, None, "open"), (5, "f", "open"), (8, "K", "makedirs"),
+                                  (9, None, "mkdir"), (10, None, "write_text"),
+                                  (11, None, "read_bytes")]
+    # a grid file reader put back into lambda_grid is caught
+    source = (SRC / "cellsolver.py").read_text()
+    assert _file_access(ast.parse(source)) == []
+    anchor = '    if kind.startswith("random:"):\n'
+    mutant = source.replace(anchor, '    if kind.startswith("file:"):\n'
+                                    '        with open(kind[5:]) as fh:\n'
+                                    '            return json.load(fh)\n' + anchor)
+    assert mutant.count("open(") == 1
+    assert [(owner, name) for _, owner, name in _file_access(ast.parse(mutant))] == [
+        ("lambda_grid", "open")]
