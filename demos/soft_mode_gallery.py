@@ -25,7 +25,7 @@ wl = rep.weak
 
 print(f"{'eps':>6} {'cells':>6} {'energy/area':>12} {'l2 error':>10} "
       f"{'cr residual':>12} {'max factor':>11}")
-for i, eps in enumerate(rep.eps_list):
+for i, eps in enumerate(wl.eps_list):
     print(f"{eps:6.4f} {rep.n_cells[i]:6d} {rep.energy_densities[i]:12.3e} "
           f"{wl.l2_errors[i]:10.4f} {wl.cr_residuals[i]:12.4f} "
           f"{wl.max_factors[i]:11.4f}")

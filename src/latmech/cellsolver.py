@@ -63,14 +63,10 @@ _JENSEN_CHUNK = 1 << 14  # psi node slots of the Jensen trials stacked at once
 class DensityEstimate:
     """An upper bound on the effective energy density at one ``lam``."""
 
-    lam: np.ndarray
-    eta: float
-    k: int
     upper: float                  # best exact averaged energy found
     upper_spring: float           # spring part of upper (same normalization)
     upper_penalty: float          # step-penalty part of upper
     minimizer: PeriodicDeformation
-    lower_bracket: float          # stretch bracket with unit constant
     solver_trace: dict = field(default_factory=dict)
 
 
@@ -312,12 +308,10 @@ def estimate_density(
 
     bd, label, psi, grad_norm = best
     return DensityEstimate(
-        lam=lam, eta=eta, k=k,
         upper=bd.averaged,
         upper_spring=bd.spring_total / bd.cell_area,
         upper_penalty=bd.penalty_total / bd.cell_area,
         minimizer=PeriodicDeformation(cell, lam, psi),
-        lower_bracket=lower_bracket(lam),
         solver_trace={"restarts": len(fixed) + restarts, "iterations": total_iters,
                       "final_grad_norm": grad_norm, "best_seed": label,
                       "short_circuit": short_circuit, **trouble},
@@ -388,7 +382,6 @@ def orientation_threshold(spec: LatticeSpec) -> float:
 
 @dataclass
 class IsotropicBoundReport:
-    eta: float
     ratios: np.ndarray            # averaged energy / (sigma1 - sigma2)^2
     c_fit: float
     n_trials: int
@@ -437,8 +430,7 @@ def verify_isotropic_bound(
             ratios.append(e / gap)
     ratios = np.asarray(ratios)
     c_fit = float(ratios.min()) if ratios.size else np.nan
-    return IsotropicBoundReport(eta=eta, ratios=ratios, c_fit=c_fit,
-                                n_trials=int(ratios.size))
+    return IsotropicBoundReport(ratios=ratios, c_fit=c_fit, n_trials=int(ratios.size))
 
 
 # -- Jensen bounds ----------------------------------------------------------
@@ -655,8 +647,6 @@ def verify_jensen_bounds(
 
 @dataclass
 class SandwichReport:
-    eta: float
-    eta_alt: float
     ratios: np.ndarray
     c_fit: float
     c_fit_alt: float
@@ -697,7 +687,7 @@ def sandwich_report(
     ratios = fit(eta)
     alt = fit(eta * eta_factor)
     return SandwichReport(
-        eta=eta, eta_alt=eta * eta_factor, ratios=ratios,
+        ratios=ratios,
         c_fit=float(ratios.min()) if ratios.size else np.nan,
         c_fit_alt=float(alt.min()) if alt.size else np.nan,
     )

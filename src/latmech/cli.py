@@ -35,7 +35,6 @@ from itertools import chain
 import numpy as np
 
 from .lattice import (
-    DegenerateGeometryError,
     LatticeSpec,
     MechanismError,
     PeriodicDeformation,
@@ -129,9 +128,11 @@ def _out_path(args, default_name: str, *files) -> str:
     artifact, ``--manifest``, ``--dump`` and the ``(flag, path)`` pairs
     ``files``.  Each command calls it after its input checks and before
     any work.  It raises ``ValueError``, naming the flag, when an output
-    flag is empty, two outputs resolve to one file, one names a directory,
-    or its missing directory could not be made, and changes nothing on
-    disk: ``_write`` makes the directory when it writes the file."""
+    flag is empty, two outputs resolve to one file, one runs through
+    another (which would then have to be a directory), one names a
+    directory, or its missing directory could not be made, and changes
+    nothing on disk: ``_write`` makes the directory when it writes the
+    file."""
     for key in ("out", "manifest", "dump", "dump_dir"):
         if getattr(args, key, None) == "":
             raise ValueError(f"--{key.replace('_', '-')} is empty")
@@ -144,12 +145,16 @@ def _out_path(args, default_name: str, *files) -> str:
                        ("--dump", getattr(args, "dump", None)), *files]:
         if not name:
             continue
-        real = os.path.realpath(name)
+        real, this = os.path.realpath(name), f"{flag} {name!r}"
         if real in seen:
-            raise ValueError(f"{seen[real]} and {flag} {name!r} name one file")
-        seen[real] = f"{flag} {name!r}"
+            raise ValueError(f"{seen[real]} and {this} name one file")
+        for other, that in seen.items():
+            if os.path.commonpath([real, other]) in (real, other):
+                inner, outer = (this, that) if len(real) > len(other) else (that, this)
+                raise ValueError(f"{inner} runs through the output {outer}")
+        seen[real] = this
         if os.path.isdir(name) or not os.path.basename(name):
-            raise ValueError(f"{flag} {name!r} is a directory")
+            raise ValueError(f"{this} is a directory")
         # os.makedirs fails unless the nearest existing part of the
         # directory is a directory this process can write in
         parent = top = os.path.dirname(name)
@@ -161,7 +166,7 @@ def _out_path(args, default_name: str, *files) -> str:
             reason = "Permission denied"
         else:
             continue
-        raise ValueError(f"{flag} {name!r}: cannot make its directory {parent!r}: {reason}")
+        raise ValueError(f"{this}: cannot make its directory {parent!r}: {reason}")
     return path
 
 
@@ -311,8 +316,14 @@ def _parse_eps(text: str):
     return out
 
 
+def _file_name(text: str) -> str:
+    """``text`` as the name of one file: each ``/`` becomes ``_``, so a
+    default output name makes no directory."""
+    return text.replace("/", "_")
+
+
 def _dump_name(eps: float) -> str:
-    return f"soft_mode_eps_{eps:.6g}.json".replace("/", "_")
+    return _file_name(f"soft_mode_eps_{eps:.6g}.json")
 
 
 def _check_ladder(text: str, eps_list) -> None:
@@ -420,19 +431,6 @@ def _dump_geometry(lmap, path: str) -> None:
     _write(path, text)
 
 
-def _warm_twist_table(spec: LatticeSpec) -> None:
-    """Build the cached twist contraction table before forking workers,
-    which then inherit it instead of each building its own.  A spec
-    without a twist (no closing counter-rotation, or rigid units that
-    percolate) has no table to share."""
-    from .mechanisms import _twist_contraction_table
-
-    try:
-        _twist_contraction_table(spec)
-    except (MechanismError, DegenerateGeometryError):
-        pass
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -527,20 +525,21 @@ def _cmd_mechanism(args) -> int:
 
 
 def _density_task(spec, lam, eta, k, restarts, seed):
-    """One density solve, projected to the seven numbers that its CSV row
+    """One density solve, projected to the six numbers that its CSV row
     and its trouble note read: a whole ``DensityEstimate`` would carry its
     minimizer and ``Supercell`` (1-8 KB per task) back through the pool."""
     from .cellsolver import estimate_density
 
     est = estimate_density(spec, lam, eta=eta, k=k, restarts=restarts, rng_seed=seed)
     trace = est.solver_trace
-    return (est.upper, est.upper_spring, est.upper_penalty, est.lower_bracket,
+    return (est.upper, est.upper_spring, est.upper_penalty,
             trace["unconverged_stages"], trace["stalled_stages"], trace["twist_bracket_gap"])
 
 
 def _cmd_density_sweep(args) -> int:
     # imported before the pool forks, so each worker inherits estimate_density
     from .cellsolver import _check_cell_eta, lambda_grid
+    from .geometry import lower_bracket
 
     _check_seed(args)
     if args.restarts < 0:
@@ -553,16 +552,15 @@ def _cmd_density_sweep(args) -> int:
     payloads = [(spec, lam, args.eta, k, args.restarts, args.seed)
                 for lam in lams for k in ks]
     jobs = _jobs(args, len(payloads))
-    path = _out_path(args, f"density_{args.grid.replace(':', '_')}.csv")
-    if jobs > 1 and any(np.linalg.det(lam) > 0 for lam in lams):
-        _warm_twist_table(spec)
+    path = _out_path(args, _file_name(f"density_{args.grid.replace(':', '_')}.csv"))
     results = _pool_map(_density_task, payloads, jobs)
     rows = []
     trouble = []
     idx = 0
     for li, lam in enumerate(lams):
+        bracket = lower_bracket(lam)
         for k in ks:
-            upper, spring, penalty, bracket, unconverged, stalled, gap = results[idx]
+            upper, spring, penalty, unconverged, stalled, gap = results[idx]
             idx += 1
             ratio = upper / bracket if bracket > 1e-12 else float("nan")
             rows.append([li, lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1], k,
@@ -654,8 +652,6 @@ def _cmd_soft_mode(args) -> int:
              if args.dump_dir else [])
     path = _out_path(args, "soft_mode.csv", *dumps)
     payloads = [(spec, target, eps, args.sweeps) for eps in eps_list]
-    if jobs > 1:
-        _warm_twist_table(spec)
     maps = _pool_map(modulate, payloads, jobs)
     rep = soft_mode_report(maps, target, args.eta)
     dens = rep.energy_densities
@@ -667,7 +663,7 @@ def _cmd_soft_mode(args) -> int:
         print(f"fitted decay exponent {_fmt(rep.fitted_exponent)}; "
               f"final/first {_fmt(rep.final_over_first)}")
         if len(dens) > 2:
-            steps, fine, fine_eps = ladder_exponents(rep.eps_list, dens)
+            steps, fine, fine_eps = ladder_exponents(eps_list, dens)
             print(f"successive exponents {', '.join(f'{s:.4g}' for s in steps)}; "
                   f"fit over the finest {len(fine_eps)} rungs "
                   f"(eps <= {max(fine_eps):.6g}) {fine:.4g}")

@@ -97,7 +97,6 @@ class EnergyBreakdown:
     of the per-class units by construction.
     """
 
-    eta: float
     k: int
     cell_area: float
     per_triangle_spring: np.ndarray     # (n_pen, k*k)
@@ -155,7 +154,6 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     ok = dets > 0.0
     unit = cell.tri_area / eta
     return EnergyBreakdown(
-        eta=eta,
         k=cell.k,
         cell_area=cell.cell_area,
         per_triangle_spring=per_spring,
@@ -623,7 +621,6 @@ class CellBoundsReport:
     n_samples: int
     n_zero_energy: int
     n_positive_slack: int
-    eta: float
 
 
 def check_cell_bounds(
@@ -687,5 +684,5 @@ def check_cell_bounds(
     C2 = float(np.min(E[pos] / slack[pos])) if np.any(pos) else np.inf
     return CellBoundsReport(
         C1=C1, C2=C2, D2=D2, n_samples=n_tot,
-        n_zero_energy=int(zero.sum()), n_positive_slack=int(pos.sum()), eta=eta,
+        n_zero_energy=int(zero.sum()), n_positive_slack=int(pos.sum()),
     )

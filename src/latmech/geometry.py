@@ -178,6 +178,7 @@ def direction_stretch(l1, l2, theta):
 
 
 _SLACK_TOL = 1e-12  # how far below zero a certified slack may round
+_GRID_POINTS = 10 ** 7  # the most points one inequality grid may hold
 
 
 @dataclass
@@ -245,13 +246,21 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     in (theta, pair) row-major order.
 
     Both steps must be finite; ``lam_step <= 3`` and ``theta_step < pi/3``,
-    so that the compression sweep holds at least two angles.
+    so that the compression sweep holds at least two angles.  Neither grid
+    may hold more than ``_GRID_POINTS`` points: the stretch grid is a
+    square of ``3 / lam_step + 1`` values a side, the angle grid a line
+    of ``2 pi / theta_step``.  Each limit is checked before any array is
+    made.
     """
-    for name, step in (("lam_step", lam_step), ("theta_step", theta_step)):
+    for name, step, finest in (("lam_step", lam_step, 3.0 / (_GRID_POINTS ** 0.5 - 1.0)),
+                               ("theta_step", theta_step, 2 * np.pi / _GRID_POINTS)):
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step:g}")
         if not np.isfinite(step):
             raise ValueError(f"{name} must be finite, got {step:g}")
+        if step < finest:
+            raise ValueError(f"{name} must be at least {finest:.3g}, so that its grid holds "
+                             f"at most {_GRID_POINTS:.0e} points, got {step:g}")
     if lam_step > 3:
         raise ValueError(f"lam_step must be at most 3, the largest stretch, got {lam_step:g}")
     if theta_step >= np.pi / 3:
@@ -370,13 +379,10 @@ class RigidityEstimate:
     safety margin below the worst sampled ratio, ``cos_coeff`` 10% above.
     """
 
-    alpha: float
     c: float
     cos_coeff: float
     energy_cap: float
-    n_samples: int
     n_admissible: int
-    seed: int
 
 
 def rigidity_constant(alpha: float = np.pi / 3, n_samples: int = 100000,
@@ -405,8 +411,7 @@ def rigidity_constant(alpha: float = np.pi / 3, n_samples: int = 100000,
     pos = E > 1e-24
     cos_coeff = 1.1 * float(np.max(cos_dev[pos] / np.sqrt(E[pos]))) if pos.any() else 0.0
     return RigidityEstimate(
-        alpha=alpha, c=c, cos_coeff=cos_coeff, energy_cap=energy_cap,
-        n_samples=n_samples, n_admissible=int(keep.sum()), seed=seed,
+        c=c, cos_coeff=cos_coeff, energy_cap=energy_cap, n_admissible=int(keep.sum()),
     )
 
 

@@ -629,8 +629,6 @@ class DomainWall:
     theta: np.ndarray             # column angles 0..2*half_width
     keys: np.ndarray              # (n, 3) node references, placement order
     positions: np.ndarray         # (n, 2) deformed positions, row by row
-    half_width: int
-    rows: int
     max_misfit: float
     max_spring_residual: float
     min_det: float
@@ -730,8 +728,6 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
         theta=th,
         keys=keys,
         positions=pos,
-        half_width=half_width,
-        rows=rows,
         max_misfit=misfit,
         max_spring_residual=resid,
         min_det=min_det,

@@ -327,13 +327,10 @@ class SoftModeReport:
     holds the distance of the same maps from the target.
     """
 
-    eps_list: tuple
-    eta: float
     energy_densities: tuple
     max_cell_energies: tuple
     n_cells: tuple
     fitted_exponent: float
-    maps: tuple
     weak: WeakLimitReport
 
     @property
@@ -354,7 +351,7 @@ class SoftModeReport:
     def rows(self):
         """The ``soft_mode.csv`` rows, one per map, in its column order."""
         w = self.weak
-        return zip(self.eps_list, self.n_cells, self.energy_densities,
+        return zip(w.eps_list, self.n_cells, self.energy_densities,
                    self.max_cell_energies, w.l2_errors, w.cr_residuals,
                    w.max_factors, w.n_boxes)
 
@@ -393,7 +390,7 @@ def soft_mode_report(
     """Tabulate maps already modulated toward ``target`` (see
     :func:`modulate`), in the order given: the domain energy per target
     area, the worst per-cell energy, the fitted decay exponent, and the
-    weak-limit check.  The maps themselves ride along."""
+    weak-limit check."""
     weak = weak_limit_check(maps, target)
     densities, max_cells, n_cells = [], [], []
     for lmap in maps:
@@ -402,13 +399,10 @@ def soft_mode_report(
         max_cells.append(rep.max_cell)
         n_cells.append(rep.n_cells)
     return SoftModeReport(
-        eps_list=weak.eps_list,
-        eta=eta,
         energy_densities=tuple(densities),
         max_cell_energies=tuple(max_cells),
         n_cells=tuple(n_cells),
         fitted_exponent=decay_exponent(weak.eps_list, densities),
-        maps=tuple(maps),
         weak=weak,
     )
 

@@ -372,7 +372,14 @@ def test_failed_input_check_leaves_no_file_or_directory(tmp_path, capsys, monkey
     (["mechanism", "--theta", "0.4", "--out", "m.csv", "--dump="], "--dump is empty"),
     (["soft-mode", "--eps", "1/8", "--jobs", "1", "--out", "s.csv", "--dump-dir="],
      "--dump-dir is empty"),
-], ids=["trailing-separator", "build-out", "inequalities-out", "manifest", "dump", "dump-dir"])
+    (["build", "--out", "a.json", "--manifest", "a.json/m.json"],
+     "--manifest 'a.json/m.json' runs through the output --out 'a.json'"),
+    (["mechanism", "--theta", "0.3", "--dump", "g.json", "--out", "g.json/m.csv"],
+     "--out 'g.json/m.csv' runs through the output --dump 'g.json'"),
+    (["soft-mode", "--eps", "1/8", "--jobs", "1", "--dump-dir", "d", "--out", "d"],
+     "--dump-dir 'd/soft_mode_eps_0.125.json' runs through the output --out 'd'"),
+], ids=["trailing-separator", "build-out", "inequalities-out", "manifest", "dump", "dump-dir",
+        "manifest-in-out", "out-in-dump", "dump-dir-in-out"])
 def test_output_that_names_no_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                           argv, named):
     def no_work(*args, **kwargs):
@@ -390,6 +397,39 @@ def test_output_that_names_no_file_exits_2_before_any_work(tmp_path, capsys, mon
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--lam-step", "1e-300"], "lam_step must be at least 0.000949, so that its grid holds "
+                               "at most 1e+07 points, got 1e-300"),
+    (["--lam-step", "1e-4"], "lam_step must be at least 0.000949"),
+    (["--theta-step", "1e-300"], "theta_step must be at least 6.28e-07, so that its grid "
+                                 "holds at most 1e+07 points, got 1e-300"),
+], ids=["lam-1e-300", "lam-1e-4", "theta-1e-300"])
+def test_inequality_step_too_fine_for_a_grid_exits_2(tmp_path, capsys, monkeypatch,
+                                                     argv, named):
+    # refused before the stretch grid is built
+    def no_grid(step):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(geometry, "_pair_grid", no_grid)
+    monkeypatch.chdir(tmp_path)
+    assert run(["inequalities", *argv, "--out", "n/x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_density_default_name_of_a_grid_file_makes_no_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LATMECH_OUTDIR", "outs")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "g.json").write_text("[[[1, 0], [0, 1]]]")
+    assert run(["density-sweep", "--grid", "file:sub/g.json", "--k", "1", "--jobs", "1"]) == 0
+    assert [p.name for p in (tmp_path / "outs").iterdir()] == ["density_file_sub_g.json.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outs", "sub"]
 
 
 @pytest.mark.parametrize("out, reason", [
@@ -676,8 +716,8 @@ def test_nan_isotropy_constant_exits_3(tmp_path, monkeypatch, capsys):
     from latmech.cellsolver import IsotropicBoundReport
 
     def nan_fit(spec, eta, lams, k, rng_seed):
-        return IsotropicBoundReport(eta=eta, ratios=np.array([np.nan]),
-                                    c_fit=float("nan"), n_trials=1)
+        return IsotropicBoundReport(ratios=np.array([np.nan]), c_fit=float("nan"),
+                                    n_trials=1)
 
     monkeypatch.setattr(cellsolver, "verify_isotropic_bound", nan_fit)
     out = tmp_path / "bounds.csv"

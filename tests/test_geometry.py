@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latmech.geometry import (
+    _GRID_POINTS,
     _compression_slack,
     _pair_grid,
     averaged_vectors,
@@ -280,6 +281,14 @@ def test_scalar_inequalities_default_grid_memory():
     assert peak < 32 * 2**20
 
 
+def test_inequality_grids_in_use_are_far_inside_the_point_limit():
+    # the default steps, and the coarser ones of the docs and the bench
+    for lam_step, theta_step in ((0.01, 0.001), (0.02, 0.002), (0.1, 0.01)):
+        assert 100 * len(np.arange(0.0, 3.0 + 0.5 * lam_step, lam_step)) ** 2 <= _GRID_POINTS
+        assert 100 * len(np.arange(0.0, 2 * np.pi, theta_step)) <= _GRID_POINTS
+    assert scalar_inequality_report.__defaults__ == (0.01, 0.001)
+
+
 # ---------------------------------------------------------------------------
 # single-triangle rigidity sampling
 # ---------------------------------------------------------------------------
@@ -326,7 +335,7 @@ def test_sampled_rigidity_constants_positive():
     est = rigidity_constant(alpha=np.pi / 3, n_samples=20000, seed=0)
     assert est.c > 0
     assert est.cos_coeff > 0
-    assert 0 < est.n_admissible <= est.n_samples
+    assert 0 < est.n_admissible <= 20000
     # fresh samples respect both sampled estimates
     pts = sample_triangle_deformations(np.pi / 3, 5000, seed=99)
     E = triangle_spring_energy(pts, np.pi / 3)

@@ -1,6 +1,7 @@
 """Every top-level import of a ``latmech`` module is used, every public
-name feeds a command, a demo, the bench or an acceptance criterion, and
-every defaulted parameter or dataclass field is set by some reader.
+name feeds a command, a demo, the bench or an acceptance criterion,
+every defaulted parameter or dataclass field is set by some reader, and
+every dataclass field is read by one.
 
 The project depends on no lint tool, so this parses each module (the
 package ``__init__``, which re-exports, aside) and fails on an imported
@@ -12,11 +13,14 @@ fails on a defaulted parameter of a ``latmech`` function that no call
 in those readers sets to a value other than its default's own
 expression, and likewise on a defaulted field of a dataclass, which an
 attribute store sets too: an option with one value in use is a constant
-(a few options aside, each listed with its reason).  Last, it fails when
-the CLI, which every command's process imports, imports a ``latmech``
-module other than ``lattice`` at top level, or when the package loads a
-module before one of its names is read, or when any code but the CLI's
-``_read`` and ``_write`` opens a file, in any mode, or makes a directory.
+(a few options aside, each listed with its reason), and on a dataclass
+field whose name no reader reads as an attribute (a few results that
+the unit tests and pins check aside, each listed with its reason).
+Last, it fails when the CLI, which every command's process imports,
+imports a ``latmech`` module other than ``lattice`` at top level, or
+when the package loads a module before one of its names is read, or
+when any code but the CLI's ``_read`` and ``_write`` opens a file, in
+any mode, or makes a directory.
 """
 
 import ast
@@ -42,6 +46,30 @@ UNIT_TEST_REFERENCES = {
                          "slacks of the scalar inequalities",
     "lambda_from_averages": "the affine part recovered from the marker averages, which "
                             "checks the averaging identity",
+}
+
+# dataclass fields that only unit tests or pins read, kept as results
+UNREAD_FIELDS = {
+    ("CellBoundsReport", "C1"): "a fitted sandwich constant, checked by the unit tests and pins",
+    ("CellBoundsReport", "C2"): "a fitted sandwich constant, checked by the unit tests and pins",
+    ("CellBoundsReport", "D2"): "a fitted sandwich constant, checked by the unit tests and pins",
+    ("CellBoundsReport", "n_zero_energy"): "the samples D2 is calibrated on, counted by the "
+                                           "unit tests and pins",
+    ("DensityEstimate", "minimizer"): "the best field, which the unit tests re-evaluate and "
+                                      "tile and the pins hash",
+    ("DomainWall", "compression_profile"): "the compression per column, which a unit test "
+                                           "checks and the pins hash",
+    ("DomainWall", "theta"): "the column angles of the strip, which the pins hash",
+    ("DomainWall", "vertical_compression"): "which a unit test compares with the far field "
+                                            "and the pins hash",
+    ("IsotropicBoundReport", "ratios"): "every trial ratio, which a unit test bounds by "
+                                        "c_fit and the pins hash",
+    ("Mechanism", "params"): "the restart that found a searched mechanism, which the pins hash",
+    ("MechanismCertificate", "eta_ref"): "the penalty strength of the certified energy, "
+                                         "checked by a unit test and the pins",
+    ("RigidityEstimate", "n_admissible"): "the samples under the energy cap, which a unit "
+                                          "test counts",
+    ("SandwichReport", "ratios"): "every fitted ratio, which a unit test counts",
 }
 
 # options that no reader sets to a second value, kept as options
@@ -365,6 +393,57 @@ def test_unset_option_is_caught():
         ("R", "d"), ("R", "f")]
     assert [d[:3] for d in _defaulted(fields)] == [
         ("R", "b", 1), ("R", "c", 2), ("R", "d", 3), ("R", "f", 4), ("R", "g", 5)]
+
+
+def _fields(tree) -> list:
+    """``(class, field)`` of each field of each ``@dataclass`` in ``tree``."""
+    return [(owner.name, node.target.id) for owner in ast.walk(tree)
+            if isinstance(owner, ast.ClassDef) and any(map(_is_dataclass, owner.decorator_list))
+            for node in owner.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def _unread_fields(fields, trees) -> list:
+    """The ``(class, field)`` pairs of ``fields`` whose name no tree reads
+    as an attribute of anything but ``args``, a command's parsed options."""
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "id", None) != "args"}
+    return sorted({f for f in fields if f[1] not in read})
+
+
+def test_every_dataclass_field_is_read():
+    """A report carries results, not its caller's inputs: every field is
+    read by a command, a demo, the bench or an acceptance test.
+
+    A check by name is a floor: a field goes unseen when any attribute of
+    its name is read, so it could not see ``DensityEstimate.lam`` echo
+    its caller's input, because ``PeriodicDeformation.lam`` is read."""
+    fields = [f for path in MODULES for f in _fields(ast.parse(path.read_text()))]
+    assert len(fields) > 100
+    # equal, not a subset: a field that a reader comes to read leaves the list
+    assert (_unread_fields(fields, (ast.parse(path.read_text(), str(path)) for path in READERS))
+            == sorted(UNREAD_FIELDS))
+
+
+def test_unread_field_is_caught():
+    tree = ast.parse("@dataclass(frozen=True)\nclass R:\n    a: int\n    b: int\n"
+                     "    c: int = 0\n    d: int = field(init=False)\n"
+                     "class Plain:\n    e: int = 0\n")
+    assert _fields(tree) == [("R", "a"), ("R", "b"), ("R", "c"), ("R", "d")]
+    # a store or a read off the parsed options is no read
+    reader = ast.parse("x = r.a\nr.c = 1\nprint(args.b, obj.d, q.e)\n")
+    assert _unread_fields(_fields(tree), [reader]) == [("R", "b"), ("R", "c")]
+    # a field that echoes an input, put back into a report, is caught
+    source = (SRC / "mechanisms.py").read_text()
+    anchor = "    theta_limit: float\n"
+    mutant = source.replace(anchor, anchor + "    rows_echo: int\n")
+    assert mutant.count("rows_echo") == 1
+    readers = [ast.parse(path.read_text()) for path in READERS if path.name != "mechanisms.py"]
+    assert _unread_fields(_fields(ast.parse(mutant)), readers + [ast.parse(mutant)]) == sorted(
+        [f for f in UNREAD_FIELDS if f[0] in ("DomainWall", "Mechanism",
+                                               "MechanismCertificate")]
+        + [("DomainWall", "rows_echo")])
 
 
 # the calls that read or write a file or make a directory, bare or as an attribute
