@@ -216,8 +216,8 @@ def estimate_density(
     Seeds: ``psi = 0``, the aligned twist field when ``lam`` is close to a
     reachable isotropic compression, and ``restarts`` random fields.  The
     exact energy of every seed is screened first: the first seed at or
-    below 1e-13 short-circuits, with no L-BFGS run (and scipy never
-    imported).  A random seed is drawn only when screening reaches it, so
+    below 1e-13 short-circuits, with no L-BFGS run (and nothing of scipy
+    loaded).  A random seed is drawn only when screening reaches it, so
     a short circuit before the first draws none (and never imports
     ``numpy.random``); the draws keep their order, so each random field
     is the same whichever seed ends the screen.  Otherwise each seed is polished in turn through the
@@ -230,7 +230,9 @@ def estimate_density(
     ``lam @ dx``, constants and buffers made once.  The stage runs in
     :func:`~latmech.energy._lbfgsb`, which drives scipy's compiled
     L-BFGS-B step with one objective call per evaluation and has the bits
-    of ``scipy.optimize.minimize``.  The reported value is always the
+    of ``scipy.optimize.minimize``; that step and the smoothed penalty's
+    ``expit`` are scipy's compiled modules loaded by file, so no scipy
+    package is ever imported.  The reported value is always the
     exact step-penalty energy of the best iterate.
 
     ``solver_trace`` says whether either short circuit ended the solve

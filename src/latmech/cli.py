@@ -538,7 +538,7 @@ def _density_task(spec, lam, eta, k, restarts, seed):
 
 def _cmd_density_sweep(args) -> int:
     # imported before the pool forks, so each worker inherits estimate_density
-    from .cellsolver import _check_cell_eta, lambda_grid
+    from .cellsolver import _SHORT_TOL, _check_cell_eta, lambda_grid
     from .geometry import lower_bracket
 
     _check_seed(args)
@@ -556,12 +556,10 @@ def _cmd_density_sweep(args) -> int:
     results = _pool_map(_density_task, payloads, jobs)
     rows = []
     trouble = []
-    idx = 0
     for li, lam in enumerate(lams):
         bracket = lower_bracket(lam)
-        for k in ks:
-            upper, spring, penalty, unconverged, stalled, gap = results[idx]
-            idx += 1
+        by_k = dict(zip(ks, results[li * len(ks):(li + 1) * len(ks)]))
+        for k, (upper, spring, penalty, unconverged, stalled, gap) in by_k.items():
             ratio = upper / bracket if bracket > 1e-12 else float("nan")
             rows.append([li, lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1], k,
                          args.eta, upper, spring, penalty, bracket, ratio])
@@ -572,6 +570,11 @@ def _cmd_density_sweep(args) -> int:
                 notes.append(f"{stalled} stalled L-BFGS stage(s)")
             if gap is not None:
                 notes.append(f"failed twist bracket, contraction gap {gap:.3g}")
+            # a d-periodic state is k-periodic for d | k, so upper(k) <= upper(d)
+            # up to the rounding of two supercells' sums of one state
+            notes += [f"upper above k={d}'s" for d in ks
+                      if d < k and k % d == 0
+                      and upper - by_k[d][0] > max(_SHORT_TOL, 1e-9 * by_k[d][0])]
             if notes:
                 trouble.append(f"({li}, {k}) {', '.join(notes)}")
     uppers = [r[7] for r in rows]

@@ -22,9 +22,12 @@ their sum over all cells compactly contained in a rectangular domain.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 import numpy as np
@@ -45,6 +48,55 @@ __all__ = [
 ]
 
 _LEN_FLOOR = 1e-12  # guards normalization of nearly collapsed springs
+
+# scipy's messages for the setulb task codes, as scipy.optimize._lbfgsb_py has them
+_STATUS_MESSAGES = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE",
+                    5: "STOP", 6: "WARNING", 7: "ERROR", 8: "ABNORMAL"}
+_TASK_MESSAGES = {0: "", 301: "", 302: "",
+                  401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+                  402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+                  501: "CPU EXCEEDING THE TIME LIMIT",
+                  502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+                  503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+                  504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+                  505: "CALLBACK REQUESTED HALT",
+                  601: "ROUNDING ERRORS PREVENT PROGRESS",
+                  602: "STP = STPMAX", 603: "STP = STPMIN", 604: "XTOL TEST SATISFIED",
+                  701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0",
+                  704: "GTOL < 0", 705: "XTOL < 0", 706: "STP < STPMIN", 707: "STP > STPMAX",
+                  708: "STPMIN < 0", 709: "STPMAX < STPMIN", 710: "INITIAL G >= 0",
+                  711: "M <= 0", 712: "N <= 0", 713: "INVALID NBD"}
+
+
+@cache
+def _scipy_extension(package: str, name: str, attr: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its
+    file in scipy's install directory, which must provide ``attr``.
+
+    No scipy package is imported: importing ``scipy.optimize`` or
+    ``scipy.special`` runs their ``__init__``, which loads most of scipy
+    (about 0.5 s and 38 MB), while the file alone loads in a few
+    milliseconds.  The loader records a single-phase module under its full
+    name in ``sys.modules``, so a later ``import scipy.<package>`` reuses
+    it.  Raises :class:`ImportError` naming the path looked for when the
+    file or ``attr`` is missing.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    base = os.path.join(spec.submodule_search_locations[0], package, name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base + suffix
+        if os.path.isfile(path):
+            ext = importlib.util.spec_from_file_location(f"scipy.{package}.{name}", path)
+            module = importlib.util.module_from_spec(ext)
+            ext.loader.exec_module(module)
+            if not hasattr(module, attr):
+                raise ImportError(f"scipy's {path} has no {attr!r}")
+            return module
+    looked = ", ".join(base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    raise ImportError(f"scipy's compiled module scipy.{package}.{name} is missing: "
+                      f"looked for {looked}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +304,10 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
 
 
 def _smoothed(cell: Supercell, eta: float, tau: float):
-    """The sigmoid-smoothed orientation penalty of :func:`_kernel` at ``(eta, tau)``."""
-    from scipy.special import expit
+    """The sigmoid-smoothed orientation penalty of :func:`_kernel` at ``(eta, tau)``,
+    by scipy's compiled ``expit`` ufunc (the one ``scipy.special.expit``
+    is), loaded by :func:`_scipy_extension` with no scipy package."""
+    expit = _scipy_extension("special", "_special_ufuncs", "expit").expit
 
     unit = cell.tri_area / eta
     slope = -(cell.tri_area / (eta * tau))[:, None]
@@ -353,9 +407,11 @@ def _lbfgsb(f, x0, maxiter: int, ftol: float, gtol: float):
     it).  ``minimize`` neither repeats nor counts an evaluation at the
     point it evaluated last; ``f`` is pure, so only the count of
     evaluations can differ, and only in a stage that nears 15000 of them.
+    ``setulb`` comes from scipy's compiled ``_lbfgsb`` module, loaded by
+    :func:`_scipy_extension` with no scipy package; its messages are
+    scipy's, copied in ``_STATUS_MESSAGES`` and ``_TASK_MESSAGES``.
     """
-    from scipy.optimize import _lbfgsb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+    setulb = _scipy_extension("optimize", "_lbfgsb", "setulb").setulb
 
     m, maxls, maxfun = 10, 20, 15000
     n = len(x0)
@@ -369,8 +425,8 @@ def _lbfgsb(f, x0, maxiter: int, ftol: float, gtol: float):
     factr = ftol / math.ulp(1.0)
     nit = nfev = 0
     while True:
-        _lbfgsb.setulb(m, x, free, free, nbd, fx, g, factr, gtol, wa, iwa, task, lsave,
-                       isave, dsave, maxls, ln_task)
+        setulb(m, x, free, free, nbd, fx, g, factr, gtol, wa, iwa, task, lsave, isave,
+               dsave, maxls, ln_task)
         if task[0] == 3:            # FG: evaluate at x
             fx, g = f(x)
             nfev += 1
@@ -383,7 +439,7 @@ def _lbfgsb(f, x0, maxiter: int, ftol: float, gtol: float):
         else:
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
-    return x, nit, status, f"{status_messages[task[0]]}: {task_messages[task[1]]}", g
+    return x, nit, status, f"{_STATUS_MESSAGES[task[0]]}: {_TASK_MESSAGES[task[1]]}", g
 
 
 # ---------------------------------------------------------------------------

@@ -547,11 +547,12 @@ def search_mechanisms(
     ``psi`` is pinned to remove translations.  Every restart runs the
     barrier stages ``mu = 1e-2, 1e-4, 1e-6, 0`` by L-BFGS over the packed
     ``(lam, psi[1:])``, each in :func:`~latmech.energy._lbfgsb` (scipy's
-    compiled L-BFGS-B step, bit for bit ``scipy.optimize.minimize``, with
-    one objective call per evaluation); each stage's objective is built
-    once per search (its gather, scatter, constants and buffers) and has
-    the bits of adding the spring and barrier energies and gradients at
-    the same state (see :func:`~latmech.energy._search_objective`).
+    compiled L-BFGS-B step, loaded by file with no scipy package imported,
+    bit for bit ``scipy.optimize.minimize``, with one objective call per
+    evaluation); each stage's objective is built once per search (its
+    gather, scatter, constants and buffers) and has the bits of adding the
+    spring and barrier energies and gradients at the same state (see
+    :func:`~latmech.energy._search_objective`).
     """
     cell = Supercell(spec, k)
     n = cell.n_nodes

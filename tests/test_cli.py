@@ -609,12 +609,14 @@ _LOADS = [
 
 def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
     """Each command loads only the modules it runs: the CLI alone loads
-    the spec module, scipy waits for an L-BFGS solve, numpy.random for a
+    the spec module, scipy's compiled solver modules wait for an L-BFGS
+    solve and no scipy package is ever imported, numpy.random waits for a
     random draw, and numpy.ma never loads."""
     grid = tmp_path / "det_neg.json"
     grid.write_text(json.dumps([[[1.1, 0.0], [0.0, -0.8]]]))
     _python(
         *_LOADS,
+        "SCIPY = {'scipy', 'scipy.optimize', 'scipy.special'}",
         "assert 'scipy' not in sys.modules, 'scipy imported by latmech.cli'",
         "loaded = sorted(m for m in sys.modules if m.startswith('latmech'))",
         "assert loaded == ['latmech', 'latmech.cli', 'latmech.lattice'], loaded",
@@ -655,7 +657,15 @@ def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
         f"assert cli.main(['density-sweep', '--grid', 'file:' + {str(grid)!r}, "
         f"'--k', '1', '--restarts', '0', '--jobs', '1', "
         f"'--out', {str(tmp_path / 'det_neg.csv')!r}]) == 0",
-        "assert 'scipy.optimize' in sys.modules, 'density-sweep polished without L-BFGS'",
+        "assert not SCIPY & set(sys.modules), 'scipy imported by density-sweep'",
+        "calls = sys.modules['latmech.energy']._scipy_extension.cache_info().currsize",
+        "assert calls >= 1, 'density-sweep polished without L-BFGS'",
+        f"assert cli.main(['verify-bounds', '--isotropic', '--trials', '5', "
+        f"'--out', {str(tmp_path / 'iso_bounds.csv')!r}]) == 0",
+        "assert not SCIPY & set(sys.modules), 'scipy imported by verify-bounds --isotropic'",
+        f"assert cli.main(['mechanism', '--search', '--k', '1', '--restarts', '2', "
+        f"'--out', {str(tmp_path / 'search.csv')!r}]) == 0",
+        "assert not SCIPY & set(sys.modules), 'scipy imported by mechanism --search'",
     )
     # a fresh process, as every density-sweep run loads the cell solver
     _python(
@@ -920,6 +930,29 @@ def test_density_sweep_reports_stalls_apart_from_unconverged(tmp_path, capsys):
     assert err[0].startswith("latmech density-sweep: solver trouble at (index, k): (0, 1) ")
     assert "stalled L-BFGS stage(s)" in err[0]
     assert "unconverged" not in err[0]
+
+
+def test_density_sweep_names_an_upper_above_a_divisors(tmp_path, capsys, monkeypatch):
+    # a d-periodic state is k-periodic when d divides k: matrix 0's upper at
+    # k = 2 and 4 is above k = 1's, and at k = 4 above k = 2's; matrix 1's
+    # uppers differ by rounding only, and k = 3 has no divisor in --k but 1
+    uppers = {(0, 1): 0.5, (0, 2): 0.5 + 1e-6, (0, 3): 0.25, (0, 4): 0.75,
+              (1, 1): 0.2, (1, 2): 0.2 + 1e-16, (1, 3): 0.2, (1, 4): 0.2}
+
+    def fake_task(spec, lam, eta, k, restarts, seed):
+        return uppers[int(lam[0, 0] > 0.9), k], 0.0, 0.0, 0, 0, None
+
+    monkeypatch.setattr(cli, "_density_task", fake_task)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([np.diag([0.8, 1.1]).tolist(), np.diag([1.1, 0.8]).tolist()]))
+    out = tmp_path / "d.csv"
+    assert run(["density-sweep", "--grid", f"file:{grid}", "--k", "4,2,1,3", "--jobs", "1",
+                "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["latmech density-sweep: solver trouble at (index, k): "
+                   "(0, 4) upper above k=2's, upper above k=1's; (0, 2) upper above k=1's"]
+    uppers_csv = [float(line.split(",")[7]) for line in out.read_text().splitlines()[1:]]
+    assert uppers_csv == [uppers[i, k] for i in (0, 1) for k in (4, 2, 1, 3)]
 
 
 def test_verify_bounds_csv(tmp_path):

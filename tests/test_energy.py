@@ -1,14 +1,19 @@
 """Energy evaluation: axioms, decomposition, gradients, scaled maps."""
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latmech.energy import (
     _LEN_FLOOR,
+    _STATUS_MESSAGES,
+    _TASK_MESSAGES,
     LatticeMap,
     _barrier,
     _cell_energies,
@@ -16,6 +21,7 @@ from latmech.energy import (
     _density_objective,
     _kernel,
     _lbfgsb,
+    _scipy_extension,
     _search_objective,
     check_cell_bounds,
     domain_energy,
@@ -474,6 +480,45 @@ def test_lbfgsb_matches_minimize_at_the_iteration_limit_and_a_stalled_line_searc
         5, 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
     # abnormal line-search termination: the line search finds no decrease
     assert _lbfgsb_against_minimize(f, x0, _MAXITER, 1e-16, 1e-12)[2:4] == (2, "ABNORMAL: ")
+
+
+def test_lbfgsb_messages_are_scipys():
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    assert _STATUS_MESSAGES == status_messages
+    assert _TASK_MESSAGES == task_messages
+
+
+def test_loaded_expit_is_scipys_bit_for_bit():
+    from scipy.special import expit as scipy_expit
+
+    expit = _scipy_extension("special", "_special_ufuncs", "expit").expit
+    tiny, normal = np.finfo(float).smallest_subnormal, np.finfo(float).smallest_normal
+    subnormals = np.array([tiny, 2 * tiny, 1e-310, normal / 2, normal - tiny])
+    edges = np.concatenate([[0.0, np.inf, np.nan, 745.0], subnormals])
+    x = np.concatenate([edges, -edges, 50 * np.random.default_rng(33).standard_normal(10**5)])
+    assert expit(x).tobytes() == scipy_expit(x).tobytes()
+
+
+_EXTENSIONS = [("optimize", "_lbfgsb", "setulb"), ("special", "_special_ufuncs", "expit")]
+
+
+@pytest.mark.parametrize("package, name, attr", _EXTENSIONS)
+def test_solver_extensions_load_from_scipys_directory(package, name, attr):
+    root = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    path = Path(_scipy_extension(package, name, attr).__file__)
+    assert path.parent == root / package and path.name.startswith(name + ".")
+
+
+def test_missing_scipy_extension_names_the_path(monkeypatch):
+    base = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    lbfgsb = str(base / "optimize" / "_lbfgsb")
+    with pytest.raises(ImportError, match=re.escape(f"{lbfgsb}.") + ".* has no 'no_step'"):
+        _scipy_extension("optimize", "_lbfgsb", "no_step")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".nope"])
+    _scipy_extension.cache_clear()
+    with pytest.raises(ImportError, match=re.escape(f"looked for {lbfgsb}.nope")):
+        _scipy_extension("optimize", "_lbfgsb", "setulb")
 
 
 def _one_cell(lmap, cell):
