@@ -29,7 +29,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .energy import _check_eta, _density_objective, _lbfgsb, energy_breakdown
+from .energy import (_check_eta, _density_objective, _lbfgsb, _scipy_extension,
+                     energy_breakdown)
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError, PeriodicDeformation,
                       Supercell, cross2, norms, rotation, unique_rows)
@@ -72,98 +73,40 @@ class DensityEstimate:
 
 def _invert_contraction(spec: LatticeSpec, c: float, trace: dict) -> float:
     """The twist angle whose contraction equals ``c``, to root-finder
-    precision (``c`` is clipped into the reachable interval).
-
-    When the tabulated bracket does not change sign, the nearer end is
-    returned and its residual contraction gap is recorded in ``trace``
-    under ``twist_bracket_gap``."""
+    precision (``c`` is clipped into the reachable interval): scipy's
+    compiled ``brentq``, loaded by file, with the arguments and bits of
+    ``scipy.optimize.brentq(gap, lo, hi, xtol=1e-14)`` (a NaN gap raises
+    ``ValueError``).  The gap remembers its values, so each twist field is
+    solved once, the bracket ends too.  When the tabulated bracket does
+    not change sign, the nearer end is returned and its residual
+    contraction gap is recorded in ``trace`` under ``twist_bracket_gap``."""
     thetas, cs = _twist_contraction_table(spec)
     c = float(np.clip(c, cs.min(), 1.0))
     if c >= 1.0:
         return 0.0
     idx = int(np.searchsorted(cs[::-1], c))
-    lo = thetas[::-1][max(idx - 1, 0)]
-    hi = thetas[::-1][min(idx, len(thetas) - 1)]
+    lo = float(thetas[::-1][max(idx - 1, 0)])
+    hi = float(thetas[::-1][min(idx, len(thetas) - 1)])
     if lo > hi:
         lo, hi = hi, lo
+    seen = {}
 
     def gap(th):
-        sd = signed_svd(_twist_fields(spec, [th])[0][0])
-        return 0.5 * (sd.sigma1 + sd.sigma2) - c
+        if th not in seen:
+            sd = signed_svd(_twist_fields(spec, [th])[0][0])
+            seen[th] = float(0.5 * (sd.sigma1 + sd.sigma2) - c)
+        if math.isnan(seen[th]):
+            raise ValueError(f"the contraction gap at theta={th} is NaN")
+        return seen[th]
 
     # at the end of the table (c clipped to its minimum) both ends are one angle
-    gap_lo = gap(lo)
-    gap_hi = gap(hi) if hi != lo else gap_lo
+    gap_lo, gap_hi = gap(lo), gap(hi)
     if gap_lo * gap_hi > 0:
         theta, residual = (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
-        trace["twist_bracket_gap"] = float(residual)
+        trace["twist_bracket_gap"] = residual
         return theta
-    return _brentq(gap, lo, gap_lo, hi, gap_hi, xtol=1e-14)
-
-
-def _brentq(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
-    """A root of ``f`` in the bracket ``[a, b]`` by Brent's method, given
-    the end values ``fa = f(a)`` and ``fb = f(b)``.
-
-    Repeats scipy's C ``brentq`` step for step (inverse quadratic
-    extrapolation, secant interpolation or bisection, by the same rules;
-    relative tolerance ``4 eps`` and at most 100 iterations), so the root
-    agrees with ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` bit for bit.
-    Raises ``ValueError`` when a value of ``f`` is NaN or ``fa`` and ``fb``
-    share a sign, and ``RuntimeError`` when it does not converge.
-    """
-    rtol = 4 * math.ulp(1.0)     # 4 eps, as float (not a numpy scalar)
-
-    def value(x, fx):
-        fx = float(fx)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre, fa), value(xcur, fb)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        bisect = True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                try:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                except ZeroDivisionError:   # C divides to inf or NaN: both bisect
-                    stry = math.inf
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry     # a good short step
-                bisect = False
-        if bisect:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur, f(xcur))
-    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur!r}")
+    brentq = _scipy_extension("optimize", "_zeros", "_brentq")._brentq
+    return brentq(gap, lo, hi, 1e-14, 4 * math.ulp(1.0), 100, (), False, True)
 
 
 def _check_cell_eta(spec: LatticeSpec, eta, k: int) -> None:
@@ -217,7 +160,8 @@ def estimate_density(
     reachable isotropic compression, and ``restarts`` random fields.  The
     exact energy of every seed is screened first: the first seed at or
     below 1e-13 short-circuits, with no L-BFGS run (and nothing of scipy
-    loaded).  A random seed is drawn only when screening reaches it, so
+    loaded but the twist inversion's compiled root finder).  A random seed
+    is drawn only when screening reaches it, so
     a short circuit before the first draws none (and never imports
     ``numpy.random``); the draws keep their order, so each random field
     is the same whichever seed ends the screen.  Otherwise each seed is polished in turn through the
@@ -230,10 +174,11 @@ def estimate_density(
     ``lam @ dx``, constants and buffers made once.  The stage runs in
     :func:`~latmech.energy._lbfgsb`, which drives scipy's compiled
     L-BFGS-B step with one objective call per evaluation and has the bits
-    of ``scipy.optimize.minimize``; that step and the smoothed penalty's
-    ``expit`` are scipy's compiled modules loaded by file, so no scipy
-    package is ever imported.  The reported value is always the
-    exact step-penalty energy of the best iterate.
+    of ``scipy.optimize.minimize``; that step, the smoothed penalty's
+    ``expit`` and the twist seed's root finder are scipy's compiled
+    modules loaded by file, so no scipy package is ever imported.  The
+    reported value is always the exact step-penalty energy of the best
+    iterate.
 
     ``solver_trace`` says whether either short circuit ended the solve
     (``short_circuit``) and gives the gradient norm at the end of the best

@@ -604,14 +604,13 @@ def _cmd_verify_bounds(args) -> int:
     checked = [reports[name] for name in sorted(reports)]
     rows = [[rep.name, rep.n_trials, rep.min_slack,
              "" if rep.equality_gap is None else _fmt(rep.equality_gap)] for rep in checked]
-    worst = min([0.0] + [rep.min_slack for rep in checked])
     if args.isotropic:
         iso = verify_isotropic_bound(spec, args.eta, lambda_grid("noniso"),
                                      k=1, rng_seed=args.seed)
         checked.append(iso)
         rows.append(["isotropy-energy-gap", iso.n_trials, iso.c_fit, ""])
-        if iso.c_fit <= 0:
-            worst = min(worst, iso.c_fit if iso.c_fit < 0 else -1.0)
+    # the least of the min_slack column; np.min keeps a NaN, min would skip it
+    worst = float(np.min([row[2] for row in rows]))
     print(f"{len(rows)} bounds verified on {spec.name}; worst slack {_fmt(worst)} "
           f"(eta threshold {_fmt(orientation_threshold(spec))})")
     _finish(args, path, _csv(["bound", "trials", "min_slack", "equality_gap"], rows))
@@ -688,11 +687,11 @@ def _cmd_inequalities(args) -> int:
     reports = scalar_inequality_report(lam_step=args.lam_step,
                                        theta_step=args.theta_step)
     rows = []
-    worst = 0.0
     for rep in reports:
         arg = list(rep.argmin) + [""] * (2 - len(rep.argmin))
         rows.append([rep.name, rep.min_slack, arg[0], arg[1]])
-        worst = min(worst, rep.min_slack)
+    # the least of the min_slack column; np.min keeps a NaN, min would skip it
+    worst = float(np.min([row[1] for row in rows]))
     print(f"{len(rows)} inequalities; worst slack {_fmt(worst)}")
     _finish(args, path, _csv(["inequality", "min_slack", "argmin_1", "argmin_2"], rows))
     return EXIT_OK if all(rep.holds for rep in reports) else EXIT_VERIFICATION

@@ -5,14 +5,13 @@ import pytest
 from conftest import percolating_units_json
 
 from latmech.energy import energy_breakdown
-from latmech.geometry import _pos_sq, lower_bracket, principal_stretches
+from latmech.geometry import _pos_sq, lower_bracket, principal_stretches, signed_svd
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
                              Supercell, VARIANT_KINDS, build_kagome, build_rotating_squares,
                              build_variant, edge_vectors, norms)
-from latmech.mechanisms import twist_admissible_range, twist_mechanism
+from latmech.mechanisms import _twist_fields, twist_admissible_range, twist_mechanism
 import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
-    _brentq,
     _invert_contraction,
     _jensen_slacks,
     _jensen_trials,
@@ -265,112 +264,67 @@ def test_polish_to_zero_short_circuits_wherever_the_seed_stands(kagome, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# Brent root
+# twist inversion
 # ---------------------------------------------------------------------------
 
 
-def _brent_outcomes(f, a, b, xtol):
-    """The root (as hex) or the exception type of scipy's ``brentq`` and
-    of ``_brentq`` on the same problem."""
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_invert_contraction_matches_scipy_brentq_on_the_contraction_tables(request, spec_name):
+    # every bracket a dense contraction sweep inverts through, on the real
+    # gap function: the compiled root is scipy.optimize.brentq's, bit for bit
     from scipy.optimize import brentq
 
-    out = []
-    for solve in (lambda: brentq(f, a, b, xtol=xtol),
-                  lambda: _brentq(f, a, f(a), b, f(b), xtol)):
-        try:
-            out.append(float(solve()).hex())
-        except (ValueError, RuntimeError) as exc:
-            out.append(type(exc))
-    return out
-
-
-@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
-def test_brentq_matches_scipy_on_the_contraction_tables(request, spec_name, monkeypatch):
-    # every bracket a dense contraction sweep inverts through, on the real
-    # gap function
     spec = request.getfixturevalue(spec_name)
-    pairs = []
-
-    def both(f, a, fa, b, fb, xtol):
-        assert (fa, fb) == (f(a), f(b))
-        pairs.append(_brent_outcomes(f, a, b, xtol))
-        return _brentq(f, a, fa, b, fb, xtol)
-
-    monkeypatch.setattr(cellsolver, "_brentq", both)
-    cs = _twist_contraction_table(spec)[1]
+    thetas, cs = _twist_contraction_table(spec)
     for c in np.linspace(cs.min(), 1.0, 200, endpoint=False):
-        _invert_contraction(spec, c, {})
-    assert len(pairs) == 200
-    assert all(isinstance(got, str) and got == want for want, got in pairs)
+        idx = int(np.searchsorted(cs[::-1], c))
+        lo, hi = sorted([thetas[::-1][max(idx - 1, 0)], thetas[::-1][min(idx, len(thetas) - 1)]])
+
+        def gap(th):
+            sd = signed_svd(_twist_fields(spec, [th])[0][0])
+            return 0.5 * (sd.sigma1 + sd.sigma2) - c
+
+        want = brentq(gap, lo, hi, xtol=1e-14)
+        assert _invert_contraction(spec, c, {}).hex() == want.hex(), c
+
+
+def test_invert_contraction_raises_on_a_nan_gap(kagome, monkeypatch):
+    # as scipy.optimize.brentq does: the compiled routine alone takes a NaN
+    # end of the bracket for a sign change and returns a root
+    thetas, cs = _twist_contraction_table(kagome)
+    c, end = 0.5 * (cs[10] + cs[11]), max(thetas[10], thetas[11])
+    real_fields = cellsolver._twist_fields
+
+    def twist_fields(spec, angles):
+        lams, psis = real_fields(spec, angles)
+        return np.where(np.asarray(angles)[:, None, None] >= end, np.inf, lams), psis
+
+    monkeypatch.setattr(cellsolver, "_twist_fields", twist_fields)
+    # an infinite field has NaN stretches (and an invalid determinant)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="theta=.* is NaN"):
+        _invert_contraction(kagome, c, {})
 
 
 @pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
 def test_invert_contraction_evaluates_each_twist_once(request, spec_name, monkeypatch):
     # the bracket ends are evaluated once, for the same-sign check, and
-    # handed to the root finder: every twist field is a new angle
+    # remembered for the root finder: every twist field is a new angle
     spec = request.getfixturevalue(spec_name)
     cs = _twist_contraction_table(spec)[1]
-    fields, brent_values = [], []
-    real_fields, real_brentq = cellsolver._twist_fields, cellsolver._brentq
+    fields = []
+    real_fields = cellsolver._twist_fields
 
     def twist_fields(spec, thetas):
         fields.extend(thetas)
         return real_fields(spec, thetas)
 
-    def brent(f, *args, **kwargs):
-        def g(x):
-            brent_values.append(x)
-            return f(x)
-        return real_brentq(g, *args, **kwargs)
-
     monkeypatch.setattr(cellsolver, "_twist_fields", twist_fields)
-    monkeypatch.setattr(cellsolver, "_brentq", brent)
     for c in np.linspace(cs.min(), 1.0, 50, endpoint=False):
         fields.clear()
-        brent_values.clear()
         _invert_contraction(spec, c, {})
         # the end of the table brackets with a single angle
-        ends = 1 if c == cs.min() else 2
-        assert len(fields) == ends + len(brent_values)
+        assert len(fields) >= (1 if c == cs.min() else 2)
         assert len(set(fields)) == len(fields)
-
-
-def test_brentq_matches_scipy_on_random_functions():
-    rng = np.random.default_rng(11)
-    kinds = [
-        lambda c: lambda x: c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3,
-        lambda c: lambda x: np.sin(3 * c[0] * x + c[1]) + 0.3 * c[2],
-        lambda c: lambda x: np.tanh(5 * c[0] * (x - c[1])) + 0.01 * c[2],
-        lambda c: lambda x: abs(c[3]) * (x - c[0]) ** 3 + 1e-3 * c[2],
-        # values that underflow the extrapolation's denominator
-        lambda c: lambda x: c[0] * 1e-160 * (x - c[1]) * 1e-160,
-    ]
-    seen = set()
-    for trial in range(1200):
-        f = kinds[trial % len(kinds)](rng.standard_normal(4))
-        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
-        for xtol in (1e-14, 1e-12):
-            want, got = _brent_outcomes(f, a, b, xtol)
-            assert got == want, (trial, a, b, xtol)
-            seen.add(want if isinstance(want, type) else "root")
-    assert seen == {"root", ValueError}     # roots and same-sign brackets
-
-
-def test_brentq_error_types_and_edges_match_scipy():
-    # a NaN value, a bracket whose ends share a sign, and a step function
-    # that 100 bisections cannot pin down
-    nan_inside = lambda x: np.nan if x > 0.5 else x - 0.25   # noqa: E731
-    for f, a, b, err in [(nan_inside, 0.0, 1.0, ValueError),
-                         (lambda x: np.nan, 0.0, 1.0, ValueError),
-                         (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
-                         (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300, RuntimeError)]:
-        assert _brent_outcomes(f, a, b, 1e-14) == [err, err]
-    # a root at either end is returned as it is
-    assert _brent_outcomes(lambda x: x - 2.0, 2.0, 3.0, 1e-14) == [(2.0).hex()] * 2
-    assert _brent_outcomes(lambda x: x - 3.0, 2.0, 3.0, 1e-14) == [(3.0).hex()] * 2
-    # a half-bracket exactly at the tolerance is not converged: one more step
-    b = float.fromhex("0x1.19799812dea15p-40")      # (b - 0) / 2 == (1e-12 + 4 eps b) / 2
-    assert _brent_outcomes(lambda x: x - 0.7 * b, 0.0, b, 1e-12) == [(b / 2).hex()] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -609,9 +609,10 @@ _LOADS = [
 
 def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
     """Each command loads only the modules it runs: the CLI alone loads
-    the spec module, scipy's compiled solver modules wait for an L-BFGS
-    solve and no scipy package is ever imported, numpy.random waits for a
-    random draw, and numpy.ma never loads."""
+    the spec module, each of scipy's compiled solver modules waits for the
+    first solve that uses it (the twist inversion's brentq, then L-BFGS)
+    and no scipy package is ever imported, numpy.random waits for a random
+    draw, and numpy.ma never loads."""
     grid = tmp_path / "det_neg.json"
     grid.write_text(json.dumps([[[1.1, 0.0], [0.0, -0.8]]]))
     _python(
@@ -636,7 +637,8 @@ def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
           f"'--k', '1,2', '--jobs', '1', "
           f"'--out', {str(tmp_path / (spec + '.csv'))!r}]) == 0"
           for spec in ("kagome", "rotating-squares")],
-        "assert 'scipy' not in sys.modules, 'scipy imported by density-sweep --grid iso'",
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert scipy == ['scipy.optimize._zeros'], scipy",
         *[f"assert {name!r} not in sys.modules, '{name} imported by density-sweep --grid iso'"
           for name in ("numpy.random", "numpy.ma", "latmech.softmodes")],
         f"assert cli.main(['mechanism', '--dump', {str(tmp_path / 'geom.json')!r}, "
@@ -718,7 +720,7 @@ def test_nan_inequality_slack_exits_3(tmp_path, monkeypatch, capsys):
     out = tmp_path / "ineq.csv"
     assert run(["inequalities", "--out", str(out)]) == 3
     assert "forced,nan,0," in out.read_text().splitlines()
-    assert "worst slack 0\n" in capsys.readouterr().out
+    assert "worst slack nan\n" in capsys.readouterr().out
 
 
 def test_nan_isotropy_constant_exits_3(tmp_path, monkeypatch, capsys):
@@ -734,6 +736,35 @@ def test_nan_isotropy_constant_exits_3(tmp_path, monkeypatch, capsys):
     assert run(["verify-bounds", "--trials", "4", "--k-max", "1", "--isotropic",
                 "--out", str(out)]) == 3
     assert "isotropy-energy-gap,1,nan," in out.read_text().splitlines()
+    assert "worst slack nan " in capsys.readouterr().out
+
+
+def test_worst_slack_is_the_least_positive_slack(tmp_path, monkeypatch, capsys):
+    # every slack positive: the least of them, not a clamp at 0
+    from latmech.geometry import ScalarInequalityReport
+
+    def positive(lam_step, theta_step):
+        return [ScalarInequalityReport("a", 0.5, (0.0,)),
+                ScalarInequalityReport("b", 0.25, (0.0, 1.0))]
+
+    monkeypatch.setattr(geometry, "scalar_inequality_report", positive)
+    assert run(["inequalities", "--out", str(tmp_path / "ineq.csv")]) == 0
+    assert "2 inequalities; worst slack 0.25\n" in capsys.readouterr().out
+
+
+def test_zero_isotropy_constant_prints_zero_and_exits_3(tmp_path, monkeypatch, capsys):
+    # c_fit == 0 is no certificate; the worst slack is that 0, not an invented -1
+    from latmech.cellsolver import IsotropicBoundReport
+
+    def zero_fit(spec, eta, lams, k, rng_seed):
+        return IsotropicBoundReport(ratios=np.array([0.0]), c_fit=0.0, n_trials=1)
+
+    monkeypatch.setattr(cellsolver, "verify_isotropic_bound", zero_fit)
+    out = tmp_path / "bounds.csv"
+    assert run(["verify-bounds", "--trials", "4", "--k-max", "1", "--isotropic",
+                "--out", str(out)]) == 3
+    slacks = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert slacks[-1] == 0.0 and min(slacks[:-1]) > 0
     assert "worst slack 0 " in capsys.readouterr().out
 
 
@@ -1130,7 +1161,8 @@ def test_inequalities_default_grid_pinned_bytes(tmp_path):
 
 # sha256 of ``density-sweep --grid iso --jobs 1`` (every row a reachable
 # isotropic compression), recorded before the seeds were screened ahead of
-# L-BFGS and before the twist inversion moved off scipy's brentq
+# L-BFGS, with the twist inverted by ``scipy.optimize.brentq``: the compiled
+# ``_brentq`` it calls, loaded by file, inverts the twist now
 DENSITY_ISO_SHA256 = {
     ("kagome", "1,2"): "87482174b22b2c35751c0baa1d2be38f6ed27bee143212d3998cb7fe9cde2217",
     ("rotating-squares", "1"):

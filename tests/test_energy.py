@@ -1,5 +1,6 @@
 """Energy evaluation: axioms, decomposition, gradients, scaled maps."""
 
+import ast
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -500,7 +501,27 @@ def test_loaded_expit_is_scipys_bit_for_bit():
     assert expit(x).tobytes() == scipy_expit(x).tobytes()
 
 
-_EXTENSIONS = [("optimize", "_lbfgsb", "setulb"), ("special", "_special_ufuncs", "expit")]
+def _extension_calls():
+    """The ``(package, name, attr)`` of every ``_scipy_extension`` call in
+    latmech's source, one per call site (an argument that is not a
+    literal fails the scan)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "latmech"
+    calls = [node for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)]
+    # a plain or a dotted call: _scipy_extension(...) or energy._scipy_extension(...)
+    return sorted(tuple(ast.literal_eval(arg) for arg in call.args) for call in calls
+                  if getattr(call.func, "id", getattr(call.func, "attr", None))
+                  == "_scipy_extension")
+
+
+# every extension the solvers load is checked where the loader finds it
+_EXTENSIONS = _extension_calls()
+
+
+def test_extension_scan_finds_every_call_site():
+    assert _EXTENSIONS == [("optimize", "_lbfgsb", "setulb"), ("optimize", "_zeros", "_brentq"),
+                           ("special", "_special_ufuncs", "expit")]
 
 
 @pytest.mark.parametrize("package, name, attr", _EXTENSIONS)
