@@ -164,21 +164,23 @@ def estimate_density(
     is drawn only when screening reaches it, so
     a short circuit before the first draws none (and never imports
     ``numpy.random``); the draws keep their order, so each random field
-    is the same whichever seed ends the screen.  Otherwise each seed is polished in turn through the
-    smoothing anneal, by L-BFGS over ``psi`` alone: one stage per width
-    ``tau`` of ``_ANNEAL``, each capped at ``_MAXITER`` iterations.  The
-    first polish that reaches 1e-13 short-circuits the seeds after it.
-    Each stage hands L-BFGS one objective, built once for the stage at its
-    ``tau``: the energy of :func:`~latmech.energy.smoothed_energy_grad`
-    and its ``psi`` gradient (no ``lam`` gradient), with the fixed
-    ``lam @ dx``, constants and buffers made once.  The stage runs in
-    :func:`~latmech.energy._lbfgsb`, which drives scipy's compiled
-    L-BFGS-B step with one objective call per evaluation and has the bits
-    of ``scipy.optimize.minimize``; that step, the smoothed penalty's
-    ``expit`` and the twist seed's root finder are scipy's compiled
-    modules loaded by file, so no scipy package is ever imported.  The
-    reported value is always the exact step-penalty energy of the best
-    iterate.
+    is the same whichever seed ends the screen.  Otherwise every screened
+    seed is polished through the smoothing anneal, by L-BFGS over ``psi``
+    alone: one stage per width ``tau`` of ``_ANNEAL``, each capped at
+    ``_MAXITER`` iterations.  Each stage hands L-BFGS one objective, built
+    once for the stage at its ``tau``: the energy of
+    :func:`~latmech.energy.smoothed_energy_grad` and its ``psi`` gradient
+    (no ``lam`` gradient), with the fixed ``lam @ dx`` and constants made
+    once.  The stage runs in :func:`~latmech.energy._lbfgsb` on the stack
+    of all seeds, one objective call per round on the seeds that ask for
+    an evaluation, each seed with the bits of ``scipy.optimize.minimize``
+    on it alone; that step, the smoothed penalty's ``expit`` and the twist
+    seed's root finder are scipy's compiled modules loaded by file, so no
+    scipy package is ever imported.  The polished seeds are then taken in
+    order, as if polished one after another: the first that reaches 1e-13
+    short-circuits the seeds after it, which count neither in the result
+    nor in the trace.  The reported value is always the exact
+    step-penalty energy of the best iterate.
 
     ``solver_trace`` says whether either short circuit ended the solve
     (``short_circuit``) and gives the gradient norm at the end of the best
@@ -229,26 +231,29 @@ def estimate_density(
     total_iters = 0
     short_circuit = best is not None
     polish = [] if short_circuit else list(zip(seeds, starts))
-    for (label, psi0), bd0 in polish:
+    stages = []     # per anneal stage, every seed's (x, nit, status, message, g)
+    if polish:      # all seeds at once, one stack per stage
+        X = np.array([psi0.ravel() for _, psi0 in seeds])
+        for tau in _ANNEAL:
+            stages.append(_lbfgsb(_density_objective(cell, lam, eta, tau), X,
+                                  _MAXITER, 1e-16, 1e-12))
+            X = np.array([row[0] for row in stages[-1]])
+    # the seeds in order, as if polished one after another: a seed after a
+    # zero polish is polished but not counted
+    for j, ((label, psi0), bd0) in enumerate(polish):
         if best is None or bd0.averaged < best[0].averaged:
             best = (bd0, label, psi0, np.nan)
-
-        x = psi0.ravel()
-        grad_norm = np.nan
-        for tau in _ANNEAL:
-            x, nit, status, message, g = _lbfgsb(_density_objective(cell, lam, eta, tau), x,
-                                                 _MAXITER, 1e-16, 1e-12)
+        for _, nit, status, message, _ in (stage[j] for stage in stages):
             total_iters += nit
             if status == 1:             # iteration or evaluation limit
                 trouble["unconverged_stages"] += 1
                 trouble["last_unconverged_message"] = message
             elif status == 2:           # abnormal line-search termination
                 trouble["stalled_stages"] += 1
-            grad_norm = float(np.linalg.norm(g))
-        psi = x.reshape(n, 2)
+        psi = X[j].reshape(n, 2)
         bd = exact(psi)
         if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
-            best = (bd, label, psi, grad_norm)
+            best = (bd, label, psi, float(np.linalg.norm(stages[-1][j][4])))
         if best[0].averaged <= _SHORT_TOL:    # polished down to zero: no later seed can beat it
             short_circuit = True
             break

@@ -225,21 +225,28 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
 def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     """The energy and gradients of the spring classes (when ``springs``),
     then of the penalized triangles (when ``penalty`` maps their
-    ``det(grad u)`` ``(nt, k*k)`` to per-class energies and the derivative
-    in ``det``, or to ``None`` for an infinite energy), as a function
-    ``f(z, lam) -> (E, glam, gz)`` of the flat ``psi`` vector ``z``
-    ``(2 n,)``.
+    ``det(grad u)`` ``(B, nt, k*k)`` to per-class energies ``(B, nt)``,
+    the derivative in ``det`` and a mask ``(B,)`` of the rows whose
+    energy is infinite, or ``None`` for none), as a function
+    ``f(Z, lam) -> (E, glam, gZ)`` of a stack of ``B`` flat ``psi``
+    vectors ``Z`` ``(B, 2 n)``: ``E`` ``(B,)``, ``glam`` ``(B, 2, 2)`` and
+    ``gZ`` ``(B, 2 n)``.  A row with an infinite energy has zero
+    gradients.
 
-    Everything that does not depend on ``z`` is built here once: the
+    Everything that does not depend on ``Z`` is built here once: the
     slices of ``cell.edges`` and ``cell.scatter``, the constants of the
-    springs and the buffers.  With a fixed ``lam`` the products
-    ``lam @ dx`` are formed once too, ``f`` ignores its ``lam`` and
-    returns ``glam = None``; otherwise ``f`` takes ``lam`` on every call.
-    The ``psi`` gradient ``gz`` ``(2 n,)``, laid out as ``z``, is a new
-    array on every call.
+    springs, and the buffers of each stack height on its first call.
+    With a fixed ``lam`` the products ``lam @ dx`` are formed once too,
+    ``f`` ignores its ``lam`` and returns ``glam = None``; otherwise ``f``
+    takes one ``lam`` ``(B, 2, 2)`` per row on every call.  The results
+    are new arrays on every call.
 
-    One gather of the needed edge classes, one value buffer filled in the
-    order of ``cell.scatter`` and one ``bincount``: totals run class by
+    Each row has the bits of evaluating it alone, in a stack of one.  One
+    gather of the needed edge classes, by ``take`` along the row axis
+    (a fancy gather ``Z[:, head]`` returns a layout that is not C-ordered,
+    and the reductions over the cells then add in another order), one
+    value buffer filled in the order of ``cell.scatter`` and one
+    ``bincount``, its bins offset by ``2 n`` per row: totals run class by
     class and the scatter in stream order, as ``+=`` and ``np.add.at``
     loops over the classes would.  The operations are those of
     ``np.linalg.norm(axis=2)``, ``np.sum`` and
@@ -254,51 +261,67 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     if fixed:
         # matmul over stacked columns gives the bits of ``lam @ dx`` class by class
         ldx = np.matmul(lam, dx[:, :, None])[:, None, :, 0]
-    # a leading zero row makes the totals the ordered sums of the terms
-    E = np.zeros(1 + n_s + n_t)
-    glam = None if fixed else np.zeros((1 + n_s + n_t, 2, 2))
-    values = np.empty(len(bins))
-    v_s = values[:4 * n_s * kk].reshape(n_s, 2, kk, 2)    # head, tail
-    v_t = values[4 * n_s * kk:].reshape(n_t, 3, kk, 2)    # P1, P2, P0
     rest = cell.spring_rest[:, None]
     twice_k = 2.0 * cell.spring_stiffness[:, None]
     cross0 = cell.tri_cross0[:, None]
+    buffers = {}
 
-    def f(z, lam):
-        d = z[head] - z[tail] + (ldx if fixed else np.matmul(lam, dx[:, :, None])[:, None, :, 0])
+    def stack_buffers(B):
+        """The buffers of a stack of ``B`` rows, made on its first call."""
+        if B not in buffers:
+            values = np.empty((B, len(bins)))
+            # a leading zero column makes the totals the ordered sums of the terms
+            buffers[B] = (np.zeros((B, 1 + n_s + n_t)),
+                          None if fixed else np.zeros((B, 1 + n_s + n_t, 2, 2)),
+                          values,
+                          values[:, :4 * n_s * kk].reshape(B, n_s, 2, kk, 2),   # head, tail
+                          values[:, 4 * n_s * kk:].reshape(B, n_t, 3, kk, 2),   # P1, P2, P0
+                          (bins + size * np.arange(B)[:, None]).ravel())
+        return buffers[B]
+
+    def f(Z, lam):
+        B = len(Z)
+        E, glam, values, v_s, v_t, rows = stack_buffers(B)
+        d = Z.take(head, axis=1) - Z.take(tail, axis=1) + (
+            ldx if fixed else np.matmul(lam[:, None], dx[:, :, None])[:, :, None, :, 0])
+        infinite = None
         if springs:
-            sx, sy = d[:ns, :, 0], d[:ns, :, 1]
+            sx, sy = d[:, :ns, :, 0], d[:, :ns, :, 1]
             lengths = np.sqrt(sx * sx + sy * sy)
-            np.multiply(cell.spring_stiffness, np.add.reduce((lengths - rest) ** 2, axis=1),
-                        out=E[1:1 + ns])
+            np.multiply(cell.spring_stiffness, np.add.reduce((lengths - rest) ** 2, axis=2),
+                        out=E[:, 1:1 + ns])
             coeff = twice_k * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
-            g = np.multiply(coeff[:, :, None], d[:ns], out=v_s[:, 0])
-            np.negative(g, out=v_s[:, 1])
+            g = np.multiply(coeff[..., None], d[:, :ns], out=v_s[:, :, 0])
+            np.negative(g, out=v_s[:, :, 1])
             if not fixed:
-                np.multiply(np.add.reduce(g, axis=1)[:, :, None], dx[:ns, None, :],
-                            out=glam[1:1 + ns])
+                np.multiply(np.add.reduce(g, axis=2)[..., None], dx[:ns, None, :],
+                            out=glam[:, 1:1 + ns])
 
         if penalty:
-            d1, d2 = d[n_s:n_s + nt], d[n_s + nt:]
-            terms = penalty((d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / cross0)
-            if terms is None:
-                return np.inf, (None if fixed else np.zeros((2, 2))), np.zeros(size)
-            E[1 + n_s:], dE_ddet = terms
-            dE_dcross = (dE_ddet / cross0)[:, :, None]
+            d1, d2 = d[:, n_s:n_s + nt], d[:, n_s + nt:]
+            E[:, 1 + n_s:], dE_ddet, infinite = penalty(
+                (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / cross0)
+            dE_dcross = (dE_ddet / cross0)[..., None]
             # dE_dcross * (d2y, -d2x) and dE_dcross * (-d1y, d1x); negation is exact
-            g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v_t[:, 0])
-            g2 = np.multiply(dE_dcross, d1[..., ::-1], out=v_t[:, 1])
+            g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v_t[:, :, 0])
+            g2 = np.multiply(dE_dcross, d1[..., ::-1], out=v_t[:, :, 1])
             np.negative(g1[..., 1], out=g1[..., 1])
             np.negative(g2[..., 0], out=g2[..., 0])
-            np.negative(np.add(g1, g2, out=v_t[:, 2]), out=v_t[:, 2])
+            np.negative(np.add(g1, g2, out=v_t[:, :, 2]), out=v_t[:, :, 2])
             if not fixed:
-                np.add(np.add.reduce(g1, axis=1)[:, :, None] * dx[n_s:n_s + nt, None, :],
-                       np.add.reduce(g2, axis=1)[:, :, None] * dx[n_s + nt:, None, :],
-                       out=glam[1 + n_s:])
+                np.add(np.add.reduce(g1, axis=2)[..., None] * dx[n_s:n_s + nt, None, :],
+                       np.add.reduce(g2, axis=2)[..., None] * dx[n_s + nt:, None, :],
+                       out=glam[:, 1 + n_s:])
 
-        return (float(np.add.accumulate(E)[-1]),
-                None if fixed else np.add.accumulate(glam)[-1],
-                np.bincount(bins, values, minlength=size))
+        E_total = np.add.accumulate(E, axis=1)[:, -1]
+        glam_total = None if fixed else np.add.accumulate(glam, axis=1)[:, -1]
+        gZ = np.bincount(rows, values.ravel(), minlength=B * size).reshape(B, size)
+        if infinite is not None:
+            E_total[infinite] = np.inf
+            gZ[infinite] = 0.0
+            if not fixed:
+                glam_total[infinite] = 0.0
+        return E_total, glam_total, gZ
 
     return f
 
@@ -314,132 +337,156 @@ def _smoothed(cell: Supercell, eta: float, tau: float):
 
     def penalty(det):
         sig = expit(-det / tau)
-        return unit * np.add.reduce(sig, axis=1), slope * sig * (1.0 - sig)
+        return unit * np.add.reduce(sig, axis=2), slope * sig * (1.0 - sig), None
 
     return penalty
 
 
 def _barrier(mu: float):
     """The log-barrier ``-mu * sum log det`` of :func:`_kernel` at ``mu``:
-    ``None`` unless every orientation is positive."""
+    infinite on a row with an orientation that is not positive, where no
+    ``log`` or quotient of its ``det`` is taken."""
     def penalty(det):
-        if np.any(det <= 0):
-            return None
-        return -mu * np.add.reduce(np.log(det), axis=1), -mu / det
+        infinite = (det <= 0).any(axis=(1, 2))
+        if infinite.any():
+            det = np.where(infinite[:, None, None], 1.0, det)
+        return -mu * np.add.reduce(np.log(det), axis=2), -mu / det, infinite
 
     return penalty
 
 
 def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
     """The spring energy plus the sigmoid-smoothed orientation penalty,
-    with gradients ``(E, glam, gpsi)``.
+    with gradients ``(E, glam, gpsi)``, by :func:`_kernel` on a stack of
+    one.
 
     The smoothed penalty is ``area / eta * expit(-det / tau)``; it tends to
     the exact step as ``tau -> 0`` and exists only to give descent methods
     a usable gradient.  Reported energies must use
     :func:`energy_breakdown` instead.
     """
-    E, glam, g = _kernel(cell, True, _smoothed(cell, eta, tau))(np.reshape(psi, -1), lam)
-    return E, glam, g.reshape(-1, 2)
+    E, glam, g = _kernel(cell, True, _smoothed(cell, eta, tau))(
+        np.reshape(psi, (1, -1)), np.asarray(lam, dtype=float)[None])
+    return float(E[0]), glam[0], g[0].reshape(-1, 2)
 
 
 def _density_objective(cell: Supercell, lam, eta: float, tau: float):
-    """The L-BFGS objective ``f(x) -> (E, gx)`` of one anneal stage of the
-    density solve: the smoothed energy of :func:`smoothed_energy_grad` at
-    the fixed ``lam`` and its gradient in the flat ``psi`` vector ``x``
-    ``(2 n,)``, with the bits of that function's ``E`` and ``gpsi``."""
+    """The L-BFGS objective ``f(X) -> (E, G)`` of one anneal stage of the
+    density solve on a stack of flat ``psi`` vectors ``X`` ``(B, 2 n)``:
+    the smoothed energy of :func:`smoothed_energy_grad` at the fixed
+    ``lam`` and its gradient in ``psi``, with the bits of that function's
+    ``E`` and ``gpsi`` row by row."""
     kernel = _kernel(cell, True, _smoothed(cell, eta, tau), lam=lam)
 
-    def f(x):
-        E, _, g = kernel(x, None)
-        return E, g
+    def f(X):
+        E, _, G = kernel(X, None)
+        return E, G
 
     return f
 
 
 def _search_objective(cell: Supercell, mu: float):
-    """The L-BFGS objective ``f(x) -> (E, gx)`` of one barrier stage of the
-    mechanism search over the packed ``x = (lam.ravel(), psi[1:].ravel())``
-    (the first node pinned at zero): the spring energy plus, when
-    ``mu > 0``, the log-barrier at ``mu``, or ``(inf, 0)`` when that is
-    not finite.
+    """The L-BFGS objective ``f(X) -> (E, G)`` of one barrier stage of the
+    mechanism search on a stack of packed ``x = (lam.ravel(),
+    psi[1:].ravel())`` ``(B, 2 n + 2)`` (the first node pinned at zero):
+    the spring energy plus, when ``mu > 0``, the log-barrier at ``mu``, or
+    ``(inf, 0)`` on a row where that is not finite.
 
     The two parts are summed apart and then added, energy, ``lam`` and
-    ``psi`` gradient alike, so the bits are those of adding the results
-    of the variable-``lam`` spring and barrier kernels at one state.  The
-    gradient is a new array: the ``lam`` gradient, then the ``psi``
+    ``psi`` gradient alike, so each row has the bits of adding the
+    results of the variable-``lam`` spring and barrier kernels at its
+    state.  A gradient row is the ``lam`` gradient, then the ``psi``
     gradient without the pinned node's.
     """
-    z = np.zeros(2 * cell.n_nodes)
     springs = _kernel(cell, True)
     barrier = _kernel(cell, False, _barrier(mu)) if mu > 0 else None
 
-    def f(x):
-        lam = x[:4].reshape(2, 2)
-        z[2:] = x[4:]
+    def f(X):
+        lam = X[:, :4].reshape(-1, 2, 2)
+        Z = np.zeros((len(X), 2 * cell.n_nodes))
+        Z[:, 2:] = X[:, 4:]
+        E, gl, g = springs(Z, lam)
         if barrier is not None:
-            B, gl2, g2 = barrier(z, lam)
-            if not math.isfinite(B):
-                return np.inf, np.zeros_like(x)
-        E, gl, g = springs(z, lam)
-        if barrier is not None:
+            B, gl2, g2 = barrier(Z, lam)
             E += B
-            gl = gl + gl2
-            np.add(g, g2, out=g)
-        return E, np.concatenate([gl.ravel(), g[2:]])
+            gl += gl2
+            g += g2
+        G = np.concatenate([gl.reshape(-1, 4), g[:, 2:]], axis=1)
+        if barrier is not None:
+            infinite = ~np.isfinite(B)
+            E[infinite] = np.inf
+            G[infinite] = 0.0
+        return E, G
 
     return f
 
 
-def _lbfgsb(f, x0, maxiter: int, ftol: float, gtol: float):
-    """Minimize ``f(x) -> (E, g)`` from ``x0`` by scipy's compiled L-BFGS-B
-    step with no bounds; returns ``(x, nit, status, message, g)``.
+def _lbfgsb(f, X0, maxiter: int, ftol: float, gtol: float):
+    """Minimize ``f(X) -> (E, G)`` from each start of the stack ``X0``
+    ``(B, n)`` by scipy's compiled L-BFGS-B step with no bounds; returns
+    one ``(x, nit, status, message, g)`` per row.
 
-    This is the loop of ``scipy.optimize.minimize(f, x0, jac=True,
+    Each row is the loop of ``scipy.optimize.minimize(f1, x0, jac=True,
     method="L-BFGS-B", options={"maxiter": maxiter, "ftol": ftol,
-    "gtol": gtol})`` (10 corrections, 20 line-search steps, at most 15000
+    "gtol": gtol})`` on that row alone, with ``f1`` the row's ``f`` on a
+    stack of one (10 corrections, 20 line-search steps, at most 15000
     evaluations; status 0 converged, 1 a limit hit, 2 anything else, and
-    scipy's messages) without its Python wrappers: ``f`` is called once
-    per evaluation ``setulb`` asks for, on ``x`` itself, and ``x``,
-    ``nit``, ``status``, ``message`` and the final gradient ``g`` are those
-    of ``minimize``, bit for bit.  So ``f`` must neither keep nor change
-    ``x``, and must return a new float64 gradient (``setulb`` writes into
-    it).  ``minimize`` neither repeats nor counts an evaluation at the
-    point it evaluated last; ``f`` is pure, so only the count of
-    evaluations can differ, and only in a stage that nears 15000 of them.
-    ``setulb`` comes from scipy's compiled ``_lbfgsb`` module, loaded by
-    :func:`_scipy_extension` with no scipy package; its messages are
-    scipy's, copied in ``_STATUS_MESSAGES`` and ``_TASK_MESSAGES``.
+    scipy's messages), without its Python wrappers.  Every row keeps its
+    own ``setulb`` state and runs until it asks for an evaluation or
+    stops; then ``f`` is called once on the stack of the rows that asked,
+    and the round repeats until every row has stopped.  ``f`` must give
+    each row the bits of evaluating it alone; then each row's ``x``,
+    ``nit``, ``status``, ``message`` and final gradient ``g`` are those of
+    ``minimize`` on it, bit for bit.  ``minimize`` neither repeats nor
+    counts an evaluation at the point it evaluated last; ``f`` is pure, so
+    only the count of evaluations can differ, and only in a stage that
+    nears 15000 of them.  ``setulb`` comes from scipy's compiled
+    ``_lbfgsb`` module, loaded by :func:`_scipy_extension` with no scipy
+    package; its messages are scipy's, copied in ``_STATUS_MESSAGES`` and
+    ``_TASK_MESSAGES``.
     """
     setulb = _scipy_extension("optimize", "_lbfgsb", "setulb").setulb
 
     m, maxls, maxfun = 10, 20, 15000
-    n = len(x0)
-    x = np.array(x0, dtype=float)
+    X = np.array(X0, dtype=float)
+    B, n = X.shape
     nbd, free = np.zeros(n, np.int32), np.zeros(n)     # no bound on any entry
-    fx, g = 0.0, np.zeros(n)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
-    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    fx, G = np.zeros(B), np.zeros((B, n))
+    wa = np.zeros((B, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((B, 3 * n), np.int32)
+    task, ln_task, lsave = (np.zeros((B, size), np.int32) for size in (2, 2, 4))
+    isave, dsave = np.zeros((B, 44), np.int32), np.zeros((B, 29))
     factr = ftol / math.ulp(1.0)
-    nit = nfev = 0
-    while True:
-        setulb(m, x, free, free, nbd, fx, g, factr, gtol, wa, iwa, task, lsave, isave,
-               dsave, maxls, ln_task)
-        if task[0] == 3:            # FG: evaluate at x
-            fx, g = f(x)
-            nfev += 1
-        elif task[0] == 1:          # NEW_X: an iteration ended; STOP at a limit
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
-        else:
-            break
-    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
-    return x, nit, status, f"{_STATUS_MESSAGES[task[0]]}: {_TASK_MESSAGES[task[1]]}", g
+    nit, nfev = [0] * B, [0] * B
+    rows = list(zip(X, G, wa, iwa, task, lsave, isave, dsave, ln_task))  # each row's views
+    running = range(B)
+    while running:
+        asking = []
+        for i in running:
+            x, g, wa_i, iwa_i, task_i, lsave_i, isave_i, dsave_i, ln_task_i = rows[i]
+            while True:
+                setulb(m, x, free, free, nbd, float(fx[i]), g, factr, gtol, wa_i, iwa_i,
+                       task_i, lsave_i, isave_i, dsave_i, maxls, ln_task_i)
+                if task_i[0] == 3:          # FG: evaluate at x
+                    asking.append(i)
+                    nfev[i] += 1
+                    break
+                if task_i[0] != 1:          # stopped
+                    break
+                nit[i] += 1                 # NEW_X: an iteration ended; STOP at a limit
+                if nit[i] >= maxiter:
+                    task_i[:] = 5, 504
+                elif nfev[i] > maxfun:
+                    task_i[:] = 5, 502
+        if asking:
+            fx[asking], G[asking] = f(X[asking])
+        running = asking
+    out = []
+    for i in range(B):
+        status = 0 if task[i, 0] == 4 else 1 if nfev[i] > maxfun or nit[i] >= maxiter else 2
+        message = f"{_STATUS_MESSAGES[task[i, 0]]}: {_TASK_MESSAGES[task[i, 1]]}"
+        out.append((X[i].copy(), nit[i], status, message, G[i].copy()))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .lattice import PeriodicDeformation, edge_vectors, ordered_sum, rotation
 __all__ = [
     "averaged_vectors",
     "lambda_from_averages",
-    "commutator_direct",
     "commutator_closed_form",
     "principal_stretches",
     "StretchData",
@@ -34,7 +33,6 @@ __all__ = [
     "lower_bracket",
     "ScalarInequalityReport",
     "scalar_inequality_report",
-    "direction_stretch",
     "triangle_reference",
     "triangle_spring_energy",
     "triangle_deviation",
@@ -80,15 +78,6 @@ def lambda_from_averages(defm: PeriodicDeformation) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commutator with a rotation
 # ---------------------------------------------------------------------------
-
-
-def commutator_direct(lam, alpha: float, e=None) -> float:
-    """``|(lam R(alpha) - R(alpha) lam) e|`` for a unit vector ``e``."""
-    R = rotation(alpha)
-    C = lam @ R - R @ lam
-    if e is None:
-        e = np.array([1.0, 0.0])
-    return float(np.linalg.norm(C @ e))
 
 
 def commutator_closed_form(lam, alpha: float):
@@ -171,12 +160,6 @@ def lower_bracket(lam):
 # ---------------------------------------------------------------------------
 
 
-def direction_stretch(l1, l2, theta):
-    """``|diag(l1, l2) e_theta|`` for the unit direction at angle theta
-    measured from the first principal axis."""
-    return np.sqrt(l2**2 + (l1**2 - l2**2) * np.cos(theta) ** 2)
-
-
 _SLACK_TOL = 1e-12  # how far below zero a certified slack may round
 _GRID_POINTS = 10 ** 7  # the most points one inequality grid may hold
 
@@ -206,9 +189,10 @@ def _compression_slack(l1, l2, period):
     ``sum_o (|diag(l1, l2) e_(theta + o)| - 1)_+^2`` over ``o = 0, pi/3,
     2 pi/3`` in that order, minus ``(sqrt(3/4 l1^2 + 1/4 l2^2) - 1)_+^2``.
 
-    Each term is :func:`direction_stretch`'s ``sqrt(a + b cos^2)``
-    evaluated in place, operation for operation, so every element has the
-    bits of the broadcast expression.  The yielded array is one reused
+    Each term is ``sqrt(a + b cos^2)``, the stretch along one direction
+    of ``direction_stretch`` in ``tests/test_geometry.py``, evaluated in
+    place, operation for operation, so every element has the bits of the
+    broadcast expression.  The yielded array is one reused
     buffer, overwritten by the next angle.
     """
     rhs = _pos_sq(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0)

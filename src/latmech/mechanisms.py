@@ -546,13 +546,16 @@ def search_mechanisms(
     sorted by ``(energy, spring energy, restart index)``.  The first node's
     ``psi`` is pinned to remove translations.  Every restart runs the
     barrier stages ``mu = 1e-2, 1e-4, 1e-6, 0`` by L-BFGS over the packed
-    ``(lam, psi[1:])``, each in :func:`~latmech.energy._lbfgsb` (scipy's
+    ``(lam, psi[1:])``, all restarts together: each stage is one
+    :func:`~latmech.energy._lbfgsb` run on the stack of restarts (scipy's
     compiled L-BFGS-B step, loaded by file with no scipy package imported,
-    bit for bit ``scipy.optimize.minimize``, with one objective call per
-    evaluation); each stage's objective is built once per search (its
-    gather, scatter, constants and buffers) and has the bits of adding the
-    spring and barrier energies and gradients at the same state (see
-    :func:`~latmech.energy._search_objective`).
+    one objective call per round on the restarts that ask for an
+    evaluation, each restart bit for bit ``scipy.optimize.minimize`` on it
+    alone).  Each stage's objective is built once per search (its gather,
+    scatter and constants) and has, on every restart, the bits of adding
+    the spring and barrier energies and gradients at the same state (see
+    :func:`~latmech.energy._search_objective`); a restart with a reversed
+    triangle gets ``(inf, 0)``.
     """
     cell = Supercell(spec, k)
     n = cell.n_nodes
@@ -570,11 +573,11 @@ def search_mechanisms(
             lam0 = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
         starts.append(_pack(lam0, 0.2 * rng.standard_normal((n, 2))))
 
+    X = np.array(starts)
+    for objective in objectives:    # every restart at once, one stack per stage
+        X = np.array([row[0] for row in _lbfgsb(objective, X, 400, 1e-18, 1e-14)])
     found = []
-    for si, x0 in enumerate(starts):
-        x = x0
-        for objective in objectives:
-            x = _lbfgsb(objective, x, 400, 1e-18, 1e-14)[0]
+    for si, x in enumerate(X):
         lam, psi = _unpack(x, n)
         defm = PeriodicDeformation(cell, lam, psi)
         cert = certify(defm)

@@ -1,5 +1,7 @@
 """Cell-problem density estimates, lambda grids, and explicit-constant bounds."""
 
+from itertools import chain
+
 import numpy as np
 import pytest
 from conftest import percolating_units_json
@@ -155,17 +157,17 @@ def test_percolating_rigid_units_solve_without_twist_seed(monkeypatch):
 def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_squares,
                                                          monkeypatch):
     stages = []     # the smoothing of every L-BFGS stage built
-    sizes = set()   # (point, gradient) lengths of every energy evaluation
+    sizes = set()   # (stack, row, gradient row) lengths of every energy evaluation
     real = cellsolver._density_objective
 
     def counted(cell, lam, eta, tau):
         stages.append(tau)
         f = real(cell, lam, eta, tau)
 
-        def evaluate(x):
-            E, g = f(x)
-            sizes.add((len(x), len(g)))
-            return E, g
+        def evaluate(X):
+            E, G = f(X)
+            sizes.add((X.ndim, X.shape[1], G.shape[1]))
+            return E, G
 
         return evaluate
 
@@ -188,11 +190,10 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
     assert not trace["short_circuit"]
     assert trace["best_seed"] in ("zero", "random0")
     assert trace["iterations"] > 0
-    assert sorted(set(stages), reverse=True) == list(cellsolver._ANNEAL)
-    # one objective per stage and seed, each seed through the whole anneal
-    assert stages == list(cellsolver._ANNEAL) * trace["restarts"]
-    # the solve at fixed lam asks for no lam gradient: psi only, 2 per node
-    assert sizes == {(2 * kagome.n_basic, 2 * kagome.n_basic)}
+    # one objective per stage, every seed in its stack
+    assert stages == list(cellsolver._ANNEAL)
+    # the solve at fixed lam asks for no lam gradient: stacks of psi rows, 2 per node
+    assert sizes == {(2, 2 * kagome.n_basic, 2 * kagome.n_basic)}
 
 
 def test_estimate_density_keeps_the_winning_breakdown(kagome, monkeypatch):
@@ -237,16 +238,18 @@ def test_estimate_density_solver_trace_is_pinned(kagome, monkeypatch):
 
 
 def test_polish_to_zero_short_circuits_wherever_the_seed_stands(kagome, monkeypatch):
-    # L-BFGS "finds" the twist at its own lam, so the zero seed is polished
-    # down to zero; the trace must not depend on whether a seed follows it
+    # L-BFGS "finds" the twist at its own lam, so every seed is polished
+    # down to zero; the trace must not depend on whether a seed follows the
+    # zero seed, though every seed is polished
     twist = twist_mechanism(kagome, 0.5).deformation
     monkeypatch.setattr(cellsolver, "_twist_seed", lambda *args: None)
-    norms_seen = []
+    norms_seen = []     # per stage, the gradient norm of every row polished
 
-    def polish_to_twist(fun, x0, maxiter, ftol, gtol):
-        x = twist.psi.ravel().copy()
-        norms_seen.append(float(np.linalg.norm(fun(x)[1])))
-        return x, 1, 0, "converged", fun(x)[1]
+    def polish_to_twist(fun, X0, maxiter, ftol, gtol):
+        X = np.repeat(twist.psi.reshape(1, -1), len(X0), axis=0)
+        G = fun(X)[1]
+        norms_seen.append([float(np.linalg.norm(g)) for g in G])
+        return [(x, 1, 0, "converged", g) for x, g in zip(X, G)]
 
     monkeypatch.setattr(cellsolver, "_lbfgsb", polish_to_twist)
     traces = []
@@ -254,13 +257,102 @@ def test_polish_to_zero_short_circuits_wherever_the_seed_stands(kagome, monkeypa
         norms_seen.clear()
         est = estimate_density(kagome, twist.lam, 0.05, restarts=restarts)
         assert est.upper <= cellsolver._SHORT_TOL
-        assert len(norms_seen) == len(cellsolver._ANNEAL)     # the zero seed alone
+        # one stack per stage, of every seed
+        assert [len(stack) for stack in norms_seen] == [1 + restarts] * len(cellsolver._ANNEAL)
         trace = est.solver_trace
         assert trace["best_seed"] == "zero" and trace["short_circuit"]
         # the polish's own gradient norm, not a made-up zero
-        assert trace["final_grad_norm"] == norms_seen[-1] > 0
+        assert trace["final_grad_norm"] == norms_seen[-1][0] > 0
         traces.append({key: v for key, v in trace.items() if key != "restarts"})
     assert traces[0] == traces[1]
+
+
+def _polish_alone(spec, lam, eta, k=1, restarts=6, rng_seed=0):
+    """``estimate_density`` as it was with each seed polished in turn, a
+    stack of one at a time, and the seeds after a zero polish not
+    polished: the reference of the stacked polish."""
+    lam = np.asarray(lam, dtype=float).reshape(2, 2)
+    cell = Supercell(spec, k)
+    n = cell.n_nodes
+    trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
+               "stalled_stages": 0, "twist_bracket_gap": None}
+    fixed = [("zero", np.zeros((n, 2)))]
+    tw = cellsolver._twist_seed(spec, lam, k, trouble)
+    if tw is not None:
+        fixed.append(("twist", tw))
+
+    def random_seeds():
+        rng = np.random.default_rng(rng_seed)
+        for r in range(restarts):
+            amp = 0.1 if r % 2 == 0 else 0.3
+            yield f"random{r}", amp * rng.standard_normal((n, 2))
+
+    def exact(psi):
+        return energy_breakdown(PeriodicDeformation(cell, lam, psi), eta)
+
+    best, seeds, starts = None, [], []
+    for label, psi0 in chain(fixed, random_seeds()):
+        seeds.append((label, psi0))
+        starts.append(exact(psi0))
+        if starts[-1].averaged <= cellsolver._SHORT_TOL:
+            best = (starts[-1], label, psi0, 0.0)
+            break
+    total_iters = 0
+    short_circuit = best is not None
+    for (label, psi0), bd0 in ([] if short_circuit else zip(seeds, starts)):
+        if best is None or bd0.averaged < best[0].averaged:
+            best = (bd0, label, psi0, np.nan)
+        x = psi0.ravel()
+        for tau in cellsolver._ANNEAL:
+            [(x, nit, status, message, g)] = cellsolver._lbfgsb(
+                cellsolver._density_objective(cell, lam, eta, tau), x[None],
+                cellsolver._MAXITER, 1e-16, 1e-12)
+            total_iters += nit
+            if status == 1:
+                trouble["unconverged_stages"] += 1
+                trouble["last_unconverged_message"] = message
+            elif status == 2:
+                trouble["stalled_stages"] += 1
+            grad_norm = float(np.linalg.norm(g))
+        psi = x.reshape(n, 2)
+        bd = exact(psi)
+        if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
+            best = (bd, label, psi, grad_norm)
+        if best[0].averaged <= cellsolver._SHORT_TOL:
+            short_circuit = True
+            break
+    bd, label, psi, grad_norm = best
+    return cellsolver.DensityEstimate(
+        upper=bd.averaged, upper_spring=bd.spring_total / bd.cell_area,
+        upper_penalty=bd.penalty_total / bd.cell_area,
+        minimizer=PeriodicDeformation(cell, lam, psi),
+        solver_trace={"restarts": len(fixed) + restarts, "iterations": total_iters,
+                      "final_grad_norm": grad_norm, "best_seed": label,
+                      "short_circuit": short_circuit, **trouble})
+
+
+def _same_estimate(got, want):
+    """Every field of two density estimates, bit for bit (a NaN equal to a NaN)."""
+    for name in ("upper", "upper_spring", "upper_penalty"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    assert got.minimizer.lam.tobytes() == want.minimizer.lam.tobytes()
+    assert got.minimizer.psi.tobytes() == want.minimizer.psi.tobytes()
+    assert got.minimizer.cell.k == want.minimizer.cell.k
+    assert list(got.solver_trace) == list(want.solver_trace)
+    for key, value in want.solver_trace.items():
+        assert repr(got.solver_trace[key]) == repr(value), key
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_stacked_polish_equals_polishing_each_seed_alone(request, spec_name, k):
+    # noniso rows 0, 3 and 12 and the det < 0 row 16, which has no twist seed
+    spec = request.getfixturevalue(spec_name)
+    grid = lambda_grid("noniso")
+    assert np.linalg.det(grid[16]) < 0
+    for row in (0, 3, 12, 16):
+        _same_estimate(estimate_density(spec, grid[row], 0.05, k=k, rng_seed=row),
+                       _polish_alone(spec, grid[row], 0.05, k=k, rng_seed=row))
 
 
 # ---------------------------------------------------------------------------

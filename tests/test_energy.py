@@ -6,6 +6,7 @@ import importlib.machinery
 import importlib.util
 import pickle
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from latmech.energy import (
     _lbfgsb,
     _scipy_extension,
     _search_objective,
+    _smoothed,
     check_cell_bounds,
     domain_energy,
     energy_breakdown,
@@ -316,10 +318,11 @@ def _same_bits(got, want):
 
 
 def _same_psi_bits(got, want):
-    """``(E, gx)`` of a density stage objective against a full ``(E, glam, gpsi)``."""
-    assert len(got) == 2
-    assert float(got[0]).hex() == float(want[0]).hex()
-    assert np.array_equal(got[1], want[2].ravel())
+    """``(E, G)`` of a density stage objective on a stack of one against a
+    full ``(E, glam, gpsi)``."""
+    assert len(got) == 2 and got[1].shape[0] == 1
+    assert float(got[0][0]).hex() == float(want[0]).hex()
+    assert np.array_equal(got[1][0], want[2].ravel())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -340,7 +343,7 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
             full = smoothed_energy_grad(cell, lam, psi, 0.1, tau)
             ref = _ref_smoothed(cell, lam, psi, 0.1, tau)
             _same_bits(full, ref)
-            psi_only = _density_objective(cell, lam, 0.1, tau)(psi.ravel())
+            psi_only = _density_objective(cell, lam, 0.1, tau)(psi.reshape(1, -1))
             _same_psi_bits(psi_only, full)
             _same_psi_bits(psi_only, ref)
         for mu in (1e-2, 1e-6):
@@ -348,6 +351,55 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
                        _ref_barrier(cell, lam, psi, mu))
     assert (dets["flipped"] < 0).all()
     assert (dets["mild"] > 0).all()
+
+
+def _rows_alone(kernel, Z, lams, want):
+    """``kernel`` on the stack ``Z`` with one ``lam`` per row, or none for
+    a fixed ``lam``: each row has the bits of the kernel on a stack of
+    that row alone and of ``want(row) -> (E, glam, gpsi)``.  Returns the
+    stack's energies."""
+    stacked = kernel(Z, lams)
+    assert stacked[0].shape == (len(Z),) and stacked[2].shape == Z.shape
+    for i in range(len(Z)):
+        alone = kernel(Z[i:i + 1], None if lams is None else lams[i:i + 1])
+        E, glam, gpsi = want(i)
+        for got, row in ((stacked, i), (alone, 0)):
+            assert float(got[0][row]).hex() == float(E).hex()
+            assert got[1] is None if lams is None else np.array_equal(got[1][row], glam)
+            assert np.array_equal(got[2][row], gpsi.ravel())
+    return stacked[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_stacked_kernel_rows_have_the_bits_of_each_row_alone(request, spec_name, k):
+    """Each row of a stacked :func:`_kernel` call has the bits of that row
+    alone and of the per-class reference, in all three modes: fixed-``lam``
+    smoothed, variable-``lam`` springs and barrier.  A row with a reversed
+    triangle gives ``(inf, 0)`` in the barrier, beside rows that do not,
+    and no floating-point warning.
+
+    The gather must be ``np.take(Z, head, axis=1)``: a fancy gather
+    ``Z[:, head]`` returns a layout that is not C-ordered, and from k = 3
+    on the sums over the cells then add in another order and round
+    differently."""
+    spec = request.getfixturevalue(spec_name)
+    cell, cases = _bit_cases(spec, k, [k, 35])
+    lams = np.array([lam for _, lam, _ in cases])
+    psis = [psi for _, _, psi in cases]
+    Z = np.array([psi.ravel() for psi in psis])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in lams:        # every psi at each fixed lam
+            _rows_alone(_kernel(cell, True, _smoothed(cell, 0.1, 0.02), lam=lam), Z, None,
+                        lambda i: _ref_smoothed(cell, lam, psis[i], 0.1, 0.02))
+        with np.errstate(all="raise"):
+            _rows_alone(_kernel(cell, True), Z, lams,
+                        lambda i: _ref_spring(cell, lams[i], psis[i]))
+            E = _rows_alone(_kernel(cell, False, _barrier(1e-3)), Z, lams,
+                            lambda i: _ref_barrier(cell, lams[i], psis[i], 1e-3))
+    names = [name for name, _, _ in cases]
+    assert E[names.index("flipped")] == np.inf and np.isfinite(E[names.index("mild")])
 
 
 def _ref_search(cell, x, mu):
@@ -369,31 +421,33 @@ def _ref_search(cell, x, mu):
 @pytest.mark.parametrize("si", range(6))
 def test_search_objective_matches_summed_kernels_bit_for_bit(si, k):
     """Each barrier stage of the search, mu = 0 included, has the bits of
-    adding the spring and barrier kernels; a reversed triangle gives
-    ``(inf, 0)`` at every mu > 0."""
+    adding the spring and barrier kernels on every row of a stack; a row
+    with a reversed triangle gives ``(inf, 0)`` at every mu > 0, with no
+    floating-point warning, beside rows that do not."""
     spec = _specs()[si]
     cell, cases = _bit_cases(spec, k, [si, k, 7])
     objectives = {mu: _search_objective(cell, mu) for mu in (1e-2, 1e-4, 1e-6, 0.0)}
-    reversed_ = {}
-    for name, lam, psi in cases:
-        x = _pack(lam, psi)
-        reversed_[name] = bool((_ref_triangle_edges(cell, *_unpack(x, cell.n_nodes))[2]
-                                <= 0).any())
-        for mu, f in objectives.items():
-            E, g = f(x)
+    X = np.array([_pack(lam, psi) for _, lam, psi in cases])
+    reversed_ = [bool((_ref_triangle_edges(cell, *_unpack(x, cell.n_nodes))[2] <= 0).any())
+                 for x in X]
+    for mu, f in objectives.items():
+        with np.errstate(all="raise"):
+            E, G = f(X)
+        assert E.shape == (len(X),) and G.shape == X.shape
+        for x, e, g, rev in zip(X, E, G, reversed_):
             want = _ref_search(cell, x, mu)
-            assert float(E).hex() == float(want[0]).hex()
+            assert float(e).hex() == float(want[0]).hex()
             assert np.array_equal(g, want[1])
-            if mu > 0 and reversed_[name]:
-                assert E == np.inf and np.array_equal(g, np.zeros_like(x))
+            if mu > 0 and rev:
+                assert e == np.inf and np.array_equal(g, np.zeros_like(x))
             else:
-                assert np.isfinite(E)
-    assert reversed_["flipped"] and not reversed_["mild"]
+                assert np.isfinite(e)
+    assert reversed_[1] and not reversed_[2]        # flipped and mild
 
 
 def test_stage_objectives_return_a_new_gradient_every_call(kagome):
-    """L-BFGS keeps earlier gradients: a later call must leave them, and
-    the point it was given, as they were."""
+    """A later call must leave the results of an earlier one, and the
+    stack it was given, as they were."""
     cell = Supercell(kagome, 2)
     n = cell.n_nodes
     rng = np.random.default_rng(21)
@@ -403,84 +457,121 @@ def test_stage_objectives_return_a_new_gradient_every_call(kagome):
     stages += [(_search_objective(cell, mu), _pack(np.eye(2), np.zeros((n, 2))))
                for mu in (1e-4, 0.0)]
     for f, base in stages:
-        xs = [base + 0.01 * rng.standard_normal(len(base)) for _ in range(3)]
-        kept = [xs[0].copy()]
-        first = f(xs[0])
-        copy = first[1].copy()
-        second = f(xs[1])
-        f(xs[2])
-        assert np.array_equal(first[1], copy)
-        assert np.array_equal(xs[0], kept[0])
-        assert not np.shares_memory(first[1], second[1])
-        assert np.isfinite(first[0]) and not np.array_equal(first[1], second[1])
-        assert float(f(xs[0])[0]).hex() == float(first[0]).hex()
+        Xs = [base + 0.01 * rng.standard_normal((2, len(base))) for _ in range(3)]
+        kept = Xs[0].copy()
+        first = f(Xs[0])
+        copies = [a.copy() for a in first]
+        second = f(Xs[1])
+        f(Xs[2])
+        assert all(np.array_equal(a, c) for a, c in zip(first, copies))
+        assert np.array_equal(Xs[0], kept)
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        assert np.isfinite(first[0]).all() and not np.array_equal(first[1], second[1])
+        assert f(Xs[0])[0].tobytes() == first[0].tobytes()
 
 
-def _lbfgsb_against_minimize(f, x0, maxiter, ftol, gtol):
-    """One L-BFGS stage by ``_lbfgsb`` and by scipy's ``minimize``, the
-    reference it repeats: the point, iteration count, status, message and
-    final gradient must agree bit for bit.  Returns ``_lbfgsb``'s tuple."""
+def _lbfgsb_against_minimize(f, X0, maxiter, ftol, gtol):
+    """One L-BFGS stage by ``_lbfgsb`` on the stack ``X0`` and by scipy's
+    ``minimize`` on each row alone, the reference it repeats, with ``f``
+    on a stack of one: each row's point, iteration count, status, message
+    and final gradient must agree bit for bit.  Returns ``_lbfgsb``'s
+    rows."""
     from scipy.optimize import minimize
 
-    res = minimize(f, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": maxiter, "ftol": ftol, "gtol": gtol})
-    x, nit, status, message, g = _lbfgsb(f, x0, maxiter, ftol, gtol)
-    assert x.tobytes() == res.x.tobytes()
-    assert g.tobytes() == res.jac.tobytes()
-    assert (nit, status, message) == (res.nit, res.status, res.message)
-    return x, nit, status, message, g
+    def alone(x):
+        E, G = f(x[None])
+        return E[0], G[0]
+
+    rows = _lbfgsb(f, X0, maxiter, ftol, gtol)
+    assert len(rows) == len(X0)
+    for x0, (x, nit, status, message, g) in zip(X0, rows):
+        res = minimize(alone, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": maxiter, "ftol": ftol, "gtol": gtol})
+        assert x.tobytes() == res.x.tobytes()
+        assert g.tobytes() == res.jac.tobytes()
+        assert (nit, status, message) == (res.nit, res.status, res.message)
+    return rows
+
+
+def _chain(f_stages, X, *options):
+    """The stack ``X`` through every stage objective in turn, each stage
+    checked by :func:`_lbfgsb_against_minimize`; the statuses seen."""
+    seen = set()
+    for f in f_stages:
+        rows = _lbfgsb_against_minimize(f, X, *options)
+        X = np.array([row[0] for row in rows])
+        seen.update(row[2] for row in rows)
+    return seen
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
 def test_lbfgsb_matches_minimize_on_the_density_stages(request, spec_name, k):
     """Every anneal stage of the density solve, chained as
-    ``estimate_density`` chains them, from the zero seed and from two
-    random seeds."""
+    ``estimate_density`` chains them, on one stack of the zero seed and
+    two random seeds."""
     cell = Supercell(request.getfixturevalue(spec_name), k)
     n = cell.n_nodes
     rng = np.random.default_rng([28, k])
     lam = np.diag([1.15, 0.9])
-    for psi0 in (np.zeros((n, 2)), 0.1 * rng.standard_normal((n, 2)),
-                 0.3 * rng.standard_normal((n, 2))):
-        x = psi0.ravel()
-        for tau in _ANNEAL:
-            x = _lbfgsb_against_minimize(_density_objective(cell, lam, 0.05, tau), x,
-                                         _MAXITER, 1e-16, 1e-12)[0]
+    X = np.array([np.zeros(2 * n), 0.1 * rng.standard_normal(2 * n),
+                  0.3 * rng.standard_normal(2 * n)])
+    seen = _chain([_density_objective(cell, lam, 0.05, tau) for tau in _ANNEAL], X,
+                  _MAXITER, 1e-16, 1e-12)
+    assert 0 in seen
+
+
+def _search_starts(cell, k):
+    """Two random starts of the mechanism search, a reflected one, where
+    every barrier stage starts at ``(inf, 0)``, and the identity."""
+    n = cell.n_nodes
+    rng = np.random.default_rng([28, k])
+    starts = [(0.7 * rotation(0.4) + 0.02 * rng.standard_normal((2, 2)), 0.2),
+              (np.eye(2) + 0.3 * rng.standard_normal((2, 2)), 0.2),
+              (np.diag([1.0, -1.0]), 0.0), (np.eye(2), 0.0)]
+    X = []
+    for lam0, amp in starts:
+        psi0 = amp * rng.standard_normal((n, 2))
+        psi0[0] = 0.0
+        X.append(_pack(lam0, psi0))
+    return np.array(X)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
 def test_lbfgsb_matches_minimize_on_the_search_stages(request, spec_name, k):
     """Every barrier stage of the mechanism search, chained as
-    ``search_mechanisms`` chains them, from two random starts and from a
-    reflected one, where every barrier stage starts at ``(inf, 0)``."""
+    ``search_mechanisms`` chains them, on one stack of the starts of
+    :func:`_search_starts`."""
     cell = Supercell(request.getfixturevalue(spec_name), k)
-    n = cell.n_nodes
-    rng = np.random.default_rng([28, k])
     objectives = [_search_objective(cell, mu) for mu in (1e-2, 1e-4, 1e-6, 0.0)]
-    starts = [(0.7 * rotation(0.4) + 0.02 * rng.standard_normal((2, 2)), 0.2),
-              (np.eye(2) + 0.3 * rng.standard_normal((2, 2)), 0.2),
-              (np.diag([1.0, -1.0]), 0.0)]
-    for lam0, amp in starts:
-        psi0 = amp * rng.standard_normal((n, 2))
-        psi0[0] = 0.0
-        x = _pack(lam0, psi0)
-        if amp == 0.0:
-            assert objectives[0](x)[0] == np.inf
-        for objective in objectives:
-            x = _lbfgsb_against_minimize(objective, x, 400, 1e-18, 1e-14)[0]
+    X = _search_starts(cell, k)
+    assert objectives[0](X)[0][2] == np.inf
+    with np.errstate(all="raise"):
+        seen = _chain(objectives, X, 400, 1e-18, 1e-14)
+    assert 0 in seen
 
 
 def test_lbfgsb_matches_minimize_at_the_iteration_limit_and_a_stalled_line_search(
-        rotating_squares):
+        kagome, rotating_squares):
+    """Stacks whose rows end every way a stage ends: converged, at the
+    iteration limit, with a stalled line search (it finds no decrease),
+    and converged at once from ``(inf, 0)``."""
     cell = Supercell(rotating_squares, 1)
+    n = cell.n_nodes
     f = _density_objective(cell, np.array([[1.1, 0.3], [-0.2, 0.7]]), 0.05, 0.05)
-    x0 = 0.3 * np.random.default_rng(3).standard_normal(2 * cell.n_nodes)
-    assert _lbfgsb_against_minimize(f, x0, 5, 1e-16, 1e-12)[1:4] == (
-        5, 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
-    # abnormal line-search termination: the line search finds no decrease
-    assert _lbfgsb_against_minimize(f, x0, _MAXITER, 1e-16, 1e-12)[2:4] == (2, "ABNORMAL: ")
+    rng = np.random.default_rng(4)
+    X = np.array([0.3 * np.random.default_rng(3).standard_normal(2 * n), np.zeros(2 * n),
+                  0.1 * rng.standard_normal(2 * n), 0.3 * rng.standard_normal(2 * n)])
+    rows = _lbfgsb_against_minimize(f, X, 20, 1e-16, 1e-12)
+    assert [row[2] for row in rows] == [2, 0, 0, 1]
+    assert rows[0][3] == "ABNORMAL: "
+    assert rows[3][1:4] == (20, 1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+
+    cell = Supercell(kagome, 1)
+    rows = _lbfgsb_against_minimize(_search_objective(cell, 1e-2), _search_starts(cell, 1),
+                                    12, 1e-18, 1e-14)
+    assert [row[1:3] for row in rows] == [(10, 2), (12, 1), (0, 0), (4, 0)]
 
 
 def test_lbfgsb_messages_are_scipys():

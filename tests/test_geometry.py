@@ -11,9 +11,7 @@ from latmech.geometry import (
     _pair_grid,
     averaged_vectors,
     commutator_closed_form,
-    commutator_direct,
     conformal_check,
-    direction_stretch,
     lambda_from_averages,
     lower_bracket,
     principal_stretches,
@@ -25,8 +23,26 @@ from latmech.geometry import (
     triangle_reference,
     triangle_spring_energy,
 )
-from latmech.lattice import PeriodicDeformation, Supercell
+from latmech.lattice import PeriodicDeformation, Supercell, rotation
 from latmech.mechanisms import _twist_plan
+
+
+# independent references: the identities the library evaluates in closed
+# or vectorized form, computed the direct way
+
+
+def commutator_direct(lam, alpha: float, e) -> float:
+    """``|(lam R(alpha) - R(alpha) lam) e|`` for a unit vector ``e``."""
+    R = rotation(alpha)
+    C = lam @ R - R @ lam
+    return float(np.linalg.norm(C @ e))
+
+
+def direction_stretch(l1, l2, theta):
+    """``|diag(l1, l2) e_theta|`` for the unit direction at angle theta
+    measured from the first principal axis."""
+    return np.sqrt(l2**2 + (l1**2 - l2**2) * np.cos(theta) ** 2)
+
 
 from conftest import random_deformation
 

@@ -41,9 +41,6 @@ READERS = sorted(p for d in ("src/latmech", "demos", "perfbench")
 
 # public names that only unit tests read, kept as independent references
 UNIT_TEST_REFERENCES = {
-    "commutator_direct": "the commutator as a matrix product, which checks its closed form",
-    "direction_stretch": "the stretch along one direction, which checks the vectorized "
-                         "slacks of the scalar inequalities",
     "lambda_from_averages": "the affine part recovered from the marker averages, which "
                             "checks the averaging identity",
 }
@@ -76,7 +73,6 @@ UNREAD_FIELDS = {
 _REPLACED = ("ROADMAP items 1-3 replace this function; its unit tests and pins run it "
              "at other sizes than the acceptance tests")
 UNSET_OPTIONS = {
-    ("commutator_direct", "e"): "the unit-test reference takes the direction to check",
     ("verify_isotropic_bound", "k"): "perfbench/layers.py passes k=1 by keyword, so the "
                                       "option goes when the bench changes",
     **{(name, param): _REPLACED for name, params in (
@@ -203,7 +199,7 @@ def test_top_level_solver_import_is_caught():
 
 def test_package_loads_each_module_on_first_access():
     """``import latmech`` loads no submodule; its ``__all__`` is the
-    modules' ``__all__`` lists in module order (72 names), each name the
+    modules' ``__all__`` lists in module order (70 names), each name the
     defining module's object, and ``from latmech import *`` binds them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
@@ -217,7 +213,7 @@ def test_package_loads_each_module_on_first_access():
 
     modules = (lattice, energy, geometry, mechanisms, cellsolver, softmodes)
     assert latmech.__all__ == [*(n for m in modules for n in m.__all__), "__version__"]
-    assert len(latmech.__all__) == 72
+    assert len(latmech.__all__) == 70
     star = {}
     exec("from latmech import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(latmech.__all__)

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from latmech.energy import energy_breakdown, triangle_dets
+from latmech.energy import _lbfgsb, _search_objective, energy_breakdown, triangle_dets
 from latmech.geometry import signed_svd
-from latmech.lattice import (DegenerateGeometryError, LatticeSpec, Supercell, build_kagome,
-                             build_variant)
+from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
+                             Supercell, build_kagome, build_variant, rotation)
 from latmech.mechanisms import (
     MechanismError,
     PlacementPlan,
+    _pack,
+    _unpack,
     _twist_fields,
     _twist_plan,
     certify,
@@ -292,6 +294,47 @@ def test_search_finds_mechanisms(kagome):
         assert mech.certificate.sigma1 <= 1 + 1e-8
     energies = [m.certificate.energy for m in hits]
     assert energies == sorted(energies)
+
+
+def _search_alone(spec, k, restarts=32, rng_seed=0):
+    """``search_mechanisms`` as it was with each restart run through the
+    barrier stages in turn, a stack of one at a time: the reference of
+    the stacked search, as ``(restart, energy, lam, psi)`` per hit."""
+    cell = Supercell(spec, k)
+    n = cell.n_nodes
+    rng = np.random.default_rng(rng_seed)
+    objectives = [_search_objective(cell, mu) for mu in (1e-2, 1e-4, 1e-6, 0.0)]
+    starts = []
+    while len(starts) < restarts:
+        if len(starts) % 2 == 0:
+            lam0 = rng.uniform(0.2, 0.99) * rotation(rng.uniform(0, 2 * np.pi))
+            lam0 += 0.02 * rng.standard_normal((2, 2))
+        else:
+            lam0 = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+        starts.append(_pack(lam0, 0.2 * rng.standard_normal((n, 2))))
+    found = []
+    for si, x in enumerate(starts):
+        for objective in objectives:
+            [(x, *_)] = _lbfgsb(objective, x[None], 400, 1e-18, 1e-14)
+        lam, psi = _unpack(x, n)
+        defm = PeriodicDeformation(cell, lam, psi)
+        cert = certify(defm)
+        if cert.energy <= 1e-12 and cert.min_det > 0:
+            found.append((cert.energy, energy_breakdown(defm, 0.1).spring_total, si,
+                          lam.tobytes(), psi.tobytes()))
+    found.sort(key=lambda rec: rec[:3])
+    return [(si, energy, lam, psi) for energy, _, si, lam, psi in found]
+
+
+@pytest.mark.parametrize("spec_name, k", [("kagome", 2), ("rotating_squares", 1)])
+def test_stacked_search_equals_running_each_restart_alone(request, spec_name, k):
+    spec = request.getfixturevalue(spec_name)
+    with np.errstate(all="raise"):
+        hits = search_mechanisms(spec, k, restarts=32, rng_seed=7)
+    want = _search_alone(spec, k, restarts=32, rng_seed=7)
+    assert want
+    assert [(m.params["restart"], m.certificate.energy, m.deformation.lam.tobytes(),
+             m.deformation.psi.tobytes()) for m in hits] == want
 
 
 # ---------------------------------------------------------------------------

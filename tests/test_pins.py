@@ -110,9 +110,10 @@ def _cases():
 
 
 def _one_shot(kernel, lam, psi):
-    """``(E, glam, gpsi)`` of a variable-``lam`` gradient kernel at one state."""
-    E, glam, g = kernel(psi.ravel(), lam)
-    return E, glam, g.reshape(-1, 2)
+    """``(E, glam, gpsi)`` of a variable-``lam`` gradient kernel at one
+    state, a stack of one."""
+    E, glam, g = kernel(psi.reshape(1, -1), np.asarray(lam)[None])
+    return float(E[0]), glam[0], g[0].reshape(-1, 2)
 
 
 def _barrier_grad(spec, k, rough, mild):
