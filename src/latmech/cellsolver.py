@@ -5,6 +5,9 @@ periodic perturbation ``psi`` at fixed macroscopic gradient ``lam``,
 annealing a sigmoid-smoothed orientation penalty and always reporting the
 exact step-penalty value of the final iterate (any feasible field is a
 valid upper bound, so poor convergence can never overstate softness).
+``_estimate_densities`` solves a grid of gradients at one supercell size
+at once, every seed of every gradient in one L-BFGS stack, with the bits
+of solving each gradient alone.
 
 The verification helpers compare those estimates against the stretch
 bracket (the shape the density is bounded below by, up to a constant
@@ -53,6 +56,7 @@ _ANNEAL = (0.05, 0.02, 0.008, 0.003)   # smoothing widths tau of the L-BFGS stag
 _MAXITER = 300          # L-BFGS iterations per anneal stage
 _SHORT_TOL = 1e-13      # an exact energy density at or below this is a zero
 _JENSEN_CHUNK = 1 << 14  # psi node slots of the Jensen trials stacked at once
+_POLISH_CHUNK = 1 << 15  # psi node slots of the density seeds polished in one stack
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +158,8 @@ def estimate_density(
     restarts: int = 6,
     rng_seed: int = 0,
 ) -> DensityEstimate:
-    """Upper-bound the effective energy density at fixed ``lam``.
+    """Upper-bound the effective energy density at fixed ``lam``: the one
+    gradient case of :func:`_estimate_densities`, which solves a grid.
 
     Seeds: ``psi = 0``, the aligned twist field when ``lam`` is close to a
     reachable isotropic compression, and ``restarts`` random fields.  The
@@ -171,10 +176,12 @@ def estimate_density(
     once for the stage at its ``tau``: the energy of
     :func:`~latmech.energy.smoothed_energy_grad` and its ``psi`` gradient
     (no ``lam`` gradient), with the fixed ``lam @ dx`` and constants made
-    once.  The stage runs in :func:`~latmech.energy._lbfgsb` on the stack
-    of all seeds, one objective call per round on the seeds that ask for
-    an evaluation, each seed with the bits of ``scipy.optimize.minimize``
-    on it alone; that step, the smoothed penalty's ``expit`` and the twist
+    once.  The stage runs in :func:`~latmech.energy._lbfgsb` on one stack
+    of seeds, one objective call per round on the seeds that ask for an
+    evaluation, each seed with the bits of ``scipy.optimize.minimize`` on
+    it alone; a grid solve stacks the seeds of all its gradients, each
+    row at its own ``lam``, so every estimate keeps the bits of its solve
+    alone.  That step, the smoothed penalty's ``expit`` and the twist
     seed's root finder are scipy's compiled modules loaded by file, so no
     scipy package is ever imported.  The polished seeds are then taken in
     order, as if polished one after another: the first that reaches 1e-13
@@ -194,19 +201,32 @@ def estimate_density(
     twist seed when its inversion bracket failed (``twist_bracket_gap``;
     ``None`` otherwise).
     """
-    _check_cell_eta(spec, eta, k)
-    if k < 1:
-        raise ValueError(f"supercell size must be >= 1, got {k}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    lam = np.asarray(lam, dtype=float).reshape(2, 2)
-    cell = Supercell(spec, k)
-    n = cell.n_nodes
+    return _estimate_densities(spec, [lam], eta, k, restarts, rng_seed)[0]
 
+
+@dataclass
+class _Screened:
+    """One density solve after screening: its seeds in order with the
+    exact energy of each, and the seed that short-circuits the solve,
+    ``best = (breakdown, label, psi, 0.0)``, or ``None``."""
+
+    lam: np.ndarray
+    seeds: list         # (label, psi) of each seed screened
+    starts: list        # the exact energy of each
+    best: Optional[tuple]
+    trouble: dict
+    n_seeds: int        # the fixed seeds and restarts, screened or not
+
+
+def _screen(spec: LatticeSpec, cell: Supercell, lam: np.ndarray, eta: float,
+            restarts: int, rng_seed: int) -> _Screened:
+    """Screen the seeds of the solve at ``lam`` in order, up to the first
+    at or below ``_SHORT_TOL`` (see :func:`estimate_density`)."""
+    n = cell.n_nodes
     trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
                "stalled_stages": 0, "twist_bracket_gap": None}
     fixed = [("zero", np.zeros((n, 2)))]
-    tw = _twist_seed(spec, lam, k, trouble)
+    tw = _twist_seed(spec, lam, cell.k, trouble)
     if tw is not None:
         fixed.append(("twist", tw))
 
@@ -216,44 +236,41 @@ def estimate_density(
             amp = 0.1 if r % 2 == 0 else 0.3
             yield f"random{r}", amp * rng.standard_normal((n, 2))
 
-    def exact(psi):
-        return energy_breakdown(PeriodicDeformation(cell, lam, psi), eta)
-
-    best = None  # (breakdown, label, psi, final gradient norm)
-    seeds = []   # (label, psi) of each seed screened, in order
-    starts = []  # exact energy of each seed, screened before any polishing
+    out = _Screened(lam, [], [], None, trouble, len(fixed) + restarts)
     for label, psi0 in chain(fixed, random_seeds()):
-        seeds.append((label, psi0))
-        starts.append(exact(psi0))
-        if starts[-1].averaged <= _SHORT_TOL:
-            best = (starts[-1], label, psi0, 0.0)
+        bd = energy_breakdown(PeriodicDeformation(cell, lam, psi0), eta)
+        out.seeds.append((label, psi0))
+        out.starts.append(bd)
+        if bd.averaged <= _SHORT_TOL:
+            out.best = (bd, label, psi0, 0.0)
             break
-    total_iters = 0
+    return out
+
+
+def _select(cell: Supercell, eta: float, solve: _Screened, polished) -> DensityEstimate:
+    """The estimate of a screened solve: ``polished[j]`` holds seed ``j``'s
+    ``(x, nit, status, message, g)`` of each anneal stage, and is empty
+    when screening ended the solve.  The seeds are taken in order, as if
+    polished one after another: a seed after a zero polish is polished
+    but not counted."""
+    best, trouble = solve.best, solve.trouble
     short_circuit = best is not None
-    polish = [] if short_circuit else list(zip(seeds, starts))
-    stages = []     # per anneal stage, every seed's (x, nit, status, message, g)
-    if polish:      # all seeds at once, one stack per stage
-        X = np.array([psi0.ravel() for _, psi0 in seeds])
-        for tau in _ANNEAL:
-            stages.append(_lbfgsb(_density_objective(cell, lam, eta, tau), X,
-                                  _MAXITER, 1e-16, 1e-12))
-            X = np.array([row[0] for row in stages[-1]])
-    # the seeds in order, as if polished one after another: a seed after a
-    # zero polish is polished but not counted
-    for j, ((label, psi0), bd0) in enumerate(polish):
+    total_iters = 0
+    for (label, psi0), bd0, stages in zip(solve.seeds, solve.starts, polished):
         if best is None or bd0.averaged < best[0].averaged:
             best = (bd0, label, psi0, np.nan)
-        for _, nit, status, message, _ in (stage[j] for stage in stages):
+        for _, nit, status, message, _ in stages:
             total_iters += nit
             if status == 1:             # iteration or evaluation limit
                 trouble["unconverged_stages"] += 1
                 trouble["last_unconverged_message"] = message
             elif status == 2:           # abnormal line-search termination
                 trouble["stalled_stages"] += 1
-        psi = X[j].reshape(n, 2)
-        bd = exact(psi)
+        x, g = stages[-1][0], stages[-1][4]
+        psi = x.reshape(-1, 2)
+        bd = energy_breakdown(PeriodicDeformation(cell, solve.lam, psi), eta)
         if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
-            best = (bd, label, psi, float(np.linalg.norm(stages[-1][j][4])))
+            best = (bd, label, psi, float(np.linalg.norm(g)))
         if best[0].averaged <= _SHORT_TOL:    # polished down to zero: no later seed can beat it
             short_circuit = True
             break
@@ -263,11 +280,59 @@ def estimate_density(
         upper=bd.averaged,
         upper_spring=bd.spring_total / bd.cell_area,
         upper_penalty=bd.penalty_total / bd.cell_area,
-        minimizer=PeriodicDeformation(cell, lam, psi),
-        solver_trace={"restarts": len(fixed) + restarts, "iterations": total_iters,
+        minimizer=PeriodicDeformation(cell, solve.lam, psi),
+        solver_trace={"restarts": solve.n_seeds, "iterations": total_iters,
                       "final_grad_norm": grad_norm, "best_seed": label,
                       "short_circuit": short_circuit, **trouble},
     )
+
+
+def _polish(cell: Supercell, eta: float, solves: list) -> list:
+    """The estimates of screened ``solves``: the seeds of every solve that
+    screening did not end go through the anneal as one stack, each row at
+    its solve's ``lam``, one :func:`~latmech.energy._lbfgsb` call per
+    stage."""
+    open_ = [solve for solve in solves if solve.best is None]
+    stages = []     # per anneal stage, every row's (x, nit, status, message, g)
+    if open_:
+        lam = np.array([solve.lam for solve in open_ for _ in solve.seeds])
+        X = np.array([psi0.ravel() for solve in open_ for _, psi0 in solve.seeds])
+        for tau in _ANNEAL:
+            stages.append(_lbfgsb(_density_objective(cell, lam, eta, tau), X,
+                                  _MAXITER, 1e-16, 1e-12))
+            X = np.array([row[0] for row in stages[-1]])
+    per_row = iter(zip(*stages))        # each row's stages
+    return [_select(cell, eta, solve, [] if solve.best is not None
+                    else [next(per_row) for _ in solve.seeds])
+            for solve in solves]
+
+
+def _estimate_densities(spec: LatticeSpec, lams, eta: float, k: int, restarts: int,
+                        rng_seed: int) -> list:
+    """:func:`estimate_density` at each of ``lams`` on the ``k x k``
+    supercell, each estimate with the bits of that function on its
+    ``lam`` alone.  The solves are screened one by one, in order; the
+    seeds of every solve that screening did not end are polished in one
+    stack, each row at its own ``lam``, up to ``_POLISH_CHUNK`` node slots
+    (a row counting at least 64) of seeds, so memory is bounded for any
+    number of gradients.  Rows never interact, so the chunks do not move a
+    bit."""
+    _check_cell_eta(spec, eta, k)
+    if k < 1:
+        raise ValueError(f"supercell size must be >= 1, got {k}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    cell = Supercell(spec, k)
+    out, chunk, slots = [], [], 0
+    for lam in lams:
+        lam = np.asarray(lam, dtype=float).reshape(2, 2)
+        chunk.append(_screen(spec, cell, lam, eta, restarts, rng_seed))
+        if chunk[-1].best is None:
+            slots += len(chunk[-1].seeds) * max(cell.n_nodes, 64)
+        if slots >= _POLISH_CHUNK:
+            out += _polish(cell, eta, chunk)
+            chunk, slots = [], 0
+    return out + _polish(cell, eta, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +432,18 @@ def verify_isotropic_bound(
         )
     rng = np.random.default_rng(rng_seed)
     cell = Supercell(spec, k)
-    ratios = []
+    kept = []   # (lam, gap) of each anisotropic lam
     for lam in lams:
         lam = np.asarray(lam, dtype=float).reshape(2, 2)
         sd = signed_svd(lam)
         gap = (sd.sigma1 - sd.sigma2) ** 2
-        if gap < 1e-10:
-            continue
-        ratios.append(estimate_density(spec, lam, eta, k=k, restarts=3,
-                                       rng_seed=rng_seed).upper / gap)
+        if not gap < 1e-10:
+            kept.append((lam, gap))
+    # the solves draw nothing from ``rng``, so all of them go first, as one grid
+    solves = _estimate_densities(spec, [lam for lam, _ in kept], eta, k, 3, rng_seed)
+    ratios = []
+    for (lam, gap), est in zip(kept, solves):
+        ratios.append(est.upper / gap)
         for _ in range(3):
             psi = 0.2 * rng.standard_normal((cell.n_nodes, 2))
             e = energy_breakdown(PeriodicDeformation(cell, lam, psi), eta).averaged
@@ -621,20 +689,18 @@ def sandwich_report(
     """Fit ``c = min upper / lower_bracket`` over non-isotropic gradients
     at ``eta`` and at ``eta * eta_factor``; the two fits should agree to a
     modest factor if the bracket constant really is ``eta``-independent."""
+    if not k_list:
+        raise ValueError("the sandwich needs at least one supercell size in k_list")
     lams = [np.asarray(m, dtype=float).reshape(2, 2) for m in lams]
 
     def fit(eta_val):
-        ratios = []
-        for lam in lams:
-            br = lower_bracket(lam)
-            if br < 1e-12:
-                continue
-            upper = min(
-                estimate_density(spec, lam, eta_val, k=k, restarts=restarts).upper
-                for k in k_list
-            )
-            ratios.append(upper / br)
-        return np.asarray(ratios)
+        kept = [(lam, br) for lam, br in zip(lams, map(lower_bracket, lams))
+                if not br < 1e-12]
+        # one grid solve per k
+        per_k = [_estimate_densities(spec, [lam for lam, _ in kept], eta_val, k, restarts, 0)
+                 for k in k_list]
+        return np.asarray([min(est.upper for est in solves) / br
+                           for (_, br), solves in zip(kept, zip(*per_k))])
 
     ratios = fit(eta)
     alt = fit(eta * eta_factor)

@@ -16,7 +16,10 @@ disk, and ``_write`` alone makes directories and writes files.
 Every command is its own short process, so this module imports at top
 level only what every command needs (spec loading from
 :mod:`latmech.lattice`); each command imports the solver modules it runs
-when it runs.
+when it runs.  Before numpy loads, it sets each BLAS thread-count variable
+that the environment leaves unset to 1: the solvers' matrices are tiny, and
+the threads of a BLAS in every ``--jobs`` worker only oversubscribe the
+cores.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ import re
 import sys
 import traceback
 from itertools import chain
+
+# one BLAS thread per process, unless the user's environment says otherwise:
+# set before numpy loads its BLAS, and inherited by every --jobs worker
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _name in _BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 
@@ -524,20 +534,21 @@ def _cmd_mechanism(args) -> int:
     return EXIT_OK
 
 
-def _density_task(spec, lam, eta, k, restarts, seed):
-    """One density solve, projected to the six numbers that its CSV row
-    and its trouble note read: a whole ``DensityEstimate`` would carry its
-    minimizer and ``Supercell`` (1-8 KB per task) back through the pool."""
-    from .cellsolver import estimate_density
+def _density_task(spec, lams, eta, k, restarts, seed):
+    """The density solves at each of ``lams`` on one ``k``, polished in
+    one stack, each projected to the six numbers that its CSV row and its
+    trouble note read: a whole ``DensityEstimate`` would carry its
+    minimizer and ``Supercell`` (1-8 KB per solve) back through the pool."""
+    from .cellsolver import _estimate_densities
 
-    est = estimate_density(spec, lam, eta=eta, k=k, restarts=restarts, rng_seed=seed)
-    trace = est.solver_trace
-    return (est.upper, est.upper_spring, est.upper_penalty,
-            trace["unconverged_stages"], trace["stalled_stages"], trace["twist_bracket_gap"])
+    return [(est.upper, est.upper_spring, est.upper_penalty,
+             est.solver_trace["unconverged_stages"], est.solver_trace["stalled_stages"],
+             est.solver_trace["twist_bracket_gap"])
+            for est in _estimate_densities(spec, lams, eta, k, restarts, seed)]
 
 
 def _cmd_density_sweep(args) -> int:
-    # imported before the pool forks, so each worker inherits estimate_density
+    # imported before the pool forks, so each worker inherits the solver
     from .cellsolver import _SHORT_TOL, _check_cell_eta, lambda_grid
     from .geometry import lower_bracket
 
@@ -549,16 +560,22 @@ def _cmd_density_sweep(args) -> int:
     _check_cell_eta(spec, args.eta, max(ks))
     lams = (_grid_file(args.grid.split(":", 1)[1]) if args.grid.startswith("file:")
             else lambda_grid(args.grid, rng_seed=args.seed))
-    payloads = [(spec, lam, args.eta, k, args.restarts, args.seed)
-                for lam in lams for k in ks]
+    # one task per k and contiguous chunk of the grid, one chunk per job;
+    # the solves of a task share one stack, and no row reads another
+    n_chunks = _jobs(args, len(lams))
+    cuts = [len(lams) * i // n_chunks for i in range(n_chunks + 1)]
+    tasks = [(a, b, k) for a, b in zip(cuts, cuts[1:]) for k in ks]
+    payloads = [(spec, lams[a:b], args.eta, k, args.restarts, args.seed) for a, b, k in tasks]
     jobs = _jobs(args, len(payloads))
     path = _out_path(args, _file_name(f"density_{args.grid.replace(':', '_')}.csv"))
     results = _pool_map(_density_task, payloads, jobs)
+    solved = {(li, k): r for (a, b, k), task in zip(tasks, results)
+              for li, r in zip(range(a, b), task)}     # (index, k) -> that solve's numbers
     rows = []
     trouble = []
     for li, lam in enumerate(lams):
         bracket = lower_bracket(lam)
-        by_k = dict(zip(ks, results[li * len(ks):(li + 1) * len(ks)]))
+        by_k = {k: solved[li, k] for k in ks}
         for k, (upper, spring, penalty, unconverged, stalled, gap) in by_k.items():
             ratio = upper / bracket if bracket > 1e-12 else float("nan")
             rows.append([li, lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1], k,

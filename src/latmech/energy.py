@@ -228,18 +228,21 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     ``det(grad u)`` ``(B, nt, k*k)`` to per-class energies ``(B, nt)``,
     the derivative in ``det`` and a mask ``(B,)`` of the rows whose
     energy is infinite, or ``None`` for none), as a function
-    ``f(Z, lam) -> (E, glam, gZ)`` of a stack of ``B`` flat ``psi``
+    ``f(Z, at) -> (E, glam, gZ)`` of a stack of ``B`` flat ``psi``
     vectors ``Z`` ``(B, 2 n)``: ``E`` ``(B,)``, ``glam`` ``(B, 2, 2)`` and
     ``gZ`` ``(B, 2 n)``.  A row with an infinite energy has zero
     gradients.
 
     Everything that does not depend on ``Z`` is built here once: the
-    slices of ``cell.edges`` and ``cell.scatter``, the constants of the
-    springs, and the buffers of each stack height on its first call.
-    With a fixed ``lam`` the products ``lam @ dx`` are formed once too,
-    ``f`` ignores its ``lam`` and returns ``glam = None``; otherwise ``f``
-    takes one ``lam`` ``(B, 2, 2)`` per row on every call.  The results
-    are new arrays on every call.
+    slices of ``cell.edges`` and ``cell.scatter`` and the constants of the
+    springs.  With fixed gradients ``lam`` ``(R, 2, 2)`` the products
+    ``lam @ dx`` of all ``R`` are formed once too; ``at`` holds the index
+    in ``lam`` of each row of ``Z``, whose products are gathered, and
+    ``f`` returns ``glam = None``.  Otherwise ``at`` is one ``lam``
+    ``(B, 2, 2)`` per row, on every call.  The buffers are one set, made
+    at the tallest stack seen so far; a shorter stack writes the first
+    ``B`` rows, so a stack whose height falls row by row allocates
+    nothing.  The results are new arrays on every call.
 
     Each row has the bits of evaluating it alone, in a stack of one.  One
     gather of the needed edge classes, by ``take`` along the row axis
@@ -257,33 +260,41 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
     bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
     size = 2 * cell.n_nodes
+
+    def lam_dx(lam):
+        """``lam @ dx`` ``(B, classes, 1, 2)`` for ``lam`` ``(B, 2, 2)``:
+        matmul over stacked columns gives its bits row by row and class
+        by class."""
+        return np.matmul(lam[:, None], dx[:, :, None])[:, :, None, :, 0]
+
     fixed = lam is not None
     if fixed:
-        # matmul over stacked columns gives the bits of ``lam @ dx`` class by class
-        ldx = np.matmul(lam, dx[:, :, None])[:, None, :, 0]
+        ldx = lam_dx(lam)
     rest = cell.spring_rest[:, None]
     twice_k = 2.0 * cell.spring_stiffness[:, None]
     cross0 = cell.tri_cross0[:, None]
-    buffers = {}
+    tallest = []    # the one buffer set, of the tallest stack seen
 
     def stack_buffers(B):
-        """The buffers of a stack of ``B`` rows, made on its first call."""
-        if B not in buffers:
-            values = np.empty((B, len(bins)))
+        """Views of the first ``B`` rows of the buffers, which are made
+        anew only for a stack taller than any before."""
+        if not tallest or len(tallest[0]) < B:
             # a leading zero column makes the totals the ordered sums of the terms
-            buffers[B] = (np.zeros((B, 1 + n_s + n_t)),
+            tallest[:] = (np.zeros((B, 1 + n_s + n_t)),
                           None if fixed else np.zeros((B, 1 + n_s + n_t, 2, 2)),
-                          values,
-                          values[:, :4 * n_s * kk].reshape(B, n_s, 2, kk, 2),   # head, tail
-                          values[:, 4 * n_s * kk:].reshape(B, n_t, 3, kk, 2),   # P1, P2, P0
+                          np.empty((B, len(bins))),
                           (bins + size * np.arange(B)[:, None]).ravel())
-        return buffers[B]
+        E, glam, values, rows = tallest
+        values = values[:B]
+        return (E[:B], None if fixed else glam[:B], values,
+                values[:, :4 * n_s * kk].reshape(B, n_s, 2, kk, 2),   # head, tail
+                values[:, 4 * n_s * kk:].reshape(B, n_t, 3, kk, 2),   # P1, P2, P0
+                rows[:B * len(bins)])
 
-    def f(Z, lam):
+    def f(Z, at):
         B = len(Z)
         E, glam, values, v_s, v_t, rows = stack_buffers(B)
-        d = Z.take(head, axis=1) - Z.take(tail, axis=1) + (
-            ldx if fixed else np.matmul(lam[:, None], dx[:, :, None])[:, :, None, :, 0])
+        d = Z.take(head, axis=1) - Z.take(tail, axis=1) + (ldx[at] if fixed else lam_dx(at))
         infinite = None
         if springs:
             sx, sy = d[:, :ns, :, 0], d[:, :ns, :, 1]
@@ -371,24 +382,26 @@ def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
 
 
 def _density_objective(cell: Supercell, lam, eta: float, tau: float):
-    """The L-BFGS objective ``f(X) -> (E, G)`` of one anneal stage of the
-    density solve on a stack of flat ``psi`` vectors ``X`` ``(B, 2 n)``:
-    the smoothed energy of :func:`smoothed_energy_grad` at the fixed
-    ``lam`` and its gradient in ``psi``, with the bits of that function's
-    ``E`` and ``gpsi`` row by row."""
+    """The L-BFGS objective ``f(X, at) -> (E, G)`` of one anneal stage of
+    the density solve on a stack of flat ``psi`` vectors ``X`` ``(B, 2 n)``,
+    row ``i`` at the fixed gradient ``lam[at[i]]`` of ``lam`` ``(R, 2, 2)``:
+    the smoothed energy of :func:`smoothed_energy_grad` and its gradient
+    in ``psi``, with the bits of that function's ``E`` and ``gpsi`` row by
+    row."""
     kernel = _kernel(cell, True, _smoothed(cell, eta, tau), lam=lam)
 
-    def f(X):
-        E, _, G = kernel(X, None)
+    def f(X, at):
+        E, _, G = kernel(X, at)
         return E, G
 
     return f
 
 
 def _search_objective(cell: Supercell, mu: float):
-    """The L-BFGS objective ``f(X) -> (E, G)`` of one barrier stage of the
-    mechanism search on a stack of packed ``x = (lam.ravel(),
-    psi[1:].ravel())`` ``(B, 2 n + 2)`` (the first node pinned at zero):
+    """The L-BFGS objective ``f(X, at) -> (E, G)`` of one barrier stage of
+    the mechanism search on a stack of packed ``x = (lam.ravel(),
+    psi[1:].ravel())`` ``(B, 2 n + 2)`` (the first node pinned at zero;
+    ``at`` is not read):
     the spring energy plus, when ``mu > 0``, the log-barrier at ``mu``, or
     ``(inf, 0)`` on a row where that is not finite.
 
@@ -401,7 +414,7 @@ def _search_objective(cell: Supercell, mu: float):
     springs = _kernel(cell, True)
     barrier = _kernel(cell, False, _barrier(mu)) if mu > 0 else None
 
-    def f(X):
+    def f(X, at):
         lam = X[:, :4].reshape(-1, 2, 2)
         Z = np.zeros((len(X), 2 * cell.n_nodes))
         Z[:, 2:] = X[:, 4:]
@@ -422,9 +435,10 @@ def _search_objective(cell: Supercell, mu: float):
 
 
 def _lbfgsb(f, X0, maxiter: int, ftol: float, gtol: float):
-    """Minimize ``f(X) -> (E, G)`` from each start of the stack ``X0``
+    """Minimize ``f(X, at) -> (E, G)`` from each start of the stack ``X0``
     ``(B, n)`` by scipy's compiled L-BFGS-B step with no bounds; returns
-    one ``(x, nit, status, message, g)`` per row.
+    one ``(x, nit, status, message, g)`` per row.  ``at`` holds the index
+    in ``X0`` of each row of ``X``.
 
     Each row is the loop of ``scipy.optimize.minimize(f1, x0, jac=True,
     method="L-BFGS-B", options={"maxiter": maxiter, "ftol": ftol,
@@ -434,7 +448,7 @@ def _lbfgsb(f, X0, maxiter: int, ftol: float, gtol: float):
     scipy's messages), without its Python wrappers.  Every row keeps its
     own ``setulb`` state and runs until it asks for an evaluation or
     stops; then ``f`` is called once on the stack of the rows that asked,
-    and the round repeats until every row has stopped.  ``f`` must give
+    with their indices, and the round repeats until every row has stopped.  ``f`` must give
     each row the bits of evaluating it alone; then each row's ``x``,
     ``nit``, ``status``, ``message`` and final gradient ``g`` are those of
     ``minimize`` on it, bit for bit.  ``minimize`` neither repeats nor
@@ -479,7 +493,7 @@ def _lbfgsb(f, X0, maxiter: int, ftol: float, gtol: float):
                 elif nfev[i] > maxfun:
                     task_i[:] = 5, 502
         if asking:
-            fx[asking], G[asking] = f(X[asking])
+            fx[asking], G[asking] = f(X[asking], asking)
         running = asking
     out = []
     for i in range(B):

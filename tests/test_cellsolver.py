@@ -164,8 +164,8 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
         stages.append(tau)
         f = real(cell, lam, eta, tau)
 
-        def evaluate(X):
-            E, G = f(X)
+        def evaluate(X, at):
+            E, G = f(X, at)
             sizes.add((X.ndim, X.shape[1], G.shape[1]))
             return E, G
 
@@ -247,7 +247,7 @@ def test_polish_to_zero_short_circuits_wherever_the_seed_stands(kagome, monkeypa
 
     def polish_to_twist(fun, X0, maxiter, ftol, gtol):
         X = np.repeat(twist.psi.reshape(1, -1), len(X0), axis=0)
-        G = fun(X)[1]
+        G = fun(X, np.arange(len(X0)))[1]
         norms_seen.append([float(np.linalg.norm(g)) for g in G])
         return [(x, 1, 0, "converged", g) for x, g in zip(X, G)]
 
@@ -305,7 +305,7 @@ def _polish_alone(spec, lam, eta, k=1, restarts=6, rng_seed=0):
         x = psi0.ravel()
         for tau in cellsolver._ANNEAL:
             [(x, nit, status, message, g)] = cellsolver._lbfgsb(
-                cellsolver._density_objective(cell, lam, eta, tau), x[None],
+                cellsolver._density_objective(cell, lam[None], eta, tau), x[None],
                 cellsolver._MAXITER, 1e-16, 1e-12)
             total_iters += nit
             if status == 1:
@@ -353,6 +353,47 @@ def test_stacked_polish_equals_polishing_each_seed_alone(request, spec_name, k):
     for row in (0, 3, 12, 16):
         _same_estimate(estimate_density(spec, grid[row], 0.05, k=k, rng_seed=row),
                        _polish_alone(spec, grid[row], 0.05, k=k, rng_seed=row))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+def test_grid_solve_equals_each_gradient_alone(request, spec_name, k, monkeypatch):
+    """Each solve of a grid, its seeds polished in one stack beside those of
+    the other gradients, equals ``estimate_density`` on its gradient alone,
+    field by field, trace included: noniso rows 0, 3 and 12 and the det < 0
+    row 16, with a reachable compression that screening short-circuits
+    among them.  Cut into chunks of one solve, the grid keeps every bit."""
+    spec = request.getfixturevalue(spec_name)
+    grid = lambda_grid("noniso")
+    lams = [grid[0], grid[3], 0.6 * _rot(0.9), grid[12], grid[16]]
+    stacks = []     # the rows of every L-BFGS stage
+    real = cellsolver._lbfgsb
+
+    def counted(f, X0, *options):
+        stacks.append(len(X0))
+        return real(f, X0, *options)
+
+    monkeypatch.setattr(cellsolver, "_lbfgsb", counted)
+    alone = [estimate_density(spec, lam, 0.05, k=k, restarts=2, rng_seed=5) for lam in lams]
+    assert alone[2].solver_trace["short_circuit"] and alone[2].solver_trace["iterations"] == 0
+    stages = len(cellsolver._ANNEAL)
+    opened, rows = len(stacks) // stages, sum(stacks) // stages
+    assert opened == 4
+    for chunk, want_stacks in ((cellsolver._POLISH_CHUNK, [rows] * stages),
+                               (1, stacks[:])):
+        monkeypatch.setattr(cellsolver, "_POLISH_CHUNK", chunk)
+        stacks.clear()
+        with np.errstate(all="raise"):
+            solves = cellsolver._estimate_densities(spec, lams, 0.05, k, 2, 5)
+        # one stack per stage of the seeds of every open solve, or of each alone
+        assert stacks == want_stacks
+        assert len(solves) == len(lams)
+        for got, want in zip(solves, alone):
+            _same_estimate(got, want)
+
+
+def test_estimate_densities_of_no_gradient_solve_nothing(kagome):
+    assert cellsolver._estimate_densities(kagome, [], 0.05, 2, 1, 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -693,3 +734,5 @@ def test_sandwich_report_small(kagome):
     assert rep.c_fit_alt > 0
     assert 1.0 <= rep.stability <= 2.0
     assert len(rep.ratios) == 2
+    with pytest.raises(ValueError, match="k_list"):
+        sandwich_report(kagome, [np.diag([1.2, 0.8])], k_list=())

@@ -970,8 +970,8 @@ def test_density_sweep_names_an_upper_above_a_divisors(tmp_path, capsys, monkeyp
     uppers = {(0, 1): 0.5, (0, 2): 0.5 + 1e-6, (0, 3): 0.25, (0, 4): 0.75,
               (1, 1): 0.2, (1, 2): 0.2 + 1e-16, (1, 3): 0.2, (1, 4): 0.2}
 
-    def fake_task(spec, lam, eta, k, restarts, seed):
-        return uppers[int(lam[0, 0] > 0.9), k], 0.0, 0.0, 0, 0, None
+    def fake_task(spec, lams, eta, k, restarts, seed):
+        return [(uppers[int(lam[0, 0] > 0.9), k], 0.0, 0.0, 0, 0, None) for lam in lams]
 
     monkeypatch.setattr(cli, "_density_task", fake_task)
     grid = tmp_path / "grid.json"
@@ -984,6 +984,40 @@ def test_density_sweep_names_an_upper_above_a_divisors(tmp_path, capsys, monkeyp
                    "(0, 4) upper above k=2's, upper above k=1's; (0, 2) upper above k=1's"]
     uppers_csv = [float(line.split(",")[7]) for line in out.read_text().splitlines()[1:]]
     assert uppers_csv == [uppers[i, k] for i in (0, 1) for k in (4, 2, 1, 3)]
+
+
+def test_density_sweep_bytes_do_not_depend_on_jobs(tmp_path, capsys):
+    # 5 matrices cut into 1, 2 and 3 chunks, 2 and 3 of them uneven; one is a
+    # reachable compression that screening short-circuits
+    grid = tmp_path / "grid.json"
+    lams = [np.diag([1.2, 0.8]), 0.6 * rotation(0.9), np.diag([1.1, -0.8]),
+            np.array([[1.0, 0.4], [0.0, 1.0]]), np.diag([0.9, 0.7])]
+    grid.write_text(json.dumps([lam.tolist() for lam in lams]))
+    out = tmp_path / "d.csv"
+    runs = []
+    for jobs in ("1", "2", "3"):
+        assert run(["density-sweep", "--spec", "kagome", "--k", "1,2", "--restarts", "1",
+                    "--grid", f"file:{grid}", "--jobs", jobs, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, captured.err, out.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
+    rows = runs[0][2].decode().splitlines()[1:]
+    assert len(rows) == 10 and float(rows[2].split(",")[7]) <= 1e-13
+
+
+def test_importing_the_cli_sets_one_blas_thread_unless_the_user_chose(tmp_path):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    code = ("import json, os, latmech.cli; "
+            f"print(json.dumps([os.environ.get(v) for v in {names!r}]))")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    for preset, want in (({}, ["1"] * 5),
+                         ({"OPENBLAS_NUM_THREADS": "3"}, ["1", "3", "1", "1", "1"])):
+        done = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == want
 
 
 def test_verify_bounds_csv(tmp_path):

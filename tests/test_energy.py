@@ -6,6 +6,7 @@ import importlib.machinery
 import importlib.util
 import pickle
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -343,7 +344,7 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
             full = smoothed_energy_grad(cell, lam, psi, 0.1, tau)
             ref = _ref_smoothed(cell, lam, psi, 0.1, tau)
             _same_bits(full, ref)
-            psi_only = _density_objective(cell, lam, 0.1, tau)(psi.reshape(1, -1))
+            psi_only = _density_objective(cell, lam[None], 0.1, tau)(psi.reshape(1, -1), [0])
             _same_psi_bits(psi_only, full)
             _same_psi_bits(psi_only, ref)
         for mu in (1e-2, 1e-6):
@@ -353,19 +354,20 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     assert (dets["mild"] > 0).all()
 
 
-def _rows_alone(kernel, Z, lams, want):
-    """``kernel`` on the stack ``Z`` with one ``lam`` per row, or none for
-    a fixed ``lam``: each row has the bits of the kernel on a stack of
-    that row alone and of ``want(row) -> (E, glam, gpsi)``.  Returns the
-    stack's energies."""
-    stacked = kernel(Z, lams)
+def _rows_alone(kernel, Z, at, want):
+    """``kernel`` on the stack ``Z`` with ``at`` one ``lam`` per row, or
+    for a fixed-``lam`` kernel the index of each row's ``lam``: each row
+    has the bits of the kernel on a stack of that row alone and of
+    ``want(row) -> (E, glam, gpsi)``.  Returns the stack's energies."""
+    fixed = at.ndim == 1
+    stacked = kernel(Z, at)
     assert stacked[0].shape == (len(Z),) and stacked[2].shape == Z.shape
     for i in range(len(Z)):
-        alone = kernel(Z[i:i + 1], None if lams is None else lams[i:i + 1])
+        alone = kernel(Z[i:i + 1], at[i:i + 1])
         E, glam, gpsi = want(i)
         for got, row in ((stacked, i), (alone, 0)):
             assert float(got[0][row]).hex() == float(E).hex()
-            assert got[1] is None if lams is None else np.array_equal(got[1][row], glam)
+            assert got[1] is None if fixed else np.array_equal(got[1][row], glam)
             assert np.array_equal(got[2][row], gpsi.ravel())
     return stacked[0]
 
@@ -375,9 +377,10 @@ def _rows_alone(kernel, Z, lams, want):
 def test_stacked_kernel_rows_have_the_bits_of_each_row_alone(request, spec_name, k):
     """Each row of a stacked :func:`_kernel` call has the bits of that row
     alone and of the per-class reference, in all three modes: fixed-``lam``
-    smoothed, variable-``lam`` springs and barrier.  A row with a reversed
-    triangle gives ``(inf, 0)`` in the barrier, beside rows that do not,
-    and no floating-point warning.
+    smoothed (every row at one ``lam``, and each row at its own, gathered
+    out of order), variable-``lam`` springs and barrier.  A row with a
+    reversed triangle gives ``(inf, 0)`` in the barrier, beside rows that
+    do not, and no floating-point warning.
 
     The gather must be ``np.take(Z, head, axis=1)``: a fancy gather
     ``Z[:, head]`` returns a layout that is not C-ordered, and from k = 3
@@ -388,12 +391,18 @@ def test_stacked_kernel_rows_have_the_bits_of_each_row_alone(request, spec_name,
     lams = np.array([lam for _, lam, _ in cases])
     psis = [psi for _, _, psi in cases]
     Z = np.array([psi.ravel() for psi in psis])
+    order = np.random.default_rng([k, 36]).permutation(len(Z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lam in lams:        # every psi at each fixed lam
-            _rows_alone(_kernel(cell, True, _smoothed(cell, 0.1, 0.02), lam=lam), Z, None,
+            _rows_alone(_kernel(cell, True, _smoothed(cell, 0.1, 0.02), lam=lam[None]), Z,
+                        np.zeros(len(Z), int),
                         lambda i: _ref_smoothed(cell, lam, psis[i], 0.1, 0.02))
         with np.errstate(all="raise"):
+            # each psi at its own fixed lam, the flipped one among them
+            _rows_alone(_kernel(cell, True, _smoothed(cell, 0.1, 0.02), lam=lams[order]), Z,
+                        np.argsort(order),
+                        lambda i: _ref_smoothed(cell, lams[i], psis[i], 0.1, 0.02))
             _rows_alone(_kernel(cell, True), Z, lams,
                         lambda i: _ref_spring(cell, lams[i], psis[i]))
             E = _rows_alone(_kernel(cell, False, _barrier(1e-3)), Z, lams,
@@ -432,7 +441,7 @@ def test_search_objective_matches_summed_kernels_bit_for_bit(si, k):
                  for x in X]
     for mu, f in objectives.items():
         with np.errstate(all="raise"):
-            E, G = f(X)
+            E, G = f(X, np.arange(len(X)))
         assert E.shape == (len(X),) and G.shape == X.shape
         for x, e, g, rev in zip(X, E, G, reversed_):
             want = _ref_search(cell, x, mu)
@@ -445,6 +454,32 @@ def test_search_objective_matches_summed_kernels_bit_for_bit(si, k):
     assert reversed_[1] and not reversed_[2]        # flipped and mild
 
 
+def test_kernel_buffers_stay_those_of_the_tallest_stack(kagome):
+    """A stack whose height falls row by row, as the rows of an L-BFGS
+    stack stop, writes into the buffers of its tallest height: after
+    heights R, R - 1, ..., 1 the kernel holds no more memory than after R
+    alone, and every row keeps its bits."""
+    cell = Supercell(kagome, 2)
+    R = 64
+    rng = np.random.default_rng(37)
+    lams = np.eye(2) + 0.1 * rng.standard_normal((R, 2, 2))
+    Z = 0.1 * rng.standard_normal((R, 2 * cell.n_nodes))
+    kernel = _kernel(cell, True, _smoothed(cell, 0.1, 0.02), lam=lams)
+    tracemalloc.start()
+    try:
+        E, _, G = kernel(Z, np.arange(R))
+        held = tracemalloc.get_traced_memory()[0]
+        for B in range(R - 1, 0, -1):
+            E_B, _, G_B = kernel(Z[:B], np.arange(B))
+            assert E_B.tobytes() == E[:B].tobytes() and G_B.tobytes() == G[:B].tobytes()
+        del E_B, G_B
+        grown = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    # a buffer set per height would hold about R / 2 times the tallest one's
+    assert grown < 8 * Z.nbytes
+
+
 def test_stage_objectives_return_a_new_gradient_every_call(kagome):
     """A later call must leave the results of an earlier one, and the
     stack it was given, as they were."""
@@ -453,21 +488,22 @@ def test_stage_objectives_return_a_new_gradient_every_call(kagome):
     rng = np.random.default_rng(21)
     lam = np.eye(2) + 0.05 * rng.standard_normal((2, 2))
     # the search's points start with lam near the identity: no triangle reversed
-    stages = [(_density_objective(cell, lam, 0.05, 0.02), np.zeros(2 * n))]
+    stages = [(_density_objective(cell, lam[None], 0.05, 0.02), np.zeros(2 * n))]
     stages += [(_search_objective(cell, mu), _pack(np.eye(2), np.zeros((n, 2))))
                for mu in (1e-4, 0.0)]
     for f, base in stages:
         Xs = [base + 0.01 * rng.standard_normal((2, len(base))) for _ in range(3)]
         kept = Xs[0].copy()
-        first = f(Xs[0])
+        at = np.zeros(2, int)       # both rows at the density stage's one lam
+        first = f(Xs[0], at)
         copies = [a.copy() for a in first]
-        second = f(Xs[1])
-        f(Xs[2])
+        second = f(Xs[1], at)
+        f(Xs[2], at)
         assert all(np.array_equal(a, c) for a, c in zip(first, copies))
         assert np.array_equal(Xs[0], kept)
         assert not any(np.shares_memory(a, b) for a in first for b in second)
         assert np.isfinite(first[0]).all() and not np.array_equal(first[1], second[1])
-        assert f(Xs[0])[0].tobytes() == first[0].tobytes()
+        assert f(Xs[0], at)[0].tobytes() == first[0].tobytes()
 
 
 def _lbfgsb_against_minimize(f, X0, maxiter, ftol, gtol):
@@ -478,14 +514,14 @@ def _lbfgsb_against_minimize(f, X0, maxiter, ftol, gtol):
     rows."""
     from scipy.optimize import minimize
 
-    def alone(x):
-        E, G = f(x[None])
+    def alone(x, i):
+        E, G = f(x[None], [i])
         return E[0], G[0]
 
     rows = _lbfgsb(f, X0, maxiter, ftol, gtol)
     assert len(rows) == len(X0)
-    for x0, (x, nit, status, message, g) in zip(X0, rows):
-        res = minimize(alone, x0, jac=True, method="L-BFGS-B",
+    for i, (x0, (x, nit, status, message, g)) in enumerate(zip(X0, rows)):
+        res = minimize(alone, x0, args=(i,), jac=True, method="L-BFGS-B",
                        options={"maxiter": maxiter, "ftol": ftol, "gtol": gtol})
         assert x.tobytes() == res.x.tobytes()
         assert g.tobytes() == res.jac.tobytes()
@@ -516,7 +552,8 @@ def test_lbfgsb_matches_minimize_on_the_density_stages(request, spec_name, k):
     lam = np.diag([1.15, 0.9])
     X = np.array([np.zeros(2 * n), 0.1 * rng.standard_normal(2 * n),
                   0.3 * rng.standard_normal(2 * n)])
-    seen = _chain([_density_objective(cell, lam, 0.05, tau) for tau in _ANNEAL], X,
+    lams = np.array([lam] * len(X))
+    seen = _chain([_density_objective(cell, lams, 0.05, tau) for tau in _ANNEAL], X,
                   _MAXITER, 1e-16, 1e-12)
     assert 0 in seen
 
@@ -546,7 +583,7 @@ def test_lbfgsb_matches_minimize_on_the_search_stages(request, spec_name, k):
     cell = Supercell(request.getfixturevalue(spec_name), k)
     objectives = [_search_objective(cell, mu) for mu in (1e-2, 1e-4, 1e-6, 0.0)]
     X = _search_starts(cell, k)
-    assert objectives[0](X)[0][2] == np.inf
+    assert objectives[0](X, np.arange(len(X)))[0][2] == np.inf
     with np.errstate(all="raise"):
         seen = _chain(objectives, X, 400, 1e-18, 1e-14)
     assert 0 in seen
@@ -559,7 +596,7 @@ def test_lbfgsb_matches_minimize_at_the_iteration_limit_and_a_stalled_line_searc
     and converged at once from ``(inf, 0)``."""
     cell = Supercell(rotating_squares, 1)
     n = cell.n_nodes
-    f = _density_objective(cell, np.array([[1.1, 0.3], [-0.2, 0.7]]), 0.05, 0.05)
+    f = _density_objective(cell, np.array([[[1.1, 0.3], [-0.2, 0.7]]] * 4), 0.05, 0.05)
     rng = np.random.default_rng(4)
     X = np.array([0.3 * np.random.default_rng(3).standard_normal(2 * n), np.zeros(2 * n),
                   0.1 * rng.standard_normal(2 * n), 0.3 * rng.standard_normal(2 * n)])
