@@ -5,9 +5,10 @@ periodic perturbation ``psi`` at fixed macroscopic gradient ``lam``,
 annealing a sigmoid-smoothed orientation penalty and always reporting the
 exact step-penalty value of the final iterate (any feasible field is a
 valid upper bound, so poor convergence can never overstate softness).
-``_estimate_densities`` solves a grid of gradients at one supercell size
-at once, every seed of every gradient in one L-BFGS stack, with the bits
-of solving each gradient alone.
+``_estimate_densities`` solves a grid of gradients on a list of supercell
+sizes: each gradient's twist seed is found once, and at each size every
+seed of every gradient goes through one L-BFGS stack, with the bits of
+solving each gradient alone.
 
 The verification helpers compare those estimates against the stretch
 bracket (the shape the density is bounded below by, up to a constant
@@ -75,19 +76,19 @@ class DensityEstimate:
     solver_trace: dict = field(default_factory=dict)
 
 
-def _invert_contraction(spec: LatticeSpec, c: float, trace: dict) -> float:
-    """The twist angle whose contraction equals ``c``, to root-finder
-    precision (``c`` is clipped into the reachable interval): scipy's
-    compiled ``brentq``, loaded by file, with the arguments and bits of
-    ``scipy.optimize.brentq(gap, lo, hi, xtol=1e-14)`` (a NaN gap raises
-    ``ValueError``).  The gap remembers its values, so each twist field is
-    solved once, the bracket ends too.  When the tabulated bracket does
-    not change sign, the nearer end is returned and its residual
-    contraction gap is recorded in ``trace`` under ``twist_bracket_gap``."""
+def _invert_contraction(spec: LatticeSpec, c: float):
+    """``(theta, gap)``: the twist angle whose contraction equals ``c``, to
+    root-finder precision (``c`` is clipped into the reachable interval),
+    and ``gap = None``; when the tabulated bracket does not change sign,
+    its nearer end and the residual contraction gap there.  The root is
+    scipy's compiled ``brentq``, loaded by file, with the arguments and
+    bits of ``scipy.optimize.brentq(gap, lo, hi, xtol=1e-14)`` (a NaN gap
+    raises ``ValueError``).  The gap remembers its values, so each twist
+    field is solved once, the bracket ends too."""
     thetas, cs = _twist_contraction_table(spec)
     c = float(np.clip(c, cs.min(), 1.0))
     if c >= 1.0:
-        return 0.0
+        return 0.0, None
     idx = int(np.searchsorted(cs[::-1], c))
     lo = float(thetas[::-1][max(idx - 1, 0)])
     hi = float(thetas[::-1][min(idx, len(thetas) - 1)])
@@ -106,11 +107,9 @@ def _invert_contraction(spec: LatticeSpec, c: float, trace: dict) -> float:
     # at the end of the table (c clipped to its minimum) both ends are one angle
     gap_lo, gap_hi = gap(lo), gap(hi)
     if gap_lo * gap_hi > 0:
-        theta, residual = (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
-        trace["twist_bracket_gap"] = residual
-        return theta
+        return (lo, gap_lo) if abs(gap_lo) < abs(gap_hi) else (hi, gap_hi)
     brentq = _scipy_extension("optimize", "_zeros", "_brentq")._brentq
-    return brentq(gap, lo, hi, 1e-14, 4 * math.ulp(1.0), 100, (), False, True)
+    return brentq(gap, lo, hi, 1e-14, 4 * math.ulp(1.0), 100, (), False, True), None
 
 
 def _check_cell_eta(spec: LatticeSpec, eta, k: int) -> None:
@@ -120,34 +119,33 @@ def _check_cell_eta(spec: LatticeSpec, eta, k: int) -> None:
     _check_eta(eta, spec.penalized_area, k * k, min(_ANNEAL))
 
 
-def _twist_seed(spec: LatticeSpec, lam: np.ndarray, k: int,
-                trace: dict) -> Optional[np.ndarray]:
-    """The ``psi`` of the twist field whose contraction matches ``lam``,
-    rotated so its affine part aligns with the polar rotation of ``lam``,
-    on the slots of the k x k supercell (every slot of a basic node holds
-    its one-cell value).  Returns ``None`` when ``lam`` is nowhere near a
-    reachable isotropic compression.  ``trace`` receives a failed
-    inversion bracket (see :func:`_invert_contraction`)."""
+def _twist_seed(spec: LatticeSpec, lam: np.ndarray):
+    """``(psi, gap)``: the one-cell ``psi`` of the twist field whose
+    contraction matches ``lam``, rotated so its affine part aligns with
+    the polar rotation of ``lam``, and the residual contraction gap of a
+    failed inversion bracket (see :func:`_invert_contraction`).  ``psi``
+    is ``None`` when ``lam`` is nowhere near a reachable isotropic
+    compression."""
     sd = signed_svd(lam)
     if sd.det_sign <= 0:
-        return None
+        return None, None
     c = 0.5 * (sd.sigma1 + sd.sigma2)
     try:
         thetas, cs = _twist_contraction_table(spec)
     except (MechanismError, DegenerateGeometryError):   # no twist: the seed is optional
-        return None
+        return None, None
     if not cs.min() - 0.05 <= c <= 1.0 + 1e-9:
-        return None
-    lams, psis = _twist_fields(spec, [_invert_contraction(spec, c, trace)])
-    tlam, psi = lams[0], psis[0]
+        return None, None
+    theta, gap = _invert_contraction(spec, c)
+    (tlam,), (psi,) = _twist_fields(spec, [theta])
     if abs(np.linalg.det(tlam)) < 1e-12:
-        return None
+        return None, gap
     # project the alignment onto a rotation so the seed stays energy-free
     u, _, vt = np.linalg.svd(lam @ np.linalg.inv(tlam))
     rot = u @ vt
     if np.linalg.det(rot) < 0:
         rot = u @ np.diag([1.0, -1.0]) @ vt
-    return np.repeat(psi @ rot.T, k * k, axis=0)
+    return psi @ rot.T, gap
 
 
 def estimate_density(
@@ -159,21 +157,21 @@ def estimate_density(
     rng_seed: int = 0,
 ) -> DensityEstimate:
     """Upper-bound the effective energy density at fixed ``lam``: the one
-    gradient case of :func:`_estimate_densities`, which solves a grid.
+    gradient, one size case of :func:`_estimate_densities`.
 
     Seeds: ``psi = 0``, the aligned twist field when ``lam`` is close to a
     reachable isotropic compression, and ``restarts`` random fields.  The
     exact energy of every seed is screened first: the first seed at or
     below 1e-13 short-circuits, with no L-BFGS run (and nothing of scipy
     loaded but the twist inversion's compiled root finder).  A random seed
-    is drawn only when screening reaches it, so
-    a short circuit before the first draws none (and never imports
-    ``numpy.random``); the draws keep their order, so each random field
-    is the same whichever seed ends the screen.  Otherwise every screened
-    seed is polished through the smoothing anneal, by L-BFGS over ``psi``
-    alone: one stage per width ``tau`` of ``_ANNEAL``, each capped at
-    ``_MAXITER`` iterations.  Each stage hands L-BFGS one objective, built
-    once for the stage at its ``tau``: the energy of
+    is drawn only when screening reaches it, so a short circuit before the
+    first draws none (and never imports ``numpy.random``); the draws keep
+    their order, so each random field is the same whichever seed ends the
+    screen.  Otherwise every screened seed is polished through the
+    smoothing anneal, by L-BFGS over ``psi`` alone: one stage per width
+    ``tau`` of ``_ANNEAL``, each capped at ``_MAXITER`` iterations.  Each
+    stage hands L-BFGS one objective, built once for the stage at its
+    ``tau``: the energy of
     :func:`~latmech.energy.smoothed_energy_grad` and its ``psi`` gradient
     (no ``lam`` gradient), with the fixed ``lam @ dx`` and constants made
     once.  The stage runs in :func:`~latmech.energy._lbfgsb` on one stack
@@ -201,7 +199,7 @@ def estimate_density(
     twist seed when its inversion bracket failed (``twist_bracket_gap``;
     ``None`` otherwise).
     """
-    return _estimate_densities(spec, [lam], eta, k, restarts, rng_seed)[0]
+    return _estimate_densities(spec, [lam], eta, [k], restarts, rng_seed)[0][0]
 
 
 @dataclass
@@ -218,17 +216,18 @@ class _Screened:
     n_seeds: int        # the fixed seeds and restarts, screened or not
 
 
-def _screen(spec: LatticeSpec, cell: Supercell, lam: np.ndarray, eta: float,
+def _screen(cell: Supercell, lam: np.ndarray, twist: tuple, eta: float,
             restarts: int, rng_seed: int) -> _Screened:
     """Screen the seeds of the solve at ``lam`` in order, up to the first
-    at or below ``_SHORT_TOL`` (see :func:`estimate_density`)."""
+    at or below ``_SHORT_TOL`` (see :func:`estimate_density`); ``twist``
+    is :func:`_twist_seed` of ``lam``, its field tiled to every cell."""
     n = cell.n_nodes
+    tw, gap = twist
     trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
-               "stalled_stages": 0, "twist_bracket_gap": None}
+               "stalled_stages": 0, "twist_bracket_gap": gap}
     fixed = [("zero", np.zeros((n, 2)))]
-    tw = _twist_seed(spec, lam, cell.k, trouble)
     if tw is not None:
-        fixed.append(("twist", tw))
+        fixed.append(("twist", np.repeat(tw, cell.k * cell.k, axis=0)))
 
     def random_seeds():
         rng = np.random.default_rng(rng_seed)
@@ -307,32 +306,36 @@ def _polish(cell: Supercell, eta: float, solves: list) -> list:
             for solve in solves]
 
 
-def _estimate_densities(spec: LatticeSpec, lams, eta: float, k: int, restarts: int,
-                        rng_seed: int) -> list:
-    """:func:`estimate_density` at each of ``lams`` on the ``k x k``
-    supercell, each estimate with the bits of that function on its
-    ``lam`` alone.  The solves are screened one by one, in order; the
-    seeds of every solve that screening did not end are polished in one
-    stack, each row at its own ``lam``, up to ``_POLISH_CHUNK`` node slots
-    (a row counting at least 64) of seeds, so memory is bounded for any
-    number of gradients.  Rows never interact, so the chunks do not move a
-    bit."""
-    _check_cell_eta(spec, eta, k)
-    if k < 1:
-        raise ValueError(f"supercell size must be >= 1, got {k}")
+def _estimate_densities(spec: LatticeSpec, lams, eta: float, ks: Sequence[int],
+                        restarts: int, rng_seed: int) -> list:
+    """:func:`estimate_density` at each of ``lams`` on each ``k x k``
+    supercell of ``ks``: per gradient, one estimate per ``k`` with the
+    bits of that function alone.  Each gradient's twist seed is found
+    once.  At each ``k`` the solves are screened in order; the seeds of
+    every solve that screening did not end are polished in one stack,
+    each row at its own ``lam``, up to ``_POLISH_CHUNK`` node slots (a row
+    counting at least 64), so memory is bounded for any number of
+    gradients.  Rows never interact, so the chunks move no bit."""
+    for k in ks:
+        _check_cell_eta(spec, eta, k)
+    cells = [Supercell(spec, k) for k in ks]
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    cell = Supercell(spec, k)
-    out, chunk, slots = [], [], 0
-    for lam in lams:
-        lam = np.asarray(lam, dtype=float).reshape(2, 2)
-        chunk.append(_screen(spec, cell, lam, eta, restarts, rng_seed))
-        if chunk[-1].best is None:
-            slots += len(chunk[-1].seeds) * max(cell.n_nodes, 64)
-        if slots >= _POLISH_CHUNK:
-            out += _polish(cell, eta, chunk)
-            chunk, slots = [], 0
-    return out + _polish(cell, eta, chunk)
+    lams = [np.asarray(lam, dtype=float).reshape(2, 2) for lam in lams]
+    twists = [_twist_seed(spec, lam) for lam in lams]
+    out = [[] for _ in lams]
+    for cell in cells:
+        ests, chunk, slots = [], [], 0
+        for lam, twist in zip(lams, twists):
+            chunk.append(_screen(cell, lam, twist, eta, restarts, rng_seed))
+            if chunk[-1].best is None:
+                slots += len(chunk[-1].seeds) * max(cell.n_nodes, 64)
+            if slots >= _POLISH_CHUNK:
+                ests += _polish(cell, eta, chunk)
+                chunk, slots = [], 0
+        for row, est in zip(out, ests + _polish(cell, eta, chunk)):
+            row.append(est)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +443,9 @@ def verify_isotropic_bound(
         if not gap < 1e-10:
             kept.append((lam, gap))
     # the solves draw nothing from ``rng``, so all of them go first, as one grid
-    solves = _estimate_densities(spec, [lam for lam, _ in kept], eta, k, 3, rng_seed)
+    solves = _estimate_densities(spec, [lam for lam, _ in kept], eta, [k], 3, rng_seed)
     ratios = []
-    for (lam, gap), est in zip(kept, solves):
+    for (lam, gap), (est,) in zip(kept, solves):
         ratios.append(est.upper / gap)
         for _ in range(3):
             psi = 0.2 * rng.standard_normal((cell.n_nodes, 2))
@@ -696,11 +699,10 @@ def sandwich_report(
     def fit(eta_val):
         kept = [(lam, br) for lam, br in zip(lams, map(lower_bracket, lams))
                 if not br < 1e-12]
-        # one grid solve per k
-        per_k = [_estimate_densities(spec, [lam for lam, _ in kept], eta_val, k, restarts, 0)
-                 for k in k_list]
-        return np.asarray([min(est.upper for est in solves) / br
-                           for (_, br), solves in zip(kept, zip(*per_k))])
+        solves = _estimate_densities(spec, [lam for lam, _ in kept], eta_val, k_list,
+                                     restarts, 0)
+        return np.asarray([min(est.upper for est in ests) / br
+                           for (_, br), ests in zip(kept, solves)])
 
     ratios = fit(eta)
     alt = fit(eta * eta_factor)

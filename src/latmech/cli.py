@@ -353,9 +353,12 @@ def _check_ladder(text: str, eps_list) -> None:
 
 
 def _jobs(args, n_tasks: int) -> int:
+    """``--jobs``, by default the CPUs this process may run on (its
+    affinity mask where the platform has one), capped at ``n_tasks``."""
     jobs = getattr(args, "jobs", None)
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     elif jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     return min(jobs, n_tasks)
@@ -534,17 +537,17 @@ def _cmd_mechanism(args) -> int:
     return EXIT_OK
 
 
-def _density_task(spec, lams, eta, k, restarts, seed):
-    """The density solves at each of ``lams`` on one ``k``, polished in
-    one stack, each projected to the six numbers that its CSV row and its
-    trouble note read: a whole ``DensityEstimate`` would carry its
+def _density_task(spec, lams, eta, ks, restarts, seed):
+    """The density solves of one grid chunk: per gradient of ``lams``, one
+    per ``k`` of ``ks``, each projected to the six numbers that its CSV row
+    and its trouble note read: a whole ``DensityEstimate`` would carry its
     minimizer and ``Supercell`` (1-8 KB per solve) back through the pool."""
     from .cellsolver import _estimate_densities
 
-    return [(est.upper, est.upper_spring, est.upper_penalty,
-             est.solver_trace["unconverged_stages"], est.solver_trace["stalled_stages"],
-             est.solver_trace["twist_bracket_gap"])
-            for est in _estimate_densities(spec, lams, eta, k, restarts, seed)]
+    return [[(est.upper, est.upper_spring, est.upper_penalty,
+              est.solver_trace["unconverged_stages"], est.solver_trace["stalled_stages"],
+              est.solver_trace["twist_bracket_gap"]) for est in ests]
+            for ests in _estimate_densities(spec, lams, eta, ks, restarts, seed)]
 
 
 def _cmd_density_sweep(args) -> int:
@@ -560,22 +563,18 @@ def _cmd_density_sweep(args) -> int:
     _check_cell_eta(spec, args.eta, max(ks))
     lams = (_grid_file(args.grid.split(":", 1)[1]) if args.grid.startswith("file:")
             else lambda_grid(args.grid, rng_seed=args.seed))
-    # one task per k and contiguous chunk of the grid, one chunk per job;
-    # the solves of a task share one stack, and no row reads another
-    n_chunks = _jobs(args, len(lams))
-    cuts = [len(lams) * i // n_chunks for i in range(n_chunks + 1)]
-    tasks = [(a, b, k) for a, b in zip(cuts, cuts[1:]) for k in ks]
-    payloads = [(spec, lams[a:b], args.eta, k, args.restarts, args.seed) for a, b, k in tasks]
-    jobs = _jobs(args, len(payloads))
+    # one task per contiguous chunk of the grid, one chunk per job, each
+    # running the whole k-list; no row of a stack reads another
+    jobs = _jobs(args, len(lams))
+    cuts = [len(lams) * i // jobs for i in range(jobs + 1)]
+    payloads = [(spec, lams[a:b], args.eta, ks, args.restarts, args.seed)
+                for a, b in zip(cuts, cuts[1:])]
     path = _out_path(args, _file_name(f"density_{args.grid.replace(':', '_')}.csv"))
-    results = _pool_map(_density_task, payloads, jobs)
-    solved = {(li, k): r for (a, b, k), task in zip(tasks, results)
-              for li, r in zip(range(a, b), task)}     # (index, k) -> that solve's numbers
-    rows = []
-    trouble = []
-    for li, lam in enumerate(lams):
+    solved = chain.from_iterable(_pool_map(_density_task, payloads, jobs))
+    rows, trouble = [], []
+    for li, (lam, per_k) in enumerate(zip(lams, solved)):
         bracket = lower_bracket(lam)
-        by_k = {k: solved[li, k] for k in ks}
+        by_k = dict(zip(ks, per_k))
         for k, (upper, spring, penalty, unconverged, stalled, gap) in by_k.items():
             ratio = upper / bracket if bracket > 1e-12 else float("nan")
             rows.append([li, lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1], k,
@@ -657,7 +656,8 @@ def _cmd_domain_wall(args) -> int:
 def _cmd_soft_mode(args) -> int:
     # imported before the pool forks, so each worker inherits modulate
     from .energy import _check_eta
-    from .softmodes import default_target, ladder_exponents, modulate, soft_mode_report
+    from .softmodes import (_probe_margin, default_target, ladder_exponents, modulate,
+                            soft_mode_report)
 
     if args.sweeps < 0:
         raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
@@ -666,6 +666,7 @@ def _cmd_soft_mode(args) -> int:
     eps_list = _parse_eps(args.eps)
     _check_ladder(args.eps, eps_list)
     _check_eta(args.eta, spec.penalized_area, 1)
+    _probe_margin(spec, target, max(eps_list))    # the weak-limit probes of the coarsest rung
     jobs = _jobs(args, len(eps_list))
     dumps = ([("--dump-dir", os.path.join(args.dump_dir, _dump_name(eps))) for eps in eps_list]
              if args.dump_dir else [])
@@ -765,7 +766,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", default="1,2", help="comma-separated supercell sizes")
     p.add_argument("--restarts", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int,
+                   help="worker processes, one contiguous grid chunk each "
+                        "(default: the CPUs this process may use)")
     p.set_defaults(func=_cmd_density_sweep)
 
     p = sub.add_parser("verify-bounds", help="explicit-constant bound verification")
@@ -793,7 +796,8 @@ def _build_parser() -> _Parser:
                    help="comma-separated cell sizes (fractions allowed)")
     p.add_argument("--eta", type=float, default=0.05)
     p.add_argument("--sweeps", type=int, default=200)
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int,
+                   help="worker processes (default: the CPUs this process may use)")
     p.add_argument("--dump-dir", help="write per-epsilon geometry dumps here")
     p.set_defaults(func=_cmd_soft_mode)
 

@@ -30,7 +30,7 @@ barrier over ``(lam, psi)`` jointly) complements the exact constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
@@ -207,7 +207,7 @@ def rigid_units(spec: LatticeSpec):
                 "unit coloring is not one-cell periodic; no one-periodic "
                 "counter-rotation exists"
             )
-        out.append(RigidUnit(unit.triangles, unit.nodes, cols.pop()))
+        out.append(replace(unit, parity=cols.pop()))
     return tuple(out)
 
 

@@ -464,6 +464,20 @@ def _box_gradients(lmap: LatticeMap, bounds, box_size: float):
     return np.asarray(grads)
 
 
+def _probe_margin(spec: LatticeSpec, target: ConformalTarget, eps: float) -> float:
+    """The probe margin of a ladder whose coarsest cell size is ``eps``:
+    1.25 ``eps`` times the longest cover edge, so that the coarsest map
+    covers every probe point.  Raises ``ValueError`` when twice the margin
+    does not fit inside each side of the target rectangle."""
+    x0, x1, y0, y1 = target.domain
+    q = spec.node_positions(spec.cover_keys)
+    margin = 1.25 * eps * float(norms(q - q[:, [1, 2, 0]]).max())
+    if x1 - x0 <= 2 * margin or y1 - y0 <= 2 * margin:
+        raise ValueError(f"target domain too small for the probe margin {margin:.6g} "
+                         f"of the coarsest cell size {eps:.6g}")
+    return margin
+
+
 def weak_limit_check(lmaps: Sequence[LatticeMap], target: ConformalTarget) -> WeakLimitReport:
     """Check that the maps converge to the target: rms distance on a
     fixed 12 x 12 interior grid, and conformality of the gradients
@@ -473,14 +487,7 @@ def weak_limit_check(lmaps: Sequence[LatticeMap], target: ConformalTarget) -> We
         raise ValueError("need at least one lattice map")
     x0, x1, y0, y1 = target.domain
     eps_list = [lmap.epsilon for lmap in lmaps]
-
-    # probe margin: the coarsest map must cover every probe point
-    spec = lmaps[0].spec
-    q = spec.node_positions(spec.cover_keys)
-    edge = float(norms(q - q[:, [1, 2, 0]]).max())
-    margin = 1.25 * max(eps_list) * edge
-    if x1 - x0 <= 2 * margin or y1 - y0 <= 2 * margin:
-        raise ValueError("target domain too small for the probe margin")
+    margin = _probe_margin(lmaps[0].spec, target, max(eps_list))
     px = np.linspace(x0 + margin, x1 - margin, 12)
     py = np.linspace(y0 + margin, y1 - margin, 12)
     points = np.column_stack([m.ravel() for m in np.meshgrid(px, py)])

@@ -57,9 +57,8 @@ def test_failed_twist_bracket_is_reported(kagome, monkeypatch):
     # (the true contraction there is ~0.99): the bracket cannot change sign
     fake = (np.linspace(0.0, 0.2, 5), np.linspace(1.0, 0.5, 5))
     monkeypatch.setattr(cellsolver, "_twist_contraction_table", lambda spec: fake)
-    trace = {}
-    assert _invert_contraction(kagome, 0.7, trace) == fake[0][3]   # the nearer end
-    gap = trace["twist_bracket_gap"]
+    theta, gap = _invert_contraction(kagome, 0.7)
+    assert theta == fake[0][3]   # the nearer end
     assert 0.25 < gap < 0.3
     monkeypatch.setattr(cellsolver, "_ANNEAL", (0.05,))
     est = estimate_density(kagome, 0.7 * np.eye(2), 0.05, restarts=0)
@@ -145,7 +144,7 @@ def test_percolating_rigid_units_solve_without_twist_seed(monkeypatch):
     with pytest.raises(DegenerateGeometryError, match="translate of itself"):
         twist_admissible_range(spec)
     lam = np.diag([1.1, 0.9])
-    assert cellsolver._twist_seed(spec, lam, 1, {}) is None
+    assert cellsolver._twist_seed(spec, lam)[0] is None
     monkeypatch.setattr(cellsolver, "_ANNEAL", (0.05,))
     est = estimate_density(spec, lam, 0.05, restarts=1)
     assert est.solver_trace["restarts"] == 2      # zero and one random seed
@@ -183,7 +182,7 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
     assert stages == []
     # det < 0 has no twist seed: the seeds go through every L-BFGS stage
     lam = np.diag([1.1, -0.8])
-    assert cellsolver._twist_seed(kagome, lam, 1, {}) is None
+    assert cellsolver._twist_seed(kagome, lam)[0] is None
     est = estimate_density(kagome, lam, 0.05, restarts=1)
     trace = est.solver_trace
     assert trace["restarts"] == 2          # zero and one random seed
@@ -242,7 +241,7 @@ def test_polish_to_zero_short_circuits_wherever_the_seed_stands(kagome, monkeypa
     # down to zero; the trace must not depend on whether a seed follows the
     # zero seed, though every seed is polished
     twist = twist_mechanism(kagome, 0.5).deformation
-    monkeypatch.setattr(cellsolver, "_twist_seed", lambda *args: None)
+    monkeypatch.setattr(cellsolver, "_twist_seed", lambda *args: (None, None))
     norms_seen = []     # per stage, the gradient norm of every row polished
 
     def polish_to_twist(fun, X0, maxiter, ftol, gtol):
@@ -277,9 +276,9 @@ def _polish_alone(spec, lam, eta, k=1, restarts=6, rng_seed=0):
     trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
                "stalled_stages": 0, "twist_bracket_gap": None}
     fixed = [("zero", np.zeros((n, 2)))]
-    tw = cellsolver._twist_seed(spec, lam, k, trouble)
+    tw, trouble["twist_bracket_gap"] = cellsolver._twist_seed(spec, lam)
     if tw is not None:
-        fixed.append(("twist", tw))
+        fixed.append(("twist", np.repeat(tw, k * k, axis=0)))
 
     def random_seeds():
         rng = np.random.default_rng(rng_seed)
@@ -355,17 +354,18 @@ def test_stacked_polish_equals_polishing_each_seed_alone(request, spec_name, k):
                        _polish_alone(spec, grid[row], 0.05, k=k, rng_seed=row))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
-def test_grid_solve_equals_each_gradient_alone(request, spec_name, k, monkeypatch):
-    """Each solve of a grid, its seeds polished in one stack beside those of
-    the other gradients, equals ``estimate_density`` on its gradient alone,
-    field by field, trace included: noniso rows 0, 3 and 12 and the det < 0
-    row 16, with a reachable compression that screening short-circuits
-    among them.  Cut into chunks of one solve, the grid keeps every bit."""
+def test_grid_solve_equals_each_gradient_alone(request, spec_name, monkeypatch):
+    """Each solve of a grid on k = 1, 2, 3, its seeds polished in one stack
+    per k beside those of the other gradients, equals ``estimate_density``
+    on its gradient and k alone, field by field, trace included: noniso
+    rows 0, 3 and 12 and the det < 0 row 16, with a reachable compression
+    that screening short-circuits among them.  Cut into chunks of one
+    solve, the grid keeps every bit."""
     spec = request.getfixturevalue(spec_name)
     grid = lambda_grid("noniso")
     lams = [grid[0], grid[3], 0.6 * _rot(0.9), grid[12], grid[16]]
+    ks = [1, 2, 3]
     stacks = []     # the rows of every L-BFGS stage
     real = cellsolver._lbfgsb
 
@@ -374,26 +374,52 @@ def test_grid_solve_equals_each_gradient_alone(request, spec_name, k, monkeypatc
         return real(f, X0, *options)
 
     monkeypatch.setattr(cellsolver, "_lbfgsb", counted)
-    alone = [estimate_density(spec, lam, 0.05, k=k, restarts=2, rng_seed=5) for lam in lams]
-    assert alone[2].solver_trace["short_circuit"] and alone[2].solver_trace["iterations"] == 0
     stages = len(cellsolver._ANNEAL)
-    opened, rows = len(stacks) // stages, sum(stacks) // stages
-    assert opened == 4
-    for chunk, want_stacks in ((cellsolver._POLISH_CHUNK, [rows] * stages),
-                               (1, stacks[:])):
+    alone, alone_stacks, grid_stacks = {}, [], []
+    for k in ks:
+        stacks.clear()
+        for i, lam in enumerate(lams):
+            alone[i, k] = estimate_density(spec, lam, 0.05, k=k, restarts=2, rng_seed=5)
+        assert alone[2, k].solver_trace["short_circuit"]
+        assert alone[2, k].solver_trace["iterations"] == 0
+        assert len(stacks) // stages == 4       # the solves L-BFGS opened
+        alone_stacks += stacks
+        grid_stacks += [sum(stacks) // stages] * stages
+    for chunk, want_stacks in ((cellsolver._POLISH_CHUNK, grid_stacks), (1, alone_stacks)):
         monkeypatch.setattr(cellsolver, "_POLISH_CHUNK", chunk)
         stacks.clear()
         with np.errstate(all="raise"):
-            solves = cellsolver._estimate_densities(spec, lams, 0.05, k, 2, 5)
-        # one stack per stage of the seeds of every open solve, or of each alone
+            solves = cellsolver._estimate_densities(spec, lams, 0.05, ks, 2, 5)
+        # one stack per k and stage of the seeds of every open solve, or of each alone
         assert stacks == want_stacks
         assert len(solves) == len(lams)
-        for got, want in zip(solves, alone):
-            _same_estimate(got, want)
+        for i, per_k in enumerate(solves):
+            assert len(per_k) == len(ks)
+            for k, got in zip(ks, per_k):
+                _same_estimate(got, alone[i, k])
+
+
+def test_grid_solve_inverts_each_twist_once(kagome, monkeypatch):
+    # the twist seed does not depend on k: one inversion per gradient whose
+    # mean stretch is in reach (diag(1.2, 0.8)'s is 1, the angle 0),
+    # whatever the number of supercell sizes
+    calls = []
+    real = cellsolver._invert_contraction
+
+    def counted(spec, c):
+        calls.append(c)
+        return real(spec, c)
+
+    monkeypatch.setattr(cellsolver, "_invert_contraction", counted)
+    lams = [0.6 * _rot(0.9), 0.8 * _rot(0.3), np.diag([1.2, 0.8])]
+    solves = cellsolver._estimate_densities(kagome, lams, 0.05, [1, 2, 3], 1, 0)
+    assert calls == pytest.approx([0.6, 0.8, 1.0], abs=1e-15)
+    for per_k in solves[:2]:
+        assert [est.solver_trace["best_seed"] for est in per_k] == ["twist"] * 3
 
 
 def test_estimate_densities_of_no_gradient_solve_nothing(kagome):
-    assert cellsolver._estimate_densities(kagome, [], 0.05, 2, 1, 0) == []
+    assert cellsolver._estimate_densities(kagome, [], 0.05, [2], 1, 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +444,9 @@ def test_invert_contraction_matches_scipy_brentq_on_the_contraction_tables(reque
             return 0.5 * (sd.sigma1 + sd.sigma2) - c
 
         want = brentq(gap, lo, hi, xtol=1e-14)
-        assert _invert_contraction(spec, c, {}).hex() == want.hex(), c
+        theta, gap = _invert_contraction(spec, c)
+        assert theta.hex() == want.hex(), c
+        assert gap is None
 
 
 def test_invert_contraction_raises_on_a_nan_gap(kagome, monkeypatch):
@@ -435,7 +463,7 @@ def test_invert_contraction_raises_on_a_nan_gap(kagome, monkeypatch):
     monkeypatch.setattr(cellsolver, "_twist_fields", twist_fields)
     # an infinite field has NaN stretches (and an invalid determinant)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="theta=.* is NaN"):
-        _invert_contraction(kagome, c, {})
+        _invert_contraction(kagome, c)
 
 
 @pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
@@ -454,7 +482,7 @@ def test_invert_contraction_evaluates_each_twist_once(request, spec_name, monkey
     monkeypatch.setattr(cellsolver, "_twist_fields", twist_fields)
     for c in np.linspace(cs.min(), 1.0, 50, endpoint=False):
         fields.clear()
-        _invert_contraction(spec, c, {})
+        _invert_contraction(spec, c)
         # the end of the table brackets with a single angle
         assert len(fields) >= (1 if c == cs.min() else 2)
         assert len(set(fields)) == len(fields)

@@ -232,6 +232,9 @@ def test_soft_mode_repeated_rung_exits_2_before_modulating(tmp_path, capsys, mon
     (["--eps", "1/8,1/16", "--dump-dir", "FILE"],
      "--dump-dir '<dir>/FILE/soft_mode_eps_0.125.json': cannot make its directory "
      "'<dir>/FILE': File exists"),
+    # the coarsest rung's weak-limit probes need a margin of 1.25 * 1/4 * 2
+    (["--eps", "1/4,1/64"], "target domain too small for the probe margin 0.625 of the "
+                            "coarsest cell size 0.25"),
 ])
 def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                      argv, named):
@@ -970,8 +973,9 @@ def test_density_sweep_names_an_upper_above_a_divisors(tmp_path, capsys, monkeyp
     uppers = {(0, 1): 0.5, (0, 2): 0.5 + 1e-6, (0, 3): 0.25, (0, 4): 0.75,
               (1, 1): 0.2, (1, 2): 0.2 + 1e-16, (1, 3): 0.2, (1, 4): 0.2}
 
-    def fake_task(spec, lams, eta, k, restarts, seed):
-        return [(uppers[int(lam[0, 0] > 0.9), k], 0.0, 0.0, 0, 0, None) for lam in lams]
+    def fake_task(spec, lams, eta, ks, restarts, seed):
+        return [[(uppers[int(lam[0, 0] > 0.9), k], 0.0, 0.0, 0, 0, None) for k in ks]
+                for lam in lams]
 
     monkeypatch.setattr(cli, "_density_task", fake_task)
     grid = tmp_path / "grid.json"
@@ -1003,6 +1007,46 @@ def test_density_sweep_bytes_do_not_depend_on_jobs(tmp_path, capsys):
     assert runs[0] == runs[1] == runs[2]
     rows = runs[0][2].decode().splitlines()[1:]
     assert len(rows) == 10 and float(rows[2].split(",")[7]) <= 1e-13
+    # a grid shorter than --jobs: one chunk, its whole k-list in one task
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps([np.diag([1.1, -0.8]).tolist()]))
+    runs = []
+    for jobs in ("1", "3"):
+        assert run(["density-sweep", "--spec", "kagome", "--k", "1,2,3", "--restarts", "1",
+                    "--grid", f"file:{one}", "--jobs", jobs, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, captured.err, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert [row.split(",")[5] for row in runs[0][2].decode().splitlines()[1:]] == ["1", "2", "3"]
+
+
+def test_density_sweep_sends_one_task_per_grid_chunk(tmp_path, monkeypatch):
+    # 5 matrices at --jobs 2: two contiguous chunks, each with the whole k-list
+    tasks = []
+    real = cli._pool_map
+
+    def recorded(fn, payloads, jobs):
+        tasks.extend((len(p[1]), p[3]) for p in payloads)
+        return real(fn, payloads, 1)
+
+    monkeypatch.setattr(cli, "_pool_map", recorded)
+    assert run(["density-sweep", "--spec", "kagome", "--grid", "random:5", "--k", "2,1",
+                "--restarts", "0", "--jobs", "2", "--out", str(tmp_path / "d.csv")]) == 0
+    assert tasks == [(2, [2, 1]), (3, [2, 1])]
+
+
+@pytest.mark.parametrize("affinity, want", [(True, 1), (False, 2)])
+def test_jobs_default_to_the_cpus_the_process_may_use(monkeypatch, affinity, want):
+    # one CPU in the affinity mask of a two-CPU machine: one job; without an
+    # affinity call on the platform, the CPU count
+    args = type("Args", (), {"jobs": None})()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    if affinity:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._jobs(args, 8) == want
+    assert cli._jobs(args, 1) == 1
 
 
 def test_importing_the_cli_sets_one_blas_thread_unless_the_user_chose(tmp_path):

@@ -197,8 +197,8 @@ def _seed(spec):
         for lam in (0.8 * rotation(0.3), 0.55 * rotation(-1.1),
                     np.diag([0.92, 0.88]), 0.97 * np.eye(2), 0.2 * np.eye(2),
                     np.diag([1.2, 0.8])):
-            seed = _twist_seed(spec, lam, k, {})
-            out.append("none" if seed is None else seed)
+            seed, _ = _twist_seed(spec, lam)
+            out.append("none" if seed is None else np.repeat(seed, k * k, axis=0))
     return out
 
 
@@ -227,7 +227,7 @@ TWIST_QUANTITIES = {
     "admissible_range": lambda spec: [_or_error(twist_admissible_range, spec, step)
                                       for step in (0.01, 0.05)],
     "invert_contraction": lambda spec: [
-        _invert_contraction(spec, c, {})
+        _invert_contraction(spec, c)[0]
         for c in (1.0, 0.999, 0.97, 0.9, 0.8, 0.7, 0.6, 0.5, 0.42, 0.3, 0.1)],
     "twist_seed": _seed,
     "twist_field": _field,
