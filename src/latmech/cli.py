@@ -29,6 +29,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -284,7 +285,11 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def _parse_ks(text: str):
-    """The ``--k`` supercell sizes: integers of at least 1, none twice."""
+    """The ``--k`` supercell sizes: integers of at least 1, none twice,
+    and none whose ``k x k`` supercell holds more than ``_GRID_POINTS``
+    cells."""
+    from .geometry import _GRID_POINTS
+
     seen = {}
     for item in text.split(","):
         try:
@@ -293,6 +298,9 @@ def _parse_ks(text: str):
             raise ValueError(f"--k entry {item!r} is not an integer") from None
         if k < 1:
             raise ValueError(f"--k entry {item!r} must be at least 1")
+        if k * k > _GRID_POINTS:
+            raise ValueError(f"--k entry {item!r} must be at most {math.isqrt(_GRID_POINTS)}, "
+                             f"so that its supercell holds at most {_GRID_POINTS:.0e} cells")
         if k in seen:
             raise ValueError(f"--k entries {seen[k]!r} and {item!r} repeat the "
                              f"supercell size {k}")
@@ -655,7 +663,8 @@ def _cmd_domain_wall(args) -> int:
 
 def _cmd_soft_mode(args) -> int:
     # imported before the pool forks, so each worker inherits modulate
-    from .energy import _check_eta
+    from .energy import _cell_box, _check_eta
+    from .geometry import _GRID_POINTS
     from .softmodes import (_probe_margin, default_target, ladder_exponents, modulate,
                             soft_mode_report)
 
@@ -667,6 +676,12 @@ def _cmd_soft_mode(args) -> int:
     _check_ladder(args.eps, eps_list)
     _check_eta(args.eta, spec.penalized_area, 1)
     _probe_margin(spec, target, max(eps_list))    # the weak-limit probes of the coarsest rung
+    # the cell window of the finest rung, counted in Python floats, which overflow to inf
+    lo, hi = _cell_box(spec, target.polygon, min(eps_list))
+    cells = math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist()))
+    if not cells <= _GRID_POINTS:
+        raise ValueError(f"--eps cell size {min(eps_list):.6g} needs a window of {cells:.3g} "
+                         f"lattice cells, more than {_GRID_POINTS:.0e}")
     jobs = _jobs(args, len(eps_list))
     dumps = ([("--dump-dir", os.path.join(args.dump_dir, _dump_name(eps))) for eps in eps_list]
              if args.dump_dir else [])

@@ -643,13 +643,21 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
 # -- domain helpers ----------------------------------------------------------
 
 
+def _cell_box(spec: LatticeSpec, points, epsilon: float):
+    """The first and last cell ``(ci, cj)``, as floats, of the window of
+    :func:`_cell_window`, so that its cells can be counted before any is
+    made; an entry is ``inf`` or NaN, with no warning, where the window
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        frac = (np.asarray(points, dtype=float) / epsilon) @ np.linalg.inv(spec.cell_matrix).T
+        return np.floor(frac.min(axis=0)) - 2, np.ceil(frac.max(axis=0)) + 2
+
+
 def _cell_window(spec: LatticeSpec, points, epsilon: float):
     """The lattice cells ``(ci, cj)``, row-major, of the box in lattice
     coordinates that holds ``points`` ``(n, 2)`` scaled by ``1 / epsilon``,
     widened by two cells on every side."""
-    frac = (np.asarray(points, dtype=float) / epsilon) @ np.linalg.inv(spec.cell_matrix).T
-    lo = np.floor(frac.min(axis=0)).astype(int) - 2
-    hi = np.ceil(frac.max(axis=0)).astype(int) + 2
+    lo, hi = (end.astype(int) for end in _cell_box(spec, points, epsilon))
     ci, cj = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
                          indexing="ij")
     return ci.ravel(), cj.ravel()

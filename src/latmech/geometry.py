@@ -161,7 +161,9 @@ def lower_bracket(lam):
 
 
 _SLACK_TOL = 1e-12  # how far below zero a certified slack may round
-_GRID_POINTS = 10 ** 7  # the most points one inequality grid may hold
+# the most points one grid may hold: an inequality grid, a --k supercell's
+# cells, the cell window of a soft-mode rung
+_GRID_POINTS = 10 ** 7
 
 
 @dataclass
@@ -183,6 +185,29 @@ def _pair_grid(step):
     return l1[keep], l2[keep]
 
 
+def _compression_parts(l1, l2, period):
+    """The inputs of the three-direction compression sweep: per ``(l1,
+    l2)`` pair ``a = l2^2``, ``b = l1^2 - l2^2`` and the right-hand side
+    ``(sqrt(3/4 l1^2 + 1/4 l2^2) - 1)_+^2``, and per angle of ``period``
+    the list of ``cos^2(theta + o)`` over ``o = 0, pi/3, 2 pi/3``."""
+    rhs = _pos_sq(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0)
+    cos2 = [np.cos(period + o) ** 2 for o in (0.0, np.pi / 3, 2 * np.pi / 3)]
+    return l2**2, l1**2 - l2**2, rhs, cos2
+
+
+def _direction_term(a, b, c2, out):
+    """One direction's term ``(sqrt(a + b c2) - 1)_+^2`` of the
+    compression sum, in place in ``out``, which it returns.  Every
+    operation rounds to nearest and so is monotone; with ``b >= 0`` the
+    term is a non-decreasing function of ``c2``."""
+    np.multiply(b, c2, out=out)
+    np.add(a, out, out=out)
+    np.sqrt(out, out=out)
+    np.subtract(out, 1.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.square(out, out=out)
+
+
 def _compression_slack(l1, l2, period):
     """Yield, for each angle of ``period`` in turn, the slack of the
     three-direction compression inequality at every ``(l1, l2)`` pair:
@@ -195,21 +220,13 @@ def _compression_slack(l1, l2, period):
     broadcast expression.  The yielded array is one reused
     buffer, overwritten by the next angle.
     """
-    rhs = _pos_sq(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0)
-    a, b = l2**2, l1**2 - l2**2
-    cos2 = [np.cos(period + o) ** 2 for o in (0.0, np.pi / 3, 2 * np.pi / 3)]
+    a, b, rhs, cos2 = _compression_parts(l1, l2, period)
     lhs, term = np.empty_like(a), np.empty_like(a)
     for i in range(len(period)):
-        for n, c2 in enumerate(cos2):
-            np.multiply(b, c2[i], out=term)
-            np.add(a, term, out=term)
-            np.sqrt(term, out=term)
-            np.subtract(term, 1.0, out=term)
-            np.maximum(term, 0.0, out=term)
-            # a square is never -0.0, so 0.0 + the first term is that term
-            np.square(term, out=lhs if n == 0 else term)
-            if n:
-                np.add(lhs, term, out=lhs)
+        # a square is never -0.0, so 0.0 + the first term is that term
+        _direction_term(a, b, cos2[0][i], lhs)
+        for c2 in cos2[1:]:
+            np.add(lhs, _direction_term(a, b, c2[i], term), out=lhs)
         np.subtract(lhs, rhs, out=lhs)
         yield lhs
 
@@ -224,10 +241,26 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     ``cos^2(theta + o)``, ``o in {0, pi/3, 2 pi/3}``, so it has period
     ``pi/3`` and is swept over the grid points in ``[0, pi/3)`` only.
 
-    That sweep is evaluated one angle at a time over all ``(l1, l2)``
-    pairs, in place in two pair-length buffers, so its memory is O(pairs)
-    however fine the angle grid.  Each reported minimum is the first one
-    in (theta, pair) row-major order.
+    That sweep is evaluated one angle at a time, in place in two
+    pair-length buffers, so its memory is O(pairs) however fine the angle
+    grid.  Each reported minimum is the first one in (theta, pair)
+    row-major order.
+
+    The sweep skips every pair whose slack a lower bound proves
+    non-negative at every angle.  Let ``m`` be the least, over the
+    sweep's angles, of the largest of its three ``cos^2``, and ``low``
+    one direction term at ``c2 = m``, computed by the sweep's own
+    :func:`_direction_term`.  Since ``b >= 0`` and rounding to nearest
+    is monotone (Goldberg, ACM Computing Surveys 23, 1991), ``low`` is
+    at most the term of each angle's largest direction; the three terms
+    are ``>= 0``, so their rounded sum is at least each of them, and the
+    slack at every angle is at least ``fl(low - rhs)``.  A pair whose
+    bound is ``>= 0`` never goes below 0.  Pair ``(0, 0)``, which comes
+    first, has slack exactly 0 at the first angle and is always swept.
+    So the first strict minimum over the swept pairs is the one over all
+    pairs, whether it is 0 or negative, and the report has the bits of
+    the exhaustive sweep.  On the default grid the sweep keeps 1 of
+    45,451 pairs.
 
     Both steps must be finite; ``lam_step <= 3`` and ``theta_step < pi/3``,
     so that the compression sweep holds at least two angles.  Neither grid
@@ -272,10 +305,14 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     # sum of three direction compressions dominates one quadratic mean
     best = (np.inf, (0.0, 0.0, 0.0))
     period = theta[theta < np.pi / 3]
-    for i, slack in enumerate(_compression_slack(l1, l2, period)):
+    a, b, rhs, cos2 = _compression_parts(l1, l2, period)
+    swept = _direction_term(a, b, np.max(cos2, axis=0).min(), np.empty_like(a)) - rhs < 0
+    swept[0] = True    # pair (0, 0)
+    s1, s2 = l1[swept], l2[swept]
+    for i, slack in enumerate(_compression_slack(s1, s2, period)):
         j = int(np.argmin(slack))
         if slack[j] < best[0]:
-            best = (float(slack[j]), (float(l1[j]), float(l2[j]), float(period[i])))
+            best = (float(slack[j]), (float(s1[j]), float(s2[j]), float(period[i])))
     reports.append(ScalarInequalityReport("three-direction-compression", best[0], best[1]))
 
     # commutator + compression dominate the positive-part bracket

@@ -254,6 +254,76 @@ def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert (tmp_path / "FILE").read_text() == "kept"
 
 
+@pytest.mark.parametrize("eps, named", [
+    ("1/8,1e-5", "--eps cell size 1e-05 needs a window of 4.55e+09 lattice cells, "
+                 "more than 1e+07"),
+    ("1e-5,1/8", "--eps cell size 1e-05 needs a window of 4.55e+09"),
+    ("1/8,1e-300", "--eps cell size 1e-300 needs a window of inf lattice cells"),
+    ("1/8,1e-320", "--eps cell size 9.99989e-321 needs a window of nan lattice cells"),
+])
+def test_soft_mode_rung_too_fine_to_allocate_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, eps, named):
+    # the allocation site fails if reached: no rung, not even 1/8, is modulated
+    def no_work(*args, **kwargs):
+        raise AssertionError("a cell window, modulation or a pool ran")
+
+    for module, name in ((softmodes, "_cell_window"), (softmodes, "modulate"),
+                         (cli, "_pool_map")):
+        monkeypatch.setattr(module, name, no_work)
+    out, dumps = tmp_path / "x.csv", tmp_path / "D"
+    assert run(["soft-mode", "--eps", eps, "--jobs", "1", "--dump-dir", str(dumps),
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("eps, refused", [("1/8,1/4000", False), ("1/8,1/5000", True)])
+def test_soft_mode_cell_window_limit_sits_between_neighbouring_rungs(tmp_path, capsys,
+                                                                    monkeypatch, eps, refused):
+    # 1/4000 needs 7.3e6 cells, 1/5000 1.1e7; modulation, faked, shows the check passed
+    def reached(*args, **kwargs):
+        raise ValueError("modulate reached")
+
+    monkeypatch.setattr(softmodes, "modulate", reached)
+    assert run(["soft-mode", "--eps", eps, "--jobs", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert ("--eps cell size 0.0002 needs a window of 1.14e+07" in err) == refused
+    assert ("modulate reached" in err) != refused
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["energy", "--k", "100000"], "--k entry '100000' must be at most 3162, so that its "
+                                  "supercell holds at most 1e+07 cells"),
+    (["energy", "--k", "3163"], "--k entry '3163' must be at most 3162"),
+    (["mechanism", "--k", "100000", "--theta", "0.3"], "--k entry '100000' must be at most 3162"),
+    (["mechanism", "--k", "100000"], "--k entry '100000' must be at most 3162"),
+    (["mechanism", "--search", "--restarts", "1", "--k", "100000"],
+     "--k entry '100000' must be at most 3162"),
+    (["density-sweep", "--grid", "iso", "--k", "1,100000", "--jobs", "1"],
+     "--k entry '100000' must be at most 3162"),
+], ids=["energy", "energy-3163", "mechanism-theta", "mechanism-grid", "mechanism-search",
+        "density-sweep"])
+def test_supercell_too_large_to_allocate_exits_2_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch, argv, named):
+    # the allocation sites fail if reached; mechanism --k 100000 would
+    # otherwise build about 1e10 cell tuples in _twist_plan
+    def no_work(*args, **kwargs):
+        raise AssertionError("a supercell, twist plan or pool was made")
+
+    for module, name in ((cli, "Supercell"), (mechanisms, "_twist_plan"), (cli, "_pool_map")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, named", [
     (["build", "--out", "x.json", "--manifest", "x.json"],
      "--out 'x.json' and --manifest 'x.json' name one file"),

@@ -5,10 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latmech import geometry
 from latmech.geometry import (
     _GRID_POINTS,
+    _compression_parts,
     _compression_slack,
     _pair_grid,
+    _pos_sq,
     averaged_vectors,
     commutator_closed_form,
     conformal_check,
@@ -283,6 +286,80 @@ def test_compression_slack_rows_equal_the_broadcast_expression():
     rhs = np.maximum(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0, 0.0) ** 2
     rows = np.array([row.copy() for row in _compression_slack(l1, l2, period)])
     assert rows.tobytes() == (lhs - rhs[None, :]).tobytes()
+
+
+def exhaustive_compression(lam_step, theta_step):
+    """``(min, argmin)`` of the three-direction compression slack over every
+    pair of the grid, the first strict minimum in (theta, pair) order."""
+    l1, l2 = _pair_grid(lam_step)
+    theta = np.arange(0.0, 2 * np.pi, theta_step)
+    period = theta[theta < np.pi / 3]
+    best = (np.inf, (0.0, 0.0, 0.0))
+    for i, slack in enumerate(_compression_slack(l1, l2, period)):
+        j = int(np.argmin(slack))
+        if slack[j] < best[0]:
+            best = (float(slack[j]), (float(l1[j]), float(l2[j]), float(period[i])))
+    return best
+
+
+def reported_compression(lam_step, theta_step):
+    rep = {r.name: r for r in scalar_inequality_report(lam_step, theta_step)}
+    rep = rep["three-direction-compression"]
+    return rep.min_slack, rep.argmin
+
+
+def bits(result):
+    value, argmin = result
+    return np.array([value, *argmin]).tobytes()
+
+
+@pytest.mark.parametrize("lam_step, theta_step", [
+    (0.01, 0.001), (0.1, 0.01), (0.037, 0.0021), (0.02, 0.002), (0.29, 0.013),
+    (0.8, 1.0), (3.0, 0.5),
+])
+def test_pruned_compression_sweep_has_the_bits_of_the_exhaustive_one(lam_step, theta_step):
+    assert bits(reported_compression(lam_step, theta_step)) == \
+        bits(exhaustive_compression(lam_step, theta_step))
+
+
+def false_compression_parts(l1, l2, period):
+    """The sweep's inputs with right-hand-side weights 0.9/0.1, which make
+    the inequality false near ``(1.3, 0)``."""
+    a, b, _, cos2 = _compression_parts(l1, l2, period)
+    return a, b, _pos_sq(np.sqrt(0.9 * l1**2 + 0.1 * l2**2) - 1.0), cos2
+
+
+@pytest.mark.parametrize("lam_step, theta_step", [(0.01, 0.001), (0.037, 0.0021)])
+def test_pruned_sweep_finds_the_minimum_of_a_false_inequality(monkeypatch, lam_step,
+                                                              theta_step):
+    monkeypatch.setattr(geometry, "_compression_parts", false_compression_parts)
+    swept = []
+
+    def spy(l1, l2, period):
+        swept.append(len(l1))
+        return _compression_slack(l1, l2, period)
+
+    monkeypatch.setattr(geometry, "_compression_slack", spy)
+    pruned = reported_compression(lam_step, theta_step)
+    exhaustive = exhaustive_compression(lam_step, theta_step)
+    assert bits(pruned) == bits(exhaustive)
+    assert pruned[0] < -0.02
+    # the bound still rules out some pairs, and keeps those that go negative
+    assert 1 < swept[0] < len(_pair_grid(lam_step)[0])
+
+
+def test_default_compression_sweep_receives_one_pair(monkeypatch):
+    swept = []
+
+    def spy(l1, l2, period):
+        swept.append((l1.tolist(), l2.tolist(), len(period)))
+        return _compression_slack(l1, l2, period)
+
+    monkeypatch.setattr(geometry, "_compression_slack", spy)
+    scalar_inequality_report()
+    # of 45,451 pairs only (0, 0) can set the minimum, over all 1048 angles
+    assert len(_pair_grid(0.01)[0]) == 45451
+    assert swept == [([0.0], [0.0], 1048)]
 
 
 def test_scalar_inequalities_default_grid_memory():
