@@ -5,8 +5,9 @@ walls, and run soft-mode scaling experiments.
 Artifacts are deterministic CSV/JSON files (floats printed with 17
 significant digits, fixed row order), so identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 usage error, 2
-precondition/build error, 3 a verified bound came back with negative
-slack, 4 an unexpected internal error (traceback on stderr).
+precondition/build error or out of memory, 3 a verified bound came back
+with negative slack, 4 an unexpected internal error (traceback on
+stderr).
 
 This module is the one file boundary: the library takes and returns
 JSON text, ``_read`` reads the ``--spec`` and ``--grid file:`` files,
@@ -106,12 +107,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(header, rows) -> str:
-    """CSV text: ``header``, then each row's cells as ``_fmt`` prints them."""
+def _column(col):
+    """The cells of one CSV column as ``_fmt`` prints them, made as the
+    writer reads them.  A float, integer or boolean array is read through
+    a memoryview, which hands out one Python number at a time (as fast as
+    ``tolist()``, and no column is held as a list); any other column goes
+    cell by cell through ``_fmt``."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return map("{:.17g}".format, memoryview(col.astype(np.float64, copy=False)))
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iub" and col.dtype.isnative:
+        return map("{:d}".format, memoryview(col))
+    return map(_fmt, col)
+
+
+def _csv(header, columns) -> str:
+    """CSV text: ``header``, then row ``i`` of the equal-length
+    ``columns`` per line, each cell as ``_fmt`` prints it (a table held
+    as rows passes ``zip(*rows)``)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    writer.writerows(zip(*map(_column, columns)))
     return buf.getvalue()
 
 
@@ -488,8 +504,13 @@ def _cmd_energy(args) -> int:
     bd = energy_breakdown(defm, args.eta)
     print(f"spring total {_fmt(bd.spring_total)}, penalty total "
           f"{_fmt(bd.penalty_total)}, averaged density {_fmt(bd.averaged)}")
-    _finish(args, path, _csv(["cell_i", "cell_j", "triangle", "spring_energy",
-                              "step_penalty"], bd.rows()))
+    # a row per penalized triangle per cell, triangle by triangle
+    n_tri, cells = bd.per_triangle_spring.shape
+    c = np.tile(np.arange(cells), n_tri)
+    _finish(args, path, _csv(
+        ["cell_i", "cell_j", "triangle", "spring_energy", "step_penalty"],
+        [c // bd.k, c % bd.k, np.repeat(np.arange(n_tri), cells),
+         bd.per_triangle_spring.ravel(), bd.per_triangle_penalty.ravel()]))
     return EXIT_OK
 
 
@@ -506,7 +527,7 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 
 def _cmd_mechanism(args) -> int:
     from .energy import LatticeMap
-    from .mechanisms import search_mechanisms, twist_admissible_range, twist_mechanism
+    from .mechanisms import _twist_mechanisms, search_mechanisms, twist_admissible_range
 
     _check_seed(args)
     _parse_ks(str(args.k))     # density-sweep's rule for one --k entry
@@ -533,15 +554,14 @@ def _cmd_mechanism(args) -> int:
         print(f"admissible twist range ({_fmt(lo)}, {_fmt(hi)})")
         thetas = ([args.theta] if args.theta is not None
                   else np.linspace(lo + 1e-6, hi - 1e-6, args.grid_points).tolist())
-        for th in thetas:
-            last = twist_mechanism(spec, th, k=args.k)
+        for th, last in zip(thetas, _twist_mechanisms(spec, thetas, args.k)):
             rows.append(_certificate_row(last.kind, _fmt(th), last.certificate))
     # the CSV goes last, so a dump that fails leaves none
     if args.dump and last is not None:
         cells = [(i, j) for i in range(args.k + 1) for j in range(args.k + 1)]
         _dump_geometry(LatticeMap.from_periodic(last.deformation, 1.0, cells), args.dump)
         print(f"wrote geometry dump {args.dump}")
-    _finish(args, path, _csv(_CERT_HEADER, rows))
+    _finish(args, path, _csv(_CERT_HEADER, zip(*rows)))
     return EXIT_OK
 
 
@@ -610,7 +630,7 @@ def _cmd_density_sweep(args) -> int:
     _finish(args, path, _csv(
         ["index", "lam11", "lam12", "lam21", "lam22", "supercell_k", "eta",
          "upper_density", "upper_spring_part", "upper_penalty_part",
-         "stretch_bracket", "upper_over_bracket"], rows))
+         "stretch_bracket", "upper_over_bracket"], zip(*rows)))
     return EXIT_OK
 
 
@@ -637,7 +657,7 @@ def _cmd_verify_bounds(args) -> int:
     worst = float(np.min([row[2] for row in rows]))
     print(f"{len(rows)} bounds verified on {spec.name}; worst slack {_fmt(worst)} "
           f"(eta threshold {_fmt(orientation_threshold(spec))})")
-    _finish(args, path, _csv(["bound", "trials", "min_slack", "equality_gap"], rows))
+    _finish(args, path, _csv(["bound", "trials", "min_slack", "equality_gap"], zip(*rows)))
     return EXIT_OK if all(rep.holds for rep in checked) else EXIT_VERIFICATION
 
 
@@ -646,7 +666,6 @@ def _cmd_domain_wall(args) -> int:
 
     theta = domain_wall_angles(args.theta1, n=args.n)
     path = _out_path(args, "domain_wall.csv")
-    rows = [[i, th] for i, th in enumerate(theta)]
     # the CSV goes last, so a strip that fails its checks leaves none
     if args.strip:
         wall = domain_wall_mechanism(args.theta1, half_width=args.half_width,
@@ -657,7 +676,7 @@ def _cmd_domain_wall(args) -> int:
         print(f"far-field compression left {_fmt(wall.compression_left)} / "
               f"right {_fmt(wall.compression_right)} "
               f"(gap {_fmt(wall.far_field_gap)}), limit angle {_fmt(wall.theta_limit)}")
-    _finish(args, path, _csv(["column", "twist_angle"], rows))
+    _finish(args, path, _csv(["column", "twist_angle"], [np.arange(len(theta)), theta]))
     return EXIT_OK
 
 
@@ -709,7 +728,7 @@ def _cmd_soft_mode(args) -> int:
         print(f"wrote {len(maps)} geometry dumps to {args.dump_dir}")
     _finish(args, path, _csv(
         ["epsilon", "n_cells", "energy_per_area", "max_cell_energy",
-         "probe_l2_error", "cr_residual", "max_conformal_factor", "n_boxes"], rep.rows()))
+         "probe_l2_error", "cr_residual", "max_conformal_factor", "n_boxes"], zip(*rep.rows())))
     return EXIT_OK
 
 
@@ -726,7 +745,7 @@ def _cmd_inequalities(args) -> int:
     # the least of the min_slack column; np.min keeps a NaN, min would skip it
     worst = float(np.min([row[1] for row in rows]))
     print(f"{len(rows)} inequalities; worst slack {_fmt(worst)}")
-    _finish(args, path, _csv(["inequality", "min_slack", "argmin_1", "argmin_2"], rows))
+    _finish(args, path, _csv(["inequality", "min_slack", "argmin_1", "argmin_2"], zip(*rows)))
     return EXIT_OK if all(rep.holds for rep in reports) else EXIT_VERIFICATION
 
 
@@ -825,21 +844,43 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+def _run(args) -> int:
+    """Run the parsed command; its exit code."""
     try:
         return args.func(args)
     except (ValueError, MechanismError, OSError) as exc:
         print(f"latmech {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a plain MemoryError is empty
+        why = f": {exc}" if str(exc) else ""
+        print(f"latmech {args.command}: error: out of memory{why}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except Exception:
         traceback.print_exc()
         print(f"latmech {args.command}: internal error", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def main(argv=None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when ``None``);
+    the exit code."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "command", None) is None:
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    code = _run(args)
+    if argv is None:
+        # run as the program (the latmech script, python -m latmech.cli), the
+        # process exits next: its files are written and closed, so moving
+        # every object to the permanent generation only spares the exit's
+        # final collection a walk over the heap the OS takes back anyway;
+        # main(argv) run in a longer process freezes nothing
+        import gc
+
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

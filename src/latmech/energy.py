@@ -175,15 +175,6 @@ class EnergyBreakdown:
         """Energy density: total over supercell area."""
         return self.total / self.cell_area
 
-    def rows(self):
-        """Yield ``(i, j, t, spring_energy, penalty_energy)`` per triangle."""
-        k = self.k
-        for t in range(self.per_triangle_spring.shape[0]):
-            for c in range(k * k):
-                yield (c // k, c % k, t,
-                       float(self.per_triangle_spring[t, c]),
-                       float(self.per_triangle_penalty[t, c]))
-
 
 def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     """Exact penalized energy with the per-triangle decomposition."""

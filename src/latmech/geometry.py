@@ -208,27 +208,35 @@ def _direction_term(a, b, c2, out):
     return np.square(out, out=out)
 
 
-def _compression_slack(l1, l2, period):
-    """Yield, for each angle of ``period`` in turn, the slack of the
-    three-direction compression inequality at every ``(l1, l2)`` pair:
-    ``sum_o (|diag(l1, l2) e_(theta + o)| - 1)_+^2`` over ``o = 0, pi/3,
-    2 pi/3`` in that order, minus ``(sqrt(3/4 l1^2 + 1/4 l2^2) - 1)_+^2``.
+def _compression_slack(l1, l2, period, size):
+    """Yield, block by block of consecutive angles of ``period``, the
+    slack of the three-direction compression inequality at every ``(l1,
+    l2)`` pair: ``sum_o (|diag(l1, l2) e_(theta + o)| - 1)_+^2`` over ``o
+    = 0, pi/3, 2 pi/3`` in that order, minus ``(sqrt(3/4 l1^2 + 1/4 l2^2)
+    - 1)_+^2``.  A block is an ``(angles, pairs)`` array, row ``r`` the
+    slack at its ``r``-th angle.
 
     Each term is ``sqrt(a + b cos^2)``, the stretch along one direction
     of ``direction_stretch`` in ``tests/test_geometry.py``, evaluated in
     place, operation for operation, so every element has the bits of the
-    broadcast expression.  The yielded array is one reused
-    buffer, overwritten by the next angle.
+    broadcast expression.  A block holds ``size // pairs`` angles, at
+    least one (the last block the angles left), so each of its two
+    buffers holds at most ``max(size, pairs)`` elements.  The yielded
+    array is one of those buffers, overwritten by the next block.
     """
     a, b, rhs, cos2 = _compression_parts(l1, l2, period)
-    lhs, term = np.empty_like(a), np.empty_like(a)
-    for i in range(len(period)):
+    rows = max(1, size // len(a))
+    lhs = np.empty((min(rows, len(period)), len(a)))
+    term = np.empty_like(lhs)
+    for start in range(0, len(period), rows):
+        n = min(rows, len(period) - start)
+        out, tmp = lhs[:n], term[:n]
         # a square is never -0.0, so 0.0 + the first term is that term
-        _direction_term(a, b, cos2[0][i], lhs)
+        _direction_term(a, b, cos2[0][start:start + n, None], out)
         for c2 in cos2[1:]:
-            np.add(lhs, _direction_term(a, b, c2[i], term), out=lhs)
-        np.subtract(lhs, rhs, out=lhs)
-        yield lhs
+            np.add(out, _direction_term(a, b, c2[start:start + n, None], tmp), out=out)
+        np.subtract(out, rhs, out=out)
+        yield out
 
 
 def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
@@ -241,10 +249,12 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     ``cos^2(theta + o)``, ``o in {0, pi/3, 2 pi/3}``, so it has period
     ``pi/3`` and is swept over the grid points in ``[0, pi/3)`` only.
 
-    That sweep is evaluated one angle at a time, in place in two
-    pair-length buffers, so its memory is O(pairs) however fine the angle
-    grid.  Each reported minimum is the first one in (theta, pair)
-    row-major order.
+    That sweep is evaluated a block of angles at a time, in place in two
+    buffers of at most as many elements as the pair grid has pairs, so
+    its memory is O(pairs) however fine the angle grid: the fewer pairs
+    the bound below leaves to sweep, the more angles one block holds.
+    Each reported minimum is the first one in (theta, pair) row-major
+    order.
 
     The sweep skips every pair whose slack a lower bound proves
     non-negative at every angle.  Let ``m`` be the least, over the
@@ -309,10 +319,13 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     swept = _direction_term(a, b, np.max(cos2, axis=0).min(), np.empty_like(a)) - rhs < 0
     swept[0] = True    # pair (0, 0)
     s1, s2 = l1[swept], l2[swept]
-    for i, slack in enumerate(_compression_slack(s1, s2, period)):
-        j = int(np.argmin(slack))
-        if slack[j] < best[0]:
-            best = (float(slack[j]), (float(s1[j]), float(s2[j]), float(period[i])))
+    start = 0
+    for block in _compression_slack(s1, s2, period, len(a)):
+        # the first minimum of the block in (theta, pair) row-major order
+        i, j = divmod(int(np.argmin(block)), block.shape[1])
+        if block[i, j] < best[0]:
+            best = (float(block[i, j]), (float(s1[j]), float(s2[j]), float(period[start + i])))
+        start += len(block)
     reports.append(ScalarInequalityReport("three-direction-compression", best[0], best[1]))
 
     # commutator + compression dominate the positive-part bracket

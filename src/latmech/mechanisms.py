@@ -21,8 +21,9 @@ first placements and shared-node checks), which then places the units
 for a whole stack of angle assignments at once.
 The twist's plan (:class:`TwistPlan`, cached per spec content and
 supercell size) adds the read-offs of ``lam`` and ``psi``, so the probe
-grid of the admissible range and the contraction table are one call
-each, bit for bit the same as placing one angle at a time.
+grid of the admissible range, the contraction table and a certificate
+grid on a small supercell are one call each, bit for bit the same as
+placing one angle at a time.
 
 A numerical mechanism search (spring energy plus annealed determinant
 barrier over ``(lam, psi)`` jointly) complements the exact constructions.
@@ -72,6 +73,7 @@ __all__ = [
 _CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist
 _ETA_REF = 0.1           # penalty strength of the exact-energy certificates
 _SEARCH_TOL = 1e-12      # largest certified energy a searched mechanism may have
+_STACK_ROWS = 2 ** 16    # most placed rows, over its angles, of one stacked twist block
 
 
 # ---------------------------------------------------------------------------
@@ -461,18 +463,38 @@ def _twist_fields(spec: LatticeSpec, thetas, k: int = 1):
     return lam, psi
 
 
-def twist_mechanism(spec: LatticeSpec, theta: float, k: int = 1) -> Mechanism:
-    """The counter-rotation by ``+-theta`` as a certified k-periodic
+def _twist_mechanisms(spec: LatticeSpec, thetas, k: int):
+    """Yield the counter-rotation by ``+-theta`` as a certified k-periodic
+    deformation for each of ``thetas`` in turn.  One :class:`Supercell`
+    serves every angle, and the fields of each block of angles come from
+    one stacked :func:`_twist_fields` call, bit for bit the fields of one
+    angle.  A block holds at most ``_STACK_ROWS`` placed rows over its
+    angles (at least one angle), so a large supercell stacks few angles:
+    the stacked fields cost about 140 bytes per row.  Raises
+    :class:`MechanismError` at the first block holding an angle whose pin
+    chase does not close."""
+    step = max(1, _STACK_ROWS // len(_twist_plan(spec, k).ref))
+    cell = None
+    for start in range(0, len(thetas), step):
+        block = thetas[start:start + step]
+        lams, psis = _twist_fields(spec, block, k)
+        if cell is None:        # built once the first block closes
+            cell = Supercell(spec, k)
+        for theta, lam, psi in zip(block, lams, psis):
+            defm = PeriodicDeformation(cell, lam, psi)
+            yield Mechanism(
+                kind="twist",
+                params={"theta": float(theta), "k": int(k)},
+                deformation=defm,
+                certificate=certify(defm),
+            )
+
+
+def twist_mechanism(spec: LatticeSpec, theta: float) -> Mechanism:
+    """The counter-rotation by ``+-theta`` as a certified one-periodic
     deformation.  Raises :class:`MechanismError` when the pin chase does
     not close (not every parameter slice of every family rotates)."""
-    lam, psi = _twist_fields(spec, [theta], k)
-    defm = PeriodicDeformation(Supercell(spec, k), lam[0], psi[0])
-    return Mechanism(
-        kind="twist",
-        params={"theta": float(theta), "k": int(k)},
-        deformation=defm,
-        certificate=certify(defm),
-    )
+    return next(_twist_mechanisms(spec, [theta], 1))
 
 
 def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, determinism, and artifact formats."""
 
+import csv
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -343,7 +346,7 @@ def test_two_outputs_naming_one_file_exit_2_before_any_work(tmp_path, capsys, mo
     def no_work(*args, **kwargs):
         raise AssertionError("work ran")
 
-    for module, name in ((mechanisms, "twist_mechanism"), (softmodes, "modulate"),
+    for module, name in ((mechanisms, "_twist_mechanisms"), (softmodes, "modulate"),
                          (cli, "_pool_map"), (cli, "PeriodicDeformation")):
         monkeypatch.setattr(module, name, no_work)
     monkeypatch.chdir(tmp_path)
@@ -398,7 +401,7 @@ def test_every_output_path_is_planned_before_any_work(tmp_path, capsys, monkeypa
 
     for module, func in ((geometry, "scalar_inequality_report"),
                          (mechanisms, "twist_admissible_range"),
-                         (mechanisms, "twist_mechanism"), (softmodes, "modulate"),
+                         (mechanisms, "_twist_mechanisms"), (softmodes, "modulate"),
                          (cli, "_pool_map")):
         monkeypatch.setattr(module, func, no_work)
     if case == "directory":
@@ -460,7 +463,7 @@ def test_output_that_names_no_file_exits_2_before_any_work(tmp_path, capsys, mon
 
     for module, func in ((geometry, "scalar_inequality_report"),
                          (mechanisms, "twist_admissible_range"),
-                         (mechanisms, "twist_mechanism"), (softmodes, "modulate"),
+                         (mechanisms, "_twist_mechanisms"), (softmodes, "modulate"),
                          (cli, "_pool_map")):
         monkeypatch.setattr(module, func, no_work)
     monkeypatch.chdir(tmp_path)
@@ -841,6 +844,39 @@ def test_zero_isotropy_constant_prints_zero_and_exits_3(tmp_path, monkeypatch, c
     assert "worst slack 0 " in capsys.readouterr().out
 
 
+def test_memory_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(geometry, "scalar_inequality_report", no_memory)
+    out = tmp_path / "ineq.csv"
+    assert run(["inequalities", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "latmech inequalities: error: out of memory\n"
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2_in_one_line_without_a_csv(tmp_path):
+    if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    # under a 760 MiB address-space limit, the k = 3000 supercell's index
+    # arrays (687 MiB each) cannot be allocated; the run touches about
+    # 170 MB before that allocation fails
+    out = tmp_path / "e.csv"
+    code = ("import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (800_000_000, 800_000_000))\n"
+            f"sys.argv = ['latmech', 'energy', '--k', '3000', '--out', {str(out)!r}]\n"
+            "runpy.run_module('latmech.cli', run_name='__main__')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("latmech energy: error: out of memory: Unable to allocate ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unexpected_error_exits_4(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
@@ -939,6 +975,26 @@ def test_mechanism_dump_matches_json_text(tmp_path):
     text = dump.read_text()
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
     assert len(json.loads(text)["triangles"]) > 0
+
+
+def test_mechanism_grid_builds_one_supercell_and_stacks_the_angles(tmp_path, monkeypatch):
+    built, stacked = [], []
+    supercell, fields = mechanisms.Supercell, mechanisms.TwistPlan.fields
+
+    def count_supercell(spec, k):
+        built.append(k)
+        return supercell(spec, k)
+
+    def count_fields(plan, thetas):
+        stacked.append(len(thetas))
+        return fields(plan, thetas)
+
+    monkeypatch.setattr(mechanisms, "Supercell", count_supercell)
+    monkeypatch.setattr(mechanisms.TwistPlan, "fields", count_fields)
+    assert run(["mechanism", "--out", str(tmp_path / "m.csv")]) == 0
+    # the admissible range's probes, then every angle of the grid at once
+    assert built == [1]
+    assert stacked[1:] == [50]
 
 
 def test_mechanism_grid_covers_requested_points(tmp_path):
@@ -1132,6 +1188,67 @@ def test_importing_the_cli_sets_one_blas_thread_unless_the_user_chose(tmp_path):
                               cwd=tmp_path, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == want
+
+
+def per_cell_csv(header, rows) -> str:
+    """CSV text written cell by cell through ``_fmt``: the writer before it
+    formatted whole columns, kept as the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cli._fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def test_column_csv_writer_has_the_text_of_the_per_cell_one():
+    columns = [
+        np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1, 1 / 3]),
+        np.array([0, -1, 2**62, -2**63, 7, 3, 4, 5]),
+        np.array([True, False, True, True, False, False, True, False]),
+        np.arange(8, dtype=np.uint8),
+        np.array([0.5, -0.0, 3e38, 1e-45, 1, 2, 3, 4], dtype=np.float32),
+        np.array([0.1, -0.0, 65504, 6e-8, np.inf, np.nan, 3, 4], dtype=np.float16),
+        np.array([0.1, -2.5, 1e-310, 7, 8, 9, 10, 11], dtype=">f8"),
+        np.array([-1, 2**31 - 1, 0, 3, 4, 5, 6, 7], dtype=">i4"),
+        np.arange(16.0)[::-2] / 3,
+        [0, -1, 10**30, True, 3, 4, 5, 6],
+        ["plain", "a,b", 'say "hi"', "two\nlines", "", " x ", "'", "\r"],
+        [np.float64(-0.0), np.int32(-3), np.bool_(True), np.float32(0.1), 2.5, None,
+         np.uint64(2**64 - 1), float("nan")],
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = list(zip(*columns))
+    text = per_cell_csv(header, rows)
+    assert cli._csv(header, columns) == text
+    assert cli._csv(header, zip(*rows)) == text
+    assert '"a,b"' in text and '"say ""hi"""' in text and '"two\nlines"' in text
+    assert cli._csv(header, zip(*[])) == per_cell_csv(header, []) == ",".join(header) + "\n"
+
+
+def test_in_process_run_freezes_nothing(tmp_path):
+    before = gc.get_freeze_count()
+    assert run(["build", "--out", str(tmp_path / "k.json")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_program_run_prints_and_writes_everything(tmp_path, capsys):
+    assert run(["build", "--out", str(tmp_path / "a.json")]) == 0
+    want = capsys.readouterr().out.replace("a.json", "b.json")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "b.json"
+    done = subprocess.run([sys.executable, "-m", "latmech.cli", "build", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", want)
+    assert out.read_bytes() == (tmp_path / "a.json").read_bytes()
+    # the program froze its heap once the command returned
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['latmech', 'build', '--out', {str(out)!r}]\n"
+            "runpy.run_module('latmech.cli', run_name='__main__')\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, want + "frozen True\n")
 
 
 def test_verify_bounds_csv(tmp_path):

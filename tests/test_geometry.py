@@ -276,16 +276,34 @@ def test_direction_max_witnesses():
     assert abs(value - 0.5) <= 1e-12
 
 
-def test_compression_slack_rows_equal_the_broadcast_expression():
+# (size, angles per block) over 496 pairs and 105 angles: one angle a
+# block, ten with a last block of five, and every angle in one block
+@pytest.mark.parametrize("size, rows", [(1, 1), (496 * 10 + 495, 10), (496 * 10 ** 4, 105)])
+def test_compression_slack_rows_equal_the_broadcast_expression(size, rows):
     offsets = (0.0, np.pi / 3, 2 * np.pi / 3)
     l1, l2 = _pair_grid(0.1)
     period = np.arange(0.0, np.pi / 3, 0.01)
+    assert (len(l1), len(period)) == (496, 105)
     lhs = sum(np.maximum(direction_stretch(l1[None, :], l2[None, :],
                                            period[:, None] + o) - 1.0, 0.0) ** 2
               for o in offsets)
     rhs = np.maximum(np.sqrt(0.75 * l1**2 + 0.25 * l2**2) - 1.0, 0.0) ** 2
-    rows = np.array([row.copy() for row in _compression_slack(l1, l2, period)])
-    assert rows.tobytes() == (lhs - rhs[None, :]).tobytes()
+    blocks = [block.copy() for block in _compression_slack(l1, l2, period, size)]
+    assert [len(b) for b in blocks] == [rows] * (105 // rows) + [105 % rows] * (105 % rows > 0)
+    assert np.concatenate(blocks).tobytes() == (lhs - rhs[None, :]).tobytes()
+
+
+def per_angle_slack(l1, l2, period):
+    """Yield the three-direction compression slack at every pair, one
+    angle at a time: the sweep before it ran in blocks, kept as the
+    reference.  It reads ``geometry._compression_parts`` when called, so
+    a test that patches the inputs patches this sweep too."""
+    a, b, rhs, cos2 = geometry._compression_parts(l1, l2, period)
+    for i in range(len(period)):
+        lhs = geometry._direction_term(a, b, cos2[0][i], np.empty_like(a))
+        for c2 in cos2[1:]:
+            lhs = lhs + geometry._direction_term(a, b, c2[i], np.empty_like(a))
+        yield lhs - rhs
 
 
 def exhaustive_compression(lam_step, theta_step):
@@ -295,7 +313,7 @@ def exhaustive_compression(lam_step, theta_step):
     theta = np.arange(0.0, 2 * np.pi, theta_step)
     period = theta[theta < np.pi / 3]
     best = (np.inf, (0.0, 0.0, 0.0))
-    for i, slack in enumerate(_compression_slack(l1, l2, period)):
+    for i, slack in enumerate(per_angle_slack(l1, l2, period)):
         j = int(np.argmin(slack))
         if slack[j] < best[0]:
             best = (float(slack[j]), (float(l1[j]), float(l2[j]), float(period[i])))
@@ -315,11 +333,38 @@ def bits(result):
 
 @pytest.mark.parametrize("lam_step, theta_step", [
     (0.01, 0.001), (0.1, 0.01), (0.037, 0.0021), (0.02, 0.002), (0.29, 0.013),
-    (0.8, 1.0), (3.0, 0.5),
+    (0.8, 1.0), (3.0, 0.5), (0.5, 0.01),
 ])
 def test_pruned_compression_sweep_has_the_bits_of_the_exhaustive_one(lam_step, theta_step):
     assert bits(reported_compression(lam_step, theta_step)) == \
         bits(exhaustive_compression(lam_step, theta_step))
+
+
+def block_spy(calls):
+    """A ``_compression_slack`` that records each call's pairs, angle
+    count, size and block shapes in ``calls``."""
+    def spy(l1, l2, period, size):
+        shapes = []
+        calls.append((l1.tolist(), l2.tolist(), len(period), size, shapes))
+        for block in _compression_slack(l1, l2, period, size):
+            shapes.append(block.shape)
+            yield block
+    return spy
+
+
+@pytest.mark.parametrize("lam_step, theta_step, shapes", [
+    (0.5, 0.01, [(28, 1)] * 3 + [(21, 1)]),
+    (0.29, 0.013, [(66, 1), (15, 1)]),
+])
+def test_swept_pairs_span_several_blocks(monkeypatch, lam_step, theta_step, shapes):
+    # one swept pair; a block holds as many angles as the grid has pairs
+    calls = []
+    monkeypatch.setattr(geometry, "_compression_slack", block_spy(calls))
+    assert bits(reported_compression(lam_step, theta_step)) == \
+        bits(exhaustive_compression(lam_step, theta_step))
+    n_pairs = len(_pair_grid(lam_step)[0])
+    assert calls == [([0.0], [0.0], sum(s[0] for s in shapes), n_pairs, shapes)]
+    assert shapes[0][0] == n_pairs
 
 
 def false_compression_parts(l1, l2, period):
@@ -333,33 +378,25 @@ def false_compression_parts(l1, l2, period):
 def test_pruned_sweep_finds_the_minimum_of_a_false_inequality(monkeypatch, lam_step,
                                                               theta_step):
     monkeypatch.setattr(geometry, "_compression_parts", false_compression_parts)
-    swept = []
-
-    def spy(l1, l2, period):
-        swept.append(len(l1))
-        return _compression_slack(l1, l2, period)
-
-    monkeypatch.setattr(geometry, "_compression_slack", spy)
+    calls = []
+    monkeypatch.setattr(geometry, "_compression_slack", block_spy(calls))
     pruned = reported_compression(lam_step, theta_step)
     exhaustive = exhaustive_compression(lam_step, theta_step)
     assert bits(pruned) == bits(exhaustive)
     assert pruned[0] < -0.02
     # the bound still rules out some pairs, and keeps those that go negative
-    assert 1 < swept[0] < len(_pair_grid(lam_step)[0])
+    [(l1, _, _, size, _)] = calls
+    assert 1 < len(l1) < len(_pair_grid(lam_step)[0]) == size
 
 
 def test_default_compression_sweep_receives_one_pair(monkeypatch):
-    swept = []
-
-    def spy(l1, l2, period):
-        swept.append((l1.tolist(), l2.tolist(), len(period)))
-        return _compression_slack(l1, l2, period)
-
-    monkeypatch.setattr(geometry, "_compression_slack", spy)
+    calls = []
+    monkeypatch.setattr(geometry, "_compression_slack", block_spy(calls))
     scalar_inequality_report()
-    # of 45,451 pairs only (0, 0) can set the minimum, over all 1048 angles
+    # of 45,451 pairs only (0, 0) can set the minimum, over all 1048 angles,
+    # which one block holds
     assert len(_pair_grid(0.01)[0]) == 45451
-    assert swept == [([0.0], [0.0], 1048)]
+    assert calls == [([0.0], [0.0], 1048, 45451, [(1048, 1)])]
 
 
 def test_scalar_inequalities_default_grid_memory():

@@ -9,12 +9,15 @@ from latmech.energy import _lbfgsb, _search_objective, energy_breakdown, triangl
 from latmech.geometry import signed_svd
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
                              Supercell, build_kagome, build_variant, rotation)
+from latmech import mechanisms
 from latmech.mechanisms import (
     MechanismError,
     PlacementPlan,
+    TwistPlan,
     _pack,
     _unpack,
     _twist_fields,
+    _twist_mechanisms,
     _twist_plan,
     certify,
     domain_wall_angles,
@@ -89,7 +92,7 @@ def test_twist_zero_angle_is_reference(all_specs):
 def test_twist_certificates_on_builtins(kagome, rotating_squares):
     for spec in (kagome, rotating_squares):
         for theta in (0.1, 0.4, 0.8, 1.2):
-            mech = twist_mechanism(spec, theta, k=1)
+            mech = twist_mechanism(spec, theta)
             cert = mech.certificate
             assert cert.energy <= 1e-12
             assert cert.max_spring_residual <= 1e-10
@@ -103,7 +106,7 @@ def test_twist_certificates_on_builtins(kagome, rotating_squares):
 
 def test_twist_certificates_on_variants(twist_specs):
     for spec in twist_specs[2:]:
-        mech = twist_mechanism(spec, 0.6, k=2)
+        mech = next(_twist_mechanisms(spec, [0.6], 2))
         cert = mech.certificate
         assert cert.energy <= 1e-12
         assert cert.min_det > 0
@@ -112,8 +115,8 @@ def test_twist_certificates_on_variants(twist_specs):
 
 
 def test_twist_respects_supercell_period(kagome):
-    m1 = twist_mechanism(kagome, 0.5, k=1)
-    m3 = twist_mechanism(kagome, 0.5, k=3)
+    m1 = twist_mechanism(kagome, 0.5)
+    m3 = next(_twist_mechanisms(kagome, [0.5], 3))
     assert np.allclose(m1.deformation.lam, m3.deformation.lam, atol=1e-12)
     assert m3.certificate.energy <= 1e-12
 
@@ -198,9 +201,64 @@ def test_twist_field_is_the_mechanism_deformation(twist_specs):
     for spec in twist_specs:
         for theta, k in ((0.4, 1), (0.9, 2)):
             lam, psi = _twist_fields(spec, [theta], k)
-            defm = twist_mechanism(spec, theta, k).deformation
+            defm = next(_twist_mechanisms(spec, [theta], k)).deformation
             assert lam[0].tobytes() == defm.lam.tobytes()
             assert psi[0].tobytes() == defm.psi.tobytes()
+
+
+def one_angle_twist(spec, theta, k):
+    """The certified twist at one angle on its own supercell: the loop
+    body that the stacked grid replaced, kept as the reference."""
+    lam, psi = _twist_fields(spec, [theta], k)
+    defm = PeriodicDeformation(Supercell(spec, k), lam[0], psi[0])
+    return defm, certify(defm)
+
+
+def twist_bits(defm, cert) -> bytes:
+    return b"".join([defm.lam.tobytes(), defm.psi.tobytes(), cert.lam.tobytes(),
+                     np.array([cert.energy, cert.eta_ref, cert.max_spring_residual,
+                               cert.min_det, cert.sigma1, cert.sigma2,
+                               cert.det_sign]).tobytes()])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("blocks", ["one", "several"])
+def test_stacked_twist_grid_has_the_bits_of_one_angle_at_a_time(monkeypatch, twist_specs,
+                                                                k, blocks):
+    sizes = []
+    fields = TwistPlan.fields
+
+    def spy(plan, thetas):
+        sizes.append(len(thetas))
+        return fields(plan, thetas)
+
+    for spec in twist_specs:
+        lo, hi = twist_admissible_range(spec)
+        thetas = np.linspace(lo + 1e-6, hi - 1e-6, 50).tolist()
+        if blocks == "several":    # blocks of 7 angles, the last of 1
+            monkeypatch.setattr(mechanisms, "_STACK_ROWS",
+                                7 * len(_twist_plan(spec, k).ref) + 6)
+        monkeypatch.setattr(TwistPlan, "fields", spy)
+        sizes.clear()
+        mechs = list(_twist_mechanisms(spec, thetas, k))
+        monkeypatch.setattr(TwistPlan, "fields", fields)
+        assert sizes == ([50] if blocks == "one" else [7] * 7 + [1])
+        assert len(mechs) == 50
+        for theta, mech in zip(thetas, mechs):
+            assert mech.kind == "twist"
+            assert mech.params == {"theta": theta, "k": k}
+            assert (twist_bits(mech.deformation, mech.certificate)
+                    == twist_bits(*one_angle_twist(spec, theta, k))), (spec.name, k, theta)
+            if k == 1:
+                mech1 = twist_mechanism(spec, theta)
+                assert (twist_bits(mech.deformation, mech.certificate)
+                        == twist_bits(mech1.deformation, mech1.certificate))
+
+
+def test_stacked_twist_grid_raises_at_the_first_open_angle():
+    spec = build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6)
+    with pytest.raises(MechanismError, match="counter-rotation by 0.2 does not close"):
+        list(_twist_mechanisms(spec, [0.2, 0.3], 1))
 
 
 def _first_break(spec, probe_step):

@@ -66,12 +66,12 @@ from latmech.mechanisms import (
     PlacementPlan,
     _twist_contraction_table,
     _twist_fields,
+    _twist_mechanisms,
     certify,
     domain_wall_mechanism,
     rigid_units,
     search_mechanisms,
     twist_admissible_range,
-    twist_mechanism,
 )
 from latmech.softmodes import default_target, modulate
 
@@ -353,14 +353,16 @@ def _inequalities_digest() -> str:
 
 def _compression_slack_digests() -> tuple:
     """The slack rows of ``_compression_slack``, in angle order, on each
-    grid of ``INEQUALITY_GRIDS`` as ``scalar_inequality_report`` sweeps it."""
+    grid of ``INEQUALITY_GRIDS`` as ``scalar_inequality_report`` sweeps it,
+    read row by row from blocks of up to 256 angles."""
     digests = []
     for lam_step, theta_step in INEQUALITY_GRIDS:
         l1, l2 = _pair_grid(lam_step)
         theta = np.arange(0.0, 2 * np.pi, theta_step)
         h = hashlib.sha256()
-        for row in _compression_slack(l1, l2, theta[theta < np.pi / 3]):
-            h.update(row.tobytes())
+        for block in _compression_slack(l1, l2, theta[theta < np.pi / 3], 256 * len(l1)):
+            for row in block:
+                h.update(row.tobytes())
         digests.append(h.hexdigest())
     return tuple(digests)
 
@@ -462,7 +464,7 @@ def _cell_bounds():
     for spec, k in ((build_kagome(), 2), (build_rotating_squares(), 1),
                     (build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6), 1)):
         try:
-            extra = (twist_mechanism(spec, 0.4, k=k).deformation,)
+            extra = (next(_twist_mechanisms(spec, [0.4], k)).deformation,)
         except MechanismError:
             extra = ()
         rep = check_cell_bounds(spec, n_samples=300, seed=3, extra_deformations=extra)
