@@ -37,7 +37,7 @@ from .energy import (_check_eta, _density_objective, _lbfgsb, _scipy_extension,
                      energy_breakdown)
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError, PeriodicDeformation,
-                      Supercell, cross2, norms, rotation, unique_rows)
+                      Supercell, cross2, edge_vectors, lam_times, norms, rotation, unique_rows)
 from .mechanisms import _twist_contraction_table, _twist_fields
 
 __all__ = [
@@ -173,7 +173,7 @@ def estimate_density(
     stage hands L-BFGS one objective, built once for the stage at its
     ``tau``: the energy of
     :func:`~latmech.energy.smoothed_energy_grad` and its ``psi`` gradient
-    (no ``lam`` gradient), with the fixed ``lam @ dx`` and constants made
+    (no ``lam`` gradient), with the fixed ``lam`` products and constants made
     once.  The stage runs in :func:`~latmech.energy._lbfgsb` on one stack
     of seeds, one objective call per round on the seeds that ask for an
     evaluation, each seed with the bits of ``scipy.optimize.minimize`` on
@@ -492,9 +492,9 @@ class JensenBoundReport:
 def _pos_sq_pow(x) -> np.ndarray:
     """``_pos_sq`` of every entry of ``x`` with the bits it has on one
     ``np.float64`` scalar: there ``** 2`` calls libm ``pow``, as Python's
-    float power does, while on an array it squares, which moves the last
-    bit of a few results in ten thousand."""
-    return np.array([v ** 2 for v in np.maximum(x, 0.0).ravel().tolist()]).reshape(x.shape)
+    float power and ``np.float_power`` do, while on an array it squares,
+    which moves the last bit of a few results in ten thousand."""
+    return np.float_power(np.maximum(x, 0.0), 2.0)
 
 
 def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.ndarray:
@@ -512,27 +512,24 @@ def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.nda
     times rest, ``l_avg`` the mean rest) less ``(|lam e|-1)_+^2``.
 
     Each slack has the bits of the same bound evaluated on its trial
-    alone: one edge gather per marker family over the stack, the marker
-    average of each trial as the mean of one contiguous row, and the
-    stretch terms ``(|lam e| - 1)_+^2`` through :func:`norms` (the bits
-    of ``np.linalg.norm`` of one vector) and :func:`_pos_sq_pow`.
+    alone: one :func:`edge_vectors` gather per marker family over the
+    stack, the marker average of each trial as the mean of one contiguous
+    row, and the stretch terms ``(|lam e| - 1)_+^2`` through
+    :func:`lam_times`, :func:`norms` (the bits of ``np.linalg.norm`` of one
+    vector) and :func:`_pos_sq_pow`.
     """
     T = len(lam)
     z = psi.reshape(T, -1)
 
     def gather(edges):
-        tail, head, dx = edges
-        # matmul over stacked columns gives the bits of ``lam @ dx`` per trial and class
-        return (z[:, head] - z[:, tail]
-                + np.matmul(lam[:, None], dx[None, :, :, None])[:, :, None, :, 0])
+        return edge_vectors(z, edges.tail, edges.head, lam_times(lam, edges.dx))
 
     def marker_mean(values):
         return values.reshape(T, -1).mean(axis=1)
 
     def stretch_sq(dirs):
         """``(|lam e| - 1)_+^2`` ``(T, len(dirs))`` over the unit ``dirs``."""
-        e = np.asarray(dirs)[None, :, :, None]
-        return _pos_sq_pow(norms(np.matmul(lam[:, None], e)[..., 0]) - 1.0)
+        return _pos_sq_pow(norms(lam_times(lam, np.asarray(dirs))) - 1.0)
 
     if family == "weighted-rest":
         slacks = []

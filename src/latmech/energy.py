@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, cross2,
-                      edge_vectors, norms, ordered_sum, rotation, unique_rows)
+                      edge_vectors, lam_times, norms, ordered_sum, rotation, unique_rows)
 
 __all__ = [
     "EnergyBreakdown",
@@ -135,8 +135,9 @@ def _dets(cell: Supercell, d) -> np.ndarray:
 def triangle_dets(defm: PeriodicDeformation) -> np.ndarray:
     """``det(grad u)`` per penalized-triangle class (rows) and cell."""
     cell = defm.cell
-    ns = len(cell.spring_rest)
-    return _dets(cell, edge_vectors(defm.lam, defm.psi.ravel(), *(a[ns:] for a in cell.edges)))
+    tail, head, dx = (a[len(cell.spring_rest):] for a in cell.edges)
+    return _dets(cell, edge_vectors(defm.psi.reshape(1, -1), tail, head,
+                                    lam_times(defm.lam[None], dx))[0])
 
 
 @dataclass
@@ -182,7 +183,8 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     _check_eta(eta, cell.tri_area, cell.k * cell.k)
     kk = cell.k * cell.k
     ns = len(cell.spring_rest)
-    d = edge_vectors(defm.lam, defm.psi.ravel(), *cell.edges)
+    tail, head, dx = cell.edges
+    d = edge_vectors(defm.psi.reshape(1, -1), tail, head, lam_times(defm.lam[None], dx))[0]
     lengths = np.linalg.norm(d[:ns], axis=2)
     spring_e = cell.spring_stiffness[:, None] * (lengths - cell.spring_rest[:, None]) ** 2
 
@@ -227,40 +229,30 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     Everything that does not depend on ``Z`` is built here once: the
     slices of ``cell.edges`` and ``cell.scatter`` and the constants of the
     springs.  With fixed gradients ``lam`` ``(R, 2, 2)`` the products
-    ``lam @ dx`` of all ``R`` are formed once too; ``at`` holds the index
-    in ``lam`` of each row of ``Z``, whose products are gathered, and
-    ``f`` returns ``glam = None``.  Otherwise ``at`` is one ``lam``
-    ``(B, 2, 2)`` per row, on every call.  The buffers are one set, made
-    at the tallest stack seen so far; a shorter stack writes the first
-    ``B`` rows, so a stack whose height falls row by row allocates
-    nothing.  The results are new arrays on every call.
+    :func:`~latmech.lattice.lam_times` of all ``R`` and ``dx`` are formed
+    once too; ``at`` holds the index in ``lam`` of each row of ``Z``, whose
+    products are gathered, and ``f`` returns ``glam = None``.  Otherwise
+    ``at`` is one ``lam`` ``(B, 2, 2)`` per row, on every call.  The
+    buffers are one set, made at the tallest stack seen so far; a shorter
+    stack writes the first ``B`` rows, so a stack whose height falls row
+    by row allocates nothing.  The results are new arrays on every call.
 
     Each row has the bits of evaluating it alone, in a stack of one.  One
-    gather of the needed edge classes, by ``take`` along the row axis
-    (a fancy gather ``Z[:, head]`` returns a layout that is not C-ordered,
-    and the reductions over the cells then add in another order), one
-    value buffer filled in the order of ``cell.scatter`` and one
-    ``bincount``, its bins offset by ``2 n`` per row: totals run class by
-    class and the scatter in stream order, as ``+=`` and ``np.add.at``
+    :func:`~latmech.lattice.edge_vectors` gather of the needed edge
+    classes, one value buffer filled in the order of ``cell.scatter`` and
+    one ``bincount``, its bins offset by ``2 n`` per row: totals run class
+    by class and the scatter in stream order, as ``+=`` and ``np.add.at``
     loops over the classes would.  The operations are those of
-    ``np.linalg.norm(axis=2)``, ``np.sum`` and
-    :func:`~latmech.lattice.cross2`, spelled out to save the calls.
+    ``np.linalg.norm(axis=2)`` and ``np.sum``, spelled out to save the calls.
     """
     ns, nt, kk = len(cell.spring_rest), len(cell.tri_area), cell.k * cell.k
     n_s, n_t = (ns if springs else 0), (nt if penalty else 0)
     tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
     bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
     size = 2 * cell.n_nodes
-
-    def lam_dx(lam):
-        """``lam @ dx`` ``(B, classes, 1, 2)`` for ``lam`` ``(B, 2, 2)``:
-        matmul over stacked columns gives its bits row by row and class
-        by class."""
-        return np.matmul(lam[:, None], dx[:, :, None])[:, :, None, :, 0]
-
     fixed = lam is not None
     if fixed:
-        ldx = lam_dx(lam)
+        ldx = lam_times(lam, dx)
     rest = cell.spring_rest[:, None]
     twice_k = 2.0 * cell.spring_stiffness[:, None]
     cross0 = cell.tri_cross0[:, None]
@@ -285,7 +277,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     def f(Z, at):
         B = len(Z)
         E, glam, values, v_s, v_t, rows = stack_buffers(B)
-        d = Z.take(head, axis=1) - Z.take(tail, axis=1) + (ldx[at] if fixed else lam_dx(at))
+        d = edge_vectors(Z, tail, head, ldx[at] if fixed else lam_times(at, dx))
         infinite = None
         if springs:
             sx, sy = d[:, :ns, :, 0], d[:, :ns, :, 1]
@@ -301,8 +293,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
 
         if penalty:
             d1, d2 = d[:, n_s:n_s + nt], d[:, n_s + nt:]
-            E[:, 1 + n_s:], dE_ddet, infinite = penalty(
-                (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / cross0)
+            E[:, 1 + n_s:], dE_ddet, infinite = penalty(cross2(d1, d2) / cross0)
             dE_dcross = (dE_ddet / cross0)[..., None]
             # dE_dcross * (d2y, -d2x) and dE_dcross * (-d1y, d1x); negation is exact
             g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v_t[:, :, 0])

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import PeriodicDeformation, edge_vectors, ordered_sum, rotation
+from .lattice import PeriodicDeformation, edge_vectors, lam_times, ordered_sum, rotation
 
 __all__ = [
     "averaged_vectors",
@@ -59,9 +59,9 @@ def averaged_vectors(defm: PeriodicDeformation):
     """
     cell = defm.cell
     kk = cell.k * cell.k
-    z = defm.psi.ravel()
-    bt = edge_vectors(defm.lam, z, *cell.marker_b)
-    rt = edge_vectors(defm.lam, z, *cell.marker_r)
+    Z, lam = defm.psi.reshape(1, -1), defm.lam[None]
+    bt, rt = (edge_vectors(Z, tail, head, lam_times(lam, dx))[0]
+              for tail, head, dx in (cell.marker_b, cell.marker_r))
     return (ordered_sum(cell.marker_b.dx), ordered_sum(cell.marker_r.dx),
             ordered_sum(bt.sum(axis=1) / kk), ordered_sum(rt.sum(axis=1) / kk))
 

@@ -524,11 +524,20 @@ class Edges(NamedTuple):
     dx: np.ndarray
 
 
-def edge_vectors(lam, z, tail, head, dx) -> np.ndarray:
-    """Deformed vectors ``(n, k*k, 2)`` of stacked edge classes under
-    ``u = lam x + psi``, read from the flat ``psi`` vector ``z`` ``(2 n,)``."""
-    # matmul over stacked columns gives the bits of ``lam @ dx`` class by class
-    return z[head] - z[tail] + np.matmul(lam, dx[:, :, None])[:, None, :, 0]
+def lam_times(lam, x) -> np.ndarray:
+    """``lam[b] @ x[i]`` ``(B, n, 2)`` for gradients ``lam`` ``(B, 2, 2)`` and
+    vectors ``x`` ``(n, 2)``; matmul over stacked columns gives each the
+    bits of its product alone, however many are stacked."""
+    return np.matmul(lam[:, None], x[:, :, None])[..., 0]
+
+
+def edge_vectors(Z, tail, head, ldx) -> np.ndarray:
+    """Deformed vectors ``(B, n, k*k, 2)`` of stacked edge classes under
+    ``u = lam x + psi``, read from flat ``psi`` rows ``Z`` ``(B, 2 m)``, with
+    ``ldx`` ``(B, n, 2)`` each row's :func:`lam_times` of the classes' ``dx``.
+    ``take`` along the rows keeps the result C-ordered, which fixes the order
+    of every sum over the cells; a fancy-index gather would not."""
+    return Z.take(head, axis=1) - Z.take(tail, axis=1) + ldx[:, :, None]
 
 
 def ordered_sum(terms):

@@ -49,6 +49,7 @@ from .lattice import (
     _slot,
     build_kagome,
     cross2,
+    lam_times,
     norms,
     rotation,
     unique_rows,
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 
-_CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist
+_CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist, per cell
 _ETA_REF = 0.1           # penalty strength of the exact-energy certificates
 _SEARCH_TOL = 1e-12      # largest certified energy a searched mechanism may have
 _STACK_ROWS = 2 ** 16    # most placed rows, over its angles, of one stacked twist block
@@ -390,7 +391,7 @@ class TwistPlan:
         pos, misfit = self.placement.place(angles)
         y0, y1, y2 = (pos[:, b] for b in self.base)
         lam = np.matmul(np.stack([y1 - y0, y2 - y0], axis=-1), self.period_inv)
-        val = pos - np.matmul(lam[:, None], self.ref[:, :, None])[..., 0]
+        val = pos - lam_times(lam, self.ref)
         row, first = self.drift.T
         drift = norms(val[:, first] - val[:, row]).max(axis=-1, initial=0.0)
         return lam, val[:, self.first], misfit, drift
@@ -438,9 +439,10 @@ def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
 def _closure_error(thetas, k, misfit, drift):
     """``(closes, error)`` for the stacked ``fields`` of ``thetas``: per
     angle whether the counter-rotation closes (misfit and period drift at
-    most ``_CLOSURE_TOL``; a NaN one, from a NaN angle, does not), and why
-    the first that does not is no mechanism, or ``None``."""
-    fits, periodic = misfit <= _CLOSURE_TOL, drift <= _CLOSURE_TOL
+    most ``_CLOSURE_TOL * k * k``: the chase's rounding grows with k^2; a NaN
+    one, from a NaN angle, does not), and why the first that does not is no
+    mechanism, or ``None``."""
+    fits, periodic = misfit <= _CLOSURE_TOL * k * k, drift <= _CLOSURE_TOL * k * k
     closes = fits & periodic
     if closes.all():
         return closes, None

@@ -57,6 +57,13 @@ def random_deformation(spec, k, rng, lam=None, amp=0.3):
     return PeriodicDeformation(cell, np.asarray(lam, dtype=float), psi)
 
 
+def one_row_edge_vectors(lam, z, tail, head, dx):
+    """Deformed vectors ``(n, k*k, 2)`` of stacked edge classes under one
+    ``lam`` ``(2, 2)`` and one flat ``psi`` vector ``z``, gathered by fancy
+    index: the one-row reference of ``lattice.edge_vectors``."""
+    return z[head] - z[tail] + np.matmul(lam, dx[:, :, None])[:, None, :, 0]
+
+
 def orphan_spring_json():
     """Rotating squares with only its first triangle penalized, only marker
     0, and an extra spring ``D -> D + v1`` on node 2, which no penalized

@@ -4,13 +4,13 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from conftest import percolating_units_json
+from conftest import one_row_edge_vectors, percolating_units_json
 
 from latmech.energy import energy_breakdown
 from latmech.geometry import _pos_sq, lower_bracket, principal_stretches, signed_svd
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
                              Supercell, VARIANT_KINDS, build_kagome, build_rotating_squares,
-                             build_variant, edge_vectors, norms)
+                             build_variant, norms)
 from latmech.mechanisms import _twist_fields, twist_admissible_range, twist_mechanism
 import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
@@ -590,8 +590,8 @@ def test_diag_stretch_equality_witness(rotating_squares):
 def _marker_edges(defm):
     """Deformed marker vectors ``(b, r)``, each ``(n_markers, k*k, 2)``."""
     cell, z = defm.cell, defm.psi.ravel()
-    return (edge_vectors(defm.lam, z, *cell.marker_b),
-            edge_vectors(defm.lam, z, *cell.marker_r))
+    return (one_row_edge_vectors(defm.lam, z, *cell.marker_b),
+            one_row_edge_vectors(defm.lam, z, *cell.marker_r))
 
 
 def _ref_direction_slack(edges, stretches) -> float:
@@ -629,7 +629,7 @@ def _ref_weighted_rest(defm) -> float:
                              (cell.marker_r, cell.marker_r_spring, er)):
         rest = cell.spring_rest[spring]
         stiffness = cell.spring_stiffness[spring]
-        lengths = np.linalg.norm(edge_vectors(lam, defm.psi.ravel(), *edges), axis=2)
+        lengths = np.linalg.norm(one_row_edge_vectors(lam, defm.psi.ravel(), *edges), axis=2)
         energies = stiffness[:, None] * (lengths - rest[:, None]) ** 2
         M = float(np.min(stiffness * rest))
         l_avg = float(np.mean(rest))

@@ -57,6 +57,12 @@ def test_precondition_errors_exit_2(tmp_path):
     assert run(["build", "--spec", str(orphan), "--out", out]) == 2
 
 
+def test_mechanism_on_a_large_supercell_exits_0(tmp_path):
+    # an exact twist closes at k = 100, where its misfit passes 1e-12
+    assert run(["mechanism", "--theta", "0.3", "--k", "100",
+                "--out", str(tmp_path / "m.csv")]) == 0
+
+
 @pytest.mark.parametrize("argv, named", [
     (["soft-mode", "--eps", "1/0"], "'1/0'"),
     (["domain-wall", "--theta1", "2.3", "--n", "0"], "got 0"),

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import orphan_spring_json
+from conftest import one_row_edge_vectors, orphan_spring_json
 
 from latmech.energy import _cell_window
 from latmech.lattice import (
@@ -18,6 +18,8 @@ from latmech.lattice import (
     build_kagome,
     build_rotating_squares,
     build_variant,
+    edge_vectors,
+    lam_times,
     rotation,
     unique_rows,
 )
@@ -312,6 +314,25 @@ def test_supercell_flat_layouts_are_read_only(kagome):
     for arr in (*cell.edges, *cell.marker_b, *cell.marker_r, cell.scatter):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_edge_gather_has_the_one_row_bits(all_specs, k):
+    """Every row of one stacked gather, each at its own ``lam`` picked out
+    of order from a list of gradients, has the bits of the one-row fancy
+    gather, on the full edge layout and both marker families."""
+    rng = np.random.default_rng(k)
+    for spec in all_specs:
+        cell = Supercell(spec, k)
+        lams = np.eye(2) + 0.6 * rng.standard_normal((4, 2, 2))
+        at = np.array([2, 0, 3, 3, 1, 0])
+        Z = 0.4 * rng.standard_normal((len(at), 2 * cell.n_nodes))
+        for edges in (cell.edges, cell.marker_b, cell.marker_r):
+            got = edge_vectors(Z, edges.tail, edges.head, lam_times(lams, edges.dx)[at])
+            assert got.flags.c_contiguous
+            for row, i in enumerate(at):
+                want = one_row_edge_vectors(lams[i], Z[row], *edges)
+                assert got[row].tobytes() == want.tobytes(), (spec.name, k, row)
 
 
 def test_zero_deformation_is_reference(rotating_squares):

@@ -308,6 +308,21 @@ def test_batched_twist_equals_one_angle_path(twist_specs):
         twist_admissible_range(spec, 0.05)
 
 
+def test_exact_twists_close_on_large_supercells(kagome, rotating_squares):
+    # the pin chase's rounding grows with k^2, past an absolute 1e-12 at
+    # these angles of the default 50-angle grid; the tolerance grows with it
+    for spec, k, picks in ((kagome, 60, [0, 24, 49]), (rotating_squares, 150, [9])):
+        lo, hi = twist_admissible_range(spec)
+        thetas = np.linspace(lo + 1e-6, hi - 1e-6, 50)[picks]
+        lam, psi = _twist_fields(spec, thetas, k)
+        assert lam.shape == (len(picks), 2, 2) and np.isfinite(psi).all()
+    # an open chase misfits by far more at every k
+    spec = build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6)
+    for k in (1, 60):
+        with pytest.raises(MechanismError, match="by 0.3 does not close"):
+            _twist_fields(spec, [0.3], k)
+
+
 def test_twist_closure_failure_raises():
     # breaking the side-length balance of the quad stops the pin chase
     spec = build_variant("quad-squares", alpha=1.2, s=0.3, q=0.6)
