@@ -37,7 +37,8 @@ from .energy import (_check_eta, _density_objective, _lbfgsb, _scipy_extension,
                      energy_breakdown)
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError, PeriodicDeformation,
-                      Supercell, cross2, edge_vectors, lam_times, norms, rotation, unique_rows)
+                      Supercell, _polar, cross2, edge_vectors, lam_times, norms, ordered_sum,
+                      rotation, unique_rows)
 from .mechanisms import _twist_contraction_table, _twist_fields
 
 __all__ = [
@@ -141,10 +142,7 @@ def _twist_seed(spec: LatticeSpec, lam: np.ndarray):
     if abs(np.linalg.det(tlam)) < 1e-12:
         return None, gap
     # project the alignment onto a rotation so the seed stays energy-free
-    u, _, vt = np.linalg.svd(lam @ np.linalg.inv(tlam))
-    rot = u @ vt
-    if np.linalg.det(rot) < 0:
-        rot = u @ np.diag([1.0, -1.0]) @ vt
+    rot = _polar((lam @ np.linalg.inv(tlam))[None])[0]
     return psi @ rot.T, gap
 
 
@@ -497,16 +495,17 @@ def _pos_sq_pow(x) -> np.ndarray:
     return np.float_power(np.maximum(x, 0.0), 2.0)
 
 
-def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.ndarray:
+def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame) -> np.ndarray:
     """Slacks ``(T,)`` of the Jensen bound ``family`` on ``T`` trials
     stacked on one supercell: ``lam`` ``(T, 2, 2)``, ``psi``
     ``(T, n_nodes, 2)``.  ``frame`` is the spec's marker direction frame
-    ``(e_b, e_r)``; ``diag-stretch`` does not read it.
+    ``(e_b, e_r)``.
 
     A slack is the marker average of ``(|b~|-1)^2 + (|r~|-1)^2`` less
-    ``(|lam e|-1)_+^2`` over ``e = e_b, e_r`` (``two-direction``), with
-    the diagonal entries of ``lam`` for ``|lam e|`` (``diag-stretch``), or
-    adding ``(|r~-b~|-1)^2`` and the unit ``e_r - e_b`` (``three-direction``).
+    ``(|lam e|-1)_+^2`` over ``e = e_b, e_r`` (``two-direction``, and
+    ``diag-stretch`` on diagonal ``lam`` with entries ``>= 0`` and the
+    frame along the axes, where ``|lam e_x|`` is ``lam_11``), or adding
+    ``(|r~-b~|-1)^2`` and the unit ``e_r - e_b`` (``three-direction``).
     ``weighted-rest`` is the smaller over the b and r families of the
     spring energy average over ``M l_avg`` (``M`` the least stiffness
     times rest, ``l_avg`` the mean rest) less ``(|lam e|-1)_+^2``.
@@ -546,22 +545,16 @@ def _jensen_slacks(cell: Supercell, family: str, lam, psi, frame=None) -> np.nda
         # Python's ``min`` of the pair: the b family's unless the r family's is below it
         return np.where(s_r < s_b, s_r, s_b)
     bs, rs = gather(cell.marker_b), gather(cell.marker_r)
-    edges = [bs, rs]
-    if family == "diag-stretch":
-        rhs = _pos_sq_pow(np.diagonal(lam, axis1=1, axis2=2) - 1.0)
-    elif family == "two-direction":
-        rhs = stretch_sq(frame)
-    elif family == "three-direction":
-        eb, er = frame
-        e3 = er - eb
-        e3 = e3 / np.linalg.norm(e3)
+    edges, dirs = [bs, rs], list(frame)
+    if family == "three-direction":
+        e3 = frame[1] - frame[0]
         edges.append(rs - bs)
-        rhs = stretch_sq((eb, er, e3))
-    else:
+        dirs.append(e3 / np.linalg.norm(e3))
+    elif family not in ("two-direction", "diag-stretch"):
         raise ValueError(f"unknown Jensen bound family {family!r}")
-    # ``sum`` adds one term after another from zero, marker averages and stretch terms alike
-    lhs = sum(marker_mean((np.linalg.norm(e, axis=-1) - 1.0) ** 2) for e in edges)
-    return lhs - sum(rhs.T)
+    lhs = ordered_sum(np.array([marker_mean((np.linalg.norm(e, axis=-1) - 1.0) ** 2)
+                                for e in edges]))
+    return lhs - ordered_sum(stretch_sq(dirs).T)
 
 
 def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
@@ -657,7 +650,7 @@ def verify_jensen_bounds(
         # the equality witness: both sides are (1.5 - 1)^2 at psi = 0
         cell = Supercell(spec, 1)
         gap = _jensen_slacks(cell, "diag-stretch", np.diag([1.5, 1.0])[None],
-                             np.zeros((1, cell.n_nodes, 2)))
+                             np.zeros((1, cell.n_nodes, 2)), _marker_direction_frame(spec))
         out["diag-stretch"].equality_gap = abs(float(gap[0]))
     return out
 

@@ -125,19 +125,20 @@ def _check_eta(eta, area, cells: int, tau=1.0) -> None:
                          f"of {cells} cells with every triangle reversed overflows")
 
 
-def _dets(cell: Supercell, d) -> np.ndarray:
-    """``det(grad u)`` ``(nt, k*k)`` from the penalized triangles' deformed
-    edges ``d`` ``(2 nt, k*k, 2)``: the ``P0 -> P1`` rows, then ``P0 -> P2``."""
-    nt = len(cell.tri_area)
-    return cross2(d[:nt], d[nt:]) / cell.tri_cross0[:, None]
+def _dets(d1, d2, cross0) -> np.ndarray:
+    """``det(grad u)`` of triangles from their deformed edges ``d1`` =
+    ``P0 -> P1`` and ``d2`` = ``P0 -> P2`` (components on the trailing
+    axis): the deformed cross product over the reference one, ``cross0``,
+    which broadcasts against it."""
+    return cross2(d1, d2) / cross0
 
 
 def triangle_dets(defm: PeriodicDeformation) -> np.ndarray:
     """``det(grad u)`` per penalized-triangle class (rows) and cell."""
     cell = defm.cell
     tail, head, dx = (a[len(cell.spring_rest):] for a in cell.edges)
-    return _dets(cell, edge_vectors(defm.psi.reshape(1, -1), tail, head,
-                                    lam_times(defm.lam[None], dx))[0])
+    d = edge_vectors(defm.psi.reshape(1, -1), tail, head, lam_times(defm.lam[None], dx))[0]
+    return _dets(*d.reshape(2, len(cell.tri_area), -1, 2), cell.tri_cross0[:, None])
 
 
 @dataclass
@@ -195,7 +196,7 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
     per_spring = np.bincount(target.ravel(), share.ravel(),
                              minlength=n_pen * kk).reshape(n_pen, kk)
 
-    dets = _dets(cell, d[ns:])
+    dets = _dets(*d[ns:].reshape(2, n_pen, kk, 2), cell.tri_cross0[:, None])
     ok = dets > 0.0
     unit = cell.tri_area / eta
     return EnergyBreakdown(
@@ -293,7 +294,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
 
         if penalty:
             d1, d2 = d[:, n_s:n_s + nt], d[:, n_s + nt:]
-            E[:, 1 + n_s:], dE_ddet, infinite = penalty(cross2(d1, d2) / cross0)
+            E[:, 1 + n_s:], dE_ddet, infinite = penalty(_dets(d1, d2, cross0))
             dE_dcross = (dE_ddet / cross0)[..., None]
             # dE_dcross * (d2y, -d2x) and dE_dcross * (-d1y, d1x); negation is exact
             g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v_t[:, :, 0])
@@ -614,11 +615,9 @@ def _cell_energies(lmap: LatticeMap, eta: float, ci, cj) -> np.ndarray:
     # norms and float_power give the bits of norm() and ** on scalars
     springs = spec.spring_stiffness[:, None] * np.float_power(
         norms(pb - pa) - eps * spec.spring_rest[:, None], 2.0)
-    cross_ref = 2 * spec.penalized_area * eps * eps
-    cross_def = cross2(p1 - p0, p2 - p0)
+    dets = _dets(p1 - p0, p2 - p0, (2 * spec.penalized_area * eps * eps)[:, None])
     # a triangle that keeps its orientation adds 0.0, which leaves the sum as is
-    penalty = np.where(cross_def / cross_ref[:, None] <= 0,
-                       (eps * eps * spec.penalized_area / eta)[:, None], 0.0)
+    penalty = np.where(dets <= 0, (eps * eps * spec.penalized_area / eta)[:, None], 0.0)
     return ordered_sum(np.concatenate([springs, penalty]))
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import PeriodicDeformation, edge_vectors, lam_times, ordered_sum, rotation
+from .lattice import PeriodicDeformation, cross2, edge_vectors, lam_times, ordered_sum, rotation
 
 __all__ = [
     "averaged_vectors",
@@ -195,17 +195,12 @@ def _compression_parts(l1, l2, period):
     return l2**2, l1**2 - l2**2, rhs, cos2
 
 
-def _direction_term(a, b, c2, out):
+def _direction_term(a, b, c2):
     """One direction's term ``(sqrt(a + b c2) - 1)_+^2`` of the
-    compression sum, in place in ``out``, which it returns.  Every
-    operation rounds to nearest and so is monotone; with ``b >= 0`` the
-    term is a non-decreasing function of ``c2``."""
-    np.multiply(b, c2, out=out)
-    np.add(a, out, out=out)
-    np.sqrt(out, out=out)
-    np.subtract(out, 1.0, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.square(out, out=out)
+    compression sum.  Every operation rounds to nearest and so is
+    monotone; with ``b >= 0`` the term is a non-decreasing function of
+    ``c2``."""
+    return _pos_sq(np.sqrt(a + b * c2) - 1.0)
 
 
 def _compression_slack(l1, l2, period, size):
@@ -217,26 +212,18 @@ def _compression_slack(l1, l2, period, size):
     slack at its ``r``-th angle.
 
     Each term is ``sqrt(a + b cos^2)``, the stretch along one direction
-    of ``direction_stretch`` in ``tests/test_geometry.py``, evaluated in
-    place, operation for operation, so every element has the bits of the
-    broadcast expression.  A block holds ``size // pairs`` angles, at
-    least one (the last block the angles left), so each of its two
-    buffers holds at most ``max(size, pairs)`` elements.  The yielded
-    array is one of those buffers, overwritten by the next block.
+    of ``direction_stretch`` in ``tests/test_geometry.py``, broadcast over
+    the block, so every element has the bits of the one-angle expression.
+    A block holds ``size // pairs`` angles, at least one (the last block
+    the angles left), so each of its arrays holds at most ``max(size,
+    pairs)`` elements.
     """
     a, b, rhs, cos2 = _compression_parts(l1, l2, period)
     rows = max(1, size // len(a))
-    lhs = np.empty((min(rows, len(period)), len(a)))
-    term = np.empty_like(lhs)
     for start in range(0, len(period), rows):
-        n = min(rows, len(period) - start)
-        out, tmp = lhs[:n], term[:n]
-        # a square is never -0.0, so 0.0 + the first term is that term
-        _direction_term(a, b, cos2[0][start:start + n, None], out)
-        for c2 in cos2[1:]:
-            np.add(out, _direction_term(a, b, c2[start:start + n, None], tmp), out=out)
-        np.subtract(out, rhs, out=out)
-        yield out
+        block = slice(start, start + rows)
+        # a square is never -0.0, so 0 + the first term is that term
+        yield sum(_direction_term(a, b, c2[block, None]) for c2 in cos2) - rhs
 
 
 def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
@@ -249,10 +236,10 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     ``cos^2(theta + o)``, ``o in {0, pi/3, 2 pi/3}``, so it has period
     ``pi/3`` and is swept over the grid points in ``[0, pi/3)`` only.
 
-    That sweep is evaluated a block of angles at a time, in place in two
-    buffers of at most as many elements as the pair grid has pairs, so
-    its memory is O(pairs) however fine the angle grid: the fewer pairs
-    the bound below leaves to sweep, the more angles one block holds.
+    That sweep is evaluated a block of angles at a time, each array of a
+    block at most as large as the pair grid, so its memory is O(pairs)
+    however fine the angle grid: the fewer pairs the bound below leaves
+    to sweep, the more angles one block holds.
     Each reported minimum is the first one in (theta, pair) row-major
     order.
 
@@ -316,7 +303,7 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
     best = (np.inf, (0.0, 0.0, 0.0))
     period = theta[theta < np.pi / 3]
     a, b, rhs, cos2 = _compression_parts(l1, l2, period)
-    swept = _direction_term(a, b, np.max(cos2, axis=0).min(), np.empty_like(a)) - rhs < 0
+    swept = _direction_term(a, b, np.max(cos2, axis=0).min()) - rhs < 0
     swept[0] = True    # pair (0, 0)
     s1, s2 = l1[swept], l2[swept]
     start = 0
@@ -377,7 +364,7 @@ def triangle_deviation(pts, alpha: float):
     A, B, C = pts[..., 0, :], pts[..., 1, :], pts[..., 2, :]
     b = B - C
     r = B - A
-    s = np.where(b[..., 0] * r[..., 1] - b[..., 1] * r[..., 0] >= 0, 1.0, -1.0)
+    s = np.where(cross2(b, r) >= 0, 1.0, -1.0)
     ca, sa = np.cos(alpha), np.sin(alpha)
     rot_b = np.stack([
         ca * b[..., 0] - s * sa * b[..., 1],

@@ -83,8 +83,14 @@ def kabsch_rotations(X, Y) -> np.ndarray:
     """Best-fit rotations ``(n, 2, 2)`` carrying each centred point set
     ``X[i]`` onto ``Y[i]`` (stacks ``(n, m, 2)``); reflections are
     excluded by flipping the last left singular vector."""
-    H = np.matmul((Y - Y.mean(axis=1, keepdims=True)).transpose(0, 2, 1),
-                  X - X.mean(axis=1, keepdims=True))
+    return _polar(np.matmul((Y - Y.mean(axis=1, keepdims=True)).transpose(0, 2, 1),
+                            X - X.mean(axis=1, keepdims=True)))
+
+
+def _polar(H) -> np.ndarray:
+    """The rotations ``(n, 2, 2)`` nearest the matrices ``H`` ``(n, 2, 2)``:
+    ``U V^T`` of each SVD ``U S V^T``, with the last left singular vector
+    flipped where that product is a reflection."""
     U, _, Vt = np.linalg.svd(H)
     U[np.linalg.det(U @ Vt) < 0, :, -1] *= -1
     return U @ Vt
@@ -457,8 +463,7 @@ def _validate_spec(spec: LatticeSpec) -> None:
             f"marker {m} edge {_refs(spec.marker_keys[m, e])!r} does not lie along a spring"
         )
     b, r = spec.segments(spec.marker_keys).transpose(1, 0, 2)
-    R = rotation(spec.alpha)
-    bad = norms(r - spec.c_marker * np.matmul(R, b[:, :, None])[:, :, 0]) > 1e-9 * scale
+    bad = norms(r - spec.c_marker * lam_times(rotation([spec.alpha]), b)[0]) > 1e-9 * scale
     if bad.any():
         raise DegenerateGeometryError(f"marker {np.argmax(bad)} violates r = c R(alpha) b")
     if not len(spec.marker_keys):

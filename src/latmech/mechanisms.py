@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .energy import LatticeMap, _lbfgsb, _search_objective, energy_breakdown
+from .energy import LatticeMap, _dets, _lbfgsb, _search_objective, energy_breakdown
 from .geometry import signed_svd
 from .lattice import (
     DegenerateGeometryError,
@@ -48,7 +48,6 @@ from .lattice import (
     _frozen,
     _slot,
     build_kagome,
-    cross2,
     lam_times,
     norms,
     rotation,
@@ -728,7 +727,7 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
     resid = float(np.abs(length - spec.spring_rest[:, None])[both].max(initial=0.0))
     t = strip.rows(spec.penalized_keys, ci, cj)
     p0, p1, p2 = x[t].transpose(1, 0, 2, 3)
-    dets = cross2(p1 - p0, p2 - p0) / (2 * spec.penalized_area)[:, None]
+    dets = _dets(p1 - p0, p2 - p0, (2 * spec.penalized_area)[:, None])
     min_det = float(dets[(t >= 0).all(axis=1)].min(initial=np.inf))
 
     # pinch-joint compression profile along a middle row, whose cells run

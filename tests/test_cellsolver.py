@@ -579,7 +579,8 @@ def test_jensen_bounds_unequal_rests_fall_back_to_weighted():
 def test_diag_stretch_equality_witness(rotating_squares):
     cell = Supercell(rotating_squares, 1)
     slack = _jensen_slacks(cell, "diag-stretch", np.diag([1.5, 1.0])[None],
-                           np.zeros((1, cell.n_nodes, 2)))
+                           np.zeros((1, cell.n_nodes, 2)),
+                           _marker_direction_frame(rotating_squares))
     # both sides of the bound equal (1.5 - 1)^2 = 0.25
     assert abs(slack[0]) <= 1e-12
 

@@ -300,9 +300,9 @@ def per_angle_slack(l1, l2, period):
     a test that patches the inputs patches this sweep too."""
     a, b, rhs, cos2 = geometry._compression_parts(l1, l2, period)
     for i in range(len(period)):
-        lhs = geometry._direction_term(a, b, cos2[0][i], np.empty_like(a))
+        lhs = geometry._direction_term(a, b, cos2[0][i])
         for c2 in cos2[1:]:
-            lhs = lhs + geometry._direction_term(a, b, c2[i], np.empty_like(a))
+            lhs = lhs + geometry._direction_term(a, b, c2[i])
         yield lhs - rhs
 
 
