@@ -56,6 +56,8 @@ from .lattice import (
     build_rotating_squares,
     build_variant,
     kabsch_rotations,
+    lam_times,
+    norms,
     unique_rows,
 )
 
@@ -284,6 +286,21 @@ def _grid_file(path: str) -> list:
     return mats
 
 
+def _check_grid_energies(spec: LatticeSpec, lams) -> None:
+    """Reject a grid matrix whose exact energy on one cell at ``psi = 0``
+    overflows, naming its index: every solve from it would run on
+    infinities.  That energy's penalty part is finite once ``eta`` is
+    checked, so its spring part is checked here, for the whole grid at
+    once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths = norms(lam_times(np.array(lams), spec.segments(spec.spring_keys)))
+        springs = (spec.spring_stiffness * (lengths - spec.spring_rest) ** 2).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(springs))
+    if len(bad):
+        raise ValueError(f"grid matrix {bad[0]} {lams[bad[0]].tolist()}: its exact energy on "
+                         f"one cell at psi = 0 overflows")
+
+
 def _parse_matrix(text: str) -> np.ndarray:
     items = text.split(",")
     vals = []
@@ -500,8 +517,12 @@ def _cmd_energy(args) -> int:
         psi = args.psi_amp * rng.standard_normal((cell.n_nodes, 2))
     else:
         psi = np.zeros((cell.n_nodes, 2))
-    defm = PeriodicDeformation(cell, lam, psi)
-    bd = energy_breakdown(defm, args.eta)
+    # an overflow shows as a total that is not finite, so it is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        bd = energy_breakdown(PeriodicDeformation(cell, lam, psi), args.eta)
+    if not np.isfinite(bd.averaged):
+        raise ValueError(f"the exact energy overflows at --lam {args.lam or '1,0,0,1'} and "
+                         f"--psi-amp {args.psi_amp:g}")
     print(f"spring total {_fmt(bd.spring_total)}, penalty total "
           f"{_fmt(bd.penalty_total)}, averaged density {_fmt(bd.averaged)}")
     # a row per penalized triangle per cell, triangle by triangle
@@ -591,6 +612,7 @@ def _cmd_density_sweep(args) -> int:
     _check_cell_eta(spec, args.eta, max(ks))
     lams = (_grid_file(args.grid.split(":", 1)[1]) if args.grid.startswith("file:")
             else lambda_grid(args.grid, rng_seed=args.seed))
+    _check_grid_energies(spec, lams)
     # one task per contiguous chunk of the grid, one chunk per job, each
     # running the whole k-list; no row of a stack reads another
     jobs = _jobs(args, len(lams))

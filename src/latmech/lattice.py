@@ -22,6 +22,7 @@ Nested tuples ``(node, (o1, o2))`` appear only in error messages.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -315,23 +316,80 @@ class LatticeSpec:
                                      f"{type(entry).__name__}, not an object")
                 if set(entry) != keys:
                     raise ValueError(f"bad {kind} entry keys {sorted(entry)}")
+        _check_json_types(data)
         for t in triangles:
             if len(t["nodes"]) != 3:
                 raise ValueError(f"triangle {_refs(t['nodes'])!r} does not have three vertices")
         return cls(
-            name=str(data["name"]),
+            name=data["name"],
             v1=data["v1"],
             v2=data["v2"],
             basic_nodes=data["basic_nodes"],
             spring_keys=[(s["a"], s["b"]) for s in springs],
             spring_stiffness=[s["k_spring"] for s in springs],
             cover_keys=[t["nodes"] for t in triangles],
-            penalized=[bool(t["penalized"]) for t in triangles],
+            penalized=[t["penalized"] for t in triangles],
             marker_keys=[(m["b"], m["r"]) for m in markers],
             marker_triangle=[m["t"] for m in markers],
             alpha=float(data["alpha"]),
             c_marker=float(data["c_marker"]),
         )
+
+
+def _is_int(x) -> bool:
+    """Whether a parsed JSON value is an integer that an int64 holds;
+    ``true`` and ``false`` are not integers."""
+    return type(x) is int and -2 ** 63 <= x < 2 ** 63
+
+
+def _is_number(x) -> bool:
+    """Whether a parsed JSON value is a number that a float holds (``inf``
+    and ``nan`` included); ``true`` and ``false`` are not numbers."""
+    return type(x) is float or (type(x) is int and abs(x) <= int(sys.float_info.max))
+
+
+def _is_list(x, n, item) -> bool:
+    """Whether a parsed JSON value is a list of ``n`` values (any number when
+    ``n`` is ``None``), each passing ``item``."""
+    return isinstance(x, list) and (n is None or len(x) == n) and all(map(item, x))
+
+
+def _is_ref(x) -> bool:
+    """Whether a parsed JSON value is a node reference ``[node, o1, o2]``."""
+    return _is_list(x, 3, _is_int)
+
+
+def _check_json_types(data) -> None:
+    """Reject a value of spec JSON ``data`` of the wrong JSON type, naming its
+    entry, before any is converted: ``int`` and ``float`` would take a
+    string or a boolean, and ``bool`` any value at all."""
+    def expect(ok, what, value, kind):
+        if not ok:
+            raise ValueError(f"bad lattice JSON: {what} is {json.dumps(value)}, not {kind}")
+
+    expect(isinstance(data["name"], str), "name", data["name"], "a string")
+    for key in ("v1", "v2"):
+        expect(_is_list(data[key], 2, _is_number), key, data[key], "two numbers")
+    for key in ("alpha", "c_marker"):
+        expect(_is_number(data[key]), key, data[key], "a number")
+    expect(isinstance(data["basic_nodes"], list), "basic_nodes", data["basic_nodes"], "a list")
+    for i, p in enumerate(data["basic_nodes"]):
+        expect(_is_list(p, 2, _is_number), f"basic node {i}", p, "two numbers")
+    ref = "a node reference of three 64-bit integers"
+    for i, s in enumerate(data["springs"]):
+        for end in ("a", "b"):
+            expect(_is_ref(s[end]), f"spring {i} {end}", s[end], ref)
+        expect(_is_number(s["k_spring"]), f"spring {i} k_spring", s["k_spring"], "a number")
+    for i, t in enumerate(data["triangles"]):
+        expect(_is_list(t["nodes"], None, _is_ref), f"triangle {i} nodes", t["nodes"],
+               "a list of node references of three 64-bit integers")
+        expect(type(t["penalized"]) is bool, f"triangle {i} penalized", t["penalized"],
+               "true or false")
+    for i, m in enumerate(data["markers"]):
+        for edge in ("b", "r"):
+            expect(_is_list(m[edge], 2, _is_ref), f"marker {i} {edge}", m[edge],
+                   "two node references of three 64-bit integers")
+        expect(_is_int(m["t"]), f"marker {i} t", m["t"], "a 64-bit integer")
 
 
 # ---------------------------------------------------------------------------

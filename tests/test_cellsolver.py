@@ -10,7 +10,7 @@ from latmech.energy import energy_breakdown
 from latmech.geometry import _pos_sq, lower_bracket, principal_stretches, signed_svd
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
                              Supercell, VARIANT_KINDS, build_kagome, build_rotating_squares,
-                             build_variant, norms)
+                             build_variant, edge_vectors, lam_times, norms)
 from latmech.mechanisms import _twist_fields, twist_admissible_range, twist_mechanism
 import latmech.cellsolver as cellsolver
 from latmech.cellsolver import (
@@ -747,6 +747,42 @@ def test_stacked_stretch_terms_have_the_scalar_bits(kagome, rotating_squares):
     stacked = norms(np.matmul(lam[:, None], np.array(dirs)[None, :, :, None])[..., 0])
     scalar = [[np.linalg.norm(m @ e) for e in dirs] for m in lam]
     assert np.array_equal(stacked, scalar)
+
+
+def _old_diag_stretch_slacks(cell, lam, psi):
+    """``_jensen_slacks(cell, "diag-stretch", lam, psi, frame)`` as it was
+    formed before that family read the shared stretch terms: the diagonal
+    of ``lam`` for ``|lam e|``, and builtin sums."""
+    T = len(lam)
+    z = psi.reshape(T, -1)
+    edges = [edge_vectors(z, e.tail, e.head, lam_times(lam, e.dx))
+             for e in (cell.marker_b, cell.marker_r)]
+    lhs = sum(((np.linalg.norm(e, axis=-1) - 1.0) ** 2).reshape(T, -1).mean(axis=1)
+              for e in edges)
+    return lhs - sum(_pos_sq_pow(np.diagonal(lam, axis1=1, axis2=2) - 1.0).T)
+
+
+def test_diag_stretch_has_the_bits_of_the_diagonal_formula():
+    # every spec whose Jensen check runs the diag-stretch family
+    specs = [name for name, build in sorted(_JENSEN_SPECS.items())
+             if "diag-stretch" in verify_jensen_bounds(build(), n_trials=1, k_max=1)]
+    assert "rotating-squares" in specs
+    rng = np.random.default_rng(8)
+    for name in specs:
+        spec = _JENSEN_SPECS[name]()
+        frame = _marker_direction_frame(spec)
+        for k in (1, 2, 3):
+            cell = Supercell(spec, k)
+            lam = np.zeros((400, 2, 2))
+            lam[:, 0, 0], lam[:, 1, 1] = rng.uniform(0.0, 2.0, size=(2, 400))
+            psi = 0.4 * rng.standard_normal((400, cell.n_nodes, 2))
+            assert _jensen_slacks(cell, "diag-stretch", lam, psi, frame).tobytes() == \
+                _old_diag_stretch_slacks(cell, lam, psi).tobytes(), (name, k)
+        # the equality witness
+        cell = Supercell(spec, 1)
+        lam, psi = np.diag([1.5, 1.0])[None], np.zeros((1, cell.n_nodes, 2))
+        assert _jensen_slacks(cell, "diag-stretch", lam, psi, frame).tobytes() == \
+            _old_diag_stretch_slacks(cell, lam, psi).tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,29 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["energy", "--lam", "1e200,0,0,1e200"],
+     "the exact energy overflows at --lam 1e200,0,0,1e200 and --psi-amp 0"),
+    (["energy", "--psi-amp", "1e200"],
+     "the exact energy overflows at --lam 1,0,0,1 and --psi-amp 1e+200"),
+    (["density-sweep", "--grid", "GRID", "--k", "1", "--jobs", "1"],
+     "grid matrix 1 [[1e+200, 0.0], [0.0, 1e+200]]: its exact energy on one cell at "
+     "psi = 0 overflows"),
+])
+def test_overflowing_exact_energy_exits_2(tmp_path, capsys, argv, message):
+    # run in-process, where the warning filters of pyproject.toml make any
+    # numpy floating-point warning fail the test
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([[[1.0, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1e200]]]))
+    out = tmp_path / "x.csv"
+    argv = [f"file:{grid}" if a == "GRID" else a for a in argv]
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"latmech {argv[0]}: error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps, named", [
     ("1/8,0.125", "'1/8' and '0.125' repeat the cell size 0.125"),
     ("1/16,1/8,1/16", "'1/16' and '1/16' repeat the cell size 0.0625"),

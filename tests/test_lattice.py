@@ -15,6 +15,7 @@ from latmech.lattice import (
     PeriodicDeformation,
     Supercell,
     VARIANT_KINDS,
+    _polar,
     build_kagome,
     build_rotating_squares,
     build_variant,
@@ -236,6 +237,56 @@ SPEC_REJECTIONS = [
     pytest.param(lambda d: d.update(c_marker=float("inf")),
                  DegenerateGeometryError, "c_marker holds a non-finite number",
                  id="inf-c-marker"),
+    # values of the wrong JSON type, each rejected before any is converted
+    pytest.param(lambda d: d.update(name=["x"]),
+                 ValueError, 'bad lattice JSON: name is ["x"], not a string',
+                 id="name-list"),
+    pytest.param(lambda d: d.update(v1=[2.0, "0"]),
+                 ValueError, 'bad lattice JSON: v1 is [2.0, "0"], not two numbers',
+                 id="v1-string"),
+    pytest.param(lambda d: d.update(v2=[1.0, 1.7, 0.0]),
+                 ValueError, "bad lattice JSON: v2 is [1.0, 1.7, 0.0], not two numbers",
+                 id="v2-three-entries"),
+    pytest.param(lambda d: d.update(alpha="1.0"),
+                 ValueError, 'bad lattice JSON: alpha is "1.0", not a number',
+                 id="alpha-string"),
+    pytest.param(lambda d: d.update(c_marker=True),
+                 ValueError, "bad lattice JSON: c_marker is true, not a number",
+                 id="c-marker-bool"),
+    pytest.param(lambda d: d.update(basic_nodes={"0": [0.0, 0.0]}),
+                 ValueError, 'bad lattice JSON: basic_nodes is {"0": [0.0, 0.0]}, not a list',
+                 id="basic-nodes-object"),
+    pytest.param(lambda d: d["basic_nodes"][1].__setitem__(1, None),
+                 ValueError, "bad lattice JSON: basic node 1 is [0.5, null], not two numbers",
+                 id="basic-node-null"),
+    pytest.param(lambda d: d["basic_nodes"][0].__setitem__(0, 10 ** 400),
+                 ValueError, f"bad lattice JSON: basic node 0 is [{10 ** 400}, 0.0], "
+                 "not two numbers", id="basic-node-past-float"),
+    pytest.param(lambda d: d["springs"][0].update(a=[0.7, 0, 0]),
+                 ValueError, "bad lattice JSON: spring 0 a is [0.7, 0, 0], not a node "
+                 "reference of three 64-bit integers", id="spring-end-float"),
+    pytest.param(lambda d: d["springs"][3].update(b=[1, False, 0]),
+                 ValueError, "bad lattice JSON: spring 3 b is [1, false, 0], not a node "
+                 "reference of three 64-bit integers", id="spring-end-bool"),
+    pytest.param(lambda d: d["springs"][1]["a"].__setitem__(0, 2 ** 63),
+                 ValueError, f"bad lattice JSON: spring 1 a is [{2 ** 63}, 0, -1], not a node "
+                 "reference of three 64-bit integers", id="spring-end-past-int64"),
+    pytest.param(lambda d: d["springs"][2].update(k_spring="2"),
+                 ValueError, 'bad lattice JSON: spring 2 k_spring is "2", not a number',
+                 id="stiffness-string"),
+    pytest.param(lambda d: d["triangles"][0].update(nodes=[[0, 0, 0], [1, 0, 0], 2]),
+                 ValueError, "bad lattice JSON: triangle 0 nodes is [[0, 0, 0], [1, 0, 0], 2], "
+                 "not a list of node references of three 64-bit integers",
+                 id="triangle-node-int"),
+    pytest.param(lambda d: d["triangles"][2].update(penalized="false"),
+                 ValueError, 'bad lattice JSON: triangle 2 penalized is "false", '
+                 "not true or false", id="penalized-string"),
+    pytest.param(lambda d: d["markers"][1].update(r=[[0, 0, 0]]),
+                 ValueError, "bad lattice JSON: marker 1 r is [[0, 0, 0]], not two node "
+                 "references of three 64-bit integers", id="marker-edge-one-node"),
+    pytest.param(lambda d: d["markers"][0].update(t=True),
+                 ValueError, "bad lattice JSON: marker 0 t is true, not a 64-bit integer",
+                 id="marker-triangle-bool"),
 ]
 
 
@@ -249,6 +300,26 @@ def test_json_rejections(kagome, mutate, exc, message):
         LatticeSpec.from_json(json.dumps(data, indent=2))
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def _old_polar(m):
+    """The rotation that ``cellsolver._twist_seed`` took from one matrix
+    ``m`` before it called ``_polar``."""
+    u, _, vt = np.linalg.svd(m)
+    rot = u @ vt
+    if np.linalg.det(rot) < 0:
+        rot = u @ np.diag([1.0, -1.0]) @ vt
+    return rot
+
+
+def test_polar_has_the_bits_of_the_one_matrix_formula():
+    H = np.random.default_rng(3).standard_normal((100_000, 2, 2))
+    reflections = int((np.linalg.det(H) < 0).sum())
+    assert 40_000 < reflections < 60_000        # both branches, many times
+    want = np.array([_old_polar(m) for m in H])
+    assert _polar(H).tobytes() == want.tobytes()
+    # a stack of one, as the twist seed calls it
+    assert np.array([_polar(m[None])[0] for m in H[:2000]]).tobytes() == want[:2000].tobytes()
 
 
 def test_json_rejects_unknown_keys(kagome):
