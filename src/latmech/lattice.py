@@ -82,8 +82,8 @@ def norms(v):
 
 def kabsch_rotations(X, Y) -> np.ndarray:
     """Best-fit rotations ``(n, 2, 2)`` carrying each centred point set
-    ``X[i]`` onto ``Y[i]`` (stacks ``(n, m, 2)``); reflections are
-    excluded by flipping the last left singular vector."""
+    ``X[i]`` onto ``Y[i]`` (stacks ``(n, m, 2)``): the :func:`_polar`
+    rotations of their cross-covariances."""
     return _polar(np.matmul((Y - Y.mean(axis=1, keepdims=True)).transpose(0, 2, 1),
                             X - X.mean(axis=1, keepdims=True)))
 
