@@ -120,6 +120,21 @@ def _check_cell_eta(spec: LatticeSpec, eta, k: int) -> None:
     _check_eta(eta, spec.penalized_area, k * k, min(_ANNEAL))
 
 
+def _check_cell_lams(spec: LatticeSpec, lams) -> None:
+    """Reject a grid matrix whose exact energy on one cell at ``psi = 0``
+    overflows, naming its index: every solve from it would run on
+    infinities.  The penalty part of that energy is finite once ``eta``
+    passes :func:`_check_cell_eta`, so the spring part is checked here,
+    for the whole grid at once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths = norms(lam_times(np.array(lams), spec.segments(spec.spring_keys)))
+        springs = (spec.spring_stiffness * (lengths - spec.spring_rest) ** 2).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(springs))
+    if len(bad):
+        raise ValueError(f"grid matrix {bad[0]} {lams[bad[0]].tolist()}: its exact energy on "
+                         f"one cell at psi = 0 overflows")
+
+
 def _twist_seed(spec: LatticeSpec, lam: np.ndarray):
     """``(psi, gap)``: the one-cell ``psi`` of the twist field whose
     contraction matches ``lam``, rotated so its affine part aligns with

@@ -56,8 +56,6 @@ from .lattice import (
     build_rotating_squares,
     build_variant,
     kabsch_rotations,
-    lam_times,
-    norms,
     unique_rows,
 )
 
@@ -284,21 +282,6 @@ def _grid_file(path: str) -> list:
             raise ValueError(f"grid file {path}: entry {i} is not finite: {m!r}")
         mats.append(mat)
     return mats
-
-
-def _check_grid_energies(spec: LatticeSpec, lams) -> None:
-    """Reject a grid matrix whose exact energy on one cell at ``psi = 0``
-    overflows, naming its index: every solve from it would run on
-    infinities.  That energy's penalty part is finite once ``eta`` is
-    checked, so its spring part is checked here, for the whole grid at
-    once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lengths = norms(lam_times(np.array(lams), spec.segments(spec.spring_keys)))
-        springs = (spec.spring_stiffness * (lengths - spec.spring_rest) ** 2).sum(axis=1)
-    bad = np.flatnonzero(~np.isfinite(springs))
-    if len(bad):
-        raise ValueError(f"grid matrix {bad[0]} {lams[bad[0]].tolist()}: its exact energy on "
-                         f"one cell at psi = 0 overflows")
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -601,7 +584,7 @@ def _density_task(spec, lams, eta, ks, restarts, seed):
 
 def _cmd_density_sweep(args) -> int:
     # imported before the pool forks, so each worker inherits the solver
-    from .cellsolver import _SHORT_TOL, _check_cell_eta, lambda_grid
+    from .cellsolver import _SHORT_TOL, _check_cell_eta, _check_cell_lams, lambda_grid
     from .geometry import lower_bracket
 
     _check_seed(args)
@@ -612,7 +595,7 @@ def _cmd_density_sweep(args) -> int:
     _check_cell_eta(spec, args.eta, max(ks))
     lams = (_grid_file(args.grid.split(":", 1)[1]) if args.grid.startswith("file:")
             else lambda_grid(args.grid, rng_seed=args.seed))
-    _check_grid_energies(spec, lams)
+    _check_cell_lams(spec, lams)
     # one task per contiguous chunk of the grid, one chunk per job, each
     # running the whole k-list; no row of a stack reads another
     jobs = _jobs(args, len(lams))
