@@ -600,14 +600,13 @@ def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
     if unit_rests and axis_aligned:
         families.append("diag-stretch")
 
-    cells = {k: Supercell(spec, k) for k in range(1, k_max + 1)}
     drawn = 0
     while drawn < n_trials:
         ks, psis, raws = [], [], {name: [] for name in families}
         slots = 0
         while drawn < n_trials and slots < _JENSEN_CHUNK:
             k = int(rng.integers(1, k_max + 1))
-            psis.append(rng.standard_normal((cells[k].n_nodes, 2)))
+            psis.append(rng.standard_normal((spec.n_basic * k * k, 2)))
             for name in families:
                 raws[name].append(rng.uniform(0.0, 2.0, size=2) if name == "diag-stretch"
                                   else rng.standard_normal((2, 2)))
@@ -627,8 +626,9 @@ def _jensen_trials(spec: LatticeSpec, n_trials: int, k_max: int, rng_seed: int):
         for k in unique_rows(ks[:, None])[:, 0]:
             idx = np.flatnonzero(ks == k)
             psi = 0.4 * np.array([psis[i] for i in idx])
+            cell = Supercell(spec, k)
             for name in families:
-                slacks[name][idx] = _jensen_slacks(cells[k], name, lams[name][idx], psi, frame)
+                slacks[name][idx] = _jensen_slacks(cell, name, lams[name][idx], psi, frame)
         yield slacks
 
 
@@ -649,8 +649,8 @@ def verify_jensen_bounds(
     would draw them, and evaluated as stacked arrays, one
     :func:`_jensen_slacks` call per supercell size and family in each
     chunk of ``_JENSEN_CHUNK`` node slots; every slack has the bits of
-    the same bound on its trial alone.  The chunks keep memory bounded
-    whatever ``n_trials`` and ``k_max``.
+    the same bound on its trial alone.  A chunk builds only the supercell
+    sizes it drew, so memory stays bounded whatever ``n_trials`` and ``k_max``.
     """
     if n_trials < 1 or k_max < 1:
         raise ValueError(f"trials and k_max must be >= 1, got {n_trials} and {k_max}")

@@ -642,8 +642,11 @@ def _cmd_density_sweep(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     from .cellsolver import (_check_cell_eta, lambda_grid, orientation_threshold,
                              verify_isotropic_bound, verify_jensen_bounds)
+    from .geometry import _GRID_POINTS
 
     _check_seed(args)
+    if args.k_max * args.k_max > _GRID_POINTS:    # the limit of --k
+        raise ValueError(f"--k-max must be at most {math.isqrt(_GRID_POINTS)}, got {args.k_max}")
     spec = _load_spec(args)
     # checked on every run, so a bad --eta never passes unread
     _check_cell_eta(spec, args.eta, 1)    # verify-bounds --isotropic solves at k=1

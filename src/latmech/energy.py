@@ -219,13 +219,12 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
 def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     """The energy and gradients of the spring classes (when ``springs``),
     then of the penalized triangles (when ``penalty`` maps their
-    ``det(grad u)`` ``(B, nt, k*k)`` to per-class energies ``(B, nt)``,
-    the derivative in ``det`` and a mask ``(B,)`` of the rows whose
-    energy is infinite, or ``None`` for none), as a function
-    ``f(Z, at) -> (E, glam, gZ)`` of a stack of ``B`` flat ``psi``
-    vectors ``Z`` ``(B, 2 n)``: ``E`` ``(B,)``, ``glam`` ``(B, 2, 2)`` and
-    ``gZ`` ``(B, 2 n)``.  A row with an infinite energy has zero
-    gradients.
+    ``det(grad u)`` ``(B, nt, k*k)`` to two final arrays, the per-class
+    energies ``(B, nt)`` and the derivative in ``det`` ``(B, nt, k*k)``),
+    as a function ``f(Z, at) -> (E, glam, gZ)`` of a stack of ``B`` flat
+    ``psi`` vectors ``Z`` ``(B, 2 n)``: ``E`` ``(B,)``, ``glam``
+    ``(B, 2, 2)`` and ``gZ`` ``(B, 2 n)``.  A penalty settles its own
+    non-finite rows: a row of zero slopes has zero penalty gradients.
 
     Everything that does not depend on ``Z`` is built here once: the
     slices of ``cell.edges`` and ``cell.scatter`` and the constants of the
@@ -279,7 +278,6 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
         B = len(Z)
         E, glam, values, v_s, v_t, rows = stack_buffers(B)
         d = edge_vectors(Z, tail, head, ldx[at] if fixed else lam_times(at, dx))
-        infinite = None
         if springs:
             sx, sy = d[:, :ns, :, 0], d[:, :ns, :, 1]
             lengths = np.sqrt(sx * sx + sy * sy)
@@ -294,7 +292,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
 
         if penalty:
             d1, d2 = d[:, n_s:n_s + nt], d[:, n_s + nt:]
-            E[:, 1 + n_s:], dE_ddet, infinite = penalty(_dets(d1, d2, cross0))
+            E[:, 1 + n_s:], dE_ddet = penalty(_dets(d1, d2, cross0))
             dE_dcross = (dE_ddet / cross0)[..., None]
             # dE_dcross * (d2y, -d2x) and dE_dcross * (-d1y, d1x); negation is exact
             g1 = np.multiply(dE_dcross, d2[..., ::-1], out=v_t[:, :, 0])
@@ -310,11 +308,6 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
         E_total = np.add.accumulate(E, axis=1)[:, -1]
         glam_total = None if fixed else np.add.accumulate(glam, axis=1)[:, -1]
         gZ = np.bincount(rows, values.ravel(), minlength=B * size).reshape(B, size)
-        if infinite is not None:
-            E_total[infinite] = np.inf
-            gZ[infinite] = 0.0
-            if not fixed:
-                glam_total[infinite] = 0.0
         return E_total, glam_total, gZ
 
     return f
@@ -322,29 +315,35 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
 
 def _smoothed(cell: Supercell, eta: float, tau: float):
     """The sigmoid-smoothed orientation penalty of :func:`_kernel` at ``(eta, tau)``,
-    by scipy's compiled ``expit`` ufunc (the one ``scipy.special.expit``
-    is), loaded by :func:`_scipy_extension` with no scipy package."""
+    per-class energies and slopes, by scipy's compiled ``expit`` ufunc (the
+    one ``scipy.special.expit`` is), loaded by :func:`_scipy_extension` with
+    no scipy package.  The quotient ``-det / tau`` may overflow unwarned:
+    ``expit`` of ``+-inf`` is exactly its limit 1 or 0."""
     expit = _scipy_extension("special", "_special_ufuncs", "expit").expit
 
     unit = cell.tri_area / eta
     slope = -(cell.tri_area / (eta * tau))[:, None]
 
     def penalty(det):
-        sig = expit(-det / tau)
-        return unit * np.add.reduce(sig, axis=2), slope * sig * (1.0 - sig), None
+        with np.errstate(over="ignore"):
+            sig = expit(-det / tau)
+        return unit * np.add.reduce(sig, axis=2), slope * sig * (1.0 - sig)
 
     return penalty
 
 
 def _barrier(mu: float):
-    """The log-barrier ``-mu * sum log det`` of :func:`_kernel` at ``mu``:
-    infinite on a row with an orientation that is not positive, where no
+    """The log-barrier ``-mu * sum log det`` of :func:`_kernel` at ``mu``,
+    its per-class energies and slopes: on a row with an orientation that
+    is not positive every energy is ``inf`` and every slope ``0.0``, and no
     ``log`` or quotient of its ``det`` is taken."""
     def penalty(det):
         infinite = (det <= 0).any(axis=(1, 2))
         if infinite.any():
             det = np.where(infinite[:, None, None], 1.0, det)
-        return -mu * np.add.reduce(np.log(det), axis=2), -mu / det, infinite
+        E, slope = -mu * np.add.reduce(np.log(det), axis=2), -mu / det
+        E[infinite], slope[infinite] = np.inf, 0.0
+        return E, slope
 
     return penalty
 

@@ -981,18 +981,14 @@ def _rhombus_squares(angle=np.pi / 2, size_ratio=1.0, size=1.0):
                            size_ratio, size)
 
 
-def _quad_squares(alpha=np.pi / 2, s=0.5, q=0.5, d1=1.0, d2=1.0) -> LatticeSpec:
+def _quad_squares(alpha=np.pi / 2, s=0.5, q=0.5, d1=1.0) -> LatticeSpec:
     """Corner-joined congruent quadrilaterals with both diagonals braced.
 
-    The diagonals have equal length ``d1 = d2`` and meet at angle
-    ``alpha``; ``s`` and ``q`` locate the crossing point along the two
-    diagonals.  Markers run along the diagonals themselves: the braced
-    ``b`` diagonal ``A-O`` and the ``r`` diagonal ``B-D``.
+    Both diagonals have length ``d1`` and meet at angle ``alpha``; ``s``
+    and ``q`` locate the crossing point along the two diagonals.  Markers
+    run along the diagonals themselves: the braced ``b`` diagonal ``A-O``
+    and the ``r`` diagonal ``B-D``.
     """
-    if abs(d1 - d2) > 1e-12 * max(d1, d2):
-        raise DegenerateGeometryError(
-            f"diagonals must have equal length, got {d1:g} and {d2:g}"
-        )
     if not 0 < alpha < np.pi:
         raise DegenerateGeometryError(f"diagonal angle must be in (0, pi), got {alpha:g}")
     if not (0 < s < 1 and 0 < q < 1):
@@ -1052,11 +1048,12 @@ def build_variant(kind: str, **params) -> LatticeSpec:
         :func:`build_rotating_squares` is this family at ``angle = pi/2``,
         both sizes 1, with the exact direction ``(0, 1)`` in place of
         ``(cos(pi/2), sin(pi/2))``.
-    ``quad-squares(alpha, s, q, d1, d2)``:
-        congruent quadrilaterals with equal braced diagonals meeting at
-        ``alpha``, crossing at fractions ``s`` and ``q``.  The pure
-        counter-rotation mechanism requires midpoint crossing
-        (``s = q = 1/2``); other parameters still build a valid lattice.
+    ``quad-squares(alpha, s, q, d1)``:
+        congruent quadrilaterals with both braced diagonals of length
+        ``d1``, meeting at ``alpha``, crossing at fractions ``s`` and
+        ``q``.  The pure counter-rotation mechanism requires midpoint
+        crossing (``s = q = 1/2``); other parameters still build a valid
+        lattice.
     """
     try:
         builder = VARIANT_KINDS[kind]

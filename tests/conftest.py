@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from latmech.lattice import (
     build_rotating_squares,
     build_variant,
 )
+
+# the warning filters of pyproject.toml reach in-process tests only; every
+# process a test starts (a demo, a command, an import check) fails on a
+# floating-point warning too, as the CI run sets it
+os.environ.setdefault("PYTHONWARNINGS", "error::RuntimeWarning")
 
 
 @pytest.fixture(scope="session")

@@ -733,6 +733,20 @@ def test_jensen_trials_many_chunks_bit_for_bit(kagome, monkeypatch):
     assert _assert_jensen_matches_reference(kagome, 60, 4, 2) > 10
 
 
+def test_jensen_trials_build_only_the_drawn_sizes(rotating_squares, monkeypatch):
+    built = []
+
+    def spy(spec, k):
+        built.append(k)
+        return Supercell(spec, k)
+
+    monkeypatch.setattr(cellsolver, "Supercell", spy)
+    verify_jensen_bounds(rotating_squares, n_trials=1, k_max=90)
+    # the size seed 0 draws for the one trial, then the k = 1 equality
+    # witness of diag-stretch
+    assert built == [int(np.random.default_rng(0).integers(1, 91)), 1]
+
+
 def test_stacked_stretch_terms_have_the_scalar_bits(kagome, rotating_squares):
     """The Jensen kernel forms ``(|lam e| - 1)_+^2`` on arrays; every
     entry must have the bits of the scalar ``_pos_sq(norm(lam @ e) - 1)``."""

@@ -233,6 +233,63 @@ def test_overflowing_exact_energy_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_verify_bounds_k_max_past_the_k_limit_exits_2_before_any_trial(tmp_path, capsys,
+                                                                       monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("the Jensen trials ran")
+
+    monkeypatch.setattr(cellsolver, "verify_jensen_bounds", no_trials)
+    out = tmp_path / "new" / "bounds.csv"
+    assert run(["verify-bounds", "--trials", "1", "--k-max", "3163", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "latmech verify-bounds: error: --k-max must be at most 3162, got 3163\n"
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+# sha256 of ``density-sweep --spec SPEC --grid file:G --k 1,2 --jobs 1`` on
+# one matrix G whose one-cell exact energy is finite but whose determinant
+# over the anneal's tau overflows, as written before the smoothed penalty
+# let that quotient overflow unwarned (then with an overflow warning)
+HUGE_DET_SHA256 = {
+    ("kagome", "diagonal"): "a5843a0cc66616d643ed4004ec6603a80576c23cc2e37b88bae3e333a7160fb2",
+    ("kagome", "swap"): "138d0d6eaa513325978515f3af9e0a3a9d0ed65b8e500bf1965a5cd493602191",
+    ("kagome", "rotation"): "14d838904995768262e3b56d1c14b3404df84a27bf5361dd2b2c3ad76689b749",
+    ("rotating-squares", "diagonal"):
+        "8482e74932bb48d8487a2bcf3d0874dfdb09e44eb36dad2f89605f9eb2ecaba6",
+    ("rotating-squares", "swap"):
+        "8d647d3e37a37a31a63ad74bed03f3c8bad2998d26c2d545573e62e9a0ef2151",
+    ("rotating-squares", "rotation"):
+        "123253d07c297938c0be130f792abcd545683679523e95ef36bac9a37a0fd82e",
+}
+HUGE_DET_MATRICES = {
+    "diagonal": [[1e153, 0.0], [0.0, 1e153]],
+    "swap": [[0.0, 1e153], [1e153, 0.0]],
+    "rotation": [[1e153, -1e153], [1e153, 1e153]],
+}
+
+
+@pytest.mark.parametrize("spec, matrix", sorted(HUGE_DET_SHA256))
+def test_huge_determinant_sweeps_without_a_warning(tmp_path, capsys, spec, matrix):
+    # in-process, where the warning filters of pyproject.toml make any numpy
+    # floating-point warning fail the test
+    grid, out = tmp_path / "grid.json", tmp_path / "x.csv"
+    grid.write_text(json.dumps([HUGE_DET_MATRICES[matrix]]))
+    assert run(["density-sweep", "--spec", spec, "--grid", f"file:{grid}", "--k", "1,2",
+                "--jobs", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HUGE_DET_SHA256[spec, matrix]
+    # ten times larger, the one-cell exact energy overflows: the grid check names it
+    grid.write_text(json.dumps([[[1e154, 0.0], [0.0, 1e154]]]))
+    out.unlink()
+    capsys.readouterr()
+    assert run(["density-sweep", "--spec", spec, "--grid", f"file:{grid}", "--k", "1,2",
+                "--jobs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "latmech density-sweep: error: grid matrix 0 [[1e+154, 0.0], [0.0, 1e+154]]: "
+        "its exact energy on one cell at psi = 0 overflows\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps, named", [
     ("1/8,0.125", "'1/8' and '0.125' repeat the cell size 0.125"),
     ("1/16,1/8,1/16", "'1/16' and '1/16' repeat the cell size 0.0625"),
@@ -669,21 +726,25 @@ def test_percolating_rigid_units_sweep_but_have_no_twist(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("params, named", [
-    ("foo=1", "unknown --params key 'foo' for rhombus-squares; "
-              "valid keys: angle, size_ratio, size"),
-    ("size=nan", "--params entry 'size=nan' is not a finite number"),
-    ("angle=1.1,size_ratio=inf", "--params entry 'size_ratio=inf' is not a finite number"),
-    ("size=-inf", "--params entry 'size=-inf' is not a finite number"),
-    ("angle=abc", "--params entry 'angle=abc' is not a finite number"),
-    ("angle=", "--params entry 'angle=' is not a finite number"),
-    ("angle=1,angle=2", "--params entry 'angle=2' repeats the key 'angle'"),
-    ("angle=1,size=0.75, angle=1", "--params entry ' angle=1' repeats the key 'angle'"),
+@pytest.mark.parametrize("spec, params, named", [
+    ("rhombus-squares", "foo=1", "unknown --params key 'foo' for rhombus-squares; "
+                                 "valid keys: angle, size_ratio, size"),
+    # both diagonals have the one length d1
+    ("quad-squares", "d2=1", "unknown --params key 'd2' for quad-squares; "
+                             "valid keys: alpha, s, q, d1"),
+    ("rhombus-squares", "size=nan", "--params entry 'size=nan' is not a finite number"),
+    ("rhombus-squares", "angle=1.1,size_ratio=inf",
+     "--params entry 'size_ratio=inf' is not a finite number"),
+    ("rhombus-squares", "size=-inf", "--params entry 'size=-inf' is not a finite number"),
+    ("rhombus-squares", "angle=abc", "--params entry 'angle=abc' is not a finite number"),
+    ("rhombus-squares", "angle=", "--params entry 'angle=' is not a finite number"),
+    ("rhombus-squares", "angle=1,angle=2", "--params entry 'angle=2' repeats the key 'angle'"),
+    ("rhombus-squares", "angle=1,size=0.75, angle=1",
+     "--params entry ' angle=1' repeats the key 'angle'"),
 ])
-def test_bad_variant_params_exit_2(tmp_path, capsys, params, named):
+def test_bad_variant_params_exit_2(tmp_path, capsys, spec, params, named):
     out = tmp_path / "x.json"
-    assert run(["build", "--spec", "rhombus-squares", "--params", params,
-                "--out", str(out)]) == 2
+    assert run(["build", "--spec", spec, "--params", params, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
     assert "Traceback" not in captured.err

@@ -197,6 +197,28 @@ def test_barrier_infeasible_returns_inf(kagome):
     assert (dets[0] > 0).all() and (dets[1] < 0).all()
 
 
+def test_penalties_settle_their_own_infinite_rows(kagome):
+    # row 1 holds one zero and one reversed orientation; rows 0 and 2 are positive
+    det = np.random.default_rng(3).uniform(0.5, 1.5, (3, 2, 4))
+    det[1, 0, 1], det[1, 1, 3] = 0.0, -0.2
+    out = _barrier(1e-3)(det)
+    assert len(out) == 2
+    E, slope = out
+    assert E.shape == (3, 2) and slope.shape == det.shape
+    assert np.all(E[1] == np.inf) and np.all(slope[1] == 0.0)
+    for i in (0, 2):
+        assert np.array_equal(E[i], -1e-3 * np.add.reduce(np.log(det[i]), axis=1))
+        assert np.array_equal(slope[i], -1e-3 / det[i])
+    # the sigmoid's quotient det / tau overflows unwarned to the step's limits
+    cell = Supercell(kagome, 1)
+    huge = np.array([[[1e306], [-1e306]]])
+    out = _smoothed(cell, 0.05, 1e-3)(huge)
+    assert len(out) == 2
+    E, slope = out
+    assert np.array_equal(E[0], [0.0, cell.tri_area[1] / 0.05])
+    assert np.all(slope == 0.0)
+
+
 # -- per-class reference kernels ---------------------------------------------
 # The gradient kernels as they were before the flat edge layout and scatter
 # stream: per-class gathers, stacked slots and values, one bincount per

@@ -342,7 +342,6 @@ def test_variant_kinds_cover_defaults():
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("quad-squares", {"d1": 1.2, "d2": 0.8}),   # unequal diagonals
     ("quad-squares", {"s": 0.0}),               # pin at a corner
     ("quad-squares", {"q": 1.0}),
     ("rhombus-squares", {"angle": 0.0}),
