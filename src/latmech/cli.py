@@ -135,7 +135,7 @@ def _read(flag: str, path: str) -> str:
     """The text of the ``flag`` input file ``path``: the only code that
     reads a file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"{flag} {path!r} cannot be read: {exc.strerror}") from None
@@ -145,7 +145,7 @@ def _write(path: str, text: str) -> None:
     """Write ``text`` to ``path``, making its missing parent directories:
     the only code that writes to the file system."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -407,15 +407,17 @@ _NODE_COLUMNS = ("node", "offset1", "offset2", "ref_x", "ref_y", "x", "y")
 
 
 def _json_numbers(col) -> list:
-    """The JSON text of each entry of a 1-D int or float array: the
-    shortest round-trip repr, with NaN/Infinity/-Infinity for
-    non-finite floats."""
-    if col.dtype.kind in "iu":
-        return list(map(int.__repr__, col.tolist()))
-    out = list(map(float.__repr__, col.tolist()))
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        out[i] = _NONFINITE[out[i]]
-    return out
+    """The JSON text of each entry of a 1-D int64 or float64 array: the
+    shortest round-trip repr, with NaN/Infinity/-Infinity for non-finite
+    floats.  Each distinct bit pattern is formatted once (floats are told
+    apart by their int64 view, so 0.0 and -0.0 stay apart)."""
+    floats = col.dtype.kind == "f"
+    uniq, inverse = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
+    uniq = uniq.view(np.float64) if floats else uniq
+    text = list(map(repr, uniq.tolist()))
+    for i in np.flatnonzero(~np.isfinite(uniq)).tolist():
+        text[i] = _NONFINITE[text[i]]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _json_row(indent: int, width: int) -> str:

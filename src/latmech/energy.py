@@ -565,26 +565,26 @@ class LatticeMap:
         q = spec.node_positions(spec.cover_keys)
         dinvs = np.linalg.inv(np.stack([q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]], axis=-1)
                               * self.epsilon)
-        cover = list(zip(spec.cover_keys, dinvs))
         base = np.floor(np.matmul(Minv, points[:, :, None])[:, :, 0]).astype(int)
         todo = np.arange(len(points))
         for di in (0, -1, 1, -2, 2):
             for dj in (0, -1, 1, -2, 2):
-                for tri, dinv in cover:
-                    ci, cj = base[todo, 0] + di, base[todo, 1] + dj
-                    rows = self.rows(tri, ci, cj)
-                    p = points[todo]
-                    bary = np.matmul(dinv, (p - self.reference_positions[rows[0]])[:, :, None])[:, :, 0]
-                    bsum = bary[:, 0] + bary[:, 1]
-                    hit = ((rows >= 0).all(axis=0) & (bary[:, 0] >= -1e-9)
-                           & (bary[:, 1] >= -1e-9) & (bsum <= 1 + 1e-9))
-                    u0, u1, u2 = self.positions[rows[:, hit]]
-                    b0, b1 = bary[hit, 0:1], bary[hit, 1:2]
-                    values[todo[hit]] = (1 - bsum[hit, None]) * u0 + b0 * u1 + b1 * u2
-                    grads[todo[hit]] = np.matmul(np.stack([u1 - u0, u2 - u0], axis=-1), dinv)
-                    todo = todo[~hit]
-                    if not len(todo):
-                        return values, grads
+                rows = self.rows(spec.cover_keys, base[todo, 0] + di, base[todo, 1] + dj)
+                d = points[todo] - self.reference_positions[rows[:, 0]]
+                bary = np.matmul(dinvs[:, None], d[..., None])[..., 0]
+                bsum = bary[..., 0] + bary[..., 1]
+                hits = ((rows >= 0).all(axis=1) & (bary[..., 0] >= -1e-9)
+                        & (bary[..., 1] >= -1e-9) & (bsum <= 1 + 1e-9))
+                hit = hits.any(axis=0)
+                at = np.flatnonzero(hit)
+                tri = hits[:, hit].argmax(axis=0)
+                u0, u1, u2 = self.positions[rows[tri, :, at].T]
+                b0, b1 = bary[tri, at, 0:1], bary[tri, at, 1:2]
+                values[todo[hit]] = (1 - bsum[tri, at, None]) * u0 + b0 * u1 + b1 * u2
+                grads[todo[hit]] = np.matmul(np.stack([u1 - u0, u2 - u0], axis=-1), dinvs[tri])
+                todo = todo[~hit]
+                if not len(todo):
+                    return values, grads
         raise ValueError(f"point {points[todo[0]]} is not covered by stored nodal values")
 
 

@@ -186,18 +186,26 @@ def _relax(lmap: LatticeMap, ci, cj, sweeps: int):
     np.add.at(wsum, ib, stiff)
     # per coordinate, one np.add.at over [ia, ib] adds the pulls in the
     # order scatters over ia and then over ib would; contiguous 1-D
-    # arrays take numpy's fast path
+    # arrays take numpy's fast path.  The pulls of both ends go to one
+    # buffer that every sweep and coordinate reuses.
+    m = len(ia)
     ends, stiff2 = np.concatenate([ia, ib]), np.concatenate([stiff, stiff])
+    del ra, rb, both
+    tether_x, tether_y = _TETHER * pos0[:, 0], _TETHER * pos0[:, 1]
+    pulls = np.empty(2 * m)
     x, y = pos0.T.copy()
     for _ in range(sweeps):
-        xa, xb, ya, yb = x[ia], x[ib], y[ia], y[ib]
+        xa, xb, ya, yb = x.take(ia), x.take(ib), y.take(ia), y.take(ib)
         dx, dy = xa - xb, ya - yb
         # sqrt(dx^2 + dy^2) is what np.linalg.norm(d, axis=1) computes
         lengths = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-300)
         rx, ry = rest * (dx / lengths), rest * (dy / lengths)
-        pull_x, pull_y = _TETHER * pos0[:, 0], _TETHER * pos0[:, 1]
-        np.add.at(pull_x, ends, stiff2 * np.concatenate([xb + rx, xa - rx]))
-        np.add.at(pull_y, ends, stiff2 * np.concatenate([yb + ry, ya - ry]))
+        pull_x, pull_y = tether_x.copy(), tether_y.copy()
+        for pull, a, b, r in ((pull_x, xa, xb, rx), (pull_y, ya, yb, ry)):
+            np.add(b, r, out=pulls[:m])
+            np.subtract(a, r, out=pulls[m:])
+            np.multiply(stiff2, pulls, out=pulls)
+            np.add.at(pull, ends, pulls)
         x = (1 - _OMEGA) * x + _OMEGA * pull_x / wsum
         y = (1 - _OMEGA) * y + _OMEGA * pull_y / wsum
     return np.column_stack([x, y])
@@ -302,10 +310,14 @@ def modulate(
     rel = (mem_pos - centers[mem_inst])[:, :, None]
     placed = anchor[mem_inst] + (R[mem_inst] @ rel)[:, :, 0]
 
-    # node averaging in instance order (-0.0 is the exact additive identity)
-    sums = np.full((len(keys), 2), -0.0)
-    np.add.at(sums, mem_node, placed)
-    pos0 = sums / np.bincount(mem_node, minlength=len(keys))[:, None]
+    # node averaging in instance order, one contiguous 1-D scatter per
+    # coordinate (-0.0 is the exact additive identity)
+    count = np.bincount(mem_node, minlength=len(keys))
+    pos0 = np.empty((len(keys), 2))
+    for c in range(2):
+        total = np.full(len(keys), -0.0)
+        np.add.at(total, mem_node, placed[:, c].copy())
+        pos0[:, c] = total / count
     pos = _relax(LatticeMap(spec, epsilon, keys, pos0), CI, CJ, relax_sweeps)
     return LatticeMap(spec, epsilon, keys, pos)
 

@@ -1058,6 +1058,33 @@ def test_geometry_dump_writes_the_indented_json_text(tmp_path):
     assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
+def _json_numbers_by_cell(col):
+    """Reference ``cli._json_numbers``: one repr per cell."""
+    if col.dtype.kind in "iu":
+        return list(map(int.__repr__, col.tolist()))
+    out = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        out[i] = cli._NONFINITE[out[i]]
+    return out
+
+
+def test_json_numbers_format_each_distinct_number_once():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+    floats = np.array([0.5, 0.0, -0.0, 0.5, np.inf, -np.inf, 5e-324, -5e-324, 1 / 3,
+                       nans[0], -0.0, nans[1], 0.5, 1e300, np.inf, 0.0])
+    ints = np.array([3, -1, 3, np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, 3])
+    keys = np.array([[0, 7, -2], [1, 7, -2], [2, 8, -2], [0, 8, -3]])
+    columns = [floats, ints, *keys.T, keys.T[1], np.empty(0), np.empty(0, dtype=np.int64),
+               np.array([np.nan] * 3)]
+    assert not keys.T[1].flags.contiguous
+    for col in columns:
+        got = cli._json_numbers(col)
+        assert type(got) is list and all(type(t) is str for t in got)
+        assert got == _json_numbers_by_cell(col), col
+    assert cli._json_numbers(floats)[:4] == ["0.5", "0.0", "-0.0", "0.5"]
+    assert cli._json_numbers(floats)[9:12] == ["NaN", "-0.0", "NaN"]
+
+
 def test_mechanism_dump_matches_json_text(tmp_path):
     dump = tmp_path / "geom.json"
     assert run(["mechanism", "--spec", "kagome", "--theta", "0.3", "--k", "2",
@@ -1341,6 +1368,27 @@ def test_program_run_prints_and_writes_everything(tmp_path, capsys):
     assert (done.returncode, done.stdout) == (0, want + "frozen True\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--out", "k.json", "--manifest", "manifest.json"],
+    ["energy", "--spec", "spec.json", "--out", "e.csv"],
+    ["density-sweep", "--grid", "file:grid.json", "--k", "1", "--jobs", "2", "--out", "d.csv"],
+    ["soft-mode", "--eps", "1/8", "--sweeps", "5", "--dump-dir", "D", "--out", "s.csv"],
+    ["mechanism", "--theta", "0.3", "--dump", "geom.json", "--out", "m.csv"],
+], ids=lambda argv: argv[0])
+def test_files_are_read_and_written_as_utf8(tmp_path, argv):
+    # under a locale whose encoding is not UTF-8, a file opened without an
+    # encoding is read and written in the locale's; -X warn_default_encoding
+    # shows every such open as an EncodingWarning
+    assert run(["build", "--out", str(tmp_path / "spec.json")]) == 0
+    (tmp_path / "grid.json").write_text("[[[0.9, 0.0], [0.0, 0.9]], [[0.95, 0.0], [0.0, 0.8]]]")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-m", "latmech.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_verify_bounds_csv(tmp_path):
     out = str(tmp_path / "bounds.csv")
     assert run(["verify-bounds", "--spec", "rotating-squares",
@@ -1490,6 +1538,32 @@ def test_soft_mode_ladder_pinned_bytes(tmp_path, capsys, jobs):
         got[name] = (tmp_path / name).read_bytes()
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in got.items()} == SOFT_MODE_LADDER_PINNED
+
+
+# sha256 of ``soft-mode --spec rotating-squares --eps 1/16,1/33 --sweeps 50
+# --dump-dir D``: the CSV, both geometry dumps, and stdout with the run's
+# directory written as ``<dir>``, recorded while each dump formatted every
+# number cell by cell
+SOFT_MODE_SQUARES_PINNED = {
+    "stdout": "36c17d80a0d7bf6e7ad1595746c4ae18517c831b6648e21a6f31396e2fb12d85",
+    "soft_mode.csv": "bd32dd37a273a0a92e639d874b24848e8c3f786f55c4529bdcd51aa86fd83b9e",
+    "D/soft_mode_eps_0.0625.json":
+        "bf8f6e768aa2dfd0a9325288f6cb4c40d94fd4ff8946fd78928bbd2192120a19",
+    "D/soft_mode_eps_0.030303.json":
+        "4a522dafd97b8f9542a9ef729a18bc3cd2edec2a1cef21c7bd3bb109ec9a2481",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_soft_mode_rotating_squares_pinned_bytes(tmp_path, capsys, jobs):
+    assert run(["soft-mode", "--spec", "rotating-squares", "--eps", "1/16,1/33",
+                "--sweeps", "50", "--jobs", str(jobs), "--dump-dir", str(tmp_path / "D"),
+                "--out", str(tmp_path / "soft_mode.csv")]) == 0
+    got = {"stdout": capsys.readouterr().out.replace(str(tmp_path), "<dir>").encode()}
+    for name in list(SOFT_MODE_SQUARES_PINNED)[1:]:
+        got[name] = (tmp_path / name).read_bytes()
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in got.items()} == SOFT_MODE_SQUARES_PINNED
 
 
 def test_inequalities_csv(tmp_path):

@@ -36,6 +36,7 @@ from latmech.energy import (
 from latmech.cellsolver import _ANNEAL, _MAXITER
 from latmech.lattice import PeriodicDeformation, Supercell, cross2, ordered_sum, rotation
 from latmech.mechanisms import _pack, _unpack, twist_mechanism
+from latmech.softmodes import _probe_margin, default_target, modulate
 
 from conftest import random_deformation
 from test_pins import _one_shot, _specs
@@ -925,6 +926,70 @@ def test_interpolate_affine_maps_are_exact(kagome):
     assert np.allclose(grads, lam, atol=1e-10)
     with pytest.raises(ValueError):
         lmap.interpolate([[50.0, 50.0]])
+
+
+def _interpolate_by_triangle(lmap, points):
+    """Reference ``LatticeMap.interpolate``: one pass per cell offset and
+    cover triangle."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    spec = lmap.spec
+    Minv = np.linalg.inv(spec.cell_matrix) / lmap.epsilon
+    values = np.empty((len(points), 2))
+    grads = np.empty((len(points), 2, 2))
+    q = spec.node_positions(spec.cover_keys)
+    dinvs = np.linalg.inv(np.stack([q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]], axis=-1)
+                          * lmap.epsilon)
+    base = np.floor(np.matmul(Minv, points[:, :, None])[:, :, 0]).astype(int)
+    todo = np.arange(len(points))
+    for di in (0, -1, 1, -2, 2):
+        for dj in (0, -1, 1, -2, 2):
+            for tri, dinv in zip(spec.cover_keys, dinvs):
+                ci, cj = base[todo, 0] + di, base[todo, 1] + dj
+                rows = lmap.rows(tri, ci, cj)
+                p = points[todo]
+                bary = np.matmul(dinv, (p - lmap.reference_positions[rows[0]])[:, :, None])[:, :, 0]
+                bsum = bary[:, 0] + bary[:, 1]
+                hit = ((rows >= 0).all(axis=0) & (bary[:, 0] >= -1e-9)
+                       & (bary[:, 1] >= -1e-9) & (bsum <= 1 + 1e-9))
+                u0, u1, u2 = lmap.positions[rows[:, hit]]
+                b0, b1 = bary[hit, 0:1], bary[hit, 1:2]
+                values[todo[hit]] = (1 - bsum[hit, None]) * u0 + b0 * u1 + b1 * u2
+                grads[todo[hit]] = np.matmul(np.stack([u1 - u0, u2 - u0], axis=-1), dinv)
+                todo = todo[~hit]
+                if not len(todo):
+                    return values, grads
+    raise ValueError(f"point {points[todo[0]]} is not covered by stored nodal values")
+
+
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+@pytest.mark.parametrize("denom", [16, 33])
+def test_interpolate_matches_one_triangle_passes(request, spec_name, denom):
+    # every cover triangle of a cell offset is tested in one pass; each
+    # point still takes its first hit in (offset, triangle) order
+    # points of the target rectangle, kept inside the probe margin of
+    # weak_limit_check so that the map covers them
+    spec, target = request.getfixturevalue(spec_name), default_target()
+    lmap = modulate(spec, target, 1 / denom, relax_sweeps=5)
+    x0, x1, y0, y1 = target.domain
+    m = _probe_margin(spec, target, 1 / denom)
+    rng = np.random.default_rng(500)
+    points = np.column_stack([rng.uniform(x0 + m, x1 - m, 500), rng.uniform(y0 + m, y1 - m, 500)])
+    # nodes lie on several cover triangles at once
+    refs = lmap.reference_positions
+    nodes = refs[(refs[:, 0] > x0 + m) & (refs[:, 0] < x1 - m)
+                 & (refs[:, 1] > y0 + m) & (refs[:, 1] < y1 - m)]
+    points = np.vstack([points, nodes[::3]])
+    got, want = lmap.interpolate(points), _interpolate_by_triangle(lmap, points)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the first uncovered point is named, as the reference names it
+    stray = np.vstack([points[:7], [[5.0, 5.0]], points[7:9], [[-5.0, 2.0]]])
+    with pytest.raises(ValueError) as want_err:
+        _interpolate_by_triangle(lmap, stray)
+    with pytest.raises(ValueError) as got_err:
+        lmap.interpolate(stray)
+    assert str(got_err.value) == str(want_err.value) == (
+        "point [5. 5.] is not covered by stored nodal values")
 
 
 def test_check_cell_bounds_finite(kagome, rotating_squares):

@@ -1,16 +1,20 @@
 """Conformal targets, twist modulation, and weak-limit diagnostics."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from latmech.energy import LatticeMap, domain_energy
+from latmech.energy import LatticeMap, _cell_window, domain_energy
 from latmech.mechanisms import _twist_contraction_table
 from latmech.softmodes import (
+    _OMEGA,
+    _TETHER,
     ConformalTarget,
     _box_gradients,
     _pchip,
+    _relax,
     decay_exponent,
     default_target,
     ladder_exponents,
@@ -260,6 +264,67 @@ def test_modulated_cells_preserve_orientation(kagome):
             ref = (q1 - q0)[0] * (q2 - q0)[1] - (q1 - q0)[1] * (q2 - q0)[0]
             defc = (p1 - p0)[0] * (p2 - p0)[1] - (p1 - p0)[1] * (p2 - p0)[0]
             assert defc / ref > 0
+
+
+# sha256 of ``modulate(SPEC, default_target(), 1 / D, relax_sweeps=0)``'s
+# positions: the node averages of the rigid placements, recorded while
+# they were scattered as one 2-D ``np.add.at``
+AVERAGED_POSITIONS_SHA256 = {
+    ("kagome", 16): "e2666db474b1f64480a5c1895115fdbd11f74cd752e1626d08ad294c5a5f1892",
+    ("kagome", 33): "77f1985c521ca8b298b342e10ec9e2ec45a07c64666dbd2a994504df838c0bc5",
+    ("rotating_squares", 16): "d7e672fa9cdae1dbec0e024f365b8a294fe3a2d48316b2906ceeffc4e7d0ce99",
+    ("rotating_squares", 33): "91e000c6c19d4aaf6f26c091ba76185a7637dc32e1fee4c80552944ebcd17a0e",
+}
+
+
+@pytest.mark.parametrize("spec_name, denom", sorted(AVERAGED_POSITIONS_SHA256))
+def test_modulate_averaged_positions_keep_their_bits(request, spec_name, denom):
+    lmap = modulate(request.getfixturevalue(spec_name), default_target(), 1 / denom,
+                    relax_sweeps=0)
+    assert (hashlib.sha256(lmap.positions.tobytes()).hexdigest()
+            == AVERAGED_POSITIONS_SHA256[spec_name, denom])
+
+
+def _relax_by_concatenation(lmap, ci, cj, sweeps):
+    """Reference ``_relax``: fancy-index gathers, and each coordinate's
+    pulls concatenated and multiplied into fresh arrays every sweep."""
+    spec, eps, pos0 = lmap.spec, lmap.epsilon, lmap.positions
+    ra, rb = lmap.rows(spec.spring_keys, ci, cj).transpose(1, 0, 2)
+    both = (ra >= 0) & (rb >= 0)
+    ia, ib = ra[both], rb[both]
+    count = both.sum(axis=1)
+    rest = np.repeat(eps * spec.spring_rest, count)
+    stiff = np.repeat(spec.spring_stiffness, count)
+    wsum = np.full(len(pos0), _TETHER)
+    np.add.at(wsum, ia, stiff)
+    np.add.at(wsum, ib, stiff)
+    ends, stiff2 = np.concatenate([ia, ib]), np.concatenate([stiff, stiff])
+    x, y = pos0.T.copy()
+    for _ in range(sweeps):
+        xa, xb, ya, yb = x[ia], x[ib], y[ia], y[ib]
+        dx, dy = xa - xb, ya - yb
+        lengths = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-300)
+        rx, ry = rest * (dx / lengths), rest * (dy / lengths)
+        pull_x, pull_y = _TETHER * pos0[:, 0], _TETHER * pos0[:, 1]
+        np.add.at(pull_x, ends, stiff2 * np.concatenate([xb + rx, xa - rx]))
+        np.add.at(pull_y, ends, stiff2 * np.concatenate([yb + ry, ya - ry]))
+        x = (1 - _OMEGA) * x + _OMEGA * pull_x / wsum
+        y = (1 - _OMEGA) * y + _OMEGA * pull_y / wsum
+    return np.column_stack([x, y])
+
+
+@pytest.mark.parametrize("spec_name", ["kagome", "rotating_squares"])
+@pytest.mark.parametrize("denom", [16, 33])
+def test_relax_matches_the_concatenating_sweeps(request, spec_name, denom):
+    spec, target = request.getfixturevalue(spec_name), default_target()
+    lmap = modulate(spec, target, 1 / denom, relax_sweeps=0)
+    ci, cj = _cell_window(spec, target.polygon, 1 / denom)
+    for sweeps in (0, 1, 17):
+        got = _relax(lmap, ci, cj, sweeps)
+        want = _relax_by_concatenation(lmap, ci, cj, sweeps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), sweeps
+    relaxed = modulate(spec, target, 1 / denom, relax_sweeps=17)
+    assert relaxed.positions.tobytes() == got.tobytes()
 
 
 # ---------------------------------------------------------------------------
