@@ -1527,17 +1527,23 @@ SOFT_MODE_LADDER_PINNED = {
 }
 
 
+def _soft_mode_hashes(tmp_path, capsys, argv, pinned):
+    """sha256 of what ``soft-mode argv --dump-dir D --out soft_mode.csv``
+    writes in ``tmp_path``: stdout, with the directory written as
+    ``<dir>``, and each file that ``pinned`` names."""
+    assert run(["soft-mode", *argv, "--dump-dir", str(tmp_path / "D"),
+                "--out", str(tmp_path / "soft_mode.csv")]) == 0
+    got = {"stdout": capsys.readouterr().out.replace(str(tmp_path), "<dir>").encode()}
+    for name in pinned.keys() - {"stdout"}:
+        got[name] = (tmp_path / name).read_bytes()
+    return {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_soft_mode_ladder_pinned_bytes(tmp_path, capsys, jobs):
     # at --jobs 2 the target travels to the pool workers
-    assert run(["soft-mode", "--eps", "1/17,1/33,1/65", "--jobs", str(jobs),
-                "--dump-dir", str(tmp_path / "D"),
-                "--out", str(tmp_path / "soft_mode.csv")]) == 0
-    got = {"stdout": capsys.readouterr().out.replace(str(tmp_path), "<dir>").encode()}
-    for name in ("soft_mode.csv", *(f"D/{cli._dump_name(1 / d)}" for d in (17, 33, 65))):
-        got[name] = (tmp_path / name).read_bytes()
-    assert {name: hashlib.sha256(data).hexdigest()
-            for name, data in got.items()} == SOFT_MODE_LADDER_PINNED
+    assert _soft_mode_hashes(tmp_path, capsys, ["--eps", "1/17,1/33,1/65", "--jobs", str(jobs)],
+                             SOFT_MODE_LADDER_PINNED) == SOFT_MODE_LADDER_PINNED
 
 
 # sha256 of ``soft-mode --spec rotating-squares --eps 1/16,1/33 --sweeps 50
@@ -1556,14 +1562,10 @@ SOFT_MODE_SQUARES_PINNED = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_soft_mode_rotating_squares_pinned_bytes(tmp_path, capsys, jobs):
-    assert run(["soft-mode", "--spec", "rotating-squares", "--eps", "1/16,1/33",
-                "--sweeps", "50", "--jobs", str(jobs), "--dump-dir", str(tmp_path / "D"),
-                "--out", str(tmp_path / "soft_mode.csv")]) == 0
-    got = {"stdout": capsys.readouterr().out.replace(str(tmp_path), "<dir>").encode()}
-    for name in list(SOFT_MODE_SQUARES_PINNED)[1:]:
-        got[name] = (tmp_path / name).read_bytes()
-    assert {name: hashlib.sha256(data).hexdigest()
-            for name, data in got.items()} == SOFT_MODE_SQUARES_PINNED
+    argv = ["--spec", "rotating-squares", "--eps", "1/16,1/33", "--sweeps", "50",
+            "--jobs", str(jobs)]
+    assert _soft_mode_hashes(tmp_path, capsys, argv,
+                             SOFT_MODE_SQUARES_PINNED) == SOFT_MODE_SQUARES_PINNED
 
 
 def test_inequalities_csv(tmp_path):
