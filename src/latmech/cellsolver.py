@@ -33,9 +33,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .energy import (_check_eta, _density_objective, _lbfgsb, _scipy_extension,
+from .energy import (_check_eta, _kernel, _lbfgsb, _scipy_extension, _smoothed,
                      energy_breakdown)
-from .geometry import _SLACK_TOL, lower_bracket, signed_svd
+from .geometry import _GRID_POINTS, _SLACK_TOL, lower_bracket, signed_svd
 from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError, PeriodicDeformation,
                       Supercell, _polar, cross2, edge_vectors, lam_times, norms, ordered_sum,
                       rotation, unique_rows)
@@ -184,10 +184,10 @@ def estimate_density(
     smoothing anneal, by L-BFGS over ``psi`` alone: one stage per width
     ``tau`` of ``_ANNEAL``, each capped at ``_MAXITER`` iterations.  Each
     stage hands L-BFGS one objective, built once for the stage at its
-    ``tau``: the energy of
-    :func:`~latmech.energy.smoothed_energy_grad` and its ``psi`` gradient
-    (no ``lam`` gradient), with the fixed ``lam`` products and constants made
-    once.  The stage runs in :func:`~latmech.energy._lbfgsb` on one stack
+    ``tau``: the fixed-``lam`` :func:`~latmech.energy._kernel` of
+    :func:`~latmech.energy.smoothed_energy_grad`'s energy and ``psi``
+    gradient (no ``lam`` gradient), its ``lam`` products and constants
+    made once.  The stage runs in :func:`~latmech.energy._lbfgsb` on one stack
     of seeds, one objective call per round on the seeds that ask for an
     evaluation, each seed with the bits of ``scipy.optimize.minimize`` on
     it alone; a grid solve stacks the seeds of all its gradients, each
@@ -310,7 +310,7 @@ def _polish(cell: Supercell, eta: float, solves: list) -> list:
         lam = np.array([solve.lam for solve in open_ for _ in solve.seeds])
         X = np.array([psi0.ravel() for solve in open_ for _, psi0 in solve.seeds])
         for tau in _ANNEAL:
-            stages.append(_lbfgsb(_density_objective(cell, lam, eta, tau), X,
+            stages.append(_lbfgsb(_kernel(cell, True, _smoothed(cell, eta, tau), lam=lam), X,
                                   _MAXITER, 1e-16, 1e-12))
             X = np.array([row[0] for row in stages[-1]])
     per_row = iter(zip(*stages))        # each row's stages
@@ -397,6 +397,9 @@ def lambda_grid(kind: str, rng_seed: int = 0):
             raise ValueError(f"random grid needs an integer count, got {kind!r}") from None
         if n < 1:
             raise ValueError(f"random grid needs at least 1 matrix, got {kind!r}")
+        if n > _GRID_POINTS:
+            raise ValueError(f"random grid needs at most {_GRID_POINTS:.0e} matrices, "
+                             f"got {kind!r}")
         rng = np.random.default_rng(rng_seed)
         return [np.eye(2) + 0.5 * rng.standard_normal((2, 2)) for _ in range(n)]
     raise ValueError(f"unknown lambda grid {kind!r}")

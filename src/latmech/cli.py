@@ -533,6 +533,7 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 
 def _cmd_mechanism(args) -> int:
     from .energy import LatticeMap
+    from .geometry import _GRID_POINTS
     from .mechanisms import _twist_mechanisms, search_mechanisms, twist_admissible_range
 
     _check_seed(args)
@@ -544,6 +545,9 @@ def _cmd_mechanism(args) -> int:
             raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     elif args.theta is None and args.grid_points < 1:
         raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    elif args.theta is None and args.grid_points > _GRID_POINTS:
+        raise ValueError(f"--grid-points must be at most {_GRID_POINTS:.0e}, "
+                         f"got {args.grid_points}")
     spec = _load_spec(args)
     path = _out_path(args, "mechanisms.csv")
     rows = []

@@ -217,22 +217,22 @@ def energy_breakdown(defm: PeriodicDeformation, eta: float) -> EnergyBreakdown:
 
 
 def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
-    """The energy and gradients of the spring classes (when ``springs``),
-    then of the penalized triangles (when ``penalty`` maps their
-    ``det(grad u)`` ``(B, nt, k*k)`` to two final arrays, the per-class
-    energies ``(B, nt)`` and the derivative in ``det`` ``(B, nt, k*k)``),
-    as a function ``f(Z, at) -> (E, glam, gZ)`` of a stack of ``B`` flat
-    ``psi`` vectors ``Z`` ``(B, 2 n)``: ``E`` ``(B,)``, ``glam``
-    ``(B, 2, 2)`` and ``gZ`` ``(B, 2 n)``.  A penalty settles its own
-    non-finite rows: a row of zero slopes has zero penalty gradients.
+    """The objective ``f(X, at) -> (E, G)`` that :func:`_lbfgsb` minimizes:
+    the energy ``E`` ``(B,)`` and gradient ``G`` of each of the ``B`` rows
+    of ``X``, of the spring classes (when ``springs``), then of the
+    penalized triangles (when ``penalty`` maps their ``det(grad u)``
+    ``(B, nt, k*k)`` to two final arrays, the per-class energies ``(B, nt)``
+    and the derivative in ``det`` ``(B, nt, k*k)``).  A penalty settles its
+    own non-finite rows: a row of zero slopes has zero penalty gradients.
+    With fixed gradients ``lam`` ``(R, 2, 2)`` a row is a flat ``psi``
+    ``(2 n,)`` at ``lam[at[i]]``, and ``G`` is the ``psi`` gradient;
+    otherwise a row is ``(lam.ravel(), psi)``, ``at`` is not read, and
+    ``G`` is ``(glam.ravel(), gpsi)``.
 
-    Everything that does not depend on ``Z`` is built here once: the
-    slices of ``cell.edges`` and ``cell.scatter`` and the constants of the
-    springs.  With fixed gradients ``lam`` ``(R, 2, 2)`` the products
-    :func:`~latmech.lattice.lam_times` of all ``R`` and ``dx`` are formed
-    once too; ``at`` holds the index in ``lam`` of each row of ``Z``, whose
-    products are gathered, and ``f`` returns ``glam = None``.  Otherwise
-    ``at`` is one ``lam`` ``(B, 2, 2)`` per row, on every call.  The
+    Everything that does not depend on ``X`` is built here once: the
+    slices of ``cell.edges`` and ``cell.scatter``, the constants of the
+    springs and, with fixed ``lam``, the products
+    :func:`~latmech.lattice.lam_times` of all ``R`` and ``dx``.  The
     buffers are one set, made at the tallest stack seen so far; a shorter
     stack writes the first ``B`` rows, so a stack whose height falls row
     by row allocates nothing.  The results are new arrays on every call.
@@ -240,19 +240,20 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     Each row has the bits of evaluating it alone, in a stack of one.  One
     :func:`~latmech.lattice.edge_vectors` gather of the needed edge
     classes, one value buffer filled in the order of ``cell.scatter`` and
-    one ``bincount``, its bins offset by ``2 n`` per row: totals run class
-    by class and the scatter in stream order, as ``+=`` and ``np.add.at``
-    loops over the classes would.  The operations are those of
+    one ``bincount``, its bins offset by the row length per row: totals
+    run class by class and the scatter in stream order, as ``+=`` and
+    ``np.add.at`` loops over the classes would.  The operations are those of
     ``np.linalg.norm(axis=2)`` and ``np.sum``, spelled out to save the calls.
     """
     ns, nt, kk = len(cell.spring_rest), len(cell.tri_area), cell.k * cell.k
     n_s, n_t = (ns if springs else 0), (nt if penalty else 0)
     tail, head, dx = (a[ns - n_s:ns + 2 * n_t] for a in cell.edges)
-    bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
-    size = 2 * cell.n_nodes
     fixed = lam is not None
     if fixed:
         ldx = lam_times(lam, dx)
+    size = 2 * cell.n_nodes
+    width = size if fixed else 4 + size     # a row of X and of G
+    bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
     rest = cell.spring_rest[:, None]
     twice_k = 2.0 * cell.spring_stiffness[:, None]
     cross0 = cell.tri_cross0[:, None]
@@ -264,20 +265,22 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
         if not tallest or len(tallest[0]) < B:
             # a leading zero column makes the totals the ordered sums of the terms
             tallest[:] = (np.zeros((B, 1 + n_s + n_t)),
-                          None if fixed else np.zeros((B, 1 + n_s + n_t, 2, 2)),
+                          np.zeros((B, 0 if fixed else 1 + n_s + n_t, 2, 2)),
                           np.empty((B, len(bins))),
-                          (bins + size * np.arange(B)[:, None]).ravel())
+                          # a row's psi gradient comes after its lam gradient, if any
+                          (bins + width * np.arange(B)[:, None] + width - size).ravel())
         E, glam, values, rows = tallest
         values = values[:B]
-        return (E[:B], None if fixed else glam[:B], values,
+        return (E[:B], glam[:B], values,
                 values[:, :4 * n_s * kk].reshape(B, n_s, 2, kk, 2),   # head, tail
                 values[:, 4 * n_s * kk:].reshape(B, n_t, 3, kk, 2),   # P1, P2, P0
                 rows[:B * len(bins)])
 
-    def f(Z, at):
-        B = len(Z)
+    def f(X, at):
+        B = len(X)
         E, glam, values, v_s, v_t, rows = stack_buffers(B)
-        d = edge_vectors(Z, tail, head, ldx[at] if fixed else lam_times(at, dx))
+        ldx_B = ldx[at] if fixed else lam_times(X[:, :4].reshape(B, 2, 2), dx)
+        d = edge_vectors(X[:, width - size:], tail, head, ldx_B)
         if springs:
             sx, sy = d[:, :ns, :, 0], d[:, :ns, :, 1]
             lengths = np.sqrt(sx * sx + sy * sy)
@@ -305,10 +308,10 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
                        np.add.reduce(g2, axis=2)[..., None] * dx[n_s + nt:, None, :],
                        out=glam[:, 1 + n_s:])
 
-        E_total = np.add.accumulate(E, axis=1)[:, -1]
-        glam_total = None if fixed else np.add.accumulate(glam, axis=1)[:, -1]
-        gZ = np.bincount(rows, values.ravel(), minlength=B * size).reshape(B, size)
-        return E_total, glam_total, gZ
+        G = np.bincount(rows, values.ravel(), minlength=B * width).reshape(B, width)
+        if not fixed:
+            G[:, :4] = np.add.accumulate(glam, axis=1)[:, -1].reshape(B, 4)
+        return np.add.accumulate(E, axis=1)[:, -1], G
 
     return f
 
@@ -350,77 +353,26 @@ def _barrier(mu: float):
 
 def smoothed_energy_grad(cell: Supercell, lam, psi, eta: float, tau: float):
     """The spring energy plus the sigmoid-smoothed orientation penalty,
-    with gradients ``(E, glam, gpsi)``, by :func:`_kernel` on a stack of
-    one.
+    with gradients ``(E, glam, gpsi)``, by :func:`_kernel` on one
+    variable-``lam`` row ``(lam.ravel(), psi)``.
 
     The smoothed penalty is ``area / eta * expit(-det / tau)``; it tends to
     the exact step as ``tau -> 0`` and exists only to give descent methods
     a usable gradient.  Reported energies must use
     :func:`energy_breakdown` instead.
     """
-    E, glam, g = _kernel(cell, True, _smoothed(cell, eta, tau))(
-        np.reshape(psi, (1, -1)), np.asarray(lam, dtype=float)[None])
-    return float(E[0]), glam[0], g[0].reshape(-1, 2)
-
-
-def _density_objective(cell: Supercell, lam, eta: float, tau: float):
-    """The L-BFGS objective ``f(X, at) -> (E, G)`` of one anneal stage of
-    the density solve on a stack of flat ``psi`` vectors ``X`` ``(B, 2 n)``,
-    row ``i`` at the fixed gradient ``lam[at[i]]`` of ``lam`` ``(R, 2, 2)``:
-    the smoothed energy of :func:`smoothed_energy_grad` and its gradient
-    in ``psi``, with the bits of that function's ``E`` and ``gpsi`` row by
-    row."""
-    kernel = _kernel(cell, True, _smoothed(cell, eta, tau), lam=lam)
-
-    def f(X, at):
-        E, _, G = kernel(X, at)
-        return E, G
-
-    return f
-
-
-def _search_objective(cell: Supercell, mu: float):
-    """The L-BFGS objective ``f(X, at) -> (E, G)`` of one barrier stage of
-    the mechanism search on a stack of packed ``x = (lam.ravel(),
-    psi[1:].ravel())`` ``(B, 2 n + 2)`` (the first node pinned at zero;
-    ``at`` is not read):
-    the spring energy plus, when ``mu > 0``, the log-barrier at ``mu``, or
-    ``(inf, 0)`` on a row where that is not finite.
-
-    The two parts are summed apart and then added, energy, ``lam`` and
-    ``psi`` gradient alike, so each row has the bits of adding the
-    results of the variable-``lam`` spring and barrier kernels at its
-    state.  A gradient row is the ``lam`` gradient, then the ``psi``
-    gradient without the pinned node's.
-    """
-    springs = _kernel(cell, True)
-    barrier = _kernel(cell, False, _barrier(mu)) if mu > 0 else None
-
-    def f(X, at):
-        lam = X[:, :4].reshape(-1, 2, 2)
-        Z = np.zeros((len(X), 2 * cell.n_nodes))
-        Z[:, 2:] = X[:, 4:]
-        E, gl, g = springs(Z, lam)
-        if barrier is not None:
-            B, gl2, g2 = barrier(Z, lam)
-            E += B
-            gl += gl2
-            g += g2
-        G = np.concatenate([gl.reshape(-1, 4), g[:, 2:]], axis=1)
-        if barrier is not None:
-            infinite = ~np.isfinite(B)
-            E[infinite] = np.inf
-            G[infinite] = 0.0
-        return E, G
-
-    return f
+    E, G = _kernel(cell, True, _smoothed(cell, eta, tau))(
+        np.concatenate([np.ravel(lam), np.ravel(psi)], dtype=float)[None], None)
+    return float(E[0]), G[0, :4].reshape(2, 2), G[0, 4:].reshape(-1, 2)
 
 
 def _lbfgsb(f, X0, maxiter: int, ftol: float, gtol: float):
     """Minimize ``f(X, at) -> (E, G)`` from each start of the stack ``X0``
     ``(B, n)`` by scipy's compiled L-BFGS-B step with no bounds; returns
     one ``(x, nit, status, message, g)`` per row.  ``at`` holds the index
-    in ``X0`` of each row of ``X``.
+    in ``X0`` of each row of ``X``.  ``f`` is a :func:`_kernel`, whose rows
+    are flat ``psi`` at the fixed ``lam[at[i]]`` or ``(lam.ravel(), psi)``,
+    or a function of the same contract over another row layout.
 
     Each row is the loop of ``scipy.optimize.minimize(f1, x0, jac=True,
     method="L-BFGS-B", options={"maxiter": maxiter, "ftol": ftol,
@@ -430,10 +382,10 @@ def _lbfgsb(f, X0, maxiter: int, ftol: float, gtol: float):
     scipy's messages), without its Python wrappers.  Every row keeps its
     own ``setulb`` state and runs until it asks for an evaluation or
     stops; then ``f`` is called once on the stack of the rows that asked,
-    with their indices, and the round repeats until every row has stopped.  ``f`` must give
-    each row the bits of evaluating it alone; then each row's ``x``,
-    ``nit``, ``status``, ``message`` and final gradient ``g`` are those of
-    ``minimize`` on it, bit for bit.  ``minimize`` neither repeats nor
+    with their indices, and the round repeats until every row has
+    stopped.  ``f`` must give each row the bits of evaluating it alone;
+    then each row's ``x``, ``nit``, ``status``, ``message`` and final
+    gradient ``g`` are those of ``minimize`` on it, bit for bit.  ``minimize`` neither repeats nor
     counts an evaluation at the point it evaluated last; ``f`` is pure, so
     only the count of evaluations can differ, and only in a stage that
     nears 15000 of them.  ``setulb`` comes from scipy's compiled

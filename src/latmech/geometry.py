@@ -162,7 +162,8 @@ def lower_bracket(lam):
 
 _SLACK_TOL = 1e-12  # how far below zero a certified slack may round
 # the most points one grid may hold: an inequality grid, a --k supercell's
-# cells, the cell window of a soft-mode rung
+# cells, the cell window of a soft-mode rung, a random gradient grid, the
+# twist angles of a mechanism grid, and a domain wall's columns or strip cells
 _GRID_POINTS = 10 ** 7
 
 

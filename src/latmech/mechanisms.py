@@ -37,8 +37,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .energy import LatticeMap, _dets, _lbfgsb, _search_objective, energy_breakdown
-from .geometry import signed_svd
+from .energy import LatticeMap, _barrier, _dets, _kernel, _lbfgsb, energy_breakdown
+from .geometry import _GRID_POINTS, signed_svd
 from .lattice import (
     DegenerateGeometryError,
     LatticeSpec,
@@ -555,6 +555,36 @@ def _unpack(x, n_nodes):
     return lam, psi
 
 
+def _search_objective(cell: Supercell, mu: float):
+    """The L-BFGS objective ``f(X, at) -> (E, G)`` of one barrier stage of
+    the mechanism search on a stack of packed ``x = (lam.ravel(),
+    psi[1:].ravel())`` ``(B, 2 n + 2)`` (the first node pinned at zero;
+    ``at`` is not read), gradients packed alike: the spring energy plus,
+    when ``mu > 0``, the log-barrier at ``mu``, or ``(inf, 0)`` on a row
+    where that is not finite.  The stack is padded with the pinned zeros
+    into the rows ``(lam.ravel(), psi)`` of the variable-``lam`` spring and
+    barrier :func:`~latmech.energy._kernel`, whose results are added, so
+    each row has the bits of adding the two kernels' results at its state.
+    """
+    springs = _kernel(cell, True)
+    barrier = _kernel(cell, False, _barrier(mu)) if mu > 0 else None
+
+    def f(X, at):
+        Z = np.zeros((len(X), X.shape[1] + 2))
+        Z[:, :4], Z[:, 6:] = X[:, :4], X[:, 4:]
+        E, G = springs(Z, at)
+        if barrier is not None:
+            B, G2 = barrier(Z, at)
+            E += B
+            G += G2
+            infinite = ~np.isfinite(B)
+            E[infinite] = np.inf
+            G[infinite] = 0.0
+        return E, np.concatenate([G[:, :4], G[:, 6:]], axis=1)
+
+    return f
+
+
 def search_mechanisms(
     spec: LatticeSpec,
     k: int,
@@ -577,8 +607,8 @@ def search_mechanisms(
     alone).  Each stage's objective is built once per search (its gather,
     scatter and constants) and has, on every restart, the bits of adding
     the spring and barrier energies and gradients at the same state (see
-    :func:`~latmech.energy._search_objective`); a restart with a reversed
-    triangle gets ``(inf, 0)``.
+    :func:`_search_objective`); a restart with a reversed triangle gets
+    ``(inf, 0)``.
     """
     cell = Supercell(spec, k)
     n = cell.n_nodes
@@ -631,8 +661,8 @@ def domain_wall_angles(theta1: float, n: int = 30) -> np.ndarray:
         raise ValueError(
             f"theta1 must lie in [2*pi/3, pi), got {theta1:g}"
         )
-    if n < 1:
-        raise ValueError(f"the recursion needs n >= 1 columns, got {n}")
+    if not 1 <= n <= _GRID_POINTS:
+        raise ValueError(f"the recursion needs 1 <= n <= {_GRID_POINTS:.0e} columns, got {n}")
     th = np.empty(n + 1)
     th[0] = 2 * np.pi / 3
     th[1] = theta1
@@ -685,6 +715,9 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
     if half_width < 1 or rows < 2:
         raise ValueError(f"the strip needs half_width >= 1 and rows >= 2, "
                          f"got {half_width} and {rows}")
+    if (2 * half_width + 1) * rows > _GRID_POINTS:
+        raise ValueError(f"the strip of half_width {half_width} and rows {rows} has "
+                         f"{(2 * half_width + 1) * rows} cells, more than {_GRID_POINTS:.0e}")
     spec = build_kagome()
     K = 2 * half_width
     th = domain_wall_angles(theta1, K)

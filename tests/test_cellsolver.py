@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import one_row_edge_vectors, percolating_units_json
 
-from latmech.energy import energy_breakdown
+from latmech.energy import _kernel, _smoothed, energy_breakdown
 from latmech.geometry import _pos_sq, lower_bracket, principal_stretches, signed_svd
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
                              Supercell, VARIANT_KINDS, build_kagome, build_rotating_squares,
@@ -157,11 +157,14 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
                                                          monkeypatch):
     stages = []     # the smoothing of every L-BFGS stage built
     sizes = set()   # (stack, row, gradient row) lengths of every energy evaluation
-    real = cellsolver._density_objective
+    real_smoothed, real_kernel = cellsolver._smoothed, cellsolver._kernel
 
-    def counted(cell, lam, eta, tau):
+    def smoothed(cell, eta, tau):
         stages.append(tau)
-        f = real(cell, lam, eta, tau)
+        return real_smoothed(cell, eta, tau)
+
+    def counted(*args, **kwargs):
+        f = real_kernel(*args, **kwargs)
 
         def evaluate(X, at):
             E, G = f(X, at)
@@ -170,7 +173,8 @@ def test_estimate_density_screens_seeds_before_polishing(kagome, rotating_square
 
         return evaluate
 
-    monkeypatch.setattr(cellsolver, "_density_objective", counted)
+    monkeypatch.setattr(cellsolver, "_smoothed", smoothed)
+    monkeypatch.setattr(cellsolver, "_kernel", counted)
     # a reachable compression short-circuits on the twist seed before the
     # zero seed is polished: no L-BFGS stage runs
     for spec in (kagome, rotating_squares):
@@ -304,7 +308,7 @@ def _polish_alone(spec, lam, eta, k=1, restarts=6, rng_seed=0):
         x = psi0.ravel()
         for tau in cellsolver._ANNEAL:
             [(x, nit, status, message, g)] = cellsolver._lbfgsb(
-                cellsolver._density_objective(cell, lam[None], eta, tau), x[None],
+                _kernel(cell, True, _smoothed(cell, eta, tau), lam=lam[None]), x[None],
                 cellsolver._MAXITER, 1e-16, 1e-12)
             total_iters += nit
             if status == 1:

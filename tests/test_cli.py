@@ -198,6 +198,15 @@ def test_mechanism_on_a_large_supercell_exits_0(tmp_path):
     (["mechanism", "--k", "0", "--theta", "0.3"], "--k entry '0' must be at least 1"),
     (["mechanism", "--search", "--restarts", "1", "--k", "0"],
      "--k entry '0' must be at least 1"),
+    # one over the grid limit of 1e7, named before any array is made
+    (["density-sweep", "--grid", "random:10000001"],
+     "random grid needs at most 1e+07 matrices, got 'random:10000001'"),
+    (["mechanism", "--grid-points", "10000001"],
+     "--grid-points must be at most 1e+07, got 10000001"),
+    (["domain-wall", "--theta1", "2.3", "--n", "10000001"],
+     "the recursion needs 1 <= n <= 1e+07 columns, got 10000001"),
+    (["domain-wall", "--theta1", "2.3", "--strip", "--half-width", "454545", "--rows", "11"],
+     "the strip of half_width 454545 and rows 11 has 10000001 cells, more than 1e+07"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -245,6 +254,28 @@ def test_verify_bounds_k_max_past_the_k_limit_exits_2_before_any_trial(tmp_path,
     assert captured.err == "latmech verify-bounds: error: --k-max must be at most 3162, got 3163\n"
     assert captured.out == ""
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("module, limit, size, argv", [
+    (cellsolver, 3, 3, ["density-sweep", "--grid", "random:{}", "--k", "1", "--restarts", "0",
+                        "--jobs", "1"]),
+    (geometry, 4, 4, ["mechanism", "--grid-points", "{}"]),
+    (mechanisms, 5, 5, ["domain-wall", "--theta1", "2.3", "--n", "{}"]),
+    # (2 half_width + 1) rows cells: 5 x 3 at the limit, 5 x 4 past it
+    (mechanisms, 15, 3, ["domain-wall", "--theta1", "2.3", "--n", "4", "--strip",
+                         "--half-width", "2", "--rows", "{}"]),
+], ids=["random-grid", "grid-points", "wall-columns", "wall-strip"])
+def test_size_inputs_hold_to_the_grid_limit_both_ways(tmp_path, capsys, monkeypatch,
+                                                      module, limit, size, argv):
+    """Each size input at the grid limit runs, and one past it exits 2."""
+    monkeypatch.setattr(module, "_GRID_POINTS", limit)
+    out = tmp_path / "x.csv"
+    for value, code in ((size, 0), (size + 1, 2)):
+        assert run([a.format(value) for a in argv] + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("error: " in err) == (code == 2) and "Traceback" not in err
+        assert out.exists() == (code == 0)
+        out.unlink(missing_ok=True)
 
 
 # sha256 of ``density-sweep --spec SPEC --grid file:G --k 1,2 --jobs 1`` on

@@ -21,11 +21,9 @@ from latmech.energy import (
     _barrier,
     _cell_energies,
     _cell_window,
-    _density_objective,
     _kernel,
     _lbfgsb,
     _scipy_extension,
-    _search_objective,
     _smoothed,
     check_cell_bounds,
     domain_energy,
@@ -35,7 +33,7 @@ from latmech.energy import (
 )
 from latmech.cellsolver import _ANNEAL, _MAXITER
 from latmech.lattice import PeriodicDeformation, Supercell, cross2, ordered_sum, rotation
-from latmech.mechanisms import _pack, _unpack, twist_mechanism
+from latmech.mechanisms import _pack, _search_objective, _unpack, twist_mechanism
 from latmech.softmodes import _probe_margin, default_target, modulate
 
 from conftest import random_deformation
@@ -342,11 +340,19 @@ def _same_bits(got, want):
 
 
 def _same_psi_bits(got, want):
-    """``(E, G)`` of a density stage objective on a stack of one against a
+    """``(E, G)`` of a fixed-``lam`` kernel on a stack of one against a
     full ``(E, glam, gpsi)``."""
     assert len(got) == 2 and got[1].shape[0] == 1
     assert float(got[0][0]).hex() == float(want[0]).hex()
     assert np.array_equal(got[1][0], want[2].ravel())
+
+
+def _same_row_bits(got, want):
+    """``(E, G)`` of a variable-``lam`` kernel on a stack of one against a
+    full ``(E, glam, gpsi)``: ``G`` is ``(glam.ravel(), gpsi)``."""
+    assert len(got) == 2 and got[1].shape[0] == 1
+    assert float(got[0][0]).hex() == float(want[0]).hex()
+    assert np.array_equal(got[1][0], np.concatenate([want[1].ravel(), want[2].ravel()]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -354,8 +360,9 @@ def _same_psi_bits(got, want):
 def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     """The flat edge layout and scatter stream change no bit of the three
     gradient kernels or of ``triangle_dets``, whatever tau, mu or state;
-    the density stage objective at fixed ``lam`` has the bits of ``E``
-    and ``gpsi`` of the full kernel and of the reference."""
+    the fixed-``lam`` kernel, the density stage objective, has the bits of
+    ``E`` and ``gpsi`` of the full kernel and of the reference, and
+    ``smoothed_energy_grad`` those of the kernel's one row."""
     spec = _specs()[si]
     cell, cases = _bit_cases(spec, k, [si, k])
     dets = {}
@@ -367,7 +374,12 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
             full = smoothed_energy_grad(cell, lam, psi, 0.1, tau)
             ref = _ref_smoothed(cell, lam, psi, 0.1, tau)
             _same_bits(full, ref)
-            psi_only = _density_objective(cell, lam[None], 0.1, tau)(psi.reshape(1, -1), [0])
+            smoothed = _smoothed(cell, 0.1, tau)
+            one_row = _kernel(cell, True, smoothed)(
+                np.concatenate([lam.ravel(), psi.ravel()])[None], None)
+            _same_row_bits(one_row, full)
+            _same_row_bits(one_row, ref)
+            psi_only = _kernel(cell, True, smoothed, lam=lam[None])(psi.reshape(1, -1), [0])
             _same_psi_bits(psi_only, full)
             _same_psi_bits(psi_only, ref)
         for mu in (1e-2, 1e-6):
@@ -377,21 +389,24 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     assert (dets["mild"] > 0).all()
 
 
-def _rows_alone(kernel, Z, at, want):
-    """``kernel`` on the stack ``Z`` with ``at`` one ``lam`` per row, or
-    for a fixed-``lam`` kernel the index of each row's ``lam``: each row
-    has the bits of the kernel on a stack of that row alone and of
-    ``want(row) -> (E, glam, gpsi)``.  Returns the stack's energies."""
-    fixed = at.ndim == 1
-    stacked = kernel(Z, at)
-    assert stacked[0].shape == (len(Z),) and stacked[2].shape == Z.shape
-    for i in range(len(Z)):
-        alone = kernel(Z[i:i + 1], at[i:i + 1])
+def _rows_alone(kernel, X, at, want):
+    """``kernel`` on the stack ``X``, for a fixed-``lam`` kernel rows of
+    ``psi`` with ``at`` the index of each row's ``lam``, otherwise rows
+    ``(lam.ravel(), psi)`` with ``at`` ``None``: each row has the bits of
+    the kernel on a stack of that row alone and of ``want(row) -> (E,
+    glam, gpsi)``, its gradient laid out as the row is, ``gpsi`` or
+    ``(glam.ravel(), gpsi)``.  Returns the stack's energies."""
+    fixed = at is not None
+    stacked = kernel(X, at)
+    assert len(stacked) == 2
+    assert stacked[0].shape == (len(X),) and stacked[1].shape == X.shape
+    for i in range(len(X)):
+        alone = kernel(X[i:i + 1], at[i:i + 1] if fixed else None)
         E, glam, gpsi = want(i)
+        G = gpsi.ravel() if fixed else np.concatenate([glam.ravel(), gpsi.ravel()])
         for got, row in ((stacked, i), (alone, 0)):
             assert float(got[0][row]).hex() == float(E).hex()
-            assert got[1] is None if fixed else np.array_equal(got[1][row], glam)
-            assert np.array_equal(got[2][row], gpsi.ravel())
+            assert np.array_equal(got[1][row], G)
     return stacked[0]
 
 
@@ -414,6 +429,7 @@ def test_stacked_kernel_rows_have_the_bits_of_each_row_alone(request, spec_name,
     lams = np.array([lam for _, lam, _ in cases])
     psis = [psi for _, _, psi in cases]
     Z = np.array([psi.ravel() for psi in psis])
+    rows = np.concatenate([lams.reshape(-1, 4), Z], axis=1)     # (lam.ravel(), psi)
     order = np.random.default_rng([k, 36]).permutation(len(Z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -426,27 +442,29 @@ def test_stacked_kernel_rows_have_the_bits_of_each_row_alone(request, spec_name,
             _rows_alone(_kernel(cell, True, _smoothed(cell, 0.1, 0.02), lam=lams[order]), Z,
                         np.argsort(order),
                         lambda i: _ref_smoothed(cell, lams[i], psis[i], 0.1, 0.02))
-            _rows_alone(_kernel(cell, True), Z, lams,
+            _rows_alone(_kernel(cell, True), rows, None,
                         lambda i: _ref_spring(cell, lams[i], psis[i]))
-            E = _rows_alone(_kernel(cell, False, _barrier(1e-3)), Z, lams,
+            E = _rows_alone(_kernel(cell, False, _barrier(1e-3)), rows, None,
                             lambda i: _ref_barrier(cell, lams[i], psis[i], 1e-3))
     names = [name for name, _, _ in cases]
     assert E[names.index("flipped")] == np.inf and np.isfinite(E[names.index("mild")])
 
 
 def _ref_search(cell, x, mu):
-    """The mechanism search's objective as the sum of the variable-``lam``
-    spring and barrier kernels' results over the packed ``(lam, psi[1:])``."""
+    """The mechanism search's objective at the packed ``(lam, psi[1:])``
+    as the sum of the variable-``lam`` spring and barrier kernels' ``(E,
+    G)`` at its padded row ``(lam.ravel(), psi)``, less the gradient of
+    the pinned node."""
     lam, psi = _unpack(x, cell.n_nodes)
-    E, gl, gp = _one_shot(_kernel(cell, True), lam, psi)
+    row = np.concatenate([lam.ravel(), psi.ravel()])[None]
+    E, G = _kernel(cell, True)(row, None)
     if mu > 0:
-        B, gl2, gp2 = _one_shot(_kernel(cell, False, _barrier(mu)), lam, psi)
-        if not np.isfinite(B):
+        B, G2 = _kernel(cell, False, _barrier(mu))(row, None)
+        if not np.isfinite(B[0]):
             return np.inf, np.zeros_like(x)
-        E += B
-        gl = gl + gl2
-        gp = gp + gp2
-    return E, np.concatenate([gl.ravel(), gp[1:].ravel()])
+        E = E + B
+        G = G + G2
+    return E[0], np.delete(G[0], [4, 5])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -490,10 +508,10 @@ def test_kernel_buffers_stay_those_of_the_tallest_stack(kagome):
     kernel = _kernel(cell, True, _smoothed(cell, 0.1, 0.02), lam=lams)
     tracemalloc.start()
     try:
-        E, _, G = kernel(Z, np.arange(R))
+        E, G = kernel(Z, np.arange(R))
         held = tracemalloc.get_traced_memory()[0]
         for B in range(R - 1, 0, -1):
-            E_B, _, G_B = kernel(Z[:B], np.arange(B))
+            E_B, G_B = kernel(Z[:B], np.arange(B))
             assert E_B.tobytes() == E[:B].tobytes() and G_B.tobytes() == G[:B].tobytes()
         del E_B, G_B
         grown = tracemalloc.get_traced_memory()[0] - held
@@ -511,7 +529,7 @@ def test_stage_objectives_return_a_new_gradient_every_call(kagome):
     rng = np.random.default_rng(21)
     lam = np.eye(2) + 0.05 * rng.standard_normal((2, 2))
     # the search's points start with lam near the identity: no triangle reversed
-    stages = [(_density_objective(cell, lam[None], 0.05, 0.02), np.zeros(2 * n))]
+    stages = [(_kernel(cell, True, _smoothed(cell, 0.05, 0.02), lam=lam[None]), np.zeros(2 * n))]
     stages += [(_search_objective(cell, mu), _pack(np.eye(2), np.zeros((n, 2))))
                for mu in (1e-4, 0.0)]
     for f, base in stages:
@@ -576,7 +594,7 @@ def test_lbfgsb_matches_minimize_on_the_density_stages(request, spec_name, k):
     X = np.array([np.zeros(2 * n), 0.1 * rng.standard_normal(2 * n),
                   0.3 * rng.standard_normal(2 * n)])
     lams = np.array([lam] * len(X))
-    seen = _chain([_density_objective(cell, lams, 0.05, tau) for tau in _ANNEAL], X,
+    seen = _chain([_kernel(cell, True, _smoothed(cell, 0.05, tau), lam=lams) for tau in _ANNEAL], X,
                   _MAXITER, 1e-16, 1e-12)
     assert 0 in seen
 
@@ -619,7 +637,8 @@ def test_lbfgsb_matches_minimize_at_the_iteration_limit_and_a_stalled_line_searc
     and converged at once from ``(inf, 0)``."""
     cell = Supercell(rotating_squares, 1)
     n = cell.n_nodes
-    f = _density_objective(cell, np.array([[[1.1, 0.3], [-0.2, 0.7]]] * 4), 0.05, 0.05)
+    f = _kernel(cell, True, _smoothed(cell, 0.05, 0.05),
+                lam=np.array([[[1.1, 0.3], [-0.2, 0.7]]] * 4))
     rng = np.random.default_rng(4)
     X = np.array([0.3 * np.random.default_rng(3).standard_normal(2 * n), np.zeros(2 * n),
                   0.1 * rng.standard_normal(2 * n), 0.3 * rng.standard_normal(2 * n)])

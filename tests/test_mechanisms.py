@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from latmech.energy import _lbfgsb, _search_objective, energy_breakdown, triangle_dets
+from latmech.energy import _lbfgsb, energy_breakdown, triangle_dets
 from latmech.geometry import signed_svd
 from latmech.lattice import (DegenerateGeometryError, LatticeSpec, PeriodicDeformation,
                              Supercell, build_kagome, build_variant, rotation)
@@ -15,6 +15,7 @@ from latmech.mechanisms import (
     PlacementPlan,
     TwistPlan,
     _pack,
+    _search_objective,
     _unpack,
     _twist_fields,
     _twist_mechanisms,

@@ -111,9 +111,9 @@ def _cases():
 
 def _one_shot(kernel, lam, psi):
     """``(E, glam, gpsi)`` of a variable-``lam`` gradient kernel at one
-    state, a stack of one."""
-    E, glam, g = kernel(psi.reshape(1, -1), np.asarray(lam)[None])
-    return float(E[0]), glam[0], g[0].reshape(-1, 2)
+    state, a stack of one row ``(lam.ravel(), psi)``."""
+    E, G = kernel(np.concatenate([np.ravel(lam), np.ravel(psi)])[None], None)
+    return float(E[0]), G[0, :4].reshape(2, 2), G[0, 4:].reshape(-1, 2)
 
 
 def _barrier_grad(spec, k, rough, mild):
