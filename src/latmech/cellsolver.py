@@ -35,10 +35,10 @@ import numpy as np
 
 from .energy import (_check_eta, _kernel, _lbfgsb, _scipy_extension, _smoothed,
                      energy_breakdown)
-from .geometry import _GRID_POINTS, _SLACK_TOL, lower_bracket, signed_svd
-from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError, PeriodicDeformation,
-                      Supercell, _polar, cross2, edge_vectors, lam_times, norms, ordered_sum,
-                      rotation, unique_rows)
+from .geometry import _SLACK_TOL, lower_bracket, signed_svd
+from .lattice import (_GRID_POINTS, DegenerateGeometryError, LatticeSpec, MechanismError,
+                      PeriodicDeformation, Supercell, _polar, cross2, edge_vectors, lam_times,
+                      norms, ordered_sum, rotation, unique_rows)
 from .mechanisms import _twist_contraction_table, _twist_fields
 
 __all__ = [

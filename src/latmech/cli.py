@@ -47,6 +47,7 @@ for _name in _BLAS_THREAD_VARS:
 import numpy as np
 
 from .lattice import (
+    _GRID_POINTS,
     LatticeSpec,
     MechanismError,
     PeriodicDeformation,
@@ -304,8 +305,6 @@ def _parse_ks(text: str):
     """The ``--k`` supercell sizes: integers of at least 1, none twice,
     and none whose ``k x k`` supercell holds more than ``_GRID_POINTS``
     cells."""
-    from .geometry import _GRID_POINTS
-
     seen = {}
     for item in text.split(","):
         try:
@@ -533,7 +532,6 @@ _CERT_HEADER = ["kind", "parameter", "averaged_energy", "max_spring_residual",
 
 def _cmd_mechanism(args) -> int:
     from .energy import LatticeMap
-    from .geometry import _GRID_POINTS
     from .mechanisms import _twist_mechanisms, search_mechanisms, twist_admissible_range
 
     _check_seed(args)
@@ -648,7 +646,6 @@ def _cmd_density_sweep(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     from .cellsolver import (_check_cell_eta, lambda_grid, orientation_threshold,
                              verify_isotropic_bound, verify_jensen_bounds)
-    from .geometry import _GRID_POINTS
 
     _check_seed(args)
     if args.k_max * args.k_max > _GRID_POINTS:    # the limit of --k
@@ -697,7 +694,6 @@ def _cmd_domain_wall(args) -> int:
 def _cmd_soft_mode(args) -> int:
     # imported before the pool forks, so each worker inherits modulate
     from .energy import _cell_box, _check_eta
-    from .geometry import _GRID_POINTS
     from .softmodes import (_probe_margin, default_target, ladder_exponents, modulate,
                             soft_mode_report)
 

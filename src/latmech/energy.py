@@ -28,23 +28,19 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable
 
 import numpy as np
 
 from .lattice import (LatticeSpec, PeriodicDeformation, Supercell, _cell_keys, cross2,
-                      edge_vectors, lam_times, norms, ordered_sum, rotation, unique_rows)
+                      edge_vectors, lam_times, norms, ordered_sum, unique_rows)
 
 __all__ = [
     "EnergyBreakdown",
     "energy_breakdown",
     "smoothed_energy_grad",
-    "triangle_dets",
     "LatticeMap",
     "DomainEnergyReport",
     "domain_energy",
-    "CellBoundsReport",
-    "check_cell_bounds",
 ]
 
 _LEN_FLOOR = 1e-12  # guards normalization of nearly collapsed springs
@@ -131,14 +127,6 @@ def _dets(d1, d2, cross0) -> np.ndarray:
     axis): the deformed cross product over the reference one, ``cross0``,
     which broadcasts against it."""
     return cross2(d1, d2) / cross0
-
-
-def triangle_dets(defm: PeriodicDeformation) -> np.ndarray:
-    """``det(grad u)`` per penalized-triangle class (rows) and cell."""
-    cell = defm.cell
-    tail, head, dx = (a[len(cell.spring_rest):] for a in cell.edges)
-    d = edge_vectors(defm.psi.reshape(1, -1), tail, head, lam_times(defm.lam[None], dx))[0]
-    return _dets(*d.reshape(2, len(cell.tri_area), -1, 2), cell.tri_cross0[:, None])
 
 
 @dataclass
@@ -652,94 +640,4 @@ def domain_energy(lmap: LatticeMap, polygon, eta: float) -> DomainEnergyReport:
         total=float(ordered_sum(energies)),  # sequential, in cell order
         cells=np.column_stack([ci, cj]),
         energies=energies,
-    )
-
-
-# ---------------------------------------------------------------------------
-# cell-level energy bounds
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CellBoundsReport:
-    """Fitted constants for the single-cell energy sandwich
-
-    ``max(C2 * (|grad u|^2 - D2 |U|), 0)  <=  E  <=  C1 * (|grad u|^2 + |U|)``
-
-    where ``|grad u|^2`` is the squared L2 norm over the cover and ``D2``
-    is calibrated on the zero-energy (mechanism) samples supplied.
-    ``C2`` is fitted on the ``n_positive_slack`` samples with positive
-    energy and positive slack ``|grad u|^2 - D2 |U|``; it is ``inf`` when
-    there are none."""
-
-    C1: float
-    C2: float
-    D2: float
-    n_samples: int
-    n_zero_energy: int
-    n_positive_slack: int
-
-
-def check_cell_bounds(
-    spec: LatticeSpec,
-    n_samples: int = 10000,
-    eta: float = 0.05,
-    seed: int = 0,
-    extra_deformations: Iterable[PeriodicDeformation] = (),
-) -> CellBoundsReport:
-    """Sample single-cell deformations and fit the sandwich constants.
-
-    Samples are ``u = lam x + noise`` with matrix entries and nodal noise
-    componentwise uniform in ``[-3, 3]``, plus the identity, a few pure
-    rotations, and any supplied zero-energy deformations (restricted to
-    one cell).  All fitted constants must come out finite and positive.
-    """
-    rng = np.random.default_rng(seed)
-    keys = _cell_keys(spec)
-    X = spec.node_positions(keys)
-    cell = LatticeMap(spec, 1.0, keys, X)
-    nr = len(keys)
-
-    lam = rng.uniform(-3, 3, size=(n_samples, 2, 2))
-    noise = rng.uniform(-3, 3, size=(n_samples, nr, 2))
-    U = np.einsum("sab,nb->sna", lam, X) + noise
-
-    # deterministic zero-energy states: identity, rotations, supplied modes
-    special = [X.copy()]
-    for ang in (0.4, 1.1, 2.5):
-        special.append(X @ rotation(ang).T)
-    for defm in extra_deformations:
-        special.append(defm.node_positions(keys))
-    U = np.concatenate([U, np.asarray(special)], axis=0)
-    n_tot = U.shape[0]
-
-    # the rows of each class's nodes among the cell's keys
-    sa, sb = cell.rows(spec.spring_keys, 0, 0)[..., 0].T
-    t0, t1, t2 = cell.rows(spec.penalized_keys, 0, 0)[..., 0].T
-    lengths = np.linalg.norm(U[:, sb] - U[:, sa], axis=2)
-    cross = cross2(U[:, t1] - U[:, t0], U[:, t2] - U[:, t0])
-    E = ordered_sum(np.concatenate([
-        (spec.spring_stiffness * (lengths - spec.spring_rest) ** 2).T,
-        np.where(cross > 0, 0.0, spec.penalized_area / eta).T]))
-
-    grad2 = np.zeros(n_tot)
-    cover = cell.rows(spec.cover_keys, 0, 0)[..., 0]
-    q0, q1, q2 = X[cover.T]
-    dinvs = np.linalg.inv(np.stack([q1 - q0, q2 - q0], axis=-1))
-    areas = 0.5 * cross2(q1 - q0, q2 - q0)
-    for (i0, i1, i2), dinv, area in zip(cover, dinvs, areas.tolist()):
-        G = np.einsum("snk,kl->snl", np.stack(
-            [U[:, i1] - U[:, i0], U[:, i2] - U[:, i0]], axis=2), dinv)
-        grad2 += area * np.einsum("sij,sij->s", G, G)
-
-    area_U = spec.cell_area
-    zero = E <= 1e-18
-    D2 = float(np.max(grad2[zero]) / area_U) if np.any(zero) else 0.0
-    C1 = float(np.max(E / (grad2 + area_U)))
-    slack = grad2 - D2 * area_U
-    pos = (~zero) & (slack > 1e-9)
-    C2 = float(np.min(E[pos] / slack[pos])) if np.any(pos) else np.inf
-    return CellBoundsReport(
-        C1=C1, C2=C2, D2=D2, n_samples=n_tot,
-        n_zero_energy=int(zero.sum()), n_positive_slack=int(pos.sum()),
     )

@@ -1,12 +1,14 @@
-"""Marker geometry: averaged vectors, commutators, stretches, inequalities.
+"""Marker geometry: averaged vectors, stretches, inequalities.
 
 The load-bearing identity: for any deformation ``u = lam x + psi`` with
 ``psi`` periodic on a ``k x k`` supercell, the cell averages of the
 deformed marker vectors satisfy ``atilde_i = lam a_i`` -- the periodic
 part telescopes away along the straight spring lines the markers sit on.
 Combined with ``r = c R(alpha) b`` this forces ``lam R(alpha) a1 =
-R(alpha) lam a1`` for mechanisms, and the size of the commutator
-``lam R - R lam`` is what the closed form here measures.
+R(alpha) lam a1`` for mechanisms.  The size of the commutator
+``lam R - R lam`` on a unit vector is ``|sin(alpha)| * (sigma1 -+
+sigma2)``, whose square over ``sin(alpha)^2`` is the first term of the
+lower-bound bracket here.
 
 Also provided: an orientation-aware singular value decomposition, the
 lower-bound bracket built from principal stretches, grid certificates for
@@ -21,12 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import PeriodicDeformation, cross2, edge_vectors, lam_times, ordered_sum, rotation
+from .lattice import (_GRID_POINTS, PeriodicDeformation, cross2, edge_vectors, lam_times,
+                      ordered_sum, rotation)
 
 __all__ = [
     "averaged_vectors",
     "lambda_from_averages",
-    "commutator_closed_form",
     "principal_stretches",
     "StretchData",
     "signed_svd",
@@ -73,26 +75,6 @@ def lambda_from_averages(defm: PeriodicDeformation) -> np.ndarray:
     A = np.column_stack([a1, a2])
     At = np.column_stack([at1, at2])
     return At @ np.linalg.inv(A)
-
-
-# ---------------------------------------------------------------------------
-# commutator with a rotation
-# ---------------------------------------------------------------------------
-
-
-def commutator_closed_form(lam, alpha: float):
-    """Closed form of the commutator norm, independent of the unit vector:
-
-    ``|sin(alpha)| * (sigma1 - sigma2)``  when ``det lam >= 0``,
-    ``|sin(alpha)| * (sigma1 + sigma2)``  when ``det lam < 0``.
-
-    Both branches equal ``|sin(alpha)| * hypot(a - d, b + c)``, which is
-    what is evaluated; accepts stacked matrices ``(..., 2, 2)``.
-    """
-    lam = np.asarray(lam, dtype=float)
-    a, b = lam[..., 0, 0], lam[..., 0, 1]
-    c, d = lam[..., 1, 0], lam[..., 1, 1]
-    return np.abs(np.sin(alpha)) * np.hypot(a - d, b + c)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +143,6 @@ def lower_bracket(lam):
 
 
 _SLACK_TOL = 1e-12  # how far below zero a certified slack may round
-# the most points one grid may hold: an inequality grid, a --k supercell's
-# cells, the cell window of a soft-mode rung, a random gradient grid, the
-# twist angles of a mechanism grid, and a domain wall's columns or strip cells
-_GRID_POINTS = 10 ** 7
 
 
 @dataclass

@@ -57,6 +57,14 @@ class MechanismError(RuntimeError):
     which raises it and lists it among its public names."""
 
 
+# the most points one grid may hold: an inequality grid, a --k supercell's
+# cells, the cell window of a soft-mode rung, a random gradient grid, the
+# twist angles of a mechanism grid, and a domain wall's columns or strip
+# cells; defined here, where the command line reads it without importing a
+# solver module
+_GRID_POINTS = 10 ** 7
+
+
 def rotation(angle) -> np.ndarray:
     """Counterclockwise rotation matrices through ``angle`` radians, of
     shape ``np.shape(angle) + (2, 2)``."""

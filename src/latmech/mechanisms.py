@@ -38,8 +38,9 @@ from typing import Iterable
 import numpy as np
 
 from .energy import LatticeMap, _barrier, _dets, _kernel, _lbfgsb, energy_breakdown
-from .geometry import _GRID_POINTS, signed_svd
+from .geometry import signed_svd
 from .lattice import (
+    _GRID_POINTS,
     DegenerateGeometryError,
     LatticeSpec,
     MechanismError,

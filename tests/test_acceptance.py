@@ -15,10 +15,9 @@ from latmech.cellsolver import (
     sandwich_report,
     verify_jensen_bounds,
 )
-from latmech.energy import check_cell_bounds, energy_breakdown, triangle_dets
+from latmech.energy import energy_breakdown
 from latmech.geometry import (
     averaged_vectors,
-    commutator_closed_form,
     rigidity_constant,
     sample_triangle_deformations,
     scalar_inequality_report,
@@ -34,6 +33,8 @@ from latmech.mechanisms import (
     twist_mechanism,
 )
 from latmech.softmodes import default_target, modulate, soft_mode_report
+
+from conftest import check_cell_bounds, commutator_closed_form
 
 
 def _rot(theta):
@@ -308,7 +309,7 @@ def test_criterion_11_energy_axioms(all_specs, kagome, rotating_squares):
         psi = 0.2 * rng.standard_normal((cell.n_nodes, 2))
         defm = PeriodicDeformation(cell, lam, psi)
         bd = energy_breakdown(defm, 0.05)
-        counts = [int(np.sum(d <= 0)) for d in triangle_dets(defm)]
+        counts = [int(np.sum(d <= 0)) for d in bd.dets]
         units = [a / 0.05 for a in spec.penalized_area.tolist()]
         assert bd.penalty_total == sum(c * u for c, u in zip(counts, units))
         assert list(bd.reversed_counts) == counts

@@ -259,7 +259,7 @@ def test_verify_bounds_k_max_past_the_k_limit_exits_2_before_any_trial(tmp_path,
 @pytest.mark.parametrize("module, limit, size, argv", [
     (cellsolver, 3, 3, ["density-sweep", "--grid", "random:{}", "--k", "1", "--restarts", "0",
                         "--jobs", "1"]),
-    (geometry, 4, 4, ["mechanism", "--grid-points", "{}"]),
+    (cli, 4, 4, ["mechanism", "--grid-points", "{}"]),
     (mechanisms, 5, 5, ["domain-wall", "--theta1", "2.3", "--n", "{}"]),
     # (2 half_width + 1) rows cells: 5 x 3 at the limit, 5 x 4 past it
     (mechanisms, 15, 3, ["domain-wall", "--theta1", "2.3", "--n", "4", "--strip",
@@ -875,6 +875,27 @@ def test_cli_imports_no_scipy_until_a_solver_runs(tmp_path):
         "assert 'latmech.cellsolver' not in new, 'cellsolver imported by soft-mode'",
         "assert 'scipy' not in sys.modules, 'scipy imported by soft-mode'",
     )
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["build"], {"latmech.lattice"}),
+    (["energy", "--k", "2"], {"latmech.lattice", "latmech.energy"}),
+    (["inequalities", "--lam-step", "0.1", "--theta-step", "0.01"],
+     {"latmech.lattice", "latmech.geometry"}),
+], ids=["build", "energy", "inequalities"])
+def test_program_run_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    """A command run as its own program loads exactly the ``latmech``
+    modules it runs, as ``-X importtime`` lists each module the process
+    imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "latmech.cli", *argv,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert {m for m in imported if m.startswith("latmech.")} == modules
 
 
 def test_cli_imports_neither_multiprocessing_nor_fractions_until_used(tmp_path):

@@ -25,18 +25,16 @@ from latmech.energy import (
     _lbfgsb,
     _scipy_extension,
     _smoothed,
-    check_cell_bounds,
     domain_energy,
     energy_breakdown,
     smoothed_energy_grad,
-    triangle_dets,
 )
 from latmech.cellsolver import _ANNEAL, _MAXITER
 from latmech.lattice import PeriodicDeformation, Supercell, cross2, ordered_sum, rotation
 from latmech.mechanisms import _pack, _search_objective, _unpack, twist_mechanism
 from latmech.softmodes import _probe_margin, default_target, modulate
 
-from conftest import random_deformation
+from conftest import check_cell_bounds, random_deformation
 from test_pins import _one_shot, _specs
 
 
@@ -101,9 +99,7 @@ def test_penalty_quantization_is_exact(kagome, rotating_squares):
         for _ in range(200):
             defm = random_deformation(spec, 1, rng, amp=0.8)
             bd = energy_breakdown(defm, eta)
-            dets = triangle_dets(defm)
-            assert bd.dets.tobytes() == dets.tobytes()
-            counts = [int(np.sum(d <= 0)) for d in dets]
+            counts = [int(np.sum(d <= 0)) for d in bd.dets]
             expected = float(sum(c * u for c, u in zip(counts, units)))
             assert bd.penalty_total == expected  # bitwise
             assert bd.total == bd.spring_total + bd.penalty_total
@@ -121,7 +117,7 @@ def test_reflection_reverses_every_triangle(rotating_squares):
     bd = energy_breakdown(defm, 0.05)
     n_tri = len(rotating_squares.penalized_keys) * 4
     assert int(np.sum(np.asarray(bd.per_triangle_penalty) > 0)) == n_tri
-    assert all((d < 0).all() for d in triangle_dets(defm))
+    assert all((d < 0).all() for d in bd.dets)
 
 
 def test_averaged_energy_normalization(kagome):
@@ -192,7 +188,7 @@ def test_barrier_infeasible_returns_inf(kagome):
         E, glam, gpsi = _one_shot(barrier, lam, psi)
         assert np.isinf(E)
         assert np.all(glam == 0) and np.all(gpsi == 0)
-    dets = triangle_dets(PeriodicDeformation(cell, np.eye(2), pinched))
+    dets = energy_breakdown(PeriodicDeformation(cell, np.eye(2), pinched), 1e-3).dets
     assert (dets[0] > 0).all() and (dets[1] < 0).all()
 
 
@@ -359,7 +355,7 @@ def _same_row_bits(got, want):
 @pytest.mark.parametrize("si", range(6))
 def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     """The flat edge layout and scatter stream change no bit of the three
-    gradient kernels or of ``triangle_dets``, whatever tau, mu or state;
+    gradient kernels or of ``EnergyBreakdown.dets``, whatever tau, mu or state;
     the fixed-``lam`` kernel, the density stage objective, has the bits of
     ``E`` and ``gpsi`` of the full kernel and of the reference, and
     ``smoothed_energy_grad`` those of the kernel's one row."""
@@ -367,7 +363,7 @@ def test_gradient_kernels_match_per_class_reference_bit_for_bit(si, k):
     cell, cases = _bit_cases(spec, k, [si, k])
     dets = {}
     for name, lam, psi in cases:
-        dets[name] = triangle_dets(PeriodicDeformation(cell, lam, psi))
+        dets[name] = energy_breakdown(PeriodicDeformation(cell, lam, psi), 0.1).dets
         assert np.array_equal(dets[name], _ref_triangle_edges(cell, lam, psi)[2])
         _same_bits(_one_shot(_kernel(cell, True), lam, psi), _ref_spring(cell, lam, psi))
         for tau in (0.02, 1e-3, 1e-6):

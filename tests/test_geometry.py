@@ -7,13 +7,11 @@ import pytest
 
 from latmech import geometry
 from latmech.geometry import (
-    _GRID_POINTS,
     _compression_parts,
     _compression_slack,
     _pair_grid,
     _pos_sq,
     averaged_vectors,
-    commutator_closed_form,
     conformal_check,
     lambda_from_averages,
     lower_bracket,
@@ -26,7 +24,7 @@ from latmech.geometry import (
     triangle_reference,
     triangle_spring_energy,
 )
-from latmech.lattice import PeriodicDeformation, Supercell, rotation
+from latmech.lattice import _GRID_POINTS, PeriodicDeformation, Supercell, rotation
 from latmech.mechanisms import _twist_plan
 
 
@@ -47,7 +45,7 @@ def direction_stretch(l1, l2, theta):
     return np.sqrt(l2**2 + (l1**2 - l2**2) * np.cos(theta) ** 2)
 
 
-from conftest import random_deformation
+from conftest import commutator_closed_form, random_deformation
 
 
 def _rot(theta):

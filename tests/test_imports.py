@@ -8,10 +8,11 @@ package ``__init__``, which re-exports, aside) and fails on an imported
 name that the module never reads.  It also parses the package, the
 demos, the bench and the acceptance tests, and fails on a name in a
 module's ``__all__`` that none of them reads (a few references that the
-unit tests check against aside, each listed with its reason).  It also
-fails on a defaulted parameter of a ``latmech`` function that no call
-in those readers sets to a value other than its default's own
-expression, and likewise on a defaulted field of a dataclass, which an
+unit tests check against aside, each listed with its reason), and on one
+that only the acceptance tests read and that is not listed with the
+ROADMAP item that replaces it.  It also fails on a defaulted parameter
+of a ``latmech`` function that no call in those readers sets to a value
+other than its default's own expression, and likewise on a defaulted field of a dataclass, which an
 attribute store sets too: an option with one value in use is a constant
 (a few options aside, each listed with its reason), and on a dataclass
 field whose name no reader reads as an attribute (a few results that
@@ -45,13 +46,15 @@ UNIT_TEST_REFERENCES = {
                             "checks the averaging identity",
 }
 
+# public names that no reader but the acceptance tests reads, each with the
+# ROADMAP item whose certificate replaces it
+ACCEPTANCE_ONLY = {
+    "rigidity_constant": "ROADMAP item 5 (the certified rigidity constant)",
+    "sandwich_report": "ROADMAP item 1 (the certified lower density)",
+}
+
 # dataclass fields that only unit tests or pins read, kept as results
 UNREAD_FIELDS = {
-    ("CellBoundsReport", "C1"): "a fitted sandwich constant, checked by the unit tests and pins",
-    ("CellBoundsReport", "C2"): "a fitted sandwich constant, checked by the unit tests and pins",
-    ("CellBoundsReport", "D2"): "a fitted sandwich constant, checked by the unit tests and pins",
-    ("CellBoundsReport", "n_zero_energy"): "the samples D2 is calibrated on, counted by the "
-                                           "unit tests and pins",
     ("DensityEstimate", "minimizer"): "the best field, which the unit tests re-evaluate and "
                                       "tile and the pins hash",
     ("DomainWall", "compression_profile"): "the compression per column, which a unit test "
@@ -72,16 +75,15 @@ UNREAD_FIELDS = {
 }
 
 # options that no reader sets to a second value, kept as options
-_REPLACED = ("ROADMAP items 1-3 replace this function; its unit tests and pins run it "
-             "at other sizes than the acceptance tests")
 UNSET_OPTIONS = {
     ("verify_isotropic_bound", "k"): "perfbench/layers.py passes k=1 by keyword, so the "
                                       "option goes when the bench changes",
-    **{(name, param): _REPLACED for name, params in (
-        ("check_cell_bounds", ("n_samples", "eta", "seed", "extra_deformations")),
-        ("rigidity_constant", ("alpha", "n_samples", "seed")),
-        ("sandwich_report", ("eta", "k_list", "restarts", "eta_factor")),
-    ) for param in params},
+    **{(name, param): f"{ACCEPTANCE_ONLY[name]} replaces this function; its unit tests and "
+                      "pins run it at other sizes than the acceptance tests"
+       for name, params in (
+           ("rigidity_constant", ("alpha", "n_samples", "seed")),
+           ("sandwich_report", ("eta", "k_list", "restarts", "eta_factor")),
+       ) for param in params},
 }
 
 
@@ -201,7 +203,7 @@ def test_top_level_solver_import_is_caught():
 
 def test_package_loads_each_module_on_first_access():
     """``import latmech`` loads no submodule; its ``__all__`` is the
-    modules' ``__all__`` lists in module order (70 names), each name the
+    modules' ``__all__`` lists in module order (66 names), each name the
     defining module's object, and ``from latmech import *`` binds them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
@@ -215,7 +217,7 @@ def test_package_loads_each_module_on_first_access():
 
     modules = (lattice, energy, geometry, mechanisms, cellsolver, softmodes)
     assert latmech.__all__ == [*(n for m in modules for n in m.__all__), "__version__"]
-    assert len(latmech.__all__) == 70
+    assert len(latmech.__all__) == 66
     star = {}
     exec("from latmech import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(latmech.__all__)
@@ -244,6 +246,20 @@ def test_every_public_name_is_read():
     # equal, not a subset: a reference that a reader comes to read leaves the list
     assert (_unread(public, (ast.parse(path.read_text(), str(path)) for path in READERS))
             == sorted(UNIT_TEST_REFERENCES))
+
+
+def test_every_acceptance_only_name_names_its_replacement():
+    """A public name that only an acceptance criterion reads is a
+    sampled or fitted stand-in, so it is listed with the ROADMAP item
+    whose certificate replaces it; an identity that nothing certifies
+    moves into the tests as a reference."""
+    public = [name for path in MODULES for name in _public_names(ast.parse(path.read_text()))]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
+    unread = _unread(public, trees.values())
+    program = [tree for path, tree in trees.items() if path.parent.name != "tests"]
+    only = sorted(set(_unread(public, program)) - set(unread))
+    assert only == sorted(ACCEPTANCE_ONLY)
+    assert all(re.match(r"ROADMAP item \d+ ", item) for item in ACCEPTANCE_ONLY.values())
 
 
 def test_unread_public_name_is_caught():

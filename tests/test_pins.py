@@ -39,10 +39,8 @@ from latmech.energy import (
     LatticeMap,
     _barrier,
     _kernel,
-    check_cell_bounds,
     energy_breakdown,
     smoothed_energy_grad,
-    triangle_dets,
 )
 from latmech.geometry import (
     _compression_slack,
@@ -75,7 +73,7 @@ from latmech.mechanisms import (
 )
 from latmech.softmodes import default_target, modulate
 
-from conftest import percolating_units_json
+from conftest import check_cell_bounds, percolating_units_json
 
 ETA = 0.1
 
@@ -142,7 +140,7 @@ def _breakdown(spec, k, rough, mild):
 
 QUANTITIES = {
     "energy_breakdown": _breakdown,
-    "triangle_dets": lambda spec, k, rough, mild: list(triangle_dets(rough)),
+    "triangle_dets": lambda spec, k, rough, mild: list(energy_breakdown(rough, ETA).dets),
     "spring_energy_grad":
         lambda spec, k, rough, mild: _one_shot(_kernel(rough.cell, True), rough.lam, rough.psi),
     "smoothed_energy_grad": lambda spec, k, rough, mild: smoothed_energy_grad(
