@@ -36,9 +36,9 @@ import numpy as np
 from .energy import (_check_eta, _kernel, _lbfgsb, _scipy_extension, _smoothed,
                      energy_breakdown)
 from .geometry import _SLACK_TOL, lower_bracket, signed_svd
-from .lattice import (_GRID_POINTS, DegenerateGeometryError, LatticeSpec, MechanismError,
-                      PeriodicDeformation, Supercell, _polar, cross2, edge_vectors, lam_times,
-                      norms, ordered_sum, rotation, unique_rows)
+from .lattice import (DegenerateGeometryError, LatticeSpec, MechanismError,
+                      PeriodicDeformation, Supercell, _check_size, _polar, cross2, edge_vectors,
+                      lam_times, norms, ordered_sum, rotation, unique_rows)
 from .mechanisms import _twist_contraction_table, _twist_fields
 
 __all__ = [
@@ -397,9 +397,7 @@ def lambda_grid(kind: str, rng_seed: int = 0):
             raise ValueError(f"random grid needs an integer count, got {kind!r}") from None
         if n < 1:
             raise ValueError(f"random grid needs at least 1 matrix, got {kind!r}")
-        if n > _GRID_POINTS:
-            raise ValueError(f"random grid needs at most {_GRID_POINTS:.0e} matrices, "
-                             f"got {kind!r}")
+        _check_size(n, f"the matrices of random grid {kind!r}")
         rng = np.random.default_rng(rng_seed)
         return [np.eye(2) + 0.5 * rng.standard_normal((2, 2)) for _ in range(n)]
     raise ValueError(f"unknown lambda grid {kind!r}")

@@ -47,12 +47,12 @@ for _name in _BLAS_THREAD_VARS:
 import numpy as np
 
 from .lattice import (
-    _GRID_POINTS,
     LatticeSpec,
     MechanismError,
     PeriodicDeformation,
     Supercell,
     VARIANT_KINDS,
+    _check_size,
     build_kagome,
     build_rotating_squares,
     build_variant,
@@ -303,8 +303,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 def _parse_ks(text: str):
     """The ``--k`` supercell sizes: integers of at least 1, none twice,
-    and none whose ``k x k`` supercell holds more than ``_GRID_POINTS``
-    cells."""
+    and none whose ``k x k`` supercell passes the grid limit."""
     seen = {}
     for item in text.split(","):
         try:
@@ -313,9 +312,7 @@ def _parse_ks(text: str):
             raise ValueError(f"--k entry {item!r} is not an integer") from None
         if k < 1:
             raise ValueError(f"--k entry {item!r} must be at least 1")
-        if k * k > _GRID_POINTS:
-            raise ValueError(f"--k entry {item!r} must be at most {math.isqrt(_GRID_POINTS)}, "
-                             f"so that its supercell holds at most {_GRID_POINTS:.0e} cells")
+        _check_size(k * k, f"the supercell cells of --k entry {item!r}")
         if k in seen:
             raise ValueError(f"--k entries {seen[k]!r} and {item!r} repeat the "
                              f"supercell size {k}")
@@ -543,9 +540,8 @@ def _cmd_mechanism(args) -> int:
             raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     elif args.theta is None and args.grid_points < 1:
         raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
-    elif args.theta is None and args.grid_points > _GRID_POINTS:
-        raise ValueError(f"--grid-points must be at most {_GRID_POINTS:.0e}, "
-                         f"got {args.grid_points}")
+    elif args.theta is None:
+        _check_size(args.grid_points, "the twist angles of --grid-points")
     spec = _load_spec(args)
     path = _out_path(args, "mechanisms.csv")
     rows = []
@@ -648,8 +644,7 @@ def _cmd_verify_bounds(args) -> int:
                              verify_isotropic_bound, verify_jensen_bounds)
 
     _check_seed(args)
-    if args.k_max * args.k_max > _GRID_POINTS:    # the limit of --k
-        raise ValueError(f"--k-max must be at most {math.isqrt(_GRID_POINTS)}, got {args.k_max}")
+    _check_size(args.k_max * args.k_max, f"the supercell cells of --k-max {args.k_max}")
     spec = _load_spec(args)
     # checked on every run, so a bad --eta never passes unread
     _check_cell_eta(spec, args.eta, 1)    # verify-bounds --isotropic solves at k=1
@@ -708,9 +703,7 @@ def _cmd_soft_mode(args) -> int:
     # the cell window of the finest rung, counted in Python floats, which overflow to inf
     lo, hi = _cell_box(spec, target.polygon, min(eps_list))
     cells = math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist()))
-    if not cells <= _GRID_POINTS:
-        raise ValueError(f"--eps cell size {min(eps_list):.6g} needs a window of {cells:.3g} "
-                         f"lattice cells, more than {_GRID_POINTS:.0e}")
+    _check_size(cells, f"the window cells of the finest --eps rung {min(eps_list):.6g}")
     jobs = _jobs(args, len(eps_list))
     dumps = ([("--dump-dir", os.path.join(args.dump_dir, _dump_name(eps))) for eps in eps_list]
              if args.dump_dir else [])

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (_GRID_POINTS, PeriodicDeformation, cross2, edge_vectors, lam_times,
+from .lattice import (PeriodicDeformation, _check_size, cross2, edge_vectors, lam_times,
                       ordered_sum, rotation)
 
 __all__ = [
@@ -240,20 +240,18 @@ def scalar_inequality_report(lam_step: float = 0.01, theta_step: float = 0.001):
 
     Both steps must be finite; ``lam_step <= 3`` and ``theta_step < pi/3``,
     so that the compression sweep holds at least two angles.  Neither grid
-    may hold more than ``_GRID_POINTS`` points: the stretch grid is a
-    square of ``3 / lam_step + 1`` values a side, the angle grid a line
-    of ``2 pi / theta_step``.  Each limit is checked before any array is
-    made.
+    may pass the grid limit: the stretch grid is a square of
+    ``3 / lam_step + 1`` values a side, the angle grid a line of
+    ``2 pi / theta_step``.  Each limit is checked before any array is made.
     """
-    for name, step, finest in (("lam_step", lam_step, 3.0 / (_GRID_POINTS ** 0.5 - 1.0)),
-                               ("theta_step", theta_step, 2 * np.pi / _GRID_POINTS)):
+    for name, step in (("lam_step", lam_step), ("theta_step", theta_step)):
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step:g}")
         if not np.isfinite(step):
             raise ValueError(f"{name} must be finite, got {step:g}")
-        if step < finest:
-            raise ValueError(f"{name} must be at least {finest:.3g}, so that its grid holds "
-                             f"at most {_GRID_POINTS:.0e} points, got {step:g}")
+    side = 3 / lam_step + 1    # squared by multiplying, which overflows to inf where ** raises
+    _check_size(side * side, f"the stretch grid points of lam_step {lam_step:g}")
+    _check_size(2 * np.pi / theta_step, f"the angles of theta_step {theta_step:g}")
     if lam_step > 3:
         raise ValueError(f"lam_step must be at most 3, the largest stretch, got {lam_step:g}")
     if theta_step >= np.pi / 3:

@@ -57,12 +57,17 @@ class MechanismError(RuntimeError):
     which raises it and lists it among its public names."""
 
 
-# the most points one grid may hold: an inequality grid, a --k supercell's
-# cells, the cell window of a soft-mode rung, a random gradient grid, the
-# twist angles of a mechanism grid, and a domain wall's columns or strip
-# cells; defined here, where the command line reads it without importing a
-# solver module
+# the most points one grid may hold; read only by _check_size
 _GRID_POINTS = 10 ** 7
+
+
+def _check_size(count, what) -> None:
+    """Refuse ``count`` points of one grid past ``_GRID_POINTS``, naming
+    them by ``what``, a plural; an ``inf`` or NaN count is refused too.
+    Defined here, where the command line reads it without importing a
+    solver module."""
+    if not count <= _GRID_POINTS:
+        raise ValueError(f"{what} number {count}, more than the limit of {_GRID_POINTS}")
 
 
 def rotation(angle) -> np.ndarray:
@@ -435,105 +440,109 @@ def _first(mask):
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
+@np.errstate(over="raise")
 def _validate_spec(spec: LatticeSpec) -> None:
     """Reject an inconsistent spec.  Each check reports the lowest
-    offending class; the checks run in a fixed order."""
+    offending class; the checks run in a fixed order, and a finite spec
+    whose lengths or areas overflow is refused naming the first that does."""
     # a NaN passes no comparison, so every later check would let it through
     for name, value in (("v1", spec.v1), ("v2", spec.v2), ("basic_nodes", spec.basic_nodes),
                         ("k_spring", spec.spring_stiffness), ("alpha", spec.alpha),
                         ("c_marker", spec.c_marker)):
         if not np.isfinite(value).all():
             raise DegenerateGeometryError(f"{name} holds a non-finite number")
-    scale = max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
-    if abs(float(cross2(spec.v1, spec.v2))) <= 1e-12 * scale**2:
-        raise DegenerateGeometryError("period vectors are linearly dependent")
-    if spec.n_basic == 0:
-        raise DegenerateGeometryError("lattice has no basic nodes")
+    what = "the period vectors' lengths or cell area"
+    try:
+        scale = max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
+        if abs(float(cross2(spec.v1, spec.v2))) <= 1e-12 * scale**2:
+            raise DegenerateGeometryError("period vectors are linearly dependent")
+        if spec.n_basic == 0:
+            raise DegenerateGeometryError("lattice has no basic nodes")
 
-    # basic nodes must be distinct modulo the lattice
-    M = spec.cell_matrix
-    for i in range(spec.n_basic):
-        for j in range(i + 1, spec.n_basic):
-            frac = np.linalg.solve(M, spec.basic_nodes[i] - spec.basic_nodes[j])
-            if np.max(np.abs(frac - np.round(frac))) < 1e-9:
-                raise DegenerateGeometryError(
-                    f"basic nodes {i} and {j} coincide modulo the lattice"
-                )
+        what = "the basic nodes' lattice coordinates"    # distinct modulo the lattice
+        M = spec.cell_matrix
+        for i in range(spec.n_basic):
+            for j in range(i + 1, spec.n_basic):
+                frac = np.linalg.solve(M, spec.basic_nodes[i] - spec.basic_nodes[j])
+                if np.max(np.abs(frac - np.round(frac))) < 1e-9:
+                    raise DegenerateGeometryError(
+                        f"basic nodes {i} and {j} coincide modulo the lattice"
+                    )
 
-    # every node reference names a basic node
-    for keys in (spec.spring_keys, spec.cover_keys, spec.marker_keys):
-        nodes = keys[..., 0]
-        bad = (nodes < 0) | (nodes >= spec.n_basic)
+        # every node reference names a basic node
+        for keys in (spec.spring_keys, spec.cover_keys, spec.marker_keys):
+            nodes = keys[..., 0]
+            bad = (nodes < 0) | (nodes >= spec.n_basic)
+            if bad.any():
+                raise ValueError(f"unknown node reference {_refs(keys[_first(bad)])!r}")
+
+        what = "the cover triangle areas"    # counterclockwise, tiling one cell area
+        x = spec.node_positions(spec.cover_keys)
+        area2 = cross2(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+        bad = area2 <= 1e-12 * scale**2
         if bad.any():
-            raise ValueError(f"unknown node reference {_refs(keys[_first(bad)])!r}")
+            t = int(np.argmax(bad))
+            raise DegenerateGeometryError(
+                f"triangle {_refs(spec.cover_keys[t])!r} is degenerate or clockwise "
+                f"(2*area={area2[t]:g})"
+            )
+        total = ordered_sum(0.5 * area2)
+        if abs(total - spec.cell_area) > 1e-9 * scale**2:
+            raise DegenerateGeometryError(f"cover area {total:g} does not match cell area "
+                                          f"{spec.cell_area:g}")
+        if not np.isin(np.arange(spec.n_basic), spec.cover_keys[..., 0]).all():
+            raise DegenerateGeometryError("some basic node never appears in the cover")
 
-    # cover: counterclockwise triangles tiling one cell area
-    x = spec.node_positions(spec.cover_keys)
-    area2 = cross2(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
-    bad = area2 <= 1e-12 * scale**2
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise DegenerateGeometryError(
-            f"triangle {_refs(spec.cover_keys[t])!r} is degenerate or clockwise "
-            f"(2*area={area2[t]:g})"
-        )
-    total = ordered_sum(0.5 * area2)
-    if abs(total - spec.cell_area) > 1e-9 * scale**2:
-        raise DegenerateGeometryError(
-            f"cover area {total:g} does not match cell area {spec.cell_area:g}"
-        )
-    if not np.isin(np.arange(spec.n_basic), spec.cover_keys[..., 0]).all():
-        raise DegenerateGeometryError("some basic node never appears in the cover")
+        what = "the spring lengths"    # positive, endpoints inside the closed cell region
+        # (springs never cross the cell boundary)
+        bad = spec.spring_rest <= 1e-12 * scale
+        if bad.any():
+            raise DegenerateGeometryError(f"spring {np.argmax(bad)} has zero length")
+        bad = spec.spring_stiffness <= 0
+        if bad.any():
+            raise DegenerateGeometryError(f"spring {np.argmax(bad)} has non-positive stiffness")
+        first = _segment_index(spec, spec.spring_keys)
+        bad = first != np.arange(len(first))
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise DegenerateGeometryError(f"springs {first[idx]} and {idx} are lattice "
+                                          "translates")
+        outside = ~_in_cover(spec, spec.node_positions(spec.spring_keys))
+        if outside.any():
+            idx, end = _first(outside)
+            raise DegenerateGeometryError(
+                f"spring {idx} endpoint {_refs(spec.spring_keys[idx, end])!r} "
+                "lies outside the cell region"
+            )
 
-    # springs: positive length, endpoints inside the closed cell region
-    # (springs never cross the cell boundary)
-    bad = spec.spring_rest <= 1e-12 * scale
-    if bad.any():
-        raise DegenerateGeometryError(f"spring {np.argmax(bad)} has zero length")
-    bad = spec.spring_stiffness <= 0
-    if bad.any():
-        raise DegenerateGeometryError(f"spring {np.argmax(bad)} has non-positive stiffness")
-    first = _segment_index(spec, spec.spring_keys)
-    bad = first != np.arange(len(first))
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise DegenerateGeometryError(
-            f"springs {first[idx]} and {idx} are lattice translates"
-        )
-    outside = ~_in_cover(spec, spec.node_positions(spec.spring_keys))
-    if outside.any():
-        idx, end = _first(outside)
-        raise DegenerateGeometryError(
-            f"spring {idx} endpoint {_refs(spec.spring_keys[idx, end])!r} "
-            "lies outside the cell region"
-        )
+        # every spring's energy must reach a penalized triangle through a
+        # shared basic node (see spring_attribution)
+        orphan = ~np.isin(spec.spring_keys[..., 0], spec.penalized_keys[..., 0]).any(axis=1)
+        if orphan.any():
+            raise DegenerateGeometryError(
+                f"spring {np.argmax(orphan)} shares no endpoint with any penalized triangle"
+            )
 
-    # every spring's energy must reach a penalized triangle through a
-    # shared basic node (see spring_attribution)
-    orphan = ~np.isin(spec.spring_keys[..., 0], spec.penalized_keys[..., 0]).any(axis=1)
-    if orphan.any():
-        raise DegenerateGeometryError(
-            f"spring {np.argmax(orphan)} shares no endpoint with any penalized triangle"
-        )
-
-    # markers: spring-aligned edges with r = c R(alpha) b
-    t = spec.marker_triangle
-    bad = (t < 0) | (t >= len(spec.penalized_keys))
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise ValueError(f"marker {m} points to invalid triangle {t[m]}")
-    off = _segment_index(spec, spec.marker_keys) < 0
-    if off.any():
-        m, e = _first(off)
-        raise DegenerateGeometryError(
-            f"marker {m} edge {_refs(spec.marker_keys[m, e])!r} does not lie along a spring"
-        )
-    b, r = spec.segments(spec.marker_keys).transpose(1, 0, 2)
-    bad = norms(r - spec.c_marker * lam_times(rotation([spec.alpha]), b)[0]) > 1e-9 * scale
-    if bad.any():
-        raise DegenerateGeometryError(f"marker {np.argmax(bad)} violates r = c R(alpha) b")
-    if not len(spec.marker_keys):
-        raise DegenerateGeometryError("lattice carries no marker edges")
+        what = "the marker edges"    # spring-aligned, with r = c R(alpha) b
+        t = spec.marker_triangle
+        bad = (t < 0) | (t >= len(spec.penalized_keys))
+        if bad.any():
+            m = int(np.argmax(bad))
+            raise ValueError(f"marker {m} points to invalid triangle {t[m]}")
+        off = _segment_index(spec, spec.marker_keys) < 0
+        if off.any():
+            m, e = _first(off)
+            raise DegenerateGeometryError(
+                f"marker {m} edge {_refs(spec.marker_keys[m, e])!r} does not lie along a spring"
+            )
+        b, r = spec.segments(spec.marker_keys).transpose(1, 0, 2)
+        bad = norms(r - spec.c_marker * lam_times(rotation([spec.alpha]), b)[0]) > 1e-9 * scale
+        if bad.any():
+            raise DegenerateGeometryError(f"marker {np.argmax(bad)} violates r = c R(alpha) b")
+        if not len(spec.marker_keys):
+            raise DegenerateGeometryError("lattice carries no marker edges")
+    except FloatingPointError:
+        raise DegenerateGeometryError(f"{what} overflow") from None
 
 
 # ---------------------------------------------------------------------------

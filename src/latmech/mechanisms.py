@@ -40,12 +40,12 @@ import numpy as np
 from .energy import LatticeMap, _barrier, _dets, _kernel, _lbfgsb, energy_breakdown
 from .geometry import signed_svd
 from .lattice import (
-    _GRID_POINTS,
     DegenerateGeometryError,
     LatticeSpec,
     MechanismError,
     PeriodicDeformation,
     Supercell,
+    _check_size,
     _frozen,
     _slot,
     build_kagome,
@@ -611,6 +611,8 @@ def search_mechanisms(
     :func:`_search_objective`); a restart with a reversed triangle gets
     ``(inf, 0)``.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     cell = Supercell(spec, k)
     n = cell.n_nodes
     rng = np.random.default_rng(rng_seed)
@@ -662,8 +664,9 @@ def domain_wall_angles(theta1: float, n: int = 30) -> np.ndarray:
         raise ValueError(
             f"theta1 must lie in [2*pi/3, pi), got {theta1:g}"
         )
-    if not 1 <= n <= _GRID_POINTS:
-        raise ValueError(f"the recursion needs 1 <= n <= {_GRID_POINTS:.0e} columns, got {n}")
+    if n < 1:
+        raise ValueError(f"the recursion needs n >= 1 columns, got {n}")
+    _check_size(n, "the n columns of the recursion")
     th = np.empty(n + 1)
     th[0] = 2 * np.pi / 3
     th[1] = theta1
@@ -716,9 +719,8 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
     if half_width < 1 or rows < 2:
         raise ValueError(f"the strip needs half_width >= 1 and rows >= 2, "
                          f"got {half_width} and {rows}")
-    if (2 * half_width + 1) * rows > _GRID_POINTS:
-        raise ValueError(f"the strip of half_width {half_width} and rows {rows} has "
-                         f"{(2 * half_width + 1) * rows} cells, more than {_GRID_POINTS:.0e}")
+    _check_size((2 * half_width + 1) * rows,
+                f"the strip cells of half_width {half_width} and rows {rows}")
     spec = build_kagome()
     K = 2 * half_width
     th = domain_wall_angles(theta1, K)

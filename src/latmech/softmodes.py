@@ -236,8 +236,8 @@ def modulate(
     reported); boundary-overhanging units are clamped into
     ``[cs.min(), 1]`` instead.
     """
-    if epsilon <= 0:
-        raise ValueError(f"cell size epsilon must be positive, got {epsilon:g}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"cell size epsilon must be positive and finite, got {epsilon:g}")
     if relax_sweeps < 0:
         raise ValueError(f"relax_sweeps must be >= 0, got {relax_sweeps}")
     units = rigid_units(spec)

@@ -15,9 +15,14 @@ import pytest
 from conftest import orphan_spring_json, percolating_units_json
 
 import latmech.cli as cli
-from latmech import cellsolver, geometry, mechanisms, softmodes
+from latmech import cellsolver, geometry, lattice, mechanisms, softmodes
 from latmech.energy import LatticeMap
 from latmech.lattice import LatticeSpec, build_kagome, rotation
+
+
+# the grid limit's closing words, and the cells of a --k 100000 supercell
+LIMIT = "more than the limit of 10000000"
+BIG_K = 100000 * 100000
 
 
 def run(argv):
@@ -200,13 +205,13 @@ def test_mechanism_on_a_large_supercell_exits_0(tmp_path):
      "--k entry '0' must be at least 1"),
     # one over the grid limit of 1e7, named before any array is made
     (["density-sweep", "--grid", "random:10000001"],
-     "random grid needs at most 1e+07 matrices, got 'random:10000001'"),
+     f"the matrices of random grid 'random:10000001' number 10000001, {LIMIT}"),
     (["mechanism", "--grid-points", "10000001"],
-     "--grid-points must be at most 1e+07, got 10000001"),
+     f"the twist angles of --grid-points number 10000001, {LIMIT}"),
     (["domain-wall", "--theta1", "2.3", "--n", "10000001"],
-     "the recursion needs 1 <= n <= 1e+07 columns, got 10000001"),
+     f"the n columns of the recursion number 10000001, {LIMIT}"),
     (["domain-wall", "--theta1", "2.3", "--strip", "--half-width", "454545", "--rows", "11"],
-     "the strip of half_width 454545 and rows 11 has 10000001 cells, more than 1e+07"),
+     f"the strip cells of half_width 454545 and rows 11 number 10000001, {LIMIT}"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -251,31 +256,53 @@ def test_verify_bounds_k_max_past_the_k_limit_exits_2_before_any_trial(tmp_path,
     out = tmp_path / "new" / "bounds.csv"
     assert run(["verify-bounds", "--trials", "1", "--k-max", "3163", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "latmech verify-bounds: error: --k-max must be at most 3162, got 3163\n"
+    assert captured.err == ("latmech verify-bounds: error: the supercell cells of --k-max 3163 "
+                            f"number 10004569, {LIMIT}\n")
     assert captured.out == ""
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("module, limit, size, argv", [
-    (cellsolver, 3, 3, ["density-sweep", "--grid", "random:{}", "--k", "1", "--restarts", "0",
-                        "--jobs", "1"]),
-    (cli, 4, 4, ["mechanism", "--grid-points", "{}"]),
-    (mechanisms, 5, 5, ["domain-wall", "--theta1", "2.3", "--n", "{}"]),
-    # (2 half_width + 1) rows cells: 5 x 3 at the limit, 5 x 4 past it
-    (mechanisms, 15, 3, ["domain-wall", "--theta1", "2.3", "--n", "4", "--strip",
-                         "--half-width", "2", "--rows", "{}"]),
-], ids=["random-grid", "grid-points", "wall-columns", "wall-strip"])
+QUARTER_PI = repr(np.pi / 4)    # 2 pi over it is exactly 8
+
+
+@pytest.mark.parametrize("argv, count, named", [
+    (["energy", "--k", "2"], 4, "the supercell cells of --k entry '2' number 4"),
+    (["verify-bounds", "--trials", "1", "--k-max", "2"], 4,
+     "the supercell cells of --k-max 2 number 4"),
+    (["mechanism", "--grid-points", "4"], 4, "the twist angles of --grid-points number 4"),
+    (["soft-mode", "--eps", "1/8", "--sweeps", "0", "--jobs", "1"], 132,
+     "the window cells of the finest --eps rung 0.125 number 132.0"),
+    (["density-sweep", "--grid", "random:3", "--k", "1", "--restarts", "0", "--jobs", "1"], 3,
+     "the matrices of random grid 'random:3' number 3"),
+    # a 4 x 4 stretch grid beside 8 angles, then 2 x 2 stretches beside 8 angles
+    (["inequalities", "--lam-step", "1", "--theta-step", QUARTER_PI], 16,
+     "the stretch grid points of lam_step 1 number 16.0"),
+    (["inequalities", "--lam-step", "3", "--theta-step", QUARTER_PI], 8,
+     "the angles of theta_step 0.785398 number 8.0"),
+    (["domain-wall", "--theta1", "2.3", "--n", "5"], 5,
+     "the n columns of the recursion number 5"),
+    # (2 half_width + 1) rows cells
+    (["domain-wall", "--theta1", "2.3", "--n", "4", "--strip", "--half-width", "2",
+      "--rows", "3"], 15, "the strip cells of half_width 2 and rows 3 number 15"),
+], ids=["k", "k-max", "grid-points", "eps-window", "random-grid", "lam-step", "theta-step",
+        "wall-columns", "wall-strip"])
 def test_size_inputs_hold_to_the_grid_limit_both_ways(tmp_path, capsys, monkeypatch,
-                                                      module, limit, size, argv):
-    """Each size input at the grid limit runs, and one past it exits 2."""
-    monkeypatch.setattr(module, "_GRID_POINTS", limit)
+                                                      argv, count, named):
+    """Each size input runs with the grid limit at its count and exits 2,
+    naming it, with the limit one below, where its count is one past: the
+    limit lives in ``lattice`` alone, and every module reads it there."""
     out = tmp_path / "x.csv"
-    for value, code in ((size, 0), (size + 1, 2)):
-        assert run([a.format(value) for a in argv] + ["--out", str(out)]) == code
-        err = capsys.readouterr().err
-        assert ("error: " in err) == (code == 2) and "Traceback" not in err
+    for limit, code in ((count, 0), (count - 1, 2)):
+        monkeypatch.setattr(lattice, "_GRID_POINTS", limit)
+        assert run(argv + ["--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
         assert out.exists() == (code == 0)
         out.unlink(missing_ok=True)
+    # the refused run: one line, and nothing printed before it
+    assert captured.err == (f"latmech {argv[0]}: error: {named}, more than the limit of "
+                            f"{count - 1}\n")
+    assert captured.out == ""
 
 
 # sha256 of ``density-sweep --spec SPEC --grid file:G --k 1,2 --jobs 1`` on
@@ -375,11 +402,12 @@ def test_soft_mode_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("eps, named", [
-    ("1/8,1e-5", "--eps cell size 1e-05 needs a window of 4.55e+09 lattice cells, "
-                 "more than 1e+07"),
-    ("1e-5,1/8", "--eps cell size 1e-05 needs a window of 4.55e+09"),
-    ("1/8,1e-300", "--eps cell size 1e-300 needs a window of inf lattice cells"),
-    ("1/8,1e-320", "--eps cell size 9.99989e-321 needs a window of nan lattice cells"),
+    ("1/8,1e-5", "the window cells of the finest --eps rung 1e-05 number 4554205893.0, "
+                 f"{LIMIT}"),
+    ("1e-5,1/8", "the window cells of the finest --eps rung 1e-05 number 4554205893.0"),
+    ("1/8,1e-300", f"the window cells of the finest --eps rung 1e-300 number inf, {LIMIT}"),
+    ("1/8,1e-320", "the window cells of the finest --eps rung 9.99989e-321 number nan, "
+                   f"{LIMIT}"),
 ])
 def test_soft_mode_rung_too_fine_to_allocate_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, eps, named):
@@ -410,20 +438,21 @@ def test_soft_mode_cell_window_limit_sits_between_neighbouring_rungs(tmp_path, c
     monkeypatch.setattr(softmodes, "modulate", reached)
     assert run(["soft-mode", "--eps", eps, "--jobs", "1", "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert ("--eps cell size 0.0002 needs a window of 1.14e+07" in err) == refused
+    assert ("the finest --eps rung 0.0002 number 11424457.0," in err) == refused
     assert ("modulate reached" in err) != refused
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["energy", "--k", "100000"], "--k entry '100000' must be at most 3162, so that its "
-                                  "supercell holds at most 1e+07 cells"),
-    (["energy", "--k", "3163"], "--k entry '3163' must be at most 3162"),
-    (["mechanism", "--k", "100000", "--theta", "0.3"], "--k entry '100000' must be at most 3162"),
-    (["mechanism", "--k", "100000"], "--k entry '100000' must be at most 3162"),
+    (["energy", "--k", "100000"], "the supercell cells of --k entry '100000' number "
+                                  f"10000000000, {LIMIT}"),
+    (["energy", "--k", "3163"], "the supercell cells of --k entry '3163' number 10004569, "
+                                f"{LIMIT}"),
+    (["mechanism", "--k", "100000", "--theta", "0.3"], f"--k entry '100000' number {BIG_K}"),
+    (["mechanism", "--k", "100000"], f"--k entry '100000' number {BIG_K}"),
     (["mechanism", "--search", "--restarts", "1", "--k", "100000"],
-     "--k entry '100000' must be at most 3162"),
+     f"--k entry '100000' number {BIG_K}"),
     (["density-sweep", "--grid", "iso", "--k", "1,100000", "--jobs", "1"],
-     "--k entry '100000' must be at most 3162"),
+     f"--k entry '100000' number {BIG_K}"),
 ], ids=["energy", "energy-3163", "mechanism-theta", "mechanism-grid", "mechanism-search",
         "density-sweep"])
 def test_supercell_too_large_to_allocate_exits_2_before_any_work(tmp_path, capsys,
@@ -593,11 +622,11 @@ def test_output_that_names_no_file_exits_2_before_any_work(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["--lam-step", "1e-300"], "lam_step must be at least 0.000949, so that its grid holds "
-                               "at most 1e+07 points, got 1e-300"),
-    (["--lam-step", "1e-4"], "lam_step must be at least 0.000949"),
-    (["--theta-step", "1e-300"], "theta_step must be at least 6.28e-07, so that its grid "
-                                 "holds at most 1e+07 points, got 1e-300"),
+    (["--lam-step", "1e-300"], "the stretch grid points of lam_step 1e-300 number inf, "
+                               f"{LIMIT}"),
+    (["--lam-step", "1e-4"], "the stretch grid points of lam_step 0.0001 number 900060001.0"),
+    (["--theta-step", "1e-300"], "the angles of theta_step 1e-300 number "
+                                 f"6.283185307179586e+300, {LIMIT}"),
 ], ids=["lam-1e-300", "lam-1e-4", "theta-1e-300"])
 def test_inequality_step_too_fine_for_a_grid_exits_2(tmp_path, capsys, monkeypatch,
                                                      argv, named):
@@ -735,6 +764,21 @@ def test_spec_json_that_is_no_object_exits_2(tmp_path, capsys, text, named):
     assert named in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, params, code, err", [
+    ("general-kagome", "size=1e200", 2, "the period vectors' lengths or cell area overflow"),
+    ("quad-squares", "d1=1e200", 2, "the period vectors' lengths or cell area overflow"),
+    ("general-kagome", "size=1e150", 0, None),
+])
+def test_variant_too_large_for_the_floats_exits_2(tmp_path, capsys, spec, params, code, err):
+    # run in-process, where the warning filters of pyproject.toml turn a
+    # numpy overflow warning into a traceback
+    out = tmp_path / "s.json"
+    assert run(["build", "--spec", spec, "--params", params, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ("" if err is None else f"latmech build: error: {err}\n")
+    assert out.exists() == (code == 0)
 
 
 def test_percolating_rigid_units_sweep_but_have_no_twist(tmp_path, capsys):

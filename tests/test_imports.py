@@ -18,7 +18,8 @@ attribute store sets too: an option with one value in use is a constant
 field whose name no reader reads as an attribute (a few results that
 the unit tests and pins check aside, each listed with its reason).
 Last, it fails when the CLI, which every command's process imports,
-imports a ``latmech`` module other than ``lattice`` at top level, or
+imports a ``latmech`` module other than ``lattice`` at top level, when
+a module other than ``lattice`` reads the grid limit ``_GRID_POINTS``,
 when the package loads a module before one of its names is read, or
 when any code but the CLI's ``_read`` and ``_write`` opens a file, in
 any mode, or makes a directory.
@@ -199,6 +200,43 @@ def test_top_level_solver_import_is_caught():
                      "    from .cellsolver import lambda_grid\n")
     assert _latmech_imports(tree) == [(3, "lattice"), (4, "energy"), (5, "geometry"),
                                       (5, "softmodes"), (6, "mechanisms"), (7, "cellsolver")]
+
+
+def _grid_limit_reads(tree) -> list:
+    """The lines that read ``_GRID_POINTS``: by importing it, by its bare
+    name or as an attribute."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if "_GRID_POINTS" in (getattr(node, "id", None), getattr(node, "attr", None))
+                   or isinstance(node, ast.alias) and node.name == "_GRID_POINTS"})
+
+
+def test_only_lattice_reads_the_grid_limit():
+    """``lattice._check_size`` is the one comparison against the grid
+    limit: every other module checks a size through it, so a change to
+    the limit is a change to ``lattice`` alone."""
+    reads = {path.stem: _grid_limit_reads(ast.parse(path.read_text(), str(path)))
+             for path in MODULES}
+    assert reads.pop("lattice")
+    assert reads == {stem: [] for stem in reads}
+
+
+def test_grid_limit_read_is_caught():
+    tree = ast.parse("from .lattice import _GRID_POINTS as limit, rotation\n"
+                     "from latmech import lattice\n"
+                     "if n > lattice._GRID_POINTS:\n    pass\n"
+                     "x = _GRID_POINTS\n"
+                     "_check_size(n, 'the points')\n")
+    assert _grid_limit_reads(tree) == [1, 3, 5]
+    # a hand-written check put back into lambda_grid is caught
+    source = (SRC / "cellsolver.py").read_text()
+    anchor = '        _check_size(n, f"the matrices of random grid {kind!r}")\n'
+    mutant = source.replace(anchor, "        if n > _GRID_POINTS:\n"
+                                    "            raise ValueError(f'random grid {kind!r}')\n")
+    mutant = mutant.replace("from .lattice import (", "from .lattice import (_GRID_POINTS, ")
+    assert mutant.count("_GRID_POINTS") == 2
+    lines = mutant.splitlines()
+    assert [lines[n - 1].strip()[:20] for n in _grid_limit_reads(ast.parse(mutant))] == [
+        "from .lattice import", "if n > _GRID_POINTS:"]
 
 
 def test_package_loads_each_module_on_first_access():

@@ -154,6 +154,14 @@ def _append(key, entry):
     return lambda d: d[key].append(entry)
 
 
+def _scale_coordinates(factor):
+    """Scale the period vectors and basic nodes of a spec's JSON by ``factor``."""
+    def mutate(d):
+        d.update(v1=[factor * x for x in d["v1"]], v2=[factor * x for x in d["v2"]],
+                 basic_nodes=[[factor * x for x in row] for row in d["basic_nodes"]])
+    return mutate
+
+
 # one fault each in the kagome JSON, with the exception and full message
 # its loader raises
 SPEC_REJECTIONS = [
@@ -237,6 +245,12 @@ SPEC_REJECTIONS = [
     pytest.param(lambda d: d.update(c_marker=float("inf")),
                  DegenerateGeometryError, "c_marker holds a non-finite number",
                  id="inf-c-marker"),
+    # finite, but past the floats once squared or multiplied, named with no numpy warning
+    pytest.param(_scale_coordinates(1e160),
+                 DegenerateGeometryError, "the period vectors' lengths or cell area overflow",
+                 id="coordinates-1e160"),
+    pytest.param(lambda d: d.update(c_marker=1e308),
+                 DegenerateGeometryError, "the marker edges overflow", id="c-marker-1e308"),
     # values of the wrong JSON type, each rejected before any is converted
     pytest.param(lambda d: d.update(name=["x"]),
                  ValueError, 'bad lattice JSON: name is ["x"], not a string',
@@ -300,6 +314,16 @@ def test_json_rejections(kagome, mutate, exc, message):
         LatticeSpec.from_json(json.dumps(data, indent=2))
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_coordinates_scaled_by_1e150_still_build(kagome):
+    import json
+
+    data = json.loads(kagome.to_json())
+    _scale_coordinates(1e150)(data)
+    spec = LatticeSpec.from_json(json.dumps(data))
+    assert spec.cell_area == pytest.approx(1e300 * kagome.cell_area, rel=1e-15)
+    assert spec.spring_rest == pytest.approx(1e150 * kagome.spring_rest, rel=1e-15)
 
 
 def _old_polar(m):

@@ -370,6 +370,12 @@ def test_search_finds_mechanisms(kagome):
     assert energies == sorted(energies)
 
 
+def test_search_refuses_no_restarts(kagome):
+    with pytest.raises(ValueError) as info:
+        search_mechanisms(kagome, 1, restarts=0)
+    assert str(info.value) == "restarts must be at least 1, got 0"
+
+
 def _search_alone(spec, k, restarts=32, rng_seed=0):
     """``search_mechanisms`` as it was with each restart run through the
     barrier stages in turn, a stack of one at a time: the reference of

@@ -77,6 +77,14 @@ def test_modulate_rejects_unreachable_contraction(kagome):
         modulate(kagome, tgt, 1 / 8)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.125])
+def test_modulate_rejects_a_cell_size_that_is_not_positive_and_finite(kagome, eps):
+    # refused before any cell window is counted or made, with no numpy warning
+    with pytest.raises(ValueError) as info:
+        modulate(kagome, default_target(), eps)
+    assert str(info.value) == f"cell size epsilon must be positive and finite, got {eps:g}"
+
+
 def _ladder_report(spec, target, eps_list):
     return soft_mode_report([modulate(spec, target, eps) for eps in eps_list], target)
 
