@@ -444,7 +444,8 @@ def _first(mask):
 def _validate_spec(spec: LatticeSpec) -> None:
     """Reject an inconsistent spec.  Each check reports the lowest
     offending class; the checks run in a fixed order, and a finite spec
-    whose lengths or areas overflow is refused naming the first that does."""
+    whose lengths or areas overflow is refused naming the first that does,
+    as is one whose cell area falls below the normal floats."""
     # a NaN passes no comparison, so every later check would let it through
     for name, value in (("v1", spec.v1), ("v2", spec.v2), ("basic_nodes", spec.basic_nodes),
                         ("k_spring", spec.spring_stiffness), ("alpha", spec.alpha),
@@ -453,9 +454,14 @@ def _validate_spec(spec: LatticeSpec) -> None:
             raise DegenerateGeometryError(f"{name} holds a non-finite number")
     what = "the period vectors' lengths or cell area"
     try:
-        scale = max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
-        if abs(float(cross2(spec.v1, spec.v2))) <= 1e-12 * scale**2:
+        scale = max(np.hypot(*spec.v1), np.hypot(*spec.v2))
+        tiny = np.finfo(float).tiny
+        if 0 < scale < np.sqrt(tiny):   # so is the cell area, at most scale**2
+            raise DegenerateGeometryError(f"{what} underflow")
+        if spec.cell_area <= 1e-12 * scale**2:
             raise DegenerateGeometryError("period vectors are linearly dependent")
+        if spec.cell_area < tiny:
+            raise DegenerateGeometryError(f"{what} underflow")
         if spec.n_basic == 0:
             raise DegenerateGeometryError("lattice has no basic nodes")
 
@@ -813,25 +819,52 @@ def _assemble(name, v1, v2, basic, springs, penalized, markers, holes,
 
 
 def build_kagome() -> LatticeSpec:
-    """Triangles of unit side on the kagome arrangement.
+    """Triangles of unit side on the kagome arrangement: one upward and one
+    downward triangle joined at a pinch node, the hexagonal holes around
+    them split into four cover triangles, and markers along the horizontal
+    spring lines (``b``) and their 60-degree partners (``r``).  This is
+    ``general-kagome`` at its defaults with the exact unit direction
+    ``(1/2, sqrt(3)/2)`` (the variant's ``cos(pi/3)`` is one ulp above 1/2)."""
+    return _kagome_family("kagome", np.pi / 3, (0.5, 0.5 * np.sqrt(3.0)), 1.0, 1.0, 1.0)
 
-    The cell ``[0, 2] x [0, sqrt(3)]`` holds one upward and one downward
-    triangle joined at a pinch node, the surrounding hexagonal holes split
-    into four cover triangles.  Markers point along the horizontal spring
-    lines (``b``) and their 60-degree partners (``r``).
 
-    The basic nodes and their labels differ from ``general-kagome`` at its
-    defaults (node ``A`` there sits at the origin), so the built-in keeps
-    its own layout: its artifacts and the pinch node of
-    :func:`latmech.mechanisms.domain_wall_mechanism` depend on it.
-    """
-    rt3 = np.sqrt(3.0)
+def build_rotating_squares() -> LatticeSpec:
+    """Unit squares joined at corners, diagonally braced.
+
+    Each square is split by its braced diagonal (stiffness 2) into two
+    penalized triangles; the square holes between them are covered but not
+    penalized.  Markers run along the horizontal spring lines (``b``) and
+    the vertical ones (``r``).  This is ``rhombus-squares`` at angle
+    ``pi/2``, sizes 1, with the exact unit direction ``(0, 1)`` (the
+    variant's ``cos(pi/2)`` is ``6e-17``)."""
+    return _rhombus_family("rotating-squares", np.pi / 2, (0.0, 1.0), 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# parametric variants
+# ---------------------------------------------------------------------------
+
+
+def _kagome_family(name, alpha, ea, leg_ratio, size_ratio, size) -> LatticeSpec:
+    """Triangles of one shape and two sizes on the kagome topology, ``b``
+    sides along ``e1 = (1, 0)`` and ``r`` sides along the unit direction
+    ``ea`` at ``alpha``: the down triangle ``C O D`` has ``b = D - C`` of
+    length ``l = size``, the up triangle ``A O B`` has ``b = A - B`` of
+    length ``l = size * size_ratio``, each ``r`` (``D - O``, ``O - B``) is
+    ``leg_ratio * l`` long, and the periods are ``L e1`` and
+    ``leg_ratio * L * ea``, with ``L`` the sum of the two ``l``."""
+    if not 0 < alpha < np.pi:
+        raise DegenerateGeometryError(f"marker angle must be in (0, pi), got {alpha:g}")
+    if leg_ratio <= 0 or size_ratio <= 0 or size <= 0:
+        raise DegenerateGeometryError("ratios and sizes must be positive")
+    l_up = float(size * size_ratio)
+    L = float(size) + l_up
+    c = float(leg_ratio)
+    e1, ea = np.array([1.0, 0.0]), np.array(ea)
     A, O, D = 0, 1, 2
     return _assemble(
-        "kagome",
-        np.array([2.0, 0.0]),
-        np.array([1.0, rt3]),
-        np.array([[1.0, 0.0], [0.5, 0.5 * rt3], [1.0, rt3]]),
+        name, L * e1, c * L * ea,
+        np.array([l_up * e1, c * l_up * ea, c * L * ea]),
         springs=(
             ((A, 0, 0), (O, 0, 0)),     # A-O
             ((D, 0, -1), (O, 0, 0)),    # B-O
@@ -854,78 +887,7 @@ def build_kagome() -> LatticeSpec:
             ((D, 1, -1), (A, 0, 1), (D, 0, 0)),    # F E D
             ((D, 1, -1), (D, 0, 0), (O, 0, 0)),    # F D O
         ),
-        alpha=np.pi / 3,
-        c_marker=1.0,
-    )
-
-
-def build_rotating_squares() -> LatticeSpec:
-    """Unit squares joined at corners, diagonally braced.
-
-    Each square is split by its braced diagonal (stiffness 2) into two
-    penalized triangles; the square holes between them are covered but not
-    penalized.  Markers run along the horizontal spring lines (``b``) and
-    the vertical ones (``r``).  This is ``rhombus-squares`` at angle
-    ``pi/2``, sizes 1, with the exact unit direction ``(0, 1)`` (the
-    variant's ``cos(pi/2)`` is ``6e-17``)."""
-    return _rhombus_family("rotating-squares", np.pi / 2, (0.0, 1.0), 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# parametric variants
-# ---------------------------------------------------------------------------
-
-
-def _kagome_family(name, alpha, leg_ratio, size_ratio, size) -> LatticeSpec:
-    """Triangles of one shape and two sizes on the kagome topology.
-
-    Each triangle has a ``b`` side of length ``l`` along the horizontal
-    spring line and an ``r`` side of length ``leg_ratio * l`` at angle
-    ``alpha``; the two triangle families have ``l = size`` and
-    ``l = size * size_ratio``.
-    """
-    if not 0 < alpha < np.pi:
-        raise DegenerateGeometryError(f"marker angle must be in (0, pi), got {alpha:g}")
-    if leg_ratio <= 0 or size_ratio <= 0 or size <= 0:
-        raise DegenerateGeometryError("ratios and sizes must be positive")
-    l1 = float(size)
-    l2 = float(size * size_ratio)
-    c = float(leg_ratio)
-    e1 = np.array([1.0, 0.0])
-    ea = np.array([np.cos(alpha), np.sin(alpha)])
-    nB = c * l1 * ea
-    nC = nB + l2 * e1          # the shared corner node, kept inside the cell
-    A, B, C = 0, 1, 2
-    penalized = (
-        ((A, 1, 0), (B, 1, 0), (C, 0, 0)),
-        ((A, 0, 1), (B, 0, 0), (C, 0, 0)),
-    )
-    cycle = (
-        (A, 0, 0), (A, 1, 0), (B, 1, 0), (A, 1, 1), (A, 0, 1), (B, 0, 0),
-    )
-    fans = [((C, 0, 0), cycle[m], cycle[(m + 1) % 6]) for m in range(6)]
-    pen_sets = {frozenset(t) for t in penalized}
-    return _assemble(
-        name,
-        (l1 + l2) * e1,
-        c * (l1 + l2) * ea,
-        np.array([np.zeros(2), nB, nC]),
-        springs=(
-            ((A, 1, 0), (B, 1, 0)),
-            ((B, 1, 0), (C, 0, 0)),
-            ((C, 0, 0), (A, 1, 0)),
-            ((A, 0, 1), (B, 0, 0)),
-            ((B, 0, 0), (C, 0, 0)),
-            ((C, 0, 0), (A, 0, 1)),
-        ),
-        penalized=penalized,
-        markers=(
-            (((C, 0, 0), (B, 1, 0)), ((A, 1, 0), (B, 1, 0)), 0),
-            (((B, 0, 0), (C, 0, 0)), ((B, 0, 0), (A, 0, 1)), 1),
-        ),
-        holes=[t for t in fans if frozenset(t) not in pen_sets],
-        alpha=alpha,
-        c_marker=c,
+        alpha=alpha, c_marker=c,
     )
 
 
@@ -1037,11 +999,13 @@ def _quad_squares(alpha=np.pi / 2, s=0.5, q=0.5, d1=1.0) -> LatticeSpec:
 
 
 def _isosceles_kagome(apex=np.pi / 3, size_ratio=1.0, size=1.0):
-    return _kagome_family("isosceles-kagome", apex, 1.0, size_ratio, size)
+    return _kagome_family("isosceles-kagome", apex, (np.cos(apex), np.sin(apex)), 1.0,
+                          size_ratio, size)
 
 
 def _general_kagome(alpha=np.pi / 3, leg_ratio=1.0, size_ratio=1.0, size=1.0):
-    return _kagome_family("general-kagome", alpha, leg_ratio, size_ratio, size)
+    return _kagome_family("general-kagome", alpha, (np.cos(alpha), np.sin(alpha)), leg_ratio,
+                          size_ratio, size)
 
 
 VARIANT_KINDS = {
@@ -1056,10 +1020,15 @@ def build_variant(kind: str, **params) -> LatticeSpec:
     """Build one of the parametric families in :data:`VARIANT_KINDS`.
 
     ``isosceles-kagome(apex, size_ratio, size)``:
-        triangles with two equal marker sides meeting at ``apex``; the two
-        families scale by ``size_ratio``.
+        triangles with two equal marker sides meeting at ``apex``; the down
+        triangle has side ``size``, the up one ``size * size_ratio``.
     ``general-kagome(alpha, leg_ratio, size_ratio, size)``:
-        same topology with ``|r| = leg_ratio * |b|``, so ``c != 1``.
+        same topology with ``|r| = leg_ratio * |b|``, so ``c != 1``.  The
+        built-in :func:`build_kagome` is this family at its defaults, with
+        the exact direction ``(1/2, sqrt(3)/2)`` in place of
+        ``(cos(pi/3), sin(pi/3))``.  Both kagome kinds use its node
+        labels; variant JSON saved before they did describes the same
+        lattice, translated, with other labels.
     ``rhombus-squares(angle, size_ratio, size)``:
         corner-joined rhombi with interior angle ``angle``.  The built-in
         :func:`build_rotating_squares` is this family at ``angle = pi/2``,

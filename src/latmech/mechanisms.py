@@ -71,7 +71,8 @@ __all__ = [
 ]
 
 
-_CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist, per cell
+_CLOSURE_TOL = 1e-12     # largest misfit or period drift of a closing twist, per cell and
+                         # in units of the spec's longest period vector
 _ETA_REF = 0.1           # penalty strength of the exact-energy certificates
 _SEARCH_TOL = 1e-12      # largest certified energy a searched mechanism may have
 _STACK_ROWS = 2 ** 16    # most placed rows, over its angles, of one stacked twist block
@@ -436,13 +437,15 @@ def _twist_plan(spec: LatticeSpec, k: int) -> TwistPlan:
     )
 
 
-def _closure_error(thetas, k, misfit, drift):
+def _closure_error(spec, thetas, k, misfit, drift):
     """``(closes, error)`` for the stacked ``fields`` of ``thetas``: per
     angle whether the counter-rotation closes (misfit and period drift at
-    most ``_CLOSURE_TOL * k * k``: the chase's rounding grows with k^2; a NaN
-    one, from a NaN angle, does not), and why the first that does not is no
-    mechanism, or ``None``."""
-    fits, periodic = misfit <= _CLOSURE_TOL * k * k, drift <= _CLOSURE_TOL * k * k
+    most ``_CLOSURE_TOL * k * k`` times the longest period vector of
+    ``spec``: the chase's rounding grows with k^2 and with the lengths; a
+    NaN one, from a NaN angle, does not), and why the first that does not
+    is no mechanism, or ``None``."""
+    tol = _CLOSURE_TOL * k * k * max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
+    fits, periodic = misfit <= tol, drift <= tol
     closes = fits & periodic
     if closes.all():
         return closes, None
@@ -459,7 +462,7 @@ def _twist_fields(spec: LatticeSpec, thetas, k: int = 1):
     :class:`MechanismError` for the first angle whose pin chase does not
     close."""
     lam, psi, misfit, drift = _twist_plan(spec, k).fields(thetas)
-    error = _closure_error(thetas, k, misfit, drift)[1]
+    error = _closure_error(spec, thetas, k, misfit, drift)[1]
     if error:
         raise MechanismError(error)
     return lam, psi
@@ -521,7 +524,7 @@ def twist_admissible_range(spec: LatticeSpec, probe_step: float = 0.01):
         raise MechanismError("no admissible twist angle found") from None
     lam, _, misfit, drift = plan.fields(probes)
     sd = signed_svd(lam)
-    ok = (_closure_error(probes, 1, misfit, drift)[0]
+    ok = (_closure_error(spec, probes, 1, misfit, drift)[0]
           & (sd.sigma1 < np.concatenate([[1.0], sd.sigma1[:-1]]))
           & (sd.det_sign * sd.sigma1 * sd.sigma2 > 1e-8))
     good = int(np.argmin(np.append(ok, False)))     # probes that pass before the first fails

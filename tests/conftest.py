@@ -90,6 +90,22 @@ def orphan_spring_json():
     return json.dumps(data, indent=2)
 
 
+def scale_coordinates(factor):
+    """A mutation of a spec's JSON data that scales its period vectors and
+    basic nodes, and so every length, by ``factor``."""
+    def mutate(d):
+        d.update(v1=[factor * x for x in d["v1"]], v2=[factor * x for x in d["v2"]],
+                 basic_nodes=[[factor * x for x in row] for row in d["basic_nodes"]])
+    return mutate
+
+
+def scaled_json(spec, factor) -> str:
+    """The JSON text of ``spec`` with every length times ``factor``."""
+    data = json.loads(spec.to_json())
+    scale_coordinates(factor)(data)
+    return json.dumps(data)
+
+
 def percolating_units_json():
     """Kagome with every cover triangle penalized: the rigid units glue to
     their own lattice translates, so the spec loads but has no twist."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import orphan_spring_json, percolating_units_json
+from conftest import orphan_spring_json, percolating_units_json, scaled_json
 
 import latmech.cli as cli
 from latmech import cellsolver, geometry, lattice, mechanisms, softmodes
@@ -770,6 +770,9 @@ def test_spec_json_that_is_no_object_exits_2(tmp_path, capsys, text, named):
     ("general-kagome", "size=1e200", 2, "the period vectors' lengths or cell area overflow"),
     ("quad-squares", "d1=1e200", 2, "the period vectors' lengths or cell area overflow"),
     ("general-kagome", "size=1e150", 0, None),
+    # and too small: the cell area falls below the normal floats
+    ("general-kagome", "size=1e-160", 2, "the period vectors' lengths or cell area underflow"),
+    ("general-kagome", "size=1e-150", 0, None),
 ])
 def test_variant_too_large_for_the_floats_exits_2(tmp_path, capsys, spec, params, code, err):
     # run in-process, where the warning filters of pyproject.toml turn a
@@ -779,6 +782,18 @@ def test_variant_too_large_for_the_floats_exits_2(tmp_path, capsys, spec, params
     captured = capsys.readouterr()
     assert captured.err == ("" if err is None else f"latmech build: error: {err}\n")
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("name", ["kagome", "rotating_squares"])
+def test_mechanism_on_a_spec_scaled_by_1e6(tmp_path, capsys, request, name):
+    # the twist closes to a tolerance relative to the spec's lengths
+    spec = tmp_path / "big.json"
+    spec.write_text(scaled_json(request.getfixturevalue(name), 1e6))
+    out = tmp_path / "m.csv"
+    assert run(["mechanism", "--spec", str(spec), "--theta", "0.3", "--out", str(out)]) == 0
+    assert "admissible twist range (-1.57" in capsys.readouterr().out
+    row = dict(zip(*csv.reader(io.StringIO(out.read_text()))))
+    assert float(row["averaged_energy"]) < 1e-30 and float(row["min_det"]) > 0.999
 
 
 def test_percolating_rigid_units_sweep_but_have_no_twist(tmp_path, capsys):
@@ -1510,8 +1525,8 @@ def test_verify_bounds_isotropic(tmp_path):
 VERIFY_BOUNDS_SHA256 = {
     ("kagome",): "7f96e35e4a5c6245cd489e4c26efc73a6ee48bad146198b7990081ff41981f28",
     ("rotating-squares",): "af43b133bcc5cdf70acb5a819bf733d3c945ebffe2077fa6a26ac7cedd0c8b09",
-    ("isosceles-kagome",): "24ea99fb7ce0dc46f7b8362f30f68e73ce6a0ab96db97d91b749bf61f722d115",
-    ("general-kagome",): "24ea99fb7ce0dc46f7b8362f30f68e73ce6a0ab96db97d91b749bf61f722d115",
+    ("isosceles-kagome",): "2762bb830fb26407c3f92b9dd1e906867e19d6536459389455146afbefc6bfc0",
+    ("general-kagome",): "2762bb830fb26407c3f92b9dd1e906867e19d6536459389455146afbefc6bfc0",
     ("rhombus-squares",): "6297edeccb9e76faa1aad549601d3b22b0ba4ea37686a8fd31489a1734633444",
     ("quad-squares",): "ce50fc770fd74cf2ff4bd28c768b25b0106fe0f5a30f74d81d71d8fd9b3d8817",
     ("rotating-squares", "--isotropic", "--trials", "50"):

@@ -1,11 +1,12 @@
 """Lattice construction, serialization, and supercell bookkeeping."""
 
 import hashlib
+import inspect
 import pickle
 
 import numpy as np
 import pytest
-from conftest import one_row_edge_vectors, orphan_spring_json
+from conftest import one_row_edge_vectors, orphan_spring_json, scale_coordinates, scaled_json
 
 from latmech.energy import _cell_window
 from latmech.lattice import (
@@ -110,10 +111,10 @@ def test_spec_equality_and_hash_by_content(all_specs):
 BUILDER_PINS = {
     "kagome": "5b205f8b9ceed5918a3cd996a1d2185e1e32ce2c3d5aa115730d63f725adbf31",
     "rotating-squares": "2c242f86b439a5fafef460bd2c37cd47f2b1b1172c2bb2877ff932d191445eb1",
-    "general-kagome()": "784750f2241acd5a5b6b9d86ba19ab680a287610ca9c7d3b83054312fce54375",
-    "general-kagome(conftest)": "b27bfcd3d71d3cc5c9706778fd45203924456bc8cca18f32b2409b2bef39717a",
-    "isosceles-kagome()": "ad7b5daec25c4c89075a1c596f5524d5fba182826f12165407dea89b1a454530",
-    "isosceles-kagome(conftest)": "7f656216fa7ea5301d65272e24c08abd437a2e7a46876e8fcc5988056a2afb6f",
+    "general-kagome()": "3ace7f1ff90f291644bca1ffcb8274cdb39eaf8b64641e3131d3e920579e13ac",
+    "general-kagome(conftest)": "51d21f427976f6cb22b50194cedd61b3e9decd481bbba962ad22547006e019eb",
+    "isosceles-kagome()": "c149220dba1bcac8f511526dfaec1a71025e1629d3b7904cc6e7f264ed920624",
+    "isosceles-kagome(conftest)": "abba7aa69864d0b9643769cfc7c9fa13d9e13be57de55eb66dc39cae3ce63e8e",
     "quad-squares()": "4f8149a0ad379c0add37c7355c11533122ce11c4243beaebc2162685d1d050fa",
     "quad-squares(conftest)": "7cdf74c440c70dabb60dccaeffce701477d160236c682dec0e63ecf4994e7f7c",
     "rhombus-squares()": "248c14d5c951767d81759a0c670bf23e25996cd9bbf0a9899961e5f6a606622c",
@@ -145,6 +146,46 @@ def test_builder_outputs_pinned():
     assert got == BUILDER_PINS
 
 
+@pytest.mark.parametrize("params", ["defaults", "conftest"])
+@pytest.mark.parametrize("kind", ["isosceles-kagome", "general-kagome"])
+def test_kagome_family_geometry(kind, params):
+    """The documented layout of the kagome family: the cell is
+    ``(L e1, c L ea)``, and the down triangle's marker (``l = size``) and
+    the up triangle's (``l = size * size_ratio``) have ``b = l e1`` and
+    ``r = c R(alpha) b``, with ``L`` the sum of the two ``l``."""
+    given = CONFTEST_PARAMS[kind] if params == "conftest" else {}
+    p = {name: arg.default for name, arg in
+         inspect.signature(VARIANT_KINDS[kind]).parameters.items()} | given
+    alpha, c = p.get("alpha", p.get("apex")), p.get("leg_ratio", 1.0)
+    sizes = np.array([p["size"], p["size"] * p["size_ratio"]])
+    L = sizes.sum()
+    e1, ea = np.array([1.0, 0.0]), np.array([np.cos(alpha), np.sin(alpha)])
+    spec = build_variant(kind, **given)
+    tol = {"rtol": 0, "atol": 1e-15 * L}
+    np.testing.assert_allclose(spec.cell_matrix, np.column_stack([L * e1, c * L * ea]), **tol)
+    b, r = spec.segments(spec.marker_keys).transpose(1, 0, 2)
+    np.testing.assert_array_equal(spec.marker_triangle, [0, 1])
+    np.testing.assert_allclose(b, sizes[:, None] * e1, **tol)
+    np.testing.assert_allclose(r, c * b @ rotation(alpha).T, **tol)
+    assert (spec.alpha, spec.c_marker) == (alpha, c)
+
+
+def test_general_kagome_defaults_are_the_built_in_kagome():
+    """Every array of the two specs is equal but the x components of
+    ``v2`` and of nodes ``O`` and ``D``, each one ulp above the built-in's,
+    as ``cos(pi/3)`` is one ulp above 1/2."""
+    kagome, variant = build_kagome(), build_variant("general-kagome")
+    inexact = {"v2": {(0,)}, "basic_nodes": {(1, 0), (2, 0)}}
+    for field in _LAYOUT:
+        a, b = getattr(kagome, field), getattr(variant, field)
+        assert a.shape == b.shape, field
+        differ = {tuple(int(i) for i in idx) for idx in np.argwhere(a != b)}
+        assert differ == inexact.get(field, set()), field
+        for idx in differ:
+            assert b[idx] == np.nextafter(a[idx], np.inf), (field, idx)
+    assert (variant.alpha, variant.c_marker) == (kagome.alpha, kagome.c_marker)
+
+
 def test_json_rejects_spring_off_penalized_triangles():
     with pytest.raises(DegenerateGeometryError, match="spring 10 shares no endpoint"):
         LatticeSpec.from_json(orphan_spring_json())
@@ -152,14 +193,6 @@ def test_json_rejects_spring_off_penalized_triangles():
 
 def _append(key, entry):
     return lambda d: d[key].append(entry)
-
-
-def _scale_coordinates(factor):
-    """Scale the period vectors and basic nodes of a spec's JSON by ``factor``."""
-    def mutate(d):
-        d.update(v1=[factor * x for x in d["v1"]], v2=[factor * x for x in d["v2"]],
-                 basic_nodes=[[factor * x for x in row] for row in d["basic_nodes"]])
-    return mutate
 
 
 # one fault each in the kagome JSON, with the exception and full message
@@ -246,9 +279,15 @@ SPEC_REJECTIONS = [
                  DegenerateGeometryError, "c_marker holds a non-finite number",
                  id="inf-c-marker"),
     # finite, but past the floats once squared or multiplied, named with no numpy warning
-    pytest.param(_scale_coordinates(1e160),
+    pytest.param(scale_coordinates(1e160),
                  DegenerateGeometryError, "the period vectors' lengths or cell area overflow",
                  id="coordinates-1e160"),
+    # so small that the cell area leaves the normal floats, which would
+    # read as dependent periods or a cover that misses the cell
+    *(pytest.param(scale_coordinates(factor), DegenerateGeometryError,
+                   "the period vectors' lengths or cell area underflow",
+                   id=f"coordinates-{factor:g}")
+      for factor in (1e-155, 1e-160, 1e-170, 1e-300)),
     pytest.param(lambda d: d.update(c_marker=1e308),
                  DegenerateGeometryError, "the marker edges overflow", id="c-marker-1e308"),
     # values of the wrong JSON type, each rejected before any is converted
@@ -320,10 +359,17 @@ def test_coordinates_scaled_by_1e150_still_build(kagome):
     import json
 
     data = json.loads(kagome.to_json())
-    _scale_coordinates(1e150)(data)
+    scale_coordinates(1e150)(data)
     spec = LatticeSpec.from_json(json.dumps(data))
     assert spec.cell_area == pytest.approx(1e300 * kagome.cell_area, rel=1e-15)
     assert spec.spring_rest == pytest.approx(1e150 * kagome.spring_rest, rel=1e-15)
+
+
+def test_coordinates_scaled_by_2_to_the_minus_500_still_build(kagome):
+    # a power of two scales every length and area exactly
+    spec = LatticeSpec.from_json(scaled_json(kagome, 2.0 ** -500))
+    assert spec.cell_area == 2.0 ** -1000 * kagome.cell_area
+    assert (spec.spring_rest == 2.0 ** -500 * kagome.spring_rest).all()
 
 
 def _old_polar(m):

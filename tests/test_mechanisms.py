@@ -29,7 +29,7 @@ from latmech.mechanisms import (
     twist_mechanism,
 )
 
-from conftest import percolating_units_json, random_deformation
+from conftest import percolating_units_json, random_deformation, scaled_json
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,20 @@ def test_twist_admissible_range_exact_probe(kagome, rotating_squares):
         assert twist_admissible_range(spec) == (-1.5700000000000012, 1.5700000000000012)
 
 
+@pytest.mark.parametrize("factor", [2.0 ** 20, 2.0 ** -10])
+def test_twist_is_the_same_on_a_scaled_spec(kagome, rotating_squares, factor):
+    # a power of two scales every length exactly, so the closure test must
+    # decide alike and only the spring residual, a length, may scale
+    for spec in (kagome, rotating_squares):
+        scaled = LatticeSpec.from_json(scaled_json(spec, factor))
+        assert twist_admissible_range(scaled) == twist_admissible_range(spec)
+        a, b = (twist_mechanism(s, 0.3).certificate for s in (spec, scaled))
+        assert (b.energy, b.sigma1, b.sigma2, b.min_det) == (a.energy, a.sigma1, a.sigma2,
+                                                              a.min_det)
+        assert b.lam.tobytes() == a.lam.tobytes()
+        assert b.max_spring_residual == factor * a.max_spring_residual
+
+
 @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -0.01, np.pi, 4.0])
 def test_twist_admissible_range_rejects_bad_probe_step(kagome, step):
     # a zero or negative step would never end the probe loop; NaN, inf and
@@ -161,9 +175,10 @@ def _admissible_range_by_probe(spec, probe_step):
         raise MechanismError("no admissible twist angle found") from None
     good = 0.0
     c_prev = 1.0
+    tol = 1e-12 * max(np.linalg.norm(spec.v1), np.linalg.norm(spec.v2))
     lam, _, misfit, drift = plan.fields(probes)
     for theta, lam_t, m, d in zip(probes, lam, misfit, drift):
-        if not (m <= 1e-12 and d <= 1e-12):
+        if not (m <= tol and d <= tol):
             break
         S = np.linalg.svd(lam_t).S
         det = (1.0 if np.linalg.det(lam_t) >= 0 else -1.0) * float(S[0]) * float(S[1])

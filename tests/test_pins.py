@@ -12,7 +12,11 @@ inequalities pins hash the scalar inequality report and every compression
 slack on two grids, the Jensen pins hash every trial slack of the
 unit-rest bounds, the two density pins hash solves that reach L-BFGS, the
 isotropic-bound pin holds every energy-gap ratio of two short fits, and
-the search pin hashes every mechanism of a short kagome search.
+the search pin hashes every mechanism of a short kagome search.  The
+supercell, twist, rigid-units and Jensen pins are pairs: one digest over
+every spec but the two kagome-family variants (``KAGOME_VARIANTS``), one
+over those two, so a change to the variants' layout re-records only the
+second.
 Floats are hashed by their exact bits, so any change in summation or
 scatter order shows up.  The density-sweep and soft-mode artifacts depend
 on these bits through L-BFGS and the twist seed.  To print fresh pins
@@ -76,6 +80,19 @@ from latmech.softmodes import default_target, modulate
 from conftest import check_cell_bounds, percolating_units_json
 
 ETA = 0.1
+
+# the specs of the second digest of each split pin
+KAGOME_VARIANTS = ("isosceles-kagome", "general-kagome")
+
+
+def _split_digest(items, feed, spec=lambda item: item) -> tuple:
+    """Two sha256 digests of ``feed(h, item)`` over ``items`` in order: the
+    first over those whose ``spec`` is not one of ``KAGOME_VARIANTS``, the
+    second over those whose is."""
+    halves = (hashlib.sha256(), hashlib.sha256())
+    for item in items:
+        feed(halves[spec(item).name in KAGOME_VARIANTS], item)
+    return tuple(h.hexdigest() for h in halves)
 
 
 def _specs():
@@ -155,16 +172,46 @@ QUANTITIES = {
 }
 
 PINS = {
-    "averaged_vectors": "1381f271a8b1b27c60a550b11dfa0c07e972a485f8c048fbb49412df663c85d3",
-    "barrier_grad": "51cb7cf85c99b4618b2d099da7ee6a9dd2723128ddf9e3532926301a942fd874",
-    "certify": "244167e7da35df659908ff72395fb588d89bc233ee4750380bcec0919ca18b9b",
-    "energy_breakdown": "4fa8a1ce088ca5e3488755b96d5cba715fcf5a62425c5b31c1eaef1aeee0bb57",
-    "from_periodic": "36bf3c6998ca7342a1c370f3afa6913666301706a447e6b1ac94d0232a3c493e",
-    "jensen_weighted_rest": "ec71d7e3ff3624230fa7593ad76e6ea74fd23dfb08c317a5e3a8625384cfddd2",
-    "smoothed_energy_grad": "33a6a3f3d5147385de892d55a1c238fbf46ec1aa0601e37bfdbcfd78d6714edb",
-    "spring_energy_grad": "b5b2cf87c90d8df717debcf871ffb55bbd9e0c34d6a45162e45c635bf38d2a3c",
-    "tile": "566e4c64b80860fb774b1f792e6cd9b72faf72c9f5a2791d9d8b8748040528fa",
-    "triangle_dets": "c36e5d199387d23c7cc3ef04870f0af4f59c263dfc2140f0622876a0c1d93869",
+    "averaged_vectors": (
+        "b2d9202886c5181da7ce349c1d74191afbaaa43ec54ac65b0e2636f628e35b2b",
+        "ba8f61098655b2ed5084dc0aa0588745d9b0c2cc449b6feb01aa4e21ca0c7756",
+    ),
+    "barrier_grad": (
+        "e5c41cc57d8cdc9e67e8332486a00de17e411351e3a0c5eeb1f9b0927bece96d",
+        "4616bb90955cfdfca0509464afa40a915f98fdc0ffe577544ffc9007be300484",
+    ),
+    "certify": (
+        "f2ef2f5491a56c50d0c358e6d485162dc0ad0731e1fd569e884b177cdc793c10",
+        "51bb40cb0426ae99d588ec96ed4c37af1ec6a407cad12cb08a0db0f30bdfa78a",
+    ),
+    "energy_breakdown": (
+        "d58cfae36c5fc8e7ea07bc1527f81c32f7207bc09f2031a49db85206d0b1df06",
+        "60d2da6630df767ba40853df787188b1dbd58f222fb95d0246577631134b7f50",
+    ),
+    "from_periodic": (
+        "c1229ca2c12905f3a7e31f36fbb6ddf59732d14497343b8b9a8b22c2f31d4e66",
+        "bc57886045c8c7814ccb79b8a4a99783d78b4a7516a2b36f2572813f7ade47f0",
+    ),
+    "jensen_weighted_rest": (
+        "d8a6938a0c17f906bce8d480ce851ab7ca0bd684c7da848827edfe476ab222c0",
+        "7fc365787109d59dd86076ecf9b31c8ba9151bd519d875721493fd6b89fed05d",
+    ),
+    "smoothed_energy_grad": (
+        "71ecba074f66216db0a70826b8ae76cd48b488d38eca0860b3f694a4fae206db",
+        "e6bc2dda691b45c8c7f0d38d1f6ef4a97a006d22c142abef49c28081d5ea9c6b",
+    ),
+    "spring_energy_grad": (
+        "36f799d82dd01744a27cef2e389e20a8fc2e8edb19121aae8789a35ea105b2d0",
+        "b7b2e7056606ede167f14cf6584aa33291201df0752b107da35caae22ca8178d",
+    ),
+    "tile": (
+        "b37b7f387e7b6d6b96d327e80b69780d83a3b18c15450982b56b6916b89ac596",
+        "ced6bfead96dbabab207056d0a59dfdbdf88633e40715f8bb0b0dfe2d90c9367",
+    ),
+    "triangle_dets": (
+        "b8460a16eb1dd451b9a4506d68dba569a7523b76c63c41fa1fa1d434e0335ba3",
+        "006a305977d34719fa87124d4a4a885d5352d4a91eea53ade3b1b7028d869cfa",
+    ),
 }
 
 
@@ -235,16 +282,40 @@ TWIST_QUANTITIES = {
 }
 
 TWIST_PINS = {
-    "admissible_range": "bcf0ce51ebe574aacaaf379ade155c3ec847dc249b14fd9d7f69b91cafd7ed94",
-    "contraction_table": "7cfe4c8ab972aaa2af7fd8d6aff369851f728295fee71c9d23640c6202d39297",
-    "invert_contraction": "f61957a6e79e704df132d4d90ea239219c7960cbce96b52d79bc4fa92378c1d5",
-    "modulate": "990f2b46dbbd6430b819d0505fe0d2ddc2500572a2ffc6492caa62dcd86b346f",
-    "pin_chase": "f88f5c1aa7da62cdad7083dda18439307fdb26be3593858beabd0f1887a3d27a",
-    "twist_field": "f73d8f3a0706f999f3a6a629ea519156e3cad1ce77ac360a03028c3a80cfd946",
-    "twist_seed": "87818c8a6c6ad88016c7aab2e3db1fc408cf2c070afec8907d728cf4f1e63b6e",
+    "admissible_range": (
+        "5ee4e55571586bbb51a5fa5221b40d8b79f250932f1187ae9107f406933fb949",
+        "081a662607ae3e6c8baa47cbaf3e58820c644c7828b22d9e151738ec67649721",
+    ),
+    "contraction_table": (
+        "e2b17d5c8ce0cf2a3aaeb550e37ac82651dccb82d3209afcfd1ae326983d312c",
+        "0cbeda7c14d9e0fb83dce2bec1d67e6ed5144c37a73624845193730d610f4e84",
+    ),
+    "invert_contraction": (
+        "7847af38652489749f13c99a9add17e08577c8738f29001912fddd47ff92aad0",
+        "7f5a4860b175243af5ffe432d1888825f0cf80af17f204b46a65863e3b377612",
+    ),
+    "modulate": (
+        "aa7b021d61da62de34278861adc6ff8a89bb61e998c7565e5273f63b3b2493ff",
+        "fed4205aa817d1d1ce4a4196dc95bf56026b1b45492458f4256d50099ed176e7",
+    ),
+    "pin_chase": (
+        "707eccd2717de8b50d1aa1e60bf2cb7a21fe8ab1b31e12a6f5e417692f9ad812",
+        "5bb5c20f7bc656d832e23ec1bf15df3687d6fc84b00cd559b9556dc343c3f912",
+    ),
+    "twist_field": (
+        "be3c8829e410434655f05a1b05ca37f01a09e5a06b452e425f2a80d4c03bd717",
+        "ca2d3269f745f76e583e41dd8a7404480c573c82131eefa6b8edffe27f3cc612",
+    ),
+    "twist_seed": (
+        "87038919532e49a2cdbd9599c873bac11dd11dc1a877d8248c20f3961db6515b",
+        "697a7cd2b6a7dd4bf14426aa502a3cc7f28bbd21b5fe4f6a9c371990bcc0b0bf",
+    ),
 }
 
-UNITS_PIN = "f431295a8acad0998d31d7a58defabe0005f85ed0e8318781c219654dc3e03ae"
+UNITS_PIN = (
+    "a3dcb50b5819d2b9f597d83031fa7b1dd1405d02f922b1956f9d9378ffadc768",
+    "9681355546d228e9405b868afeecea2c72aa0846dffb767db65c7e8fa6277e11",
+)
 
 PERCOLATING_UNITS_ERROR = "a rigid unit contains a lattice translate of itself"
 
@@ -264,10 +335,8 @@ COMPRESSION_SLACK_PINS = (
 
 # per matrix of _density: the upper bound in hex and the minimizer's sha256
 DENSITY_PIN = (
-    ("0x1.cf0cb35738282p-7",
-     "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5"),
-    ("0x1.6a7902fedd071p-8",
-     "20b6e930e773b457df679dab16757a84ae5d811840384ca57fea0eadf20bda04"),
+    ("0x1.cf0cb35738282p-7", "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5"),
+    ("0x1.6a7902fedd071p-8", "20b6e930e773b457df679dab16757a84ae5d811840384ca57fea0eadf20bda04"),
 )
 
 DENSITY_K3_PIN = (
@@ -285,25 +354,32 @@ SEARCH_PIN = "9114b8f17d09083833abf71f400cbc3d3c6822ae49e2aa48bd9a8091d017e3c0"
 
 
 JENSEN_PINS = {
-    "diag-stretch": "888576be56c414c8ec1625cf2c2f40b2453a2148010264eadb6bb1513d8cc7bf",
-    "three-direction": "96b56e5a2b0c097e7068cc098857dc23fa9fc62349f31b2f8494c92ff2ff6add",
-    "two-direction": "747343817c2e727f5b5ab64c444499d9049b0894b062b1df5e64d8b7bceed50e",
+    "diag-stretch": (
+        "888576be56c414c8ec1625cf2c2f40b2453a2148010264eadb6bb1513d8cc7bf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "three-direction": (
+        "71fc696f65a61d0d360db4f484398fc96fcfc1ec1257d35d673814ab9f644080",
+        "9a482c79ef573c640872b6451d8ea93c6d31913324faeae882312c34054505db",
+    ),
+    "two-direction": (
+        "3207b2726f3fe106896898167679603cb3cf3e6b1710d12da444d9a4772c2e70",
+        "6f99893333c87a67f340ce48d06db27f7a126377eeb306c4e1cd5a52221b1f06",
+    ),
 }
 
 
-def _jensen_digest(name) -> str:
+def _jensen_digest(name) -> tuple:
     """The slack of one unit-rest Jensen bound on fixed random trials (four
     per k = 1, 2, 3) on kagome, rotating squares and the four variants at
     their default parameters, wherever ``verify_jensen_bounds`` checks it;
     ``lam`` is a random diagonal with entries in [0, 2) for the
     diagonal-stretch bound, a random perturbation of the identity
     otherwise."""
-    h = hashlib.sha256()
-    specs = [build_kagome(), build_rotating_squares(),
-             *(build_variant(kind) for kind in sorted(VARIANT_KINDS))]
-    for i, spec in enumerate(specs):
+    def feed(h, item):
+        i, spec = item
         if name not in verify_jensen_bounds(spec, n_trials=1, k_max=1):
-            continue
+            return
         h.update(spec.name.encode())
         for k in (1, 2, 3):
             rng = np.random.default_rng([31, i, k])
@@ -313,7 +389,10 @@ def _jensen_digest(name) -> str:
                 lam = (np.diag(rng.uniform(0.0, 2.0, size=2)) if name == "diag-stretch"
                        else np.eye(2) + 0.6 * rng.standard_normal((2, 2)))
                 _feed(h, _one_trial(name, PeriodicDeformation(cell, lam, psi)))
-    return h.hexdigest()
+
+    specs = [build_kagome(), build_rotating_squares(),
+             *(build_variant(kind) for kind in sorted(VARIANT_KINDS))]
+    return _split_digest(list(enumerate(specs)), feed, spec=lambda item: item[1])
 
 
 def _feed(h, value):
@@ -331,11 +410,9 @@ def _feed(h, value):
         h.update(np.ascontiguousarray(arr).tobytes())
 
 
-def _digest(name, cases) -> str:
-    h = hashlib.sha256()
-    for case in cases:
-        _feed(h, QUANTITIES[name](*case))
-    return h.hexdigest()
+def _digest(name, cases) -> tuple:
+    return _split_digest(cases, lambda h, case: _feed(h, QUANTITIES[name](*case)),
+                         spec=lambda case: case[0])
 
 
 def _inequalities_digest() -> str:
@@ -365,14 +442,11 @@ def _compression_slack_digests() -> tuple:
     return tuple(digests)
 
 
-def _twist_digest(name) -> str:
+def _twist_digest(name) -> tuple:
     specs = _twist_specs()
     if name in ("pin_chase", "twist_field"):
         specs.append(build_variant("quad-squares", alpha=1.2, s=0.4, q=0.6))
-    h = hashlib.sha256()
-    for spec in specs:
-        _feed(h, TWIST_QUANTITIES[name](spec))
-    return h.hexdigest()
+    return _split_digest(specs, lambda h, spec: _feed(h, TWIST_QUANTITIES[name](spec)))
 
 
 def _int_rows(members):
@@ -381,15 +455,15 @@ def _int_rows(members):
     return np.array([np.hstack(m) for m in members], dtype=np.int64).reshape(-1, 3)
 
 
-def _units_digest() -> str:
+def _units_digest() -> tuple:
     """The rigid units of every spec of :func:`_specs`, in unit order:
     triangles ``(t, di, dj)`` and nodes ``(node, o1, o2)`` as plain int
     rows, and the parity."""
-    h = hashlib.sha256()
-    for spec in _specs():
+    def feed(h, spec):
         for unit in rigid_units(spec):
             _feed(h, (_int_rows(unit.triangles), _int_rows(unit.nodes), int(unit.parity)))
-    return h.hexdigest()
+
+    return _split_digest(_specs(), feed)
 
 
 def _wall_digest() -> str:
@@ -577,21 +651,41 @@ def test_lattice_map_consumers_are_pinned(name):
     assert _consumer_digest(name) == CONSUMER_PINS[name]
 
 
+def _literal(value, indent="", lead=0):
+    """``value``, a digest, a hex float or a tuple, list or table of them,
+    as Python source in the layout of the pins above, its first line
+    ``lead`` columns in: a sequence on one line where it fits in 99
+    columns, else one item a line; a table one entry a line."""
+    if isinstance(value, str):
+        return f'"{value}"'
+    inner = indent + "    "
+    if isinstance(value, dict):
+        rows = "".join(f'{inner}"{k}": {_literal(v, inner, len(inner) + len(k) + 4)},\n'
+                       for k, v in sorted(value.items()))
+        return "{\n" + rows + indent + "}"
+    items = [_literal(v, inner, len(inner)) for v in value]
+    opening, closing = "[]" if isinstance(value, list) else "()"
+    flat = opening + ", ".join(items) + closing
+    if lead + len(flat) < 99 and "\n" not in flat:
+        return flat
+    return opening + "\n" + "".join(f"{inner}{item},\n" for item in items) + indent + closing
+
+
 if __name__ == "__main__":
+    # every pin of this file, recomputed, as source to paste over the pins
     all_cases = _cases()
-    for name in sorted(QUANTITIES):
-        print(f'    "{name}": "{_digest(name, all_cases)}",')
-    for name in sorted(TWIST_QUANTITIES):
-        print(f'    "{name}": "{_twist_digest(name)}",')
-    for name in sorted(CONSUMER_QUANTITIES):
-        print(f'    "{name}": "{_consumer_digest(name)}",')
-    for name in sorted(JENSEN_PINS):
-        print(f'    "{name}": "{_jensen_digest(name)}",')
-    print(f'UNITS_PIN = "{_units_digest()}"')
-    print(f'WALL_PIN = "{_wall_digest()}"')
-    print(f'INEQUALITIES_PIN = "{_inequalities_digest()}"')
-    print(f"COMPRESSION_SLACK_PINS = {_compression_slack_digests()!r}")
-    print(f"DENSITY_PIN = {_density()!r}")
-    print(f"DENSITY_K3_PIN = {_density_k3()!r}")
-    print(f"ISOTROPIC_BOUND_PIN = {_isotropic_bound()!r}")
-    print(f'SEARCH_PIN = "{_search_digest()}"')
+    for name, value in {
+        "PINS": {name: _digest(name, all_cases) for name in QUANTITIES},
+        "TWIST_PINS": {name: _twist_digest(name) for name in TWIST_QUANTITIES},
+        "UNITS_PIN": _units_digest(),
+        "WALL_PIN": _wall_digest(),
+        "INEQUALITIES_PIN": _inequalities_digest(),
+        "COMPRESSION_SLACK_PINS": _compression_slack_digests(),
+        "DENSITY_PIN": _density(),
+        "DENSITY_K3_PIN": _density_k3(),
+        "ISOTROPIC_BOUND_PIN": _isotropic_bound(),
+        "SEARCH_PIN": _search_digest(),
+        "JENSEN_PINS": {name: _jensen_digest(name) for name in JENSEN_PINS},
+        "CONSUMER_PINS": {name: _consumer_digest(name) for name in CONSUMER_QUANTITIES},
+    }.items():
+        print(f"{name} = {_literal(value, lead=len(name) + 3)}")
