@@ -475,17 +475,16 @@ def verify_isotropic_bound(
 
 def _marker_direction_frame(spec: LatticeSpec):
     """Unit vectors of the marker direction families ``(e_b, e_r)``; every
-    marker's ``b`` (resp. ``r``) must be a positive multiple of the shared
-    direction."""
+    marker's ``b`` must be a positive multiple of the shared direction, to
+    a sine of 1e-9 whatever its length.  Each ``r`` then is one of ``e_r``:
+    the spec holds every marker to ``r = c R(alpha) b``."""
     legs = spec.segments(spec.marker_keys)
     b0, r0 = legs[0]
     eb = b0 / np.linalg.norm(b0)
     er = r0 / np.linalg.norm(r0)
-    for b, r in legs:
-        if abs(float(cross2(eb, b))) > 1e-9 or float(eb @ b) <= 0:
+    for b, _ in legs:
+        if abs(float(cross2(eb, b))) > 1e-9 * float(np.linalg.norm(b)) or float(eb @ b) <= 0:
             raise ValueError("marker b vectors do not share a direction")
-        if abs(float(cross2(er, r))) > 1e-9 or float(er @ r) <= 0:
-            raise ValueError("marker r vectors do not share a direction")
     return eb, er
 
 

@@ -237,7 +237,7 @@ def _load_spec(args) -> LatticeSpec:
         raise ValueError("--params only applies to variant kinds")
     if name == "kagome":
         return build_kagome()
-    if name in ("rotating-squares", "rs"):
+    if name == "rotating-squares":
         return build_rotating_squares()
     if name in VARIANT_KINDS:
         valid = inspect.signature(VARIANT_KINDS[name]).parameters
@@ -439,16 +439,9 @@ def _dump_geometry(lmap, path: str) -> None:
     ``json.dumps(payload, indent=1, sort_keys=True)`` writes, built
     straight from the arrays (see ``docs/formats.md``)."""
     spec = lmap.spec
-    # every placed instance of each spring class and penalized triangle,
-    # class by class
     o1, o2 = unique_rows(lmap.keys[:, 1:]).T
-
-    def placed(keys):
-        rows = lmap.rows(keys, o1, o2).transpose(0, 2, 1).reshape(-1, keys.shape[1])
-        return rows[(rows >= 0).all(axis=1)]
-
-    edges = unique_rows(placed(spec.spring_keys))
-    tri_rows = placed(spec.penalized_keys)
+    edges = unique_rows(lmap.placed(spec.spring_keys, o1, o2)[1].T)
+    tri_rows = lmap.placed(spec.penalized_keys, o1, o2)[1].T
     R = kabsch_rotations(lmap.reference_positions[tri_rows], lmap.positions[tri_rows])
     angles = np.arctan2(R[:, 1, 0], R[:, 0, 0])
     triangle = ('  {\n   "angle": %s,\n   "nodes": '

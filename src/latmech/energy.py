@@ -43,7 +43,7 @@ __all__ = [
     "domain_energy",
 ]
 
-_LEN_FLOOR = 1e-12  # guards normalization of nearly collapsed springs
+_LEN_FLOOR = 1e-12  # times a spring's rest length, guards normalizing a nearly collapsed one
 
 # scipy's messages for the setulb task codes, as scipy.optimize._lbfgsb_py has them
 _STATUS_MESSAGES = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE",
@@ -243,6 +243,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
     width = size if fixed else 4 + size     # a row of X and of G
     bins = cell.scatter[4 * (ns - n_s) * kk:(4 * ns + 6 * n_t) * kk]
     rest = cell.spring_rest[:, None]
+    floor = _LEN_FLOOR * rest
     twice_k = 2.0 * cell.spring_stiffness[:, None]
     cross0 = cell.tri_cross0[:, None]
     tallest = []    # the one buffer set, of the tallest stack seen
@@ -274,7 +275,7 @@ def _kernel(cell: Supercell, springs: bool, penalty=None, lam=None):
             lengths = np.sqrt(sx * sx + sy * sy)
             np.multiply(cell.spring_stiffness, np.add.reduce((lengths - rest) ** 2, axis=2),
                         out=E[:, 1:1 + ns])
-            coeff = twice_k * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
+            coeff = twice_k * (1.0 - rest / np.maximum(lengths, floor))
             g = np.multiply(coeff[..., None], d[:, :ns], out=v_s[:, :, 0])
             np.negative(g, out=v_s[:, :, 1])
             if not fixed:
@@ -439,7 +440,8 @@ class LatticeMap:
     deformed positions row by row.  :meth:`rows` is the one lookup: it
     translates stacked integer rows such as the spec's ``spring_keys``
     over many cells at once, through a dense ``(node, o1, o2)`` grid built
-    once.  These two arrays are the map's one layout.  The reference
+    once; :meth:`placed` keeps the instances whose every node the map
+    holds.  These two arrays are the map's one layout.  The reference
     position of a node is ``epsilon`` times its unscaled position.
     """
 
@@ -471,6 +473,15 @@ class LatticeMap:
         out = np.full(ok.shape, -1, dtype=np.int64)
         out[ok] = self._grid[tuple(i[ok] for i in idx)]
         return out
+
+    def placed(self, keys, ci, cj):
+        """The instances of the integer rows ``keys`` ``(n_cls, n_ends, 3)``
+        over the cells ``(ci, cj)`` whose every node the map holds, in
+        (class, cell) order: ``(cls, rows)``, each one's class ``(m,)`` and
+        the ``(n_ends, m)`` rows of its ends, each end C-contiguous."""
+        rows = self.rows(keys, ci, cj)
+        kept = (rows >= 0).all(axis=1)
+        return np.nonzero(kept)[0], np.stack([end[kept] for end in rows.transpose(1, 0, 2)])
 
     def __reduce__(self):
         # rebuilt by the constructor, which freezes the arrays and makes the grid

@@ -445,7 +445,9 @@ def _validate_spec(spec: LatticeSpec) -> None:
     """Reject an inconsistent spec.  Each check reports the lowest
     offending class; the checks run in a fixed order, and a finite spec
     whose lengths or areas overflow is refused naming the first that does,
-    as is one whose cell area falls below the normal floats."""
+    as is one whose longest period vector is shorter than ``sqrt(tiny) /
+    eps`` (about 6.7e-139), where a residual at rounding level would
+    square below the normal floats."""
     # a NaN passes no comparison, so every later check would let it through
     for name, value in (("v1", spec.v1), ("v2", spec.v2), ("basic_nodes", spec.basic_nodes),
                         ("k_spring", spec.spring_stiffness), ("alpha", spec.alpha),
@@ -455,13 +457,12 @@ def _validate_spec(spec: LatticeSpec) -> None:
     what = "the period vectors' lengths or cell area"
     try:
         scale = max(np.hypot(*spec.v1), np.hypot(*spec.v2))
-        tiny = np.finfo(float).tiny
-        if 0 < scale < np.sqrt(tiny):   # so is the cell area, at most scale**2
+        # eps * scale squares to a normal float; past both checks, so does the area
+        floor = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+        if 0 < scale < floor:
             raise DegenerateGeometryError(f"{what} underflow")
         if spec.cell_area <= 1e-12 * scale**2:
             raise DegenerateGeometryError("period vectors are linearly dependent")
-        if spec.cell_area < tiny:
-            raise DegenerateGeometryError(f"{what} underflow")
         if spec.n_basic == 0:
             raise DegenerateGeometryError("lattice has no basic nodes")
 

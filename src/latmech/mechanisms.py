@@ -707,6 +707,11 @@ class DomainWall:
         return abs(self.compression_left - self.compression_right)
 
 
+def _strip_cells(K: int, rows: int) -> list:
+    """The wall strip's cells ``(i, j)``, row by row: ``0 <= j < rows``, ``|2 i + j| <= K``."""
+    return [(i, j) for j in range(rows) for i in range(-K - j, K + 1) if abs(2 * i + j) <= K]
+
+
 def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) -> DomainWall:
     """Assemble the kagome wall: triangle rotations follow the angle
     recursion column by column, mirrored about the wall, with positions
@@ -730,27 +735,15 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
     phi = th - 2 * np.pi / 3
 
     units = rigid_units(spec)
-    # Rotation signs: a down-pointing triangle (body above its pinch
-    # node, which is basic node 1) rotates by +phi on the right half.
-    down_sign = []
-    for unit in units:
-        pts = spec.node_positions(unit.nodes)
-        pinch_y = pts[np.argmax(unit.nodes[:, 0] == 1), 1]
-        down_sign.append(1.0 if pts[:, 1].mean() > pinch_y else -1.0)
-
-    cells = []
-    for j in range(rows):
-        i_lo = int(np.floor((-K - j) / 2))
-        i_hi = int(np.ceil((K - j) / 2))
-        for i in range(i_lo, i_hi + 1):
-            if abs(2 * i + j) <= K:
-                cells.append((i, j))
-
+    # unit 0, the down triangle C O D (its body above its pinch node O),
+    # has parity 0 and turns by +phi on the right half, the up one by -phi
+    sign = 1 - 2 * np.array([unit.parity for unit in units])
+    cells = _strip_cells(K, rows)
     plan = PlacementPlan.compile(spec, units, cells)
     # each instance's angle, the right half mirrored to the left
     col = 2 * plan.insts[:, 1] + plan.insts[:, 2]
     side = np.where(col >= 0, 1.0, -1.0)
-    pos, misfit = plan.place([np.asarray(down_sign)[plan.insts[:, 0]] * side * phi[np.abs(col)]])
+    pos, misfit = plan.place([sign[plan.insts[:, 0]] * side * phi[np.abs(col)]])
     keys, pos, misfit = plan.keys, pos[0], float(misfit[0])
     if misfit > 1e-10:
         raise MechanismError(f"domain wall does not close: misfit {misfit:.3e}")
@@ -760,35 +753,27 @@ def domain_wall_mechanism(theta1: float, half_width: int = 15, rows: int = 4) ->
     strip = LatticeMap(spec, 1.0, keys[order], pos[order])
     x = strip.positions
     ci, cj = np.array(cells).T
-    a, b = strip.rows(spec.spring_keys, ci, cj).transpose(1, 0, 2)
-    length = norms(x[b] - x[a])
-    both = (a >= 0) & (b >= 0)
-    resid = float(np.abs(length - spec.spring_rest[:, None])[both].max(initial=0.0))
-    t = strip.rows(spec.penalized_keys, ci, cj)
-    p0, p1, p2 = x[t].transpose(1, 0, 2, 3)
-    dets = _dets(p1 - p0, p2 - p0, (2 * spec.penalized_area)[:, None])
-    min_det = float(dets[(t >= 0).all(axis=1)].min(initial=np.inf))
+    cls, (a, b) = strip.placed(spec.spring_keys, ci, cj)
+    resid = float(np.abs(norms(x[b] - x[a]) - spec.spring_rest[cls]).max(initial=0.0))
+    cls, (t0, t1, t2) = strip.placed(spec.penalized_keys, ci, cj)
+    dets = _dets(x[t1] - x[t0], x[t2] - x[t0], 2 * spec.penalized_area[cls])
+    min_det = float(dets.min(initial=np.inf))
 
     # pinch-joint compression profile along a middle row, whose cells run
-    # over consecutive columns two apart
+    # over consecutive columns two apart: the pinch node of each cell and
+    # of the next, keyed by the column between them
     mid = cj == rows // 2
-    col = 2 * ci[mid] + cj[mid]
-    pinch = strip.rows([1, 0, 0], ci[mid], cj[mid])
-    width = norms(x[pinch[1:]] - x[pinch[:-1]]) / 2.0
-    ok = (pinch[1:] >= 0) & (pinch[:-1] >= 0)
-    profile = dict(zip((col[1:][ok] - 1).tolist(), width[ok].tolist()))
+    _, (a, b) = strip.placed([[[1, 0, 0], [1, 1, 0]]], ci[mid][:-1], cj[mid][:-1])
+    col = 2 * strip.keys[a, 1] + strip.keys[a, 2] + 1
+    profile = dict(zip(col.tolist(), (norms(x[b] - x[a]) / 2.0).tolist()))
     left = profile[min(profile)]
     right = profile[max(profile)]
 
     # vertical compression at the right edge (one vertical period = -v1+2v2),
     # from the rightmost cell holding both ends
     order = np.argsort(-(2 * ci + cj), kind="stable")
-    lo, hi = strip.rows([[1, 0, 0], [1, -1, 2]], ci[order], cj[order])
-    ok = (lo >= 0) & (hi >= 0)
-    vert = np.nan
-    if ok.any():
-        n = int(np.argmax(ok))
-        vert = float(norms(x[hi[n]] - x[lo[n]])) / (2 * np.sqrt(3.0))
+    _, (lo, hi) = strip.placed([[[1, 0, 0], [1, -1, 2]]], ci[order], cj[order])
+    vert = float(norms(x[hi[0]] - x[lo[0]])) / (2 * np.sqrt(3.0)) if len(lo) else np.nan
 
     return DomainWall(
         theta=th,

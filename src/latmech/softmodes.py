@@ -175,12 +175,10 @@ def _relax(lmap: LatticeMap, ci, cj, sweeps: int):
     cells ``(ci, cj)`` whose two ends the map holds, taken in (spring
     class, cell) order; returns the relaxed positions."""
     spec, eps, pos0 = lmap.spec, lmap.epsilon, lmap.positions
-    ra, rb = lmap.rows(spec.spring_keys, ci, cj).transpose(1, 0, 2)
-    both = (ra >= 0) & (rb >= 0)
-    ia, ib = ra[both], rb[both]
-    count = both.sum(axis=1)
-    rest = np.repeat(eps * spec.spring_rest, count)
-    stiff = np.repeat(spec.spring_stiffness, count)
+    cls, rows = lmap.placed(spec.spring_keys, ci, cj)
+    ia, ib = rows
+    rest = (eps * spec.spring_rest)[cls]
+    stiff = spec.spring_stiffness[cls]
     wsum = np.full(len(pos0), _TETHER)
     np.add.at(wsum, ia, stiff)
     np.add.at(wsum, ib, stiff)
@@ -189,8 +187,7 @@ def _relax(lmap: LatticeMap, ci, cj, sweeps: int):
     # arrays take numpy's fast path.  The pulls of both ends go to one
     # buffer that every sweep and coordinate reuses.
     m = len(ia)
-    ends, stiff2 = np.concatenate([ia, ib]), np.concatenate([stiff, stiff])
-    del ra, rb, both
+    ends, stiff2 = rows.ravel(), np.concatenate([stiff, stiff])
     tether_x, tether_y = _TETHER * pos0[:, 0], _TETHER * pos0[:, 1]
     pulls = np.empty(2 * m)
     x, y = pos0.T.copy()

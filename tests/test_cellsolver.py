@@ -1,10 +1,11 @@
 """Cell-problem density estimates, lambda grids, and explicit-constant bounds."""
 
+import json
 from itertools import chain
 
 import numpy as np
 import pytest
-from conftest import one_row_edge_vectors, percolating_units_json
+from conftest import one_row_edge_vectors, percolating_units_json, scaled_json
 
 from latmech.energy import _kernel, _smoothed, energy_breakdown
 from latmech.geometry import _pos_sq, lower_bracket, principal_stretches, signed_svd
@@ -578,6 +579,19 @@ def test_jensen_bounds_unequal_rests_fall_back_to_weighted():
     reports = verify_jensen_bounds(spec, n_trials=100, k_max=2)
     assert sorted(reports) == ["weighted-rest"]
     assert reports["weighted-rest"].holds
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-6, 1e-10])
+def test_marker_frame_refuses_skew_b_vectors_at_any_scale(factor):
+    # kagome with marker 1 moved to a 60-degree spring and its 120-degree
+    # partner: the spec is valid, but its b is not along marker 0's
+    data = json.loads(build_kagome().to_json())
+    data["markers"][1].update(b=[[2, 0, -1], [1, 0, 0]], r=[[0, 0, 0], [1, 0, 0]])
+    spec = LatticeSpec.from_json(scaled_json(LatticeSpec.from_json(json.dumps(data)), factor))
+    with pytest.raises(ValueError, match="^marker b vectors do not share a direction$"):
+        _marker_direction_frame(spec)
+    with pytest.raises(ValueError, match="^marker b vectors do not share a direction$"):
+        verify_jensen_bounds(spec, n_trials=1, k_max=1)
 
 
 def test_diag_stretch_equality_witness(rotating_squares):

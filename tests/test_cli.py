@@ -212,6 +212,22 @@ def test_mechanism_on_a_large_supercell_exits_0(tmp_path):
      f"the n columns of the recursion number 10000001, {LIMIT}"),
     (["domain-wall", "--theta1", "2.3", "--strip", "--half-width", "454545", "--rows", "11"],
      f"the strip cells of half_width 454545 and rows 11 number 10000001, {LIMIT}"),
+    # malformed values and unknown names, each named with its exact message
+    (["energy", "--lam", "1,2,3"], "matrix must be four comma-separated numbers, row-major"),
+    (["build", "--spec", "general-kagome", "--params", "size"],
+     "malformed --params entry 'size'; expected key=value"),
+    (["soft-mode", "--eps", "1/0"], "--eps entry '1/0' divides by zero"),
+    (["domain-wall", "--theta1", "1.0"], "theta1 must lie in [2*pi/3, pi), got 1"),
+    (["domain-wall", "--theta1", "2.3", "--n", "0"],
+     "the recursion needs n >= 1 columns, got 0"),
+    (["domain-wall", "--theta1", "2.3", "--strip", "--half-width", "0"],
+     "the strip needs half_width >= 1 and rows >= 2, got 0 and 4"),
+    (["domain-wall", "--theta1", "2.3", "--strip", "--rows", "1"],
+     "the strip needs half_width >= 1 and rows >= 2, got 15 and 1"),
+    # rs is no alias of rotating-squares
+    *((["build", "--spec", name], f"unknown spec {name!r}; use a builtin (kagome, "
+       "rotating-squares), a variant kind (general-kagome, isosceles-kagome, quad-squares, "
+       "rhombus-squares), or a JSON path") for name in ("no-such-lattice", "rs")),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     out = tmp_path / "x.csv"
@@ -770,9 +786,10 @@ def test_spec_json_that_is_no_object_exits_2(tmp_path, capsys, text, named):
     ("general-kagome", "size=1e200", 2, "the period vectors' lengths or cell area overflow"),
     ("quad-squares", "d1=1e200", 2, "the period vectors' lengths or cell area overflow"),
     ("general-kagome", "size=1e150", 0, None),
-    # and too small: the cell area falls below the normal floats
+    # and too small: a residual at rounding level squares below the normal floats
     ("general-kagome", "size=1e-160", 2, "the period vectors' lengths or cell area underflow"),
-    ("general-kagome", "size=1e-150", 0, None),
+    ("general-kagome", "size=1e-150", 2, "the period vectors' lengths or cell area underflow"),
+    ("general-kagome", "size=1e-130", 0, None),
 ])
 def test_variant_too_large_for_the_floats_exits_2(tmp_path, capsys, spec, params, code, err):
     # run in-process, where the warning filters of pyproject.toml turn a

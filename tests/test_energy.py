@@ -30,11 +30,12 @@ from latmech.energy import (
     smoothed_energy_grad,
 )
 from latmech.cellsolver import _ANNEAL, _MAXITER
-from latmech.lattice import PeriodicDeformation, Supercell, cross2, ordered_sum, rotation
+from latmech.lattice import (LatticeSpec, PeriodicDeformation, Supercell, cross2, ordered_sum,
+                             rotation)
 from latmech.mechanisms import _pack, _search_objective, _unpack, twist_mechanism
 from latmech.softmodes import _probe_margin, default_target, modulate
 
-from conftest import check_cell_bounds, random_deformation
+from conftest import check_cell_bounds, random_deformation, scaled_json
 from test_pins import _one_shot, _specs
 
 
@@ -162,6 +163,24 @@ def test_smoothed_gradient_matches_finite_differences(rotating_squares):
               lam, psi, glam, gpsi)
 
 
+@pytest.mark.parametrize("e", [-10, -40, -50])
+def test_smoothed_energy_grad_scales_exactly_by_powers_of_two(kagome, rotating_squares, e):
+    # every length times 2**e: E and glam scale by 2**(2 e), gpsi by 2**e,
+    # with no bit lost, as the length floor is relative to each rest length
+    s = 2.0 ** e
+    rng = np.random.default_rng(15)
+    for spec in (kagome, rotating_squares):
+        cell = Supercell(spec, 2)
+        small = Supercell(LatticeSpec.from_json(scaled_json(spec, s)), 2)
+        lam = 0.8 * rotation(0.4) + 0.1 * rng.standard_normal((2, 2))
+        psi = 0.15 * rng.standard_normal((cell.n_nodes, 2))
+        E, glam, gpsi = smoothed_energy_grad(cell, lam, psi, eta=0.05, tau=0.02)
+        Es, glam_s, gpsi_s = smoothed_energy_grad(small, lam, s * psi, eta=0.05, tau=0.02)
+        assert E > 0 and Es == s * s * E
+        assert np.array_equal(glam_s, s * s * glam)
+        assert np.array_equal(gpsi_s, s * gpsi)
+
+
 def test_smoothed_energy_dominates_springs_near_feasible(kagome):
     """The sigmoid penalty is nonnegative, so the surrogate lies above
     the bare spring energy."""
@@ -258,7 +277,7 @@ def _ref_spring_terms(cell, lam, psi):
     rest = cell.spring_rest[:, None]
     stiffness = cell.spring_stiffness[:, None]
     E = cell.spring_stiffness * np.sum((lengths - rest) ** 2, axis=1)
-    coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR))
+    coeff = 2.0 * stiffness * (1.0 - rest / np.maximum(lengths, _LEN_FLOOR * rest))
     g = coeff[:, :, None] * d
     glam = g.sum(axis=1)[:, :, None] * dx[:, None, :]
     slots = np.stack([head, tail], axis=1)
@@ -324,7 +343,8 @@ def _bit_cases(spec, k, seed):
     (tail, head, dx), _, _, _ = _ref_arrays(cell)
     i, c = np.argwhere(head != tail)[0]
     psi[head[i, c]] = psi[tail[i, c]] - lam @ dx[i]
-    assert np.linalg.norm(_slot_edge_vectors(lam, psi, tail, head, dx)[i, c]) < _LEN_FLOOR
+    length = np.linalg.norm(_slot_edge_vectors(lam, psi, tail, head, dx)[i, c])
+    assert length < _LEN_FLOOR * cell.spring_rest[i]
     return cell, [("rough", *rough), ("flipped", *flipped), ("mild", *mild),
                   ("collapsed", lam, psi)]
 
@@ -912,6 +932,27 @@ def test_lattice_map_arrays_and_values_view(kagome):
         row = lmap.rows(key, 0, 0)[0]
         assert np.array_equal(lmap.reference_positions[row],
                               lmap.epsilon * lmap.spec.node_positions(key))
+
+
+def test_placed_keeps_class_cell_order_and_drops_instances_missing_a_node(kagome):
+    lmap = _l_shape_map(kagome)
+    # remove every fifth node, so that many instances miss one
+    kept = np.arange(len(lmap.keys)) % 5 != 0
+    holed = LatticeMap(kagome, lmap.epsilon, lmap.keys[kept], lmap.positions[kept])
+    ci, cj = np.array([0, 1, 2, 3, 10**6]), np.array([0, -1, 3, 5, 0])
+    for keys in (kagome.spring_keys, kagome.penalized_keys):
+        for m in (lmap, holed):
+            cls, rows = m.placed(keys, ci, cj)
+            assert all(end.flags.c_contiguous and end.ndim == 1 for end in rows)
+            # (class, cell) order by a loop over both, each instance kept
+            # when every node is held
+            want = [(c, [m.rows(key, ci[n], cj[n])[0] for key in keys[c]])
+                    for c in range(len(keys)) for n in range(len(ci))]
+            want = [(c, ends) for c, ends in want if min(ends) >= 0]
+            assert cls.tolist() == [c for c, _ in want]
+            assert rows.T.tolist() == [ends for _, ends in want]
+        full, holey = len(lmap.placed(keys, ci, cj)[0]), len(holed.placed(keys, ci, cj)[0])
+        assert 0 < holey < full < len(keys) * len(ci)
 
 
 def test_pickled_lattice_map_keeps_its_layout(kagome):

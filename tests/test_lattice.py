@@ -25,7 +25,7 @@ from latmech.lattice import (
     rotation,
     unique_rows,
 )
-from latmech.mechanisms import _unit_members, rigid_units
+from latmech.mechanisms import _unit_members, rigid_units, twist_mechanism
 from latmech.softmodes import default_target
 
 
@@ -282,12 +282,13 @@ SPEC_REJECTIONS = [
     pytest.param(scale_coordinates(1e160),
                  DegenerateGeometryError, "the period vectors' lengths or cell area overflow",
                  id="coordinates-1e160"),
-    # so small that the cell area leaves the normal floats, which would
-    # read as dependent periods or a cover that misses the cell
+    # so small that a residual at rounding level squares below the normal
+    # floats, or the cell area leaves them, which would read as dependent
+    # periods or a cover that misses the cell
     *(pytest.param(scale_coordinates(factor), DegenerateGeometryError,
                    "the period vectors' lengths or cell area underflow",
                    id=f"coordinates-{factor:g}")
-      for factor in (1e-155, 1e-160, 1e-170, 1e-300)),
+      for factor in (2.0 ** -500, 1e-148, 1e-155, 1e-160, 1e-170, 1e-300)),
     pytest.param(lambda d: d.update(c_marker=1e308),
                  DegenerateGeometryError, "the marker edges overflow", id="c-marker-1e308"),
     # values of the wrong JSON type, each rejected before any is converted
@@ -365,11 +366,14 @@ def test_coordinates_scaled_by_1e150_still_build(kagome):
     assert spec.spring_rest == pytest.approx(1e150 * kagome.spring_rest, rel=1e-15)
 
 
-def test_coordinates_scaled_by_2_to_the_minus_500_still_build(kagome):
-    # a power of two scales every length and area exactly
-    spec = LatticeSpec.from_json(scaled_json(kagome, 2.0 ** -500))
-    assert spec.cell_area == 2.0 ** -1000 * kagome.cell_area
-    assert (spec.spring_rest == 2.0 ** -500 * kagome.spring_rest).all()
+def test_coordinates_scaled_by_2_to_the_minus_450_still_build(kagome):
+    # a power of two scales every length and area exactly, and the
+    # certificate, an energy density, keeps every digit
+    spec = LatticeSpec.from_json(scaled_json(kagome, 2.0 ** -450))
+    assert spec.cell_area == 2.0 ** -900 * kagome.cell_area
+    assert (spec.spring_rest == 2.0 ** -450 * kagome.spring_rest).all()
+    energy = twist_mechanism(spec, 0.3).certificate.energy
+    assert energy.hex() == twist_mechanism(kagome, 0.3).certificate.energy.hex()
 
 
 def _old_polar(m):

@@ -16,6 +16,7 @@ from latmech.mechanisms import (
     TwistPlan,
     _pack,
     _search_objective,
+    _strip_cells,
     _unpack,
     _twist_fields,
     _twist_mechanisms,
@@ -478,3 +479,39 @@ def test_wall_strip_assembles():
     c_limit = abs(np.cos(wall.theta_limit - 2 * np.pi / 3))
     assert abs(wall.compression_right - c_limit) <= 1e-2
     assert abs(wall.vertical_compression - wall.compression_right) <= 1e-3
+
+
+def _strip_cells_by_bounds(K, rows):
+    """The wall strip's cells as ``domain_wall_mechanism`` listed them
+    before :func:`_strip_cells`: per row, ``i`` from the floor to the ceil
+    of the column bounds, kept when the column lies in ``[-K, K]``."""
+    cells = []
+    for j in range(rows):
+        i_lo = int(np.floor((-K - j) / 2))
+        i_hi = int(np.ceil((K - j) / 2))
+        for i in range(i_lo, i_hi + 1):
+            if abs(2 * i + j) <= K:
+                cells.append((i, j))
+    return cells
+
+
+def test_strip_cells_match_the_floor_and_ceil_loop():
+    # rows beyond 2 * half_width + 2 need i below -K
+    for half_width in range(1, 30):
+        for rows in range(2, 40):
+            K = 2 * half_width
+            assert _strip_cells(K, rows) == _strip_cells_by_bounds(K, rows), (half_width, rows)
+
+
+def test_wall_signs_are_the_unit_parities():
+    # the geometric rule the wall read before the parities: a unit whose
+    # body lies above its pinch node (basic node 1) is a down triangle
+    # and turns by +phi on the right half
+    spec = build_kagome()
+    units = rigid_units(spec)
+    down_sign = []
+    for unit in units:
+        pts = spec.node_positions(unit.nodes)
+        pinch_y = pts[np.argmax(unit.nodes[:, 0] == 1), 1]
+        down_sign.append(1.0 if pts[:, 1].mean() > pinch_y else -1.0)
+    assert down_sign == [1.0 - 2 * unit.parity for unit in units] == [1.0, -1.0]
