@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -120,19 +119,19 @@ def _check_cell_eta(spec: LatticeSpec, eta, k: int) -> None:
     _check_eta(eta, spec.penalized_area, k * k, min(_ANNEAL))
 
 
-def _check_cell_lams(spec: LatticeSpec, lams) -> None:
-    """Reject a grid matrix whose exact energy on one cell at ``psi = 0``
-    overflows, naming its index: every solve from it would run on
-    infinities.  The penalty part of that energy is finite once ``eta``
-    passes :func:`_check_cell_eta`, so the spring part is checked here,
-    for the whole grid at once."""
+def _check_cell_lams(spec: LatticeSpec, lams, k: int) -> None:
+    """Reject a grid matrix whose exact energy on the ``k x k`` supercell
+    at ``psi = 0`` overflows, naming its index: every solve from it would
+    run on infinities.  The penalty part of that energy is finite once
+    ``eta`` passes :func:`_check_cell_eta`, so the spring part, ``k * k``
+    times its one-cell sum, is checked here, for the whole grid at once."""
     with np.errstate(over="ignore", invalid="ignore"):
         lengths = norms(lam_times(np.array(lams), spec.segments(spec.spring_keys)))
-        springs = (spec.spring_stiffness * (lengths - spec.spring_rest) ** 2).sum(axis=1)
+        springs = k * k * (spec.spring_stiffness * (lengths - spec.spring_rest) ** 2).sum(axis=1)
     bad = np.flatnonzero(~np.isfinite(springs))
     if len(bad):
         raise ValueError(f"grid matrix {bad[0]} {lams[bad[0]].tolist()}: its exact energy on "
-                         f"one cell at psi = 0 overflows")
+                         f"the {k} x {k} supercell at psi = 0 overflows")
 
 
 def _twist_seed(spec: LatticeSpec, lam: np.ndarray):
@@ -194,13 +193,13 @@ def estimate_density(
     row at its own ``lam``, so every estimate keeps the bits of its solve
     alone.  That step, the smoothed penalty's ``expit`` and the twist
     seed's root finder are scipy's compiled modules loaded by file, so no
-    scipy package is ever imported.  The polished seeds are then taken in
-    order, as if polished one after another: the first that reaches 1e-13
-    short-circuits the seeds after it, which count neither in the result
-    nor in the trace.  The reported value is always the exact
-    step-penalty energy of the best iterate.
+    scipy package is ever imported.  One walk then takes the seeds in
+    order, each start and then, in a polished solve, its polish, as if
+    polished one after another: it stops where the best reaches 1e-13, and
+    the seeds after count neither in the result nor in the trace.  The
+    reported value is always the exact step-penalty energy of the best iterate.
 
-    ``solver_trace`` says whether either short circuit ended the solve
+    ``solver_trace`` says whether the walk stopped at a zero
     (``short_circuit``) and gives the gradient norm at the end of the best
     seed's last stage (``final_grad_norm``: 0.0 for a seed screened at
     zero, NaN for a screened seed that no polish beat).  It counts the
@@ -215,76 +214,56 @@ def estimate_density(
     return _estimate_densities(spec, [lam], eta, [k], restarts, rng_seed)[0][0]
 
 
-@dataclass
-class _Screened:
-    """One density solve after screening: its seeds in order with the
-    exact energy of each, and the seed that short-circuits the solve,
-    ``best = (breakdown, label, psi, 0.0)``, or ``None``."""
-
-    lam: np.ndarray
-    seeds: list         # (label, psi) of each seed screened
-    starts: list        # the exact energy of each
-    best: Optional[tuple]
-    trouble: dict
-    n_seeds: int        # the fixed seeds and restarts, screened or not
-
-
-def _screen(cell: Supercell, lam: np.ndarray, twist: tuple, eta: float,
-            restarts: int, rng_seed: int) -> _Screened:
-    """Screen the seeds of the solve at ``lam`` in order, up to the first
-    at or below ``_SHORT_TOL`` (see :func:`estimate_density`); ``twist``
-    is :func:`_twist_seed` of ``lam``, its field tiled to every cell."""
+def _screen(cell: Supercell, lam: np.ndarray, twist, eta: float, restarts: int,
+            rng_seed: int) -> list:
+    """The screened seeds of the solve at ``lam``, ``(label, psi,
+    breakdown)`` records in order, up to the first at or below
+    ``_SHORT_TOL`` (see :func:`estimate_density`); ``twist`` is the
+    one-cell field of :func:`_twist_seed`, tiled to every cell, or ``None``."""
     n = cell.n_nodes
-    tw, gap = twist
-    trouble = {"unconverged_stages": 0, "last_unconverged_message": None,
-               "stalled_stages": 0, "twist_bracket_gap": gap}
-    fixed = [("zero", np.zeros((n, 2)))]
-    if tw is not None:
-        fixed.append(("twist", np.repeat(tw, cell.k * cell.k, axis=0)))
 
-    def random_seeds():
+    def seeds():
+        yield "zero", np.zeros((n, 2))
+        if twist is not None:
+            yield "twist", np.repeat(twist, cell.k * cell.k, axis=0)
         rng = np.random.default_rng(rng_seed)
         for r in range(restarts):
-            amp = 0.1 if r % 2 == 0 else 0.3
-            yield f"random{r}", amp * rng.standard_normal((n, 2))
+            yield f"random{r}", (0.1 if r % 2 == 0 else 0.3) * rng.standard_normal((n, 2))
 
-    out = _Screened(lam, [], [], None, trouble, len(fixed) + restarts)
-    for label, psi0 in chain(fixed, random_seeds()):
-        bd = energy_breakdown(PeriodicDeformation(cell, lam, psi0), eta)
-        out.seeds.append((label, psi0))
-        out.starts.append(bd)
-        if bd.averaged <= _SHORT_TOL:
-            out.best = (bd, label, psi0, 0.0)
+    screened = []
+    for label, psi0 in seeds():
+        screened.append((label, psi0, energy_breakdown(PeriodicDeformation(cell, lam, psi0), eta)))
+        if screened[-1][2].averaged <= _SHORT_TOL:
             break
-    return out
+    return screened
 
 
-def _select(cell: Supercell, eta: float, solve: _Screened, polished) -> DensityEstimate:
-    """The estimate of a screened solve: ``polished[j]`` holds seed ``j``'s
-    ``(x, nit, status, message, g)`` of each anneal stage, and is empty
-    when screening ended the solve.  The seeds are taken in order, as if
-    polished one after another: a seed after a zero polish is polished
-    but not counted."""
-    best, trouble = solve.best, solve.trouble
-    short_circuit = best is not None
-    total_iters = 0
-    for (label, psi0), bd0, stages in zip(solve.seeds, solve.starts, polished):
+def _select(cell: Supercell, eta: float, lam: np.ndarray, screened: list, polished,
+            n_seeds: int, gap) -> DensityEstimate:
+    """The estimate of one solve, its seeds walked in order as if polished
+    one after another: each seed's start, by a strict ``<`` on the
+    averaged energy, then, when the solve was polished, its polish
+    (``polished[j]`` holds seed ``j``'s ``(x, nit, status, message, g)``
+    of each anneal stage), by ``(averaged, spring_total)``.  The walk
+    stops where the best is at or below ``_SHORT_TOL`` (``short_circuit``):
+    a seed after a zero polish is polished but not counted.  A solve that
+    screening ended has ``polished=None``, and its last record stops the walk."""
+    best, iterations, unconverged, message, stalled = None, 0, 0, None, 0
+    for j, (label, psi0, bd0) in enumerate(screened):
         if best is None or bd0.averaged < best[0].averaged:
-            best = (bd0, label, psi0, np.nan)
-        for _, nit, status, message, _ in stages:
-            total_iters += nit
-            if status == 1:             # iteration or evaluation limit
-                trouble["unconverged_stages"] += 1
-                trouble["last_unconverged_message"] = message
-            elif status == 2:           # abnormal line-search termination
-                trouble["stalled_stages"] += 1
-        x, g = stages[-1][0], stages[-1][4]
-        psi = x.reshape(-1, 2)
-        bd = energy_breakdown(PeriodicDeformation(cell, solve.lam, psi), eta)
-        if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
-            best = (bd, label, psi, float(np.linalg.norm(g)))
-        if best[0].averaged <= _SHORT_TOL:    # polished down to zero: no later seed can beat it
-            short_circuit = True
+            best = (bd0, label, psi0, 0.0 if polished is None else np.nan)
+        if polished is not None:
+            for _, nit, status, msg, _ in polished[j]:
+                iterations += nit
+                if status == 1:             # iteration or evaluation limit
+                    unconverged, message = unconverged + 1, msg
+                elif status == 2:           # abnormal line-search termination
+                    stalled += 1
+            psi = polished[j][-1][0].reshape(-1, 2)
+            bd = energy_breakdown(PeriodicDeformation(cell, lam, psi), eta)
+            if (bd.averaged, bd.spring_total) < (best[0].averaged, best[0].spring_total):
+                best = (bd, label, psi, float(np.linalg.norm(polished[j][-1][4])))
+        if best[0].averaged <= _SHORT_TOL:    # a zero: no later seed can beat it
             break
 
     bd, label, psi, grad_norm = best
@@ -292,31 +271,35 @@ def _select(cell: Supercell, eta: float, solve: _Screened, polished) -> DensityE
         upper=bd.averaged,
         upper_spring=bd.spring_total / bd.cell_area,
         upper_penalty=bd.penalty_total / bd.cell_area,
-        minimizer=PeriodicDeformation(cell, solve.lam, psi),
-        solver_trace={"restarts": solve.n_seeds, "iterations": total_iters,
+        minimizer=PeriodicDeformation(cell, lam, psi),
+        solver_trace={"restarts": n_seeds, "iterations": iterations,
                       "final_grad_norm": grad_norm, "best_seed": label,
-                      "short_circuit": short_circuit, **trouble},
+                      "short_circuit": bd.averaged <= _SHORT_TOL,
+                      "unconverged_stages": unconverged,
+                      "last_unconverged_message": message, "stalled_stages": stalled,
+                      "twist_bracket_gap": gap},
     )
 
 
 def _polish(cell: Supercell, eta: float, solves: list) -> list:
-    """The estimates of screened ``solves``: the seeds of every solve that
-    screening did not end go through the anneal as one stack, each row at
-    its solve's ``lam``, one :func:`~latmech.energy._lbfgsb` call per
-    stage."""
-    open_ = [solve for solve in solves if solve.best is None]
+    """The estimates of ``solves``, each ``(lam, screened, n_seeds, gap)``:
+    the seeds of every open solve (its last record not at or below
+    ``_SHORT_TOL``) go through the anneal as one stack, each row at its
+    solve's ``lam``, one :func:`~latmech.energy._lbfgsb` call per stage."""
+    open_ = [not screened[-1][2].averaged <= _SHORT_TOL for _, screened, _, _ in solves]
+    rows = [(lam, psi0.ravel()) for (lam, screened, _, _), is_open in zip(solves, open_)
+            if is_open for _, psi0, _ in screened]
     stages = []     # per anneal stage, every row's (x, nit, status, message, g)
-    if open_:
-        lam = np.array([solve.lam for solve in open_ for _ in solve.seeds])
-        X = np.array([psi0.ravel() for solve in open_ for _, psi0 in solve.seeds])
+    if rows:
+        lam, X = map(np.array, zip(*rows))
         for tau in _ANNEAL:
             stages.append(_lbfgsb(_kernel(cell, True, _smoothed(cell, eta, tau), lam=lam), X,
                                   _MAXITER, 1e-16, 1e-12))
             X = np.array([row[0] for row in stages[-1]])
     per_row = iter(zip(*stages))        # each row's stages
-    return [_select(cell, eta, solve, [] if solve.best is not None
-                    else [next(per_row) for _ in solve.seeds])
-            for solve in solves]
+    return [_select(cell, eta, lam, screened,
+                    [next(per_row) for _ in screened] if is_open else None, n_seeds, gap)
+            for (lam, screened, n_seeds, gap), is_open in zip(solves, open_)]
 
 
 def _estimate_densities(spec: LatticeSpec, lams, eta: float, ks: Sequence[int],
@@ -329,20 +312,21 @@ def _estimate_densities(spec: LatticeSpec, lams, eta: float, ks: Sequence[int],
     each row at its own ``lam``, up to ``_POLISH_CHUNK`` node slots (a row
     counting at least 64), so memory is bounded for any number of
     gradients.  Rows never interact, so the chunks move no bit."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     for k in ks:
         _check_cell_eta(spec, eta, k)
     cells = [Supercell(spec, k) for k in ks]
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
     lams = [np.asarray(lam, dtype=float).reshape(2, 2) for lam in lams]
     twists = [_twist_seed(spec, lam) for lam in lams]
     out = [[] for _ in lams]
     for cell in cells:
         ests, chunk, slots = [], [], 0
-        for lam, twist in zip(lams, twists):
-            chunk.append(_screen(cell, lam, twist, eta, restarts, rng_seed))
-            if chunk[-1].best is None:
-                slots += len(chunk[-1].seeds) * max(cell.n_nodes, 64)
+        for lam, (twist, gap) in zip(lams, twists):
+            screened = _screen(cell, lam, twist, eta, restarts, rng_seed)
+            chunk.append((lam, screened, 1 + (twist is not None) + restarts, gap))
+            if not screened[-1][2].averaged <= _SHORT_TOL:
+                slots += len(screened) * max(cell.n_nodes, 64)
             if slots >= _POLISH_CHUNK:
                 ests += _polish(cell, eta, chunk)
                 chunk, slots = [], 0

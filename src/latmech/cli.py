@@ -588,7 +588,7 @@ def _cmd_density_sweep(args) -> int:
     _check_cell_eta(spec, args.eta, max(ks))
     lams = (_grid_file(args.grid.split(":", 1)[1]) if args.grid.startswith("file:")
             else lambda_grid(args.grid, rng_seed=args.seed))
-    _check_cell_lams(spec, lams)
+    _check_cell_lams(spec, lams, max(ks))
     # one task per contiguous chunk of the grid, one chunk per job, each
     # running the whole k-list; no row of a stack reads another
     jobs = _jobs(args, len(lams))

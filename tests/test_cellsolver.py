@@ -79,6 +79,17 @@ def test_estimate_density_validation(kagome):
             estimate_density(kagome, np.eye(2), eta)
 
 
+def test_negative_restarts_are_refused_before_any_supercell(kagome, monkeypatch):
+    # a 600 x 600 supercell is some 350 MB: the refusal must not build it
+    def no_supercell(*args):
+        raise AssertionError("a supercell was built")
+
+    monkeypatch.setattr(cellsolver, "Supercell", no_supercell)
+    with pytest.raises(ValueError) as info:
+        estimate_density(kagome, np.eye(2), 0.05, k=600, restarts=-1)
+    assert str(info.value) == "restarts must be >= 0, got -1"
+
+
 def test_estimate_density_identity_short_circuits(kagome):
     est = estimate_density(kagome, np.eye(2), 0.05)
     assert est.upper == 0.0

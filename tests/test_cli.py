@@ -246,8 +246,8 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, named):
     (["energy", "--psi-amp", "1e200"],
      "the exact energy overflows at --lam 1,0,0,1 and --psi-amp 1e+200"),
     (["density-sweep", "--grid", "GRID", "--k", "1", "--jobs", "1"],
-     "grid matrix 1 [[1e+200, 0.0], [0.0, 1e+200]]: its exact energy on one cell at "
-     "psi = 0 overflows"),
+     "grid matrix 1 [[1e+200, 0.0], [0.0, 1e+200]]: its exact energy on the 1 x 1 "
+     "supercell at psi = 0 overflows"),
 ])
 def test_overflowing_exact_energy_exits_2(tmp_path, capsys, argv, message):
     # run in-process, where the warning filters of pyproject.toml make any
@@ -360,8 +360,24 @@ def test_huge_determinant_sweeps_without_a_warning(tmp_path, capsys, spec, matri
                 "--jobs", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "latmech density-sweep: error: grid matrix 0 [[1e+154, 0.0], [0.0, 1e+154]]: "
-        "its exact energy on one cell at psi = 0 overflows\n")
+        "its exact energy on the 2 x 2 supercell at psi = 0 overflows\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ks, code, err", [
+    ("1,5", 0, ""),
+    ("1,6", 2, "latmech density-sweep: error: grid matrix 0 [[1e+153, 0.0], [0.0, 1e+153]]: "
+               "its exact energy on the 6 x 6 supercell at psi = 0 overflows\n"),
+])
+def test_grid_check_sums_the_largest_supercell(tmp_path, capsys, ks, code, err):
+    # in-process, where any numpy floating-point warning fails the test: the
+    # one-cell energy at 1e153 is finite, 36 cells of it overflow
+    grid, out = tmp_path / "grid.json", tmp_path / "x.csv"
+    grid.write_text(json.dumps([HUGE_DET_MATRICES["diagonal"]]))
+    assert run(["density-sweep", "--grid", f"file:{grid}", "--k", ks, "--jobs", "1",
+                "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("eps, named", [

@@ -16,7 +16,9 @@ other than its default's own expression, and likewise on a defaulted field of a 
 attribute store sets too: an option with one value in use is a constant
 (a few options aside, each listed with its reason), and on a dataclass
 field whose name no reader reads as an attribute (a few results that
-the unit tests and pins check aside, each listed with its reason).
+the unit tests and pins check aside, each listed with its reason), and
+on a top-level private definition of the package that none of its
+modules reads.
 Last, it fails when the CLI, which every command's process imports,
 imports a ``latmech`` module other than ``lattice`` at top level, when
 a module other than ``lattice`` reads the grid limit ``_GRID_POINTS``,
@@ -314,6 +316,51 @@ def test_unread_public_name_is_caught():
     unit_test = ast.parse("assert g.attr == h()\n")
     assert _unread(_public_names(tree), [tree, unit_test]) == []
     assert [p.name for p in READERS if p.parent.name == "tests"] == ["test_acceptance.py"]
+
+
+def _unread_private(trees) -> list:
+    """The private names (``_x``, not dunder) that a ``def``, a ``class``
+    or an assignment at the top level of ``trees`` defines and that no
+    tree reads as a bare name or an attribute."""
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for target in targets for t in ast.walk(target)
+                               if isinstance(t, ast.Name))
+    private = [name for name in defined
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    return _unread(private, trees)
+
+
+def test_every_private_definition_is_read():
+    """A private helper, constant or carrier that no module of the package
+    reads is left over from a refactor: the unit tests do not keep it."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    assert _unread_private(trees) == []
+
+
+def test_unread_private_definition_is_caught():
+    tree = ast.parse("_A = 1\n_B: int = 2\n_C, (_D, e) = 1, (2, 3)\n__all__ = []\n"
+                     "__version__ = '0'\n__x = 0\n"
+                     "def _f():\n    return _A\n"
+                     "def _g():\n    _h = 1\n"
+                     "class _K:\n    _inner = 0\n"
+                     "_f()\nobj._K._B = _D\n")
+    # an attribute store (obj._K._B) is no read, a read in a function body is
+    assert _unread_private([tree]) == ["_B", "_C", "__x", "_g"]
+    # a carrier left behind after a refactor is caught
+    source = (SRC / "cellsolver.py").read_text()
+    anchor = "def _screen("
+    mutant = source.replace(anchor, "@dataclass\nclass _Screened:\n    lam: np.ndarray\n\n\n"
+                                    + anchor)
+    assert mutant.count("_Screened") == 1
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "cellsolver.py"]
+    assert _unread_private(trees + [ast.parse(mutant)]) == ["_Screened"]
 
 
 def _is_dataclass(decorator) -> bool:
